@@ -17,8 +17,10 @@
 //! * [`worst_case::worst_case_grid`] — the Theorem-3 shifted grid
 //!   (Halton–Hammersley columns) on which H, H4 and TGS all visit
 //!   `Θ(N/B)` leaves for an empty query.
-//! * [`tiger::TigerProfile`] — TIGER/Line-like road networks (see
-//!   DESIGN.md §5 for the substitution rationale).
+//! * [`tiger::TigerProfile`] — TIGER/Line-like road networks: the
+//!   census CDs are not available here, and the paper's analysis rests
+//!   only on their distribution (small, mildly clustered rectangles),
+//!   which the generator reproduces.
 //! * [`queries`] — the matching query workloads (squares by area
 //!   fraction, skew-transformed squares, CLUSTER strips, Theorem-3
 //!   lines).

@@ -3,7 +3,7 @@
 //! The paper benchmarks on bounding boxes of road segments from the US
 //! Census TIGER/Line 1997 CD-ROMs — 16.7M segments for sixteen eastern
 //! states ("Eastern"), 12M for five western states ("Western"). We do not
-//! have the CDs; DESIGN.md §5 documents the substitution. What the
+//! have the CDs, so a generator stands in for them. What the
 //! paper's analysis actually relies on is distributional (§3.2): the
 //! input consists of *relatively small rectangles* (long roads are cut
 //! into short segments) that are *somewhat but not too badly clustered*

@@ -40,7 +40,7 @@ pub use device::{
 };
 pub use error::{io_error_is_transient, EmError};
 pub use pool::BufferPool;
-pub use sort::{external_sort, external_sort_by, SortConfig};
+pub use sort::{external_sort, external_sort_by, external_sort_multi, SortConfig};
 pub use stats::{HitCounters, IoCounters, IoStats};
 pub use stream::{Record, Stream, StreamReader, StreamWriter};
 

@@ -77,20 +77,48 @@ pub fn external_sort_by<R, F>(
     dev: &dyn BlockDevice,
     input: &Stream,
     config: SortConfig,
-    mut cmp: F,
+    cmp: F,
 ) -> Result<Stream>
+where
+    R: Record,
+    F: FnMut(&R, &R) -> Ordering,
+{
+    let sorted = external_sort_multi(dev, input, config, &mut [cmp])?.pop();
+    Ok(sorted.expect("one order in, one stream out"))
+}
+
+/// Sorts `input` under every comparator of `orders` at once, returning
+/// one sorted stream per comparator (same positions). Run formation
+/// reads the input **once**: each memory-load is sorted and written out
+/// under every order before the next load is read, so `k` orders cost
+/// `N/B` reads + `k·N/B` writes there instead of `k·N/B` of each; the
+/// merge passes are per order, as in [`external_sort_by`], and the
+/// memory in use never exceeds that of a single sort.
+///
+/// A load is re-sorted in place, so only the first order is stable with
+/// respect to the input; later orders keep ties in the sequence the
+/// previous order left them. Total orders are unaffected.
+pub fn external_sort_multi<R, F>(
+    dev: &dyn BlockDevice,
+    input: &Stream,
+    config: SortConfig,
+    orders: &mut [F],
+) -> Result<Vec<Stream>>
 where
     R: Record,
     F: FnMut(&R, &R) -> Ordering,
 {
     config.validate(dev.block_size(), R::SIZE)?;
     if input.is_empty() {
-        return StreamWriter::<R>::new(dev).finish();
+        return orders
+            .iter()
+            .map(|_| StreamWriter::<R>::new(dev).finish())
+            .collect();
     }
 
-    // Phase 1: run formation.
+    // Phase 1: run formation, one run per load and order.
     let cap = config.run_capacity::<R>();
-    let mut runs: Vec<Stream> = Vec::new();
+    let mut runs: Vec<Vec<Stream>> = orders.iter().map(|_| Vec::new()).collect();
     {
         let mut reader = StreamReader::<R>::new(dev, input);
         let mut buf: Vec<R> = Vec::with_capacity(cap.min(input.len() as usize));
@@ -100,12 +128,14 @@ where
                 buf.push(r);
             }
             if buf.len() == cap || (!buf.is_empty() && reader.remaining() == 0) {
-                buf.sort_by(&mut cmp);
-                let mut w = StreamWriter::<R>::new(dev);
-                for r in &buf {
-                    w.push(r)?;
+                for (cmp, runs) in orders.iter_mut().zip(&mut runs) {
+                    buf.sort_by(&mut *cmp);
+                    let mut w = StreamWriter::<R>::new(dev);
+                    for r in &buf {
+                        w.push(r)?;
+                    }
+                    runs.push(w.finish()?);
                 }
-                runs.push(w.finish()?);
                 buf.clear();
             }
             if reader.remaining() == 0 {
@@ -117,17 +147,21 @@ where
     // Phase 2: merge passes. Consumed runs are temporary files: their
     // blocks are released as soon as the merged run replaces them.
     let fan_in = config.fan_in(dev.block_size());
-    while runs.len() > 1 {
-        let mut next: Vec<Stream> = Vec::with_capacity(runs.len().div_ceil(fan_in));
-        for group in runs.chunks(fan_in) {
-            next.push(merge_runs(dev, group, &mut cmp)?);
+    let mut sorted = Vec::with_capacity(orders.len());
+    for (cmp, mut runs) in orders.iter_mut().zip(runs) {
+        while runs.len() > 1 {
+            let mut next: Vec<Stream> = Vec::with_capacity(runs.len().div_ceil(fan_in));
+            for group in runs.chunks(fan_in) {
+                next.push(merge_runs(dev, group, cmp)?);
+            }
+            for run in runs {
+                run.discard(dev);
+            }
+            runs = next;
         }
-        for run in runs {
-            run.discard(dev);
-        }
-        runs = next;
+        sorted.push(runs.pop().expect("at least one run for non-empty input"));
     }
-    Ok(runs.pop().expect("at least one run for non-empty input"))
+    Ok(sorted)
 }
 
 /// Entry in the merge heap; reversed so `BinaryHeap` pops the minimum.
@@ -359,6 +393,35 @@ mod tests {
         // One run: read input once, write once; no merge needed.
         assert_eq!(stats.reads, 256);
         assert_eq!(stats.writes, 256);
+    }
+
+    #[test]
+    fn multi_order_sort_reads_the_input_once_for_run_formation() {
+        // Same shape as `io_cost_matches_pass_structure`: 256 blocks, 16
+        // runs, 2 merge passes. Three orders: run formation reads 256 and
+        // writes 3 × 256; the merges read and write 3 × 2 × 256.
+        let dev = MemDevice::new(64);
+        let input: Vec<u32> = (0..4096u32)
+            .map(|i| i.wrapping_mul(2654435761) >> 7)
+            .collect();
+        let s = Stream::from_iter(&dev, input.iter().copied()).unwrap();
+        let mut orders = [
+            |a: &u32, b: &u32| a.cmp(b),
+            |a: &u32, b: &u32| b.cmp(a),
+            |a: &u32, b: &u32| (a % 1000, a).cmp(&(b % 1000, b)),
+        ];
+        let before = dev.io_stats();
+        let sorted =
+            external_sort_multi::<u32, _>(&dev, &s, SortConfig::with_memory(1024), &mut orders)
+                .unwrap();
+        let stats = dev.io_stats().since(before);
+        assert_eq!(stats.reads, 256 + 3 * 2 * 256);
+        assert_eq!(stats.writes, 3 * 256 + 3 * 2 * 256);
+        for (stream, cmp) in sorted.iter().zip(orders) {
+            let mut want = input.clone();
+            want.sort_by(cmp);
+            assert_eq!(stream.read_all::<u32>(&dev).unwrap(), want);
+        }
     }
 
     #[test]

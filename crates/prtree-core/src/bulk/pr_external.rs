@@ -1,23 +1,58 @@
 //! External-memory PR-tree bulk loading (§2.1 "Efficient construction
 //! algorithm", §2.2).
 //!
-//! Each stage builds the leaves of a pseudo-PR-tree over an entry stream:
+//! Each stage builds the leaves of a pseudo-PR-tree over an entry stream.
+//! A stage that fits the memory budget is the in-memory recursion of
+//! [`crate::bulk::pr`]. A larger one is sorted into `2D` lists, one per
+//! mapped axis, most extreme entry first (one read of the input forms the
+//! runs of all `2D` orders), and then built in **rounds**. A round builds
+//! `Θ(log M)` kd levels at once over its share of the lists:
 //!
-//! 1. sort the stage input into `2D` lists, one per mapped axis, ordered
-//!    by *extremeness* (most extreme first),
-//! 2. recursively: pull the `B` most extreme not-yet-taken entries off
-//!    the front of each list (the priority leaves, written as tree pages
-//!    immediately), find the median of the remainder along the
-//!    round-robin kd axis by a counting scan, and distribute all lists
-//!    into the two sides,
-//! 3. once a sub-problem fits in main memory, finish it with the exact
-//!    in-memory recursion from [`crate::bulk::pr`].
+//! 1. **Resolve.** The top of the kd-tree is kept in memory: per node its
+//!    entry count, kd axis, priority leaves and split threshold, plus one
+//!    set of the ids the round's priority leaves hold. It grows depth by
+//!    depth, and only by *reading* the lists. Every record read is routed
+//!    through the thresholds resolved so far to the node it belongs to.
+//!    At each depth one scan of `lists[a]` per axis `a` gives every node
+//!    of that depth its next priority leaf (the first `B` records routed
+//!    to it; the scan stops once every leaf is full), and one scan of the
+//!    depth's kd axis list stops at each node's median rank. A node whose
+//!    share fits in memory is not resolved further, and the depth loop
+//!    ends when no node is left or the state below would outgrow the
+//!    budget (a round always resolves its root, so the narrowest round
+//!    is one kd node with two children).
+//! 2. **Distribute, once.** `lists[0]` is split among all unresolved
+//!    (*frontier*) children, which is all the in-memory recursion reads;
+//!    the other `2D − 1` lists only among children that are still too
+//!    large, and those recurse with a round of their own.
+//! 3. **Emit** in left-first depth-first order: a node's priority leaves,
+//!    then its subtrees.
 //!
-//! The paper batches `Θ(log M)` kd levels per pass with an in-memory
-//! grid; the memory-fitting recursion used here (taken from the same
-//! section's closing remarks) has the same `O(N/B · log_{M/B} N/B)` I/O
-//! complexity for realistic `N/M` and produces the same tree, because
-//! the split rule is unchanged. DESIGN.md §5 records this substitution.
+//! I/O, in passes over a stage input of `N/B` blocks with `D = 2`: the
+//! sorts cost 13 (run formation 1 read + 4 writes, one merge pass 4 + 4);
+//! the scans of one depth at most `2D + 1`, but early termination keeps
+//! four levels at about 8 in all (measured, 500 k rectangles under a
+//! 2 MiB budget); distribution 2 when every frontier child fits in
+//! memory, up to `4D` when none does; reading the children back and
+//! writing the leaf pages 2.
+//!
+//! Memory: while a round resolves and distributes it holds one writer
+//! block per frontier child, `2D` priority leaves and as many taken ids
+//! per resolved node, and one reader block; the number of nodes resolved
+//! is bounded so that this sum stays within
+//! [`ExternalConfig::memory_bytes`]. Before distributing, the leaves are
+//! spilled to one temporary stream in emission order and read back
+//! through a single block, so a frontier child finished in memory has
+//! the whole budget again.
+//!
+//! The output does not depend on the budget's pass structure: priority
+//! leaves and medians are selections over the same sorted orders, the
+//! split rule is [`crate::bulk::kd_split`]'s, pages are written in the
+//! order the one-node-per-pass recursion wrote them (page ids break
+//! coordinate ties one stage up), and which sub-problems finish in
+//! memory is decided by the same size test. `Store::save` of the result
+//! is byte-identical, which `tests/external_io.rs` pins with hashes taken
+//! from that earlier loader.
 
 use crate::bulk::external::{finish_root, ExternalConfig};
 use crate::bulk::pr::PrTreeLoader;
@@ -26,9 +61,12 @@ use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::page_ptr;
-use pr_em::{external_sort_by, BlockDevice, EmError, Record, Stream, StreamReader, StreamWriter};
+use pr_em::{
+    external_sort_multi, BlockDevice, EmError, Record, Stream, StreamReader, StreamWriter,
+};
 use pr_geom::mapped::{cmp_extreme_on_axis, cmp_items_on_axis};
 use pr_geom::{Axis, Item};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -92,156 +130,419 @@ impl PrExternalLoader {
         cap: usize,
         level: u8,
     ) -> Result<Stream, EmError> {
-        let prio = self.inner.prio_for(cap);
-        let snap = self.inner.snap_splits.then_some(cap);
-        let mem_fit = self.config.records_fit(Entry::<D>::SIZE) as u64;
-        let mut parent_writer = StreamWriter::<Entry<D>>::new(dev);
+        let mut stage = Stage::<D> {
+            dev,
+            inner: self.inner,
+            level,
+            cap,
+            prio: self.inner.prio_for(cap),
+            snap: self.inner.snap_splits.then_some(cap),
+            mem_fit: self.config.records_fit(Entry::<D>::SIZE) as u64,
+            parents: StreamWriter::new(dev),
+        };
 
         // Small stages skip the external machinery entirely.
-        if input.len() <= mem_fit {
-            let entries = input.read_all::<Entry<D>>(dev)?;
-            for group in self.inner.stage_groups_from(entries, cap, Axis(0)) {
-                write_group(dev, level, group, &mut parent_writer)?;
-            }
-            return parent_writer.finish();
+        if input.len() <= stage.mem_fit {
+            stage.finish_in_memory(input, Axis(0))?;
+            return stage.parents.finish();
         }
 
         // 2D extremeness-sorted lists of the whole stage input.
-        let mut lists = Vec::with_capacity(2 * D);
-        for axis in Axis::all::<D>() {
-            lists.push(external_sort_by::<Entry<D>, _>(
-                dev,
-                input,
-                self.config.sort(),
-                move |a, b| cmp_extreme_on_axis(axis, &as_item(a), &as_item(b)),
-            )?);
-        }
+        let mut orders: Vec<_> = Axis::all::<D>()
+            .map(|axis| {
+                move |a: &Entry<D>, b: &Entry<D>| {
+                    cmp_extreme_on_axis(axis, &as_item(a), &as_item(b))
+                }
+            })
+            .collect();
+        let lists = external_sort_multi(dev, input, self.config.sort(), &mut orders)?;
+        stage.round(lists, input.len(), Axis(0), self.config.memory_bytes)?;
+        stage.parents.finish()
+    }
+}
 
-        let mut stack: Vec<(Vec<Stream>, u64, Axis)> = vec![(lists, input.len(), Axis(0))];
-        while let Some((lists, count, axis)) = stack.pop() {
-            self.node_external::<D>(
-                dev,
-                lists,
-                count,
-                axis,
-                cap,
-                prio,
-                snap,
-                mem_fit,
-                level,
-                &mut parent_writer,
-                &mut stack,
-            )?;
-        }
-        parent_writer.finish()
+/// What one stage's rounds share.
+struct Stage<'d, const D: usize> {
+    dev: &'d dyn BlockDevice,
+    inner: PrTreeLoader,
+    level: u8,
+    cap: usize,
+    prio: usize,
+    snap: Option<usize>,
+    /// Entries that fit the memory budget.
+    mem_fit: u64,
+    /// Parent entries of the pages written so far, in emission order.
+    parents: StreamWriter<'d, Entry<D>>,
+}
+
+/// A node of a round's in-memory partial kd-tree.
+struct Node<const D: usize> {
+    /// Entries of the round's lists that belong to this node's subtree.
+    count: u64,
+    /// The kd axis the node splits on.
+    axis: Axis,
+    /// How many of `count` the node's own priority leaves hold.
+    taken: u64,
+    /// The priority leaves, concatenated in axis order (emptied by the
+    /// spill), and their lengths.
+    leaves: Vec<Entry<D>>,
+    leaf_lens: Vec<usize>,
+    kids: Kids<D>,
+    /// Frontier only, after distribution: the node's share of the
+    /// lists — all `2D` if it is still external, else `lists[0]` alone.
+    lists: Vec<Stream>,
+}
+
+enum Kids<const D: usize> {
+    /// Not resolved in this round: a frontier child.
+    Frontier,
+    /// Resolved; the priority leaves took every entry.
+    None,
+    /// Resolved; at most a node's worth of entries remain and form the
+    /// single child.
+    One(usize),
+    /// Resolved; entries below the threshold on the node's axis go to
+    /// the first child, the others to the second.
+    Two(Entry<D>, usize, usize),
+}
+
+/// Hash-set bytes per taken id: a 4-byte slot and a control byte, at the
+/// table's lowest load factor (7/16, just after it doubles).
+const TAKEN_ID_BYTES: usize = 12;
+
+/// A round's in-memory state.
+struct Round<const D: usize> {
+    /// The partial kd-tree; node 0 is the round's root.
+    nodes: Vec<Node<D>>,
+    /// Ids held by the priority leaves of `nodes`.
+    taken: HashSet<u32>,
+}
+
+impl<const D: usize> Round<D> {
+    fn push(&mut self, count: u64, axis: Axis) -> usize {
+        self.nodes.push(Node {
+            count,
+            axis,
+            taken: 0,
+            leaves: Vec::new(),
+            leaf_lens: Vec::new(),
+            kids: Kids::Frontier,
+            lists: Vec::new(),
+        });
+        self.nodes.len() - 1
     }
 
-    /// Processes one pseudo-PR-tree node externally: priority leaves,
-    /// median, distribution. Pushes the two children onto `stack`.
-    #[allow(clippy::too_many_arguments)]
-    fn node_external<const D: usize>(
-        &self,
-        dev: &dyn BlockDevice,
+    /// The unresolved node `e` belongs to; `None` if a priority leaf of
+    /// this round holds it.
+    fn route(&self, e: &Entry<D>) -> Option<usize> {
+        if self.taken.contains(&e.ptr) {
+            return None;
+        }
+        let mut n = 0;
+        loop {
+            let node = &self.nodes[n];
+            n = match &node.kids {
+                Kids::Frontier => return Some(n),
+                Kids::One(kid) => *kid,
+                Kids::Two(threshold, left, right) => {
+                    match cmp_items_on_axis(node.axis, &as_item(e), &as_item(threshold)) {
+                        Ordering::Less => *left,
+                        _ => *right,
+                    }
+                }
+                Kids::None => unreachable!("an entry outside the leaves that took them all"),
+            };
+        }
+    }
+
+    /// Node indices in left-first depth-first order.
+    fn preorder(&self) -> Vec<usize> {
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut stack = vec![0];
+        while let Some(n) = stack.pop() {
+            order.push(n);
+            match self.nodes[n].kids {
+                Kids::Frontier | Kids::None => {}
+                Kids::One(kid) => stack.push(kid),
+                Kids::Two(_, left, right) => stack.extend([right, left]),
+            }
+        }
+        order
+    }
+}
+
+impl<const D: usize> Stage<'_, D> {
+    /// Too large to finish in memory (and more than one node's worth).
+    fn is_external(&self, count: u64) -> bool {
+        count > self.mem_fit && count > self.cap as u64
+    }
+
+    /// Bytes a round holds with `resolved` nodes and `frontier` children:
+    /// a writer block per child and the reader's, and per resolved node
+    /// `2D` priority leaves and their ids in the taken set.
+    fn round_bytes(&self, resolved: usize, frontier: usize) -> usize {
+        let per_taken = std::mem::size_of::<Entry<D>>() + TAKEN_ID_BYTES;
+        (frontier + 1) * self.dev.block_size() + resolved * 2 * D * self.prio * per_taken
+    }
+
+    /// Builds the subtree over `lists` (`count` entries each, the kd
+    /// round-robin at `axis`) holding at most `budget` bytes of state.
+    fn round(
+        &mut self,
         lists: Vec<Stream>,
         count: u64,
         axis: Axis,
-        cap: usize,
-        prio: usize,
-        snap: Option<usize>,
-        mem_fit: u64,
-        level: u8,
-        parent_writer: &mut StreamWriter<Entry<D>>,
-        stack: &mut Vec<(Vec<Stream>, u64, Axis)>,
+        budget: usize,
     ) -> Result<(), EmError> {
-        // In-memory base case: exact same recursion as the in-memory
-        // loader, resuming at the current axis.
-        if count <= mem_fit || count <= cap as u64 {
-            let entries = lists[0].read_all::<Entry<D>>(dev)?;
-            discard_all(dev, lists);
-            for group in self.inner.stage_groups_from(entries, cap, axis) {
-                write_group(dev, level, group, parent_writer)?;
-            }
-            return Ok(());
-        }
+        let dev = self.dev;
+        let mut round = self.resolve(&lists, count, axis, budget)?;
 
-        // 1. Priority leaves: the `prio` most extreme remaining entries
-        //    per axis, straight off the front of each list.
-        let mut taken: HashSet<u32> = HashSet::with_capacity(2 * D * prio);
-        for a in Axis::all::<D>() {
-            if taken.len() as u64 == count {
-                break;
-            }
-            let mut leaf: Vec<Entry<D>> = Vec::with_capacity(prio);
-            let mut reader = StreamReader::<Entry<D>>::new(dev, &lists[a.0]);
-            while leaf.len() < prio {
-                match reader.next_record()? {
-                    Some(e) => {
-                        if taken.insert(e.ptr) {
-                            leaf.push(e);
-                        }
-                    }
-                    None => break,
-                }
-            }
-            if !leaf.is_empty() {
-                write_group(dev, level, leaf, parent_writer)?;
+        // Spill the priority leaves in emission order.
+        let order = round.preorder();
+        let mut spill = StreamWriter::<Entry<D>>::new(dev);
+        for &n in &order {
+            for e in std::mem::take(&mut round.nodes[n].leaves) {
+                spill.push(&e)?;
             }
         }
+        let spill = spill.finish()?;
 
-        let remaining = count - taken.len() as u64;
-        if remaining == 0 {
-            discard_all(dev, lists);
-            return Ok(());
-        }
-        if remaining <= cap as u64 {
-            // Remainder forms a single kd leaf.
-            let leaf = collect_remaining::<D>(dev, &lists[0], &taken, remaining as usize)?;
-            discard_all(dev, lists);
-            write_group(dev, level, leaf, parent_writer)?;
-            return Ok(());
-        }
-
-        // 2. Median of the remainder along the kd axis. The in-memory
-        //    split puts the `mid` strictly-smaller entries left; the
-        //    threshold is the entry of ascending rank `mid`.
-        let mid = split_point(remaining as usize, snap) as u64;
-        let ascending = axis.is_min_side::<D>();
-        let target_rank = if ascending {
-            mid
-        } else {
-            // Max-side lists are stored in exact-reverse order.
-            remaining - 1 - mid
-        };
-        let threshold = nth_remaining::<D>(dev, &lists[axis.0], &taken, target_rank)?;
-
-        // 3. Distribute every list into the two sides, preserving order.
-        let mut left_lists = Vec::with_capacity(2 * D);
-        let mut right_lists = Vec::with_capacity(2 * D);
-        for list in &lists {
-            let mut reader = StreamReader::<Entry<D>>::new(dev, list);
-            let mut lw = StreamWriter::<Entry<D>>::new(dev);
-            let mut rw = StreamWriter::<Entry<D>>::new(dev);
-            while let Some(e) = reader.next_record()? {
-                if taken.contains(&e.ptr) {
-                    continue;
-                }
-                if cmp_items_on_axis(axis, &as_item(&e), &as_item(&threshold))
-                    == std::cmp::Ordering::Less
-                {
-                    lw.push(&e)?;
-                } else {
-                    rw.push(&e)?;
-                }
-            }
-            left_lists.push(lw.finish()?);
-            right_lists.push(rw.finish()?);
-        }
+        self.distribute(&mut round, &lists)?;
         discard_all(dev, lists);
+        let mut nodes = round.nodes; // and the taken set is freed
+
+        // Emit. A nested round works beside this round's reader.
+        let nested_budget = budget.saturating_sub(dev.block_size());
+        let mut leaves = StreamReader::<Entry<D>>::new(dev, &spill);
+        for n in order {
+            let node = &mut nodes[n];
+            for &len in &node.leaf_lens {
+                let mut leaf = Vec::with_capacity(len);
+                for _ in 0..len {
+                    leaf.push(leaves.next_record()?.ok_or_else(|| short(&spill))?);
+                }
+                self.write_group(leaf)?;
+            }
+            if let Kids::Frontier = node.kids {
+                let (count, axis, lists) = (node.count, node.axis, std::mem::take(&mut node.lists));
+                if self.is_external(count) {
+                    self.round(lists, count, axis, nested_budget)?;
+                } else {
+                    self.finish_in_memory(&lists[0], axis)?;
+                    discard_all(dev, lists);
+                }
+            }
+        }
+        spill.discard(dev);
+        Ok(())
+    }
+
+    /// Step 1: grows the round's kd-tree one depth per iteration, from
+    /// read scans of `lists` alone, until every frontier child fits in
+    /// memory or `budget` is used up.
+    fn resolve(
+        &self,
+        lists: &[Stream],
+        count: u64,
+        axis: Axis,
+        budget: usize,
+    ) -> Result<Round<D>, EmError> {
+        let mut round = Round {
+            nodes: Vec::new(),
+            taken: HashSet::new(),
+        };
+        // The root is resolved whatever the budget; `open` holds the
+        // nodes of the current depth, all splitting on the same axis.
+        let mut open = vec![round.push(count, axis)];
+        let (mut resolved, mut frontier) = (0, 1);
+        while !open.is_empty() {
+            for list in lists {
+                self.fill_priority_leaves(&mut round, &open, list)?;
+            }
+            let kids = self.split(&mut round, &open, lists)?;
+            resolved += open.len();
+            frontier = frontier + kids.len() - open.len();
+            open.clear();
+            for kid in kids {
+                // Resolving a node adds it and, at worst, one more child.
+                let grown = self.round_bytes(resolved + open.len() + 1, frontier + open.len() + 1);
+                if self.is_external(round.nodes[kid].count) && grown <= budget {
+                    open.push(kid);
+                }
+            }
+        }
+        debug_assert!(
+            resolved == 1 || self.round_bytes(resolved, frontier) <= budget,
+            "round over budget: {resolved} nodes, {frontier} children, {budget} bytes"
+        );
+        Ok(round)
+    }
+
+    /// Step 2: every frontier child gets its part of `lists[0]`, the
+    /// still-external ones of the other lists too (in `Node::lists`).
+    fn distribute(&self, round: &mut Round<D>, lists: &[Stream]) -> Result<(), EmError> {
+        for (a, list) in lists.iter().enumerate() {
+            let mut writers: Vec<Option<StreamWriter<Entry<D>>>> = Vec::new();
+            let mut todo = 0;
+            for node in &round.nodes {
+                let wanted =
+                    matches!(node.kids, Kids::Frontier) && (a == 0 || self.is_external(node.count));
+                writers.push(wanted.then(|| StreamWriter::new(self.dev)));
+                todo += if wanted { node.count } else { 0 };
+            }
+            if todo == 0 {
+                continue;
+            }
+            let mut reader = StreamReader::<Entry<D>>::new(self.dev, list);
+            while todo > 0 {
+                let e = reader.next_record()?.ok_or_else(|| short(list))?;
+                if let Some(w) = round.route(&e).and_then(|n| writers[n].as_mut()) {
+                    w.push(&e)?;
+                    todo -= 1;
+                }
+            }
+            for (node, w) in round.nodes.iter_mut().zip(writers) {
+                if let Some(w) = w {
+                    node.lists.push(w.finish()?);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One scan of `list`, most extreme entry first: the next priority
+    /// leaf of every node in `open` that has entries left to give. Stops
+    /// at the record that completes the last of them.
+    fn fill_priority_leaves(
+        &self,
+        round: &mut Round<D>,
+        open: &[usize],
+        list: &Stream,
+    ) -> Result<(), EmError> {
+        let mut filling = vec![false; round.nodes.len()];
+        let mut need = 0;
+        for &n in open {
+            let node = &mut round.nodes[n];
+            if node.taken < node.count {
+                node.leaf_lens.push(0);
+                filling[n] = true;
+                need += 1;
+            }
+        }
+        let mut reader = StreamReader::<Entry<D>>::new(self.dev, list);
+        while need > 0 {
+            let e = reader.next_record()?.ok_or_else(|| short(list))?;
+            let Some(n) = round.route(&e).filter(|&n| filling[n]) else {
+                continue;
+            };
+            round.taken.insert(e.ptr);
+            let node = &mut round.nodes[n];
+            node.leaves.push(e);
+            node.taken += 1;
+            let len = node.leaf_lens.last_mut().expect("pushed above");
+            *len += 1;
+            if *len == self.prio || node.taken == node.count {
+                filling[n] = false;
+                need -= 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolves the kids of every node in `open` with one scan of their
+    /// kd axis' list, up to the last median. Returns the new nodes, left
+    /// to right.
+    fn split(
+        &self,
+        round: &mut Round<D>,
+        open: &[usize],
+        lists: &[Stream],
+    ) -> Result<Vec<usize>, EmError> {
+        let axis = round.nodes[open[0]].axis;
+        // The in-memory split puts the `mid` strictly-smaller entries
+        // left, so the threshold is the remaining entry of ascending
+        // rank `mid`: `skip` entries come before it in list order
+        // (max-side lists are stored in exact-reverse order).
+        struct Median<const D: usize> {
+            mid: u64,
+            skip: u64,
+            threshold: Option<Entry<D>>,
+        }
+        let mut medians: Vec<Option<Median<D>>> = round.nodes.iter().map(|_| None).collect();
+        let mut need = 0;
+        for &n in open {
+            let remaining = round.nodes[n].count - round.nodes[n].taken;
+            if remaining > self.cap as u64 {
+                let mid = split_point(remaining as usize, self.snap) as u64;
+                let skip = if axis.is_min_side::<D>() {
+                    mid
+                } else {
+                    remaining - 1 - mid
+                };
+                medians[n] = Some(Median {
+                    mid,
+                    skip,
+                    threshold: None,
+                });
+                need += 1;
+            }
+        }
+        let list = &lists[axis.0];
+        let mut reader = StreamReader::<Entry<D>>::new(self.dev, list);
+        while need > 0 {
+            let e = reader.next_record()?.ok_or_else(|| short(list))?;
+            let Some(median) = round.route(&e).and_then(|n| medians[n].as_mut()) else {
+                continue;
+            };
+            if median.threshold.is_some() {
+                continue;
+            }
+            if median.skip == 0 {
+                median.threshold = Some(e);
+                need -= 1;
+            } else {
+                median.skip -= 1;
+            }
+        }
 
         let next = axis.next::<D>();
-        stack.push((right_lists, remaining - mid, next));
-        stack.push((left_lists, mid, next));
+        let mut kids = Vec::new();
+        for &n in open {
+            let remaining = round.nodes[n].count - round.nodes[n].taken;
+            round.nodes[n].kids = match medians[n].take() {
+                Some(Median { mid, threshold, .. }) => {
+                    let threshold = threshold.expect("the scan ran until every median was found");
+                    let (left, right) = (round.push(mid, next), round.push(remaining - mid, next));
+                    kids.extend([left, right]);
+                    Kids::Two(threshold, left, right)
+                }
+                None if remaining == 0 => Kids::None,
+                None => {
+                    let kid = round.push(remaining, next);
+                    kids.push(kid);
+                    Kids::One(kid)
+                }
+            };
+        }
+        Ok(kids)
+    }
+
+    /// The in-memory base case: exactly the in-memory loader's recursion
+    /// over `entries`, resuming the kd round-robin at `axis`.
+    fn finish_in_memory(&mut self, entries: &Stream, axis: Axis) -> Result<(), EmError> {
+        let entries = entries.read_all::<Entry<D>>(self.dev)?;
+        for group in self.inner.stage_groups_from(entries, self.cap, axis) {
+            self.write_group(group)?;
+        }
         Ok(())
+    }
+
+    /// Writes one leaf-group page and appends its parent entry.
+    fn write_group(&mut self, group: Vec<Entry<D>>) -> Result<(), EmError> {
+        debug_assert!(!group.is_empty());
+        let mbr = Entry::mbr(&group);
+        let page = NodePage::new(self.level, group).append(self.dev)?;
+        self.parents.push(&Entry::new(mbr, page_ptr(page)?))
     }
 }
 
@@ -274,59 +575,12 @@ fn discard_all(dev: &dyn BlockDevice, lists: Vec<Stream>) {
     }
 }
 
-/// Writes one leaf-group page and appends its parent entry.
-fn write_group<const D: usize>(
-    dev: &dyn BlockDevice,
-    level: u8,
-    group: Vec<Entry<D>>,
-    parent_writer: &mut StreamWriter<Entry<D>>,
-) -> Result<(), EmError> {
-    debug_assert!(!group.is_empty());
-    let mbr = Entry::mbr(&group);
-    let page = NodePage::new(level, group).append(dev)?;
-    parent_writer.push(&Entry::new(mbr, page_ptr(page)?))
-}
-
-/// Collects all not-taken entries from a list (there must be exactly
-/// `expect` of them).
-fn collect_remaining<const D: usize>(
-    dev: &dyn BlockDevice,
-    list: &Stream,
-    taken: &HashSet<u32>,
-    expect: usize,
-) -> Result<Vec<Entry<D>>, EmError> {
-    let mut out = Vec::with_capacity(expect);
-    let mut reader = StreamReader::<Entry<D>>::new(dev, list);
-    while let Some(e) = reader.next_record()? {
-        if !taken.contains(&e.ptr) {
-            out.push(e);
-        }
-    }
-    debug_assert_eq!(out.len(), expect);
-    Ok(out)
-}
-
-/// The `rank`-th (0-indexed) not-taken entry of a list.
-fn nth_remaining<const D: usize>(
-    dev: &dyn BlockDevice,
-    list: &Stream,
-    taken: &HashSet<u32>,
-    rank: u64,
-) -> Result<Entry<D>, EmError> {
-    let mut reader = StreamReader::<Entry<D>>::new(dev, list);
-    let mut seen = 0u64;
-    while let Some(e) = reader.next_record()? {
-        if taken.contains(&e.ptr) {
-            continue;
-        }
-        if seen == rank {
-            return Ok(e);
-        }
-        seen += 1;
-    }
-    Err(EmError::Corrupt(format!(
-        "median rank {rank} beyond remaining entries ({seen})"
-    )))
+/// A stream ran out before the entries its length promised.
+fn short(stream: &Stream) -> EmError {
+    EmError::Corrupt(format!(
+        "a {}-entry list of the external PR build ended early",
+        stream.len()
+    ))
 }
 
 #[cfg(test)]
@@ -352,7 +606,7 @@ mod tests {
 
     /// Leaf contents as a canonical multiset (each group id-sorted, groups
     /// sorted) — page ids differ between devices, contents must not.
-    fn leaf_groups(t: &RTree<2>) -> Vec<Vec<u32>> {
+    fn leaf_groups<const D: usize>(t: &RTree<D>) -> Vec<Vec<u32>> {
         let mut out = Vec::new();
         let mut stack = vec![t.root()];
         while let Some(p) = stack.pop() {
@@ -371,33 +625,96 @@ mod tests {
         out
     }
 
-    #[test]
-    fn external_matches_in_memory_exactly() {
-        let items = random_items(3000, 42);
-        let params = TreeParams::with_cap::<2>(16);
-
+    /// Builds `items` in memory and externally under `pages` pages of
+    /// memory; the two trees must be valid and hold the same leaves.
+    fn assert_matches_in_memory<const D: usize>(items: &[Item<D>], cap: usize, pages: usize) {
+        let params = TreeParams::with_cap::<D>(cap);
         let dev_mem: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         let t_mem = PrTreeLoader::default()
-            .load(Arc::clone(&dev_mem), params, items.clone())
+            .load(Arc::clone(&dev_mem), params, items.to_vec())
             .unwrap();
 
         let dev_ext: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         let input = Stream::from_iter(dev_ext.as_ref(), items.iter().map(|&i| Entry::from_item(i)))
             .unwrap();
-        // Tiny memory budget: forces several external kd levels.
-        let loader = PrExternalLoader::new(ExternalConfig::with_memory(40 * params.page_size));
+        let loader = PrExternalLoader::new(ExternalConfig::with_memory(pages * params.page_size));
         let t_ext = loader
-            .load::<2>(Arc::clone(&dev_ext), params, &input)
+            .load::<D>(Arc::clone(&dev_ext), params, &input)
             .unwrap();
 
+        let what = format!("n={} cap={cap} pages={pages}", items.len());
         t_ext.validate().unwrap().assert_ok();
-        assert_eq!(t_mem.len(), t_ext.len());
-        assert_eq!(t_mem.height(), t_ext.height());
+        assert_eq!(t_mem.len(), t_ext.len(), "{what}");
+        assert_eq!(t_mem.height(), t_ext.height(), "{what}");
         assert_eq!(
             leaf_groups(&t_mem),
             leaf_groups(&t_ext),
-            "external and in-memory PR construction must agree"
+            "external and in-memory PR construction must agree: {what}"
         );
+    }
+
+    #[test]
+    fn external_matches_in_memory_exactly() {
+        // Tiny memory budget: forces several external kd levels.
+        assert_matches_in_memory(&random_items(3000, 42), 16, 40);
+
+        // D = 3: six sorted lists, a six-axis round-robin.
+        let mut rng = SmallRng::seed_from_u64(6);
+        let boxes: Vec<Item<3>> = (0..2500)
+            .map(|i| {
+                let p: [f64; 3] = std::array::from_fn(|_| rng.gen_range(0.0..10.0));
+                Item::new(Rect::new(p, p.map(|c| c + rng.gen_range(0.0..0.3))), i)
+            })
+            .collect();
+        assert_matches_in_memory(&boxes, 8, 30);
+
+        // Coordinate ties everywhere: only the id tie-break orders the
+        // lists, and one stage up the ids are page ids.
+        assert_matches_in_memory(&pr_data::worst_case_grid(7, 16), 16, 40);
+        let same: Vec<Item<2>> = (0..2000)
+            .map(|i| Item::new(Rect::xyxy(1.0, 2.0, 3.0, 4.0), i))
+            .collect();
+        assert_matches_in_memory(&same, 8, 12);
+    }
+
+    #[test]
+    fn budget_sweep_matches_in_memory() {
+        // From one kd node per round (12 pages) over rounds that stop at
+        // the fan-out bound with children still external (cap 16 under
+        // 40 pages: 657 entries fit in memory, so n = 5000 needs more
+        // than seven children and the budget holds six) to a single round
+        // per stage.
+        for (n, seed) in [(500, 1), (2000, 2), (5000, 3)] {
+            let items = random_items(n, seed);
+            for cap in [4, 8, 16] {
+                for pages in [12, 40, 100, 400] {
+                    assert_matches_in_memory(&items, cap, pages);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn twelve_pages_build_with_fan_out_two() {
+        let params = TreeParams::with_cap::<2>(8);
+        let budget = 12 * params.page_size;
+        let dev = MemDevice::new(params.page_size);
+        let stage = Stage::<2> {
+            dev: &dev,
+            inner: PrTreeLoader::default(),
+            level: 0,
+            cap: 8,
+            prio: 8,
+            snap: Some(8),
+            mem_fit: 0,
+            parents: StreamWriter::new(&dev),
+        };
+        // The budget holds a round's root and its two children, not a
+        // second resolved node: every round is a single kd node, and
+        // 2000 entries against 104 in memory nest them five deep.
+        assert!(stage.round_bytes(1, 2) <= budget);
+        assert!(stage.round_bytes(2, 3) > budget);
+        assert_matches_in_memory(&random_items(2000, 8), 8, 12);
     }
 
     #[test]

@@ -690,6 +690,16 @@ impl<const D: usize> LeafCache<D> {
     }
 }
 
+impl<const D: usize> Drop for LeafCache<D> {
+    /// The process-wide `tree_leaf_cache_resident_bytes` gauge sums
+    /// over all live caches; a cache that goes away takes its bytes
+    /// with it.
+    fn drop(&mut self) {
+        let freed: usize = self.shards.iter_mut().map(|s| s.get_mut().bytes).sum();
+        crate::obs::leaf_cache_bytes_delta(-(freed as i64));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

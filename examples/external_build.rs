@@ -3,8 +3,11 @@
 //! Reproduces the flavor of the paper's Figure 9 in miniature: build the
 //! same dataset with the external H, H4, PR and TGS algorithms under a
 //! TPIE-style memory budget and report how many 4KB blocks each one
-//! moved. Also demonstrates that the same code runs against a real file
-//! on disk via `FileDevice`.
+//! moved. PR comes out at about 2.2 × H (the paper: ≈ 2.5 ×): its
+//! loader sorts four lists, then builds several kd levels per round from
+//! read-only scans of them and distributes the data once (see
+//! `pr_tree::bulk::pr_external`). Also demonstrates that the same code
+//! runs against a real file on disk via `FileDevice`.
 //!
 //! ```text
 //! cargo run --release --example external_build

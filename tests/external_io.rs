@@ -2,6 +2,7 @@
 //! in-memory loaders and the paper's construction-cost ordering.
 
 use pr_data::uniform_points;
+use prtree::em::Record;
 use prtree::prelude::*;
 use prtree::tree::bulk::external::load_hilbert_external;
 use prtree::tree::bulk::tgs_external::TgsExternalLoader;
@@ -86,8 +87,8 @@ fn external_loaders_build_the_same_trees_as_in_memory() {
 
 #[test]
 fn construction_io_ordering_matches_figure_9() {
-    // The paper's Figure 9: H < PR < TGS in block transfers, under a
-    // paper-like N/M ≈ 9 budget.
+    // The paper's Figure 9: H < PR < TGS in block transfers, with PR at
+    // about 2.5 × H, under a paper-like N/M ≈ 9 budget.
     let n = 20_000u32;
     let items = uniform_points(n, 33);
     let params = TreeParams::with_cap::<2>(64);
@@ -120,8 +121,39 @@ fn construction_io_ordering_matches_figure_9() {
     assert!(h < pr, "H ({h}) should be cheaper than PR ({pr})");
     assert!(pr < tgs, "PR ({pr}) should be cheaper than TGS ({tgs})");
     assert!(
+        2 * pr <= 7 * h,
+        "PR ({pr}) should stay within 3.5 × H ({h}) — paper: ≈2.5×"
+    );
+    assert!(
         tgs > 2 * pr,
         "TGS ({tgs}) should be several times PR ({pr}) — paper: ≈4.5×"
+    );
+}
+
+#[test]
+fn pr_external_io_is_a_constant_number_of_passes() {
+    // N/M ≈ 9, as in the paper's runs, and M/B = 270 blocks, so that
+    // one round holds the 15 kd nodes above the 16 memory-sized
+    // children: the sorts are 13 passes over the input, the round's
+    // read scans, its single distribution and the leaf writes 12 more.
+    // (Distributing once per kd level cost 52 passes here.)
+    let n = 40_000u32;
+    let items = uniform_points(n, 77);
+    let params = TreeParams::with_cap::<2>(16);
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+    let input = build_stream(dev.as_ref(), &items);
+    let config = ExternalConfig::with_memory(n as usize / 9 * Entry::<2>::SIZE);
+    let before = dev.io_stats();
+    let tree = PrExternalLoader::new(config)
+        .load::<2>(Arc::clone(&dev), params, &input)
+        .unwrap();
+    let total = dev.io_stats().since(before).total();
+    let blocks = input.num_blocks() as u64;
+    assert_eq!(tree.len(), n as u64);
+    assert!(
+        total <= 30 * blocks,
+        "{total} I/Os for a {blocks}-block input is {} passes",
+        total / blocks
     );
 }
 
@@ -168,4 +200,55 @@ fn memory_budget_changes_pass_structure_not_results() {
         costs[0] > costs[2],
         "smaller memory must cost more I/O: {costs:?}"
     );
+}
+
+/// FNV-1a (64-bit) of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 20 000 seeded rectangles on a 1/64 lattice: coordinates tie heavily
+/// on every axis, so the hash below also pins every id tie-break — at
+/// the upper stages those ids are page ids, i.e. the page write order.
+fn lattice_items(n: u32, seed: u64) -> Vec<Item<2>> {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut cell = |hi: u32| rng.gen_range(0..hi) as f64 / 64.0;
+    (0..n)
+        .map(|i| {
+            let (x, y, w, h) = (cell(640), cell(640), cell(24), cell(24));
+            Item::new(Rect::xyxy(x, y, x + w, y + h), i)
+        })
+        .collect()
+}
+
+#[test]
+fn saved_store_bytes_are_pinned_across_budgets() {
+    // Hashes computed with the one-kd-level-per-pass loader this
+    // repository had before the round-based one: whatever the pass
+    // structure, the saved file must not change by a byte.
+    let items = lattice_items(20_000, 2004);
+    let params = TreeParams::with_cap::<2>(16);
+    let golden = [
+        (12usize, 0x8597_6a05_4bc9_2bcbu64), // fan-out 2: every round is one kd node
+        (60, 0x9355_04e1_c328_5e97),         // rounds stop at the fan-out bound, children recurse
+        (400, 0x896e_c04a_d624_8b7d),        // one round resolves the whole stage
+    ];
+    for (pages, want) in golden {
+        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+        let input = build_stream(dev.as_ref(), &items);
+        let tree = PrExternalLoader::new(ExternalConfig::with_memory(pages * params.page_size))
+            .load::<2>(Arc::clone(&dev), params, &input)
+            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("prtree-golden-{}-{pages}.prt", std::process::id()));
+        let mut store = Store::create::<2>(&path, params).unwrap();
+        store.save(&tree).unwrap();
+        drop(store);
+        let got = fnv1a(&std::fs::read(&path).unwrap());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(got, want, "{pages}-page budget: {got:#018x}");
+    }
 }
