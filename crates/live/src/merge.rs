@@ -189,7 +189,9 @@ pub(crate) fn run_merge<const D: usize>(
     // Phase 3: build the merged component off-lock. Items dead in the
     // tombstone snapshot are dropped and recorded as consumed.
     let mut consumed = Tombstones::<D>::new();
-    let mut items: Vec<Item<D>> = Vec::new();
+    let held = sealed.as_ref().map_or(0, |s| s.len())
+        + inputs.iter().map(|c| c.len() as usize).sum::<usize>();
+    let mut items: Vec<Item<D>> = Vec::with_capacity(held);
     {
         let mut filter = t_snap.filter();
         if let Some(sealed) = &sealed {
@@ -203,13 +205,13 @@ pub(crate) fn run_merge<const D: usize>(
         }
         for (c, slot) in inputs.iter().zip(&input_slots) {
             let t_read = tracing.then(std::time::Instant::now);
-            for it in c.items()? {
+            c.for_each_item(|it| {
                 if filter.admit(&it) {
                     items.push(it);
                 } else {
                     consumed.add(&it);
                 }
-            }
+            })?;
             if let Some(t0) = t_read {
                 trace.span_since(
                     "em",

@@ -1,65 +1,74 @@
-//! Shared pseudo-PR-tree splitting primitives.
+//! The in-place pseudo-PR-tree grouping kernel.
 //!
-//! Both the standalone [`crate::pseudo::PseudoPrTree`] and the PR-tree
-//! bulk loader are built from two operations on a working set of entries:
+//! Every PR-tree stage (sequential, parallel, and the external loader's
+//! in-memory base case) and the standalone
+//! [`crate::pseudo::PseudoPrTree`] group entries with the two steps of
+//! §2.1, and all of them run this module's code:
 //!
-//! 1. **priority extraction** — remove the `k` most extreme entries along
-//!    a mapped axis (leftmost left edges, bottommost bottom edges,
-//!    rightmost right edges, topmost top edges — §2.1),
-//! 2. **median split** — divide the remainder by the median of the
-//!    current round-robin kd axis, optionally snapping the split to a
-//!    multiple of the leaf capacity so almost every leaf comes out full
-//!    (the ">99% space utilization" trick at the end of §2.1).
+//! 1. **priority leaves** — the `k` most extreme entries along each of
+//!    the `2D` mapped axes in turn (leftmost left edges, bottommost
+//!    bottom edges, rightmost right edges, topmost top edges),
+//! 2. **median split** — the remainder divided at the median of the
+//!    round-robin kd axis, snapped to a multiple of the node capacity so
+//!    almost every leaf comes out full (the ">99% space utilization"
+//!    trick at the end of §2.1; see [`split_point`]).
 //!
-//! Keeping them here guarantees the in-memory and external construction
-//! paths produce *identical* trees (a property the tests rely on).
+//! # The in-place contract
+//!
+//! The kernel owns no entries: it permutes **one buffer**,
+//! `&mut [Entry<D>]`, and a kd node is a *range* of it. A
+//! `select_nth_unstable_by(k − 1, extreme)` over the node's range makes
+//! the next priority leaf the range's prefix; the start moves past it
+//! and the next axis repeats. A `select_nth_unstable_by(mid, kd order)`
+//! over what is left makes the children `[start, start + mid)` and
+//! `[start + mid, end)`. Nothing outside a node's range is touched, so a
+//! finished leaf keeps its place and entry order, and disjoint ranges
+//! can go to different threads. Leaves are reported as `Range<usize>`
+//! into the buffer — the structure is a permutation of its input, as in
+//! De & Nandy's in-place priority search tree.
+//!
+//! **Emission order** ([`leaf_ranges`]): a node's priority leaves in axis
+//! order, then its *right* subtree, then its left. Pages are written in
+//! that order and page ids break coordinate ties one stage up, so the
+//! order is part of the output.
+//!
+//! **Why the output bytes cannot change.** The recursion this replaced
+//! selected on a `Vec` per node and cut it at `k`. A selection sees only
+//! the slice it is given, so selecting over the sub-range and taking the
+//! prefix is the same permutation: leaves, entry order and leaf order
+//! are what they were (`tests/build_golden.rs` pins hashes from the old
+//! code). What changed is memory: the cut left each 113-entry priority
+//! leaf holding its whole node's allocation until the level was written,
+//! and copied the node's set `2D + 1` times — over the kd-tree
+//! ≈ `2D · N · depth` entries of 40 B, 33 × the input for 200 000
+//! rectangles (`tests/build_alloc.rs`). The kernel allocates one `Range`
+//! per leaf and a stack of at most `depth + 1` ranges.
 
 use crate::entry::Entry;
 use pr_geom::mapped::{cmp_extreme_on_axis, cmp_items_on_axis};
-use pr_geom::{Axis, Item};
+use pr_geom::Axis;
+use std::ops::Range;
 
-fn entry_as_item<const D: usize>(e: &Entry<D>) -> Item<D> {
-    Item {
-        rect: e.rect,
-        id: e.ptr,
-    }
+/// The node sizes of one stage's pseudo-PR-tree.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeShape {
+    /// Most entries in a node: a set this small is one kd leaf.
+    pub cap: usize,
+    /// Entries per priority leaf (`1 ..= cap`).
+    pub prio: usize,
+    /// Snap kd splits to multiples of this (the node capacity); `None`
+    /// splits at the exact median of the paper's structural definition.
+    pub snap: Option<usize>,
 }
 
-/// Removes and returns the `k` most extreme entries along `axis`
-/// (`k` is clamped to the set size). Order within the returned leaf and
-/// within the remainder is unspecified but deterministic.
-pub fn extract_priority<const D: usize>(
-    items: &mut Vec<Entry<D>>,
-    axis: Axis,
-    k: usize,
-) -> Vec<Entry<D>> {
-    let k = k.min(items.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    if k < items.len() {
-        items.select_nth_unstable_by(k - 1, |a, b| {
-            cmp_extreme_on_axis(axis, &entry_as_item(a), &entry_as_item(b))
-        });
-    }
-    let rest = items.split_off(k);
-    std::mem::replace(items, rest)
-}
-
-/// Splits `items` at the median of `axis` into `(left, right)`.
+/// How many of `n ≥ 2` entries a kd split sends left.
 ///
-/// With `snap_to = Some(cap)` the split point is moved to the nearest
-/// multiple of `cap` (keeping both sides non-empty), so that fully-packed
-/// leaves fall out of the recursion; `None` gives the exact median of the
-/// paper's structural definition. Each side always receives at most
+/// With `snap_to = Some(cap)` the median `n / 2` is moved to the nearest
+/// multiple of `cap` so that fully-packed leaves fall out of the
+/// recursion. Both sides are always non-empty, and each receives at most
 /// `half + cap` entries, preserving the kd-tree analysis of Lemma 2.
-pub fn median_split<const D: usize>(
-    mut items: Vec<Entry<D>>,
-    axis: Axis,
-    snap_to: Option<usize>,
-) -> (Vec<Entry<D>>, Vec<Entry<D>>) {
-    let n = items.len();
-    debug_assert!(n >= 2, "cannot split fewer than two items");
+pub(crate) fn split_point(n: usize, snap_to: Option<usize>) -> usize {
+    debug_assert!(n >= 2, "cannot split fewer than two entries");
     let mut mid = n / 2;
     if let Some(cap) = snap_to {
         if cap > 0 && n > cap {
@@ -72,29 +81,69 @@ pub fn median_split<const D: usize>(
             mid = snapped.min(n - 1);
         }
     }
-    mid = mid.clamp(1, n - 1);
-    items.select_nth_unstable_by(mid, |a, b| {
-        cmp_items_on_axis(axis, &entry_as_item(a), &entry_as_item(b))
-    });
-    let right = items.split_off(mid);
-    (items, right)
+    mid.clamp(1, n - 1)
 }
 
-/// One pseudo-PR-tree node's worth of work: extracts up to `2D` priority
-/// leaves of size `prio` (in the paper's xmin, ymin, …, xmax, ymax order)
-/// and returns them along with the remaining entries.
-pub fn extract_all_priority_leaves<const D: usize>(
-    items: &mut Vec<Entry<D>>,
-    prio: usize,
-) -> Vec<Vec<Entry<D>>> {
-    let mut leaves = Vec::with_capacity(2 * D);
-    for axis in Axis::all::<D>() {
-        if items.is_empty() {
-            break;
+/// One pseudo-PR-tree node over `s[range]`, kd axis `axis`.
+///
+/// Permutes `s[range]` so that the node's leaves — up to `2D` priority
+/// leaves in the paper's xmin, ymin, …, xmax, ymax order, then the kd
+/// leaf if at most `shape.cap` entries remain — are consecutive
+/// sub-ranges, which are appended to `leaves`. Returns the ranges of the
+/// left and right kd children if more than `shape.cap` entries remain
+/// (they split on `axis.next()`), else `None`.
+pub(crate) fn split_node<const D: usize>(
+    s: &mut [Entry<D>],
+    range: Range<usize>,
+    axis: Axis,
+    shape: NodeShape,
+    leaves: &mut Vec<Range<usize>>,
+) -> Option<[Range<usize>; 2]> {
+    let Range { mut start, end } = range;
+    if end - start > shape.cap {
+        for extreme in Axis::all::<D>() {
+            let k = shape.prio.min(end - start);
+            if k == 0 {
+                break;
+            }
+            if k < end - start {
+                s[start..end].select_nth_unstable_by(k - 1, |a, b| {
+                    cmp_extreme_on_axis(extreme, &a.to_item(), &b.to_item())
+                });
+            }
+            leaves.push(start..start + k);
+            start += k;
         }
-        let leaf = extract_priority(items, axis, prio);
-        if !leaf.is_empty() {
-            leaves.push(leaf);
+    }
+    let n = end - start;
+    if n <= shape.cap {
+        if n > 0 {
+            leaves.push(start..end);
+        }
+        return None;
+    }
+    let mid = start + split_point(n, shape.snap);
+    s[start..end].select_nth_unstable_by(mid - start, |a, b| {
+        cmp_items_on_axis(axis, &a.to_item(), &b.to_item())
+    });
+    Some([start..mid, mid..end])
+}
+
+/// The leaves of the pseudo-PR-tree over `s` whose root splits on
+/// `start_axis`, as ranges of the permuted `s` in emission order (see the
+/// module docs). The external construction resumes in memory at an
+/// arbitrary recursion depth, hence the axis.
+pub(crate) fn leaf_ranges<const D: usize>(
+    s: &mut [Entry<D>],
+    start_axis: Axis,
+    shape: NodeShape,
+) -> Vec<Range<usize>> {
+    let mut leaves = Vec::with_capacity(s.len() / shape.cap.max(1) + 1);
+    let mut stack = vec![(0..s.len(), start_axis)];
+    while let Some((range, axis)) = stack.pop() {
+        if let Some([left, right]) = split_node(s, range, axis, shape, &mut leaves) {
+            let next = axis.next::<D>();
+            stack.extend([(left, next), (right, next)]);
         }
     }
     leaves
@@ -118,106 +167,120 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn extract_priority_takes_most_extreme() {
-        let mut items = row(10);
-        // xmin axis: smallest lo — ids 0, 1, 2.
-        let leaf = extract_priority(&mut items, Axis(0), 3);
-        let mut ids: Vec<_> = leaf.iter().map(|e| e.ptr).collect();
+    fn shape(cap: usize, prio: usize) -> NodeShape {
+        NodeShape {
+            cap,
+            prio,
+            snap: Some(cap),
+        }
+    }
+
+    fn sorted_ids(s: &[Entry<2>]) -> Vec<u32> {
+        let mut ids: Vec<_> = s.iter().map(|e| e.ptr).collect();
         ids.sort_unstable();
-        assert_eq!(ids, [0, 1, 2]);
-        assert_eq!(items.len(), 7);
-        // xmax axis on the remainder: largest hi — ids 7, 8, 9.
-        let leaf = extract_priority(&mut items, Axis(2), 3);
-        let mut ids: Vec<_> = leaf.iter().map(|e| e.ptr).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, [7, 8, 9]);
+        ids
     }
 
     #[test]
-    fn extract_priority_clamps_and_handles_empty() {
-        let mut items = row(2);
-        let leaf = extract_priority(&mut items, Axis(0), 5);
-        assert_eq!(leaf.len(), 2);
-        assert!(items.is_empty());
-        assert!(extract_priority::<2>(&mut items, Axis(0), 3).is_empty());
+    fn split_point_exact_and_snapped() {
+        assert_eq!(split_point(10, None), 5);
+        // 10 entries, cap 4: exact mid = 5, snapped to 4.
+        assert_eq!(split_point(10, Some(4)), 4);
+        // 9 entries: mid = 4 is already a multiple.
+        assert_eq!(split_point(9, Some(4)), 4);
+        // 6 entries: mid = 3 → snapped to 4, right side non-empty.
+        assert_eq!(split_point(6, Some(4)), 4);
+        // n ≤ cap: nothing to snap to.
+        assert_eq!(split_point(4, Some(4)), 2);
+        assert_eq!(split_point(3, Some(7)), 1);
     }
 
     #[test]
-    fn median_split_exact() {
-        let (l, r) = median_split(row(10), Axis(0), None);
-        assert_eq!(l.len(), 5);
-        assert_eq!(r.len(), 5);
-        let lmax = l.iter().map(|e| e.ptr).max().unwrap();
-        let rmin = r.iter().map(|e| e.ptr).min().unwrap();
-        assert!(lmax < rmin, "all left xmin < all right xmin");
-    }
-
-    #[test]
-    fn median_split_snaps_to_capacity() {
-        // 10 items, cap 4: exact mid = 5, snapped to 4.
-        let (l, r) = median_split(row(10), Axis(0), Some(4));
-        assert_eq!(l.len(), 4);
-        assert_eq!(r.len(), 6);
-        // 9 items, cap 4: mid = 4 (already a multiple).
-        let (l, r) = median_split(row(9), Axis(0), Some(4));
-        assert_eq!((l.len(), r.len()), (4, 5));
-        // 6 items, cap 4: mid = 3 → snapped to 4, right side non-empty.
-        let (l, r) = median_split(row(6), Axis(0), Some(4));
-        assert_eq!((l.len(), r.len()), (4, 2));
-    }
-
-    #[test]
-    fn median_split_both_sides_nonempty() {
+    fn split_point_both_sides_nonempty() {
         for n in 2..40 {
-            for cap in [1usize, 2, 3, 4, 7] {
-                let (l, r) = median_split(row(n), Axis(0), Some(cap));
-                assert!(!l.is_empty() && !r.is_empty(), "n={n} cap={cap}");
-                assert_eq!(l.len() + r.len(), n);
+            for snap in [None, Some(1usize), Some(2), Some(3), Some(4), Some(7)] {
+                let mid = split_point(n, snap);
+                assert!(mid >= 1 && mid < n, "n={n} snap={snap:?}");
             }
-            let (l, r) = median_split(row(n), Axis(1), None);
-            assert!(!l.is_empty() && !r.is_empty());
         }
     }
 
     #[test]
-    fn all_priority_leaves_cycle_axes() {
-        let mut items = row(20);
-        let leaves = extract_all_priority_leaves(&mut items, 4);
-        assert_eq!(leaves.len(), 4);
-        assert_eq!(items.len(), 4);
-        // First leaf: smallest xmin (ids 0..4). Fourth leaf: largest ymax
-        // among what remained; all ymax equal → tie-break by id.
-        let mut first: Vec<_> = leaves[0].iter().map(|e| e.ptr).collect();
-        first.sort_unstable();
-        assert_eq!(first, [0, 1, 2, 3]);
+    fn priority_leaves_are_prefixes_in_axis_order() {
+        let mut s = row(40);
+        let mut leaves = Vec::new();
+        let kids = split_node(&mut s, 0..40, Axis(0), shape(4, 3), &mut leaves);
+        assert_eq!(leaves, [0..3, 3..6, 6..9, 9..12]);
+        // xmin: smallest lo. ymin ties everywhere → smallest remaining ids.
+        assert_eq!(sorted_ids(&s[0..3]), [0, 1, 2]);
+        assert_eq!(sorted_ids(&s[3..6]), [3, 4, 5]);
+        // xmax: largest hi. ymax ties → exact reverse, largest ids left.
+        assert_eq!(sorted_ids(&s[6..9]), [37, 38, 39]);
+        assert_eq!(sorted_ids(&s[9..12]), [34, 35, 36]);
+        // 28 remain, cap 4: mid = 14 snaps to 16; all left xmin < all right.
+        let [left, right] = kids.unwrap();
+        assert_eq!((left.clone(), right.clone()), (12..28, 28..40));
+        let lmax = s[left].iter().map(|e| e.ptr).max().unwrap();
+        let rmin = s[right].iter().map(|e| e.ptr).min().unwrap();
+        assert!(lmax < rmin);
     }
 
     #[test]
-    fn all_priority_leaves_small_input() {
-        let mut items = row(6);
-        let leaves = extract_all_priority_leaves(&mut items, 4);
-        // 4 + 2: second leaf partial, then nothing left.
-        assert_eq!(leaves.len(), 2);
-        assert_eq!(leaves[0].len(), 4);
-        assert_eq!(leaves[1].len(), 2);
-        assert!(items.is_empty());
+    fn node_touches_only_its_range() {
+        let mut s = row(30);
+        s.reverse();
+        let before = s.clone();
+        let mut leaves = Vec::new();
+        split_node(&mut s, 5..25, Axis(1), shape(4, 4), &mut leaves);
+        assert_eq!(s[..5], before[..5]);
+        assert_eq!(s[25..], before[25..]);
+        assert_eq!(sorted_ids(&s[5..25]), sorted_ids(&before[5..25]));
+        assert_eq!(leaves, [5..9, 9..13, 13..17, 17..21, 21..25]);
+    }
+
+    #[test]
+    fn small_sets_are_single_leaves() {
+        let mut s = row(6);
+        let mut leaves = Vec::new();
+        assert!(split_node(&mut s, 0..6, Axis(0), shape(8, 8), &mut leaves).is_none());
+        assert!(split_node(&mut s, 2..2, Axis(0), shape(8, 8), &mut leaves).is_none());
+        assert_eq!(leaves, vec![Range { start: 0, end: 6 }]);
+        // 4 + 2: the second priority leaf is partial, then nothing is left.
+        leaves.clear();
+        assert!(split_node(&mut s, 0..6, Axis(0), shape(4, 4), &mut leaves).is_none());
+        assert_eq!(leaves, [0..4, 4..6]);
     }
 
     #[test]
     fn ties_broken_by_id_deterministically() {
         // All rectangles identical: extraction must still be deterministic
         // (by id) so external and in-memory builds agree.
-        let mut items: Vec<Entry<2>> = (0..10).map(|i| entry(0.0, 0.0, 1.0, 1.0, i)).collect();
-        let leaf = extract_priority(&mut items, Axis(0), 3);
-        let mut ids: Vec<_> = leaf.iter().map(|e| e.ptr).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, [0, 1, 2]);
-        // ymax axis (max side): extreme = largest ymax; ties resolve to
-        // the largest id (exact reverse of the ascending order).
-        let leaf = extract_priority(&mut items, Axis(3), 3);
-        let mut ids: Vec<_> = leaf.iter().map(|e| e.ptr).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, [7, 8, 9]);
+        let mut s: Vec<Entry<2>> = (0..20).map(|i| entry(0.0, 0.0, 1.0, 1.0, i)).collect();
+        let mut leaves = Vec::new();
+        split_node(&mut s, 0..20, Axis(0), shape(3, 3), &mut leaves);
+        assert_eq!(sorted_ids(&s[0..3]), [0, 1, 2]);
+        assert_eq!(sorted_ids(&s[3..6]), [3, 4, 5]);
+        // Max sides: ties resolve to the largest id (exact reverse of the
+        // ascending order).
+        assert_eq!(sorted_ids(&s[6..9]), [17, 18, 19]);
+        assert_eq!(sorted_ids(&s[9..12]), [14, 15, 16]);
+    }
+
+    #[test]
+    fn leaf_ranges_tile_the_buffer_right_subtree_first() {
+        let mut s = row(200);
+        let before = sorted_ids(&s);
+        let leaves = leaf_ranges(&mut s, Axis(0), shape(8, 8));
+        assert_eq!(sorted_ids(&s), before);
+        assert!(leaves.iter().all(|r| !r.is_empty() && r.len() <= 8));
+        let mut by_start = leaves.clone();
+        by_start.sort_by_key(|r| r.start);
+        assert_eq!(by_start[0].start, 0);
+        assert_eq!(by_start.last().unwrap().end, 200);
+        assert!(by_start.windows(2).all(|w| w[0].end == w[1].start));
+        // Root: four priority leaves, 168 remain → 88 left, 80 right; the
+        // right child's leaves come next.
+        assert_eq!(leaves[..4], [0..8, 8..16, 16..24, 24..32]);
+        assert_eq!(leaves[4], 120..128);
     }
 }

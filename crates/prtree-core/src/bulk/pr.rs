@@ -8,11 +8,20 @@
 //! kd nodes are discarded. Stages repeat until one node holds everything:
 //! that node is the root.
 //!
+//! A stage holds its set in **one buffer**: the grouping
+//! ([`crate::bulk::kd_split`]) permutes it in place and names each leaf
+//! by its range, the leaves are encoded straight from the buffer through
+//! one page-sized scratch block in emission order, and their bounding
+//! boxes become the next stage's buffer. Besides its pages a build holds
+//! the input buffer (`Item`s are converted in place), one range per leaf
+//! and the parent entries — not the ≈ `2D · N · depth` entries the
+//! per-node `Vec`s of the old recursion pinned (see the kernel's docs).
+//!
 //! The resulting tree is a perfectly ordinary R-tree (degree Θ(B), all
 //! leaves on one level) that answers window queries in
 //! `O((N/B)^{1−1/d} + T/B)` I/Os (Theorem 1/2).
 
-use crate::bulk::kd_split::{extract_all_priority_leaves, median_split};
+use crate::bulk::kd_split::{leaf_ranges, NodeShape};
 use crate::bulk::BulkLoader;
 use crate::entry::Entry;
 use crate::page::NodePage;
@@ -21,6 +30,7 @@ use crate::tree::RTree;
 use crate::writer::write_level;
 use pr_em::{BlockDevice, EmError};
 use pr_geom::{Axis, Item};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the PR-tree loader.
@@ -47,87 +57,29 @@ impl Default for PrTreeLoader {
 }
 
 impl PrTreeLoader {
-    /// Effective priority-leaf size for node capacity `cap`.
-    pub(crate) fn prio_for(&self, cap: usize) -> usize {
-        self.priority_size.unwrap_or(cap).min(cap).max(1)
-    }
-
-    /// Grouping for one stage: the multiset of pseudo-PR-tree leaf
-    /// contents over `entries` with node capacity `cap`.
-    pub(crate) fn stage_groups<const D: usize>(
-        &self,
-        entries: Vec<Entry<D>>,
-        cap: usize,
-    ) -> Vec<Vec<Entry<D>>> {
-        self.stage_groups_from(entries, cap, Axis(0))
-    }
-
-    /// Like [`PrTreeLoader::stage_groups`] but starting the kd round-robin
-    /// at `start_axis` — the external construction resumes in-memory at an
-    /// arbitrary recursion depth and must keep the axis cycle aligned.
-    pub(crate) fn stage_groups_from<const D: usize>(
-        &self,
-        entries: Vec<Entry<D>>,
-        cap: usize,
-        start_axis: Axis,
-    ) -> Vec<Vec<Entry<D>>> {
-        let mut out = Vec::with_capacity(entries.len() / cap.max(1) + 1);
-        let mut stack: Vec<(Vec<Entry<D>>, Axis)> = vec![(entries, start_axis)];
-        while let Some((set, axis)) = stack.pop() {
-            if let Some(children) = self.node_step(set, axis, cap, &mut out) {
-                stack.extend(children);
-            }
+    /// The node sizes of a stage with node capacity `cap`.
+    pub(crate) fn shape(&self, cap: usize) -> NodeShape {
+        NodeShape {
+            cap,
+            prio: self.priority_size.unwrap_or(cap).min(cap).max(1),
+            snap: self.snap_splits.then_some(cap),
         }
-        out
-    }
-
-    /// One pseudo-PR-tree node's worth of work (§2.1): small sets become
-    /// leaves (pushed to `out`); larger sets shed their `2D` priority
-    /// leaves into `out` and return the two median-split halves with the
-    /// advanced round-robin axis. Shared by the sequential and parallel
-    /// drivers so they produce identical groupings.
-    pub(crate) fn node_step<const D: usize>(
-        &self,
-        mut set: Vec<Entry<D>>,
-        axis: Axis,
-        cap: usize,
-        out: &mut Vec<Vec<Entry<D>>>,
-    ) -> Option<[(Vec<Entry<D>>, Axis); 2]> {
-        let prio = self.prio_for(cap);
-        let snap = self.snap_splits.then_some(cap);
-        if set.len() <= cap {
-            if !set.is_empty() {
-                out.push(set);
-            }
-            return None;
-        }
-        // §2.1: extract the 2D priority leaves first…
-        out.extend(extract_all_priority_leaves(&mut set, prio));
-        // …then split the remainder at the median of the round-robin
-        // axis and recurse on both halves.
-        if set.is_empty() {
-            return None;
-        }
-        if set.len() <= cap {
-            out.push(set);
-            return None;
-        }
-        let (left, right) = median_split(set, axis, snap);
-        let next = axis.next::<D>();
-        Some([(left, next), (right, next)])
     }
 
     /// Runs all stages over `entries`, returning the finished tree.
+    /// `group` is the stage grouping: [`leaf_ranges`] from `Axis(0)`, or
+    /// a different schedule of the same node steps.
     pub(crate) fn build_stages<const D: usize>(
         &self,
         dev: Arc<dyn BlockDevice>,
         params: TreeParams,
         mut entries: Vec<Entry<D>>,
-        len: u64,
+        mut group: impl FnMut(&mut [Entry<D>], NodeShape) -> Vec<Range<usize>>,
     ) -> Result<RTree<D>, EmError> {
         if entries.is_empty() {
             return RTree::new_empty(dev, params);
         }
+        let len = entries.len() as u64;
         let mut level: u8 = 0;
         loop {
             let cap = params.cap_at_level(level);
@@ -140,8 +92,12 @@ impl PrTreeLoader {
                 let root = NodePage::new(level, entries).append(dev.as_ref())?;
                 return Ok(RTree::attach(dev, params, root, level, len));
             }
-            let groups = self.stage_groups(entries, cap);
-            entries = write_level(dev.as_ref(), level, groups)?;
+            let groups = group(&mut entries, self.shape(cap));
+            entries = write_level(
+                dev.as_ref(),
+                level,
+                groups.into_iter().map(|leaf| &entries[leaf]),
+            )?;
             level = level.checked_add(1).expect("tree height exceeds 255");
         }
     }
@@ -158,9 +114,11 @@ impl<const D: usize> BulkLoader<D> for PrTreeLoader {
         params: TreeParams,
         items: Vec<Item<D>>,
     ) -> Result<RTree<D>, EmError> {
-        let len = items.len() as u64;
+        // Same size and alignment: the collect reuses the input's buffer.
         let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-        self.build_stages(dev, params, entries, len)
+        self.build_stages(dev, params, entries, |s, shape| {
+            leaf_ranges(s, Axis(0), shape)
+        })
     }
 }
 

@@ -1,26 +1,28 @@
 //! Multi-threaded PR-tree bulk loading.
 //!
 //! An extension beyond the paper (which predates multicore ubiquity):
-//! the pseudo-PR-tree stage is a divide-and-conquer over disjoint entry
-//! sets, so after the first few sequential kd splits the recursion
-//! parallelizes embarrassingly. The grouping produced is *identical* to
-//! the sequential loader's — both drive the same
-//! `PrTreeLoader::node_step` — only the schedule differs; a test pins
-//! that down.
+//! the pseudo-PR-tree stage is a divide-and-conquer over disjoint ranges
+//! of one entry buffer ([`crate::bulk::kd_split`]), so after the first
+//! few sequential kd splits the recursion parallelizes embarrassingly:
+//! each worker gets one `split_at_mut` piece of the buffer and permutes
+//! only that. Both loaders run the same `kd_split::split_node`, and the
+//! leaves are put back in the sequential emission order, so the pages
+//! are *byte-identical* to [`PrTreeLoader`]'s — only the schedule
+//! differs; a test pins that down.
 //!
 //! Page writing stays sequential: allocation on the shared device is a
 //! synchronization point anyway, and writing is a small fraction of the
 //! stage cost.
 
+use crate::bulk::kd_split::{leaf_ranges, split_node, NodeShape};
 use crate::bulk::pr::PrTreeLoader;
 use crate::bulk::BulkLoader;
 use crate::entry::Entry;
-use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::write_level;
 use pr_em::{BlockDevice, EmError};
 use pr_geom::{Axis, Item};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// PR-tree loader that fans the kd recursion out over threads.
@@ -30,6 +32,16 @@ pub struct ParallelPrLoader {
     pub inner: PrTreeLoader,
     /// Worker threads (0 = one per available core).
     pub threads: usize,
+}
+
+/// A stretch of a stage's emission sequence: a finished leaf, or (with
+/// its root's kd axis) a subtree still to be grouped.
+type Piece = (Range<usize>, Option<Axis>);
+
+/// The subtrees among `pieces`, with their positions.
+fn subtrees(pieces: &[Piece]) -> Vec<(usize, Range<usize>, Axis)> {
+    let subtree = |(i, (range, axis)): (usize, &Piece)| axis.map(|axis| (i, range.clone(), axis));
+    pieces.iter().enumerate().filter_map(subtree).collect()
 }
 
 impl ParallelPrLoader {
@@ -43,58 +55,76 @@ impl ParallelPrLoader {
         }
     }
 
-    /// One stage's grouping, computed in parallel.
-    fn stage_groups_parallel<const D: usize>(
+    /// One stage's grouping, computed in parallel: the same ranges, in
+    /// the same order, as `leaf_ranges(s, Axis(0), shape)`.
+    fn leaf_ranges_parallel<const D: usize>(
         &self,
-        entries: Vec<Entry<D>>,
-        cap: usize,
-    ) -> Vec<Vec<Entry<D>>> {
+        s: &mut [Entry<D>],
+        shape: NodeShape,
+    ) -> Vec<Range<usize>> {
         let threads = self.effective_threads();
-        if threads <= 1 || entries.len() < 4 * cap * threads {
-            return self.inner.stage_groups(entries, cap);
+        if threads <= 1 || s.len() < 4 * shape.cap * threads {
+            return leaf_ranges(s, Axis(0), shape);
         }
 
         // Peel the top of the recursion sequentially until there are
-        // enough independent sub-problems to saturate the workers.
-        let mut out: Vec<Vec<Entry<D>>> = Vec::new();
-        let mut tasks: Vec<(Vec<Entry<D>>, Axis)> = vec![(entries, Axis(0))];
-        while tasks.len() < 2 * threads {
-            // Expand the largest pending task.
-            let Some(idx) = tasks
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, (set, _))| set.len())
-                .map(|(i, _)| i)
+        // enough independent sub-problems to saturate the workers. A
+        // node's piece is replaced by what it emits: its own leaves, its
+        // right subtree, its left subtree.
+        let mut pieces: Vec<Piece> = vec![(0..s.len(), Some(Axis(0)))];
+        loop {
+            let pending = subtrees(&pieces);
+            // Expand the largest pending subtree.
+            let Some((i, range, axis)) = pending.iter().max_by_key(|(_, r, _)| r.len()).cloned()
             else {
                 break;
             };
-            if tasks[idx].0.len() <= 4 * cap {
-                break; // everything left is small; no point splitting more
+            if pending.len() >= 2 * threads || range.len() <= 4 * shape.cap {
+                break; // enough pieces, or all too small to be worth splitting
             }
-            let (set, axis) = tasks.swap_remove(idx);
-            if let Some(children) = self.inner.node_step(set, axis, cap, &mut out) {
-                tasks.extend(children);
-            }
-            if tasks.is_empty() {
-                break;
-            }
+            let mut leaves = Vec::new();
+            let kids = split_node(s, range, axis, shape, &mut leaves);
+            let next = Some(axis.next::<D>());
+            let right_then_left = kids.into_iter().flatten().rev();
+            pieces.splice(
+                i..=i,
+                (leaves.into_iter().map(|leaf| (leaf, None)))
+                    .chain(right_then_left.map(|kid| (kid, next))),
+            );
         }
 
-        // Fan the sub-problems out; each worker runs the sequential
-        // grouping on its disjoint set.
-        let inner = self.inner;
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
+        // Fan the subtrees out; each worker runs the sequential grouping
+        // on its own part of the buffer.
+        let mut tasks = subtrees(&pieces);
+        tasks.sort_by_key(|(_, range, _)| range.start);
+        let mut grouped = vec![Vec::new(); pieces.len()];
+        std::thread::scope(|scope| {
+            let (mut rest, mut rest_start) = (s, 0);
+            let workers: Vec<_> = tasks
                 .into_iter()
-                .map(|(set, axis)| scope.spawn(move || inner.stage_groups_from(set, cap, axis)))
+                .map(|(i, range, axis)| {
+                    let (_, tail) =
+                        std::mem::take(&mut rest).split_at_mut(range.start - rest_start);
+                    let (mine, tail) = tail.split_at_mut(range.len());
+                    (rest, rest_start) = (tail, range.end);
+                    (i, scope.spawn(move || leaf_ranges(mine, axis, shape)))
+                })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect::<Vec<_>>()
+            for (i, worker) in workers {
+                grouped[i] = worker.join().expect("worker panicked");
+            }
         });
-        for groups in results {
-            out.extend(groups);
+        let mut out = Vec::new();
+        for ((range, axis), leaves) in pieces.into_iter().zip(grouped) {
+            match axis {
+                None => out.push(range),
+                // A worker's ranges are relative to its part.
+                Some(_) => out.extend(
+                    leaves
+                        .iter()
+                        .map(|l| l.start + range.start..l.end + range.start),
+                ),
+            }
         }
         out
     }
@@ -111,26 +141,10 @@ impl<const D: usize> BulkLoader<D> for ParallelPrLoader {
         params: TreeParams,
         items: Vec<Item<D>>,
     ) -> Result<RTree<D>, EmError> {
-        if items.is_empty() {
-            return RTree::new_empty(dev, params);
-        }
-        let len = items.len() as u64;
-        let mut entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-        let mut level: u8 = 0;
-        loop {
-            let cap = params.cap_at_level(level);
-            if entries.len() == 1 && level > 0 {
-                let root = entries[0].ptr as u64;
-                return Ok(RTree::attach(dev, params, root, level - 1, len));
-            }
-            if entries.len() <= cap {
-                let root = NodePage::new(level, entries).append(dev.as_ref())?;
-                return Ok(RTree::attach(dev, params, root, level, len));
-            }
-            let groups = self.stage_groups_parallel(entries, cap);
-            entries = write_level(dev.as_ref(), level, groups)?;
-            level = level.checked_add(1).expect("tree height exceeds 255");
-        }
+        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
+        self.inner.build_stages(dev, params, entries, |s, shape| {
+            self.leaf_ranges_parallel(s, shape)
+        })
     }
 }
 
@@ -153,30 +167,21 @@ mod tests {
             .collect()
     }
 
-    fn leaf_groups(t: &RTree<2>) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut stack = vec![t.root()];
-        while let Some(p) = stack.pop() {
-            let (node, _) = t.read_node(p).unwrap();
-            if node.is_leaf() {
-                let mut ids: Vec<u32> = node.entries.iter().map(|e| e.ptr).collect();
-                ids.sort_unstable();
-                out.push(ids);
-            } else {
-                for e in &node.entries {
-                    stack.push(e.ptr as u64);
-                }
-            }
-        }
-        out.sort();
-        out
+    /// Every block of `dev`, in block order.
+    fn pages(dev: &dyn BlockDevice) -> Vec<Vec<u8>> {
+        (0..dev.num_blocks())
+            .map(|block| {
+                let mut page = vec![0u8; dev.block_size()];
+                dev.read_block(block, &mut page).unwrap();
+                page
+            })
+            .collect()
     }
 
-    #[test]
-    fn parallel_build_equals_sequential_build() {
-        let items = random_items(20_000, 3);
-        let params = TreeParams::with_cap::<2>(16);
-
+    /// The parallel loader must write the sequential loader's pages —
+    /// same leaf groups, same entry order, same page order — whatever the
+    /// thread count.
+    fn assert_equals_sequential_build<const D: usize>(items: Vec<Item<D>>, params: TreeParams) {
         let dev_a: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         let seq = PrTreeLoader::default()
             .load(Arc::clone(&dev_a), params, items.clone())
@@ -192,12 +197,29 @@ mod tests {
             .unwrap();
             par.validate().unwrap().assert_ok();
             assert_eq!(seq.height(), par.height(), "threads={threads}");
-            assert_eq!(
-                leaf_groups(&seq),
-                leaf_groups(&par),
-                "threads={threads}: parallel grouping diverged"
+            assert_eq!(seq.root(), par.root(), "threads={threads}");
+            assert!(
+                pages(dev_a.as_ref()) == pages(dev_b.as_ref()),
+                "D={D} threads={threads}: parallel grouping diverged"
             );
         }
+    }
+
+    #[test]
+    fn parallel_build_equals_sequential_build() {
+        assert_equals_sequential_build(random_items(20_000, 3), TreeParams::with_cap::<2>(16));
+    }
+
+    #[test]
+    fn parallel_build_equals_sequential_build_3d() {
+        let mut rng = SmallRng::seed_from_u64(6);
+        let boxes: Vec<Item<3>> = (0..12_000)
+            .map(|i| {
+                let p: [f64; 3] = std::array::from_fn(|_| rng.gen_range(0.0..10.0));
+                Item::new(Rect::new(p, p.map(|c| c + rng.gen_range(0.0..0.3))), i)
+            })
+            .collect();
+        assert_equals_sequential_build(boxes, TreeParams::with_cap::<3>(8));
     }
 
     #[test]

@@ -275,15 +275,17 @@ impl<const D: usize> LprTree<D> {
         let j = self.policy.flush_slot(&occupied);
         let mut items: Vec<Item<D>> = std::mem::take(&mut self.buffer);
         let mut freed_pages: Vec<BlockId> = Vec::new();
-        for i in 0..j.min(self.components.len()) {
-            if let Some(c) = self.components[i].take() {
+        let merged = j.min(self.components.len());
+        items.reserve(held(&self.components[..merged]));
+        for slot in &mut self.components[..merged] {
+            if let Some(c) = slot.take() {
                 collect_pages(&c, &mut freed_pages)?;
-                for it in c.items()? {
-                    if self.tombstones.consume(&it) {
-                        continue; // drop dead items during the merge
+                // Dead items are dropped during the merge.
+                c.for_each_item(|it| {
+                    if !self.tombstones.consume(&it) {
+                        items.push(it);
                     }
-                    items.push(it);
-                }
+                })?;
             }
         }
         debug_assert!(items.len() as u64 <= self.policy.slot_cap(j));
@@ -305,14 +307,15 @@ impl<const D: usize> LprTree<D> {
     fn rebuild_all(&mut self) -> Result<(), EmError> {
         let mut items: Vec<Item<D>> = std::mem::take(&mut self.buffer);
         let mut freed_pages: Vec<BlockId> = Vec::new();
+        items.reserve(held(&self.components));
         for slot in &mut self.components {
             if let Some(c) = slot.take() {
                 collect_pages(&c, &mut freed_pages)?;
-                for it in c.items()? {
+                c.for_each_item(|it| {
                     if !self.tombstones.consume(&it) {
                         items.push(it);
                     }
-                }
+                })?;
             }
         }
         // Every tombstone pointed at a component item, and every
@@ -332,6 +335,12 @@ impl<const D: usize> LprTree<D> {
         self.rebuilds += 1;
         Ok(())
     }
+}
+
+/// Items stored in `components`, dead ones included: what a merge of
+/// them can add to its buffer at most.
+fn held<const D: usize>(components: &[Option<RTree<D>>]) -> usize {
+    components.iter().flatten().map(|c| c.len() as usize).sum()
 }
 
 fn collect_pages<const D: usize>(tree: &RTree<D>, out: &mut Vec<BlockId>) -> Result<(), EmError> {

@@ -64,23 +64,7 @@ impl<const D: usize> NodePage<D> {
     /// # Panics
     /// Panics if the entries do not fit in the page.
     pub fn encode(&self, buf: &mut [u8]) {
-        let cap = (buf.len() - PAGE_HEADER_SIZE) / Entry::<D>::SIZE;
-        assert!(
-            self.entries.len() <= cap && self.entries.len() <= u16::MAX as usize,
-            "node with {} entries exceeds page capacity {cap}",
-            self.entries.len()
-        );
-        buf[..4].copy_from_slice(&MAGIC);
-        buf[4] = self.level;
-        buf[5] = 0;
-        buf[6..8].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        buf[8..16].fill(0);
-        let mut off = PAGE_HEADER_SIZE;
-        for e in &self.entries {
-            e.encode(&mut buf[off..off + Entry::<D>::SIZE]);
-            off += Entry::<D>::SIZE;
-        }
-        buf[off..].fill(0);
+        encode_node(self.level, &self.entries, buf);
     }
 
     /// Deserializes a page buffer.
@@ -125,6 +109,32 @@ impl<const D: usize> NodePage<D> {
         self.write(dev, page)?;
         Ok(page)
     }
+}
+
+/// Serializes a node at `level` holding `entries` into a page buffer of
+/// exactly `page_size` bytes — [`NodePage::encode`] without the owned
+/// `Vec`, for writers that cut nodes out of a larger entry buffer.
+///
+/// # Panics
+/// Panics if the entries do not fit in the page.
+pub(crate) fn encode_node<const D: usize>(level: u8, entries: &[Entry<D>], buf: &mut [u8]) {
+    let cap = (buf.len() - PAGE_HEADER_SIZE) / Entry::<D>::SIZE;
+    assert!(
+        entries.len() <= cap && entries.len() <= u16::MAX as usize,
+        "node with {} entries exceeds page capacity {cap}",
+        entries.len()
+    );
+    buf[..4].copy_from_slice(&MAGIC);
+    buf[4] = level;
+    buf[5] = 0;
+    buf[6..8].copy_from_slice(&(entries.len() as u16).to_le_bytes());
+    buf[8..16].fill(0);
+    let mut off = PAGE_HEADER_SIZE;
+    for e in entries {
+        e.encode(&mut buf[off..off + Entry::<D>::SIZE]);
+        off += Entry::<D>::SIZE;
+    }
+    buf[off..].fill(0);
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! sets stage by stage; this module keeps the whole structure around so
 //! it can be queried and studied directly.
 
-use crate::bulk::kd_split::{extract_all_priority_leaves, median_split};
+use crate::bulk::kd_split::{split_node, NodeShape};
 use crate::entry::Entry;
 use pr_geom::{Axis, Item, Rect};
 
@@ -53,11 +53,11 @@ impl<const D: usize> PseudoPrTree<D> {
     pub fn build(items: Vec<Item<D>>, block_cap: usize) -> Self {
         assert!(block_cap >= 1);
         let len = items.len();
-        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
+        let mut entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
         let root = if entries.is_empty() {
             None
         } else {
-            Some(build_node(entries, Axis(0), block_cap))
+            Some(build_node(&mut entries, Axis(0), block_cap))
         };
         PseudoPrTree {
             root,
@@ -125,37 +125,28 @@ impl<const D: usize> PseudoPrTree<D> {
     }
 }
 
-fn build_node<const D: usize>(entries: Vec<Entry<D>>, axis: Axis, cap: usize) -> PseudoNode<D> {
+/// The subtree over `entries`, which the shared grouping kernel permutes
+/// in place; leaves copy their items out of it.
+fn build_node<const D: usize>(entries: &mut [Entry<D>], axis: Axis, cap: usize) -> PseudoNode<D> {
+    let leaf = |group: &[Entry<D>]| PseudoNode::Leaf(group.iter().map(|e| e.to_item()).collect());
     if entries.len() <= cap {
-        return PseudoNode::Leaf(entries.into_iter().map(Entry::to_item).collect());
+        return leaf(entries);
     }
-    let mut set = entries;
-    let prio_leaves = extract_all_priority_leaves(&mut set, cap);
-    let mut children: Vec<(Rect<D>, PseudoNode<D>)> = prio_leaves
+    // Exact medians: the structural definition, not the packing trick.
+    let shape = NodeShape {
+        cap,
+        prio: cap,
+        snap: None,
+    };
+    let mut leaves = Vec::new();
+    let kids = split_node(entries, 0..entries.len(), axis, shape, &mut leaves);
+    let mut children: Vec<(Rect<D>, PseudoNode<D>)> = leaves
         .into_iter()
-        .map(|leaf| {
-            let mbr = Entry::mbr(&leaf);
-            (
-                mbr,
-                PseudoNode::Leaf(leaf.into_iter().map(Entry::to_item).collect()),
-            )
-        })
+        .map(|range| (Entry::mbr(&entries[range.clone()]), leaf(&entries[range])))
         .collect();
-    if !set.is_empty() {
-        if set.len() <= cap {
-            let mbr = Entry::mbr(&set);
-            children.push((
-                mbr,
-                PseudoNode::Leaf(set.into_iter().map(Entry::to_item).collect()),
-            ));
-        } else {
-            let (left, right) = median_split(set, axis, None);
-            for part in [left, right] {
-                let node = build_node(part, axis.next::<D>(), cap);
-                let mbr = node_mbr(&node);
-                children.push((mbr, node));
-            }
-        }
+    for kid in kids.into_iter().flatten() {
+        let node = build_node(&mut entries[kid], axis.next::<D>(), cap);
+        children.push((node_mbr(&node), node));
     }
     PseudoNode::Internal(children)
 }

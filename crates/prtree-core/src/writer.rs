@@ -7,7 +7,7 @@
 //! the "packed" construction of Kamel–Faloutsos and Roussopoulos–Leifker.
 
 use crate::entry::Entry;
-use crate::page::NodePage;
+use crate::page::{encode_node, NodePage};
 use crate::params::TreeParams;
 use crate::tree::RTree;
 use pr_em::{BlockDevice, BlockId, EmError};
@@ -21,19 +21,50 @@ pub fn page_ptr(page: BlockId) -> Result<u32, EmError> {
     u32::try_from(page).map_err(|_| EmError::PageIdOverflow { page })
 }
 
+/// Appends the node pages of one tree level, cut out of the caller's
+/// entry buffer and encoded through a single page-sized buffer.
+pub(crate) struct LevelWriter<'d> {
+    dev: &'d dyn BlockDevice,
+    level: u8,
+    page: Vec<u8>,
+}
+
+impl<'d> LevelWriter<'d> {
+    /// A writer of `level` nodes on `dev`.
+    pub(crate) fn new(dev: &'d dyn BlockDevice, level: u8) -> Self {
+        LevelWriter {
+            dev,
+            level,
+            page: vec![0u8; dev.block_size()],
+        }
+    }
+
+    /// Writes `group` as one node on a fresh page and returns its parent
+    /// entry (group MBR + page id).
+    pub(crate) fn append<const D: usize>(
+        &mut self,
+        group: &[Entry<D>],
+    ) -> Result<Entry<D>, EmError> {
+        debug_assert!(!group.is_empty(), "empty node group");
+        encode_node(self.level, group, &mut self.page);
+        let page = self.dev.allocate(1);
+        self.dev.write_block(page, &self.page)?;
+        Ok(Entry::new(Entry::mbr(group), page_ptr(page)?))
+    }
+}
+
 /// Writes one tree level: each group becomes a node page at `level`.
-/// Returns the parent entries (group MBR + page id) in group order.
-pub fn write_level<const D: usize>(
+/// Returns the parent entries in group order.
+pub fn write_level<'a, const D: usize>(
     dev: &dyn BlockDevice,
     level: u8,
-    groups: impl IntoIterator<Item = Vec<Entry<D>>>,
+    groups: impl IntoIterator<Item = &'a [Entry<D>]>,
 ) -> Result<Vec<Entry<D>>, EmError> {
-    let mut parents = Vec::new();
+    let groups = groups.into_iter();
+    let mut parents = Vec::with_capacity(groups.size_hint().0);
+    let mut writer = LevelWriter::new(dev, level);
     for group in groups {
-        debug_assert!(!group.is_empty(), "empty node group");
-        let mbr = Entry::mbr(&group);
-        let page = NodePage::new(level, group).append(dev)?;
-        parents.push(Entry::new(mbr, page_ptr(page)?));
+        parents.push(writer.append(group)?);
     }
     Ok(parents)
 }
@@ -46,7 +77,7 @@ pub fn pack_level<const D: usize>(
     entries: &[Entry<D>],
     cap: usize,
 ) -> Result<Vec<Entry<D>>, EmError> {
-    write_level(dev, level, entries.chunks(cap).map(|c| c.to_vec()))
+    write_level(dev, level, entries.chunks(cap))
 }
 
 /// Builds all remaining levels above `child_level` by repeated sequential

@@ -1,0 +1,170 @@
+//! Heap high-water of the PR-tree build paths, measured with a counting
+//! global allocator (this binary only). Run with `--nocapture` to see
+//! the ratios.
+//!
+//! The pseudo-PR-tree grouping permutes one entry buffer in place
+//! (`bulk::kd_split`), so a build holds its input, the pages it writes
+//! and little else. The `Vec`-per-node recursion it replaced pinned
+//! ≈ 2D · N · depth entries. Both tests, before → after the rewrite:
+//!
+//! | build | before | after |
+//! |-------|--------|-------|
+//! | `PrTreeLoader::load`, 200 000 items, × the input's bytes | 33.20 | 1.92 |
+//! | `PrExternalLoader::load`, 100 000 entries, × `memory_bytes` = 256 KiB | 11.08 | 2.50 |
+//!
+//! 1.92 is the input buffer (1.0) plus the finished `MemDevice` (36 B on
+//! the page for 40 B in memory). Of the external 2.50 the in-memory base
+//! case is 1.12 (`memory_bytes / 36` entries at 40 B each, measured with
+//! an input that fits); the peak is `pr_em`'s run formation, which holds
+//! such a load twice — the buffer and the stable sort's scratch.
+
+use pr_em::{BlockDevice, FileDevice, MemDevice, Stream};
+use pr_geom::{Item, Rect};
+use pr_tree::bulk::external::ExternalConfig;
+use pr_tree::bulk::pr::PrTreeLoader;
+use pr_tree::bulk::pr_external::PrExternalLoader;
+use pr_tree::bulk::BulkLoader;
+use pr_tree::{Entry, TreeParams};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Live heap bytes and their high-water mark.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters never touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+            }
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The counters are process-wide, so each test holds this from its first
+/// allocation to its last: the harness runs tests on parallel threads.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Runs `f` and returns its result with the most heap bytes that were
+/// live at any moment of the call, beyond those live when it began.
+fn heap_high_water<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let out = f();
+    (out, PEAK.load(Ordering::Relaxed).saturating_sub(before))
+}
+
+fn random_items(n: u32, seed: u64) -> Vec<Item<2>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let x: f64 = rng.gen_range(0.0..1000.0);
+            let y: f64 = rng.gen_range(0.0..1000.0);
+            let w: f64 = rng.gen_range(0.0..2.0);
+            let h: f64 = rng.gen_range(0.0..2.0);
+            Item::new(Rect::xyxy(x, y, x + w, y + h), i)
+        })
+        .collect()
+}
+
+#[test]
+fn in_memory_load_holds_its_input_and_its_pages() {
+    let _alone = alone();
+    const N: u32 = 200_000;
+    let params = TreeParams::paper_2d();
+    let input_bytes = N as usize * std::mem::size_of::<Item<2>>();
+    // The input buffer is created inside the measured call, and the
+    // finished `MemDevice` is still alive at its end: both count.
+    let (tree, peak) = heap_high_water(|| {
+        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+        PrTreeLoader::default()
+            .load(dev, params, random_items(N, 16))
+            .unwrap()
+    });
+    assert_eq!(tree.len(), N as u64);
+    let ratio = peak as f64 / input_bytes as f64;
+    println!(
+        "PrTreeLoader::load, {N} items: heap high-water {peak} B = {ratio:.2} x the input's {input_bytes} B"
+    );
+    assert!(
+        ratio <= 4.0,
+        "in-memory build held {ratio:.2} x its input (limit 4 x)"
+    );
+}
+
+#[test]
+fn external_load_stays_near_its_memory_budget() {
+    let _alone = alone();
+    const N: u32 = 100_000;
+    const MEMORY_BYTES: usize = 256 << 10;
+    let params = TreeParams::paper_2d();
+    let path = std::env::temp_dir().join(format!("pr-tree-build-alloc-{}", std::process::id()));
+    let dev: Arc<dyn BlockDevice> = Arc::new(FileDevice::create(&path, params.page_size).unwrap());
+    let input = Stream::from_iter(
+        dev.as_ref(),
+        random_items(N, 17).into_iter().map(Entry::from_item),
+    )
+    .unwrap();
+    let (tree, peak) = heap_high_water(|| {
+        PrExternalLoader::new(ExternalConfig::with_memory(MEMORY_BYTES))
+            .load::<2>(Arc::clone(&dev), params, &input)
+            .unwrap()
+    });
+    std::fs::remove_file(&path).ok();
+    assert_eq!(tree.len(), N as u64);
+    let ratio = peak as f64 / MEMORY_BYTES as f64;
+    println!(
+        "PrExternalLoader::load, {N} entries: heap high-water {peak} B = {ratio:.2} x memory_bytes = {MEMORY_BYTES} B"
+    );
+    assert!(
+        ratio <= 3.0,
+        "external build held {ratio:.2} x its memory budget (limit 3 x)"
+    );
+}
