@@ -1,6 +1,6 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! priority-leaf size, kd-split snapping, node-cache policy, and the
-//! dynamic split policy.
+//! Ablation benchmarks for the PR-tree's design choices: priority-leaf
+//! size, kd-split snapping, node-cache policy, and the dynamic split
+//! policy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pr_data::queries::square_queries;
@@ -78,7 +78,7 @@ fn bench_snap_splits(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cache policy: the paper's all-internal cache vs a bounded LRU vs none.
+/// Cache policy: the paper's all-internal cache vs none (its footnote 5).
 fn bench_cache_policy(c: &mut Criterion) {
     let queries = square_queries(&Rect::xyxy(0.0, 0.0, 1.0, 1.0), 0.01, 30, 11);
     let tree = build_pr(PrTreeLoader::default(), 30_000);
@@ -86,7 +86,6 @@ fn bench_cache_policy(c: &mut Criterion) {
     group.sample_size(10);
     for (label, policy) in [
         ("all_internal", CachePolicy::InternalNodes),
-        ("lru_64", CachePolicy::Lru(64)),
         ("none", CachePolicy::None),
     ] {
         tree.set_cache_policy(policy);

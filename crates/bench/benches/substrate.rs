@@ -1,9 +1,8 @@
-//! Substrate benchmarks: the external sort, streams, the LRU, and the
-//! Hilbert curve — the building blocks whose constants set every
-//! loader's wall-clock.
+//! Substrate benchmarks: the external sort, streams, and the Hilbert
+//! curve — the building blocks whose constants set every loader's
+//! wall-clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pr_em::lru::LruCache;
 use pr_em::{external_sort, MemDevice, SortConfig, Stream, StreamReader, StreamWriter};
 use pr_hilbert::hilbert_index;
 
@@ -50,31 +49,6 @@ fn bench_stream_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lru(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lru_cache");
-    group.sample_size(20);
-    group.bench_function("mixed_ops_zipf", |b| {
-        b.iter(|| {
-            let mut cache: LruCache<u64, u64> = LruCache::new(1024);
-            let mut x = 0x12345u64;
-            let mut hits = 0u64;
-            for _ in 0..100_000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let key = x % 4096;
-                if cache.get(&key).is_some() {
-                    hits += 1;
-                } else {
-                    cache.insert(key, key);
-                }
-            }
-            hits
-        });
-    });
-    group.finish();
-}
-
 fn bench_hilbert(c: &mut Criterion) {
     let mut group = c.benchmark_group("hilbert_index");
     group.sample_size(20);
@@ -105,7 +79,6 @@ criterion_group!(
     benches,
     bench_external_sort,
     bench_stream_roundtrip,
-    bench_lru,
     bench_hilbert
 );
 criterion_main!(benches);

@@ -1,5 +1,5 @@
-//! One function per table/figure of the paper. See DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for measured-vs-paper results.
+//! One function per table/figure of the paper; `experiments --help`
+//! lists them (README, "Paper fidelity").
 
 use crate::measure::{
     build_external, build_in_memory, fraction_of_leaves_visited, run_queries, QueryAgg,
@@ -593,8 +593,8 @@ pub fn dyn_experiment(scale: Scale) -> Vec<Table> {
     vec![deg, lpr_table]
 }
 
-/// Structural ablations of the PR-tree (DESIGN.md §7): priority-leaf
-/// size and kd-split snapping, measured in query I/O and utilization.
+/// Structural ablations of the PR-tree: priority-leaf size and kd-split
+/// snapping, measured in query I/O and utilization.
 pub fn ablation(scale: Scale) -> Table {
     use pr_tree::bulk::pr::PrTreeLoader;
     use pr_tree::bulk::BulkLoader;

@@ -13,8 +13,7 @@
 //! Scales (see [`scale::Scale`]) shrink the paper's 10–17M-rectangle
 //! datasets to laptop sizes while keeping every *shape* the paper
 //! reports: the metric is an I/O count, not wall time, so who wins and
-//! by roughly what factor is preserved. EXPERIMENTS.md records measured
-//! vs published numbers.
+//! by roughly what factor is preserved (README, "Paper fidelity").
 
 pub mod experiments;
 pub mod hist;

@@ -6,7 +6,7 @@ use std::fmt;
 /// One experiment's results.
 #[derive(Debug, Clone)]
 pub struct Table {
-    /// Experiment id from DESIGN.md ("fig9", "table1", …).
+    /// Experiment id as the `experiments` binary names it ("fig9", "table1", …).
     pub id: String,
     /// Human title (what the paper figure shows).
     pub title: String,

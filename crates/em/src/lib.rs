@@ -11,15 +11,11 @@
 //!   device for experiments (fast, deterministic) and a file-backed device
 //!   proving the same code runs against a real disk,
 //! * [`stats`] — shared read/write counters and snapshots,
-//! * [`pool`] — an LRU buffer pool with write-back, used for the paper's
-//!   "cache all internal nodes" query setup and for cache ablations,
 //! * [`stream`] — sequential typed streams of fixed-size records, the
 //!   workhorse of every bulk-loading algorithm,
 //! * [`sort`] — external multiway merge sort under a configurable memory
 //!   budget `M`, giving the `O(N/B · log_{M/B} N/B)` sorting bound every
-//!   construction algorithm in the paper leans on,
-//! * [`lru`] — the intrusive LRU used by the pool (public: the R-tree node
-//!   cache reuses it).
+//!   construction algorithm in the paper leans on.
 //!
 //! All counters are cheap atomics; devices are `Sync` so parallel builds
 //! can share them.
@@ -27,9 +23,7 @@
 pub mod device;
 pub mod error;
 pub mod fault;
-pub mod lru;
 pub mod obs;
-pub mod pool;
 pub mod sort;
 pub mod stats;
 pub mod stream;
@@ -39,7 +33,6 @@ pub use device::{
     DEFAULT_BLOCK_SIZE,
 };
 pub use error::{io_error_is_transient, EmError};
-pub use pool::BufferPool;
 pub use sort::{external_sort, external_sort_by, external_sort_multi, SortConfig};
 pub use stats::{HitCounters, IoCounters, IoStats};
 pub use stream::{Record, Stream, StreamReader, StreamWriter};

@@ -51,13 +51,13 @@ impl IoCounters {
     }
 }
 
-/// Shared, thread-safe hit/miss counters for any cache layer.
+/// Shared, thread-safe hit/miss counters for a cache layer.
 ///
-/// The node cache in `pr-tree` and the [`crate::BufferPool`] both report
-/// `(hits, misses)` through this type. Counters are relaxed atomics:
-/// totals are exact whatever the interleaving (every lookup increments
-/// exactly one counter), only cross-counter ordering is unspecified —
-/// the same contract as [`IoCounters`].
+/// The node cache in `pr-tree` reports `(hits, misses)` through this
+/// type. Counters are relaxed atomics: totals are exact whatever the
+/// interleaving (every lookup increments exactly one counter), only
+/// cross-counter ordering is unspecified — the same contract as
+/// [`IoCounters`].
 #[derive(Debug, Default)]
 pub struct HitCounters {
     hits: AtomicU64,

@@ -1,11 +1,10 @@
 //! Property-based tests for the external-memory substrate.
 
 use pr_em::{
-    external_sort, external_sort_by, BlockDevice, BufferPool, MemDevice, SortConfig, Stream,
-    StreamReader, StreamWriter,
+    external_sort, external_sort_by, BlockDevice, MemDevice, SortConfig, Stream, StreamReader,
+    StreamWriter,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 proptest! {
     /// External sort agrees with std sort for any input and any legal
@@ -79,38 +78,6 @@ proptest! {
         prop_assert_eq!(dev.io_stats().writes, expected_blocks);
         prop_assert_eq!(s.read_all::<u64>(&dev).unwrap(), input);
         prop_assert_eq!(dev.io_stats().reads, expected_blocks);
-    }
-
-    /// A buffer pool never changes observable block contents, whatever
-    /// the interleaving of reads and writes, and never exceeds capacity.
-    #[test]
-    fn buffer_pool_is_transparent(
-        ops in prop::collection::vec((0u64..16, any::<u8>(), any::<bool>()), 1..300),
-        capacity in 1usize..8,
-    ) {
-        let dev = Arc::new(MemDevice::new(32));
-        dev.allocate(16);
-        let pool = BufferPool::new(dev.clone(), capacity);
-        let mut model = vec![vec![0u8; 32]; 16];
-        for (block, byte, is_write) in ops {
-            if is_write {
-                let buf = vec![byte; 32];
-                pool.write(block, &buf).unwrap();
-                model[block as usize] = buf;
-            } else {
-                let mut buf = vec![0u8; 32];
-                pool.read(block, &mut buf).unwrap();
-                prop_assert_eq!(&buf, &model[block as usize]);
-            }
-            prop_assert!(pool.cached_blocks() <= capacity);
-        }
-        // After a flush the device agrees with the model everywhere.
-        pool.flush().unwrap();
-        for (i, want) in model.iter().enumerate() {
-            let mut buf = vec![0u8; 32];
-            dev.read_block(i as u64, &mut buf).unwrap();
-            prop_assert_eq!(&buf, want);
-        }
     }
 
     /// Readers see exactly the stream they were given even when many

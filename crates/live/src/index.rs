@@ -52,7 +52,7 @@ use parking_lot::{Mutex, RwLock};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store};
 use pr_tree::dynamic::{same_identity, GeometricPolicy, Tombstones};
-use pr_tree::{LeafCache, QueryScratch, QueryStats, RTree, TreeParams};
+use pr_tree::{QueryScratch, QueryStats, RTree, TreeParams};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -93,14 +93,6 @@ pub struct LiveOptions {
     /// the memtable exceeds `backpressure_factor * buffer_cap` while a
     /// sealed batch is still being merged, bounding memory.
     pub backpressure_factor: usize,
-    /// Byte budget of the shared leaf cache all store-backed components
-    /// read through ([`pr_tree::LeafCache`]): transcoded leaf pages are
-    /// kept in memory across queries, so repeated window/k-NN traffic
-    /// skips the per-leaf device read entirely. `0` disables the cache
-    /// (every leaf visit reads the store, verify-once CRC still
-    /// applies). One cache spans every component of the index; merges
-    /// and compactions retire replaced snapshots' entries wholesale.
-    pub leaf_cache_bytes: usize,
     /// When writes are acknowledged relative to their fsync (see
     /// [`Durability`]). Default: [`Durability::Fsync`].
     pub durability: Durability,
@@ -128,7 +120,6 @@ impl Default for LiveOptions {
             buffer_cap: 1024,
             background_merge: true,
             backpressure_factor: 4,
-            leaf_cache_bytes: pr_tree::DEFAULT_LEAF_CACHE_BYTES,
             durability: Durability::Fsync,
             recheck_reads: false,
             trace_sample_every: 0,
@@ -162,18 +153,6 @@ pub(crate) enum PendingApply<const D: usize> {
     DeleteTomb(Item<D>),
 }
 
-/// Identity of one committed component slot: the store's stable
-/// component id (unchanged across commits that reuse the run in place)
-/// and the leaf-cache epoch the slot's tree is attached under (`None`
-/// with the cache disabled). Merges use the id to commit surviving
-/// slots as in-place run references — no page rewrite — and the epoch
-/// to keep those slots' cached leaves alive across the swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SlotIdentity {
-    pub(crate) component_id: u64,
-    pub(crate) cache_epoch: Option<u64>,
-}
-
 /// The queryable state, swapped atomically under the core write lock.
 pub(crate) struct Core<const D: usize> {
     pub(crate) memtable: Memtable<D>,
@@ -181,8 +160,11 @@ pub(crate) struct Core<const D: usize> {
     pub(crate) sealed: Option<Arc<Vec<Item<D>>>>,
     /// Geometric component slots; every tree is store-backed and warmed.
     pub(crate) components: Vec<Option<Arc<RTree<D>>>>,
-    /// Parallel to `components`: each occupied slot's [`SlotIdentity`].
-    pub(crate) slot_ids: Vec<Option<SlotIdentity>>,
+    /// Parallel to `components`: each occupied slot's stable store
+    /// component id (unchanged across commits that reuse the run in
+    /// place). Merges use it to commit surviving slots as in-place run
+    /// references — no page rewrite.
+    pub(crate) slot_ids: Vec<Option<u64>>,
     /// Dead identities among sealed + components (never the memtable).
     pub(crate) tombstones: Arc<Tombstones<D>>,
     /// Enqueued-but-unacknowledged ops, in sequence order. Invisible to
@@ -244,11 +226,6 @@ pub(crate) struct LiveInner<const D: usize> {
     pub(crate) maintenance: Mutex<()>,
     pub(crate) signal: StdMutex<Signal>,
     pub(crate) cv: Condvar,
-    /// Shared leaf cache spanning every store-backed component (`None`
-    /// when `opts.leaf_cache_bytes == 0`). Each committed snapshot's
-    /// components attach under a fresh cache epoch; the merge swap
-    /// retires all older epochs.
-    pub(crate) leaf_cache: Option<Arc<LeafCache<D>>>,
     /// Cumulative store pages appended by this process's merge commits
     /// — the write-amplification numerator (× `params.page_size`).
     pub(crate) merge_pages_written: AtomicU64,
@@ -644,14 +621,7 @@ impl<const D: usize> LiveIndex<D> {
         if opts.trace_slow_us > 0 {
             pr_obs::recorder().configure(8, opts.trace_slow_us);
         }
-        // Components out of the store, arranged into their slots. Page
-        // ids are run-relative (every component's root is page 0), so
-        // each component attaches to the shared leaf cache under its
-        // own epoch — a shared epoch would alias cache keys across
-        // components and serve one component's cached leaves to
-        // another's queries.
-        let leaf_cache: Option<Arc<LeafCache<D>>> =
-            (opts.leaf_cache_bytes > 0).then(|| Arc::new(LeafCache::new(opts.leaf_cache_bytes)));
+        // Components out of the store, arranged into their slots.
         let read_path = if opts.recheck_reads {
             ReadPath::Recheck
         } else {
@@ -674,27 +644,20 @@ impl<const D: usize> LiveIndex<D> {
             .unwrap_or(0);
         let mut components: Vec<Option<Arc<RTree<D>>>> = Vec::new();
         components.resize_with(nslots, || None);
-        let mut slot_ids: Vec<Option<SlotIdentity>> = vec![None; nslots];
+        let mut slot_ids: Vec<Option<u64>> = vec![None; nslots];
         // The manifest's slot list, the store's runs, and
         // `components_with`'s trees all share commit order, so they zip
         // 1:1 — that is how each slot learns its stable component id.
-        for ((slot, mut tree), run) in manifest.slots.iter().zip(trees).zip(runs) {
+        for ((slot, tree), run) in manifest.slots.iter().zip(trees).zip(runs) {
             let slot = *slot as usize;
             if components[slot].is_some() {
                 return Err(LiveError::Corrupt(format!(
                     "live manifest places two components in slot {slot}"
                 )));
             }
-            let cache_epoch = leaf_cache.as_ref().map(|c| c.register_epoch());
-            if let (Some(cache), Some(epoch)) = (&leaf_cache, cache_epoch) {
-                tree.attach_leaf_cache(Arc::clone(cache), epoch);
-            }
             tree.warm_cache()?;
             components[slot] = Some(Arc::new(tree));
-            slot_ids[slot] = Some(SlotIdentity {
-                component_id: run.id,
-                cache_epoch,
-            });
+            slot_ids[slot] = Some(run.id);
         }
 
         let stored: u64 = components.iter().flatten().map(|c| c.len()).sum::<u64>();
@@ -790,7 +753,6 @@ impl<const D: usize> LiveIndex<D> {
                 merges_paused: false,
             }),
             cv: Condvar::new(),
-            leaf_cache,
             merge_pages_written: AtomicU64::new(0),
             merge_pages_reused: AtomicU64::new(0),
             ingest_bytes: AtomicU64::new(0),
@@ -1272,14 +1234,6 @@ impl<const D: usize> LiveIndex<D> {
             let q = self.inner.group.q.lock().expect("commit queue");
             q.degraded
         };
-        let (leaf_cache_hits, leaf_cache_misses, leaf_cache_bytes, leaf_cache_ghost_hits) =
-            match &self.inner.leaf_cache {
-                Some(cache) => {
-                    let (h, m) = cache.hit_stats();
-                    (h, m, cache.resident_bytes() as u64, cache.ghost_hits())
-                }
-                None => (0, 0, 0, 0),
-            };
         Ok(LiveStats {
             live,
             memtable,
@@ -1300,10 +1254,6 @@ impl<const D: usize> LiveIndex<D> {
             store_degraded,
             merges_paused,
             wal_degraded,
-            leaf_cache_hits,
-            leaf_cache_misses,
-            leaf_cache_bytes,
-            leaf_cache_ghost_hits,
             store_pages_written,
             store_pages_reused,
             write_amp_x100,
@@ -1323,26 +1273,11 @@ impl<const D: usize> LiveIndex<D> {
     }
 
     /// Re-hashes every committed store page against its checksum table
-    /// (see [`Store::scrub`]). On detected corruption the shared leaf
-    /// cache is dropped wholesale — resident transcoded pages were
-    /// verified when loaded, but a device caught rotting forfeits the
-    /// benefit of the doubt — and the store keeps serving reads in
-    /// forced-recheck degraded mode until a later scrub comes back
-    /// clean.
+    /// (see [`Store::scrub`]). On detected corruption the store keeps
+    /// serving reads in forced-recheck degraded mode until a later
+    /// scrub comes back clean.
     pub fn scrub(&self) -> Result<pr_store::ScrubReport, LiveError> {
-        let res = {
-            let store = self.inner.store.lock();
-            store.scrub()
-        };
-        match res {
-            Ok(report) => Ok(report),
-            Err(e) => {
-                if let Some(cache) = &self.inner.leaf_cache {
-                    cache.clear();
-                }
-                Err(e.into())
-            }
-        }
+        Ok(self.inner.store.lock().scrub()?)
     }
 
     /// Arms a one-shot injected crash for the next merge (test harness).
@@ -1607,15 +1542,6 @@ pub struct LiveStats {
     /// failure with no clean group landed since (see
     /// [`LiveError::GroupFailed`]).
     pub wal_degraded: bool,
-    /// Shared leaf-cache hits since open (0 when the cache is disabled).
-    pub leaf_cache_hits: u64,
-    /// Shared leaf-cache misses since open.
-    pub leaf_cache_misses: u64,
-    /// Approximate bytes resident in the shared leaf cache.
-    pub leaf_cache_bytes: u64,
-    /// Leaf-cache misses admitted on their second touch (the cache's
-    /// scan-resistant admission; 0 when the cache is disabled).
-    pub leaf_cache_ghost_hits: u64,
     /// Store pages appended by this process's merge commits.
     pub store_pages_written: u64,
     /// Store pages committed by in-place reference (their bytes were

@@ -37,9 +37,9 @@
 //! *surviving* component is committed as an in-place run reference —
 //! the store's manifest points at its existing pages under the same
 //! stable component id, and the open `RTree` (devices, pinned mmap,
-//! verify-once CRC bitmap, leaf-cache epoch) is carried across the
-//! swap untouched — while the merged target is the only component
-//! whose pages are appended. Bytes written per merge are therefore
+//! verify-once CRC bitmap) is carried across the swap untouched —
+//! while the merged target is the only component whose pages are
+//! appended. Bytes written per merge are therefore
 //! O(new component); sustained ingest pays the geometric policy's
 //! O(levels) amortized write amplification instead of O(index size).
 //! Superseded runs are *not* recycled in place: their bytes accrue as
@@ -53,7 +53,7 @@
 //! the new manifest's `cut_seq` filters the not-yet-pruned old segments.
 
 use crate::error::LiveError;
-use crate::index::{Core, CrashPoint, LiveInner, SlotIdentity};
+use crate::index::{Core, CrashPoint, LiveInner};
 use crate::manifest::LiveManifest;
 use pr_em::{fsync_dir, BlockDevice, MemDevice};
 use pr_geom::Item;
@@ -261,7 +261,7 @@ pub(crate) fn run_merge<const D: usize>(
         let cut_seq = w.next_seq - 1;
         let core = inner.core.read();
         let nslots = core.components.len().max(target.map_or(0, |t| t + 1));
-        let mut survivors: Vec<Option<(Arc<RTree<D>>, SlotIdentity)>> = vec![None; nslots];
+        let mut survivors: Vec<Option<(Arc<RTree<D>>, u64)>> = vec![None; nslots];
         for (slot, c) in core.components.iter().enumerate() {
             if input_slots.contains(&slot) {
                 continue;
@@ -295,7 +295,7 @@ pub(crate) fn run_merge<const D: usize>(
             }
         } else if let Some((_, id)) = survivor {
             slots.push(slot as u32);
-            comps.push(CommitComponent::Reuse(id.component_id));
+            comps.push(CommitComponent::Reuse(*id));
         }
     }
     let app = LiveManifest {
@@ -315,9 +315,9 @@ pub(crate) fn run_merge<const D: usize>(
     // Drop clears the thread-local on any error path.
     let t_commit = tracing.then(std::time::Instant::now);
     let ambient = pr_obs::AmbientScope::begin(tracing);
-    // What the swap will install, per committed slot: the open tree,
-    // its stable store id, and the leaf-cache epoch it lives under.
-    let mut installed: Vec<(u32, Arc<RTree<D>>, SlotIdentity)> = Vec::with_capacity(slots.len());
+    // What the swap will install, per committed slot: the open tree
+    // and its stable store id.
+    let mut installed: Vec<(u32, Arc<RTree<D>>, u64)> = Vec::with_capacity(slots.len());
     let (pages_written, pages_reused) = {
         let mut store = inner.store.lock();
         if reclaim {
@@ -349,27 +349,13 @@ pub(crate) fn run_merge<const D: usize>(
                 "compaction",
                 format!("cut_seq={cut_seq} components={}", refs.len()),
             );
-            // Everything was rewritten: fresh ids, fresh trees, and a
-            // fresh cache epoch *per component* — page ids are
-            // run-relative, so a shared epoch would alias cache keys
-            // across components.
+            // Everything was rewritten: fresh ids, fresh trees.
             let reopened = store.components_with::<D>(inner.read_path())?;
             let runs = store.component_runs();
             let written: u64 = runs.iter().map(|r| r.num_pages).sum();
-            for ((slot, mut tree), run) in slots.iter().zip(reopened).zip(runs) {
-                let epoch = inner.leaf_cache.as_ref().map(|c| c.register_epoch());
-                if let (Some(cache), Some(e)) = (&inner.leaf_cache, epoch) {
-                    tree.attach_leaf_cache(Arc::clone(cache), e);
-                }
+            for ((slot, tree), run) in slots.iter().zip(reopened).zip(runs) {
                 tree.warm_cache()?;
-                installed.push((
-                    *slot,
-                    Arc::new(tree),
-                    SlotIdentity {
-                        component_id: run.id,
-                        cache_epoch: epoch,
-                    },
-                ));
+                installed.push((*slot, Arc::new(tree), run.id));
             }
             (written, 0)
         } else {
@@ -383,20 +369,9 @@ pub(crate) fn run_merge<const D: usize>(
             for (i, (slot, comp)) in slots.iter().zip(&comps).enumerate() {
                 match comp {
                     CommitComponent::New(_) => {
-                        let mut tree = store.component_with::<D>(i, inner.read_path())?;
-                        let epoch = inner.leaf_cache.as_ref().map(|c| c.register_epoch());
-                        if let (Some(cache), Some(e)) = (&inner.leaf_cache, epoch) {
-                            tree.attach_leaf_cache(Arc::clone(cache), e);
-                        }
+                        let tree = store.component_with::<D>(i, inner.read_path())?;
                         tree.warm_cache()?;
-                        installed.push((
-                            *slot,
-                            Arc::new(tree),
-                            SlotIdentity {
-                                component_id: outcome.component_ids[i],
-                                cache_epoch: epoch,
-                            },
-                        ));
+                        installed.push((*slot, Arc::new(tree), outcome.component_ids[i]));
                     }
                     CommitComponent::Reuse(_) => {
                         let (tree, id) = survivors[*slot as usize]
@@ -441,7 +416,7 @@ pub(crate) fn run_merge<const D: usize>(
     {
         let mut core = inner.core.write();
         let mut components: Vec<Option<Arc<RTree<D>>>> = vec![None; survivors.len()];
-        let mut slot_ids: Vec<Option<SlotIdentity>> = vec![None; survivors.len()];
+        let mut slot_ids: Vec<Option<u64>> = vec![None; survivors.len()];
         for (slot, tree, id) in &installed {
             components[*slot as usize] = Some(Arc::clone(tree));
             slot_ids[*slot as usize] = Some(*id);
@@ -455,17 +430,6 @@ pub(crate) fn run_merge<const D: usize>(
         core.merged_seq = cut_seq;
         core.merges += 1;
         core.structure_epoch += 1;
-    }
-    // Cache epochs are a *set*: surviving components keep their (older)
-    // epochs — and every warmed leaf under them — across the swap; only
-    // the merged-away inputs' epochs die. Pinned reader snapshots keep
-    // their own component Arcs and simply miss the cache.
-    if let Some(cache) = &inner.leaf_cache {
-        let live: Vec<u64> = installed
-            .iter()
-            .filter_map(|(_, _, id)| id.cache_epoch)
-            .collect();
-        cache.retain_epochs(&live);
     }
     if let Some(t0) = t_swap {
         trace.span_since("live", "swap", t0, "");

@@ -12,9 +12,9 @@
 //!   item-for-item);
 //! * fsync/group counts never exceed the batch count (group commit
 //!   coalesces, it never splits);
-//! * leaf-cache hit+miss totals equal the sum of every query thread's
-//!   own [`pr_tree::QueryStats`] — the sharded counters lose nothing
-//!   under contention;
+//! * node-cache hit+miss totals equal the nodes visited summed over
+//!   every query thread's own [`pr_tree::QueryStats`] — the sharded
+//!   counters lose nothing under contention;
 //! * the event ring preserves merge commit order (`cut_seq` is strictly
 //!   increasing in ring order, because ring order is seq order).
 
@@ -49,13 +49,12 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
     let params = TreeParams::with_cap::<2>(8);
 
     // Phase 1 — serial ingest with a small buffer and inline merges, so
-    // components exist (queries below must actually probe the leaf
-    // cache) and the ring records real merge commits.
+    // components exist (queries below must actually traverse trees)
+    // and the ring records real merge commits.
     {
         let opts = LiveOptions {
             buffer_cap: 512,
             background_merge: false,
-            leaf_cache_bytes: 4 << 20,
             durability: Durability::Fsync,
             ..LiveOptions::default()
         };
@@ -109,7 +108,6 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
     let opts = LiveOptions {
         buffer_cap: usize::MAX,
         background_merge: false,
-        leaf_cache_bytes: 4 << 20,
         durability: Durability::Fsync,
         ..LiveOptions::default()
     };
@@ -118,7 +116,7 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
 
     let inserted = AtomicU64::new(0);
     let batches = AtomicU64::new(0);
-    let probes = AtomicU64::new(0); // query threads' own leaf hit+miss sums
+    let probes = AtomicU64::new(0); // query threads' own nodes-visited sums
     std::thread::scope(|s| {
         for w in 0..WRITERS {
             let ix = &ix;
@@ -145,7 +143,7 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
                     let x = ((q * QUERIES_PER_THREAD + i) as f64 * 13.0) % 950.0;
                     let query = Rect::xyxy(x, 0.0, x + 50.0, 1000.0);
                     let stats = snap.window_into(&query, &mut scratch, &mut out).unwrap();
-                    sum += stats.leaf_cache_hits + stats.leaf_cache_misses;
+                    sum += stats.nodes_visited;
                 }
                 probes.fetch_add(sum, Ordering::Relaxed);
             });
@@ -173,12 +171,13 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
     );
     assert!(fsyncs == groups, "fsyncs={fsyncs} groups={groups}");
 
-    // Sharded leaf-cache counters lose nothing under contention: the
-    // registry's hit+miss delta equals what the query threads counted
-    // through their per-traversal QueryStats.
+    // Sharded node-cache counters lose nothing under contention: every
+    // node visit is one lookup, so the registry's hit+miss delta equals
+    // the nodes the query threads counted through their per-traversal
+    // QueryStats.
     let cache_probes =
-        delta.counter("tree_leaf_cache_hits_total") + delta.counter("tree_leaf_cache_misses_total");
-    assert!(probes > 0, "queries must have probed the leaf cache");
+        delta.counter("tree_node_cache_hits_total") + delta.counter("tree_node_cache_misses_total");
+    assert!(probes > 0, "queries must have visited component nodes");
     assert_eq!(cache_probes, probes);
 
     // No merges ran in the window.

@@ -1,7 +1,7 @@
 //! Bounded lifecycle event ring: timestamped, ordered records of the
 //! stack's state transitions — WAL rotations, group-commit flushes,
 //! memtable seals, merge start/commit, compactions, store commits,
-//! scrubs, cache-epoch retirements.
+//! scrubs.
 //!
 //! # Design
 //!

@@ -12,8 +12,7 @@
 //!   `pr_bench::hist`) plus its shared-writer [`AtomicHistogram`] form.
 //! * [`events`] — a bounded lifecycle event ring (WAL rotate,
 //!   group-commit flush, memtable seal, merge start/commit, compaction,
-//!   store commit, scrub, cache-epoch retirement) readable without
-//!   stopping writers.
+//!   store commit, scrub) readable without stopping writers.
 //! * [`export`] — Prometheus-style text and versioned JSON renderings
 //!   of snapshots, surfaced by `prtree stats --json`, `prtree events`,
 //!   and `--metrics-file`.

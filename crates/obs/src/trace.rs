@@ -131,10 +131,6 @@ pub struct LevelCounters {
     pub leaves: u64,
     /// Internal nodes visited.
     pub internal: u64,
-    /// Transcoded-leaf-cache hits while visiting this level.
-    pub cache_hits: u64,
-    /// Transcoded-leaf-cache misses while visiting this level.
-    pub cache_misses: u64,
     /// Device page reads performed while visiting this level.
     pub device_reads: u64,
 }
@@ -324,16 +320,7 @@ impl SpanCtx {
 
     /// Accumulates per-level traversal counters for a query trace.
     /// `level` 0 is the leaf level.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tally_level(
-        &mut self,
-        level: usize,
-        leaves: u64,
-        internal: u64,
-        cache_hits: u64,
-        cache_misses: u64,
-        device_reads: u64,
-    ) {
+    pub fn tally_level(&mut self, level: usize, leaves: u64, internal: u64, device_reads: u64) {
         let Some(active) = self.inner.as_deref_mut() else {
             return;
         };
@@ -344,8 +331,6 @@ impl SpanCtx {
         lc.nodes += leaves + internal;
         lc.leaves += leaves;
         lc.internal += internal;
-        lc.cache_hits += cache_hits;
-        lc.cache_misses += cache_misses;
         lc.device_reads += device_reads;
     }
 
@@ -666,8 +651,6 @@ pub fn trace_json(t: &Trace) -> String {
             .u64("nodes", l.nodes)
             .u64("leaves", l.leaves)
             .u64("internal", l.internal)
-            .u64("cache_hits", l.cache_hits)
-            .u64("cache_misses", l.cache_misses)
             .u64("device_reads", l.device_reads);
         levels.push_raw(o.finish());
     }
@@ -799,7 +782,7 @@ mod tests {
         let id = ctx.begin("em", "read");
         assert_eq!(id, SpanId::OFF);
         ctx.end(id);
-        ctx.tally_level(0, 1, 0, 0, 0, 0);
+        ctx.tally_level(0, 1, 0, 0);
         assert!(ctx.finish().is_none());
     }
 
@@ -842,8 +825,8 @@ mod tests {
         let id = ctx.begin("tree", "traverse");
         std::thread::sleep(Duration::from_millis(2));
         ctx.end_detail(id, "nodes=5");
-        ctx.tally_level(1, 0, 2, 0, 0, 2);
-        ctx.tally_level(0, 3, 0, 2, 1, 1);
+        ctx.tally_level(1, 0, 2, 2);
+        ctx.tally_level(0, 3, 0, 1);
         ctx.set_detail("results=9");
         let t = ctx.finish().expect("forced ctx must yield a trace");
         assert_eq!(t.kind, "window");
@@ -855,7 +838,7 @@ mod tests {
         assert_eq!(t.levels.len(), 2);
         assert_eq!(t.levels[0].leaves, 3);
         assert_eq!(t.levels[0].nodes, 3);
-        assert_eq!(t.levels[0].cache_hits, 2);
+        assert_eq!(t.levels[0].device_reads, 1);
         assert_eq!(t.levels[1].internal, 2);
         assert!(t.total_us >= t.spans[0].dur_us);
         // Context is reusable after finish.
@@ -1003,8 +986,6 @@ mod tests {
             nodes: 3,
             leaves: 3,
             internal: 0,
-            cache_hits: 1,
-            cache_misses: 2,
             device_reads: 2,
         });
         let j = trace_json(&t);

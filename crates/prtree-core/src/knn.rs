@@ -157,7 +157,6 @@ impl<const D: usize> RTree<D> {
                         }
                     }
                     Candidate::Node(page) => {
-                        let (hits0, misses0) = (tally.leaf_hits, tally.leaf_misses);
                         let t_node = tracing.then(std::time::Instant::now);
                         let mut level = 0u8;
                         let ((), did_io) = self.with_soa_node(
@@ -205,8 +204,6 @@ impl<const D: usize> RTree<D> {
                                 level as usize,
                                 is_leaf as u64,
                                 !is_leaf as u64,
-                                tally.leaf_hits - hits0,
-                                tally.leaf_misses - misses0,
                                 did_io as u64,
                             );
                         }
@@ -215,8 +212,6 @@ impl<const D: usize> RTree<D> {
             }
             Ok(())
         })();
-        stats.leaf_cache_hits = tally.leaf_hits;
-        stats.leaf_cache_misses = tally.leaf_misses;
         self.record_cache_tally(tally);
         crate::obs::record_query(crate::obs::QueryKind::Knn, &stats);
         if tracing {

@@ -66,7 +66,7 @@ pub mod tree;
 pub mod validate;
 pub mod writer;
 
-pub use cache::{CachePolicy, LeafCache, DEFAULT_LEAF_CACHE_BYTES};
+pub use cache::CachePolicy;
 pub use entry::Entry;
 pub use meta::TreeMeta;
 pub use params::TreeParams;

@@ -3,7 +3,7 @@
 //! Per-query numbers stay in [`crate::query::QueryStats`] (the exact
 //! per-call view); these registry counters hold the process-wide
 //! running totals, flushed once per traversal — the same batching the
-//! caches use ([`crate::cache::CacheTally`]) so the hot loop never
+//! node cache uses ([`crate::cache::CacheTally`]) so the hot loop never
 //! touches a shared counter mid-traversal.
 
 use std::sync::OnceLock;
@@ -36,19 +36,6 @@ pub struct Metrics {
     pub node_cache_hits: pr_obs::Counter,
     /// See [`Metrics::node_cache_hits`].
     pub node_cache_misses: pr_obs::Counter,
-    /// `tree_leaf_cache_hits_total` / `_misses_total`.
-    pub leaf_cache_hits: pr_obs::Counter,
-    /// See [`Metrics::leaf_cache_hits`].
-    pub leaf_cache_misses: pr_obs::Counter,
-    /// `tree_leaf_cache_ghost_hits_total` — misses whose key was in a
-    /// ghost ring (second touches admitted for real).
-    pub leaf_cache_ghost_hits: pr_obs::Counter,
-    /// `tree_leaf_cache_resident_bytes` — bytes resident across all
-    /// leaf caches in the process.
-    pub leaf_cache_resident_bytes: pr_obs::Gauge,
-    /// `tree_cache_epochs_retired_total` — snapshot swaps that evicted
-    /// dead-epoch leaves.
-    pub cache_epochs_retired: pr_obs::Counter,
 }
 
 /// The lazily registered catalog.
@@ -87,26 +74,6 @@ pub fn metrics() -> &'static Metrics {
                 "tree_node_cache_misses_total",
                 "node-cache lookups that fell through to the device",
             ),
-            leaf_cache_hits: r.counter(
-                "tree_leaf_cache_hits_total",
-                "leaf-cache probes served from cache",
-            ),
-            leaf_cache_misses: r.counter(
-                "tree_leaf_cache_misses_total",
-                "leaf-cache probes that read the device",
-            ),
-            leaf_cache_ghost_hits: r.counter(
-                "tree_leaf_cache_ghost_hits_total",
-                "leaf-cache misses admitted on their second touch",
-            ),
-            leaf_cache_resident_bytes: r.gauge(
-                "tree_leaf_cache_resident_bytes",
-                "approximate bytes resident across all leaf caches",
-            ),
-            cache_epochs_retired: r.counter(
-                "tree_cache_epochs_retired_total",
-                "snapshot swaps that retired dead cache epochs",
-            ),
         }
     })
 }
@@ -132,29 +99,5 @@ pub(crate) fn record_cache(tally: &CacheTally) {
     }
     if tally.misses > 0 {
         m.node_cache_misses.add(tally.misses);
-    }
-    if tally.leaf_hits > 0 {
-        m.leaf_cache_hits.add(tally.leaf_hits);
-    }
-    if tally.leaf_misses > 0 {
-        m.leaf_cache_misses.add(tally.leaf_misses);
-    }
-}
-
-/// Counts one ghost-ring hit (a second touch turning into a real
-/// admission). Per-event is fine: it sits on the device-read miss
-/// path, where one atomic add is noise.
-pub(crate) fn leaf_cache_ghost_hit() {
-    metrics().leaf_cache_ghost_hits.inc();
-}
-
-/// Applies a resident-bytes change to the process-wide leaf-cache
-/// gauge.
-pub(crate) fn leaf_cache_bytes_delta(delta: i64) {
-    let m = metrics();
-    match delta.cmp(&0) {
-        std::cmp::Ordering::Greater => m.leaf_cache_resident_bytes.add(delta as u64),
-        std::cmp::Ordering::Less => m.leaf_cache_resident_bytes.sub(delta.unsigned_abs()),
-        std::cmp::Ordering::Equal => {}
     }
 }

@@ -39,13 +39,6 @@ pub struct QueryStats {
     pub internal_visited: u64,
     /// Actual device reads (cache misses) incurred.
     pub device_reads: u64,
-    /// Leaf visits served by the shared [`crate::cache::LeafCache`]
-    /// (counted in `leaves_visited` but **not** in `device_reads`).
-    /// Zero when no leaf cache is attached.
-    pub leaf_cache_hits: u64,
-    /// Leaf visits that missed the attached leaf cache (read from the
-    /// device, then admitted). Zero when no leaf cache is attached.
-    pub leaf_cache_misses: u64,
     /// Number of reported items (`T`).
     pub results: u64,
 }
@@ -61,8 +54,6 @@ impl QueryStats {
         self.leaves_visited += other.leaves_visited;
         self.internal_visited += other.internal_visited;
         self.device_reads += other.device_reads;
-        self.leaf_cache_hits += other.leaf_cache_hits;
-        self.leaf_cache_misses += other.leaf_cache_misses;
     }
 
     /// Lower bound `⌈T/B⌉` on blocks needed just to report the output.
@@ -184,7 +175,6 @@ impl<const D: usize> RTree<D> {
         stack.push(self.root());
         let walk = (|| {
             while let Some(page) = stack.pop() {
-                let (hits0, misses0) = (tally.leaf_hits, tally.leaf_misses);
                 let t_node = tracing.then(std::time::Instant::now);
                 let mut level = 0u8;
                 let ((), did_io) =
@@ -214,16 +204,12 @@ impl<const D: usize> RTree<D> {
                         level as usize,
                         is_leaf as u64,
                         !is_leaf as u64,
-                        tally.leaf_hits - hits0,
-                        tally.leaf_misses - misses0,
                         did_io as u64,
                     );
                 }
             }
             Ok(())
         })();
-        stats.leaf_cache_hits = tally.leaf_hits;
-        stats.leaf_cache_misses = tally.leaf_misses;
         self.record_cache_tally(tally);
         crate::obs::record_query(crate::obs::QueryKind::Window, &stats);
         if tracing {
@@ -597,81 +583,6 @@ mod tests {
         let healed = tree.par_windows(&queries, 2).unwrap();
         assert_eq!(healed.len(), 8);
         assert_eq!(healed[0].0.len(), 64);
-    }
-
-    /// The shared leaf cache: identical results and leaf-visit stats,
-    /// with repeat queries served without any device read — and the
-    /// hit/miss accounting surfaced through [`QueryStats`].
-    #[test]
-    fn leaf_cache_serves_repeats_without_device_reads() {
-        use crate::cache::LeafCache;
-
-        let params = TreeParams::with_cap::<2>(8);
-        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
-        let entries: Vec<Entry<2>> = (0..256u32)
-            .map(|i| {
-                let f = i as f64;
-                Entry::new(Rect::xyxy(f, 0.0, f + 0.5, 1.0), i)
-            })
-            .collect();
-        let plain = crate::writer::build_packed(Arc::clone(&dev), params, &entries).unwrap();
-        plain.warm_cache().unwrap();
-
-        let mut cached = crate::writer::build_packed(dev, params, &entries).unwrap();
-        let cache = Arc::new(LeafCache::new(4 << 20));
-        let epoch = cache.register_epoch();
-        cached.attach_leaf_cache(Arc::clone(&cache), epoch);
-        cached.warm_cache().unwrap();
-        assert!(cached.leaf_cache().is_some());
-
-        let q = Rect::xyxy(10.0, 0.0, 90.0, 1.0);
-        let (want, want_stats) = plain.window_with_stats(&q).unwrap();
-
-        // Cold pass: every leaf is a device read AND a leaf-cache miss.
-        // Admission is second-touch, so this pass only ghosts the keys.
-        let (got, cold) = cached.window_with_stats(&q).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(cold.leaves_visited, want_stats.leaves_visited);
-        assert_eq!(cold.device_reads, want_stats.device_reads);
-        assert_eq!(cold.leaf_cache_misses, cold.leaves_visited);
-        assert_eq!(cold.leaf_cache_hits, 0);
-        assert!(cache.is_empty(), "one touch must not admit");
-        assert_eq!(cache.ghost_hits(), 0);
-
-        // Second pass: still misses (device reads), but every key is in
-        // the ghost rings, so now the leaves are admitted for real.
-        let (second, touch2) = cached.window_with_stats(&q).unwrap();
-        assert_eq!(second, want);
-        assert_eq!(touch2.leaf_cache_misses, touch2.leaves_visited);
-        assert_eq!(cache.ghost_hits(), touch2.leaves_visited);
-
-        // Warm pass: bit-identical results and traversal shape, zero
-        // device reads — every leaf visit is a cache hit.
-        let (again, warm) = cached.window_with_stats(&q).unwrap();
-        assert_eq!(again, want);
-        assert_eq!(warm.leaves_visited, want_stats.leaves_visited);
-        assert_eq!(warm.results, want_stats.results);
-        assert_eq!(warm.device_reads, 0);
-        assert_eq!(warm.leaf_cache_hits, warm.leaves_visited);
-        assert_eq!(warm.leaf_cache_misses, 0);
-
-        // The per-query tallies flushed into the cache's counters.
-        let (h, m) = cache.hit_stats();
-        assert_eq!(
-            (h, m),
-            (
-                warm.leaf_cache_hits,
-                cold.leaf_cache_misses + touch2.leaf_cache_misses
-            )
-        );
-
-        // k-NN takes the same path.
-        let p = pr_geom::Point::new([42.0, 0.5]);
-        let (nn_want, _) = plain.nearest_neighbors_with_stats(&p, 5).unwrap();
-        let (nn_got, nn_stats) = cached.nearest_neighbors_with_stats(&p, 5).unwrap();
-        assert_eq!(nn_got, nn_want);
-        assert_eq!(nn_stats.device_reads, 0, "k-NN leaves already cached");
-        assert_eq!(nn_stats.leaf_cache_hits, nn_stats.leaves_visited);
     }
 
     #[test]

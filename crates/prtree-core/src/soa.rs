@@ -223,17 +223,6 @@ impl<const D: usize> SoaNode<D> {
         Item::new(self.rect(i), self.ptrs[i])
     }
 
-    /// Approximate resident heap+struct size in bytes — the accounting
-    /// unit of the byte-bounded [`crate::cache::LeafCache`]. Uses the
-    /// columns' *capacities* (what the allocator actually holds), so a
-    /// cache budget translates honestly to memory.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.lo.capacity() * std::mem::size_of::<f64>()
-            + self.hi.capacity() * std::mem::size_of::<f64>()
-            + self.ptrs.capacity() * std::mem::size_of::<u32>()
-    }
-
     /// Minimal bounding rectangle of all entries.
     pub fn mbr(&self) -> Rect<D> {
         (0..self.len).fold(Rect::EMPTY, |acc, i| acc.mbr_with(&self.rect(i)))

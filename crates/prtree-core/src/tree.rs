@@ -5,7 +5,7 @@
 //! same representation, so query costs are directly comparable — only the
 //! *shape* of the tree differs between variants, exactly as in the paper.
 
-use crate::cache::{CachePolicy, CacheTally, FrozenMap, LeafCache, ShardedNodeCache};
+use crate::cache::{CachePolicy, CacheTally, FrozenMap, ShardedNodeCache};
 use crate::meta::TreeMeta;
 use crate::page::NodePage;
 use crate::params::TreeParams;
@@ -28,10 +28,6 @@ pub struct RTree<const D: usize> {
     root_level: u8,
     len: u64,
     cache: ShardedNodeCache<D>,
-    /// Optional shared leaf cache + the epoch this tree's pages are
-    /// keyed under (see [`crate::cache::LeafCache`]). Attached before
-    /// the handle is shared, then read without any lock on the hot path.
-    leaf_cache: Option<(Arc<LeafCache<D>>, u64)>,
 }
 
 // Compile-time proof that trees can be shared across threads; fails to
@@ -62,7 +58,6 @@ impl<const D: usize> RTree<D> {
             root_level,
             len,
             cache: ShardedNodeCache::new(CachePolicy::InternalNodes),
-            leaf_cache: None,
         }
     }
 
@@ -165,23 +160,6 @@ impl<const D: usize> RTree<D> {
         &self.cache
     }
 
-    /// Attaches a shared [`LeafCache`]: leaf pages of this tree are
-    /// cached (and looked up) under `epoch`, which the caller obtained
-    /// from [`LeafCache::register_epoch`] for this tree's snapshot.
-    /// Takes `&mut self` — attach before the handle is shared, so the
-    /// query hot path reads the field without synchronization. Intended
-    /// for store-backed trees, whose committed pages are immutable;
-    /// a tree mutated by dynamic updates must not keep a leaf cache
-    /// attached (its leaves would go stale — nothing invalidates them).
-    pub fn attach_leaf_cache(&mut self, cache: Arc<LeafCache<D>>, epoch: u64) {
-        self.leaf_cache = Some((cache, epoch));
-    }
-
-    /// The attached shared leaf cache and this tree's epoch in it.
-    pub fn leaf_cache(&self) -> Option<(&Arc<LeafCache<D>>, u64)> {
-        self.leaf_cache.as_ref().map(|(c, e)| (c, *e))
-    }
-
     /// Reads a node through the cache in decoded AoS form. Returns the
     /// node and whether the read hit the device (`true` = one real I/O).
     ///
@@ -231,17 +209,6 @@ impl<const D: usize> RTree<D> {
             return Ok((r, false));
         }
         tally.misses += 1;
-        // Second chance: the shared leaf cache (store-backed trees).
-        // Under the paper's InternalNodes policy every miss here is a
-        // leaf, so this probe is exactly the per-leaf device read it
-        // replaces. A hit costs one shard lock + Arc clone and no I/O.
-        if let Some((cache, epoch)) = &self.leaf_cache {
-            if let Some(node) = cache.get(*epoch, page) {
-                tally.leaf_hits += 1;
-                let f = f.take().expect("leaf-cache hit runs f once");
-                return Ok((f(&node), false));
-            }
-        }
         // Zero-copy read: the device exposes the raw page bytes and the
         // transcode is the only pass over them ([`BlockDevice::with_block`]
         // skips the page-sized memcpy for in-memory and mmap backends).
@@ -252,14 +219,6 @@ impl<const D: usize> RTree<D> {
         transcoded?;
         if self.cache.wants(soa.level()) {
             self.cache.admit(page, &Arc::new(soa.clone()));
-        } else if soa.is_leaf() {
-            if let Some((cache, epoch)) = &self.leaf_cache {
-                tally.leaf_misses += 1;
-                // Second-touch admission: the closure (and its clone of
-                // the leaf) runs only when the cache actually inserts,
-                // so a cold scan's one-time touches allocate nothing.
-                cache.admit_with(*epoch, page, || Arc::new(soa.clone()));
-            }
         }
         let f = f.take().expect("miss path runs f once");
         Ok((f(soa), true))
@@ -270,13 +229,9 @@ impl<const D: usize> RTree<D> {
         self.cache.frozen_snapshot()
     }
 
-    /// Flushes a per-query [`CacheTally`] into the shared counters (the
-    /// node cache's and, when attached, the leaf cache's).
+    /// Flushes a per-query [`CacheTally`] into the shared counters.
     pub(crate) fn record_cache_tally(&self, tally: CacheTally) {
         self.cache.record(tally);
-        if let Some((cache, _)) = &self.leaf_cache {
-            cache.record(tally);
-        }
         crate::obs::record_cache(&tally);
     }
 
@@ -288,11 +243,6 @@ impl<const D: usize> RTree<D> {
         let arc = Arc::new(SoaNode::from_page(node));
         self.cache.invalidate(page);
         self.cache.admit(page, &arc);
-        // Leaf caches are for immutable store-backed trees, but if one
-        // is attached anyway, never leave a stale copy behind.
-        if let Some((cache, epoch)) = &self.leaf_cache {
-            cache.evict(*epoch, page);
-        }
         Ok(())
     }
 

@@ -28,7 +28,7 @@
 //! * **recheck mode** (`verify_every_read`): the pre-rework behavior —
 //!   positioned read + full CRC on every access — retained behind
 //!   [`crate::store::ReadPath::Recheck`] as the paranoid mode and as the
-//!   honest baseline for the `cold_read` benchmark.
+//!   honest baseline for prbench's `store.recheck_ns_per_leaf`.
 //!
 //! The device is **read-only**: writes return [`EmError::ReadOnly`], and
 //! `allocate` hands out ids past the committed end whose reads fail with

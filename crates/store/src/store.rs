@@ -49,7 +49,8 @@ pub enum ReadPath {
     ZeroCopy,
     /// Positioned `read_at` into a caller buffer with a full CRC32 check
     /// on **every** read — the pre-zero-copy behavior, retained as a
-    /// paranoid mode and as the `cold_read` benchmark baseline.
+    /// paranoid mode and as prbench's `store.recheck_ns_per_leaf`
+    /// baseline.
     Recheck,
 }
 

@@ -1,5 +1,5 @@
-//! Corruption battery for the zero-copy (mmap + verify-once + leaf
-//! cache) read path, pinning the documented detection semantics:
+//! Corruption battery for the zero-copy (mmap + verify-once) read
+//! path, pinning the documented detection semantics:
 //!
 //! * a flipped byte in an **unverified** page surfaces as `Corrupt` on
 //!   the first read that touches it — mmap or `read_at`, same contract;
@@ -7,21 +7,19 @@
 //!   without re-detection (verify-once is the documented trade) — until
 //!   the eager scrub re-hashes it, reports `ChecksumMismatch`, and
 //!   clears its verify-once bit so later reads fail loudly;
-//! * a flipped byte under an **already-cached leaf** doesn't even reach
-//!   the device — the cache serves the pre-rot transcode (documented) —
-//!   but the scrub still catches the on-disk rot;
 //! * the `Recheck` path (the pre-zero-copy behavior) detects the
 //!   post-verification flip on the very next read, which is exactly the
 //!   paranoia it exists to sell;
-//! * all three read paths return bit-identical results and traversal
-//!   statistics on a healthy file.
+//! * both read paths, mmap'd or not, return results and traversal
+//!   statistics bit-identical to the never-persisted in-memory tree,
+//!   for every loader.
 
 use pr_em::{BlockDevice, EmError, MemDevice};
-use pr_geom::{Item, Rect};
+use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store, StoreError};
 use pr_tree::bulk::pr::PrTreeLoader;
-use pr_tree::bulk::BulkLoader;
-use pr_tree::{LeafCache, QueryScratch, RTree, TreeParams};
+use pr_tree::bulk::{BulkLoader, LoaderKind};
+use pr_tree::{RTree, TreeParams};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -139,40 +137,6 @@ fn post_verification_flip_served_until_scrub_catches_it() {
 }
 
 #[test]
-fn cached_leaf_serves_through_rot_but_scrub_detects_it() {
-    let (path, pages) = build_store("rot-under-cache", 5_000);
-    let store = Store::open(&path).unwrap();
-    let mut tree: RTree<2> = store.tree().unwrap();
-    let cache = Arc::new(LeafCache::new(32 << 20));
-    let epoch = cache.register_epoch();
-    tree.attach_leaf_cache(Arc::clone(&cache), epoch);
-    tree.warm_cache().unwrap();
-
-    // Two passes: admission is second-touch, so the first only ghosts
-    // the keys and the second makes every leaf resident.
-    let (clean, _) = tree.window_with_stats(&everything()).unwrap();
-    let (clean2, _) = tree.window_with_stats(&everything()).unwrap();
-    assert_eq!(clean2, clean);
-    assert!(!cache.is_empty(), "repeat window populated the leaf cache");
-
-    let victim = pages - 1;
-    flip_byte(&path, &store, victim);
-
-    // Every leaf is cached: the repeat query reads nothing from the
-    // device and returns the pre-rot answer — documented semantics of
-    // caching transcoded leaves of an immutable snapshot.
-    let (served, stats) = tree.window_with_stats(&everything()).unwrap();
-    assert_eq!(served, clean);
-    assert_eq!(stats.device_reads, 0);
-    assert_eq!(stats.leaf_cache_hits, stats.leaves_visited);
-
-    // The scrub goes to the bytes, not the cache — it catches the rot.
-    let err = store.scrub().unwrap_err();
-    assert!(matches!(err, StoreError::ChecksumMismatch { page } if page == victim));
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn scrub_sweeps_past_the_first_failure_and_unverifies_every_bad_page() {
     let (path, pages) = build_store("multi-rot", 5_000);
     let store = Store::open(&path).unwrap();
@@ -282,40 +246,60 @@ fn non_mmap_fallback_is_bit_identical_and_detects_rot() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn all_read_paths_agree_on_a_healthy_store() {
-    let (path, _) = build_store("healthy", 4_000);
-    let store = Store::open(&path).unwrap();
-    let recheck: RTree<2> = store.tree_with(ReadPath::Recheck).unwrap();
-    let zero: RTree<2> = store.tree().unwrap();
-    let mut cached: RTree<2> = store.tree().unwrap();
-    let cache = Arc::new(LeafCache::new(32 << 20));
-    let epoch = cache.register_epoch();
-    cached.attach_leaf_cache(cache, epoch);
-    for t in [&recheck, &zero, &cached] {
-        t.warm_cache().unwrap();
-    }
-
-    let mut scratch = QueryScratch::new();
-    let mut out = Vec::new();
-    for i in 0..12u32 {
-        let x = (i as f64 * 83.0) % 900.0;
-        let q = Rect::xyxy(x, 0.0, x + 120.0, 1000.0);
-        let want = recheck.window_into(&q, &mut scratch, &mut out).unwrap();
-        let want_hits = out.clone();
-        for (name, t) in [("zero", &zero), ("cached", &cached)] {
-            // Twice: cold then repeat (cache-served).
-            for _ in 0..2 {
-                let got = t.window_into(&q, &mut scratch, &mut out).unwrap();
-                assert_eq!(out, want_hits, "{name}: results differ on {q:?}");
-                assert_eq!(got.leaves_visited, want.leaves_visited, "{name}");
-                assert_eq!(got.results, want.results, "{name}");
+/// Every loader's tree, saved and reopened on both read paths, must
+/// answer exactly like the never-persisted in-memory tree: results in
+/// the same order, the same traversal statistics, and — nothing sits
+/// between a leaf visit and the device — one device read per leaf
+/// visit on the cold pass and on the repeat alike.
+fn read_paths_agree_with_the_in_memory_tree(mmapped: bool) {
+    let params = TreeParams::with_cap::<2>(16);
+    for kind in LoaderKind::all() {
+        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+        let mem = kind.loader::<2>().load(dev, params, items(4_000)).unwrap();
+        mem.warm_cache().unwrap();
+        let path = tmpfile(&format!("healthy-{}-{mmapped}", kind.name()));
+        Store::create::<2>(&path, params)
+            .unwrap()
+            .save(&mem)
+            .unwrap();
+        let store = Store::open(&path).unwrap();
+        assert_eq!(store.is_mmapped(), mmapped, "test premise");
+        let recheck: RTree<2> = store.tree_with(ReadPath::Recheck).unwrap();
+        let zero: RTree<2> = store.tree_with(ReadPath::ZeroCopy).unwrap();
+        let paths = [("recheck", &recheck), ("zero-copy", &zero)];
+        for (_, t) in paths {
+            t.warm_cache().unwrap();
+        }
+        for i in 0..12u32 {
+            let x = (i as f64 * 83.0) % 900.0;
+            let q = Rect::xyxy(x, 0.0, x + 120.0, 1000.0);
+            let (want, want_stats) = mem.window_with_stats(&q).unwrap();
+            for (name, t) in paths {
+                for pass in ["cold", "repeat"] {
+                    let ctx = format!("{}/{name}/{pass} on {q:?}", kind.name());
+                    let (got, stats) = t.window_with_stats(&q).unwrap();
+                    assert_eq!(got, want, "{ctx}: results differ");
+                    assert_eq!(stats, want_stats, "{ctx}: traversal stats differ");
+                    assert_eq!(stats.device_reads, stats.leaves_visited, "{ctx}");
+                }
+            }
+            let p = Point::new([x, (x * 7.0) % 1000.0]);
+            let (want, _) = mem.nearest_neighbors_with_stats(&p, 10).unwrap();
+            for (name, t) in paths {
+                let (got, _) = t.nearest_neighbors_with_stats(&p, 10).unwrap();
+                assert_eq!(got, want, "{}/{name}: k-NN differs at {p:?}", kind.name());
             }
         }
+        std::fs::remove_file(&path).ok();
     }
-    // Shared verify-once bitmap: the three handles verified each page
-    // at most once between them.
-    let (verified, total) = store.verified_pages();
-    assert!(verified <= total);
-    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn all_read_paths_agree_on_a_healthy_store() {
+    use pr_em::fault::{self, FaultSchedule};
+    let _hook = fault::exclusive();
+    read_paths_agree_with_the_in_memory_tree(true);
+    // The read_at fallback has nothing in front of it either.
+    let _guard = fault::install(FaultSchedule::never(false).with_deny_mmap());
+    read_paths_agree_with_the_in_memory_tree(false);
 }

@@ -75,7 +75,7 @@ fn main() {
     println!(
         "\nmost robust across the three stress tests: {} (worst case {:.0}%).\n\
          The gaps widen with N — at the paper's 10M the PR-tree is near-optimal\n\
-         everywhere while H/TGS degrade severely (see EXPERIMENTS.md).",
+         everywhere while H/TGS degrade severely.",
         kinds[best.0].name(),
         best.1 * 100.0
     );

@@ -29,7 +29,7 @@ use pr_geom::{Item, Point, Rect};
 use pr_live::{Durability, LiveIndex, LiveOptions};
 use pr_store::{ReadPath, Store};
 use pr_tree::bulk::LoaderKind;
-use pr_tree::{LeafCache, QueryScratch, RTree, TreeParams};
+use pr_tree::{QueryScratch, RTree, TreeParams};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,7 +74,7 @@ fn usage() {
          \x20       C:    entries per node (default: the paper's 113 / 4KB pages)\n\
          \x20 ingest DIR [--data KIND] [--n N] [--seed S] [--id-base B] [--batch SIZE]\n\
          \x20        [--writers W] [--durability fsync|async|async:BYTES]\n\
-         \x20        [--buffer-cap C] [--cap C] [--leaf-cache-bytes B] [--inline-merge]\n\
+         \x20        [--buffer-cap C] [--cap C] [--inline-merge]\n\
          \x20        [--flush] [--metrics-file FILE] [--trace-file FILE]\n\
          \x20       durably insert N synthetic items into the live index at DIR\n\
          \x20       (created on first use). --writers W shards the stream over W\n\
@@ -92,13 +92,11 @@ fn usage() {
          \x20       in about://tracing or Perfetto);\n\
          \x20       --inline-merge runs merges on the writer instead of the\n\
          \x20       background thread. Every live-dir command accepts\n\
-         \x20       --leaf-cache-bytes B (shared transcoded-leaf cache across the\n\
-         \x20       index's components; default 16 MiB, 0 disables) plus\n\
          \x20       --trace-sample N (span-trace 1 op in N; 0 = off, the default)\n\
          \x20       and --trace-slow-us U (flight-recorder admission threshold)\n\
-         \x20 delete DIR --window X1,Y1,X2,Y2 [--limit N] [--leaf-cache-bytes B]\n\
+         \x20 delete DIR --window X1,Y1,X2,Y2 [--limit N]\n\
          \x20       durably delete (up to N) live items intersecting the window\n\
-         \x20 compact DIR [--max-garbage-pct P] [--leaf-cache-bytes B]\n\
+         \x20 compact DIR [--max-garbage-pct P]\n\
          \x20       merge memtable + all components into one tree, drop all\n\
          \x20       tombstones, and rewrite the store file (reclaims the garbage\n\
          \x20       incremental merge commits leave behind). --max-garbage-pct P\n\
@@ -106,19 +104,16 @@ fn usage() {
          \x20       of the file, otherwise keep the incremental layout (exit 0,\n\
          \x20       \"skipped\")\n\
          \x20 query FILE|DIR --window X1,Y1,X2,Y2 [--expect N] [--verbose] [--repeat R]\n\
-         \x20       [--leaf-cache-bytes B] [--paranoid] [--explain]\n\
+         \x20       [--paranoid] [--explain]\n\
          \x20       reopen the index and run one window query (--expect N: exit 1\n\
          \x20       unless exactly N results — used by CI roundtrips; --repeat R:\n\
          \x20       rerun the query R times through one reused scratch and report\n\
          \x20       warm-cache throughput of the decode-free engine;\n\
-         \x20       --leaf-cache-bytes B: budget of the transcoded-leaf cache in\n\
-         \x20       front of the store, 0 disables — default 16 MiB;\n\
          \x20       --explain: trace the traversal and print a per-level profile\n\
-         \x20       of nodes/leaves/cache-hits/device-reads plus phase timings,\n\
+         \x20       of nodes/leaves/internal/device-reads plus phase timings,\n\
          \x20       cross-checked exactly against the query's own statistics —\n\
          \x20       exit 1 on any mismatch)\n\
-         \x20 knn FILE|DIR --point X,Y [--k K] [--leaf-cache-bytes B] [--paranoid]\n\
-         \x20       [--explain]\n\
+         \x20 knn FILE|DIR --point X,Y [--k K] [--paranoid] [--explain]\n\
          \x20       reopen the index and report the K nearest rectangles (default K=5).\n\
          \x20       query/knn/stats accept --paranoid: re-hash every store page on\n\
          \x20       every read (CRC rechecked each touch) instead of verify-once\n\
@@ -128,18 +123,17 @@ fn usage() {
          \x20       tree shape (--no-verify stops after the superblock dump).\n\
          \x20       Live dir: WAL/memtable/component/tombstone/degraded-mode state,\n\
          \x20       plus a full store scrub (nonzero exit on any corrupt page;\n\
-         \x20       --no-verify skips it). Both paths end\n\
-         \x20       with the process-wide metrics registry (one formatter; the\n\
-         \x20       --leaf-cache-bytes budget applies to both). --json emits the\n\
-         \x20       registry snapshot + lifecycle events + the slow-op flight\n\
-         \x20       recorder as one JSON document; live dirs add an \"index\"\n\
-         \x20       summary (write amp, garbage, arena allocs) and the per-run\n\
-         \x20       \"store_runs\" layout (stable id + byte offset + pages —\n\
-         \x20       unchanged pairs across commits prove in-place page reuse)\n\
+         \x20       --no-verify skips it). Both paths end with the process-wide\n\
+         \x20       metrics registry (one formatter). --json emits the registry\n\
+         \x20       snapshot + lifecycle events + the slow-op flight recorder as\n\
+         \x20       one JSON document; live dirs add an \"index\" summary (write\n\
+         \x20       amp, garbage, arena allocs) and the per-run \"store_runs\"\n\
+         \x20       layout (stable id + byte offset + pages — unchanged pairs\n\
+         \x20       across commits prove in-place page reuse)\n\
          \x20 events DIR [--limit N] [--since SEQ] [--json]\n\
          \x20       replay the lifecycle event ring after opening the live index\n\
          \x20       (open + WAL replay) — WAL rotations, group flushes, seals,\n\
-         \x20       merges, compactions, scrubs, cache epochs. --since SEQ tails\n\
+         \x20       merges, compactions, scrubs. --since SEQ tails\n\
          \x20       only events with seq > SEQ (incremental polling; the report's\n\
          \x20       dropped count covers the gap). Store files have no event\n\
          \x20       history: a file path is an error\n\
@@ -275,8 +269,6 @@ fn print_explain(traces: &[pr_obs::Trace], kind: &str, stats: &pr_tree::QuerySta
             acc.nodes += l.nodes;
             acc.leaves += l.leaves;
             acc.internal += l.internal;
-            acc.cache_hits += l.cache_hits;
-            acc.cache_misses += l.cache_misses;
             acc.device_reads += l.device_reads;
         }
     }
@@ -286,8 +278,6 @@ fn print_explain(traces: &[pr_obs::Trace], kind: &str, stats: &pr_tree::QuerySta
             s.nodes += l.nodes;
             s.leaves += l.leaves;
             s.internal += l.internal;
-            s.cache_hits += l.cache_hits;
-            s.cache_misses += l.cache_misses;
             s.device_reads += l.device_reads;
             s
         });
@@ -296,24 +286,18 @@ fn print_explain(traces: &[pr_obs::Trace], kind: &str, stats: &pr_tree::QuerySta
         traces.len()
     );
     println!(
-        "  {:<5} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6}",
-        "level", "nodes", "leaves", "internal", "hits", "misses", "reads"
+        "  {:<5} {:>7} {:>7} {:>9} {:>6}",
+        "level", "nodes", "leaves", "internal", "reads"
     );
     for (i, l) in levels.iter().enumerate().rev() {
         println!(
-            "  {:<5} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6}",
-            i, l.nodes, l.leaves, l.internal, l.cache_hits, l.cache_misses, l.device_reads
+            "  {:<5} {:>7} {:>7} {:>9} {:>6}",
+            i, l.nodes, l.leaves, l.internal, l.device_reads
         );
     }
     println!(
-        "  {:<5} {:>7} {:>7} {:>9} {:>6} {:>7} {:>6}",
-        "sum",
-        sum.nodes,
-        sum.leaves,
-        sum.internal,
-        sum.cache_hits,
-        sum.cache_misses,
-        sum.device_reads
+        "  {:<5} {:>7} {:>7} {:>9} {:>6}",
+        "sum", sum.nodes, sum.leaves, sum.internal, sum.device_reads
     );
     // Phase timings, aggregated by (layer, phase) across the traces.
     let mut phases: std::collections::BTreeMap<(&str, &str), (u64, u64)> =
@@ -332,37 +316,24 @@ fn print_explain(traces: &[pr_obs::Trace], kind: &str, stats: &pr_tree::QuerySta
     let ok = sum.nodes == stats.nodes_visited
         && sum.leaves == stats.leaves_visited
         && sum.internal == stats.internal_visited
-        && sum.cache_hits == stats.leaf_cache_hits
-        && sum.cache_misses == stats.leaf_cache_misses
         && sum.device_reads == stats.device_reads;
     if ok {
         println!(
-            "cross-check vs QueryStats: exact (nodes={} leaves={} internal={} \
-             hits={} misses={} reads={})",
-            stats.nodes_visited,
-            stats.leaves_visited,
-            stats.internal_visited,
-            stats.leaf_cache_hits,
-            stats.leaf_cache_misses,
-            stats.device_reads
+            "cross-check vs QueryStats: exact (nodes={} leaves={} internal={} reads={})",
+            stats.nodes_visited, stats.leaves_visited, stats.internal_visited, stats.device_reads
         );
         0
     } else {
         eprintln!(
             "error: --explain cross-check FAILED: trace sums nodes={} leaves={} \
-             internal={} hits={} misses={} reads={} vs QueryStats nodes={} \
-             leaves={} internal={} hits={} misses={} reads={}",
+             internal={} reads={} vs QueryStats nodes={} leaves={} internal={} reads={}",
             sum.nodes,
             sum.leaves,
             sum.internal,
-            sum.cache_hits,
-            sum.cache_misses,
             sum.device_reads,
             stats.nodes_visited,
             stats.leaves_visited,
             stats.internal_visited,
-            stats.leaf_cache_hits,
-            stats.leaf_cache_misses,
             stats.device_reads
         );
         1
@@ -536,32 +507,17 @@ fn cmd_build(args: &[String]) -> i32 {
     0
 }
 
-/// Opens a store file and reopens its tree, attaching a shared leaf
-/// cache of `leaf_cache_bytes` when nonzero. Returns the store too so
+/// Opens a store file and reopens its tree. Returns the store too so
 /// callers can report verify-once / scrub state.
-fn open_2d(path: &str, leaf_cache_bytes: usize, paranoid: bool) -> Result<(Store, RTree<2>), i32> {
+fn open_2d(path: &str, paranoid: bool) -> Result<(Store, RTree<2>), i32> {
     let read_path = if paranoid {
         ReadPath::Recheck
     } else {
         ReadPath::ZeroCopy
     };
     let store = Store::open(Path::new(path)).map_err(fail)?;
-    let mut tree = store.tree_with::<2>(read_path).map_err(fail)?;
-    if leaf_cache_bytes > 0 {
-        let cache = Arc::new(LeafCache::new(leaf_cache_bytes));
-        let epoch = cache.register_epoch();
-        tree.attach_leaf_cache(cache, epoch);
-    }
+    let tree = store.tree_with::<2>(read_path).map_err(fail)?;
     Ok((store, tree))
-}
-
-fn parse_leaf_cache_bytes(opts: &Opts, default: usize) -> Result<usize, String> {
-    match opts.get("leaf-cache-bytes") {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| "--leaf-cache-bytes expects a byte count (0 disables)".to_string()),
-    }
 }
 
 fn parse_durability(s: &str) -> Result<Durability, String> {
@@ -611,7 +567,6 @@ fn live_opts(opts: &Opts) -> Result<LiveOptions, String> {
             .parse::<u64>()
             .map_err(|_| "--trace-slow-us expects microseconds")?;
     }
-    lo.leaf_cache_bytes = parse_leaf_cache_bytes(opts, lo.leaf_cache_bytes)?;
     Ok(lo)
 }
 
@@ -664,10 +619,6 @@ fn print_live_stats(ix: &LiveIndex<2>, verify: bool) -> i32 {
         print!("id {} @ {} x{}", r.id, r.data_offset, r.num_pages);
     }
     println!("]");
-    println!(
-        "leaf cache:   {} hits, {} misses ({} ghost admits), {} bytes resident",
-        s.leaf_cache_hits, s.leaf_cache_misses, s.leaf_cache_ghost_hits, s.leaf_cache_bytes
-    );
     println!("wal arena:    {} buffer allocations", s.wal_arena_allocs);
     println!(
         "health:       wal {}, merges {}, store reads {}",
@@ -718,7 +669,6 @@ fn cmd_ingest(args: &[String]) -> i32 {
             "batch",
             "buffer-cap",
             "cap",
-            "leaf-cache-bytes",
             "durability",
             "writers",
             "metrics-file",
@@ -883,7 +833,6 @@ fn cmd_delete(args: &[String]) -> i32 {
             "window",
             "limit",
             "buffer-cap",
-            "leaf-cache-bytes",
             "trace-sample",
             "trace-slow-us",
         ],
@@ -946,7 +895,6 @@ fn cmd_compact(args: &[String]) -> i32 {
         args,
         &[
             "buffer-cap",
-            "leaf-cache-bytes",
             "max-garbage-pct",
             "trace-sample",
             "trace-slow-us",
@@ -1117,7 +1065,6 @@ fn cmd_query(args: &[String]) -> i32 {
             "expect",
             "repeat",
             "buffer-cap",
-            "leaf-cache-bytes",
             "trace-sample",
             "trace-slow-us",
         ],
@@ -1141,12 +1088,8 @@ fn cmd_query(args: &[String]) -> i32 {
         return cmd_query_live(file, &opts, &q);
     }
 
-    let lcb = match parse_leaf_cache_bytes(&opts, pr_tree::DEFAULT_LEAF_CACHE_BYTES) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
     let t0 = Instant::now();
-    let (_store, tree) = match open_2d(file, lcb, opts.has("paranoid")) {
+    let (_store, tree) = match open_2d(file, opts.has("paranoid")) {
         Ok(t) => t,
         Err(code) => return code,
     };
@@ -1185,15 +1128,6 @@ fn cmd_query(args: &[String]) -> i32 {
         stats.device_reads,
         query_s * 1e3
     );
-    if let Some((cache, _)) = tree.leaf_cache() {
-        println!(
-            "leaf cache: {} hits, {} misses this query ({} bytes resident, {} budget)",
-            stats.leaf_cache_hits,
-            stats.leaf_cache_misses,
-            cache.resident_bytes(),
-            cache.capacity_bytes()
-        );
-    }
     println!(
         "open+warm: {open_reads} page reads ({:.1} ms); {} items indexed, height {}",
         open_s * 1e3,
@@ -1243,10 +1177,6 @@ fn cmd_query(args: &[String]) -> i32 {
             reps as f64 / secs,
             total / reps as u64,
         );
-        if let Some((cache, _)) = tree.leaf_cache() {
-            let (h, m) = cache.hit_stats();
-            println!("leaf cache: {h} hits, {m} misses cumulative");
-        }
     }
     0
 }
@@ -1254,14 +1184,7 @@ fn cmd_query(args: &[String]) -> i32 {
 fn cmd_knn(args: &[String]) -> i32 {
     let opts = match Opts::parse(
         args,
-        &[
-            "point",
-            "k",
-            "buffer-cap",
-            "leaf-cache-bytes",
-            "trace-sample",
-            "trace-slow-us",
-        ],
+        &["point", "k", "buffer-cap", "trace-sample", "trace-slow-us"],
         &["inline-merge", "paranoid", "explain"],
     ) {
         Ok(o) => o,
@@ -1326,11 +1249,7 @@ fn cmd_knn(args: &[String]) -> i32 {
         );
         return 0;
     }
-    let lcb = match parse_leaf_cache_bytes(&opts, pr_tree::DEFAULT_LEAF_CACHE_BYTES) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
-    let (_store, tree) = match open_2d(file, lcb, opts.has("paranoid")) {
+    let (_store, tree) = match open_2d(file, opts.has("paranoid")) {
         Ok(t) => t,
         Err(code) => return code,
     };
@@ -1374,12 +1293,7 @@ fn cmd_knn(args: &[String]) -> i32 {
 fn cmd_stats(args: &[String]) -> i32 {
     let opts = match Opts::parse(
         args,
-        &[
-            "buffer-cap",
-            "leaf-cache-bytes",
-            "trace-sample",
-            "trace-slow-us",
-        ],
+        &["buffer-cap", "trace-sample", "trace-slow-us"],
         &["no-verify", "inline-merge", "paranoid", "json"],
     ) {
         Ok(o) => o,
@@ -1436,7 +1350,6 @@ fn cmd_stats(args: &[String]) -> i32 {
             .u64("store_pages_written", s.store_pages_written)
             .u64("store_pages_reused", s.store_pages_reused)
             .f64p("write_amp", s.write_amp_x100 as f64 / 100.0, 2)
-            .u64("leaf_cache_ghost_hits", s.leaf_cache_ghost_hits)
             .u64("wal_arena_allocs", s.wal_arena_allocs);
         let extra = format!(
             "\"index\":{},\"store_runs\":{}",
@@ -1516,27 +1429,16 @@ fn cmd_stats(args: &[String]) -> i32 {
         Err(e) => return fail(e),
     }
 
-    // The tree walk below goes through the same read path as query/knn,
-    // leaf cache included — so --leaf-cache-bytes means the same thing
-    // on every stats invocation, file or directory.
-    let lcb = match parse_leaf_cache_bytes(&opts, pr_tree::DEFAULT_LEAF_CACHE_BYTES) {
-        Ok(b) => b,
-        Err(e) => return fail(e),
-    };
+    // The tree walk below goes through the same read path as query/knn.
     let read_path = if opts.has("paranoid") {
         ReadPath::Recheck
     } else {
         ReadPath::ZeroCopy
     };
-    let mut tree = match store.tree_with::<2>(read_path) {
+    let tree = match store.tree_with::<2>(read_path) {
         Ok(t) => t,
         Err(e) => return fail(e),
     };
-    if lcb > 0 {
-        let cache = Arc::new(LeafCache::new(lcb));
-        let epoch = cache.register_epoch();
-        tree.attach_leaf_cache(cache, epoch);
-    }
     match tree.stats() {
         Ok(s) => {
             if !json {
@@ -1571,7 +1473,6 @@ fn cmd_events(args: &[String]) -> i32 {
         args,
         &[
             "buffer-cap",
-            "leaf-cache-bytes",
             "limit",
             "since",
             "trace-sample",
@@ -1659,13 +1560,7 @@ fn cmd_events(args: &[String]) -> i32 {
 fn cmd_slow(args: &[String]) -> i32 {
     let opts = match Opts::parse(
         args,
-        &[
-            "limit",
-            "buffer-cap",
-            "leaf-cache-bytes",
-            "trace-sample",
-            "trace-slow-us",
-        ],
+        &["limit", "buffer-cap", "trace-sample", "trace-slow-us"],
         &["inline-merge", "paranoid", "json"],
     ) {
         Ok(o) => o,
@@ -1752,13 +1647,7 @@ fn cmd_slow(args: &[String]) -> i32 {
 fn cmd_trace(args: &[String]) -> i32 {
     let opts = match Opts::parse(
         args,
-        &[
-            "out",
-            "buffer-cap",
-            "leaf-cache-bytes",
-            "trace-sample",
-            "trace-slow-us",
-        ],
+        &["out", "buffer-cap", "trace-sample", "trace-slow-us"],
         &["inline-merge"],
     ) {
         Ok(o) => o,

@@ -7,7 +7,7 @@
 //!
 //! * [`geom`] — rectangles, points, the corner mapping (crate `pr-geom`).
 //! * [`em`] — external-memory substrate: block devices, I/O accounting,
-//!   streams, external sort, buffer pool (crate `pr-em`).
+//!   streams, external sort (crate `pr-em`).
 //! * [`hilbert`] — d-dimensional Hilbert curves (crate `pr-hilbert`).
 //! * [`tree`] — the PR-tree, pseudo-PR-trees, the H/H4/TGS/STR baselines,
 //!   Guttman updates and the LPR-tree (crate `pr-tree`).
