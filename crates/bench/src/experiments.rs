@@ -741,8 +741,9 @@ mod tests {
 
     #[test]
     fn every_listed_experiment_runs() {
-        // Smoke-run the cheapest experiments end-to-end at small scale;
-        // expensive ones are covered by the binary run in CI/EXPERIMENTS.
+        // Smoke-run the cheapest experiments end-to-end at small scale.
+        // CI runs the binary on the five that take seconds; the figure
+        // sweeps take minutes and run when EXPERIMENTS.md is regenerated.
         for name in ["table1", "thm3"] {
             let tables = run(name, tiny()).expect("known experiment");
             assert!(!tables.is_empty());

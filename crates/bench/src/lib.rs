@@ -16,11 +16,9 @@
 //! by roughly what factor is preserved (README, "Paper fidelity").
 
 pub mod experiments;
-pub mod hist;
 pub mod measure;
 pub mod scale;
 pub mod table;
 
-pub use hist::LatencyHistogram;
 pub use scale::Scale;
 pub use table::Table;

@@ -4,8 +4,7 @@
 //! reads/writes/fsyncs/truncates, [`crate::fsync_dir`], the
 //! [`crate::MemDevice`] block ops, and the store's mapped reads via
 //! [`mapped_read`]) carries a **probe**: one relaxed atomic load when no
-//! schedule is installed — the release-mode no-op the bench gate
-//! measures — and a cold slow path when one is. A [`FaultSchedule`] is
+//! schedule is installed and a cold slow path when one is. A [`FaultSchedule`] is
 //! installed process-wide (test-only by convention: [`install`] returns a
 //! guard that disarms on drop, and [`exclusive`] serializes hook-using
 //! tests), numbers the matching ops `0, 1, 2, …` in execution order, and
@@ -146,7 +145,7 @@ impl FaultSchedule {
         }
     }
 
-    /// Armed but inert — the bench probe's worst honest case: every op
+    /// Armed but inert — the probe's worst honest case: every op
     /// takes the slow path (counter bump + spec scan) and none fires.
     pub fn never(include_mem: bool) -> Self {
         FaultSchedule {

@@ -5,8 +5,8 @@
 //!
 //! The key invariant exploited: the writer applies a deterministic
 //! workload, so every reachable cut has a closed-form oracle. Insert-only
-//! workloads: a snapshot must contain *exactly* the items `0..k` for
-//! some `k` (no holes — nothing torn; no future items). Mixed
+//! workloads: a snapshot must contain *exactly* a prefix of each
+//! writer's id shard (no holes — nothing torn; no future items). Mixed
 //! workloads: the cut is identified by the live-id multiset and checked
 //! item-for-item against the oracle's history.
 
@@ -14,7 +14,7 @@ use pr_geom::{Item, Point, Rect};
 use pr_live::{LiveIndex, LiveOptions, LiveSnapshot};
 use pr_tree::{QueryScratch, TreeParams};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -38,14 +38,17 @@ fn everything() -> Rect<2> {
     Rect::xyxy(-10.0, -10.0, 1010.0, 1010.0)
 }
 
-/// Readers hammer snapshots while a writer inserts `0..n` in order
-/// (merges — inline or background — constantly in flight). Every
-/// snapshot must be an exact prefix `{0..k}`, bounded by what was
-/// acknowledged around the time it was taken, and identical to the
-/// serial brute-force oracle over those k items.
-fn insert_only_prefix_invariant(name: &str, background: bool) {
+/// Readers hammer snapshots while `writers` threads each insert their
+/// own id shard `w * PER .. (w + 1) * PER` in order, `batch` items per
+/// acknowledged call (merges — inline or background — constantly in
+/// flight). Within every shard each snapshot must hold an exact prefix
+/// of that writer's order (no holes — nothing torn; no future items),
+/// at least as long as the acks observed before the pin; its size is
+/// bounded by what was acknowledged around the time it was taken; and
+/// it is identical to the serial brute-force oracle over those items.
+fn insert_only_prefix_invariant(name: &str, background: bool, writers: u32, batch: usize) {
+    const PER: u32 = 2000;
     let dir = tmpdir(name);
-    let n: u32 = 2000;
     let opts = LiveOptions {
         buffer_cap: 64,
         background_merge: background,
@@ -53,23 +56,31 @@ fn insert_only_prefix_invariant(name: &str, background: bool) {
         ..LiveOptions::default()
     };
     let ix = LiveIndex::<2>::create(&dir, params(), opts).unwrap();
-    let done = AtomicBool::new(false);
+    let acked: Vec<AtomicU32> = (0..writers).map(|_| AtomicU32::new(0)).collect();
+    let running = AtomicU32::new(writers);
     std::thread::scope(|s| {
         let ix = &ix;
-        let done = &done;
-        s.spawn(move || {
-            for i in 0..n {
-                ix.insert(item(i)).unwrap();
-            }
-            done.store(true, Ordering::Release);
-        });
+        let acked = &acked;
+        let running = &running;
+        for w in 0..writers {
+            s.spawn(move || {
+                let shard: Vec<Item<2>> = (w * PER..(w + 1) * PER).map(item).collect();
+                for chunk in shard.chunks(batch) {
+                    ix.insert_batch(chunk).unwrap();
+                    acked[w as usize].fetch_add(chunk.len() as u32, Ordering::Release);
+                }
+                running.fetch_sub(1, Ordering::Release);
+            });
+        }
         for reader in 0..3 {
             s.spawn(move || {
                 let mut scratch = QueryScratch::new();
                 let mut out = Vec::new();
                 let mut seen_nonempty = false;
                 loop {
-                    let finished = done.load(Ordering::Acquire);
+                    let finished = running.load(Ordering::Acquire) == 0;
+                    let floors: Vec<u32> =
+                        acked.iter().map(|a| a.load(Ordering::Acquire)).collect();
                     let low = ix.len(); // acked before the snapshot
                     let snap = ix.snapshot();
                     let high = ix.len(); // acked after the snapshot
@@ -82,26 +93,34 @@ fn insert_only_prefix_invariant(name: &str, background: bool) {
                     );
                     let mut ids: Vec<u32> = out.iter().map(|i| i.id).collect();
                     ids.sort_unstable();
-                    let want_ids: Vec<u32> = (0..k as u32).collect();
+                    let mut want_ids: Vec<u32> = Vec::with_capacity(ids.len());
+                    for (w, &floor) in (0..writers).zip(&floors) {
+                        let shard = w * PER..(w + 1) * PER;
+                        let held = ids.iter().filter(|i| shard.contains(i)).count() as u32;
+                        assert!(
+                            held >= floor,
+                            "reader {reader}: shard {w} misses acked inserts ({held} < {floor})"
+                        );
+                        want_ids.extend(shard.start..shard.start + held);
+                    }
                     assert_eq!(
                         ids, want_ids,
-                        "reader {reader}: snapshot is not an exact prefix"
+                        "reader {reader}: snapshot is not an exact prefix of every shard"
                     );
                     // Contents match the oracle item-for-item.
                     for it in &out {
                         assert_eq!(*it, item(it.id), "reader {reader}: item bits differ");
                     }
-                    // A sub-window agrees with brute force over the prefix.
+                    // A sub-window agrees with brute force over the prefixes.
                     let q = Rect::xyxy(100.0, 100.0, 400.0, 400.0);
                     let got = snap.window(&q).unwrap();
-                    let oracle: Vec<Item<2>> = (0..k as u32)
-                        .map(item)
-                        .filter(|i| i.rect.intersects(&q))
-                        .collect();
                     let mut got_ids: Vec<u32> = got.iter().map(|i| i.id).collect();
-                    let mut want: Vec<u32> = oracle.iter().map(|i| i.id).collect();
                     got_ids.sort_unstable();
-                    want.sort_unstable();
+                    let want: Vec<u32> = want_ids
+                        .iter()
+                        .copied()
+                        .filter(|&i| item(i).rect.intersects(&q))
+                        .collect();
                     assert_eq!(got_ids, want, "reader {reader}: window vs oracle");
                     seen_nonempty |= k > 0;
                     if finished {
@@ -114,9 +133,12 @@ fn insert_only_prefix_invariant(name: &str, background: bool) {
         }
     });
     ix.wait_idle().unwrap();
-    // Final state: all n items, through queries and through k-NN.
+    // Final state: the full id set, through queries and through k-NN.
     let snap = ix.snapshot();
-    assert_eq!(snap.len(), n as u64);
+    let mut ids: Vec<u32> = snap.items().unwrap().iter().map(|i| i.id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..writers * PER).collect::<Vec<_>>());
+    assert_eq!(snap.len(), ids.len() as u64);
     let stats = ix.stats().unwrap();
     assert!(stats.merges >= 1, "workload must have exercised merges");
     let (nn, _) = ix
@@ -128,12 +150,19 @@ fn insert_only_prefix_invariant(name: &str, background: bool) {
 
 #[test]
 fn concurrent_readers_see_exact_prefixes_inline_merges() {
-    insert_only_prefix_invariant("prefix-inline", false);
+    insert_only_prefix_invariant("prefix-inline", false, 1, 1);
 }
 
 #[test]
 fn concurrent_readers_see_exact_prefixes_background_merges() {
-    insert_only_prefix_invariant("prefix-background", true);
+    insert_only_prefix_invariant("prefix-background", true, 1, 1);
+}
+
+/// Two writers share group commits; odd-sized batches straddle every
+/// seal boundary of the 64-item memtable.
+#[test]
+fn concurrent_readers_see_exact_prefixes_two_writers() {
+    insert_only_prefix_invariant("prefix-two-writers", true, 2, 97);
 }
 
 /// Mixed insert/delete workload with background merges: the *writer*

@@ -13,8 +13,9 @@ use crate::hist::LatencyHistogram;
 use crate::json::{JsonArr, JsonObj};
 use crate::registry::{MetricSnapshot, MetricValue, RegistrySnapshot};
 
-/// Version stamp of every JSON document this crate emits (snapshots,
-/// `BENCH_*.json` rows). Bump on breaking shape changes.
+/// Version stamp of every JSON document built with this crate's
+/// encoder (snapshots, `pr_bench::table` output). Bump on breaking
+/// shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Quantiles reported for histograms in both exporters.

@@ -8,23 +8,19 @@
 //! Recording is one `leading_zeros` + one increment; percentile lookup
 //! walks the counts once. No allocation after construction, no
 //! dependency, and merging two histograms is element-wise addition,
-//! which is how the mixed read/write bench combines per-thread
-//! recorders.
+//! which is how per-thread recorders are combined.
 //!
 //! Two flavours share the bucket math:
 //!
 //! * [`LatencyHistogram`] — the owned, single-writer form (`&mut self`
-//!   recording). This is the snapshot/merge/quantile currency; it moved
-//!   here from `pr_bench::hist` so runtime code can use it too
-//!   (pr-bench re-exports it unchanged).
+//!   recording). This is the snapshot/merge/quantile currency.
 //! * [`AtomicHistogram`] — the shared, lock-free form the metrics
 //!   registry hands out: `record(&self, v)` is a relaxed fetch-add into
 //!   one of 2048 buckets, and `snapshot()` materializes a
 //!   [`LatencyHistogram`] without stopping writers.
 //!
 //! Values are raw `u64`s; recorders pick the unit and encode it in the
-//! metric name (`*_us` histograms store microseconds, benches record
-//! nanoseconds and report microseconds at the end).
+//! metric name (`*_us` histograms store microseconds).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 

@@ -1,7 +1,7 @@
 //! Minimal hand-rolled JSON encoding (the offline build has no serde).
 //!
 //! This is the single JSON encoder for the workspace: the exporters,
-//! `pr_bench::table`, and every `BENCH_*.json` writer build output
+//! the CLI and `pr_bench::table` build output
 //! through [`JsonObj`]/[`JsonArr`] instead of ad-hoc `format!` strings,
 //! so escaping (RFC 8259) and number formatting live in exactly one
 //! place.

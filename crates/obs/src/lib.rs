@@ -8,8 +8,8 @@
 //! * [`registry`] — named, labeled counters/gauges/histograms backed by
 //!   sharded atomics; lock-free hot-path recording, snapshot-on-read,
 //!   one-call before/after deltas ([`RegistrySnapshot::delta_since`]).
-//! * [`hist`] — the HDR-style [`LatencyHistogram`] (promoted from
-//!   `pr_bench::hist`) plus its shared-writer [`AtomicHistogram`] form.
+//! * [`hist`] — the HDR-style [`LatencyHistogram`] plus its
+//!   shared-writer [`AtomicHistogram`] form.
 //! * [`events`] — a bounded lifecycle event ring (WAL rotate,
 //!   group-commit flush, memtable seal, merge start/commit, compaction,
 //!   store commit, scrub) readable without stopping writers.

@@ -19,10 +19,9 @@
 //!   (see [`AtomicHistogram`](crate::hist::AtomicHistogram)).
 //!
 //! A global recording switch ([`set_recording`]) turns counter,
-//! histogram and event recording into a single relaxed load + branch —
-//! this is how the `hot_query` bench measures observability overhead
-//! (instrumented loop with recording on vs. off in the same run).
-//! Gauges ignore the switch: they mirror *state* (resident bytes,
+//! histogram and event recording into a single relaxed load + branch,
+//! so one process can run the same instrumented loop with recording on
+//! and off. Gauges ignore the switch: they mirror *state* (resident bytes,
 //! inflight window), not traffic, and freezing them would make
 //! snapshots lie.
 //!

@@ -14,9 +14,8 @@
 //! Tracing is off by default. The entire hot-path cost while disabled
 //! is **one relaxed atomic load** ([`enabled()`]) — the same contract
 //! as the registry's recording switch and the fault layer's disarmed
-//! probe, and gated the same way (≤5%) in the `hot_query` bench, which
-//! compares tracing-disabled against tracing-armed-but-never-sampling
-//! with interleaved iterations.
+//! probe. prbench reports what arming costs (`obs.trace_overhead_pct`,
+//! traced against untraced rounds of the same work, interleaved).
 //!
 //! [`set_sampling(n)`](set_sampling) arms the tracer at a 1-in-`n`
 //! sampling rate (`0` disables, `1` traces everything). Sampling is

@@ -46,7 +46,7 @@ impl SplitPolicy {
         }
     }
 
-    /// All policies (for ablation benches).
+    /// All policies, for tests that sweep them.
     pub fn all() -> [SplitPolicy; 3] {
         [
             SplitPolicy::Linear,

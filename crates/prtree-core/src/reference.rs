@@ -1,20 +1,15 @@
-//! The retained scalar AoS engine — correctness oracle and baseline.
+//! The retained scalar AoS engine — the correctness oracle.
 //!
 //! This module preserves, verbatim, the query engine this crate shipped
 //! before the decode-free SoA read path: decoded [`NodePage`]s with a
 //! branchy per-entry `Rect::intersects`/`min_dist2`, fresh `Vec`
 //! allocations per query, and an `Arc` clone per cached-node visit. It
-//! exists for two reasons:
-//!
-//! 1. **Oracle.** The engine-equivalence property tests
-//!    (`tests/engine_equivalence.rs`) run every loader × dataset through
-//!    both engines and assert *identical* results (same items, same
-//!    order, same `f64` bits) and *identical* [`QueryStats`] — leaves,
-//!    internal nodes, device reads. That is the proof that the SoA
-//!    engine changed cost, not answers.
-//! 2. **Baseline.** The `hot_query` benchmark measures the new engine
-//!    against this one on the same tree, so speedups are attributable to
-//!    the read-path representation rather than tree shape or dataset.
+//! exists as the oracle: the engine-equivalence property tests
+//! (`tests/engine_equivalence.rs`) run every loader × dataset through
+//! both engines and assert *identical* results (same items, same
+//! order, same `f64` bits) and *identical* [`QueryStats`] — leaves,
+//! internal nodes, device reads. That is the proof that the SoA
+//! engine changed cost, not answers.
 //!
 //! A [`ReferenceEngine`] models the paper's steady state the old engine
 //! ran in: every internal node decoded and pinned in its own AoS map

@@ -398,10 +398,14 @@ fn parse_coords<const N: usize>(s: &str, what: &str) -> Result<[f64; N], String>
     }
     let mut out = [0.0; N];
     for (o, p) in out.iter_mut().zip(&parts) {
+        // `f64::from_str` takes "nan"; no comparison against it holds,
+        // so a NaN side would silently match nothing.
         *o = p
             .trim()
             .parse::<f64>()
-            .map_err(|_| format!("{what}: '{p}' is not a number"))?;
+            .ok()
+            .filter(|v| !v.is_nan())
+            .ok_or_else(|| format!("{what}: '{p}' is not a number"))?;
     }
     Ok(out)
 }
@@ -1200,6 +1204,11 @@ fn cmd_knn(args: &[String]) -> i32 {
         Ok(c) => c,
         Err(e) => return fail(e),
     };
+    // An infinite window side is a half-open query; an infinite point
+    // is at distance inf from everything, so "nearest" means nothing.
+    if !(x.is_finite() && y.is_finite()) {
+        return fail(format!("--point: '{point}' is not a finite point"));
+    }
     let k: usize = match opts.get("k").unwrap_or("5").parse() {
         Ok(k) => k,
         Err(_) => return fail("--k expects an integer"),
@@ -1787,5 +1796,23 @@ fn cmd_torture(args: &[String]) -> i32 {
             0
         }
         Err(e) => fail(format!("torture harness could not run: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_coords;
+
+    #[test]
+    fn parse_coords_takes_signed_zero_exponents_and_inf_but_not_nan() {
+        assert_eq!(
+            parse_coords::<4>("-0, 1e-3,inf,-inf", "--window"),
+            Ok([-0.0, 1e-3, f64::INFINITY, f64::NEG_INFINITY])
+        );
+        for bad in ["nan,0", "0,NaN", "0,-nan", "0,x", "0,"] {
+            let err = parse_coords::<2>(bad, "--point").unwrap_err();
+            assert!(err.ends_with("is not a number"), "{bad}: {err}");
+        }
+        assert!(parse_coords::<2>("0,0,0", "--point").is_err());
     }
 }
