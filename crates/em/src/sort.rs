@@ -12,6 +12,13 @@
 //! With the paper's parameters (64MB of memory for TPIE, 4KB blocks) a
 //! dataset of 10–17M records sorts in one run-formation pass plus a single
 //! merge pass, which is why its measured constants are small.
+//!
+//! A sorted order does not have to be written out to be read: a few
+//! sorted runs and a [`MergeReader`] over them *are* the order, for one
+//! buffered block per run. [`external_sort_multi`] stops there and
+//! returns the runs; [`external_sort_by`] is that plus the final merge
+//! written out ([`merge_runs`]), for callers that read the order more
+//! than once or hand it on as a [`Stream`].
 
 use crate::device::BlockDevice;
 use crate::error::EmError;
@@ -73,27 +80,39 @@ pub fn external_sort<R: Record + Ord>(
 /// Sorts `input` with a caller-supplied comparator, returning a new sorted
 /// stream on the same device. The input stream is left untouched (its
 /// blocks are not reclaimed; the simulated disk is append-only).
+///
+/// This is [`external_sort_multi`] for one order with the final merge
+/// written out ([`merge_runs`]).
 pub fn external_sort_by<R, F>(
     dev: &dyn BlockDevice,
     input: &Stream,
     config: SortConfig,
-    cmp: F,
+    mut cmp: F,
 ) -> Result<Stream>
 where
     R: Record,
     F: FnMut(&R, &R) -> Ordering,
 {
-    let sorted = external_sort_multi(dev, input, config, &mut [cmp])?.pop();
-    Ok(sorted.expect("one order in, one stream out"))
+    let runs = external_sort_multi(dev, input, config, std::slice::from_mut(&mut cmp))?.pop();
+    merge_runs(dev, runs.expect("one order in, one set of runs out"), cmp)
 }
 
-/// Sorts `input` under every comparator of `orders` at once, returning
-/// one sorted stream per comparator (same positions). Run formation
-/// reads the input **once**: each memory-load is sorted and written out
-/// under every order before the next load is read, so `k` orders cost
-/// `N/B` reads + `k·N/B` writes there instead of `k·N/B` of each; the
-/// merge passes are per order, as in [`external_sort_by`], and the
-/// memory in use never exceeds that of a single sort.
+/// Sorts `input` under every comparator of `orders` at once and returns,
+/// per comparator (same positions), the sorted order as a short list of
+/// sorted **runs**: at most `max(fan_in / 4, 1)` of them, none for an
+/// empty input. A [`MergeReader`] over the runs yields the order record
+/// by record for one buffered block per run; [`merge_runs`] writes it
+/// out as one stream. A caller that only scans the order front to back
+/// — possibly stopping early — never pays the final merge pass' write
+/// and re-read.
+///
+/// Run formation reads the input **once**: each memory-load is sorted
+/// and written out under every order before the next load is read, so
+/// `k` orders cost `N/B` reads + `k·N/B` writes there instead of `k·N/B`
+/// of each. Merge passes (per order, `fan_in` runs at a time) happen
+/// only while an order has more runs than the bound above, and the
+/// memory in use never exceeds that of a single sort. With the paper's
+/// 64 MB against 600 MB of input that is nine runs and no merge pass.
 ///
 /// A load is re-sorted in place, so only the first order is stable with
 /// respect to the input; later orders keep ties in the sequence the
@@ -103,208 +122,173 @@ pub fn external_sort_multi<R, F>(
     input: &Stream,
     config: SortConfig,
     orders: &mut [F],
-) -> Result<Vec<Stream>>
+) -> Result<Vec<Vec<Stream>>>
 where
     R: Record,
     F: FnMut(&R, &R) -> Ordering,
 {
     config.validate(dev.block_size(), R::SIZE)?;
-    if input.is_empty() {
-        return orders
-            .iter()
-            .map(|_| StreamWriter::<R>::new(dev).finish())
-            .collect();
-    }
 
     // Phase 1: run formation, one run per load and order.
     let cap = config.run_capacity::<R>();
     let mut runs: Vec<Vec<Stream>> = orders.iter().map(|_| Vec::new()).collect();
-    {
-        let mut reader = StreamReader::<R>::new(dev, input);
-        let mut buf: Vec<R> = Vec::with_capacity(cap.min(input.len() as usize));
-        loop {
-            let rec = reader.next_record()?;
-            if let Some(r) = rec {
-                buf.push(r);
-            }
-            if buf.len() == cap || (!buf.is_empty() && reader.remaining() == 0) {
-                for (cmp, runs) in orders.iter_mut().zip(&mut runs) {
-                    buf.sort_by(&mut *cmp);
-                    let mut w = StreamWriter::<R>::new(dev);
-                    for r in &buf {
-                        w.push(r)?;
-                    }
-                    runs.push(w.finish()?);
-                }
-                buf.clear();
-            }
-            if reader.remaining() == 0 {
-                break;
+    let mut reader = StreamReader::<R>::new(dev, input);
+    let mut buf: Vec<R> = Vec::with_capacity(cap.min(input.len() as usize));
+    while reader.remaining() > 0 {
+        while buf.len() < cap {
+            match reader.next_record()? {
+                Some(r) => buf.push(r),
+                None => break,
             }
         }
+        for (cmp, runs) in orders.iter_mut().zip(&mut runs) {
+            buf.sort_by(&mut *cmp);
+            let mut w = StreamWriter::<R>::new(dev);
+            for r in &buf {
+                w.push(r)?;
+            }
+            runs.push(w.finish()?);
+        }
+        buf.clear();
     }
+    drop(buf);
 
-    // Phase 2: merge passes. Consumed runs are temporary files: their
-    // blocks are released as soon as the merged run replaces them.
+    // Phase 2: merge passes, while a reader over the runs would hold
+    // more than a quarter of the budget in blocks.
     let fan_in = config.fan_in(dev.block_size());
-    let mut sorted = Vec::with_capacity(orders.len());
-    for (cmp, mut runs) in orders.iter_mut().zip(runs) {
-        while runs.len() > 1 {
+    let max_runs = (fan_in / 4).max(1);
+    for (cmp, runs) in orders.iter_mut().zip(&mut runs) {
+        while runs.len() > max_runs {
             let mut next: Vec<Stream> = Vec::with_capacity(runs.len().div_ceil(fan_in));
             for group in runs.chunks(fan_in) {
-                next.push(merge_runs(dev, group, cmp)?);
+                next.push(write_merged(dev, group, &mut *cmp)?);
             }
-            for run in runs {
+            // Consumed runs are temporary files: released as soon as the
+            // merged runs replace them.
+            for run in std::mem::replace(runs, next) {
                 run.discard(dev);
             }
-            runs = next;
         }
-        sorted.push(runs.pop().expect("at least one run for non-empty input"));
     }
-    Ok(sorted)
+    Ok(runs)
 }
 
-/// Entry in the merge heap; reversed so `BinaryHeap` pops the minimum.
-struct HeapEntry<R> {
-    record: R,
-    source: usize,
-    seq: u64, // stabilizer: preserves input order among equal keys
-}
-
-fn merge_runs<R, F>(dev: &dyn BlockDevice, runs: &[Stream], cmp: &mut F) -> Result<Stream>
+/// Writes the merge of `runs` (each sorted under `cmp`) out as one
+/// stream and releases the runs' blocks: one read and one write of the
+/// data. A single run is returned as it is, at no I/O.
+pub fn merge_runs<R, F>(dev: &dyn BlockDevice, mut runs: Vec<Stream>, cmp: F) -> Result<Stream>
 where
     R: Record,
     F: FnMut(&R, &R) -> Ordering,
 {
-    let mut readers: Vec<StreamReader<R>> =
-        runs.iter().map(|r| StreamReader::new(dev, r)).collect();
+    if runs.len() == 1 {
+        return Ok(runs.pop().expect("one run"));
+    }
+    let merged = write_merged(dev, &runs, cmp)?;
+    for run in runs {
+        run.discard(dev);
+    }
+    Ok(merged)
+}
+
+fn write_merged<R, F>(dev: &dyn BlockDevice, runs: &[Stream], cmp: F) -> Result<Stream>
+where
+    R: Record,
+    F: FnMut(&R, &R) -> Ordering,
+{
     let mut writer = StreamWriter::<R>::new(dev);
-
-    // BinaryHeap needs Ord; we wrap entries with an index into a scratch
-    // table so the comparator closure can be consulted. Simplest correct
-    // approach without requiring R: Ord — keep the heap of keys ordered by
-    // a total order derived from cmp via explicit comparisons at push time
-    // is impossible; instead run a simple loser-selection over the heads
-    // when fan-in is small, and a heap keyed by an order-preserving
-    // encoded key is impossible for general R. We therefore implement the
-    // heap manually below.
-    let mut heads: Vec<Option<HeapEntry<R>>> = Vec::with_capacity(readers.len());
-    let mut seq = 0u64;
-    for (i, r) in readers.iter_mut().enumerate() {
-        let head = r.next_record()?;
-        heads.push(head.map(|record| {
-            seq += 1;
-            HeapEntry {
-                record,
-                source: i,
-                seq,
-            }
-        }));
-    }
-
-    // A manual binary heap of indices into `heads`, ordered by cmp.
-    let mut heap = ManualHeap::new(heads.len());
-    for i in 0..heads.len() {
-        if heads[i].is_some() {
-            heap.push(i, &heads, cmp);
-        }
-    }
-    while let Some(i) = heap.pop(&heads, cmp) {
-        let entry = heads[i].take().expect("popped index has a head");
-        writer.push(&entry.record)?;
-        if let Some(record) = readers[i].next_record()? {
-            seq += 1;
-            heads[i] = Some(HeapEntry {
-                record,
-                source: i,
-                seq,
-            });
-            heap.push(i, &heads, cmp);
-        }
+    let mut merged = MergeReader::new(dev, runs, cmp);
+    while let Some(r) = merged.next_record()? {
+        writer.push(&r)?;
     }
     writer.finish()
 }
 
-/// Minimal binary min-heap of source indices, ordered by the caller's
-/// comparator applied to the per-source head records (ties broken by
-/// arrival sequence, making the merge stable).
-struct ManualHeap {
-    data: Vec<usize>,
+/// Reads the merge of sorted runs sequentially, one buffered block per
+/// run: the sorted order without writing it out. Equal records come out
+/// in run order, so merging the runs of a stable run formation is
+/// stable. Nothing is read before the first [`MergeReader::next_record`]
+/// and a record's successor only when the next one is asked for, so
+/// over a single run this is a plain [`StreamReader`], and a scan that
+/// stops after `r` records has read at most `⌈r / per_block⌉ + k` blocks
+/// of `k` runs.
+pub struct MergeReader<'d, R: Record, F> {
+    sources: Vec<StreamReader<'d, R>>,
+    /// The next record of every source; `None` once it is exhausted,
+    /// before the first read, and for the source at the top of the heap
+    /// after its head was handed out.
+    heads: Vec<Option<R>>,
+    /// Binary min-heap of the live sources, by head (ties: lower index).
+    heap: Vec<usize>,
+    primed: bool,
+    cmp: F,
 }
 
-impl ManualHeap {
-    fn new(cap: usize) -> Self {
-        ManualHeap {
-            data: Vec::with_capacity(cap),
+impl<'d, R, F> MergeReader<'d, R, F>
+where
+    R: Record,
+    F: FnMut(&R, &R) -> Ordering,
+{
+    /// Opens `runs`, each sorted under `cmp`, for reading in merged
+    /// order on `dev`.
+    pub fn new(dev: &'d dyn BlockDevice, runs: &[Stream], cmp: F) -> Self {
+        MergeReader {
+            sources: runs.iter().map(|r| StreamReader::new(dev, r)).collect(),
+            heads: runs.iter().map(|_| None).collect(),
+            heap: Vec::with_capacity(runs.len()),
+            primed: false,
+            cmp,
         }
     }
 
-    fn less<R, F>(a: &HeapEntry<R>, b: &HeapEntry<R>, cmp: &mut F) -> bool
-    where
-        F: FnMut(&R, &R) -> Ordering,
-    {
-        match cmp(&a.record, &b.record) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => (a.source, a.seq) < (b.source, b.seq),
-        }
-    }
-
-    fn push<R, F>(&mut self, idx: usize, heads: &[Option<HeapEntry<R>>], cmp: &mut F)
-    where
-        F: FnMut(&R, &R) -> Ordering,
-    {
-        self.data.push(idx);
-        let mut i = self.data.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            let (a, b) = (
-                heads[self.data[i]].as_ref().expect("heap index live"),
-                heads[self.data[parent]].as_ref().expect("heap index live"),
-            );
-            if Self::less(a, b, cmp) {
-                self.data.swap(i, parent);
-                i = parent;
-            } else {
-                break;
+    /// Returns the next record of the merged order, or `None` at its end.
+    /// An error ends the scan: the reader must not be read further.
+    pub fn next_record(&mut self) -> Result<Option<R>> {
+        if !self.primed {
+            for (i, source) in self.sources.iter_mut().enumerate() {
+                self.heads[i] = source.next_record()?;
             }
+            self.heap = (0..self.sources.len())
+                .filter(|&i| self.heads[i].is_some())
+                .collect();
+            self.primed = true;
+            for at in (0..self.heap.len() / 2).rev() {
+                self.sift_down(at);
+            }
+        } else if let Some(&top) = self.heap.first() {
+            // Replace the record handed out last time by its successor
+            // (or drop the source) and restore the heap in one descent.
+            self.heads[top] = self.sources[top].next_record()?;
+            if self.heads[top].is_none() {
+                self.heap.swap_remove(0);
+            }
+            self.sift_down(0);
         }
+        Ok(self.heap.first().and_then(|&top| self.heads[top].take()))
     }
 
-    fn pop<R, F>(&mut self, heads: &[Option<HeapEntry<R>>], cmp: &mut F) -> Option<usize>
-    where
-        F: FnMut(&R, &R) -> Ordering,
-    {
-        if self.data.is_empty() {
-            return None;
-        }
-        let top = self.data[0];
-        let last = self.data.pop().expect("nonempty");
-        if !self.data.is_empty() {
-            self.data[0] = last;
-            let mut i = 0;
-            loop {
-                let (l, r) = (2 * i + 1, 2 * i + 2);
-                let mut smallest = i;
-                for c in [l, r] {
-                    if c < self.data.len() {
-                        let a = heads[self.data[c]].as_ref().expect("heap index live");
-                        let b = heads[self.data[smallest]]
-                            .as_ref()
-                            .expect("heap index live");
-                        if Self::less(a, b, cmp) {
-                            smallest = c;
-                        }
-                    }
+    fn less(&mut self, a: usize, b: usize) -> bool {
+        let (ra, rb) = (
+            self.heads[a].as_ref().expect("heap source has a head"),
+            self.heads[b].as_ref().expect("heap source has a head"),
+        );
+        (self.cmp)(ra, rb).then(a.cmp(&b)) == Ordering::Less
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let mut least = at;
+            for kid in [2 * at + 1, 2 * at + 2] {
+                if kid < self.heap.len() && self.less(self.heap[kid], self.heap[least]) {
+                    least = kid;
                 }
-                if smallest == i {
-                    break;
-                }
-                self.data.swap(i, smallest);
-                i = smallest;
             }
+            if least == at {
+                return;
+            }
+            self.heap.swap(at, least);
+            at = least;
         }
-        Some(top)
     }
 }
 
@@ -398,8 +382,10 @@ mod tests {
     #[test]
     fn multi_order_sort_reads_the_input_once_for_run_formation() {
         // Same shape as `io_cost_matches_pass_structure`: 256 blocks, 16
-        // runs, 2 merge passes. Three orders: run formation reads 256 and
-        // writes 3 × 256; the merges read and write 3 × 2 × 256.
+        // runs, fan-in 15. Three orders: run formation reads 256 and
+        // writes 3 × 256; 16 runs are more than fan_in / 4 = 3, so one
+        // merge pass per order (16 → 2 runs) reads and writes 3 × 256,
+        // and the second pass of a full sort is left to the reader.
         let dev = MemDevice::new(64);
         let input: Vec<u32> = (0..4096u32)
             .map(|i| i.wrapping_mul(2654435761) >> 7)
@@ -415,12 +401,18 @@ mod tests {
             external_sort_multi::<u32, _>(&dev, &s, SortConfig::with_memory(1024), &mut orders)
                 .unwrap();
         let stats = dev.io_stats().since(before);
-        assert_eq!(stats.reads, 256 + 3 * 2 * 256);
-        assert_eq!(stats.writes, 3 * 256 + 3 * 2 * 256);
-        for (stream, cmp) in sorted.iter().zip(orders) {
+        assert_eq!(stats.reads, 256 + 3 * 256);
+        assert_eq!(stats.writes, 3 * 256 + 3 * 256);
+        for (runs, cmp) in sorted.iter().zip(orders) {
+            assert_eq!(runs.len(), 2);
             let mut want = input.clone();
             want.sort_by(cmp);
-            assert_eq!(stream.read_all::<u32>(&dev).unwrap(), want);
+            let mut merged = MergeReader::new(&dev, runs, cmp);
+            let mut got = Vec::with_capacity(want.len());
+            while let Some(r) = merged.next_record().unwrap() {
+                got.push(r);
+            }
+            assert_eq!(got, want);
         }
     }
 

@@ -1,8 +1,10 @@
 //! Failure injection: the substrate must fail loudly and precisely, not
 //! corrupt silently.
 
+use pr_em::fault::{Errno, FaultDevice, FaultKind, FaultSchedule, OpClass};
 use pr_em::{
-    external_sort, BlockDevice, EmError, MemDevice, SortConfig, Stream, StreamReader, StreamWriter,
+    external_sort, BlockDevice, EmError, MemDevice, MergeReader, SortConfig, Stream, StreamReader,
+    StreamWriter,
 };
 
 #[test]
@@ -24,6 +26,33 @@ fn sort_surfaces_read_errors() {
     s.discard(&dev);
     let res = external_sort::<u32>(&dev, &s2, SortConfig::with_memory(1024));
     assert!(res.is_err());
+}
+
+#[test]
+fn a_read_error_mid_merge_is_an_error_not_a_short_list() {
+    // Three runs of 10 blocks (16 records each); the 11th block read of
+    // the merged scan fails, well after the three that fill the heads.
+    let mem = MemDevice::new(64);
+    let runs: Vec<Stream> = (0..3u32)
+        .map(|run| Stream::from_iter(&mem, (0..160u32).map(|i| 3 * i + run)).unwrap())
+        .collect();
+    let fail = FaultSchedule::fail_op(1, 10, Some(OpClass::Read), FaultKind::Errno(Errno::Eio));
+    let dev = FaultDevice::new(mem, fail);
+    let mut merged = MergeReader::new(&dev, &runs, |a: &u32, b: &u32| a.cmp(b));
+    let mut got = 0u32;
+    let err = loop {
+        match merged.next_record() {
+            Ok(Some(r)) => {
+                assert_eq!(r, got, "the prefix before the failure is the merged order");
+                got += 1;
+            }
+            Ok(None) => panic!("the scan ended after {got} of 480 records as if complete"),
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(err, EmError::Io(_)), "got {err:?}");
+    assert!(got > 16 && got < 480, "failed after {got} records");
+    assert_eq!(dev.injector().injected_count(), 1);
 }
 
 #[test]

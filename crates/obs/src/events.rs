@@ -241,29 +241,38 @@ mod tests {
 
     #[test]
     fn wraparound_seqs_stay_gap_free_under_concurrent_writers() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         use std::sync::Arc;
         // Capacity far below the write volume: the ring wraps hundreds
         // of times while 4 writers race. Every snapshot must still be
         // a gap-free, strictly increasing seq window, and drops +
         // retained must account for every seq ever assigned.
         let ring = Arc::new(EventRing::new(32));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        // Snapshots checked so far. A writer emits its 2 000 and then
+        // keeps going until the first check is through, so the race the
+        // test is about happens however the threads are scheduled.
+        let checked = Arc::new(AtomicU64::new(0));
         let writers: Vec<_> = (0..4)
             .map(|t| {
                 let ring = Arc::clone(&ring);
+                let checked = Arc::clone(&checked);
                 std::thread::spawn(move || {
-                    for i in 0..2_000 {
+                    let mut i = 0u64;
+                    while i < 2_000 || checked.load(Ordering::Acquire) == 0 {
                         ring.emit("w", format!("t={t} i={i}"));
+                        i += 1;
                     }
+                    i
                 })
             })
             .collect();
         let snapshotter = {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
+            let checked = Arc::clone(&checked);
             std::thread::spawn(move || {
-                let mut checked = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     let log = ring.snapshot();
                     for pair in log.events.windows(2) {
                         assert_eq!(
@@ -278,21 +287,18 @@ mod tests {
                             "dropped count must equal the seqs no longer retained"
                         );
                     }
-                    checked += 1;
+                    checked.fetch_add(1, Ordering::Release);
                 }
-                checked
             })
         };
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let checked = snapshotter.join().unwrap();
-        assert!(checked > 0, "snapshotter must have raced the writers");
+        let emitted: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        stop.store(true, Ordering::Relaxed);
+        snapshotter.join().unwrap();
+        assert!(emitted >= 8_000);
         let log = ring.snapshot();
         assert_eq!(log.events.len(), 32);
-        assert_eq!(log.dropped, 8_000 - 32);
-        assert_eq!(log.events.last().unwrap().seq, 7_999);
+        assert_eq!(log.dropped, emitted - 32);
+        assert_eq!(log.events.last().unwrap().seq, emitted - 1);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! page writes — goes through the `pr-em` substrate and is counted.
 //!
 //! The Hilbert loaders here are the cheap end of the spectrum: one
-//! key-tagging scan, one external sort, then a single packing scan per
-//! level (the paper: "H is simple to bulk-load").
+//! key-tagging scan, one external sort whose final merge feeds the leaf
+//! packing directly, then a single packing scan per upper level (the
+//! paper: "H is simple to bulk-load").
 
 use crate::bulk::hilbert::HilbertLoader;
 use crate::entry::{Entry, KeyedEntry};
@@ -17,12 +18,26 @@ use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::page_ptr;
 use pr_em::{
-    external_sort_by, BlockDevice, EmError, SortConfig, Stream, StreamReader, StreamWriter,
+    external_sort_multi, BlockDevice, EmError, MergeReader, SortConfig, Stream, StreamReader,
+    StreamWriter,
 };
 use pr_geom::Rect;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Memory budget for external construction (the model's `M`).
+///
+/// It is what the loaders size their state by: a sort's run formation
+/// holds `memory_bytes` of records, its merges and a
+/// [`pr_em::MergeReader`] over its runs one block per run (at most
+/// `memory_bytes / 4` for a reader), and a round of
+/// [`crate::bulk::pr_external`] its partial kd-tree, writer blocks and
+/// reader blocks within `memory_bytes` together. The process heap peaks
+/// higher, at 2.50 × `memory_bytes` for `PrExternalLoader`
+/// (`tests/build_alloc.rs` prints it): run formation holds a load of
+/// decoded records, larger in memory than on disk, next to the stable
+/// sort's scratch. Reading the sorted lists off their runs did not move
+/// that figure.
 #[derive(Debug, Clone, Copy)]
 pub struct ExternalConfig {
     /// Main-memory budget in bytes.
@@ -138,8 +153,10 @@ pub fn pack_upper_levels_stream<const D: usize>(
 /// External packed Hilbert bulk loading ("H" with `corners = false`,
 /// "H4" with `corners = true`).
 ///
-/// Passes: domain scan → key-tagging scan → external sort of keyed
-/// records → leaf packing scan → one packing scan per upper level.
+/// Passes: domain scan → key-tagging scan → run formation over the
+/// keyed records (and merge passes only past `fan_in / 4` runs) → leaf
+/// packing scan over the merge of the runs → one packing scan per upper
+/// level. The sorted keyed file is never written.
 pub fn load_hilbert_external<const D: usize>(
     dev: Arc<dyn BlockDevice>,
     params: TreeParams,
@@ -172,18 +189,20 @@ pub fn load_hilbert_external<const D: usize>(
         writer.finish()?
     };
 
-    // Sort by (key, id) — the I/O-dominant step.
-    let sorted =
-        external_sort_by::<KeyedEntry<D>, _>(dev.as_ref(), &keyed, config.sort(), |a, b| {
-            a.key
-                .cmp(&b.key)
-                .then_with(|| a.entry.ptr.cmp(&b.entry.ptr))
-        })?;
+    // Sort by (key, id) — the I/O-dominant step — down to a few runs.
+    let by_key = |a: &KeyedEntry<D>, b: &KeyedEntry<D>| -> Ordering {
+        a.key
+            .cmp(&b.key)
+            .then_with(|| a.entry.ptr.cmp(&b.entry.ptr))
+    };
+    let runs = external_sort_multi(dev.as_ref(), &keyed, config.sort(), &mut [by_key])?
+        .pop()
+        .expect("one order in, one set of runs out");
     keyed.discard(dev.as_ref());
 
-    // Strip keys while packing leaves.
+    // Strip keys while packing leaves, straight off the merge of the runs.
     let parents = {
-        let mut reader = StreamReader::<KeyedEntry<D>>::new(dev.as_ref(), &sorted);
+        let mut reader = MergeReader::new(dev.as_ref(), &runs, by_key);
         let mut parent_writer = StreamWriter::<Entry<D>>::new(dev.as_ref());
         let mut group: Vec<Entry<D>> = Vec::with_capacity(params.leaf_cap);
         loop {
@@ -202,7 +221,9 @@ pub fn load_hilbert_external<const D: usize>(
         }
         parent_writer.finish()?
     };
-    sorted.discard(dev.as_ref());
+    for run in runs {
+        run.discard(dev.as_ref());
+    }
 
     pack_upper_levels_stream(dev, params, parents, 0, len)
 }

@@ -5,9 +5,12 @@
 //! A stage that fits the memory budget is read into one buffer and
 //! grouped in place by [`crate::bulk::kd_split`], like a stage of
 //! [`crate::bulk::pr`]. A larger one is sorted into `2D` lists, one per
-//! mapped axis, most extreme entry first (one read of the input forms the
-//! runs of all `2D` orders), and then built in **rounds**. A round builds
-//! `Θ(log M)` kd levels at once over its share of the lists:
+//! mapped axis, most extreme entry first, and then built in **rounds**.
+//! The lists are only ever read front to back, so the stage's own are
+//! never written out: one read of the input forms the runs of all `2D`
+//! orders, and a list *is* its few sorted runs, read through their merge
+//! ([`pr_em::MergeReader`]). A round builds `Θ(log M)` kd levels at once
+//! over its share of the lists:
 //!
 //! 1. **Resolve.** The top of the kd-tree is kept in memory: per node its
 //!    entry count, kd axis, priority leaves and split threshold, plus one
@@ -30,23 +33,32 @@
 //!    then its subtrees.
 //!
 //! I/O, in passes over a stage input of `N/B` blocks with `D = 2`: the
-//! sorts cost 13 (run formation 1 read + 4 writes, one merge pass 4 + 4);
-//! the scans of one depth at most `2D + 1`, but early termination keeps
-//! four levels at about 8 in all (measured, 500 k rectangles under a
-//! 2 MiB budget); distribution 2 when every frontier child fits in
-//! memory, up to `4D` when none does; reading the children back and
-//! writing the leaf pages 2.
+//! sorts cost 5 (run formation, 1 read + 4 writes; the runs are merged
+//! on disk only while there are more than a quarter of the sort's
+//! fan-in, which at the paper's `N/M ≈ 9` is never); the scans of one
+//! depth at most `2D + 1`, each a merge of the runs that reads the
+//! prefix a scan of the written list would plus at most a block per
+//! run, and early termination keeps four levels at about 8 in all
+//! (measured, 500 k rectangles under a 2 MiB budget); distribution 2
+//! when every frontier child fits in memory, up to `4D` when none does;
+//! reading the children back and writing the leaf pages 2. About 17 in
+//! all, where writing the four lists out and reading them back made it
+//! 25.
 //!
 //! Memory: while a round resolves and distributes it holds one writer
 //! block per frontier child, `2D` priority leaves and as many taken ids
 //! per resolved node, and one reader block; the number of nodes resolved
 //! is bounded so that this sum stays within
-//! [`ExternalConfig::memory_bytes`]. Before distributing, the leaves are
-//! spilled to one temporary stream in emission order and read back
-//! through a single block, so a frontier child finished in memory has
-//! the whole budget again: its entries in one buffer (40 B in memory for
-//! 36 B on disk in 2-D), permuted in place, plus one range per leaf and
-//! one page being encoded.
+//! [`ExternalConfig::memory_bytes`]. A scan of the stage's lists holds
+//! one block per run, `k` of them (at most a quarter of the budget), so
+//! the stage's first round resolves within the budget less those `k − 1`
+//! extra blocks; the lists a round distributes to its children are one
+//! run each. Before distributing, the leaves are spilled to one
+//! temporary stream in emission order and read back through a single
+//! block, so a frontier child finished in memory has the whole budget
+//! again: its entries in one buffer (40 B in memory for 36 B on disk in
+//! 2-D), permuted in place, plus one range per leaf and one page being
+//! encoded.
 //!
 //! The output does not depend on the budget's pass structure: priority
 //! leaves and medians are selections over the same sorted orders, the
@@ -65,7 +77,8 @@ use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::LevelWriter;
 use pr_em::{
-    external_sort_multi, BlockDevice, EmError, Record, Stream, StreamReader, StreamWriter,
+    external_sort_multi, BlockDevice, EmError, MergeReader, Record, Stream, StreamReader,
+    StreamWriter,
 };
 use pr_geom::mapped::{cmp_extreme_on_axis, cmp_items_on_axis};
 use pr_geom::Axis;
@@ -147,18 +160,38 @@ impl PrExternalLoader {
             return stage.parents.finish();
         }
 
-        // 2D extremeness-sorted lists of the whole stage input.
-        let mut orders: Vec<_> = Axis::all::<D>()
-            .map(|axis| {
-                move |a: &Entry<D>, b: &Entry<D>| {
-                    cmp_extreme_on_axis(axis, &a.to_item(), &b.to_item())
-                }
-            })
-            .collect();
+        // 2D extremeness-sorted lists of the whole stage input, left as
+        // the sort's runs. `round_bytes` counts one reader block; a scan
+        // of these lists holds one per run.
+        let mut orders: Vec<_> = Axis::all::<D>().map(extreme_first::<D>).collect();
         let lists = external_sort_multi(dev, input, self.config.sort(), &mut orders)?;
-        stage.round(lists, input.len(), Axis(0), self.config.memory_bytes)?;
+        let extra_blocks = lists[0].len() - 1;
+        let budget = self.config.memory_bytes - extra_blocks * dev.block_size();
+        stage.round(lists, input.len(), Axis(0), budget)?;
         stage.parents.finish()
     }
+}
+
+/// A sorted list: the sorted runs whose merge it is. The stage's lists
+/// are the runs of the sort; the ones a round distributes are one run
+/// each.
+type List = Vec<Stream>;
+
+/// The order of list `axis`: most extreme entry on that axis first.
+fn extreme_first<const D: usize>(
+    axis: Axis,
+) -> impl FnMut(&Entry<D>, &Entry<D>) -> Ordering + Copy {
+    move |a, b| cmp_extreme_on_axis(axis, &a.to_item(), &b.to_item())
+}
+
+/// Opens list `a` for one front-to-back scan: a merge of its runs, a
+/// plain stream read when there is one.
+fn scan<'d, const D: usize>(
+    dev: &'d dyn BlockDevice,
+    lists: &[List],
+    a: usize,
+) -> MergeReader<'d, Entry<D>, impl FnMut(&Entry<D>, &Entry<D>) -> Ordering> {
+    MergeReader::new(dev, &lists[a], extreme_first::<D>(Axis(a)))
 }
 
 /// What one stage's rounds share.
@@ -188,7 +221,7 @@ struct Node<const D: usize> {
     kids: Kids<D>,
     /// Frontier only, after distribution: the node's share of the
     /// lists — all `2D` if it is still external, else `lists[0]` alone.
-    lists: Vec<Stream>,
+    lists: Vec<List>,
 }
 
 enum Kids<const D: usize> {
@@ -287,7 +320,7 @@ impl<const D: usize> Stage<'_, D> {
     /// round-robin at `axis`) holding at most `budget` bytes of state.
     fn round(
         &mut self,
-        lists: Vec<Stream>,
+        lists: Vec<List>,
         count: u64,
         axis: Axis,
         budget: usize,
@@ -318,7 +351,7 @@ impl<const D: usize> Stage<'_, D> {
             for &len in &node.leaf_lens {
                 leaf.clear();
                 for _ in 0..len {
-                    leaf.push(leaves.next_record()?.ok_or_else(|| short(&spill))?);
+                    leaf.push(leaves.next_record()?.ok_or_else(|| short(spill.len()))?);
                 }
                 self.write_group(&leaf)?;
             }
@@ -327,7 +360,7 @@ impl<const D: usize> Stage<'_, D> {
                 if self.is_external(count) {
                     self.round(lists, count, axis, nested_budget)?;
                 } else {
-                    self.finish_in_memory(&lists[0], axis)?;
+                    self.finish_in_memory(&lists[0][0], axis)?;
                     discard_all(dev, lists);
                 }
             }
@@ -341,7 +374,7 @@ impl<const D: usize> Stage<'_, D> {
     /// memory or `budget` is used up.
     fn resolve(
         &self,
-        lists: &[Stream],
+        lists: &[List],
         count: u64,
         axis: Axis,
         budget: usize,
@@ -355,8 +388,8 @@ impl<const D: usize> Stage<'_, D> {
         let mut open = vec![round.push(count, axis)];
         let (mut resolved, mut frontier) = (0, 1);
         while !open.is_empty() {
-            for list in lists {
-                self.fill_priority_leaves(&mut round, &open, list)?;
+            for a in 0..lists.len() {
+                self.fill_priority_leaves(&mut round, &open, lists, a)?;
             }
             let kids = self.split(&mut round, &open, lists)?;
             resolved += open.len();
@@ -379,8 +412,8 @@ impl<const D: usize> Stage<'_, D> {
 
     /// Step 2: every frontier child gets its part of `lists[0]`, the
     /// still-external ones of the other lists too (in `Node::lists`).
-    fn distribute(&self, round: &mut Round<D>, lists: &[Stream]) -> Result<(), EmError> {
-        for (a, list) in lists.iter().enumerate() {
+    fn distribute(&self, round: &mut Round<D>, lists: &[List]) -> Result<(), EmError> {
+        for a in 0..lists.len() {
             let mut writers: Vec<Option<StreamWriter<Entry<D>>>> = Vec::new();
             let mut todo = 0;
             for node in &round.nodes {
@@ -392,9 +425,11 @@ impl<const D: usize> Stage<'_, D> {
             if todo == 0 {
                 continue;
             }
-            let mut reader = StreamReader::<Entry<D>>::new(self.dev, list);
+            let mut reader = scan(self.dev, lists, a);
             while todo > 0 {
-                let e = reader.next_record()?.ok_or_else(|| short(list))?;
+                let e = reader
+                    .next_record()?
+                    .ok_or_else(|| short(round.nodes[0].count))?;
                 if let Some(w) = round.route(&e).and_then(|n| writers[n].as_mut()) {
                     w.push(&e)?;
                     todo -= 1;
@@ -402,21 +437,22 @@ impl<const D: usize> Stage<'_, D> {
             }
             for (node, w) in round.nodes.iter_mut().zip(writers) {
                 if let Some(w) = w {
-                    node.lists.push(w.finish()?);
+                    node.lists.push(vec![w.finish()?]);
                 }
             }
         }
         Ok(())
     }
 
-    /// One scan of `list`, most extreme entry first: the next priority
-    /// leaf of every node in `open` that has entries left to give. Stops
-    /// at the record that completes the last of them.
+    /// One scan of `lists[a]`, most extreme entry first: the next
+    /// priority leaf of every node in `open` that has entries left to
+    /// give. Stops at the record that completes the last of them.
     fn fill_priority_leaves(
         &self,
         round: &mut Round<D>,
         open: &[usize],
-        list: &Stream,
+        lists: &[List],
+        a: usize,
     ) -> Result<(), EmError> {
         let mut filling = vec![false; round.nodes.len()];
         let mut need = 0;
@@ -428,9 +464,11 @@ impl<const D: usize> Stage<'_, D> {
                 need += 1;
             }
         }
-        let mut reader = StreamReader::<Entry<D>>::new(self.dev, list);
+        let mut reader = scan(self.dev, lists, a);
         while need > 0 {
-            let e = reader.next_record()?.ok_or_else(|| short(list))?;
+            let e = reader
+                .next_record()?
+                .ok_or_else(|| short(round.nodes[0].count))?;
             let Some(n) = round.route(&e).filter(|&n| filling[n]) else {
                 continue;
             };
@@ -455,7 +493,7 @@ impl<const D: usize> Stage<'_, D> {
         &self,
         round: &mut Round<D>,
         open: &[usize],
-        lists: &[Stream],
+        lists: &[List],
     ) -> Result<Vec<usize>, EmError> {
         let axis = round.nodes[open[0]].axis;
         // The in-memory split puts the `mid` strictly-smaller entries
@@ -486,10 +524,11 @@ impl<const D: usize> Stage<'_, D> {
                 need += 1;
             }
         }
-        let list = &lists[axis.0];
-        let mut reader = StreamReader::<Entry<D>>::new(self.dev, list);
+        let mut reader = scan(self.dev, lists, axis.0);
         while need > 0 {
-            let e = reader.next_record()?.ok_or_else(|| short(list))?;
+            let e = reader
+                .next_record()?
+                .ok_or_else(|| short(round.nodes[0].count))?;
             let Some(median) = round.route(&e).and_then(|n| medians[n].as_mut()) else {
                 continue;
             };
@@ -543,17 +582,17 @@ impl<const D: usize> Stage<'_, D> {
     }
 }
 
-fn discard_all(dev: &dyn BlockDevice, lists: Vec<Stream>) {
-    for l in lists {
-        l.discard(dev);
+fn discard_all(dev: &dyn BlockDevice, lists: Vec<List>) {
+    for run in lists.into_iter().flatten() {
+        run.discard(dev);
     }
 }
 
-/// A stream ran out before the entries its length promised.
-fn short(stream: &Stream) -> EmError {
+/// A list ran out before the `entries` its length promised (a round's
+/// lists all hold its root's count).
+fn short(entries: u64) -> EmError {
     EmError::Corrupt(format!(
-        "a {}-entry list of the external PR build ended early",
-        stream.len()
+        "a {entries}-entry list of the external PR build ended early"
     ))
 }
 

@@ -19,9 +19,12 @@ use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::page_ptr;
-use pr_em::{external_sort_by, BlockDevice, EmError, Record, Stream, StreamReader, StreamWriter};
+use pr_em::{
+    external_sort_multi, merge_runs, BlockDevice, EmError, Record, Stream, StreamReader,
+    StreamWriter,
+};
 use pr_geom::mapped::cmp_items_on_axis;
-use pr_geom::{Axis, Item, Rect};
+use pr_geom::{Axis, Rect};
 use std::sync::Arc;
 
 /// A subset mid-partition: its `2D` sorted lists and its size.
@@ -67,16 +70,22 @@ impl TgsExternalLoader {
             root_level += 1;
         }
 
-        // One sorted list per ordering, ascending by (coordinate, id).
-        let mut lists = Vec::with_capacity(2 * D);
-        for axis in Axis::all::<D>() {
-            lists.push(external_sort_by::<Entry<D>, _>(
-                dev.as_ref(),
-                input,
-                self.config.sort(),
-                move |a, b| cmp_items_on_axis(axis, &as_item(a), &as_item(b)),
-            )?);
-        }
+        // One sorted list per ordering, ascending by (coordinate, id):
+        // one read of the input forms the runs of all `2D`, and every
+        // list is written out, since each binary partition rescans it.
+        let mut orders: Vec<_> = Axis::all::<D>()
+            .map(|axis| {
+                move |a: &Entry<D>, b: &Entry<D>| {
+                    cmp_items_on_axis(axis, &a.to_item(), &b.to_item())
+                }
+            })
+            .collect();
+        let runs = external_sort_multi(dev.as_ref(), input, self.config.sort(), &mut orders)?;
+        let lists = runs
+            .into_iter()
+            .zip(orders)
+            .map(|(runs, order)| merge_runs(dev.as_ref(), runs, order))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let root_entry = self.build::<D>(dev.as_ref(), &params, lists, len, root_level)?;
         Ok(RTree::attach(
@@ -206,7 +215,7 @@ impl TgsExternalLoader {
             let mut lw = StreamWriter::<Entry<D>>::new(dev);
             let mut rw = StreamWriter::<Entry<D>>::new(dev);
             while let Some(e) = reader.next_record()? {
-                if cmp_items_on_axis(axis, &as_item(&e), &as_item(&threshold))
+                if cmp_items_on_axis(axis, &e.to_item(), &threshold.to_item())
                     != std::cmp::Ordering::Greater
                 {
                     lw.push(&e)?;
@@ -230,13 +239,6 @@ fn subtree_capacity(params: &TreeParams, level: u8) -> usize {
     cap
 }
 
-fn as_item<const D: usize>(e: &Entry<D>) -> Item<D> {
-    Item {
-        rect: e.rect,
-        id: e.ptr,
-    }
-}
-
 fn discard_all(dev: &dyn BlockDevice, lists: Vec<Stream>) {
     for l in lists {
         l.discard(dev);
@@ -249,6 +251,7 @@ mod tests {
     use crate::bulk::tgs::TgsLoader;
     use crate::bulk::BulkLoader;
     use pr_em::MemDevice;
+    use pr_geom::Item;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

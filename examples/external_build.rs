@@ -3,11 +3,14 @@
 //! Reproduces the flavor of the paper's Figure 9 in miniature: build the
 //! same dataset with the external H, H4, PR and TGS algorithms under a
 //! TPIE-style memory budget and report how many 4KB blocks each one
-//! moved. PR comes out at about 2.2 × H (the paper: ≈ 2.5 ×): its
-//! loader sorts four lists, then builds several kd levels per round from
-//! read-only scans of them and distributes the data once (see
-//! `pr_tree::bulk::pr_external`). Also demonstrates that the same code
-//! runs against a real file on disk via `FileDevice`.
+//! moved. PR comes out at about 2.0 × H (the paper: ≈ 2.5 ×): its
+//! loader forms the runs of four sorted lists from one read of the
+//! input, builds several kd levels per round from read-only scans over
+//! the merge of those runs — the lists themselves are never written —
+//! and distributes the data once (see `pr_tree::bulk::pr_external`). H
+//! likewise packs its leaves straight off its sorted runs. Also
+//! demonstrates that the same code runs against a real file on disk via
+//! `FileDevice`.
 //!
 //! ```text
 //! cargo run --release --example external_build

@@ -88,7 +88,10 @@ fn external_loaders_build_the_same_trees_as_in_memory() {
 #[test]
 fn construction_io_ordering_matches_figure_9() {
     // The paper's Figure 9: H < PR < TGS in block transfers, with PR at
-    // about 2.5 × H, under a paper-like N/M ≈ 9 budget.
+    // about 2.5 × H, under a paper-like N/M ≈ 9 budget. Measured here:
+    // H 3 691, PR 6 339 (1.72 × H; 2.26 × while PR wrote its sorted
+    // lists out), TGS 44 133 (6.96 × PR). H's keyed records make 12 runs
+    // against a bound of 9, so its sort still merges them.
     let n = 20_000u32;
     let items = uniform_points(n, 33);
     let params = TreeParams::with_cap::<2>(64);
@@ -134,9 +137,11 @@ fn construction_io_ordering_matches_figure_9() {
 fn pr_external_io_is_a_constant_number_of_passes() {
     // N/M ≈ 9, as in the paper's runs, and M/B = 270 blocks, so that
     // one round holds the 15 kd nodes above the 16 memory-sized
-    // children: the sorts are 13 passes over the input, the round's
-    // read scans, its single distribution and the leaf writes 12 more.
-    // (Distributing once per kd level cost 52 passes here.)
+    // children: the sorts are 5 passes over the input (one read, four
+    // sets of nine runs written, never merged), the round's read scans
+    // off those runs, its single distribution and the leaf writes 12
+    // more: 17.29 measured. (With the lists merged and written out it
+    // was 25.24; distributing once per kd level cost 52 passes here.)
     let n = 40_000u32;
     let items = uniform_points(n, 77);
     let params = TreeParams::with_cap::<2>(16);
@@ -151,7 +156,7 @@ fn pr_external_io_is_a_constant_number_of_passes() {
     let blocks = input.num_blocks() as u64;
     assert_eq!(tree.len(), n as u64);
     assert!(
-        total <= 30 * blocks,
+        total <= 18 * blocks,
         "{total} I/Os for a {blocks}-block input is {} passes",
         total / blocks
     );
