@@ -52,7 +52,7 @@ use parking_lot::{Mutex, RwLock};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store};
 use pr_tree::dynamic::{same_identity, GeometricPolicy, Tombstones};
-use pr_tree::{QueryScratch, QueryStats, RTree, TreeParams};
+use pr_tree::{KnnSearch, QueryScratch, QueryStats, RTree, TreeParams};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -1654,17 +1654,17 @@ impl<const D: usize> LiveSnapshot<D> {
         Ok(out)
     }
 
-    /// k-nearest-neighbors with caller-owned buffers: each component
-    /// answers through the decode-free best-first engine with the
-    /// query's shared tombstone filter applied **inside the loop**
-    /// ([`RTree::nearest_neighbors_filtered_into`]), so every component
-    /// yields its `k` nearest *live* items directly — no over-fetch by
-    /// the outstanding tombstone count, no degradation toward a
-    /// component scan as tombstones approach the compaction trigger.
-    /// The lists are merged with the memtable/sealed scans and the
-    /// global top `k` kept; one filter spans sealed batch + every
-    /// component, keeping the multiset subtraction exact (see
-    /// `LprTree::nearest_neighbors_into` for the argument).
+    /// k-nearest-neighbors with caller-owned buffers: one
+    /// [`KnnSearch`] over the whole snapshot. The memtable copy and the
+    /// (tombstone-filtered) sealed batch are offered first — squared
+    /// distances, no sort — so the k-th-distance bound is tight before
+    /// the first page is touched; the components are then searched
+    /// best-first as one forest under that bound. One
+    /// [`TombstoneFilter`](pr_tree::dynamic::TombstoneFilter) spans the
+    /// sealed batch and every component and is asked only about items
+    /// that would otherwise be kept, which keeps the multiset
+    /// subtraction exact (see `pr_tree::knn` for the argument) and costs
+    /// no over-fetch as tombstones approach the compaction trigger.
     pub fn nearest_neighbors_into(
         &self,
         query: &Point<D>,
@@ -1672,38 +1672,21 @@ impl<const D: usize> LiveSnapshot<D> {
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<(Item<D>, f64)>,
     ) -> Result<QueryStats, LiveError> {
-        out.clear();
-        let mut stats = QueryStats::default();
-        if k == 0 {
-            return Ok(stats);
-        }
         let t0 = std::time::Instant::now();
-        let mut merged: Vec<(Item<D>, f64)> = self
-            .memtable
-            .iter()
-            .map(|i| (*i, i.rect.min_dist2(query).sqrt()))
-            .collect();
+        let mut search = KnnSearch::new(query, k, scratch);
+        for item in &self.memtable {
+            search.offer(item, |_| true);
+        }
         let mut filter = self.tombstones.filter();
-        if let Some(sealed) = &self.sealed {
-            merged.extend(
-                sealed
-                    .iter()
-                    .filter(|i| filter.admit(i))
-                    .map(|i| (*i, i.rect.min_dist2(query).sqrt())),
-            );
+        for item in self.sealed.iter().flat_map(|s| s.iter()) {
+            search.offer(item, |i| filter.admit(i));
         }
-        let mut tmp = Vec::new();
-        for c in &self.components {
-            let s = c.nearest_neighbors_filtered_into(query, k, scratch, &mut tmp, |it| {
-                filter.admit(it)
-            })?;
-            stats.absorb_traversal(&s);
-            merged.append(&mut tmp);
-        }
-        merged.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
-        merged.truncate(k);
-        out.extend(merged);
-        stats.results = out.len() as u64;
+        let stats = search.run(
+            self.components.len(),
+            |c| Some(&*self.components[c]),
+            |i| filter.admit(i),
+            out,
+        )?;
         crate::obs::metrics()
             .knn_query_us
             .record_duration_us(t0.elapsed());

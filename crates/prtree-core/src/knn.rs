@@ -1,52 +1,284 @@
-//! k-nearest-neighbor queries.
+//! k-nearest-neighbor queries: one bounded best-first search over a
+//! forest.
 //!
 //! Not part of the paper's evaluation (which is window queries only),
 //! but §1.1 notes that "many types of queries can be answered
 //! efficiently using an R-tree" — and any production spatial index needs
-//! k-NN. This is the classic best-first branch-and-bound search
-//! (Hjaltason–Samet): a priority queue over nodes and items keyed by
-//! minimum distance to the query point; items popped in distance order
-//! are exact nearest neighbors. It runs on *any* tree the bulk loaders
-//! produce, so PR-tree robustness extends to k-NN workloads for free.
+//! k-NN. It runs on *any* tree the bulk loaders produce, so PR-tree
+//! robustness extends to k-NN workloads for free.
+//!
+//! **The forest.** The paper's LPR-tree (§4) answers a query from
+//! O(log N) components plus an in-memory buffer, so the unit of search
+//! here is not a tree but a set of them. [`KnnSearch`] keeps a min-heap
+//! of `(dist², tree, page)` nodes seeded with every tree's root and
+//! pops them nearest first — the classic best-first branch-and-bound
+//! of Hjaltason–Samet, over all trees at once.
+//! [`RTree::nearest_neighbors_into`] is the forest of one.
+//!
+//! **The bound.** Beside the node heap sits a max-heap of the `k` best
+//! *admitted* items so far; once it holds `k`, its top is the pruning
+//! bound. Items held outside any tree (a memtable, a sealed batch) are
+//! [offered](KnnSearch::offer) to it first, so the bound is tight before
+//! the first page is touched. A child or leaf item is considered only
+//! if the set is not full or its `dist²` is **strictly** below the
+//! bound, and the search stops at the first popped page that fails the
+//! same test: a page is never read to settle a tie. Work follows the
+//! `k` answers reported, not `k` candidates per component.
+//!
+//! **The contract.** The reported distances are exactly the `k`
+//! smallest among admitted (live) items — fewer only when fewer exist —
+//! in `(dist, id)` order. Which of several items tied *at the k-th
+//! distance* is reported is deterministic but unspecified. `admit` is
+//! asked only about items that would otherwise be kept, and about each
+//! stored copy at most once; a multiset
+//! [`TombstoneFilter`](crate::dynamic::tombstone::TombstoneFilter)
+//! passed as `admit` therefore stays exact: aliased copies are
+//! bit-identical and equidistant, so a copy that is never asked about
+//! is one the bound had already excluded together with its twins.
+//! Distances are squared throughout (the batched kernel's output); the
+//! square root is taken once per reported item.
 
-use crate::cache::CacheTally;
+use crate::cache::{CacheTally, FrozenMap};
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
 use crate::tree::RTree;
 use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Point};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// Priority-queue element: a node or an item at its min distance.
-pub(crate) enum Candidate<const D: usize> {
-    Node(BlockId),
-    Item(Item<D>),
-}
-
-/// Heap entry of the best-first search; lives in
-/// [`QueryScratch`] so the candidate heap is reusable. Distances are
-/// squared (the batched kernel's output); the square root is taken only
-/// when an item is reported.
-pub(crate) struct Prioritized<const D: usize> {
+/// A heap entry ordered by its squared distance **alone**. Equal
+/// distances compare equal, so a push never sifts past a tie and ties
+/// pop in `BinaryHeap`'s own order — deterministic for a given push
+/// sequence, which the scalar reference reproduces push for push. (On
+/// road-like data a query point sits inside many MBRs at distance 0; a
+/// total order on `(dist², tree, page)` made every such push climb
+/// through its ties and measured ≈ 20 % slower per query.)
+pub(crate) struct AtDist2<T> {
     pub(crate) dist2: f64,
-    pub(crate) candidate: Candidate<D>,
+    pub(crate) what: T,
 }
 
-impl<const D: usize> PartialEq for Prioritized<D> {
+impl<T> PartialEq for AtDist2<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.dist2 == other.dist2
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<const D: usize> Eq for Prioritized<D> {}
-impl<const D: usize> PartialOrd for Prioritized<D> {
+impl<T> Eq for AtDist2<T> {}
+impl<T> PartialOrd for AtDist2<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<const D: usize> Ord for Prioritized<D> {
+impl<T> Ord for AtDist2<T> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the closest first.
-        other.dist2.total_cmp(&self.dist2)
+        self.dist2.total_cmp(&other.dist2)
+    }
+}
+
+/// A page still to open — `(tree, page)` at the min distance of its
+/// MBR; `Reverse` because `BinaryHeap` is a max-heap and the nearest
+/// page goes first.
+pub(crate) type PendingNode = Reverse<AtDist2<(usize, BlockId)>>;
+
+/// The `k` best admitted items so far: a max-heap capped at `k` whose
+/// top, once full, is the search's pruning bound. Grows by pushes only,
+/// so `k = usize::MAX` reserves nothing.
+pub(crate) struct KBest<const D: usize> {
+    k: usize,
+    heap: BinaryHeap<AtDist2<Item<D>>>,
+}
+
+impl<const D: usize> KBest<D> {
+    pub(crate) fn new(k: usize) -> Self {
+        KBest {
+            k,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn reset(&mut self, k: usize) {
+        self.k = k;
+        self.heap.clear();
+    }
+
+    /// True when something at `dist2` can still enter the result: the
+    /// set is not full, or `dist2` is strictly below the k-th best.
+    #[inline]
+    pub(crate) fn admits(&self, dist2: f64) -> bool {
+        self.heap.len() < self.k || self.heap.peek().is_some_and(|worst| dist2 < worst.dist2)
+    }
+
+    /// Keeps `item`, evicting the current worst when full. Call only
+    /// after [`KBest::admits`] said yes.
+    pub(crate) fn insert(&mut self, dist2: f64, item: Item<D>) {
+        let kept = AtDist2 { dist2, what: item };
+        if self.heap.len() < self.k {
+            self.heap.push(kept);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            *worst = kept; // sifts down when the guard drops
+        }
+    }
+
+    /// Empties the set into `out` (cleared first) in `(dist, id)` order.
+    pub(crate) fn drain_sorted_into(&mut self, out: &mut Vec<(Item<D>, f64)>) {
+        out.clear();
+        out.extend(self.heap.drain().map(|w| (w.what, w.dist2.sqrt())));
+        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
+    }
+}
+
+/// Per-tree state of one search: the tree's cache accounting and its
+/// one-time frozen snapshot, flushed/dropped once (see query.rs).
+#[derive(Default)]
+pub(crate) struct TreeVisit<const D: usize> {
+    tally: CacheTally,
+    frozen: Option<FrozenMap<D>>,
+}
+
+/// One k-NN query in progress over a forest of trees plus any items the
+/// caller holds outside them (see the module docs for the search and
+/// its contract). Every buffer lives in the [`QueryScratch`], so a
+/// warmed scratch makes the whole query allocation-free.
+pub struct KnnSearch<'a, const D: usize> {
+    query: &'a Point<D>,
+    scratch: &'a mut QueryScratch<D>,
+}
+
+impl<'a, const D: usize> KnnSearch<'a, D> {
+    /// Starts a search for the `k` items nearest to `query`.
+    pub fn new(query: &'a Point<D>, k: usize, scratch: &'a mut QueryScratch<D>) -> Self {
+        // Same tracing contract as `window_traverse`: one relaxed load
+        // when disabled, per-level tallies + per-I/O spans when sampled.
+        // One trace per search, however many trees it spans.
+        scratch.trace.arm_sampled("knn");
+        scratch.nodes.clear();
+        scratch.best.reset(k);
+        KnnSearch { query, scratch }
+    }
+
+    /// Offers an item stored outside any tree (an insert buffer, a
+    /// sealed batch). `admit` is consulted only if the item would be
+    /// kept.
+    pub fn offer(&mut self, item: &Item<D>, admit: impl FnOnce(&Item<D>) -> bool) {
+        let dist2 = item.rect.min_dist2(self.query);
+        let best = &mut self.scratch.best;
+        if best.admits(dist2) && admit(item) {
+            best.insert(dist2, *item);
+        }
+    }
+
+    /// Runs the best-first search over trees `0..trees` (`tree_at` may
+    /// return `None` for an empty slot) and writes the result to `out`
+    /// (cleared first), nearest first. Per-node distances come from the
+    /// vectorized [`pr_geom::batch::min_dist2_batch`] kernel, which is
+    /// bit-identical to the scalar `Rect::min_dist2`.
+    pub fn run<'t>(
+        self,
+        trees: usize,
+        tree_at: impl Fn(usize) -> Option<&'t RTree<D>>,
+        mut admit: impl FnMut(&Item<D>) -> bool,
+        out: &mut Vec<(Item<D>, f64)>,
+    ) -> Result<QueryStats, EmError> {
+        let query = self.query;
+        let QueryScratch {
+            page_buf,
+            soa,
+            dist,
+            nodes,
+            best,
+            forest,
+            trace,
+            ..
+        } = self.scratch;
+        let mut stats = QueryStats::default();
+        let tracing = trace.is_active();
+        let traverse = trace.begin("tree", "best_first");
+        forest.resize_with(trees, TreeVisit::default);
+        for (tree, visit) in forest.iter_mut().enumerate() {
+            if let Some(t) = tree_at(tree).filter(|t| !t.is_empty()) {
+                visit.frozen = t.frozen_snapshot();
+                nodes.push(Reverse(AtDist2 {
+                    dist2: 0.0,
+                    what: (tree, t.root()),
+                }));
+            }
+        }
+        let walk = (|| {
+            while let Some(Reverse(AtDist2 { dist2, what })) = nodes.pop() {
+                let (tree, page) = what;
+                if !best.admits(dist2) {
+                    break; // every pending page is at least this far
+                }
+                let visit = &mut forest[tree];
+                let t_node = tracing.then(std::time::Instant::now);
+                let mut level = 0u8;
+                let ((), did_io) = tree_at(tree).expect("seeded above").with_soa_node(
+                    page,
+                    visit.frozen.as_ref(),
+                    &mut visit.tally,
+                    page_buf,
+                    soa,
+                    |n| {
+                        if tracing {
+                            level = n.level();
+                        }
+                        stats.nodes_visited += 1;
+                        n.min_dist2_into(query, dist);
+                        if n.is_leaf() {
+                            stats.leaves_visited += 1;
+                            for (i, &d2) in dist.iter().enumerate() {
+                                if best.admits(d2) {
+                                    let item = n.item(i);
+                                    if admit(&item) {
+                                        best.insert(d2, item);
+                                    }
+                                }
+                            }
+                        } else {
+                            stats.internal_visited += 1;
+                            for (&d2, &ptr) in dist.iter().zip(n.ptrs()) {
+                                if best.admits(d2) {
+                                    nodes.push(Reverse(AtDist2 {
+                                        dist2: d2,
+                                        what: (tree, ptr as BlockId),
+                                    }));
+                                }
+                            }
+                        }
+                    },
+                )?;
+                stats.device_reads += did_io as u64;
+                if tracing {
+                    if did_io {
+                        let t0 = t_node.expect("set while tracing");
+                        trace.span_since("em", "page_read", t0, &format!("page={page}"));
+                    }
+                    let is_leaf = level == 0;
+                    trace.tally_level(
+                        level as usize,
+                        is_leaf as u64,
+                        !is_leaf as u64,
+                        did_io as u64,
+                    );
+                }
+            }
+            Ok(())
+        })();
+        for (tree, visit) in forest.drain(..).enumerate() {
+            if let Some(t) = tree_at(tree) {
+                t.record_cache_tally(visit.tally);
+            }
+        }
+        best.drain_sorted_into(out);
+        stats.results = out.len() as u64;
+        crate::obs::record_query(crate::obs::QueryKind::Knn, &stats);
+        if tracing {
+            trace.end_detail(traverse, &format!("nodes={}", stats.nodes_visited));
+            trace.set_detail(&format!("results={}", stats.results));
+            trace.finish_publish();
+        }
+        walk.map(|()| stats)
     }
 }
 
@@ -69,18 +301,15 @@ impl<const D: usize> RTree<D> {
         query: &Point<D>,
         k: usize,
     ) -> Result<(Vec<(Item<D>, f64)>, QueryStats), EmError> {
-        let mut out = Vec::with_capacity(k.min(self.len() as usize));
+        let mut out = Vec::new();
         let stats = self.nearest_neighbors_into(query, k, &mut QueryScratch::new(), &mut out)?;
         Ok((out, stats))
     }
 
     /// [`RTree::nearest_neighbors_with_stats`] with caller-owned
-    /// buffers: neighbors go into `out` (cleared first), the candidate
-    /// heap and batched-distance buffer live in `scratch`. Per-node
-    /// distances come from the vectorized
-    /// [`pr_geom::batch::min_dist2_batch`] kernel, which is bit-identical
-    /// to the scalar `Rect::min_dist2` — so heap order, tie-breaks, and
-    /// reported distances match the scalar engine exactly.
+    /// buffers: neighbors go into `out` (cleared first), the heaps and
+    /// the batched-distance buffer live in `scratch`. This is
+    /// [`KnnSearch`] over a forest of one.
     pub fn nearest_neighbors_into(
         &self,
         query: &Point<D>,
@@ -88,138 +317,7 @@ impl<const D: usize> RTree<D> {
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<(Item<D>, f64)>,
     ) -> Result<QueryStats, EmError> {
-        self.nearest_neighbors_filtered_into(query, k, scratch, out, |_| true)
-    }
-
-    /// [`RTree::nearest_neighbors_into`] with an admission predicate
-    /// applied **inside the best-first loop**: an item popped from the
-    /// candidate heap that `admit` rejects is skipped — it consumes
-    /// neither a result slot nor any extra leaf visits beyond the one
-    /// that surfaced it. This is the tombstone-aware k-NN primitive of
-    /// the multi-component structures (LPR-tree, pr-live snapshots):
-    /// they pass their shared multiset [`TombstoneFilter`] as `admit`,
-    /// so each component yields its `k` nearest *live* items directly
-    /// instead of over-fetching `k + total_tombstones` and filtering
-    /// afterwards — with heavy tombstones, the difference between
-    /// reading a handful of leaves and scanning most of the component.
-    ///
-    /// Items are popped in exact min-distance order, so rejecting a dead
-    /// head admits the next-nearest live item with no extra traversal;
-    /// results and distances equal the over-fetch-then-filter answer.
-    ///
-    /// [`TombstoneFilter`]: crate::dynamic::tombstone::TombstoneFilter
-    pub fn nearest_neighbors_filtered_into(
-        &self,
-        query: &Point<D>,
-        k: usize,
-        scratch: &mut QueryScratch<D>,
-        out: &mut Vec<(Item<D>, f64)>,
-        mut admit: impl FnMut(&Item<D>) -> bool,
-    ) -> Result<QueryStats, EmError> {
-        out.clear();
-        let mut stats = QueryStats::default();
-        if k == 0 || self.is_empty() {
-            return Ok(stats);
-        }
-        let QueryScratch {
-            page_buf,
-            soa,
-            dist,
-            heap,
-            trace,
-            ..
-        } = scratch;
-        // Same tracing contract as `window_traverse`: one relaxed load
-        // when disabled, per-level tallies + per-I/O spans when sampled.
-        trace.arm_sampled("knn");
-        let tracing = trace.is_active();
-        let traverse = trace.begin("tree", "best_first");
-        heap.clear();
-        heap.push(Prioritized {
-            dist2: 0.0,
-            candidate: Candidate::Node(self.root()),
-        });
-        // Per-query local cache accounting + one-time frozen snapshot,
-        // flushed/dropped once (see query.rs).
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
-        let walk = (|| {
-            while let Some(Prioritized { dist2, candidate }) = heap.pop() {
-                match candidate {
-                    Candidate::Item(item) => {
-                        if !admit(&item) {
-                            continue; // tombstoned copy: skip in place
-                        }
-                        out.push((item, dist2.sqrt()));
-                        stats.results += 1;
-                        if out.len() == k {
-                            break;
-                        }
-                    }
-                    Candidate::Node(page) => {
-                        let t_node = tracing.then(std::time::Instant::now);
-                        let mut level = 0u8;
-                        let ((), did_io) = self.with_soa_node(
-                            page,
-                            frozen.as_ref(),
-                            &mut tally,
-                            page_buf,
-                            soa,
-                            |n| {
-                                if tracing {
-                                    level = n.level();
-                                }
-                                stats.nodes_visited += 1;
-                                n.min_dist2_into(query, dist);
-                                if n.is_leaf() {
-                                    stats.leaves_visited += 1;
-                                    // Defer the items through the heap so
-                                    // they are emitted in global distance
-                                    // order.
-                                    for (i, &d2) in dist.iter().enumerate() {
-                                        heap.push(Prioritized {
-                                            dist2: d2,
-                                            candidate: Candidate::Item(n.item(i)),
-                                        });
-                                    }
-                                } else {
-                                    stats.internal_visited += 1;
-                                    for (&d2, &ptr) in dist.iter().zip(n.ptrs()) {
-                                        heap.push(Prioritized {
-                                            dist2: d2,
-                                            candidate: Candidate::Node(ptr as BlockId),
-                                        });
-                                    }
-                                }
-                            },
-                        )?;
-                        stats.device_reads += did_io as u64;
-                        if tracing {
-                            if did_io {
-                                let t0 = t_node.expect("set while tracing");
-                                trace.span_since("em", "page_read", t0, &format!("page={page}"));
-                            }
-                            let is_leaf = level == 0;
-                            trace.tally_level(
-                                level as usize,
-                                is_leaf as u64,
-                                !is_leaf as u64,
-                                did_io as u64,
-                            );
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })();
-        self.record_cache_tally(tally);
-        crate::obs::record_query(crate::obs::QueryKind::Knn, &stats);
-        if tracing {
-            trace.end_detail(traverse, &format!("nodes={}", stats.nodes_visited));
-            trace.set_detail(&format!("results={}", stats.results));
-            trace.finish_publish();
-        }
-        walk.map(|()| stats)
+        KnnSearch::new(query, k, scratch).run(1, |_| Some(self), |_| true, out)
     }
 }
 
@@ -228,6 +326,7 @@ mod tests {
     use super::*;
     use crate::bulk::pr::PrTreeLoader;
     use crate::bulk::{BulkLoader, LoaderKind};
+    use crate::dynamic::tombstone::{same_identity, Tombstones};
     use crate::params::TreeParams;
     use pr_em::{BlockDevice, MemDevice};
     use pr_geom::Rect;
@@ -254,8 +353,8 @@ mod tests {
         all
     }
 
-    fn build(items: &[Item<2>]) -> RTree<2> {
-        let params = TreeParams::with_cap::<2>(8);
+    fn build<const D: usize>(items: &[Item<D>]) -> RTree<D> {
+        let params = TreeParams::with_cap::<D>(8);
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         PrTreeLoader::default()
             .load(dev, params, items.to_vec())
@@ -375,6 +474,240 @@ mod tests {
         want.sort_by(f64::total_cmp);
         for (g, w) in got.iter().zip(&want) {
             assert!((g.1 - w).abs() < 1e-9);
+        }
+    }
+
+    // ---- the forest: several trees + loose items under one bound ----
+
+    fn random_boxes<const D: usize>(n: u32, id_base: u32, seed: u64) -> Vec<Item<D>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let lo: [f64; D] = std::array::from_fn(|_| rng.gen_range(0.0..100.0));
+                let hi: [f64; D] = std::array::from_fn(|d| lo[d] + rng.gen_range(0.0..2.0));
+                Item::new(Rect::new(lo, hi), id_base + i)
+            })
+            .collect()
+    }
+
+    /// Everything a snapshot can hold: unfiltered buffer items, a
+    /// tombstone-filtered sealed batch, and tombstone-filtered trees.
+    struct Forest<const D: usize> {
+        buffer: Vec<Item<D>>,
+        sealed: Vec<Item<D>>,
+        trees: Vec<RTree<D>>,
+        tombstones: Tombstones<D>,
+    }
+
+    impl<const D: usize> Forest<D> {
+        fn knn(&self, q: &Point<D>, k: usize) -> (Vec<(Item<D>, f64)>, QueryStats) {
+            let mut scratch = QueryScratch::new();
+            let mut out = Vec::new();
+            let mut search = KnnSearch::new(q, k, &mut scratch);
+            for item in &self.buffer {
+                search.offer(item, |_| true);
+            }
+            let mut filter = self.tombstones.filter();
+            for item in &self.sealed {
+                search.offer(item, |i| filter.admit(i));
+            }
+            let stats = search
+                .run(
+                    self.trees.len(),
+                    |t| Some(&self.trees[t]),
+                    |i| filter.admit(i),
+                    &mut out,
+                )
+                .unwrap();
+            (out, stats)
+        }
+
+        /// The live multiset by brute force: buffer items, plus stored
+        /// copies minus `count` tombstones per identity.
+        fn live(&self) -> Vec<Item<D>> {
+            let mut live = self.buffer.clone();
+            let mut filter = self.tombstones.filter();
+            let stored = self.trees.iter().flat_map(|t| t.items().unwrap());
+            live.extend(
+                self.sealed
+                    .iter()
+                    .copied()
+                    .chain(stored)
+                    .filter(|i| filter.admit(i)),
+            );
+            live
+        }
+
+        /// Contract check against the oracle: exactly the k smallest
+        /// live distances (bit for bit), in `(dist, id)` order, and no
+        /// identity reported more often than it is live.
+        fn check(&self, q: &Point<D>, k: usize) {
+            let live = self.live();
+            let (got, stats) = self.knn(q, k);
+            let mut want: Vec<f64> = live.iter().map(|i| i.rect.min_dist2(q).sqrt()).collect();
+            want.sort_by(f64::total_cmp);
+            want.truncate(k);
+            let got_dist: Vec<u64> = got.iter().map(|(_, d)| d.to_bits()).collect();
+            let want_dist: Vec<u64> = want.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(got_dist, want_dist, "k={k} q={q:?}");
+            assert_eq!(stats.results, got.len() as u64);
+            for pair in got.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                assert!(
+                    a.1 < b.1 || (a.1 == b.1 && a.0.id <= b.0.id),
+                    "(dist, id) order"
+                );
+            }
+            for (item, _) in &got {
+                let reported = got.iter().filter(|(g, _)| same_identity(g, item)).count();
+                let alive = live.iter().filter(|l| same_identity(l, item)).count();
+                assert!(
+                    reported <= alive,
+                    "{item:?}: reported {reported}, live {alive}"
+                );
+            }
+        }
+    }
+
+    /// Four components with aliased copies spread over components and
+    /// the sealed batch: every 5th base item has 3 extra stored copies
+    /// (m = 4) and c = id % 5 ∈ 0..=4 tombstones, so keys range from
+    /// fully live to fully dead.
+    fn aliased_forest<const D: usize>(seed: u64) -> Forest<D> {
+        let base: Vec<Item<D>> = random_boxes(240, 0, seed);
+        let aliased: Vec<Item<D>> = base.iter().copied().step_by(5).collect();
+        let mut tombstones = Tombstones::new();
+        for (n, item) in aliased.iter().enumerate() {
+            for _ in 0..n % 5 {
+                tombstones.add(item);
+            }
+        }
+        // Some unaliased stored items are dead too.
+        for item in base.iter().skip(2).step_by(10) {
+            tombstones.add(item);
+        }
+        let mut sealed = random_boxes(20, 1_000, seed + 1);
+        sealed.extend(&aliased);
+        let mut sets = vec![base[..160].to_vec(), base[160..].to_vec()];
+        sets.push([random_boxes(40, 2_000, seed + 2), aliased.clone()].concat());
+        sets.push(aliased);
+        Forest {
+            buffer: random_boxes(12, 3_000, seed + 3),
+            sealed,
+            trees: sets.iter().map(|s| build(s)).collect(),
+            tombstones,
+        }
+    }
+
+    fn check_aliased_forest<const D: usize>(seed: u64) {
+        let forest = aliased_forest::<D>(seed);
+        let live = forest.live().len();
+        let mut rng = SmallRng::seed_from_u64(seed + 9);
+        let mut points: Vec<Point<D>> = (0..12)
+            .map(|_| Point::new(std::array::from_fn(|_| rng.gen_range(-10.0..110.0))))
+            .collect();
+        // Inside aliased items, so their copies are the nearest answers.
+        points.extend(
+            forest.trees[3]
+                .items()
+                .unwrap()
+                .iter()
+                .take(8)
+                .map(|i| i.rect.center()),
+        );
+        for q in &points {
+            for k in [0, 1, 3, 10, 60, live, live + 7, usize::MAX] {
+                forest.check(q, k);
+            }
+        }
+        let q = &points[0];
+        assert_eq!(
+            forest.knn(q, live + 7).0.len(),
+            live,
+            "k ≥ live: all of them"
+        );
+        assert_eq!(
+            forest.knn(q, usize::MAX).0.len(),
+            live,
+            "no k-sized reserve"
+        );
+        let (none, stats) = forest.knn(q, 0);
+        assert!(none.is_empty());
+        assert_eq!(stats.nodes_visited, 0, "k = 0 opens no page");
+    }
+
+    #[test]
+    fn forest_with_aliased_copies_matches_multiset_oracle() {
+        check_aliased_forest::<2>(41);
+    }
+
+    #[test]
+    fn forest_in_three_dimensions_matches_multiset_oracle() {
+        check_aliased_forest::<3>(43);
+    }
+
+    /// All items equidistant: any k of them are a correct answer, the
+    /// choice is deterministic, and once k are held no further page is
+    /// read to settle the tie — one leaf in the whole forest.
+    #[test]
+    fn equidistant_items_never_read_a_page_to_settle_a_tie() {
+        let spot = Rect::xyxy(5.0, 5.0, 6.0, 6.0);
+        let trees: Vec<RTree<2>> = (0..3u32)
+            .map(|t| {
+                let items: Vec<Item<2>> = (0..100).map(|i| Item::new(spot, t * 100 + i)).collect();
+                build(&items)
+            })
+            .collect();
+        let forest = Forest {
+            buffer: Vec::new(),
+            sealed: Vec::new(),
+            trees,
+            tombstones: Tombstones::new(),
+        };
+        let q = Point::new([0.0, 0.0]);
+        forest.check(&q, 5);
+        let (got, stats) = forest.knn(&q, 5);
+        assert_eq!(got.len(), 5);
+        assert!(got.iter().all(|(_, d)| *d == 50f64.sqrt()));
+        assert_eq!(stats.leaves_visited, 1);
+        assert_eq!(forest.knn(&q, 5).0, got, "deterministic choice among ties");
+        forest.check(&q, 300);
+        forest.check(&q, 301);
+    }
+
+    /// Leaves are the paper's cost unit: the search may open only
+    /// leaves whose MBR is no farther than the k-th reported item
+    /// (counted by a full scan of the level-1 entries).
+    #[test]
+    fn knn_opens_no_leaf_beyond_the_kth_distance() {
+        let items = random_items(3_000, 13);
+        let tree = build(&items);
+        assert!(tree.root_level() > 0);
+        let mut leaf_mbrs = Vec::new();
+        let mut stack = vec![tree.root()];
+        while let Some(page) = stack.pop() {
+            let (node, _) = tree.read_node(page).unwrap();
+            for e in &node.entries {
+                if node.level == 1 {
+                    leaf_mbrs.push(e.rect);
+                } else {
+                    stack.push(e.ptr as BlockId);
+                }
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(17);
+        for _ in 0..40 {
+            let q = Point::new([rng.gen_range(-5.0..105.0), rng.gen_range(-5.0..105.0)]);
+            for k in [1usize, 10, 64] {
+                let (got, stats) = tree.nearest_neighbors_with_stats(&q, k).unwrap();
+                let kth = got.last().unwrap().0.rect.min_dist2(&q);
+                let within = leaf_mbrs.iter().filter(|r| r.min_dist2(&q) <= kth).count();
+                assert!(
+                    stats.leaves_visited <= within as u64,
+                    "k={k} q={q:?}: {} leaves opened, {within} within the k-th distance",
+                    stats.leaves_visited
+                );
+            }
         }
     }
 }

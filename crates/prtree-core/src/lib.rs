@@ -68,6 +68,7 @@ pub mod writer;
 
 pub use cache::CachePolicy;
 pub use entry::Entry;
+pub use knn::KnnSearch;
 pub use meta::TreeMeta;
 pub use params::TreeParams;
 pub use query::QueryStats;

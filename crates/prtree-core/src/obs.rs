@@ -38,6 +38,10 @@ pub struct Metrics {
     pub node_cache_misses: pr_obs::Counter,
 }
 
+/// Help text of `tree_queries_total`: it counts traversals, not calls.
+const QUERIES_HELP: &str =
+    "completed traversals by kind (a window over c components counts c, a k-NN counts 1)";
+
 /// The lazily registered catalog.
 pub fn metrics() -> &'static Metrics {
     static M: OnceLock<Metrics> = OnceLock::new();
@@ -47,13 +51,9 @@ pub fn metrics() -> &'static Metrics {
             window_queries: r.counter_with(
                 "tree_queries_total",
                 &[("kind", "window")],
-                "completed traversals by kind",
+                QUERIES_HELP,
             ),
-            knn_queries: r.counter_with(
-                "tree_queries_total",
-                &[("kind", "knn")],
-                "completed traversals by kind",
-            ),
+            knn_queries: r.counter_with("tree_queries_total", &[("kind", "knn")], QUERIES_HELP),
             nodes_visited: r.counter(
                 "tree_nodes_visited_total",
                 "tree nodes visited by traversals",

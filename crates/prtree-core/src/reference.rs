@@ -1,9 +1,11 @@
 //! The retained scalar AoS engine — the correctness oracle.
 //!
-//! This module preserves, verbatim, the query engine this crate shipped
-//! before the decode-free SoA read path: decoded [`NodePage`]s with a
-//! branchy per-entry `Rect::intersects`/`min_dist2`, fresh `Vec`
-//! allocations per query, and an `Arc` clone per cached-node visit. It
+//! This module preserves the query engine this crate shipped before
+//! the decode-free SoA read path: decoded [`NodePage`]s with a branchy
+//! per-entry `Rect::intersects`/`min_dist2`, fresh `Vec` allocations
+//! per query, and an `Arc` clone per cached-node visit — the window
+//! traversal verbatim, the k-NN as the scalar form of [`crate::knn`]'s
+//! bounded best-first search over a forest of one. It
 //! exists as the oracle: the engine-equivalence property tests
 //! (`tests/engine_equivalence.rs`) run every loader × dataset through
 //! both engines and assert *identical* results (same items, same
@@ -117,58 +119,59 @@ impl<'t, const D: usize> ReferenceEngine<'t, D> {
         Ok(stats)
     }
 
-    /// Scalar best-first k-NN; the loop body is the pre-SoA
-    /// `nearest_neighbors_with_stats`, sharing the same heap element
-    /// type so tie-breaking is identical.
+    /// Scalar form of the bounded best-first k-NN in [`crate::knn`],
+    /// over this one tree: the same two heaps, the same strict
+    /// `dist² < k-th best` test on children, leaf items and popped
+    /// pages, with a per-entry `Rect::min_dist2` in place of the
+    /// batched kernel — so items, distance bits and [`QueryStats`] are
+    /// identical, ties included.
     pub fn nearest_neighbors_with_stats(
         &self,
         query: &Point<D>,
         k: usize,
     ) -> Result<(Vec<(Item<D>, f64)>, QueryStats), EmError> {
-        use crate::knn::{Candidate, Prioritized};
+        use crate::knn::{AtDist2, KBest, PendingNode};
+        use std::cmp::Reverse;
         let mut stats = QueryStats::default();
-        let mut out = Vec::with_capacity(k.min(self.tree.len() as usize));
-        if k == 0 || self.tree.is_empty() {
-            return Ok((out, stats));
+        let mut best = KBest::new(k);
+        let mut nodes: BinaryHeap<PendingNode> = BinaryHeap::new();
+        if !self.tree.is_empty() {
+            nodes.push(Reverse(AtDist2 {
+                dist2: 0.0,
+                what: (0, self.tree.root()),
+            }));
         }
-        let mut heap: BinaryHeap<Prioritized<D>> = BinaryHeap::new();
-        heap.push(Prioritized {
-            dist2: 0.0,
-            candidate: Candidate::Node(self.tree.root()),
-        });
-        while let Some(Prioritized { dist2, candidate }) = heap.pop() {
-            match candidate {
-                Candidate::Item(item) => {
-                    out.push((item, dist2.sqrt()));
-                    stats.results += 1;
-                    if out.len() == k {
-                        break;
-                    }
+        while let Some(Reverse(AtDist2 { dist2, what })) = nodes.pop() {
+            let (_, page) = what;
+            if !best.admits(dist2) {
+                break;
+            }
+            let (node, did_io) = self.read_node(page)?;
+            stats.nodes_visited += 1;
+            stats.device_reads += did_io as u64;
+            if node.is_leaf() {
+                stats.leaves_visited += 1;
+            } else {
+                stats.internal_visited += 1;
+            }
+            for e in &node.entries {
+                let dist2 = e.rect.min_dist2(query);
+                if !best.admits(dist2) {
+                    continue;
                 }
-                Candidate::Node(page) => {
-                    let (node, did_io) = self.read_node(page)?;
-                    stats.nodes_visited += 1;
-                    stats.device_reads += did_io as u64;
-                    if node.is_leaf() {
-                        stats.leaves_visited += 1;
-                        for e in &node.entries {
-                            heap.push(Prioritized {
-                                dist2: e.rect.min_dist2(query),
-                                candidate: Candidate::Item(e.to_item()),
-                            });
-                        }
-                    } else {
-                        stats.internal_visited += 1;
-                        for e in &node.entries {
-                            heap.push(Prioritized {
-                                dist2: e.rect.min_dist2(query),
-                                candidate: Candidate::Node(e.ptr as BlockId),
-                            });
-                        }
-                    }
+                if node.is_leaf() {
+                    best.insert(dist2, e.to_item());
+                } else {
+                    nodes.push(Reverse(AtDist2 {
+                        dist2,
+                        what: (0, e.ptr as BlockId),
+                    }));
                 }
             }
         }
+        let mut out = Vec::new();
+        best.drain_sorted_into(&mut out);
+        stats.results = out.len() as u64;
         Ok((out, stats))
     }
 }

@@ -2,22 +2,24 @@
 //!
 //! Every buffer a query needs lives here: the DFS stack, the raw-page
 //! read buffer and the SoA transcode target for uncached (leaf) visits,
-//! the match mask the batch kernels write, and the k-NN candidate heap
-//! plus its batched-distance buffer. A [`QueryScratch`] is created once
-//! and threaded through the `_into` variants
+//! the match mask the batch kernels write, and the k-NN search's node
+//! heap, k-best heap, per-tree tallies and batched-distance buffer. A
+//! [`QueryScratch`] is created once and threaded through the `_into`
+//! variants
 //! ([`crate::tree::RTree::window_into`],
 //! [`crate::tree::RTree::window_count_into`],
 //! [`crate::tree::RTree::nearest_neighbors_into`],
 //! [`crate::tree::RTree::intersects_any_into`]); after the first few
 //! queries sized the buffers, the steady-state hot path performs **zero
-//! heap allocations per query**. `par_windows` gives each worker thread
-//! one scratch for its whole chunk.
+//! heap allocations per query** — `tests/build_alloc.rs` counts them for
+//! k-NN, over one tree and over an LPR-tree's forest. `par_windows`
+//! gives each worker thread one scratch for its whole chunk.
 //!
 //! The convenience wrappers (`window`, `window_count`, …) construct a
 //! fresh scratch per call, so one-shot callers pay only what the old
 //! engine already paid.
 
-use crate::knn::Prioritized;
+use crate::knn::{KBest, PendingNode, TreeVisit};
 use crate::soa::SoaNode;
 use pr_em::BlockId;
 use std::collections::BinaryHeap;
@@ -40,8 +42,13 @@ pub struct QueryScratch<const D: usize> {
     pub(crate) soa: SoaNode<D>,
     /// Batched `min_dist2` output (k-NN).
     pub(crate) dist: Vec<f64>,
-    /// Best-first candidate heap (k-NN).
-    pub(crate) heap: BinaryHeap<Prioritized<D>>,
+    /// Pages still to open, nearest first (k-NN).
+    pub(crate) nodes: BinaryHeap<PendingNode>,
+    /// The k best admitted items so far; its top is the bound (k-NN).
+    pub(crate) best: KBest<D>,
+    /// Per-tree cache tally + frozen snapshot of the forest (k-NN);
+    /// empty between queries.
+    pub(crate) forest: Vec<TreeVisit<D>>,
     /// Span-trace context riding the query (see `pr_obs::trace`). The
     /// engine arms it via sampling at the top of each traversal and
     /// publishes the finished trace; callers wanting a guaranteed trace
@@ -59,7 +66,9 @@ impl<const D: usize> QueryScratch<D> {
             mask: Vec::new(),
             soa: SoaNode::new_empty(),
             dist: Vec::new(),
-            heap: BinaryHeap::new(),
+            nodes: BinaryHeap::new(),
+            best: KBest::new(0),
+            forest: Vec::new(),
             trace: pr_obs::SpanCtx::off(),
         }
     }

@@ -17,14 +17,18 @@
 //! case is 1.12 (`memory_bytes / 36` entries at 40 B each, measured with
 //! an input that fits); the peak is `pr_em`'s run formation, which holds
 //! such a load twice — the buffer and the stable sort's scratch.
+//!
+//! The third test holds `scratch.rs` to its word for k-NN: a warmed
+//! [`QueryScratch`] answers without allocating a byte.
 
 use pr_em::{BlockDevice, FileDevice, MemDevice, Stream};
-use pr_geom::{Item, Rect};
+use pr_geom::{Item, Point, Rect};
 use pr_tree::bulk::external::ExternalConfig;
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::pr_external::PrExternalLoader;
 use pr_tree::bulk::BulkLoader;
-use pr_tree::{Entry, TreeParams};
+use pr_tree::dynamic::LprTree;
+use pr_tree::{Entry, QueryScratch, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -167,4 +171,51 @@ fn external_load_stays_near_its_memory_budget() {
         ratio <= 3.0,
         "external build held {ratio:.2} x its memory budget (limit 3 x)"
     );
+}
+
+/// Steady-state k-NN is allocation-free: every heap of the best-first
+/// search lives in the `QueryScratch`, over one tree and over an
+/// LPR-tree's whole forest (buffer + components; no tombstones, whose
+/// per-query filter state is the one thing that would allocate).
+#[test]
+fn warmed_knn_allocates_nothing() {
+    let _alone = alone();
+    let params = TreeParams::with_cap::<2>(8);
+    let items = random_items(4_000, 18);
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+    let tree = PrTreeLoader::default()
+        .load(dev, params, items.clone())
+        .unwrap();
+    tree.warm_cache().unwrap();
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+    let mut lpr = LprTree::<2>::new(dev, params, 16);
+    for item in &items[..1_000] {
+        lpr.insert(*item).unwrap();
+    }
+    assert!(lpr.num_components() >= 3 && lpr.num_tombstones() == 0);
+
+    let points: Vec<Point<2>> = (0..64)
+        .map(|i| Point::new([(i * 131 % 1000) as f64, (i * 577 % 1000) as f64]))
+        .collect();
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    let mut pass = |scratch: &mut QueryScratch<2>| {
+        let mut results = 0;
+        for p in &points {
+            results += tree
+                .nearest_neighbors_into(p, 10, scratch, &mut out)
+                .unwrap()
+                .results;
+            results += lpr
+                .nearest_neighbors_into(p, 10, scratch, &mut out)
+                .unwrap()
+                .results;
+        }
+        results
+    };
+    let warm = pass(&mut scratch);
+    let (again, allocated) = heap_high_water(|| pass(&mut scratch));
+    assert_eq!(again, warm);
+    assert_eq!(warm, 2 * 10 * points.len() as u64);
+    assert_eq!(allocated, 0, "a warmed k-NN allocated {allocated} B");
 }

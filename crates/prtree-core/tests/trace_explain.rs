@@ -6,6 +6,7 @@ use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
+use pr_tree::dynamic::LprTree;
 use pr_tree::{QueryScratch, RTree, TreeParams};
 use std::sync::Arc;
 
@@ -103,6 +104,34 @@ fn explain_levels_sum_exactly_to_query_stats() {
         assert!(stats.leaves_visited > 0);
         assert_eq!(stats.device_reads, stats.leaves_visited);
         assert_eq!(nn_stats.device_reads, nn_stats.leaves_visited);
+    }
+
+    // A k-NN over an LPR-tree's forest is still one traversal: one
+    // `knn` trace per call, not one per component, with the same exact
+    // sums — cold (internal nodes read from the device) and warm.
+    let params = TreeParams::with_cap::<2>(8);
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+    let mut lpr = LprTree::<2>::new(dev, params, 16);
+    for i in 0..1_000u32 {
+        let (x, y) = ((i * 37 % 64) as f64, (i * 61 % 64) as f64);
+        lpr.insert(Item::new(Rect::xyxy(x, y, x + 0.6, y + 0.6), i))
+            .unwrap();
+    }
+    assert!(lpr.num_components() >= 3);
+    for _pass in 0..2 {
+        let mut scratch = QueryScratch::new();
+        pr_obs::trace::install_collector(16);
+        scratch.trace = pr_obs::SpanCtx::forced("knn");
+        let mut nn = Vec::new();
+        let nn_stats = lpr
+            .nearest_neighbors_into(&p, 12, &mut scratch, &mut nn)
+            .unwrap();
+        let traces = pr_obs::trace::drain_collector();
+        assert_eq!(traces.len(), 1, "one trace for the whole forest");
+        assert_eq!(traces[0].kind, "knn");
+        assert_trace_matches_stats(&traces[0], &nn_stats);
+        assert_eq!(traces[0].detail, format!("results={}", nn.len()));
+        assert!(nn_stats.leaves_visited > 0);
     }
 
     // Sampled arming (1-in-1) through the engine's own arm_sampled: the
