@@ -13,7 +13,8 @@ pub enum Scale {
     Small,
     /// ~4× Small; closer statistics, minutes-to-tens-of-minutes.
     Medium,
-    /// The paper's sizes (10M+ rectangles). Hours; needs ~8GB RAM.
+    /// The paper's sizes (10M+ rectangles). Hours. A build peaks at
+    /// about twice its input bytes — ≈ 1.4 GB at 16.7M entries.
     Full,
 }
 

@@ -418,7 +418,9 @@ impl GroupCommit {
 
     /// Fsyncs the WAL and publishes the new synced horizon: everything
     /// applied/written *before* this call is durable after it. The async
-    /// syncer's whole job; also the merge cut's pre-rotation drain.
+    /// syncer's whole job; also the merge cut's drain — which under
+    /// `Durability::Fsync` finds every byte already covered by its
+    /// group's fsync, issues none, and is not counted as one.
     pub(crate) fn sync_window(&self) -> Result<(), LiveError> {
         // Snapshot the horizon BEFORE syncing — bytes written after this
         // point may or may not be covered, so don't claim them.
@@ -433,12 +435,14 @@ impl GroupCommit {
         };
         let mut q = self.q.lock().expect("commit queue");
         match res {
-            Ok(()) => {
+            Ok(fsynced) => {
                 q.synced_seq = q.synced_seq.max(seq);
                 q.synced_bytes = q.synced_bytes.max(bytes);
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
                 let m = crate::obs::metrics();
-                m.wal_fsyncs.inc();
+                if fsynced {
+                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                    m.wal_fsyncs.inc();
+                }
                 m.inflight_wal_bytes.set(q.written_bytes - q.synced_bytes);
                 self.cv.notify_all();
                 Ok(())

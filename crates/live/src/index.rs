@@ -12,7 +12,8 @@
 //! * **Merges** ([`crate::merge`]) — a memtable overflow seals it into
 //!   an immutable batch and merges batch + lower components into a new
 //!   bulk-loaded component, committed atomically (pages + manifest +
-//!   superblock flip) before the WAL's old segments are pruned.
+//!   superblock flip); the manifest's `wal_seq` is what replay skips
+//!   up to, and old WAL segments are pruned after a cut that rotated.
 //!
 //! ## Locking discipline
 //!
@@ -404,7 +405,7 @@ impl<const D: usize> LiveInner<D> {
                 let res = res.and_then(|_| {
                     if fsync_mode {
                         let t_sync = tracing.then(std::time::Instant::now);
-                        wal.sync().inspect(|_| {
+                        wal.sync().map(|_| {
                             if let Some(t0) = t_sync {
                                 trace.span_since("live", "wal_fsync", t0, "");
                             }
@@ -1266,8 +1267,8 @@ impl<const D: usize> LiveIndex<D> {
     /// Forces every *acknowledged* WAL byte to disk and advances the
     /// synced horizon. Under [`Durability::Async`] this drains the
     /// in-flight window on demand (the syncer thread does the same
-    /// continuously); under [`Durability::Fsync`] it is just an extra
-    /// fsync — acknowledged writes are already durable.
+    /// continuously); under [`Durability::Fsync`] acknowledged writes
+    /// are already durable and no fsync is issued.
     pub fn sync_wal(&self) -> Result<(), LiveError> {
         self.inner.group.sync_window()
     }
@@ -1284,6 +1285,15 @@ impl<const D: usize> LiveIndex<D> {
     #[doc(hidden)]
     pub fn inject_crash(&self, point: CrashPoint) {
         self.inner.crash_at.store(point as u8, Ordering::Release);
+    }
+
+    /// Overrides the WAL segment rotation size of this handle (test
+    /// harness: lets a short trace cross it; production uses
+    /// [`crate::wal::SEGMENT_ROTATE_BYTES`]).
+    #[doc(hidden)]
+    pub fn set_wal_rotate_bytes(&self, bytes: u64) {
+        let mut wal = self.inner.group.wal.lock().expect("wal mutex");
+        wal.set_rotate_bytes(bytes);
     }
 
     fn request_merge(&self, kind: MergeKind) -> Result<(), LiveError> {

@@ -25,7 +25,9 @@
 //!                  │   pr-store commit: pages → manifest{wal_seq,
 //!                  │   slots, tombstones, memtable} → superblock flip
 //!                  │              │
-//!                  └──────────────┴──▶ WAL segments ≤ cut pruned
+//!                  └──────────────┴──▶ replay skips WAL records ≤ wal_seq;
+//!                                      a full segment or a checkpoint
+//!                                      rotates, older segments pruned
 //! ```
 //!
 //! **Durability contract** ([`index::Durability`]): under `Fsync`, when

@@ -1,10 +1,11 @@
-//! The geometric merge: seal → build → cut → commit → swap → prune.
+//! The geometric merge: seal → build → cut → commit → swap (→ prune).
 //!
 //! A merge turns the sealed memtable batch plus the occupied low slots
 //! into one freshly bulk-loaded PR-tree, then commits the **entire**
 //! post-merge component set through `pr-store` in one atomic step
 //! (pages, then live manifest, then superblock flip — fsynced in that
-//! order) and only then prunes the WAL. The phases and what they hold:
+//! order); WAL segments are pruned only after that, and only by a
+//! merge whose cut rotated. The phases and what they hold:
 //!
 //! 1. **Seal** (`writer` + `core` write, O(1)): quiesce the commit
 //!    queue (every assigned seq applied — no new seqs can appear while
@@ -16,22 +17,26 @@
 //!    dead in the tombstone snapshot (recording what was *consumed*),
 //!    bulk-load the union. Readers and writers proceed untouched.
 //! 4. **Cut** (`writer`, O(memtable)): quiesce the commit queue again
-//!    (drain + fsync — the old segment must be complete and durable
-//!    before rotation, which is also what makes `flush()` drain the
-//!    async in-flight window), rotate the WAL — every assigned seq ≤
-//!    `cut_seq` sits in old segments — and snapshot {memtable,
-//!    tombstones − consumed, survivor Arcs} for the manifest. The lock
-//!    is released immediately: writers keep appending to the new
-//!    segment (seqs past the cut, covered by replay) for the whole
-//!    commit.
+//!    (drain, and fsync whatever no group fsync covers yet — a segment
+//!    must be complete and durable before the log rotates past it,
+//!    which is also what makes `flush()` drain the async in-flight
+//!    window), fix `cut_seq`, and snapshot {memtable, tombstones −
+//!    consumed, survivor Arcs} for the manifest. A checkpoint
+//!    (`Force` / `Full`) rotates the WAL here, so every assigned seq ≤
+//!    `cut_seq` sits in old segments; an `Overflow` merge rotates only
+//!    once the segment is full ([`crate::wal::SEGMENT_ROTATE_BYTES`])
+//!    and otherwise leaves records on both sides of the cut in one
+//!    segment — replay tells them apart by `seq`, not by file. The
+//!    lock is released immediately: writers keep appending (seqs past
+//!    the cut, covered by replay) for the whole commit.
 //! 5. **Commit** (`store` lock only): write the snapshot whose manifest
 //!    checkpoints the cut, fsync, flip the superblock; open + warm the
 //!    freshly written component. Readers *and writers* run throughout.
 //! 6. **Swap + prune** (`writer`, then briefly `core` write): exchange
 //!    the component set, clear the sealed batch, and subtract exactly
 //!    the consumed tombstones from the *current* set — deletes recorded
-//!    while the commit ran are thereby preserved. Then delete WAL
-//!    segments below the rotation.
+//!    while the commit ran are thereby preserved. If the cut rotated,
+//!    delete the WAL segments below the rotation.
 //!
 //! **Incremental commits:** phase 5 rewrites only what changed. Every
 //! *surviving* component is committed as an in-place run reference —
@@ -48,9 +53,11 @@
 //! [`crate::LiveIndex::compact_if_garbage`] — which keep full-rewrite
 //! semantics (fresh file, atomic rename) — reclaims them.
 //!
-//! Crash anywhere before the superblock flip → the old manifest + old
-//! segments replay everything acknowledged. Crash after the flip →
-//! the new manifest's `cut_seq` filters the not-yet-pruned old segments.
+//! Crash anywhere before the superblock flip → the old manifest + the
+//! segments on disk replay everything acknowledged. Crash after the
+//! flip → the new manifest's `cut_seq` filters whatever the log still
+//! holds at or below it: not-yet-pruned old segments, and the covered
+//! head of a segment the cut did not rotate away from.
 
 use crate::error::LiveError;
 use crate::index::{Core, CrashPoint, LiveInner};
@@ -243,21 +250,26 @@ pub(crate) fn run_merge<const D: usize>(
     };
 
     // Phase 4: the cut. Brief writer lock: quiesce the commit pipeline
-    // — every assigned seq written + applied, then the old segment
-    // fsynced (recovery treats damage in a non-newest segment as
-    // corruption, not a torn tail, so rotation must only ever leave
-    // complete, durable segments behind; this is also what drains the
-    // async in-flight window on flush) — rotate, and snapshot the
+    // — every assigned seq written + applied, then the segment fsynced
+    // where no group fsync covers it yet (recovery treats damage in a
+    // non-newest segment as corruption, not a torn tail, so rotation
+    // must only ever leave complete, durable segments behind; this is
+    // also what drains the async in-flight window on flush) — rotate if
+    // this cut is a checkpoint or the segment is full, and snapshot the
     // manifest state; then release so writers run during the commit.
     let t_cut = tracing.then(std::time::Instant::now);
-    let (cut_seq, survivors, manifest_tombstones, memtable_snapshot) = {
+    let (cut_seq, rotated, survivors, manifest_tombstones, memtable_snapshot) = {
         let w = inner.writer.lock();
         inner.group.wait_applied(w.next_seq.saturating_sub(1))?;
         inner.group.sync_window()?;
-        {
+        let rotated = {
             let mut wal = inner.group.wal.lock().expect("wal mutex");
-            wal.rotate()?;
-        }
+            let rotated = !matches!(kind, MergeKind::Overflow) || wal.segment_full();
+            if rotated {
+                wal.rotate()?;
+            }
+            rotated
+        };
         let cut_seq = w.next_seq - 1;
         let core = inner.core.read();
         let nslots = core.components.len().max(target.map_or(0, |t| t + 1));
@@ -276,10 +288,21 @@ pub(crate) fn run_merge<const D: usize>(
         }
         let mut after = (*core.tombstones).clone();
         after.subtract(&consumed);
-        (cut_seq, survivors, after, core.memtable.items().to_vec())
+        (
+            cut_seq,
+            rotated,
+            survivors,
+            after,
+            core.memtable.items().to_vec(),
+        )
     };
     if let Some(t0) = t_cut {
-        trace.span_since("live", "cut", t0, &format!("cut_seq={cut_seq}"));
+        trace.span_since(
+            "live",
+            "cut",
+            t0,
+            &format!("cut_seq={cut_seq} rotated={rotated}"),
+        );
     }
     // The commit plan, in ascending slot order — the one order the
     // manifest's slot list, the store's runs, and `components_with` all
@@ -434,9 +457,10 @@ pub(crate) fn run_merge<const D: usize>(
     if let Some(t0) = t_swap {
         trace.span_since("live", "swap", t0, "");
     }
-    // The manifest at cut_seq is durable; segments at or below the
-    // rotation hold nothing newer than cut_seq.
-    {
+    // The manifest at cut_seq is durable; segments below this cut's
+    // rotation hold nothing newer than cut_seq. Without a rotation there
+    // is nothing new to prune.
+    if rotated {
         let t_prune = tracing.then(std::time::Instant::now);
         let mut wal = inner.group.wal.lock().expect("wal mutex");
         wal.prune_old()?;

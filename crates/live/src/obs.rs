@@ -23,13 +23,15 @@ pub struct Metrics {
     pub wal_groups: pr_obs::Counter,
     /// `live_wal_records_total` — WAL records landed through groups.
     pub wal_records: pr_obs::Counter,
-    /// `live_wal_fsyncs_total` — commit-path fsyncs (group syncs +
-    /// async-syncer passes; rotation syncs are not counted, matching
+    /// `live_wal_fsyncs_total` — commit-path fsyncs (group syncs,
+    /// async-syncer passes and merge-cut drains that had bytes to
+    /// force; a new segment's creation syncs are not counted, matching
     /// [`crate::LiveStats::wal_fsyncs`]).
     pub wal_fsyncs: pr_obs::Counter,
     /// `live_wal_bytes_total` — frame bytes appended to the WAL.
     pub wal_bytes: pr_obs::Counter,
-    /// `live_wal_rotations_total` — WAL segment rotations (merge cuts).
+    /// `live_wal_rotations_total` — WAL segment rotations (the cuts of
+    /// checkpoints, and of overflow merges that found the segment full).
     pub wal_rotations: pr_obs::Counter,
     /// `live_inflight_wal_bytes` — written-but-unsynced window under
     /// async durability (0 in fsync mode).
@@ -68,8 +70,8 @@ pub struct Metrics {
     pub insert_batch_us: pr_obs::Histogram,
     /// `live_delete_batch_us` — `delete_batch` latency.
     pub delete_batch_us: pr_obs::Histogram,
-    /// `live_wal_fsync_us` — WAL fsync latency (every `Wal::sync`,
-    /// including rotation syncs).
+    /// `live_wal_fsync_us` — WAL fsync latency (every `Wal::sync` that
+    /// had bytes to force).
     pub wal_fsync_us: pr_obs::Histogram,
     /// `live_merge_us` — background merge latency, seal through swap.
     pub merge_us: pr_obs::Histogram,

@@ -62,6 +62,12 @@ pub struct TortureConfig {
     pub stride: u64,
     /// Directory the harness works in (each run reuses a subdirectory).
     pub dir: PathBuf,
+    /// WAL segment rotation size for the swept index; `None` keeps
+    /// [`crate::wal::SEGMENT_ROTATE_BYTES`], which a trace this short
+    /// never reaches — so no overflow merge rotates and every segment
+    /// holds records on both sides of a cut. A couple of KiB puts
+    /// rotations (segment create, prune) inside the sweep as well.
+    pub wal_rotate_bytes: Option<u64>,
 }
 
 impl TortureConfig {
@@ -75,6 +81,7 @@ impl TortureConfig {
             durability,
             stride: 1,
             dir: dir.to_path_buf(),
+            wal_rotate_bytes: None,
         }
     }
 }
@@ -259,6 +266,16 @@ fn verify_recovery(dir: &Path, out: &TraceOutcome, ctx: &str) {
     );
 }
 
+/// A fresh index for one run of `cfg`, created before any fault is
+/// armed.
+fn create_index(cfg: &TortureConfig, dir: &Path) -> Result<LiveIndex<2>, LiveError> {
+    let ix = LiveIndex::<2>::create(dir, params(), opts(cfg.durability))?;
+    if let Some(bytes) = cfg.wal_rotate_bytes {
+        ix.set_wal_rotate_bytes(bytes);
+    }
+    Ok(ix)
+}
+
 fn fresh_subdir(base: &Path, name: &str) -> PathBuf {
     let dir = base.join(name);
     std::fs::remove_dir_all(&dir).ok();
@@ -278,7 +295,7 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport, LiveError> {
     // sweep range and sanity-checks the harness itself.
     {
         let dir = fresh_subdir(&cfg.dir, "count");
-        let ix = LiveIndex::<2>::create(&dir, params(), opts(cfg.durability))?;
+        let ix = create_index(cfg, &dir)?;
         let guard = fault::install(FaultSchedule::count_only(cfg.seed));
         let out = drive_script(&ix, &steps);
         report.total_ops = fault::op_count();
@@ -300,8 +317,8 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport, LiveError> {
             report.total_ops, cfg.durability
         );
         let dir = fresh_subdir(&cfg.dir, "run");
-        let ix = LiveIndex::<2>::create(&dir, params(), opts(cfg.durability))
-            .unwrap_or_else(|e| panic!("{ctx}: clean create failed: {e}"));
+        let ix =
+            create_index(cfg, &dir).unwrap_or_else(|e| panic!("{ctx}: clean create failed: {e}"));
         let guard = fault::install(FaultSchedule::fail_op(cfg.seed, k, None, kind));
         let out = drive_script(&ix, &steps);
         let fired = fault::injected_count() > 0;
@@ -345,7 +362,7 @@ pub fn run_torture_multi(cfg: &TortureConfig) -> Result<TortureReport, LiveError
     // this still bounds the sweep range usefully).
     {
         let dir = fresh_subdir(&cfg.dir, "count");
-        let ix = LiveIndex::<2>::create(&dir, params(), opts(cfg.durability))?;
+        let ix = create_index(cfg, &dir)?;
         let guard = fault::install(FaultSchedule::count_only(cfg.seed));
         let acked = drive_writers(&ix, cfg);
         report.total_ops = fault::op_count();
@@ -361,8 +378,8 @@ pub fn run_torture_multi(cfg: &TortureConfig) -> Result<TortureReport, LiveError
         let kind = KINDS[(report.runs as usize) % KINDS.len()];
         let ctx = format!("multi sweep k={k}/{} kind={kind:?}", report.total_ops);
         let dir = fresh_subdir(&cfg.dir, "run");
-        let ix = LiveIndex::<2>::create(&dir, params(), opts(cfg.durability))
-            .unwrap_or_else(|e| panic!("{ctx}: clean create failed: {e}"));
+        let ix =
+            create_index(cfg, &dir).unwrap_or_else(|e| panic!("{ctx}: clean create failed: {e}"));
         let guard = fault::install(FaultSchedule::fail_op(cfg.seed, k, None, kind));
         let acked = drive_writers(&ix, cfg);
         let fired = fault::injected_count() > 0;

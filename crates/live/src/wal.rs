@@ -25,15 +25,21 @@
 //! frames laid back to back, so recovery cannot tell (and need not
 //! care) where group boundaries fell.
 //!
-//! Records live in numbered segment files `wal-NNNNNN.log`; a merge
-//! commit *rotates* to a fresh segment first, so after the manifest
-//! (which records the merge's WAL cut `wal_seq`) is durable, every
-//! record the index still needs lives in segments at or after the
-//! rotation and the older segments are deleted whole
-//! ([`Wal::prune_old`]). No in-place truncation, no rewriting. Rotation
-//! only ever happens after the commit queue is quiesced and the current
-//! segment fsynced, preserving the invariant that non-newest segments
-//! are complete and durable.
+//! Records live in numbered segment files `wal-NNNNNN.log`. A merge
+//! commit's manifest records its WAL cut `wal_seq`, and replay skips
+//! every record at or below it — that rule alone decides what a reopen
+//! applies, so a segment may hold records on both sides of the cut.
+//! Segments exist to bound what replay has to *scan*: the cut of a
+//! checkpoint (`flush()`, `compact()`) always *rotates* to a fresh
+//! segment first, the cut of a routine overflow merge only once the
+//! current segment has reached [`SEGMENT_ROTATE_BYTES`]. After the
+//! manifest of a rotating cut is durable every record the index still
+//! needs lives in segments at or after the rotation, and the older
+//! segments are deleted whole ([`Wal::prune_old`]). No in-place
+//! truncation, no rewriting. Rotation only ever happens inside a cut,
+//! after the commit queue is quiesced and the current segment fsynced,
+//! preserving the invariant that non-newest segments are complete and
+//! durable.
 //!
 //! ## Wire format
 //!
@@ -73,6 +79,12 @@ pub const WAL_VERSION: u32 = 1;
 pub const SEGMENT_HEADER_SIZE: u64 = 16;
 /// Size of the per-record frame (length + CRC) before the payload.
 pub const RECORD_HEADER_SIZE: usize = 8;
+/// Segment size at which the cut of an overflow merge rotates. It
+/// bounds the covered records a reopen scans and skips (about a
+/// millisecond per MiB) against a segment create + two fsyncs + an
+/// unlink per rotation — paid per merge, those cost more than the
+/// merge's own bulk load.
+pub const SEGMENT_ROTATE_BYTES: u64 = 1 << 20;
 
 /// A logged mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,6 +165,13 @@ pub struct Wal {
     seg_index: u64,
     file: PositionedFile,
     write_off: u64,
+    /// Prefix of the active segment known to be on disk: everything
+    /// below it was covered by an fsync this handle issued. Recovered
+    /// records count as unsynced — the process that appended them may
+    /// have died before its fsync.
+    synced_off: u64,
+    /// [`SEGMENT_ROTATE_BYTES`], unless a test lowered it.
+    rotate_bytes: u64,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -197,15 +216,22 @@ fn create_segment(dir: &Path, index: u64) -> Result<PositionedFile, LiveError> {
 }
 
 impl Wal {
+    /// The log positioned on segment `index`, appending at `write_off`.
+    fn at(dir: &Path, index: u64, file: PositionedFile, write_off: u64) -> Wal {
+        Wal {
+            dir: dir.to_path_buf(),
+            seg_index: index,
+            file,
+            write_off,
+            synced_off: SEGMENT_HEADER_SIZE,
+            rotate_bytes: SEGMENT_ROTATE_BYTES,
+        }
+    }
+
     /// Creates the log for a brand-new index: one empty segment.
     pub fn create(dir: &Path) -> Result<Wal, LiveError> {
         let file = create_segment(dir, 1)?;
-        Ok(Wal {
-            dir: dir.to_path_buf(),
-            seg_index: 1,
-            file,
-            write_off: SEGMENT_HEADER_SIZE,
-        })
+        Ok(Wal::at(dir, 1, file, SEGMENT_HEADER_SIZE))
     }
 
     /// Opens an existing log, replaying every intact record (all
@@ -234,12 +260,7 @@ impl Wal {
                     // rotation, before the header fsync): no record ever
                     // lived here. Rebuild the segment in place.
                     let file = create_segment(dir, *index)?;
-                    wal = Some(Wal {
-                        dir: dir.to_path_buf(),
-                        seg_index: *index,
-                        file,
-                        write_off: SEGMENT_HEADER_SIZE,
-                    });
+                    wal = Some(Wal::at(dir, *index, file, SEGMENT_HEADER_SIZE));
                     continue;
                 }
                 if valid_end < len {
@@ -249,12 +270,7 @@ impl Wal {
                     file.set_len(valid_end)?;
                     file.sync_all()?;
                 }
-                wal = Some(Wal {
-                    dir: dir.to_path_buf(),
-                    seg_index: *index,
-                    file,
-                    write_off: valid_end,
-                });
+                wal = Some(Wal::at(dir, *index, file, valid_end));
             } else if valid_end < len {
                 return Err(LiveError::Corrupt(format!(
                     "segment {} is damaged at byte {valid_end} but is not the \
@@ -328,29 +344,53 @@ impl Wal {
     pub fn rollback_to(&mut self, off: u64) -> Result<(), LiveError> {
         self.file.set_len(off)?;
         self.write_off = off;
+        self.synced_off = self.synced_off.min(off);
         Ok(())
     }
 
     /// Forces every appended byte to disk. The group-commit
     /// acknowledgment point under `Durability::Fsync`; the syncer
-    /// thread's heartbeat under `Durability::Async`.
-    pub fn sync(&mut self) -> Result<(), LiveError> {
+    /// thread's heartbeat under `Durability::Async`. Returns whether an
+    /// fsync was issued: when every appended byte is already covered by
+    /// an earlier one (a merge cut right behind an fsync-acked group)
+    /// there is nothing to force and none is.
+    pub fn sync(&mut self) -> Result<bool, LiveError> {
+        if self.synced_off == self.write_off {
+            return Ok(false);
+        }
         let start = std::time::Instant::now();
         self.file.sync_all()?;
+        self.synced_off = self.write_off;
         crate::obs::metrics()
             .wal_fsync_us
             .record_duration_us(start.elapsed());
-        Ok(())
+        Ok(true)
     }
 
-    /// Starts a fresh segment; subsequent appends land there. Called at
-    /// the start of a merge commit so the manifest's `wal_seq` cut is
-    /// also a clean segment boundary.
+    /// True once the active segment has reached the rotation size: the
+    /// next merge cut should start a fresh one.
+    pub fn segment_full(&self) -> bool {
+        self.write_off >= self.rotate_bytes
+    }
+
+    /// Lowers (or raises) the rotation size of this handle — tests
+    /// only, so a short trace can cross it.
+    #[doc(hidden)]
+    pub fn set_rotate_bytes(&mut self, bytes: u64) {
+        self.rotate_bytes = bytes;
+    }
+
+    /// Starts a fresh segment; subsequent appends land there. Called
+    /// inside a merge cut — always by a checkpoint, by an overflow
+    /// merge once [`Wal::segment_full`] — so the manifest's `wal_seq`
+    /// cut is also a clean segment boundary and everything older can be
+    /// pruned once that manifest is durable.
     pub fn rotate(&mut self) -> Result<(), LiveError> {
         let next = self.seg_index + 1;
         self.file = create_segment(&self.dir, next)?;
         self.seg_index = next;
         self.write_off = SEGMENT_HEADER_SIZE;
+        self.synced_off = SEGMENT_HEADER_SIZE;
         crate::obs::metrics().wal_rotations.inc();
         pr_obs::events().emit("wal_rotate", format!("segment={next}"));
         Ok(())

@@ -46,12 +46,43 @@ fn sweep_every_op_fsync() {
     let dir = tmpdir("sweep-fsync");
     let cfg = TortureConfig::small(&dir, Durability::Fsync);
     let report = pr_live::run_torture(&cfg).expect("torture harness");
-    assert!(report.total_ops > 50, "trace too small: {report:?}");
+    assert!(report.total_ops > 30, "trace too small: {report:?}");
     assert_eq!(report.runs, report.total_ops);
     // Fsync mode is deterministic: every programmed fault must fire
     // (EINTR runs inject too — the retry consumes the fault).
     assert_eq!(report.silent, 0, "fsync sweep had silent runs: {report:?}");
     assert!(report.injected == report.runs, "{report:?}");
+}
+
+/// The same sweep with the WAL rotation size lowered into the trace's
+/// reach. At the production size no overflow merge of this trace
+/// rotates (every cut leaves a segment holding records on both sides of
+/// it — what the sweep above covers); at 2 KiB the first merge still
+/// does not, the second rotates and prunes, and the third cuts into the
+/// fresh segment — so segment creation, its two fsyncs and the prune
+/// are failed op by op too.
+#[test]
+fn sweep_every_op_fsync_across_rotations() {
+    let dir = tmpdir("sweep-fsync-rotating");
+    let plain = TortureConfig {
+        stride: u64::MAX, // the counting pass and one run: just the op total
+        ..TortureConfig::small(&dir, Durability::Fsync)
+    };
+    let plain_ops = pr_live::run_torture(&plain)
+        .expect("torture harness")
+        .total_ops;
+    let cfg = TortureConfig {
+        wal_rotate_bytes: Some(2048),
+        ..TortureConfig::small(&dir, Durability::Fsync)
+    };
+    let report = pr_live::run_torture(&cfg).expect("torture harness");
+    assert!(
+        report.total_ops > plain_ops,
+        "no rotation inside the sweep: {} ops with, {plain_ops} without",
+        report.total_ops
+    );
+    assert_eq!(report.runs, report.total_ops);
+    assert_eq!(report.silent, 0, "fsync sweep had silent runs: {report:?}");
 }
 
 /// Same sweep under async durability. Syncer-thread scheduling makes op
@@ -170,8 +201,9 @@ fn enospc_then_free_async() {
 /// Fail **every single I/O op of a partial merge commit**, one run per
 /// op: the commit that reuses a big surviving component's pages in
 /// place, appends one small new component, and flips the manifest.
-/// Whatever op dies — WAL rotation fsync, a page append, the checksum
-/// table, the manifest, the superblock flip, the prune — the reopened
+/// Whatever op dies — WAL rotation fsync, the run's one positioned
+/// write (pages, checksum table, manifest and footer together), the
+/// body fsync, the superblock flip, the prune — the reopened
 /// index must recover exactly the acked set, and the surviving run must
 /// still be referenced at its original byte offset (its pages were
 /// never rewritten, and recovery never reads a reclaimed run).
@@ -213,7 +245,7 @@ fn partial_merge_fault_sweep(durability: Durability, name: &str) {
                 // ran clean and the sweep is complete (every op below
                 // `at_op` was faulted in an earlier run).
                 res.expect("un-faulted merge must succeed");
-                assert!(at_op > 10, "trace too small: {at_op} faulted ops");
+                assert!(at_op > 6, "trace too small: {at_op} faulted ops");
                 break;
             }
             drop(ix); // crash: no shutdown, poisoned or not

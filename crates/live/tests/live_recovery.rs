@@ -10,10 +10,14 @@
 //! * injected death **between the WAL segment fsync/rotation and the
 //!   manifest flip**, and **between the flip and the WAL prune** —
 //!   the two windows of the merge-commit protocol,
+//! * overflow merges that do **not** rotate the WAL (a segment holding
+//!   records on both sides of the manifest's cut), the size rotation,
+//!   and the checkpoint rotation `flush()` always performs,
 //! * compaction's atomic-rename window (stale temp file).
 
 use pr_geom::{Item, Rect};
-use pr_live::{CrashPoint, LiveError, LiveIndex, LiveOptions};
+use pr_live::wal::{RECORD_HEADER_SIZE, SEGMENT_HEADER_SIZE};
+use pr_live::{CrashPoint, LiveError, LiveIndex, LiveOptions, WalRecord};
 use pr_tree::TreeParams;
 use std::path::PathBuf;
 
@@ -506,6 +510,193 @@ fn flush_checkpoints_tombstone_only_deletes() {
     assert_eq!(ix.len(), 21);
 }
 
+/// Inserts `ids` one acked op at a time (cap-sized overflow merges fire
+/// inline along the way).
+fn insert_ids(ix: &LiveIndex<2>, oracle: &mut Vec<Item<2>>, ids: std::ops::Range<u32>) {
+    for k in ids {
+        ix.insert(item(k)).unwrap();
+        oracle.push(item(k));
+    }
+}
+
+/// Bytes of a segment's header and of one framed 2-D record.
+const SEG_HEADER: usize = SEGMENT_HEADER_SIZE as usize;
+const RECORD: usize = RECORD_HEADER_SIZE + WalRecord::<2>::PAYLOAD_SIZE;
+
+/// Sequence numbers of every record in one segment file, in file order
+/// (the payload behind each frame header leads with the seq).
+fn segment_seqs(path: &std::path::Path) -> Vec<u64> {
+    let bytes = std::fs::read(path).unwrap();
+    bytes[SEG_HEADER..]
+        .chunks_exact(RECORD)
+        .map(|rec| {
+            let seq = &rec[RECORD_HEADER_SIZE..RECORD_HEADER_SIZE + 8];
+            u64::from_le_bytes(seq.try_into().unwrap())
+        })
+        .collect()
+}
+
+/// (a) Several overflow merges with no rotation in between: the one
+/// segment keeps every record, those the manifest's cut covers and the
+/// tail past it alike. A crash there recovers exactly the acked set,
+/// replaying only the tail.
+#[test]
+fn crash_after_unrotated_overflow_merges_replays_only_the_tail() {
+    let dir = tmpdir("mixed-segment");
+    let mut oracle = Vec::new();
+    let stats;
+    {
+        let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
+        insert_ids(&ix, &mut oracle, 0..29); // merges at 8, 16, 24 + 5 more
+        assert!(ix.delete(&item(3)).unwrap()); // a tombstone past the cut
+        oracle.retain(|i| i.id != 3);
+        stats = ix.stats().unwrap();
+        assert_eq!(stats.merges, 3);
+        assert_eq!(stats.wal_segments, 1, "overflow merges must not rotate");
+        assert_eq!((stats.merged_seq, stats.durable_seq), (24, 30));
+    } // crash
+    let seqs = segment_seqs(&newest_wal_segment(&dir));
+    assert_eq!(
+        seqs,
+        (1..=30).collect::<Vec<u64>>(),
+        "one segment, records on both sides of the cut"
+    );
+    let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+    assert_state_matches(&ix, &oracle, "reopen over a mixed segment");
+    let after = ix.stats().unwrap();
+    assert_eq!(after.store_epoch, stats.store_epoch);
+    assert_eq!((after.merged_seq, after.durable_seq), (24, 30));
+    // The memtable holds exactly the five inserts past the cut, the
+    // tombstone set exactly the one delete: records at or below the cut
+    // were skipped, not applied a second time.
+    assert_eq!((after.memtable, after.tombstones), (5, 1));
+    // Appends continue in the same segment, and the next merge's cut
+    // still lands.
+    insert_ids(&ix, &mut oracle, 100..110);
+    drop(ix);
+    let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+    assert_state_matches(&ix, &oracle, "second reopen");
+}
+
+/// (b) Damage at the end of such a mixed segment is still a torn tail:
+/// garbage after the last record is chopped, and a flipped byte in the
+/// final record drops exactly that (by simulation never-acked) op —
+/// nothing the cut covers, nothing before it in the tail.
+#[test]
+fn torn_tail_in_a_mixed_segment_drops_only_the_unacked_op() {
+    for flip in [false, true] {
+        let dir = tmpdir(&format!("mixed-torn-{flip}"));
+        let mut oracle = Vec::new();
+        {
+            let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
+            insert_ids(&ix, &mut oracle, 0..21); // merges at 8 and 16
+            let stats = ix.stats().unwrap();
+            assert_eq!((stats.wal_segments, stats.merged_seq), (1, 16));
+        }
+        let newest = newest_wal_segment(&dir);
+        if flip {
+            let len = std::fs::metadata(&newest).unwrap().len();
+            flip_byte(&newest, len - 10);
+            oracle.pop(); // op 21 was the torn one
+        } else {
+            let mut bytes = std::fs::read(&newest).unwrap();
+            bytes.extend_from_slice(&[0xAB; 29]); // partial frame
+            std::fs::write(&newest, &bytes).unwrap();
+        }
+        let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+        assert_state_matches(&ix, &oracle, &format!("mixed segment, flip={flip}"));
+        assert_eq!(ix.stats().unwrap().merged_seq, 16);
+    }
+}
+
+/// (c) Crossing the size threshold: the overflow merge whose cut finds
+/// the segment full rotates, leaving the older segment complete; a
+/// crash between that rotation and the commit's flip loses nothing (old
+/// manifest + both segments), and once a rotating merge commits, the
+/// older segment is pruned.
+#[test]
+fn size_rotation_leaves_a_complete_segment_and_survives_a_pre_flip_crash() {
+    let dir = tmpdir("size-rotation");
+    let mut oracle = Vec::new();
+    let epoch_before;
+    {
+        let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
+        // The merges at ops 8 and 16 find the segment short of 20
+        // records; the one at op 24 is the first to find it full.
+        ix.set_wal_rotate_bytes((SEG_HEADER + 20 * RECORD) as u64);
+        insert_ids(&ix, &mut oracle, 0..23);
+        let stats = ix.stats().unwrap();
+        assert_eq!((stats.merges, stats.wal_segments), (2, 1));
+        epoch_before = stats.store_epoch;
+        ix.inject_crash(CrashPoint::BeforeCommit);
+        match ix.insert(item(23)) {
+            Err(LiveError::Injected(_)) => {}
+            other => panic!("expected injected crash, got {other:?}"),
+        }
+        // Op 24 was acknowledged (its WAL group landed) before the merge
+        // it triggered died.
+        oracle.push(item(23));
+    }
+    let mut segs = wal_segments(&dir);
+    assert_eq!(segs.len(), 2, "the cut rotated before the crash");
+    let newest = segs.pop().unwrap();
+    assert_eq!(
+        segment_seqs(&segs[0]),
+        (1..=24).collect::<Vec<u64>>(),
+        "the older segment is complete"
+    );
+    assert_eq!(
+        std::fs::metadata(&newest).unwrap().len(),
+        SEGMENT_HEADER_SIZE,
+        "header only"
+    );
+
+    let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+    assert_state_matches(&ix, &oracle, "reopen after rotation, before flip");
+    assert_eq!(ix.stats().unwrap().store_epoch, epoch_before);
+    // The retried merge commits without rotating again (the fresh
+    // segment is nowhere near full), so the stale segment stays until
+    // the next rotation — here a checkpoint — prunes it.
+    insert_ids(&ix, &mut oracle, 24..32);
+    assert_eq!(ix.stats().unwrap().wal_segments, 2);
+    ix.flush().unwrap();
+    assert_eq!(ix.stats().unwrap().wal_segments, 1);
+    drop(ix);
+    let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+    assert_state_matches(&ix, &oracle, "reopen after the prune");
+}
+
+/// (d) `flush()` is a checkpoint: however many unrotated overflow
+/// merges came before it, it rotates and prunes, leaving exactly one,
+/// header-only segment and a manifest that covers every acked op.
+#[test]
+fn flush_after_unrotated_merges_leaves_one_header_only_segment() {
+    let dir = tmpdir("flush-checkpoint");
+    let mut oracle = Vec::new();
+    let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
+    insert_ids(&ix, &mut oracle, 0..29);
+    let before = ix.stats().unwrap();
+    assert_eq!(before.wal_segments, 1);
+    assert_eq!(
+        before.wal_bytes,
+        (SEG_HEADER + 29 * RECORD) as u64,
+        "nothing pruned so far"
+    );
+    ix.flush().unwrap();
+    let after = ix.stats().unwrap();
+    assert_eq!(after.wal_segments, 1);
+    assert_eq!(
+        after.wal_bytes, SEGMENT_HEADER_SIZE,
+        "header-only segment after flush"
+    );
+    assert_eq!(after.merged_seq, after.durable_seq);
+    assert_eq!(wal_segments(&dir).len(), 1);
+    drop(ix);
+    let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+    assert_state_matches(&ix, &oracle, "reopen after checkpoint");
+    assert_eq!(ix.stats().unwrap().memtable, 0, "nothing left to replay");
+}
+
 /// The directory lock refuses a second concurrent open — even a
 /// "read-only" open truncates torn WAL tails, so sharing would corrupt.
 #[test]
@@ -594,6 +785,11 @@ fn async_crash_at_every_boundary_recovers_synced_prefix() {
 }
 
 fn newest_wal_segment(dir: &std::path::Path) -> PathBuf {
+    wal_segments(dir).pop().expect("at least one segment")
+}
+
+/// Every WAL segment file in `dir`, oldest first.
+fn wal_segments(dir: &std::path::Path) -> Vec<PathBuf> {
     let mut segs: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| {
@@ -603,7 +799,7 @@ fn newest_wal_segment(dir: &std::path::Path) -> PathBuf {
         })
         .collect();
     segs.sort();
-    segs.pop().expect("at least one segment")
+    segs
 }
 
 fn flip_byte(path: &std::path::Path, offset: u64) {

@@ -69,17 +69,7 @@ impl<const D: usize> NodePage<D> {
 
     /// Deserializes a page buffer.
     pub fn decode(buf: &[u8]) -> Result<Self, EmError> {
-        if buf.len() < PAGE_HEADER_SIZE || buf[..4] != MAGIC {
-            return Err(EmError::Corrupt("bad node page magic".into()));
-        }
-        let level = buf[4];
-        let count = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes")) as usize;
-        let cap = (buf.len() - PAGE_HEADER_SIZE) / Entry::<D>::SIZE;
-        if count > cap {
-            return Err(EmError::Corrupt(format!(
-                "node count {count} exceeds page capacity {cap}"
-            )));
-        }
+        let (level, count) = page_header::<D>(buf)?;
         let mut entries = Vec::with_capacity(count);
         let mut off = PAGE_HEADER_SIZE;
         for _ in 0..count {
@@ -109,6 +99,47 @@ impl<const D: usize> NodePage<D> {
         self.write(dev, page)?;
         Ok(page)
     }
+}
+
+/// Validates a raw page's header against its buffer and returns
+/// `(level, entry count)`.
+fn page_header<const D: usize>(buf: &[u8]) -> Result<(u8, usize), EmError> {
+    if buf.len() < PAGE_HEADER_SIZE || buf[..4] != MAGIC {
+        return Err(EmError::Corrupt("bad node page magic".into()));
+    }
+    let count = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes")) as usize;
+    let cap = (buf.len() - PAGE_HEADER_SIZE) / Entry::<D>::SIZE;
+    if count > cap {
+        return Err(EmError::Corrupt(format!(
+            "node count {count} exceeds page capacity {cap}"
+        )));
+    }
+    Ok((buf[4], count))
+}
+
+/// Rewrites the child pointers of a raw, encoded node page in place:
+/// `remap` sees each child's current page id, in entry order, and
+/// returns the pointer to store instead. Leaves have no child pointers
+/// and are left untouched (their `ptr` fields are data ids). Returns
+/// the page's level.
+///
+/// This is how `pr-store` relocates a tree without decoding it: a page
+/// is copied verbatim and only these four-byte fields change, so the
+/// copy is byte-identical to a decode → re-encode of the same node.
+pub fn remap_children<const D: usize>(
+    page: &mut [u8],
+    mut remap: impl FnMut(BlockId) -> Result<u32, EmError>,
+) -> Result<u8, EmError> {
+    let (level, count) = page_header::<D>(page)?;
+    if level > 0 {
+        let entries = &mut page[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + count * Entry::<D>::SIZE];
+        for entry in entries.chunks_exact_mut(Entry::<D>::SIZE) {
+            let ptr = &mut entry[Entry::<D>::SIZE - 4..];
+            let child = u32::from_le_bytes((&*ptr).try_into().expect("4 bytes"));
+            ptr.copy_from_slice(&remap(BlockId::from(child))?.to_le_bytes());
+        }
+    }
+    Ok(level)
 }
 
 /// Serializes a node at `level` holding `entries` into a page buffer of
@@ -199,6 +230,41 @@ mod tests {
         node.encode(&mut buf);
         buf[6..8].copy_from_slice(&500u16.to_le_bytes());
         assert!(NodePage::<2>::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn remap_children_equals_decode_patch_encode() {
+        let node = NodePage::new(2, entries(9));
+        let mut raw = vec![0u8; 4096];
+        node.encode(&mut raw);
+        let mut seen = Vec::new();
+        let level = remap_children::<2>(&mut raw, |child| {
+            seen.push(child);
+            Ok(child as u32 + 100)
+        })
+        .unwrap();
+        assert_eq!(level, 2);
+        assert_eq!(seen, (0..9).collect::<Vec<BlockId>>());
+        let mut patched = node.clone();
+        for e in &mut patched.entries {
+            e.ptr += 100;
+        }
+        let mut want = vec![0u8; 4096];
+        patched.encode(&mut want);
+        assert_eq!(raw, want);
+
+        // A leaf's ptr fields are data ids: nothing is visited or changed.
+        let leaf = NodePage::new(0, entries(5));
+        leaf.encode(&mut want);
+        raw.copy_from_slice(&want);
+        let level = remap_children::<2>(&mut raw, |_| panic!("leaf has no children")).unwrap();
+        assert_eq!(level, 0);
+        assert_eq!(raw, want);
+
+        // The header is validated exactly as `decode` validates it.
+        raw[6..8].copy_from_slice(&500u16.to_le_bytes());
+        assert!(remap_children::<2>(&mut raw, |c| Ok(c as u32)).is_err());
+        assert!(remap_children::<2>(&mut [0u8; 4096], |c| Ok(c as u32)).is_err());
     }
 
     #[test]

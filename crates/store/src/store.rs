@@ -30,6 +30,7 @@ use crate::device::{ScrubReport, StoreDevice, VerifiedBitmap};
 use crate::error::StoreError;
 use crate::format::{ComponentRun, Footer, ManifestRecord, Superblock};
 use pr_em::{BlockDevice, BlockId, Mmap, PositionedFile};
+use pr_tree::page::remap_children;
 use pr_tree::writer::page_ptr;
 use pr_tree::{RTree, TreeMeta, TreeParams};
 use std::collections::VecDeque;
@@ -391,8 +392,12 @@ impl Store {
         // with run-relative page ids (root = 0). Ids are assigned in
         // enqueue order, so every level occupies a contiguous range —
         // warm_cache on reopen reads a sequential prefix of the run.
-        // Reused components are resolved to their existing state; their
-        // pages are not touched.
+        // Pages travel as raw bytes: each is borrowed from the tree's
+        // device, copied once into the write chunk, has its child
+        // pointers (if any) patched there and is hashed in place —
+        // never decoded, never admitted to the source tree's node
+        // cache. Reused components are resolved to their existing
+        // state; their pages are not touched.
         enum Pending {
             New {
                 run: ComponentRun,
@@ -403,7 +408,8 @@ impl Store {
         let mut pending: Vec<Pending> = Vec::with_capacity(comps.len());
         let mut written: u64 = 0;
         let mut reused: u64 = 0;
-        let mut buf = vec![0u8; bs];
+        let mut out = ChunkWriter::new(&self.file, data_offset);
+        let mut scratch = Vec::new();
         let mut next_component_id = self.next_component_id;
         for comp in comps {
             match comp {
@@ -411,31 +417,31 @@ impl Store {
                     let run_offset = data_offset + written * bs64;
                     let mut meta = tree.meta();
                     meta.root = 0;
-                    let mut next_id: u64 = 0;
+                    let mut next_id: u64 = 1;
                     let mut checksums: Vec<u32> = Vec::new();
                     let mut queue: VecDeque<BlockId> = VecDeque::new();
                     queue.push_back(tree.root());
-                    next_id += 1;
                     while let Some(old_page) = queue.pop_front() {
-                        let (node, _) = tree.read_node(old_page)?;
-                        if node.is_leaf() {
-                            // Leaves (the vast majority of pages) need no
-                            // pointer rewrite: encode straight from the
-                            // shared handle.
-                            node.encode(&mut buf);
-                        } else {
-                            let mut node = (*node).clone();
-                            for e in &mut node.entries {
-                                queue.push_back(e.ptr as BlockId);
-                                e.ptr = page_ptr(next_id).map_err(StoreError::Em)?;
-                                next_id += 1;
-                            }
-                            node.encode(&mut buf);
+                        let start = out.buf.len();
+                        tree.device()
+                            .with_block(old_page, &mut scratch, &mut |bytes| {
+                                out.buf.extend_from_slice(bytes)
+                            })?;
+                        let page = &mut out.buf[start..];
+                        if page.len() != bs {
+                            return Err(StoreError::BlockSizeMismatch {
+                                store: bs,
+                                tree: page.len(),
+                            });
                         }
-                        let crc = crc32(&buf);
-                        self.file.write_all_at(&buf, data_offset + written * bs64)?;
-                        checksums.push(crc);
+                        remap_children::<D>(page, |child| {
+                            queue.push_back(child);
+                            next_id += 1;
+                            page_ptr(next_id - 1)
+                        })?;
+                        checksums.push(crc32(page));
                         written += 1;
+                        out.flush_if_full()?;
                     }
                     debug_assert_eq!(checksums.len() as u64, next_id);
                     let run = ComponentRun {
@@ -465,22 +471,23 @@ impl Store {
         // New runs' checksum tables, concatenated — the superblock /
         // footer commit exactly this newly written region; each run also
         // records its own slice's offset and CRC so it can be
-        // re-validated independently for as long as it is reused.
+        // re-validated independently for as long as it is reused. The
+        // tables, the manifest and the footer ride the last page chunk:
+        // one positioned write lands them all.
         let table_offset = data_offset + written * bs64;
-        let mut table: Vec<u8> = Vec::new();
+        debug_assert_eq!(out.offset(), table_offset);
+        let tables_start = out.buf.len();
         for p in &mut pending {
             if let Pending::New { run, checksums } = p {
-                run.table_offset = table_offset + table.len() as u64;
-                let start = table.len();
+                run.table_offset = out.offset();
+                let start = out.buf.len();
                 for crc in checksums.iter() {
-                    table.extend_from_slice(&crc.to_le_bytes());
+                    out.buf.extend_from_slice(&crc.to_le_bytes());
                 }
-                run.table_crc = crc32(&table[start..]);
+                run.table_crc = crc32(&out.buf[start..]);
             }
         }
-        let table_crc = crc32(&table);
-        self.file.write_all_at(&table, table_offset)?;
-        let mut tail_offset = table_offset + table.len() as u64;
+        let table_crc = crc32(&out.buf[tables_start..]);
 
         let epoch = self.sb.epoch + 1;
         let all_runs: Vec<ComponentRun> = pending
@@ -498,23 +505,23 @@ impl Store {
         let (manifest_offset, manifest_len) = match &manifest {
             Some(m) => {
                 let bytes = m.encode();
-                let off = tail_offset;
-                self.file.write_all_at(&bytes, off)?;
-                tail_offset += bytes.len() as u64;
+                let off = out.offset();
+                out.buf.extend_from_slice(&bytes);
                 (off, bytes.len() as u32)
             }
             None => (0, 0),
         };
 
-        let footer_offset = tail_offset;
+        let footer_offset = out.offset();
         let footer = Footer {
             epoch,
             num_pages: written,
             table_crc,
         };
-        let mut fbuf = vec![0u8; Footer::ENCODED_SIZE];
-        footer.encode(&mut fbuf);
-        self.file.write_all_at(&fbuf, footer_offset)?;
+        let at = out.buf.len();
+        out.buf.resize(at + Footer::ENCODED_SIZE, 0);
+        footer.encode(&mut out.buf[at..]);
+        out.flush()?;
         {
             let _s = pr_obs::ambient_span("store", "fsync_body");
             self.file.sync_data()?;
@@ -852,6 +859,50 @@ impl Store {
     /// Current length of the backing file in bytes.
     pub fn file_len(&self) -> Result<u64, StoreError> {
         Ok(self.file.len()?)
+    }
+}
+
+/// Bytes a commit gathers before it issues a positioned write.
+const COMMIT_CHUNK_BYTES: usize = 1 << 20;
+
+/// The sequential append side of a commit: bytes accumulate in `buf`
+/// and reach the file one positioned write per [`COMMIT_CHUNK_BYTES`],
+/// so a commit holds O(1) memory however many pages it writes.
+struct ChunkWriter<'f> {
+    file: &'f PositionedFile,
+    /// File offset of `buf[0]`.
+    base: u64,
+    buf: Vec<u8>,
+}
+
+impl<'f> ChunkWriter<'f> {
+    fn new(file: &'f PositionedFile, base: u64) -> Self {
+        ChunkWriter {
+            file,
+            base,
+            buf: Vec::with_capacity(COMMIT_CHUNK_BYTES),
+        }
+    }
+
+    /// File offset the next appended byte will land at.
+    fn offset(&self) -> u64 {
+        self.base + self.buf.len() as u64
+    }
+
+    fn flush_if_full(&mut self) -> Result<(), StoreError> {
+        if self.buf.len() >= COMMIT_CHUNK_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), StoreError> {
+        if !self.buf.is_empty() {
+            self.file.write_all_at(&self.buf, self.base)?;
+            self.base += self.buf.len() as u64;
+            self.buf.clear();
+        }
+        Ok(())
     }
 }
 

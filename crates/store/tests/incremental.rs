@@ -4,7 +4,7 @@
 
 use pr_em::{MemDevice, PositionedFile};
 use pr_geom::{Item, Rect};
-use pr_store::{CommitComponent, Store, StoreError};
+use pr_store::{CommitComponent, ReadPath, Store, StoreError};
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
 use pr_tree::{RTree, TreeParams};
@@ -98,6 +98,60 @@ fn reused_component_pages_stay_byte_identical_in_place() {
         got.sort_by_key(|i| i.id);
         assert_eq!(got, want);
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A commit mixing `New` and `Reuse` in every position reopens to the
+/// same answers through both read paths: the verify-once mmap path and
+/// the re-hash-every-read one (which would trip over any page whose
+/// bytes and table entry disagree).
+#[test]
+fn mixed_new_and_reuse_commit_reopens_identically_under_both_read_paths() {
+    let path = tmp("mixed.prt");
+    let params = TreeParams::with_cap::<2>(8);
+    let a = build(params, 0..1500, 0.0);
+    let b = build(params, 1500..1600, 3000.0);
+    let c = build(params, 1600..2600, 6000.0);
+    let d = build(params, 2600..2650, 9000.0);
+    let e = build(params, 2650..3000, 12000.0);
+
+    let mut store = Store::create::<2>(&path, params).unwrap();
+    store.save_components(&[&a, &b, &c], b"epoch-1").unwrap();
+    let ids: Vec<u64> = store.component_runs().iter().map(|r| r.id).collect();
+    // New, Reuse, New, Reuse: b is dropped, d and e are appended as two
+    // runs of one commit (their tables share the commit's table region).
+    let outcome = store
+        .commit_components(
+            &[
+                CommitComponent::New(&d),
+                CommitComponent::Reuse(ids[0]),
+                CommitComponent::New(&e),
+                CommitComponent::Reuse(ids[2]),
+            ],
+            b"epoch-2",
+        )
+        .unwrap();
+    assert_eq!(outcome.component_ids[1], ids[0]);
+    assert_eq!(outcome.component_ids[3], ids[2]);
+    drop(store);
+
+    let store = Store::open(&path).unwrap();
+    assert_eq!(store.app(), b"epoch-2");
+    let q = Rect::xyxy(-10.0, -10.0, 20000.0, 10.0);
+    for read_path in [ReadPath::ZeroCopy, ReadPath::Recheck] {
+        let comps = store.components_with::<2>(read_path).unwrap();
+        assert_eq!(comps.len(), 4);
+        for (orig, reopened) in [&d, &a, &e, &c].into_iter().zip(&comps) {
+            assert_eq!(reopened.len(), orig.len());
+            let mut want = orig.window(&q).unwrap();
+            let mut got = reopened.window(&q).unwrap();
+            want.sort_by_key(|i| i.id);
+            got.sort_by_key(|i| i.id);
+            assert_eq!(got, want, "{read_path:?}");
+            reopened.validate().unwrap().assert_ok();
+        }
+    }
+    store.scrub().unwrap();
     std::fs::remove_file(&path).ok();
 }
 
