@@ -58,7 +58,7 @@ fn retry_io<T>(mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T>
 /// A device of fixed-size blocks with exact transfer accounting.
 ///
 /// All methods take `&self`; implementations synchronize internally so
-/// devices can be shared across threads (parallel bulk loading).
+/// devices can be shared across threads (concurrent queries, merges).
 pub trait BlockDevice: Send + Sync {
     /// Size of one block in bytes.
     fn block_size(&self) -> usize;

@@ -31,7 +31,7 @@
 //! the zero-copy corruption battery re-runs bit-identically without a
 //! mapping.
 
-use crate::device::{BlockDevice, BlockId, PositionedFile};
+use crate::device::{BlockDevice, BlockId};
 use crate::error::EmError;
 use crate::stats::IoCounters;
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -211,7 +211,7 @@ pub enum Decision {
 
 /// The schedule machinery itself: a spec list plus op/fired counters.
 /// One instance backs the process-wide hook ([`install`]); standalone
-/// instances back the explicit [`FaultFile`] / [`FaultDevice`] wrappers.
+/// instances back the explicit [`FaultDevice`] wrapper.
 pub struct Injector {
     sched: FaultSchedule,
     /// One latch per spec: one-shot specs set it on fire.
@@ -339,12 +339,6 @@ pub fn mmap_denied() -> bool {
     DENY_MMAP.load(Ordering::Relaxed)
 }
 
-/// True while any schedule is installed (bench introspection).
-#[inline]
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 /// Process-wide serialization for tests that install schedules: the
 /// hooks are global, so concurrent hook-using tests in one binary must
 /// take this first.
@@ -438,101 +432,6 @@ pub(crate) fn flip_bit(buf: &mut [u8], bit: u64) {
     }
     let bit = bit % (buf.len() as u64 * 8);
     buf[(bit / 8) as usize] ^= 1 << (bit % 8);
-}
-
-/// A [`PositionedFile`] carrying its **own** injector — the explicit,
-/// single-file alternative to the process-wide hook (which faults every
-/// file in the process). Both run the same schedule machinery, so a
-/// spec behaves identically either way; only the op numbering differs
-/// (per instance here, global there).
-pub struct FaultFile {
-    inner: PositionedFile,
-    inj: Injector,
-}
-
-impl FaultFile {
-    /// Wraps `inner` with a private copy of `sched`.
-    pub fn new(inner: PositionedFile, sched: FaultSchedule) -> Self {
-        FaultFile {
-            inner,
-            inj: Injector::new(sched),
-        }
-    }
-
-    /// This file's injector (op / injected counts).
-    pub fn injector(&self) -> &Injector {
-        &self.inj
-    }
-
-    /// The wrapped file.
-    pub fn inner(&self) -> &PositionedFile {
-        &self.inner
-    }
-
-    /// Faultable positioned read; see
-    /// [`PositionedFile::read_exact_or_zero_at`].
-    pub fn read_exact_or_zero_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Read, buf.len()) {
-            Decision::Proceed => self.inner.read_exact_or_zero_at(buf, offset),
-            Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
-            Decision::FlipBit { bit } => {
-                self.inner.read_exact_or_zero_at(buf, offset)?;
-                flip_bit(buf, bit);
-                Ok(())
-            }
-        }
-    }
-
-    /// Faultable positioned write; see [`PositionedFile::write_all_at`].
-    pub fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Write, buf.len()) {
-            Decision::Proceed => self.inner.write_all_at(buf, offset),
-            Decision::Fail(e) => Err(e.to_io_error()),
-            Decision::Torn { keep, errno } => {
-                let _ = self.inner.write_all_at(&buf[..keep], offset);
-                Err(errno.to_io_error())
-            }
-            Decision::FlipBit { bit } => {
-                let mut copy = buf.to_vec();
-                flip_bit(&mut copy, bit);
-                self.inner.write_all_at(&copy, offset)
-            }
-        }
-    }
-
-    /// Faultable fsync; see [`PositionedFile::sync_data`].
-    pub fn sync_data(&self) -> std::io::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Fsync, 0) {
-            Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
-            _ => self.inner.sync_data(),
-        }
-    }
-
-    /// Faultable full fsync; see [`PositionedFile::sync_all`].
-    pub fn sync_all(&self) -> std::io::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Fsync, 0) {
-            Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
-            _ => self.inner.sync_all(),
-        }
-    }
-
-    /// Faultable truncate; see [`PositionedFile::set_len`].
-    pub fn set_len(&self, len: u64) -> std::io::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Trunc, 0) {
-            Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
-            _ => self.inner.set_len(len),
-        }
-    }
-
-    /// Current file length (not an I/O op — never faulted).
-    pub fn len(&self) -> std::io::Result<u64> {
-        self.inner.len()
-    }
-
-    /// True when the file is empty.
-    pub fn is_empty(&self) -> std::io::Result<bool> {
-        self.inner.is_empty()
-    }
 }
 
 /// A [`BlockDevice`] wrapper carrying its own injector: every block op
@@ -663,7 +562,6 @@ mod tests {
         clear();
         assert_eq!(on_op(Realm::File, OpClass::Read, 64), Decision::Proceed);
         assert_eq!(op_count(), 0);
-        assert!(!is_armed());
     }
 
     #[test]
@@ -864,34 +762,6 @@ mod tests {
         assert!(landed < 64, "torn write must be a strict prefix");
         assert!(out[landed..].iter().all(|&b| b == 0));
         assert_eq!(dev.injector().injected_count(), 1);
-    }
-
-    #[test]
-    fn fault_file_fails_the_programmed_fsync() {
-        let _x = exclusive();
-        clear();
-        let dir = std::env::temp_dir().join(format!("pr-em-faultfile-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ff.bin");
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .unwrap();
-        let ff = FaultFile::new(
-            PositionedFile::new(file),
-            FaultSchedule::fail_op(0, 1, Some(OpClass::Fsync), FaultKind::Errno(Errno::Eio)),
-        );
-        ff.write_all_at(b"hello", 0).unwrap(); // op 0 (Write — not matched)
-        let err = ff.sync_data().unwrap_err(); // op 1, Fsync → EIO
-        assert_eq!(err.raw_os_error(), Some(5));
-        ff.sync_data().unwrap(); // one-shot consumed
-        let mut buf = [0u8; 5];
-        ff.read_exact_or_zero_at(&mut buf, 0).unwrap();
-        assert_eq!(&buf, b"hello");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   budget `M`, giving the `O(N/B · log_{M/B} N/B)` sorting bound every
 //!   construction algorithm in the paper leans on.
 //!
-//! All counters are cheap atomics; devices are `Sync` so parallel builds
-//! can share them.
+//! All counters are cheap atomics; devices are `Sync` so concurrent
+//! readers and a merge can share them.
 
 pub mod device;
 pub mod error;

@@ -34,10 +34,3 @@ pub use item::Item;
 pub use mapped::{Axis, MappedOrd};
 pub use point::Point;
 pub use rect::Rect;
-
-/// A 2-dimensional rectangle, the shape used by all paper experiments.
-pub type Rect2 = Rect<2>;
-/// A 2-dimensional point.
-pub type Point2 = Point<2>;
-/// A 2-dimensional labeled rectangle.
-pub type Item2 = Item<2>;

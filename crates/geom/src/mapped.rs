@@ -60,17 +60,6 @@ impl Axis {
             rect.hi_at(self.0 - D)
         }
     }
-
-    /// Human-readable name for 2-D axes (used in traces and tests).
-    pub fn name2(self) -> &'static str {
-        match self.0 {
-            0 => "xmin",
-            1 => "ymin",
-            2 => "xmax",
-            3 => "ymax",
-            _ => "axis?",
-        }
-    }
 }
 
 /// Compares two items by mapped coordinate along `axis`, ties by id.
@@ -145,8 +134,9 @@ mod tests {
     #[test]
     fn axis_roundrobin_order_matches_paper() {
         // §2.1: divide on xmin, then ymin, then xmax, then ymax, repeat.
-        let names: Vec<_> = Axis::all::<2>().map(|a| a.name2()).collect();
-        assert_eq!(names, ["xmin", "ymin", "xmax", "ymax"]);
+        let r = Rect::xyxy(1.0, 2.0, 3.0, 4.0); // xmin, ymin, xmax, ymax
+        let order: Vec<_> = Axis::all::<2>().map(|a| a.coord(&r)).collect();
+        assert_eq!(order, [1.0, 2.0, 3.0, 4.0]);
         assert_eq!(Axis(3).next::<2>(), Axis(0));
         assert_eq!(Axis(0).next::<2>(), Axis(1));
     }

@@ -16,8 +16,6 @@
 //! [`hilbert_point`] inverts it. [`HilbertMapper`] handles the
 //! quantization of floating-point coordinates into the integer grid.
 
-use std::cmp::Ordering;
-
 /// Maximum total bits (`dimensions × order`) representable in the `u128`
 /// index.
 pub const MAX_TOTAL_BITS: u32 = 128;
@@ -264,11 +262,6 @@ impl HilbertMapper {
     pub fn index_of(&self, point: &[f64]) -> u128 {
         hilbert_index(&self.quantize(point), self.order)
     }
-
-    /// Compares two points by Hilbert index (convenience for sorts).
-    pub fn cmp_points(&self, a: &[f64], b: &[f64]) -> Ordering {
-        self.index_of(a).cmp(&self.index_of(b))
-    }
 }
 
 #[cfg(test)]
@@ -387,6 +380,5 @@ mod tests {
         let near = a.abs_diff(b);
         let far = a.abs_diff(c);
         assert!(near < far);
-        assert_eq!(m.cmp_points(&[0.1, 0.1], &[0.1, 0.1]), Ordering::Equal);
     }
 }

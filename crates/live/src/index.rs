@@ -9,7 +9,7 @@
 //! * **Components** — bulk-loaded PR-trees in geometric slots
 //!   ([`GeometricPolicy`]), persisted in one `pr-store` file and opened
 //!   through checksum-verifying, snapshot-pinned devices.
-//! * **Merges** ([`crate::merge`]) — a memtable overflow seals it into
+//! * **Merges** (`crate::merge`) — a memtable overflow seals it into
 //!   an immutable batch and merges batch + lower components into a new
 //!   bulk-loaded component, committed atomically (pages + manifest +
 //!   superblock flip); the manifest's `wal_seq` is what replay skips
@@ -21,7 +21,7 @@
 //!   decisions, sequence assignment, record encoding, and the commit
 //!   enqueue happen under it. **No I/O** — since the PR 6 group-commit
 //!   rework, the fsync is paid off this lock, by a group leader, once
-//!   per group (see [`crate::commit`]).
+//!   per group (see `crate::commit`).
 //! * `core` (rwlock) — the queryable state. Write-locked only for
 //!   O(batch) memory ops — never across I/O. Writers push their logical
 //!   ops onto `core.pending` under `writer`; the group leader pops and
@@ -30,7 +30,7 @@
 //!   take the read lock just long enough to clone a [`LiveSnapshot`]
 //!   (memtable copy + `Arc` bumps), then query entirely off-lock
 //!   through the PR 3 decode-free engine.
-//! * `commit queue` (std mutex + condvar, [`crate::commit`]) — the
+//! * `commit queue` (std mutex + condvar, `crate::commit`) — the
 //!   leader/follower handoff and the WAL itself. Never held while
 //!   acquiring `writer`; merges quiesce it (drain + sync) before
 //!   sealing or rotating.
@@ -52,7 +52,7 @@ use crate::wal::{Wal, WalOp, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store};
-use pr_tree::dynamic::{same_identity, GeometricPolicy, Tombstones};
+use pr_tree::dynamic::{fanout, same_identity, GeometricPolicy, Tombstones};
 use pr_tree::{KnnSearch, QueryScratch, QueryStats, RTree, TreeParams};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -81,6 +81,11 @@ pub enum Durability {
     },
 }
 
+/// Background merges only: writers stall (briefly, on a condvar) once
+/// the memtable holds this many `buffer_cap`s while a sealed batch is
+/// still being merged, bounding memory.
+const BACKPRESSURE_FACTOR: usize = 4;
+
 /// Tuning knobs for a [`LiveIndex`].
 #[derive(Debug, Clone, Copy)]
 pub struct LiveOptions {
@@ -90,10 +95,6 @@ pub struct LiveOptions {
     /// the overflowing writer (`false`). Readers never block either way;
     /// background mode also keeps *writers* responsive during merges.
     pub background_merge: bool,
-    /// Background mode only: writers stall (briefly, on a condvar) once
-    /// the memtable exceeds `backpressure_factor * buffer_cap` while a
-    /// sealed batch is still being merged, bounding memory.
-    pub backpressure_factor: usize,
     /// When writes are acknowledged relative to their fsync (see
     /// [`Durability`]). Default: [`Durability::Fsync`].
     pub durability: Durability,
@@ -102,17 +103,6 @@ pub struct LiveOptions {
     /// instead of the default verify-once zero-copy path. Catches
     /// in-memory corruption of cached pages at a per-read CRC cost.
     pub recheck_reads: bool,
-    /// Span-trace sampling rate: arm a trace on one in every N
-    /// operations (queries, write groups, merges, WAL replay — see
-    /// `pr_obs::trace`). `0` leaves tracing in its current (default:
-    /// disabled) state, where the per-operation cost is one relaxed
-    /// atomic load. Applied **process-globally** at open/create.
-    pub trace_sample_every: u64,
-    /// Flight-recorder admission threshold in microseconds: sampled
-    /// traces faster than this are not retained by `pr_obs::recorder()`
-    /// (they still reach an installed collector). `0` leaves the
-    /// recorder's current threshold untouched.
-    pub trace_slow_us: u64,
 }
 
 impl Default for LiveOptions {
@@ -120,11 +110,8 @@ impl Default for LiveOptions {
         LiveOptions {
             buffer_cap: 1024,
             background_merge: true,
-            backpressure_factor: 4,
             durability: Durability::Fsync,
             recheck_reads: false,
-            trace_sample_every: 0,
-            trace_slow_us: 0,
         }
     }
 }
@@ -248,23 +235,23 @@ impl<const D: usize> Core<D> {
     /// Counts stored copies (sealed batch + every component) of `item`'s
     /// exact bit identity — the copies-vs-tombstones liveness probe,
     /// against this core's current structure. The off-lock delete path
-    /// runs the same [`count_stored_copies`] against a pinned structure
-    /// instead; WAL-replay re-derivation calls this directly, so their
-    /// equivalence (which crash recovery depends on) is structural, not
-    /// copy-paste.
+    /// runs the same [`fanout::count_stored_copies`] against a pinned
+    /// structure instead; WAL-replay re-derivation calls this directly,
+    /// so their equivalence (which crash recovery depends on) is
+    /// structural, not copy-paste.
     pub(crate) fn stored_copies(
         &self,
         item: &Item<D>,
         scratch: &mut QueryScratch<D>,
         hits: &mut Vec<Item<D>>,
     ) -> Result<u64, LiveError> {
-        count_stored_copies(
+        Ok(fanout::count_stored_copies(
             self.sealed.as_deref().map(|v| v.as_slice()),
             self.components.iter().flatten().map(|a| a.as_ref()),
             item,
             scratch,
             hits,
-        )
+        )?)
     }
 
     /// Pops and applies the oldest `n` pending ops — the group leader's
@@ -311,29 +298,6 @@ impl<const D: usize> Core<D> {
             .filter(|op| matches!(op, PendingApply::DeleteTomb(it) if same_identity(it, item)))
             .count() as u64
     }
-}
-
-/// The **one** implementation of the stored-copies count behind every
-/// copies-vs-tombstones decision: sealed-batch scan plus a window probe
-/// of each component. Parameterized over the structure so the live
-/// delete path can run it against a *pinned* (off-lock) structure while
-/// replay and the slow path run it against the core's current one.
-pub(crate) fn count_stored_copies<'a, const D: usize>(
-    sealed: Option<&[Item<D>]>,
-    components: impl Iterator<Item = &'a RTree<D>>,
-    item: &Item<D>,
-    scratch: &mut QueryScratch<D>,
-    hits: &mut Vec<Item<D>>,
-) -> Result<u64, LiveError> {
-    let mut copies = 0u64;
-    if let Some(sealed) = sealed {
-        copies += sealed.iter().filter(|i| same_identity(i, item)).count() as u64;
-    }
-    for c in components {
-        c.window_into(&item.rect, scratch, hits)?;
-        copies += hits.iter().filter(|h| same_identity(h, item)).count() as u64;
-    }
-    Ok(copies)
 }
 
 impl<const D: usize> LiveInner<D> {
@@ -613,15 +577,6 @@ impl<const D: usize> LiveIndex<D> {
         records: Vec<WalRecord<D>>,
         lock: std::fs::File,
     ) -> Result<Self, LiveError> {
-        // Tracing knobs are process-global (the sampler and flight
-        // recorder are shared statics); apply them before anything below
-        // can arm a trace.
-        if opts.trace_sample_every > 0 {
-            pr_obs::trace::set_sampling(opts.trace_sample_every);
-        }
-        if opts.trace_slow_us > 0 {
-            pr_obs::recorder().configure(8, opts.trace_slow_us);
-        }
         // Components out of the store, arranged into their slots.
         let read_path = if opts.recheck_reads {
             ReadPath::Recheck
@@ -936,7 +891,7 @@ impl<const D: usize> LiveIndex<D> {
         let mut probed: Vec<u64> = Vec::with_capacity(items.len());
         let t_probe = tracing.then(std::time::Instant::now);
         for item in items {
-            probed.push(count_stored_copies(
+            probed.push(fanout::count_stored_copies(
                 pinned_sealed.as_deref().map(|v| v.as_slice()),
                 pinned_components.iter().map(|a| a.as_ref()),
                 item,
@@ -1341,12 +1296,7 @@ impl<const D: usize> LiveIndex<D> {
         }
         // Backpressure: a writer outrunning the merger stalls here once
         // the memtable is several seals deep, holding no locks.
-        let limit = self
-            .inner
-            .opts
-            .backpressure_factor
-            .max(1)
-            .saturating_mul(self.inner.policy.buffer_cap());
+        let limit = BACKPRESSURE_FACTOR.saturating_mul(self.inner.policy.buffer_cap());
         loop {
             self.surface_worker_error()?;
             let crowded = {
@@ -1632,24 +1582,15 @@ impl<const D: usize> LiveSnapshot<D> {
         out: &mut Vec<Item<D>>,
     ) -> Result<QueryStats, LiveError> {
         let t0 = std::time::Instant::now();
-        out.clear();
-        out.extend(self.memtable.iter().filter(|i| i.rect.intersects(query)));
-        let mut stats = QueryStats::default();
-        let mut filter = self.tombstones.filter();
-        if let Some(sealed) = &self.sealed {
-            out.extend(
-                sealed
-                    .iter()
-                    .filter(|i| i.rect.intersects(query) && filter.admit(i)),
-            );
-        }
-        for c in &self.components {
-            let start = out.len();
-            let s = c.window_append_into(query, scratch, out)?;
-            stats.absorb_traversal(&s);
-            filter.retain_admitted(out, start);
-        }
-        stats.results = out.len() as u64;
+        let stats = fanout::window_into(
+            &self.memtable,
+            self.sealed.as_deref().map(|v| v.as_slice()),
+            self.components.iter().map(|c| c.as_ref()),
+            &self.tombstones,
+            query,
+            scratch,
+            out,
+        )?;
         crate::obs::metrics()
             .window_query_us
             .record_duration_us(t0.elapsed());
@@ -1705,18 +1646,11 @@ impl<const D: usize> LiveSnapshot<D> {
 
     /// All live items (test helper; full scan).
     pub fn items(&self) -> Result<Vec<Item<D>>, LiveError> {
-        let mut out = self.memtable.clone();
-        let mut filter = self.tombstones.filter();
-        if let Some(sealed) = &self.sealed {
-            out.extend(sealed.iter().filter(|i| filter.admit(i)));
-        }
-        for c in &self.components {
-            for it in c.items()? {
-                if filter.admit(&it) {
-                    out.push(it);
-                }
-            }
-        }
-        Ok(out)
+        Ok(fanout::items(
+            &self.memtable,
+            self.sealed.as_deref().map(|v| v.as_slice()),
+            self.components.iter().map(|c| c.as_ref()),
+            &self.tombstones,
+        )?)
     }
 }

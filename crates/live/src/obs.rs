@@ -1,7 +1,7 @@
 //! pr-live's catalog of process-wide metrics.
 //!
 //! The live index keeps its exact per-instance counters on
-//! [`crate::commit::GroupCommit`] (several `LiveIndex`es can coexist in
+//! `crate::commit::GroupCommit` (several `LiveIndex`es can coexist in
 //! one process, and [`crate::LiveStats`] must describe *its* index, not
 //! the union) — this catalog is the process-wide mirror, bumped at the
 //! same sites, that the registry exporters read. Gauges

@@ -19,7 +19,7 @@
 //!   the horizon covers its last sequence number. N concurrent writers
 //!   therefore share one fsync instead of paying N.
 //!
-//! The queue/leader machinery lives in [`crate::commit`]; this module
+//! The queue/leader machinery lives in `crate::commit`; this module
 //! owns the on-disk format, which is **unchanged** from the
 //! one-fsync-per-batch era: a group is nothing but the batches' record
 //! frames laid back to back, so recovery cannot tell (and need not
@@ -411,11 +411,6 @@ impl Wal {
             fsync_dir(&self.dir)?;
         }
         Ok(())
-    }
-
-    /// Index of the current (append) segment.
-    pub fn current_segment(&self) -> u64 {
-        self.seg_index
     }
 
     /// Number of segment files on disk.

@@ -52,7 +52,6 @@ fn insert_only_prefix_invariant(name: &str, background: bool, writers: u32, batc
     let opts = LiveOptions {
         buffer_cap: 64,
         background_merge: background,
-        backpressure_factor: 4,
         ..LiveOptions::default()
     };
     let ix = LiveIndex::<2>::create(&dir, params(), opts).unwrap();
@@ -176,7 +175,6 @@ fn mixed_ops_match_oracle_with_concurrent_readers() {
     let opts = LiveOptions {
         buffer_cap: 48,
         background_merge: true,
-        backpressure_factor: 4,
         ..LiveOptions::default()
     };
     let ix = LiveIndex::<2>::create(&dir, params(), opts).unwrap();
@@ -250,7 +248,6 @@ fn snapshot_stays_frozen_across_merges_and_compaction() {
     let opts = LiveOptions {
         buffer_cap: 32,
         background_merge: false,
-        backpressure_factor: 4,
         ..LiveOptions::default()
     };
     let ix = LiveIndex::<2>::create(&dir, params(), opts).unwrap();
@@ -290,7 +287,6 @@ fn knn_matches_oracle_after_churn() {
     let opts = LiveOptions {
         buffer_cap: 16,
         background_merge: false,
-        backpressure_factor: 4,
         ..LiveOptions::default()
     };
     let ix = LiveIndex::<2>::create(&dir, params(), opts).unwrap();

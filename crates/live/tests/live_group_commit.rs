@@ -115,7 +115,6 @@ fn multi_writer_kill_boundaries_recover_exact_acked_set() {
     let opts = LiveOptions {
         buffer_cap: 64,
         background_merge: true,
-        backpressure_factor: 4,
         ..LiveOptions::default()
     };
     let mut oracles: Vec<Vec<Item<2>>> = vec![Vec::new(); WRITERS];

@@ -33,7 +33,6 @@ fn opts(cap: usize) -> LiveOptions {
     LiveOptions {
         buffer_cap: cap,
         background_merge: false, // deterministic merge points
-        backpressure_factor: 4,
         ..LiveOptions::default()
     }
 }

@@ -46,7 +46,6 @@ fn storm_commits_reuse_the_resident_run_and_bound_write_amp() {
     let opts = LiveOptions {
         buffer_cap: BUFFER_CAP,
         background_merge: false,
-        backpressure_factor: 4,
         ..LiveOptions::default()
     };
     let ix = LiveIndex::<2>::create(&dir, params, opts).unwrap();

@@ -5,13 +5,15 @@
 //! present, tombstones against it, an aliased reinsert in the memtable)
 //! answers exactly like a brute-force scan of the live set; and the same
 //! op trace through `pr_tree::dynamic::LprTree` and an inline-merge
-//! `LiveIndex` gives identical `(id, dist bits)` lists — the two
-//! frontends of the logarithmic method share one search.
+//! `LiveIndex` gives identical `(id, dist bits)` lists and, for window
+//! queries, identical result sets and leaf visits — the two frontends
+//! of the logarithmic method share one search and one fan-out.
 
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
 use pr_live::{CrashPoint, LiveError, LiveIndex, LiveOptions};
 use pr_tree::dynamic::LprTree;
+use pr_tree::query::brute_force_window;
 use pr_tree::{QueryScratch, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -34,7 +36,6 @@ fn opts(buffer_cap: usize) -> LiveOptions {
     LiveOptions {
         buffer_cap,
         background_merge: false, // deterministic merge points
-        backpressure_factor: 4,
         ..LiveOptions::default()
     }
 }
@@ -52,6 +53,12 @@ fn random_point(rng: &mut SmallRng) -> Point<2> {
 
 fn id_and_bits(nn: &[(Item<2>, f64)]) -> Vec<(u32, u64)> {
     nn.iter().map(|(i, d)| (i.id, d.to_bits())).collect()
+}
+
+fn sorted_ids(items: &[Item<2>]) -> Vec<u32> {
+    let mut ids: Vec<u32> = items.iter().map(|i| i.id).collect();
+    ids.sort_unstable();
+    ids
 }
 
 fn brute_knn(live: &[Item<2>], q: &Point<2>, k: usize) -> Vec<(u32, u64)> {
@@ -122,10 +129,10 @@ fn knn_with_a_merge_in_flight_matches_oracle() {
     }
 }
 
-/// ROADMAP item 2's pin, for k-NN: one insert / delete / reinsert trace
-/// through both frontends of the logarithmic method, identical answers
-/// at every checkpoint (and equal to the brute-force oracle, so they
-/// cannot be wrong together).
+/// ROADMAP item 2's pin: one insert / delete / reinsert trace through
+/// both frontends of the logarithmic method, identical k-NN and window
+/// answers at every checkpoint (and equal to the brute-force oracle, so
+/// they cannot be wrong together), at identical leaf I/O.
 #[test]
 fn lpr_tree_and_live_index_give_identical_knn() {
     const CAP: usize = 16;
@@ -138,6 +145,7 @@ fn lpr_tree_and_live_index_give_identical_knn() {
     let mut graveyard: Vec<Item<2>> = Vec::new();
     let mut scratch = QueryScratch::new();
     let (mut a, mut b) = (Vec::new(), Vec::new());
+    let (mut wa, mut wb) = (Vec::new(), Vec::new());
     for step in 0..1_200u32 {
         match rng.gen_range(0..10) {
             // Delete a random live item…
@@ -180,6 +188,20 @@ fn lpr_tree_and_live_index_give_identical_knn() {
                     id_and_bits(&a),
                     brute_knn(&live, &q, k),
                     "step {step} k={k}"
+                );
+            }
+            let [x, y] = q.0;
+            for half in [5.0, 60.0, 400.0] {
+                let w = Rect::xyxy(x - half, y - half, x + half, y + half);
+                let sa = lpr.window_into(&w, &mut scratch, &mut wa).unwrap();
+                let sb = snap.window_into(&w, &mut scratch, &mut wb).unwrap();
+                let want = sorted_ids(&brute_force_window(&live, &w));
+                assert_eq!(sorted_ids(&wa), want, "step {step} window {w:?}");
+                assert_eq!(sorted_ids(&wb), want, "step {step} window {w:?}");
+                assert_eq!(
+                    (sa.leaves_visited, sa.results),
+                    (sb.leaves_visited, sb.results),
+                    "step {step} window {w:?}"
                 );
             }
         }

@@ -39,9 +39,9 @@ fn pipeline_traces_cover_all_layers() {
     let opts = LiveOptions {
         buffer_cap: 1024,
         background_merge: false, // deterministic merge points
-        trace_sample_every: 1,   // every op traced
         ..LiveOptions::default()
     };
+    pr_obs::trace::set_sampling(1); // every op traced
     pr_obs::trace::install_collector(256);
     {
         let idx = LiveIndex::<2>::create(&dir, TreeParams::with_cap::<2>(8), opts).unwrap();

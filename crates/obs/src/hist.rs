@@ -2,7 +2,7 @@
 //!
 //! Fixed log₂-bucketed layout, the scheme HdrHistogram popularized: a
 //! value is placed by the position of its highest set bit (the
-//! "exponent") and [`SUB_BITS`] further bits of mantissa, giving a
+//! "exponent") and `SUB_BITS` further bits of mantissa, giving a
 //! constant relative error of at most `1/2^SUB_BITS` (≈ 3% here) across
 //! the full `u64` range — microseconds and minutes share one array.
 //! Recording is one `leading_zeros` + one increment; percentile lookup

@@ -10,7 +10,7 @@
 //!   one-call before/after deltas ([`RegistrySnapshot::delta_since`]).
 //! * [`hist`] — the HDR-style [`LatencyHistogram`] plus its
 //!   shared-writer [`AtomicHistogram`] form.
-//! * [`events`] — a bounded lifecycle event ring (WAL rotate,
+//! * [`mod@events`] — a bounded lifecycle event ring (WAL rotate,
 //!   group-commit flush, memtable seal, merge start/commit, compaction,
 //!   store commit, scrub) readable without stopping writers.
 //! * [`export`] — Prometheus-style text and versioned JSON renderings
@@ -46,8 +46,8 @@ pub use registry::{
     Registry, RegistrySnapshot,
 };
 pub use trace::{
-    ambient_span, chrome_trace_json, configure_recorder, recorder, slow_traces_json, trace_json,
-    AmbientScope, AmbientSpan, FlightRecorder, LevelCounters, Span, SpanCtx, SpanId, Trace,
+    ambient_span, chrome_trace_json, recorder, slow_traces_json, trace_json, AmbientScope,
+    AmbientSpan, FlightRecorder, LevelCounters, Span, SpanCtx, SpanId, Trace,
 };
 
 /// The process-wide lifecycle event ring.

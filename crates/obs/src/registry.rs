@@ -16,7 +16,7 @@
 //!   different threads don't bounce a shared line),
 //! * gauge set/add/sub — one relaxed RMW on a single atomic,
 //! * histogram record — a bucket increment plus running-stat RMWs
-//!   (see [`AtomicHistogram`](crate::hist::AtomicHistogram)).
+//!   (see [`crate::hist::AtomicHistogram`]).
 //!
 //! A global recording switch ([`set_recording`]) turns counter,
 //! histogram and event recording into a single relaxed load + branch,

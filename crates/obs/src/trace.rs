@@ -29,7 +29,7 @@
 //! Completed traces are published ([`SpanCtx::finish_publish`]) to the
 //! process-wide [`FlightRecorder`], which keeps the **N slowest traces
 //! per op-kind** (default 8), admitting only traces at least as slow as
-//! the configured threshold ([`configure_recorder`]; default 0 µs =
+//! the configured threshold ([`FlightRecorder::configure`]; default 0 µs =
 //! keep the slowest N regardless). Within a kind the list is sorted
 //! slowest-first and the fastest retained trace is evicted on overflow,
 //! so the recorder is a bounded reservoir whose contents converge on
@@ -39,7 +39,7 @@
 //!
 //! # Consumers
 //!
-//! * `prtree query/knn --explain` — installs a [`Collector`], forces a
+//! * `prtree query/knn --explain` — installs a `Collector`, forces a
 //!   trace on one query, and prints the per-level profile (cross-checked
 //!   exactly against `QueryStats`).
 //! * `prtree slow [--json]` / `stats --json` — the flight recorder.
@@ -77,15 +77,6 @@ pub fn enabled() -> bool {
 pub fn set_sampling(every: u64) {
     SAMPLE_EVERY.store(every, Ordering::Relaxed);
     ENABLED.store(every != 0, Ordering::Relaxed);
-}
-
-/// Current sampling rate (0 = disabled).
-pub fn sampling() -> u64 {
-    if enabled() {
-        SAMPLE_EVERY.load(Ordering::Relaxed)
-    } else {
-        0
-    }
 }
 
 /// One relaxed load when disabled; when armed, one fetch-add deciding
@@ -572,11 +563,6 @@ impl FlightRecorder {
 pub fn recorder() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(FlightRecorder::new)
-}
-
-/// Sets the process-wide flight recorder's retention policy.
-pub fn configure_recorder(keep_per_kind: usize, threshold_us: u64) {
-    recorder().configure(keep_per_kind, threshold_us);
 }
 
 // ---------------------------------------------------------------------------

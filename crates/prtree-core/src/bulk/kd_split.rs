@@ -1,7 +1,7 @@
 //! The in-place pseudo-PR-tree grouping kernel.
 //!
-//! Every PR-tree stage (sequential, parallel, and the external loader's
-//! in-memory base case) and the standalone
+//! Every PR-tree stage (the in-memory loader's and the external
+//! loader's in-memory base case) and the standalone
 //! [`crate::pseudo::PseudoPrTree`] group entries with the two steps of
 //! §2.1, and all of them run this module's code:
 //!
@@ -11,7 +11,7 @@
 //! 2. **median split** — the remainder divided at the median of the
 //!    round-robin kd axis, snapped to a multiple of the node capacity so
 //!    almost every leaf comes out full (the ">99% space utilization"
-//!    trick at the end of §2.1; see [`split_point`]).
+//!    trick at the end of §2.1; see `split_point`).
 //!
 //! # The in-place contract
 //!
@@ -22,12 +22,11 @@
 //! and the next axis repeats. A `select_nth_unstable_by(mid, kd order)`
 //! over what is left makes the children `[start, start + mid)` and
 //! `[start + mid, end)`. Nothing outside a node's range is touched, so a
-//! finished leaf keeps its place and entry order, and disjoint ranges
-//! can go to different threads. Leaves are reported as `Range<usize>`
-//! into the buffer — the structure is a permutation of its input, as in
-//! De & Nandy's in-place priority search tree.
+//! finished leaf keeps its place and entry order. Leaves are reported
+//! as `Range<usize>` into the buffer — the structure is a permutation
+//! of its input, as in De & Nandy's in-place priority search tree.
 //!
-//! **Emission order** ([`leaf_ranges`]): a node's priority leaves in axis
+//! **Emission order** (`leaf_ranges`): a node's priority leaves in axis
 //! order, then its *right* subtree, then its left. Pages are written in
 //! that order and page ids break coordinate ties one stage up, so the
 //! order is part of the output.

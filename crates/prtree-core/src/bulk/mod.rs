@@ -21,7 +21,6 @@ pub mod hilbert;
 pub mod kd_split;
 pub mod pr;
 pub mod pr_external;
-pub mod pr_parallel;
 pub mod str_;
 pub mod tgs;
 pub mod tgs_external;

@@ -30,7 +30,6 @@ use crate::tree::RTree;
 use crate::writer::write_level;
 use pr_em::{BlockDevice, EmError};
 use pr_geom::{Axis, Item};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the PR-tree loader.
@@ -65,17 +64,21 @@ impl PrTreeLoader {
             snap: self.snap_splits.then_some(cap),
         }
     }
+}
 
-    /// Runs all stages over `entries`, returning the finished tree.
-    /// `group` is the stage grouping: [`leaf_ranges`] from `Axis(0)`, or
-    /// a different schedule of the same node steps.
-    pub(crate) fn build_stages<const D: usize>(
+impl<const D: usize> BulkLoader<D> for PrTreeLoader {
+    fn name(&self) -> &'static str {
+        "PR"
+    }
+
+    fn load(
         &self,
         dev: Arc<dyn BlockDevice>,
         params: TreeParams,
-        mut entries: Vec<Entry<D>>,
-        mut group: impl FnMut(&mut [Entry<D>], NodeShape) -> Vec<Range<usize>>,
+        items: Vec<Item<D>>,
     ) -> Result<RTree<D>, EmError> {
+        // Same size and alignment: the collect reuses the input's buffer.
+        let mut entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
         if entries.is_empty() {
             return RTree::new_empty(dev, params);
         }
@@ -92,7 +95,7 @@ impl PrTreeLoader {
                 let root = NodePage::new(level, entries).append(dev.as_ref())?;
                 return Ok(RTree::attach(dev, params, root, level, len));
             }
-            let groups = group(&mut entries, self.shape(cap));
+            let groups = leaf_ranges(&mut entries, Axis(0), self.shape(cap));
             entries = write_level(
                 dev.as_ref(),
                 level,
@@ -100,25 +103,6 @@ impl PrTreeLoader {
             )?;
             level = level.checked_add(1).expect("tree height exceeds 255");
         }
-    }
-}
-
-impl<const D: usize> BulkLoader<D> for PrTreeLoader {
-    fn name(&self) -> &'static str {
-        "PR"
-    }
-
-    fn load(
-        &self,
-        dev: Arc<dyn BlockDevice>,
-        params: TreeParams,
-        items: Vec<Item<D>>,
-    ) -> Result<RTree<D>, EmError> {
-        // Same size and alignment: the collect reuses the input's buffer.
-        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-        self.build_stages(dev, params, entries, |s, shape| {
-            leaf_ranges(s, Axis(0), shape)
-        })
     }
 }
 

@@ -18,13 +18,14 @@
 //! delete-then-reinsert of the same id is handled correctly — compacted
 //! by a global rebuild once half the stored items are dead. A window
 //! query fans out over the buffer and every component through the
-//! decode-free engine (one shared [`QueryScratch`], zero allocations in
-//! steady state) and filters tombstones — each component is a PR-tree,
-//! so the per-component cost keeps the `O(√(N/B) + T/B)` guarantee, at
-//! the price of an `O(log N)` multiplicative fan-out.
+//! decode-free engine ([`fanout`]: one shared [`QueryScratch`], zero
+//! allocations in steady state) and filters tombstones — each component
+//! is a PR-tree, so the per-component cost keeps the `O(√(N/B) + T/B)`
+//! guarantee, at the price of an `O(log N)` multiplicative fan-out.
 
 use crate::bulk::pr::PrTreeLoader;
 use crate::bulk::BulkLoader;
+use crate::dynamic::fanout;
 use crate::dynamic::policy::GeometricPolicy;
 use crate::dynamic::tombstone::{same_identity, Tombstones};
 use crate::knn::KnnSearch;
@@ -120,17 +121,13 @@ impl<const D: usize> LprTree<D> {
             self.live -= 1;
             return Ok(true);
         }
-        // Count stored copies of this exact (id, rect) identity; the
-        // item is live iff more copies are stored than tombstoned. (An
-        // id-only check would wrongly reject deleting a *reinserted*
-        // item whose earlier incarnation was tombstoned.)
-        let mut scratch = QueryScratch::new();
-        let mut hits = Vec::new();
-        let mut copies = 0u64;
-        for c in self.components.iter().flatten() {
-            c.window_into(&item.rect, &mut scratch, &mut hits)?;
-            copies += hits.iter().filter(|h| same_identity(h, item)).count() as u64;
-        }
+        let copies = fanout::count_stored_copies(
+            None,
+            self.components.iter().flatten(),
+            item,
+            &mut QueryScratch::new(),
+            &mut Vec::new(),
+        )?;
         if copies <= self.tombstones.count(item) as u64 {
             return Ok(false);
         }
@@ -161,29 +158,23 @@ impl<const D: usize> LprTree<D> {
         Ok((out, stats))
     }
 
-    /// [`LprTree::window`] with caller-owned buffers: one reused
-    /// [`QueryScratch`] is threaded through **every** component's
-    /// decode-free traversal ([`RTree::window_append_into`]), so a hot
-    /// loop over an LPR-tree allocates nothing in steady state despite
-    /// the logarithmic fan-out.
+    /// [`LprTree::window`] with caller-owned buffers
+    /// ([`fanout::window_into`]: allocation-free when reused).
     pub fn window_into(
         &self,
         query: &Rect<D>,
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<Item<D>>,
     ) -> Result<QueryStats, EmError> {
-        out.clear();
-        out.extend(self.buffer.iter().filter(|i| i.rect.intersects(query)));
-        let mut stats = QueryStats::default();
-        let mut filter = self.tombstones.filter();
-        for c in self.components.iter().flatten() {
-            let start = out.len();
-            let s = c.window_append_into(query, scratch, out)?;
-            stats.absorb_traversal(&s);
-            filter.retain_admitted(out, start);
-        }
-        stats.results = out.len() as u64;
-        Ok(stats)
+        fanout::window_into(
+            &self.buffer,
+            None,
+            self.components.iter().flatten(),
+            &self.tombstones,
+            query,
+            scratch,
+            out,
+        )
     }
 
     /// The `k` live items nearest to `query` (closest first), with
@@ -237,16 +228,12 @@ impl<const D: usize> LprTree<D> {
 
     /// All live items (test helper; costs a full scan).
     pub fn items(&self) -> Result<Vec<Item<D>>, EmError> {
-        let mut out = self.buffer.clone();
-        let mut filter = self.tombstones.filter();
-        for c in self.components.iter().flatten() {
-            for it in c.items()? {
-                if filter.admit(&it) {
-                    out.push(it);
-                }
-            }
-        }
-        Ok(out)
+        fanout::items(
+            &self.buffer,
+            None,
+            self.components.iter().flatten(),
+            &self.tombstones,
+        )
     }
 
     /// Buffer overflow: merge buffer + components `0..j` into slot `j`,
@@ -256,6 +243,11 @@ impl<const D: usize> LprTree<D> {
         let occupied: Vec<bool> = self.components.iter().map(|c| c.is_some()).collect();
         let j = self.policy.flush_slot(&occupied);
         let mut items: Vec<Item<D>> = std::mem::take(&mut self.buffer);
+        // A buffered reinsert whose dead twin sits in a component pays
+        // the tombstone itself (the twin becomes the live copy), as
+        // pr-live's merge does for its sealed batch: aliased copies are
+        // bit-identical, and the two frontends keep one layout.
+        items.retain(|it| !self.tombstones.consume(it));
         let mut freed_pages: Vec<BlockId> = Vec::new();
         let merged = j.min(self.components.len());
         items.reserve(held(&self.components[..merged]));

@@ -10,6 +10,7 @@
 //!   over bulk-loaded PR-tree components, which keeps the query bound at
 //!   the price of a logarithmic component fan-out (§1.2).
 
+pub mod fanout;
 pub mod logarithmic;
 pub mod policy;
 pub mod split;

@@ -124,6 +124,9 @@ impl<const D: usize> Tombstones<D> {
     /// Removes one dead copy of `item` (a merge physically dropped it).
     /// Returns `true` if a tombstone was present and consumed.
     pub fn consume(&mut self, item: &Item<D>) -> bool {
+        if self.is_empty() {
+            return false; // merges of never-deleted data hash nothing
+        }
         match self.map.entry(TombstoneKey::of(item)) {
             Entry::Occupied(mut e) => {
                 *e.get_mut() -= 1;

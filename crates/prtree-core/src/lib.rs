@@ -7,11 +7,11 @@
 //!
 //! * [`tree::RTree`] — the common runtime: 4KB node pages, fanout 113 (in
 //!   2-D), window queries with exact I/O accounting, pluggable node cache.
-//! * [`soa`] / [`scratch`] / [`reference`] — the decode-free query
+//! * [`soa`] / [`scratch`] / [`mod@reference`] — the decode-free query
 //!   engine: cached nodes are structure-of-arrays views scanned by
 //!   vectorized kernels, traversal state lives in a reusable
 //!   [`scratch::QueryScratch`], and the retained scalar AoS engine in
-//!   [`reference`] pins result/stat equivalence.
+//!   [`mod@reference`] pins result/stat equivalence.
 //! * [`pseudo`] — the **pseudo-PR-tree** of §2.1: a `2D`-dimensional
 //!   kd-tree over corner-mapped rectangles with *priority leaves*.
 //! * [`bulk::pr`] — the **PR-tree** bulk loader of §2.2/§2.3 (worst-case

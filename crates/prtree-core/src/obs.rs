@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 use crate::cache::CacheTally;
 use crate::query::QueryStats;
 
-/// Which traversal a [`record_query`] flush describes.
+/// Which traversal a `record_query` flush describes.
 #[derive(Clone, Copy)]
 pub enum QueryKind {
     /// Window (range) query, including the counting variants.

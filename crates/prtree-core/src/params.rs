@@ -61,11 +61,6 @@ impl TreeParams {
         }
     }
 
-    /// Largest capacity of any node type.
-    pub fn max_cap(&self) -> usize {
-        self.leaf_cap.max(self.node_cap)
-    }
-
     /// Capacity at a given level (level 0 = leaves).
     pub fn cap_at_level(&self, level: u8) -> usize {
         if level == 0 {

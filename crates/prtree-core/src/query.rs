@@ -274,77 +274,6 @@ impl<const D: usize> RTree<D> {
         self.record_cache_tally(tally);
         walk.map(|()| found)
     }
-
-    /// Answers a batch of window queries across `threads` worker threads
-    /// (`0` = one per available core), returning per-query results and
-    /// statistics in input order.
-    ///
-    /// Results, leaf visits, and device-read counts are identical to
-    /// running [`RTree::window_with_stats`] serially over the slice: the
-    /// traversal is deterministic per query and the sharded cache
-    /// ([`crate::cache`]) is read-only during queries, so concurrency
-    /// changes only wall-clock time. Cache hit/miss totals are likewise
-    /// exact — each query accumulates locally and flushes atomically.
-    pub fn par_windows(
-        &self,
-        queries: &[Rect<D>],
-        threads: usize,
-    ) -> Result<Vec<(Vec<Item<D>>, QueryStats)>, EmError> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(queries.len().max(1));
-        if threads <= 1 {
-            let mut scratch = QueryScratch::new();
-            return queries
-                .iter()
-                .map(|q| {
-                    let mut out = Vec::new();
-                    let stats = self.window_into(q, &mut scratch, &mut out)?;
-                    Ok((out, stats))
-                })
-                .collect();
-        }
-        // Contiguous chunks keep output order trivially reconstructible;
-        // `RTree: Sync` lets every worker borrow `self` directly. Each
-        // worker owns one QueryScratch for its whole chunk, so the only
-        // per-query allocation is the result vector it returns.
-        let chunk = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|qs| {
-                    scope.spawn(move || {
-                        let mut scratch = QueryScratch::new();
-                        qs.iter()
-                            .map(|q| {
-                                let mut out = Vec::new();
-                                let stats = self.window_into(q, &mut scratch, &mut out)?;
-                                Ok((out, stats))
-                            })
-                            .collect::<Result<Vec<_>, EmError>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(queries.len());
-            for h in handles {
-                // A worker panic (poisoned query, corrupt page assertion,
-                // OOM-adjacent unwind…) must not abort the whole process
-                // hosting the tree: re-raise it on the calling thread so
-                // an embedding server's catch_unwind boundary can contain
-                // it. Remaining workers are joined by the scope on unwind.
-                match h.join() {
-                    Ok(chunk_results) => out.extend(chunk_results?),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            Ok(out)
-        })
-    }
 }
 
 /// Brute-force reference: scan `items` and report intersections. Tests
@@ -511,78 +440,6 @@ mod tests {
             brute.sort_by_key(|i| i.id);
             assert_eq!(got, brute);
         }
-    }
-
-    /// A worker panic must propagate to the caller as an unwind (catchable
-    /// by a server's `catch_unwind` boundary), not abort the process.
-    #[test]
-    fn par_windows_propagates_worker_panics() {
-        use pr_em::IoCounters;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
-        /// Forwards to a MemDevice but panics on reads of one block.
-        struct PanickyDevice {
-            inner: MemDevice,
-            poison: std::sync::atomic::AtomicU64,
-        }
-        impl BlockDevice for PanickyDevice {
-            fn block_size(&self) -> usize {
-                self.inner.block_size()
-            }
-            fn num_blocks(&self) -> u64 {
-                self.inner.num_blocks()
-            }
-            fn allocate(&self, n: u64) -> BlockId {
-                self.inner.allocate(n)
-            }
-            fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), EmError> {
-                if block == self.poison.load(std::sync::atomic::Ordering::Relaxed) {
-                    panic!("injected poison read of block {block}");
-                }
-                self.inner.read_block(block, buf)
-            }
-            fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), EmError> {
-                self.inner.write_block(block, buf)
-            }
-            fn counters(&self) -> &std::sync::Arc<IoCounters> {
-                self.inner.counters()
-            }
-        }
-
-        let dev = Arc::new(PanickyDevice {
-            inner: MemDevice::new(4096),
-            poison: std::sync::atomic::AtomicU64::new(u64::MAX),
-        });
-        let entries: Vec<Entry<2>> = (0..64u32)
-            .map(|i| {
-                let f = i as f64;
-                Entry::new(Rect::xyxy(f, 0.0, f + 0.5, 1.0), i)
-            })
-            .collect();
-        let tree = crate::writer::build_packed(
-            Arc::clone(&dev) as Arc<dyn BlockDevice>,
-            TreeParams::with_cap::<2>(8),
-            &entries,
-        )
-        .unwrap();
-        // Leaves must be re-read per query for the poison to trigger.
-        tree.set_cache_policy(crate::cache::CachePolicy::InternalNodes);
-        tree.warm_cache().unwrap();
-        let queries = vec![Rect::xyxy(0.0, 0.0, 64.0, 1.0); 8];
-        // Sanity: healthy device answers across 2 workers.
-        let ok = tree.par_windows(&queries, 2).unwrap();
-        assert_eq!(ok.len(), 8);
-
-        dev.poison.store(1, std::sync::atomic::Ordering::Relaxed); // first leaf page
-        let caught = catch_unwind(AssertUnwindSafe(|| tree.par_windows(&queries, 2)));
-        assert!(caught.is_err(), "worker panic must unwind, not abort");
-
-        // The tree (and process) survive: heal the device and query again.
-        dev.poison
-            .store(u64::MAX, std::sync::atomic::Ordering::Relaxed);
-        let healed = tree.par_windows(&queries, 2).unwrap();
-        assert_eq!(healed.len(), 8);
-        assert_eq!(healed[0].0.len(), 64);
     }
 
     #[test]

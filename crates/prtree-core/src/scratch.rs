@@ -12,8 +12,8 @@
 //! [`crate::tree::RTree::intersects_any_into`]); after the first few
 //! queries sized the buffers, the steady-state hot path performs **zero
 //! heap allocations per query** — `tests/build_alloc.rs` counts them for
-//! k-NN, over one tree and over an LPR-tree's forest. `par_windows`
-//! gives each worker thread one scratch for its whole chunk.
+//! k-NN, over one tree and over an LPR-tree's forest. Concurrent
+//! readers of one tree each bring their own scratch.
 //!
 //! The convenience wrappers (`window`, `window_count`, …) construct a
 //! fresh scratch per call, so one-shot callers pay only what the old

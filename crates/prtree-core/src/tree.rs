@@ -167,7 +167,7 @@ impl<const D: usize> RTree<D> {
     /// [`SoaNode`]s, so a cache hit converts back to a [`NodePage`]
     /// (one allocation). Dynamic updates, validation, and the bulk-load
     /// inspectors use this; the query hot path goes through
-    /// [`RTree::with_soa_node`] instead and never materializes entries.
+    /// `RTree::with_soa_node` instead and never materializes entries.
     pub fn read_node(&self, page: BlockId) -> Result<(Arc<NodePage<D>>, bool), EmError> {
         if let Some(n) = self.cache.get(page) {
             return Ok((Arc::new(n.to_page()), false));

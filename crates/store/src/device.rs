@@ -198,12 +198,6 @@ impl StoreDevice {
         self.map.is_some()
     }
 
-    /// True while this snapshot's shared degraded flag forces re-hashing
-    /// every read.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
     /// The shared verify-once state (counts for `prtree stats`).
     pub fn verified(&self) -> &Arc<VerifiedBitmap> {
         &self.verified

@@ -561,15 +561,20 @@ fn live_opts(opts: &Opts) -> Result<LiveOptions, String> {
     if opts.has("paranoid") {
         lo.recheck_reads = true;
     }
+    // The sampler and the flight recorder are process-global statics,
+    // not index state: set them here, before the index opens and can
+    // arm a trace.
     if let Some(v) = opts.get("trace-sample") {
-        lo.trace_sample_every = v
+        let every = v
             .parse::<u64>()
             .map_err(|_| "--trace-sample expects an integer (0 disables)")?;
+        pr_obs::trace::set_sampling(every);
     }
     if let Some(v) = opts.get("trace-slow-us") {
-        lo.trace_slow_us = v
+        let slow_us = v
             .parse::<u64>()
             .map_err(|_| "--trace-slow-us expects microseconds")?;
+        pr_obs::recorder().configure(8, slow_us);
     }
     Ok(lo)
 }
@@ -716,7 +721,7 @@ fn cmd_ingest(args: &[String]) -> i32 {
             _ => return fail("--cap expects an integer >= 2"),
         },
     };
-    let mut lo = match live_opts(&opts) {
+    let lo = match live_opts(&opts) {
         Ok(lo) => lo,
         Err(e) => return fail(e),
     };
@@ -725,8 +730,8 @@ fn cmd_ingest(args: &[String]) -> i32 {
     // run's traces in a collector alongside the flight recorder.
     let trace_file = opts.get("trace-file").map(PathBuf::from);
     if trace_file.is_some() {
-        if lo.trace_sample_every == 0 {
-            lo.trace_sample_every = 1;
+        if opts.get("trace-sample").is_none() {
+            pr_obs::trace::set_sampling(1);
         }
         pr_obs::trace::install_collector(4096);
     }

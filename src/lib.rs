@@ -65,7 +65,6 @@ pub mod prelude {
     pub use pr_tree::bulk::hilbert::HilbertLoader;
     pub use pr_tree::bulk::pr::PrTreeLoader;
     pub use pr_tree::bulk::pr_external::PrExternalLoader;
-    pub use pr_tree::bulk::pr_parallel::ParallelPrLoader;
     pub use pr_tree::bulk::str_::StrLoader;
     pub use pr_tree::bulk::tgs::TgsLoader;
     pub use pr_tree::bulk::{BulkLoader, LoaderKind};

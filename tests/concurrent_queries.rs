@@ -5,10 +5,12 @@
 //! accounting may differ from a serial run. These tests pin that down
 //! against `brute_force_window` ground truth.
 
+use prtree::em::{BlockId, EmError, IoCounters};
 use prtree::prelude::*;
 use prtree::tree::query::brute_force_window;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn random_items(n: u32, seed: u64) -> Vec<Item<2>> {
@@ -51,6 +53,37 @@ fn sorted_ids(items: &[Item<2>]) -> Vec<u32> {
     ids
 }
 
+/// Answers `queries` on `threads` scoped threads over contiguous chunks,
+/// one `QueryScratch` per thread, results in input order.
+fn windows_on_threads(
+    tree: &RTree<2>,
+    queries: &[Rect<2>],
+    threads: usize,
+) -> Vec<(Vec<Item<2>>, QueryStats)> {
+    let chunk = queries.len().div_ceil(threads).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = queries
+            .chunks(chunk)
+            .map(|qs| {
+                scope.spawn(move || {
+                    let mut scratch = QueryScratch::new();
+                    qs.iter()
+                        .map(|q| {
+                            let mut out = Vec::new();
+                            let stats = tree.window_into(q, &mut scratch, &mut out).unwrap();
+                            (out, stats)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("query thread panicked"))
+            .collect()
+    })
+}
+
 #[test]
 fn n_threads_of_random_windows_match_brute_force() {
     let items = random_items(4_000, 21);
@@ -77,7 +110,7 @@ fn n_threads_of_random_windows_match_brute_force() {
 }
 
 #[test]
-fn par_windows_matches_serial_results_and_leaf_ios() {
+fn threaded_windows_match_serial_results_and_leaf_ios() {
     let items = random_items(6_000, 31);
     let tree = build(&items);
     tree.warm_cache().unwrap();
@@ -89,7 +122,7 @@ fn par_windows_matches_serial_results_and_leaf_ios() {
         .collect();
 
     for threads in [1, 2, 4, 8] {
-        let parallel = tree.par_windows(&windows, threads).unwrap();
+        let parallel = windows_on_threads(&tree, &windows, threads);
         assert_eq!(parallel.len(), serial.len());
         for (i, ((pr, ps), (sr, ss))) in parallel.iter().zip(&serial).enumerate() {
             assert_eq!(
@@ -121,7 +154,7 @@ fn concurrent_cache_totals_match_serial_run() {
     let serial_delta = (sh - warm_baseline.0, sm - warm_baseline.1);
 
     // Concurrent run over an identically built tree: same windows, all
-    // threads at once via par_windows.
+    // on eight threads at once.
     let par_tree = build(&items);
     par_tree.warm_cache().unwrap();
     let par_baseline = par_tree.cache_stats();
@@ -129,7 +162,7 @@ fn concurrent_cache_totals_match_serial_run() {
         par_baseline, warm_baseline,
         "identical builds warm identically"
     );
-    par_tree.par_windows(&windows, 8).unwrap();
+    windows_on_threads(&par_tree, &windows, 8);
     let (ph, pm) = par_tree.cache_stats();
     let par_delta = (ph - par_baseline.0, pm - par_baseline.1);
 
@@ -140,26 +173,21 @@ fn concurrent_cache_totals_match_serial_run() {
 }
 
 #[test]
-fn par_windows_handles_edge_batches() {
+fn threaded_windows_handle_edge_batches() {
     let items = random_items(500, 51);
     let tree = build(&items);
     tree.warm_cache().unwrap();
 
     // Empty batch.
-    assert!(tree.par_windows(&[], 4).unwrap().is_empty());
+    assert!(windows_on_threads(&tree, &[], 4).is_empty());
 
     // More threads than queries.
     let one = vec![Rect::xyxy(10.0, 10.0, 20.0, 20.0)];
-    let got = tree.par_windows(&one, 16).unwrap();
+    let got = windows_on_threads(&tree, &one, 16);
     assert_eq!(got.len(), 1);
     let (serial, serial_stats) = tree.window_with_stats(&one[0]).unwrap();
     assert_eq!(sorted_ids(&got[0].0), sorted_ids(&serial));
     assert_eq!(got[0].1, serial_stats);
-
-    // threads = 0 → auto (available parallelism).
-    let windows = random_windows(10, 52);
-    let auto = tree.par_windows(&windows, 0).unwrap();
-    assert_eq!(auto.len(), windows.len());
 }
 
 #[test]
@@ -212,8 +240,75 @@ fn uncached_concurrent_queries_still_correct() {
         .iter()
         .map(|q| sorted_ids(&tree.window(q).unwrap()))
         .collect();
-    let parallel = tree.par_windows(&windows, 6).unwrap();
+    let parallel = windows_on_threads(&tree, &windows, 6);
     for (i, (pr, _)) in parallel.iter().enumerate() {
         assert_eq!(sorted_ids(pr), serial[i]);
+    }
+}
+
+/// Forwards to a `MemDevice`, but panics on every read while armed.
+struct PanickyDevice {
+    inner: MemDevice,
+    armed: AtomicBool,
+}
+
+impl BlockDevice for PanickyDevice {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn allocate(&self, n: u64) -> BlockId {
+        self.inner.allocate(n)
+    }
+    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), EmError> {
+        if self.armed.load(Ordering::Relaxed) {
+            panic!("injected poison read of block {block}");
+        }
+        self.inner.read_block(block, buf)
+    }
+    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), EmError> {
+        self.inner.write_block(block, buf)
+    }
+    fn counters(&self) -> &Arc<IoCounters> {
+        self.inner.counters()
+    }
+}
+
+#[test]
+fn tree_still_answers_after_a_thread_panicked_mid_query() {
+    let items = random_items(2_000, 81);
+    let params = TreeParams::with_cap::<2>(16);
+    let dev = Arc::new(PanickyDevice {
+        inner: MemDevice::new(params.page_size),
+        armed: AtomicBool::new(false),
+    });
+    let tree = PrTreeLoader::default()
+        .load(
+            Arc::clone(&dev) as Arc<dyn BlockDevice>,
+            params,
+            items.clone(),
+        )
+        .unwrap();
+    // Internal nodes are cached, so a query's device reads are its leaves.
+    tree.warm_cache().unwrap();
+    let windows = random_windows(16, 82);
+
+    dev.armed.store(true, Ordering::Relaxed);
+    std::thread::scope(|scope| {
+        let died = scope.spawn(|| tree.window(&windows[0])).join();
+        assert!(died.is_err(), "an armed device panics the query thread");
+    });
+
+    // The tree survives its reader's panic: heal the device and query
+    // again.
+    dev.armed.store(false, Ordering::Relaxed);
+    for (q, (got, _)) in windows.iter().zip(windows_on_threads(&tree, &windows, 2)) {
+        assert_eq!(
+            sorted_ids(&got),
+            sorted_ids(&brute_force_window(&items, q)),
+            "window {q:?}"
+        );
     }
 }
