@@ -135,6 +135,42 @@ pub fn contains_mask_scalar<const D: usize>(
     }
 }
 
+/// Writes `mask[i] = 1` iff rectangle `i` covers `query` (boundary
+/// included, exactly `rect_i.contains_rect(query)`), else `0` — the
+/// opposite direction of [`contains_mask`]. An exact-match descent opens
+/// only the children whose box covers the sought rectangle.
+pub fn covers_mask<const D: usize>(
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    query: &Rect<D>,
+    mask: &mut [u8],
+) {
+    let n = mask.len();
+    check_columns(lo, hi, n);
+    let lo_cols: [&[f64]; D] = std::array::from_fn(|d| &lo[d][..n]);
+    let hi_cols: [&[f64]; D] = std::array::from_fn(|d| &hi[d][..n]);
+    for (i, m) in mask.iter_mut().enumerate() {
+        let mut keep = 1u8;
+        for d in 0..D {
+            keep &= ((lo_cols[d][i] <= query.lo_at(d)) & (query.hi_at(d) <= hi_cols[d][i])) as u8;
+        }
+        *m = keep;
+    }
+}
+
+/// Scalar reference for [`covers_mask`]: per-element
+/// [`Rect::contains_rect`] with rectangle `i` as the container.
+pub fn covers_mask_scalar<const D: usize>(
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    query: &Rect<D>,
+    mask: &mut [u8],
+) {
+    for (i, m) in mask.iter_mut().enumerate() {
+        *m = gather_rect(lo, hi, i).contains_rect(query) as u8;
+    }
+}
+
 /// Writes `out[i]` = squared Euclidean distance from `p` to rectangle
 /// `i` (0 inside), bit-identical to [`Rect::min_dist2`].
 ///
@@ -220,6 +256,18 @@ mod tests {
     }
 
     #[test]
+    fn covers_matches_scalar_on_fixture() {
+        let (lo, hi) = fixture();
+        let q = Rect::xyxy(2.0, 2.0, 3.0, 3.0);
+        let mut fast = [0u8; 4];
+        let mut slow = [9u8; 4];
+        covers_mask(&cols(&lo), &cols(&hi), &q, &mut fast);
+        covers_mask_scalar(&cols(&lo), &cols(&hi), &q, &mut slow);
+        assert_eq!(fast, slow);
+        assert_eq!(fast, [0, 1, 1, 0], "a rect covers its own boundary");
+    }
+
+    #[test]
     fn min_dist2_matches_scalar_bitwise_on_fixture() {
         let (lo, hi) = fixture();
         for p in [
@@ -260,6 +308,7 @@ mod tests {
         let q = Rect::xyxy(0.0, 0.0, 1.0, 1.0);
         intersects_mask(&lo, &hi, &q, &mut []);
         contains_mask(&lo, &hi, &q, &mut []);
+        covers_mask(&lo, &hi, &q, &mut []);
         min_dist2_batch(&lo, &hi, &Point::new([0.0, 0.0]), &mut []);
     }
 

@@ -2,8 +2,9 @@
 //! scalar `Rect` predicates on arbitrary rectangle columns.
 
 use pr_geom::batch::{
-    contains_mask, contains_mask_scalar, gather_rect, intersects_count, intersects_mask,
-    intersects_mask_scalar, min_dist2_batch, min_dist2_batch_scalar,
+    contains_mask, contains_mask_scalar, covers_mask, covers_mask_scalar, gather_rect,
+    intersects_count, intersects_mask, intersects_mask_scalar, min_dist2_batch,
+    min_dist2_batch_scalar,
 };
 use pr_geom::{Point, Rect};
 use proptest::prelude::*;
@@ -81,6 +82,34 @@ proptest! {
         prop_assert_eq!(&fast, &slow);
         for (i, m) in slow.iter().enumerate() {
             prop_assert_eq!(*m == 1, q.contains_rect(&gather_rect(&lo, &hi, i)));
+        }
+    }
+
+    /// Queries are drawn both at random and from the columns themselves,
+    /// so the "covers its own rectangle" boundary case is hit densely.
+    #[test]
+    fn covers_mask_is_bit_identical(
+        raw in arb_columns(200),
+        q in arb_query(),
+        pick in 0usize..400,
+    ) {
+        let (lo, hi) = to_columns(&raw);
+        let (lo, hi): ([&[f64]; 2], [&[f64]; 2]) = ([&lo[0], &lo[1]], [&hi[0], &hi[1]]);
+        let own = (!raw.is_empty()).then(|| gather_rect(&lo, &hi, pick % raw.len()));
+        for q in std::iter::once(q).chain(own) {
+            let mut fast = vec![0u8; raw.len()];
+            let mut slow = vec![7u8; raw.len()];
+            covers_mask(&lo, &hi, &q, &mut fast);
+            covers_mask_scalar(&lo, &hi, &q, &mut slow);
+            prop_assert_eq!(&fast, &slow);
+            for (i, m) in slow.iter().enumerate() {
+                prop_assert_eq!(*m == 1, gather_rect(&lo, &hi, i).contains_rect(&q));
+            }
+        }
+        if let Some(own) = own {
+            let mut mask = vec![0u8; raw.len()];
+            covers_mask(&lo, &hi, &own, &mut mask);
+            prop_assert_eq!(mask[pick % raw.len()], 1, "a rectangle covers itself");
         }
     }
 

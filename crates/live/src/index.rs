@@ -52,9 +52,10 @@ use crate::wal::{Wal, WalOp, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store};
-use pr_tree::dynamic::{fanout, same_identity, GeometricPolicy, Tombstones};
+use pr_tree::dynamic::fanout::{self, FilterBuild, ProbeTally};
+use pr_tree::dynamic::{GeometricPolicy, TombstoneKey, Tombstones};
 use pr_tree::{KnnSearch, QueryScratch, QueryStats, RTree, TreeParams};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -242,15 +243,17 @@ impl<const D: usize> Core<D> {
     pub(crate) fn stored_copies(
         &self,
         item: &Item<D>,
+        build: FilterBuild,
         scratch: &mut QueryScratch<D>,
-        hits: &mut Vec<Item<D>>,
+        tally: &mut ProbeTally,
     ) -> Result<u64, LiveError> {
         Ok(fanout::count_stored_copies(
             self.sealed.as_deref().map(|v| v.as_slice()),
             self.components.iter().flatten().map(|a| a.as_ref()),
             item,
+            build,
             scratch,
-            hits,
+            tally,
         )?)
     }
 
@@ -277,27 +280,99 @@ impl<const D: usize> Core<D> {
         }
     }
 
-    /// Net pending memtable copies of `item`'s identity: enqueued
-    /// inserts minus enqueued memtable-deletes.
-    pub(crate) fn pending_mem_delta(&self, item: &Item<D>) -> i64 {
-        let mut delta = 0i64;
+    /// What a delete batch may claim, per distinct victim identity,
+    /// in the serial-equivalent view: the applied state plus every
+    /// enqueued-but-unapplied op (`pending`). Returns one share per
+    /// distinct identity and, per victim, the index of its share. One
+    /// pass over the memtable and one over `pending`, so the cost is
+    /// O(memtable + pending + batch) whatever the batch size.
+    pub(crate) fn claimable(&self, victims: &[Item<D>]) -> (Vec<Claimable>, Vec<usize>) {
+        let mut index: HashMap<TombstoneKey<D>, usize> = HashMap::with_capacity(victims.len());
+        let mut shares: Vec<Claimable> = Vec::with_capacity(victims.len());
+        let share_of = victims
+            .iter()
+            .map(|v| {
+                *index.entry(TombstoneKey::of(v)).or_insert_with(|| {
+                    let dead = u64::from(self.tombstones.count(v));
+                    shares.push(Claimable { mem: 0, dead });
+                    shares.len() - 1
+                })
+            })
+            .collect();
+        let mut bump = |item: &Item<D>, f: fn(&mut Claimable)| {
+            if let Some(&i) = index.get(&TombstoneKey::of(item)) {
+                f(&mut shares[i]);
+            }
+        };
+        for it in self.memtable.items() {
+            bump(it, |c| c.mem += 1);
+        }
         for op in &self.pending {
             match op {
-                PendingApply::Insert(it) if same_identity(it, item) => delta += 1,
-                PendingApply::DeleteMem(it) if same_identity(it, item) => delta -= 1,
-                _ => {}
+                PendingApply::Insert(it) => bump(it, |c| c.mem += 1),
+                PendingApply::DeleteMem(it) => bump(it, |c| c.mem -= 1),
+                PendingApply::DeleteTomb(it) => bump(it, |c| c.dead += 1),
             }
         }
-        delta
+        (shares, share_of)
     }
 
-    /// Enqueued (unapplied) tombstones against `item`'s identity.
-    pub(crate) fn pending_tombs(&self, item: &Item<D>) -> u64 {
-        self.pending
-            .iter()
-            .filter(|op| matches!(op, PendingApply::DeleteTomb(it) if same_identity(it, item)))
-            .count() as u64
+    /// Decides every victim of a delete batch against the applied state
+    /// plus every enqueued-but-unapplied op (`pending`) plus the batch's
+    /// own earlier victims — the serial-equivalent view. Returns the ops
+    /// to log and whether any of them is a tombstone.
+    ///
+    /// `probed` holds each victim's stored copies, counted off-lock
+    /// against the structure pinned at `pin_epoch`. If a seal or merge
+    /// swap has landed since, a victim the memtable cannot absorb is
+    /// counted again here, under the caller's sequencing lock, with
+    /// [`FilterBuild::Never`]: a component that arrived since has no
+    /// filter yet and is searched directly, one exact-match descent per
+    /// victim, instead of being scanned for a filter while writers wait.
+    pub(crate) fn decide(
+        &self,
+        victims: &[Item<D>],
+        probed: &[u64],
+        pin_epoch: u64,
+        scratch: &mut QueryScratch<D>,
+    ) -> Result<(Vec<PendingApply<D>>, bool), LiveError> {
+        let stale = self.structure_epoch != pin_epoch;
+        let (mut shares, share_of) = self.claimable(victims);
+        let mut ops = Vec::with_capacity(victims.len());
+        let mut any_tombstone = false;
+        let mut reprobe = ProbeTally::default();
+        for ((item, &copies), &share) in victims.iter().zip(probed).zip(&share_of) {
+            let c = &mut shares[share];
+            if c.mem > 0 {
+                c.mem -= 1;
+                ops.push(PendingApply::DeleteMem(*item));
+                continue;
+            }
+            let copies = if stale {
+                self.stored_copies(item, FilterBuild::Never, scratch, &mut reprobe)?
+            } else {
+                copies
+            };
+            if copies > c.dead {
+                c.dead += 1;
+                any_tombstone = true;
+                ops.push(PendingApply::DeleteTomb(*item));
+            }
+        }
+        crate::obs::record_probe(&reprobe);
+        Ok((ops, any_tombstone))
     }
+}
+
+/// One victim identity's share of the logical state (see
+/// [`Core::claimable`]). A delete decision spends from it, so a batch's
+/// later duplicates see its earlier victims' effects.
+pub(crate) struct Claimable {
+    /// Memtable copies not yet claimed: applied, plus pending inserts,
+    /// minus pending (and in-batch) memtable deletes.
+    mem: i64,
+    /// Tombstones against stored copies: applied, pending, in-batch.
+    dead: u64,
 }
 
 impl<const D: usize> LiveInner<D> {
@@ -641,7 +716,7 @@ impl<const D: usize> LiveIndex<D> {
         let mut next_seq = manifest.wal_seq + 1;
         let mut replayed: u64 = 0;
         let mut scratch = QueryScratch::new();
-        let mut hits = Vec::new();
+        let mut tally = ProbeTally::default();
         for rec in records {
             if rec.seq <= manifest.wal_seq {
                 continue;
@@ -658,7 +733,12 @@ impl<const D: usize> LiveIndex<D> {
                     if core.memtable.remove(&rec.item) {
                         core.live -= 1;
                     } else {
-                        let copies = core.stored_copies(&rec.item, &mut scratch, &mut hits)?;
+                        let copies = core.stored_copies(
+                            &rec.item,
+                            FilterBuild::Lazy,
+                            &mut scratch,
+                            &mut tally,
+                        )?;
                         if copies > core.tombstones.count(&rec.item) as u64 {
                             Arc::make_mut(&mut core.tombstones).add(&rec.item);
                             core.live -= 1;
@@ -670,6 +750,7 @@ impl<const D: usize> LiveIndex<D> {
             next_seq = rec.seq + 1;
             replayed += 1;
         }
+        crate::obs::record_probe(&tally);
         crate::obs::metrics()
             .memtable_items
             .set(core.memtable.len() as u64);
@@ -849,13 +930,26 @@ impl<const D: usize> LiveIndex<D> {
     /// as if applied serially. Returns how many items were deleted; all
     /// of them are acknowledged when this returns.
     ///
-    /// Cost note: each victim's copies-vs-tombstones decision probes the
-    /// components (a few cached-node reads) against a snapshot pinned
-    /// **outside** the sequencing lock; the lock is held only for the
-    /// O(batch) memory-side decision and enqueue, re-probing solely when
-    /// a seal or merge swap landed in between. Huge delete batches
-    /// therefore no longer stall concurrent inserts behind component
-    /// I/O.
+    /// Cost note — a delete is priced like an insert plus one probe:
+    /// * **Probe, off the sequencing lock.** Each victim's stored copies
+    ///   are counted against a structure pinned with a brief read lock
+    ///   ([`fanout::count_stored_copies`]). A component whose membership
+    ///   filter rejects the victim costs one hash. Only the components
+    ///   it admits run an exact-match descent, which opens just the
+    ///   children whose boxes cover the victim's rectangle. A
+    ///   component's filter is built by one leaf scan on its first
+    ///   probe, so a merge's output pays that scan once, at its first
+    ///   delete.
+    /// * **Decide, under the lock.** One counted map of the batch's
+    ///   distinct identities is filled by one pass over the memtable
+    ///   and one over the pending ops. The decide is therefore
+    ///   O(memtable + pending + batch), not O(memtable × batch). The
+    ///   probe is redone under the lock only when a seal or merge swap
+    ///   landed in between. That re-probe builds no filter: a component
+    ///   the swap installed is searched by one exact-match descent per
+    ///   victim, and its filter is left to the next off-lock probe.
+    /// * **Commit.** The WAL append and group fsync, the same as for an
+    ///   insert batch.
     pub fn delete_batch(&self, items: &[Item<D>]) -> Result<u64, LiveError> {
         if items.is_empty() {
             return Ok(0);
@@ -887,61 +981,43 @@ impl<const D: usize> LiveIndex<D> {
             )
         };
         let mut scratch = QueryScratch::new();
-        let mut hits = Vec::new();
-        let mut probed: Vec<u64> = Vec::with_capacity(items.len());
+        let mut tally = ProbeTally::default();
         let t_probe = tracing.then(std::time::Instant::now);
-        for item in items {
-            probed.push(fanout::count_stored_copies(
-                pinned_sealed.as_deref().map(|v| v.as_slice()),
-                pinned_components.iter().map(|a| a.as_ref()),
-                item,
-                &mut scratch,
-                &mut hits,
-            )?);
-        }
+        let probed = items
+            .iter()
+            .map(|item| {
+                fanout::count_stored_copies(
+                    pinned_sealed.as_deref().map(|v| v.as_slice()),
+                    pinned_components.iter().map(|a| a.as_ref()),
+                    item,
+                    FilterBuild::Lazy,
+                    &mut scratch,
+                    &mut tally,
+                )
+            })
+            .collect::<Result<Vec<u64>, _>>()?;
+        crate::obs::record_probe(&tally);
         if let Some(t) = t_probe {
-            trace.span_since("live", "probe", t, &format!("victims={}", items.len()));
+            trace.span_since(
+                "live",
+                "probe",
+                t,
+                &format!(
+                    "victims={} searched={} skipped={}",
+                    items.len(),
+                    tally.searched,
+                    tally.skipped
+                ),
+            );
         }
         let (deleted, last_seq, any_tombstone) = {
             let mut w = inner.writer.lock();
             let t_decide = tracing.then(std::time::Instant::now);
-            // Decide every victim against the applied state plus every
-            // enqueued-but-unapplied op (`core.pending`) plus the
-            // batch's own earlier victims — the serial-equivalent view.
-            let mut ops: Vec<PendingApply<D>> = Vec::new();
-            let mut any_tombstone = false;
-            {
-                let core = inner.core.read();
-                let stale = core.structure_epoch != pin_epoch;
-                let mut claimed_mem: Vec<Item<D>> = Vec::new();
-                let mut batch_tombs = Tombstones::<D>::new();
-                for (i, item) in items.iter().enumerate() {
-                    let claimed = claimed_mem
-                        .iter()
-                        .filter(|c| same_identity(c, item))
-                        .count() as i64;
-                    let mem_avail =
-                        core.memtable.count(item) as i64 + core.pending_mem_delta(item) - claimed;
-                    if mem_avail > 0 {
-                        claimed_mem.push(*item);
-                        ops.push(PendingApply::DeleteMem(*item));
-                        continue;
-                    }
-                    let copies = if stale {
-                        core.stored_copies(item, &mut scratch, &mut hits)?
-                    } else {
-                        probed[i]
-                    };
-                    let dead = core.tombstones.count(item) as u64
-                        + core.pending_tombs(item)
-                        + batch_tombs.count(item) as u64;
-                    if copies > dead {
-                        batch_tombs.add(item);
-                        any_tombstone = true;
-                        ops.push(PendingApply::DeleteTomb(*item));
-                    }
-                }
-            }
+            let (ops, any_tombstone) =
+                inner
+                    .core
+                    .read()
+                    .decide(items, &probed, pin_epoch, &mut scratch)?;
             if ops.is_empty() {
                 return Ok(0);
             }
@@ -1129,7 +1205,17 @@ impl<const D: usize> LiveIndex<D> {
 
     /// Operational counters for `prtree stats` and tests.
     pub fn stats(&self) -> Result<LiveStats, LiveError> {
-        let (live, memtable, sealed, components, tombstones, durable_seq, merged_seq, merges) = {
+        let (
+            live,
+            memtable,
+            sealed,
+            components,
+            filter_bytes,
+            tombstones,
+            durable_seq,
+            merged_seq,
+            merges,
+        ) = {
             let core = self.inner.core.read();
             (
                 core.live,
@@ -1140,6 +1226,11 @@ impl<const D: usize> LiveIndex<D> {
                     .enumerate()
                     .filter_map(|(slot, c)| c.as_ref().map(|t| (slot, t.len())))
                     .collect::<Vec<_>>(),
+                core.components
+                    .iter()
+                    .flatten()
+                    .map(|c| c.filter_bytes() as u64)
+                    .sum(),
                 core.tombstones.total(),
                 core.durable_seq,
                 core.merged_seq,
@@ -1195,6 +1286,7 @@ impl<const D: usize> LiveIndex<D> {
             memtable,
             sealed,
             components,
+            filter_bytes,
             tombstones,
             durable_seq,
             synced_seq,
@@ -1464,6 +1556,10 @@ pub struct LiveStats {
     pub sealed: usize,
     /// `(slot, items)` per committed component.
     pub components: Vec<(usize, u64)>,
+    /// Heap bytes held by the components' membership filters. A filter
+    /// is built by a component's first delete probe, at 16 bits per
+    /// stored item, so this stays 0 under insert-only use.
+    pub filter_bytes: u64,
     /// Outstanding tombstones.
     pub tombstones: u64,
     /// Highest acknowledged WAL sequence.
@@ -1573,6 +1669,12 @@ impl<const D: usize> LiveSnapshot<D> {
         self.components.len()
     }
 
+    /// The components in view (read-only, test harness).
+    #[doc(hidden)]
+    pub fn components(&self) -> impl Iterator<Item = &RTree<D>> {
+        self.components.iter().map(|c| c.as_ref())
+    }
+
     /// Window query with caller-owned buffers (allocation-free when
     /// reused).
     pub fn window_into(
@@ -1652,5 +1754,75 @@ impl<const D: usize> LiveSnapshot<D> {
             self.components.iter().map(|c| c.as_ref()),
             &self.tombstones,
         )?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A decide that finds its pinned structure stale re-counts under
+    /// the sequencing lock, and that re-count builds no membership
+    /// filter: the leaf scan stays off the lock that writers wait on.
+    #[test]
+    fn stale_decide_builds_no_filter_under_the_lock() {
+        let dir = std::env::temp_dir()
+            .join(format!("pr-live-index-{}", std::process::id()))
+            .join("stale-decide");
+        std::fs::remove_dir_all(&dir).ok();
+        let opts = LiveOptions {
+            buffer_cap: 16,
+            background_merge: false,
+            ..LiveOptions::default()
+        };
+        let ix = LiveIndex::<2>::create(&dir, TreeParams::with_cap::<2>(8), opts).unwrap();
+        let items: Vec<Item<2>> = (0..200u32)
+            .map(|i| {
+                let (x, y) = (f64::from(i % 20), f64::from(i / 20));
+                Item::new(Rect::xyxy(x, y, x + 0.5, y + 0.5), i)
+            })
+            .collect();
+        ix.insert_batch(&items).unwrap();
+        ix.flush().unwrap();
+        let filter_bytes = || ix.stats().unwrap().filter_bytes;
+        assert_eq!(filter_bytes(), 0, "insert-only");
+
+        // Stored victims, one twice, and one that is not stored.
+        let mut victims = vec![items[3], items[77], items[77], items[150]];
+        victims.push(Item::new(items[5].rect, 9_999));
+        {
+            let _w = ix.inner.writer.lock();
+            let core = ix.inner.core.read();
+            assert!(core.memtable.is_empty() && core.components.iter().flatten().count() > 0);
+            // Off-lock counts taken against an older structure: all
+            // wrong, so only the re-count can decide correctly.
+            let probed = vec![0; victims.len()];
+            let stale_epoch = core.structure_epoch.wrapping_sub(1);
+            let (ops, any_tombstone) = core
+                .decide(&victims, &probed, stale_epoch, &mut QueryScratch::new())
+                .unwrap();
+            let tombstoned: Vec<u32> = ops
+                .iter()
+                .map(|op| match op {
+                    PendingApply::DeleteTomb(it) => it.id,
+                    _ => panic!("memtable is empty"),
+                })
+                .collect();
+            assert_eq!(tombstoned, [3, 77, 150]);
+            assert!(any_tombstone);
+            assert_eq!(
+                core.components
+                    .iter()
+                    .flatten()
+                    .map(|c| c.filter_bytes())
+                    .sum::<usize>(),
+                0,
+                "a filter was built under the sequencing lock"
+            );
+        }
+        assert_eq!(ix.delete_batch(&victims).unwrap(), 3);
+        assert!(filter_bytes() > 0, "the off-lock probe builds them");
+        drop(ix);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -63,14 +63,6 @@ impl<const D: usize> Memtable<D> {
         self.items.iter().any(|i| same_identity(i, item))
     }
 
-    /// Number of buffered copies of this exact identity. The delete
-    /// path's counted availability check — with group commit, decisions
-    /// must weigh the memtable against enqueued-but-unapplied ops, so a
-    /// boolean `contains` is no longer enough.
-    pub fn count(&self, item: &Item<D>) -> usize {
-        self.items.iter().filter(|i| same_identity(i, item)).count()
-    }
-
     /// The buffered items.
     pub fn items(&self) -> &[Item<D>] {
         &self.items

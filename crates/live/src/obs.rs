@@ -65,6 +65,14 @@ pub struct Metrics {
     /// after a transient failure (writers still ingest, bounded by
     /// memtable backpressure), 0 when merging normally.
     pub merges_paused: pr_obs::Gauge,
+    /// `live_probe_components_total{result="searched"}` — components a
+    /// delete's liveness count descended into (their membership filter
+    /// admitted the victim): the off-lock probe, its re-probe after a
+    /// seal or merge swap, and WAL replay alike.
+    pub probe_searched: pr_obs::Counter,
+    /// `live_probe_components_total{result="skipped"}` — components a
+    /// liveness count skipped because their filter rejected the victim.
+    pub probe_skipped: pr_obs::Counter,
     /// `live_insert_batch_us` — `insert_batch` latency, enqueue through
     /// group ack.
     pub insert_batch_us: pr_obs::Histogram,
@@ -79,6 +87,18 @@ pub struct Metrics {
     pub window_query_us: pr_obs::Histogram,
     /// `live_knn_query_us` — snapshot k-NN query latency.
     pub knn_query_us: pr_obs::Histogram,
+}
+
+/// Help text of `live_probe_components_total`.
+const PROBE_HELP: &str = "components a delete's liveness count searched, or skipped \
+     because their membership filter rejected the victim";
+
+/// Adds one liveness count's (or batch's) component tally to the
+/// registry.
+pub(crate) fn record_probe(tally: &pr_tree::dynamic::fanout::ProbeTally) {
+    let m = metrics();
+    m.probe_searched.add(tally.searched);
+    m.probe_skipped.add(tally.skipped);
 }
 
 /// The lazily registered catalog.
@@ -136,6 +156,16 @@ pub fn metrics() -> &'static Metrics {
             merges_paused: r.gauge(
                 "live_merges_paused",
                 "1 while background merges back off after a transient failure",
+            ),
+            probe_searched: r.counter_with(
+                "live_probe_components_total",
+                &[("result", "searched")],
+                PROBE_HELP,
+            ),
+            probe_skipped: r.counter_with(
+                "live_probe_components_total",
+                &[("result", "skipped")],
+                PROBE_HELP,
             ),
             insert_batch_us: r.histogram(
                 "live_insert_batch_us",

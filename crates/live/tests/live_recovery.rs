@@ -476,6 +476,107 @@ fn delete_batch_matches_serial_semantics_and_survives() {
     assert_state_matches(&ix, &oracle, "delete_batch after crash-reopen");
 }
 
+/// The one-pass decide (one counted map per batch) returns what serial
+/// deletes return on the cases it folds together: memtable residents,
+/// in-batch duplicates, a reborn identity (a dead stored copy and a
+/// live buffered one), an identity with a live copy on each side, and
+/// misses.
+#[test]
+fn delete_batch_decides_like_serial_deletes() {
+    let history = |name: &str| {
+        let ix = LiveIndex::<2>::create(&tmpdir(name), params(), opts(8)).unwrap();
+        for k in 0..24 {
+            ix.insert(item(k)).unwrap(); // three merges: all stored
+        }
+        assert!(ix.delete(&item(3)).unwrap());
+        ix.insert(item(3)).unwrap(); // reborn: dead stored, live buffered
+        ix.insert(item(7)).unwrap(); // live stored and live buffered
+        for k in 24..28 {
+            ix.insert(item(k)).unwrap(); // memtable residents
+        }
+        assert_eq!(ix.stats().unwrap().memtable, 6);
+        ix
+    };
+    let batch = [
+        item(3),
+        item(3),
+        item(7),
+        item(25),
+        item(7),
+        item(25),
+        item(7),
+        item(26),
+        item(5),
+        item(5),
+        item(500),
+    ];
+    let serial = history("decide-serial");
+    let one_by_one: u64 = batch.iter().map(|v| serial.delete(v).unwrap() as u64).sum();
+    let batched = history("decide-batch");
+    assert_eq!(batched.delete_batch(&batch).unwrap(), one_by_one);
+    assert_eq!(one_by_one, 6, "3 once, 7 twice, 25, 26 and 5 once each");
+    let (a, b) = (serial.stats().unwrap(), batched.stats().unwrap());
+    assert_eq!(
+        (a.live, a.memtable, a.tombstones),
+        (b.live, b.memtable, b.tombstones)
+    );
+    let mut want = serial.snapshot().items().unwrap();
+    let mut got = batched.snapshot().items().unwrap();
+    want.sort_by_key(|i| i.id);
+    got.sort_by_key(|i| i.id);
+    assert_eq!(got, want);
+}
+
+/// Membership filters live only in memory. After a restart with
+/// deletes in the WAL tail, replay rebuilds them through the same lazy
+/// path, and the replayed state and the first `delete_batch` answer
+/// exactly as an index that never restarted.
+#[test]
+fn filters_rebuilt_after_reopen_answer_as_before() {
+    let history = |ix: &LiveIndex<2>| {
+        for k in 0..64 {
+            ix.insert(item(k)).unwrap(); // eight merges: memtable empty
+        }
+        assert_eq!(ix.stats().unwrap().filter_bytes, 0, "insert-only");
+        let tail: Vec<Item<2>> = (0..20).step_by(2).map(item).collect();
+        assert_eq!(ix.delete_batch(&tail).unwrap(), 10);
+        for k in 64..67 {
+            ix.insert(item(k)).unwrap();
+        }
+        assert!(ix.delete(&item(65)).unwrap());
+        let s = ix.stats().unwrap();
+        assert!(s.merged_seq < s.durable_seq, "deletes in the WAL tail");
+        assert!(s.filter_bytes > 0);
+    };
+    let steady = LiveIndex::<2>::create(&tmpdir("filters-steady"), params(), opts(8)).unwrap();
+    history(&steady);
+    let dir = tmpdir("filters-restart");
+    {
+        let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
+        history(&ix);
+    }
+    let reopened = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+    assert!(reopened.stats().unwrap().filter_bytes > 0, "replay probed");
+    let items = |ix: &LiveIndex<2>| {
+        let mut v = ix.snapshot().items().unwrap();
+        v.sort_by_key(|i| i.id);
+        v
+    };
+    assert_eq!(items(&reopened), items(&steady), "replayed state");
+    let batch: Vec<Item<2>> = [0, 1, 2, 3, 40, 40, 64, 65, 66, 900]
+        .into_iter()
+        .map(item)
+        .collect();
+    let want = steady.delete_batch(&batch).unwrap();
+    assert_eq!(reopened.delete_batch(&batch).unwrap(), want);
+    assert_eq!(want, 5, "1, 3, 40, 64 and 66");
+    assert_eq!(items(&reopened), items(&steady), "after the first batch");
+    assert_eq!(
+        reopened.stats().unwrap().tombstones,
+        steady.stats().unwrap().tombstones
+    );
+}
+
 /// `flush()` after tombstone-only deletes (empty memtable) still
 /// commits a checkpoint: the manifest catches up to the acknowledged
 /// sequence and the WAL becomes prunable.

@@ -207,3 +207,71 @@ fn lpr_tree_and_live_index_give_identical_knn() {
         }
     }
 }
+
+/// The membership filters never say "absent" for a stored copy. The
+/// differential test's trace is replayed op for op (same seed, same
+/// draws), and at each of its checkpoints every item stored in a
+/// component — dead copies included — must pass that component's
+/// filter, in both frontends. The filters checked were built by the
+/// trace's own deletes.
+#[test]
+fn membership_filters_admit_every_stored_copy() {
+    const CAP: usize = 16;
+    let dir = tmpdir("filters");
+    let live_ix = LiveIndex::<2>::create(&dir, params(), opts(CAP)).unwrap();
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params().page_size));
+    let mut lpr = LprTree::<2>::new(dev, params(), CAP);
+    let mut rng = SmallRng::seed_from_u64(37);
+    let mut live: Vec<Item<2>> = Vec::new();
+    let mut graveyard: Vec<Item<2>> = Vec::new();
+    let mut scratch = QueryScratch::new();
+    let (mut checked, mut built_by_deletes) = (0u64, 0usize);
+    for step in 0..1_200u32 {
+        match rng.gen_range(0..10) {
+            0..=2 if !live.is_empty() => {
+                let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                assert!(lpr.delete(&victim).unwrap());
+                assert!(live_ix.delete(&victim).unwrap());
+                graveyard.push(victim);
+            }
+            3 if !graveyard.is_empty() => {
+                let reborn = graveyard.swap_remove(rng.gen_range(0..graveyard.len()));
+                lpr.insert(reborn).unwrap();
+                live_ix.insert(reborn).unwrap();
+                live.push(reborn);
+            }
+            _ => {
+                let item = random_item(step, &mut rng);
+                lpr.insert(item).unwrap();
+                live_ix.insert(item).unwrap();
+                live.push(item);
+            }
+        }
+        if step % 60 != 59 {
+            continue;
+        }
+        // The differential test draws its query points here; draw them
+        // too, so every later op matches its trace.
+        for _ in 0..6 {
+            random_point(&mut rng);
+        }
+        let snap = live_ix.snapshot();
+        for (name, components) in [
+            ("lpr", lpr.components().collect::<Vec<_>>()),
+            ("live", snap.components().collect()),
+        ] {
+            built_by_deletes += components.iter().filter(|c| c.filter_bytes() > 0).count();
+            for c in components {
+                for it in c.items().unwrap() {
+                    assert!(
+                        c.may_contain(&it, &mut scratch).unwrap(),
+                        "{name} step {step}: stored {it:?} rejected"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 10_000, "{checked} stored copies checked");
+    assert!(built_by_deletes > 0, "no delete built a filter");
+}

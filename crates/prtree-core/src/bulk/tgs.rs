@@ -29,7 +29,6 @@ use crate::writer::page_ptr;
 use pr_em::{BlockDevice, EmError};
 use pr_geom::mapped::cmp_items_on_axis;
 use pr_geom::{Axis, Item, Rect};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The TGS bulk loader.
@@ -37,21 +36,41 @@ use std::sync::Arc;
 pub struct TgsLoader;
 
 /// The working state of one subset: the same entries in all `2D`
-/// coordinate orders (ascending by `(mapped coordinate, id)`).
+/// coordinate orders (ascending by `(mapped coordinate, id)`). Inside
+/// one [`build_node`] call an entry's `ptr` holds its *tag*, an index
+/// into [`Tags::ids`], rather than its id.
 struct Orders<const D: usize> {
     by_axis: Vec<Vec<Entry<D>>>,
 }
 
+/// Tells the entries of one [`build_node`] call apart. A multiset input
+/// may hold one id on several rectangles and one identity several times
+/// (aliased copies), so ids do not; tags do, and a split finds its left
+/// side with one flag lookup per entry.
+struct Tags {
+    /// The entry's id, by tag.
+    ids: Vec<u32>,
+    /// Scratch for [`Orders::split`]: set for the tags going left, all
+    /// clear between splits.
+    in_left: Vec<bool>,
+}
+
 impl<const D: usize> Orders<D> {
-    fn build(entries: Vec<Entry<D>>) -> Self {
+    /// Sorts `entries` into every ordering, replacing each id by a tag.
+    fn build(mut entries: Vec<Entry<D>>) -> (Self, Tags) {
+        let ids: Vec<u32> = entries.iter().map(|e| e.ptr).collect();
+        for (tag, e) in entries.iter_mut().enumerate() {
+            e.ptr = tag as u32;
+        }
         let mut by_axis = Vec::with_capacity(2 * D);
         for axis in Axis::all::<D>() {
             let mut v = entries.clone();
-            sort_by_axis(&mut v, axis);
+            sort_by_axis(&mut v, axis, &ids);
             by_axis.push(v);
         }
         drop(entries);
-        Orders { by_axis }
+        let in_left = vec![false; ids.len()];
+        (Orders { by_axis }, Tags { ids, in_left })
     }
 
     fn len(&self) -> usize {
@@ -59,12 +78,12 @@ impl<const D: usize> Orders<D> {
     }
 
     /// Splits along `axis` after the first `left_len` entries of that
-    /// ordering, distributing every other ordering stably.
-    fn split(self, axis: Axis, left_len: usize) -> (Orders<D>, Orders<D>) {
+    /// ordering, distributing every other ordering stably. Every
+    /// ordering sends exactly those `left_len` tags left.
+    fn split(self, axis: Axis, left_len: usize, tags: &mut Tags) -> (Orders<D>, Orders<D>) {
         let n = self.len();
-        let mut left_ids: HashSet<u32> = HashSet::with_capacity(left_len);
         for e in &self.by_axis[axis.0][..left_len] {
-            left_ids.insert(e.ptr);
+            tags.in_left[e.ptr as usize] = true;
         }
         let mut left = Vec::with_capacity(2 * D);
         let mut right = Vec::with_capacity(2 * D);
@@ -72,7 +91,7 @@ impl<const D: usize> Orders<D> {
             let mut l = Vec::with_capacity(left_len);
             let mut r = Vec::with_capacity(n - left_len);
             for e in order {
-                if left_ids.contains(&e.ptr) {
+                if tags.in_left[e.ptr as usize] {
                     l.push(e);
                 } else {
                     r.push(e);
@@ -81,24 +100,20 @@ impl<const D: usize> Orders<D> {
             left.push(l);
             right.push(r);
         }
+        for e in &left[0] {
+            tags.in_left[e.ptr as usize] = false;
+        }
         (Orders { by_axis: left }, Orders { by_axis: right })
     }
 }
 
-fn sort_by_axis<const D: usize>(entries: &mut [Entry<D>], axis: Axis) {
-    entries.sort_unstable_by(|a, b| {
-        cmp_items_on_axis(
-            axis,
-            &Item {
-                rect: a.rect,
-                id: a.ptr,
-            },
-            &Item {
-                rect: b.rect,
-                id: b.ptr,
-            },
-        )
-    });
+/// Sorts tagged entries by `(mapped coordinate, id)`.
+fn sort_by_axis<const D: usize>(entries: &mut [Entry<D>], axis: Axis, ids: &[u32]) {
+    let item = |e: &Entry<D>| Item {
+        rect: e.rect,
+        id: ids[e.ptr as usize],
+    };
+    entries.sort_unstable_by(|a, b| cmp_items_on_axis(axis, &item(a), &item(b)));
 }
 
 /// The best binary cut found for one subset.
@@ -151,15 +166,20 @@ fn best_cut<const D: usize>(orders: &Orders<D>, unit: usize) -> Cut {
 }
 
 /// Recursively binary-partitions `orders` into groups of at most `unit`.
-fn partition<const D: usize>(orders: Orders<D>, unit: usize, out: &mut Vec<Vec<Entry<D>>>) {
+fn partition<const D: usize>(
+    orders: Orders<D>,
+    unit: usize,
+    tags: &mut Tags,
+    out: &mut Vec<Vec<Entry<D>>>,
+) {
     if orders.len() <= unit {
         out.push(orders.by_axis.into_iter().next().expect("2D ≥ 1 orders"));
         return;
     }
     let cut = best_cut(&orders, unit);
-    let (left, right) = orders.split(cut.axis, cut.left_len);
-    partition(left, unit, out);
-    partition(right, unit, out);
+    let (left, right) = orders.split(cut.axis, cut.left_len, tags);
+    partition(left, unit, tags, out);
+    partition(right, unit, tags, out);
 }
 
 /// Builds the subtree for `entries` whose root sits at `level`; returns
@@ -179,10 +199,14 @@ pub(crate) fn build_node<const D: usize>(
     }
     let unit = subtree_capacity(params, level - 1);
     let mut groups = Vec::new();
-    partition(Orders::build(entries), unit, &mut groups);
+    let (orders, mut tags) = Orders::build(entries);
+    partition(orders, unit, &mut tags, &mut groups);
     debug_assert!(groups.len() <= params.node_cap);
     let mut children = Vec::with_capacity(groups.len());
-    for g in groups {
+    for mut g in groups {
+        for e in &mut g {
+            e.ptr = tags.ids[e.ptr as usize];
+        }
         children.push(build_node(dev, params, g, level - 1)?);
     }
     let mbr = Entry::mbr(&children);
@@ -291,12 +315,12 @@ mod tests {
             items.push(Item::new(Rect::xyxy(x, 0.0, x + 0.5, 1.0), i));
         }
         let entries: Vec<Entry<2>> = items.iter().map(|&i| Entry::from_item(i)).collect();
-        let orders = Orders::build(entries);
+        let (orders, mut tags) = Orders::build(entries);
         let cut = best_cut(&orders, 4);
         assert_eq!(cut.left_len, 4);
         assert_eq!(cut.axis.dim::<2>(), 0, "cut along x");
         // And the split really separates the clusters.
-        let (l, r) = orders.split(cut.axis, cut.left_len);
+        let (l, r) = orders.split(cut.axis, cut.left_len, &mut tags);
         assert!(l.by_axis[0].iter().all(|e| e.rect.lo_at(0) < 50.0));
         assert!(r.by_axis[0].iter().all(|e| e.rect.lo_at(0) > 50.0));
     }
@@ -307,8 +331,9 @@ mod tests {
             .into_iter()
             .map(Entry::from_item)
             .collect();
-        let orders = Orders::build(entries);
-        let (l, r) = orders.split(Axis(1), 80);
+        let (orders, mut tags) = Orders::build(entries);
+        let (l, r) = orders.split(Axis(1), 80, &mut tags);
+        assert!(tags.in_left.iter().all(|&f| !f), "flags cleared");
         for (part, expect_len) in [(&l, 80usize), (&r, 120usize)] {
             for (a, order) in part.by_axis.iter().enumerate() {
                 assert_eq!(order.len(), expect_len);
@@ -316,11 +341,11 @@ mod tests {
                 for w in order.windows(2) {
                     let ia = Item {
                         rect: w[0].rect,
-                        id: w[0].ptr,
+                        id: tags.ids[w[0].ptr as usize],
                     };
                     let ib = Item {
                         rect: w[1].rect,
-                        id: w[1].ptr,
+                        id: tags.ids[w[1].ptr as usize],
                     };
                     assert_ne!(
                         cmp_items_on_axis(axis, &ia, &ib),
@@ -330,6 +355,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A multiset input — ids stored two and three times — splits like
+    /// any other: the build terminates and indexes every copy. (A split
+    /// by id sent all copies of an id left and could recurse forever.)
+    #[test]
+    fn aliased_copies_are_all_indexed() {
+        let mut items = random_items(300, 17);
+        let copies: Vec<Item<2>> = items.iter().step_by(3).copied().collect();
+        items.extend(&copies);
+        items.extend(&copies[..50]);
+        let t = build(items.clone(), 6);
+        t.validate().unwrap().assert_ok();
+        assert_eq!(t.len(), items.len() as u64);
+        let all = t.window(&Rect::xyxy(0.0, 0.0, 101.0, 101.0)).unwrap();
+        assert_eq!(all.len(), items.len());
     }
 
     #[test]

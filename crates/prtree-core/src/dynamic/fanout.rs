@@ -76,29 +76,72 @@ pub fn items<'a, const D: usize>(
     Ok(out)
 }
 
+/// Whether a liveness count may build a component's missing membership
+/// filter ([`RTree::may_contain`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FilterBuild {
+    /// Build it, by one leaf scan, on the component's first probe.
+    Lazy,
+    /// Search a component that has none instead. For counts taken under
+    /// a lock that writers wait on: the scan is left to a later probe
+    /// that runs off the lock.
+    Never,
+}
+
+/// Components a liveness count searched (the filter admitted the victim)
+/// and skipped (the filter proved that no copy is stored there).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeTally {
+    /// Components whose exact-match descent ran.
+    pub searched: u64,
+    /// Components whose membership filter rejected the victim.
+    pub skipped: u64,
+}
+
 /// The **one** implementation of the stored-copies count behind every
-/// copies-vs-tombstones liveness decision: sealed-batch scan plus a
-/// window probe of each component for `item`'s exact bit identity. The
-/// item is live iff more copies are stored than tombstoned. (An id-only
-/// check would wrongly reject deleting a *reinserted* item whose
-/// earlier incarnation was tombstoned.) Parameterized over the
-/// structure so `pr-live`'s delete path can run it against a *pinned*
-/// (off-lock) structure while its WAL replay runs it against the
-/// current one.
+/// copies-vs-tombstones liveness decision. The item is live iff more
+/// copies are stored than tombstoned. (An id-only check would wrongly
+/// reject deleting a *reinserted* item whose earlier incarnation was
+/// tombstoned.) The count is the sealed batch's copies plus, for each
+/// component:
+/// * nothing, if its membership filter ([`RTree::may_contain`]) rejects
+///   `item`. A filter has no false negatives, so such a component holds
+///   no copy. Under [`FilterBuild::Lazy`] a missing filter is built by
+///   one leaf scan; under [`FilterBuild::Never`] the component is
+///   searched without one.
+/// * one exact-match descent ([`RTree::count_exact`]) otherwise, which
+///   opens only the children whose boxes cover `item.rect`.
+///
+/// A victim therefore costs about one root-to-leaf descent of the
+/// component that holds it, plus a hash per component that does not.
+/// `tally` gains the components searched and skipped. The function is
+/// parameterized over the structure, so `pr-live`'s delete path runs
+/// it against a *pinned* (off-lock) structure while its WAL replay runs
+/// it against the current one, and [`LprTree`](crate::dynamic::LprTree)
+/// against its own.
 pub fn count_stored_copies<'a, const D: usize>(
     sealed: Option<&[Item<D>]>,
     components: impl Iterator<Item = &'a RTree<D>>,
     item: &Item<D>,
+    build: FilterBuild,
     scratch: &mut QueryScratch<D>,
-    hits: &mut Vec<Item<D>>,
+    tally: &mut ProbeTally,
 ) -> Result<u64, EmError> {
     let mut copies = 0u64;
     if let Some(sealed) = sealed {
         copies += sealed.iter().filter(|i| same_identity(i, item)).count() as u64;
     }
     for c in components {
-        c.window_into(&item.rect, scratch, hits)?;
-        copies += hits.iter().filter(|h| same_identity(h, item)).count() as u64;
+        let admitted = match build {
+            FilterBuild::Lazy => c.may_contain(item, scratch)?,
+            FilterBuild::Never => c.filter_admits(item) != Some(false),
+        };
+        if !admitted {
+            tally.skipped += 1;
+            continue;
+        }
+        tally.searched += 1;
+        copies += c.count_exact(item, scratch)?.results;
     }
     Ok(copies)
 }

@@ -83,6 +83,12 @@ impl<const D: usize> LprTree<D> {
         self.components.iter().flatten().count()
     }
 
+    /// The components, lowest slot first (read-only, test harness).
+    #[doc(hidden)]
+    pub fn components(&self) -> impl Iterator<Item = &RTree<D>> {
+        self.components.iter().flatten()
+    }
+
     /// How many component rebuilds have happened (amortization metric).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
@@ -125,8 +131,9 @@ impl<const D: usize> LprTree<D> {
             None,
             self.components.iter().flatten(),
             item,
+            fanout::FilterBuild::Lazy,
             &mut QueryScratch::new(),
-            &mut Vec::new(),
+            &mut fanout::ProbeTally::default(),
         )?;
         if copies <= self.tombstones.count(item) as u64 {
             return Ok(false);
@@ -504,6 +511,29 @@ mod tests {
             resident < live_pages * 3,
             "resident {resident} blocks vs live {live_pages}: rebuilds leak pages"
         );
+    }
+
+    /// Insert-only use never pays for a membership filter; the first
+    /// delete that reaches the components builds one for each of them.
+    #[test]
+    fn filters_are_built_by_deletes_only() {
+        let mut t = make(8);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let all: Vec<Item<2>> = (0..200).map(|id| item(id, &mut rng)).collect();
+        for it in &all {
+            t.insert(*it).unwrap();
+        }
+        assert!(t.buffer.is_empty() && t.num_components() >= 2);
+        let filter_bytes = |t: &LprTree<2>| -> Vec<usize> {
+            t.components
+                .iter()
+                .flatten()
+                .map(|c| c.filter_bytes())
+                .collect()
+        };
+        assert!(filter_bytes(&t).iter().all(|&b| b == 0), "insert-only");
+        assert!(t.delete(&all[0]).unwrap());
+        assert!(filter_bytes(&t).iter().all(|&b| b > 0), "after a delete");
     }
 
     /// The shared bound is worth leaves: one forest search opens no

@@ -12,6 +12,7 @@
 
 pub mod fanout;
 pub mod logarithmic;
+pub mod membership;
 pub mod policy;
 pub mod split;
 pub mod tombstone;

@@ -51,6 +51,17 @@ impl<const D: usize> TombstoneKey<D> {
         }
     }
 
+    /// A 64-bit hash of exactly the bits this key compares — seedless,
+    /// so it is the same in every process. The membership filters
+    /// ([`crate::dynamic::membership`]) index by it.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        let mut h = mix64(u64::from(self.id));
+        for w in self.lo.iter().chain(&self.hi) {
+            h = mix64(h ^ w);
+        }
+        h
+    }
+
     /// Reconstructs the item this key identifies.
     pub fn to_item(self) -> Item<D> {
         let mut lo = [0f64; D];
@@ -61,6 +72,15 @@ impl<const D: usize> TombstoneKey<D> {
         }
         Item::new(Rect::new(lo, hi), self.id)
     }
+}
+
+/// The splitmix64 finalizer: every input bit flips each output bit with
+/// probability ≈ ½.
+fn mix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Bit-exact identity equality: the predicate every delete/tombstone

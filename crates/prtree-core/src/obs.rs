@@ -18,6 +18,8 @@ pub enum QueryKind {
     Window,
     /// k-nearest-neighbor query.
     Knn,
+    /// Exact-match descent (`RTree::count_exact`, the delete probe).
+    Exact,
 }
 
 /// Handles to pr-tree's registry metrics.
@@ -26,6 +28,8 @@ pub struct Metrics {
     pub window_queries: pr_obs::Counter,
     /// `tree_queries_total{kind="knn"}`.
     pub knn_queries: pr_obs::Counter,
+    /// `tree_queries_total{kind="exact"}`.
+    pub exact_queries: pr_obs::Counter,
     /// `tree_nodes_visited_total` — nodes touched by traversals.
     pub nodes_visited: pr_obs::Counter,
     /// `tree_leaves_visited_total` — leaves touched by traversals.
@@ -39,8 +43,8 @@ pub struct Metrics {
 }
 
 /// Help text of `tree_queries_total`: it counts traversals, not calls.
-const QUERIES_HELP: &str =
-    "completed traversals by kind (a window over c components counts c, a k-NN counts 1)";
+const QUERIES_HELP: &str = "completed traversals by kind (a window over c components counts c, \
+     a k-NN counts 1, an exact-match probe counts each component its filter admits)";
 
 /// The lazily registered catalog.
 pub fn metrics() -> &'static Metrics {
@@ -54,6 +58,7 @@ pub fn metrics() -> &'static Metrics {
                 QUERIES_HELP,
             ),
             knn_queries: r.counter_with("tree_queries_total", &[("kind", "knn")], QUERIES_HELP),
+            exact_queries: r.counter_with("tree_queries_total", &[("kind", "exact")], QUERIES_HELP),
             nodes_visited: r.counter(
                 "tree_nodes_visited_total",
                 "tree nodes visited by traversals",
@@ -84,6 +89,7 @@ pub(crate) fn record_query(kind: QueryKind, stats: &QueryStats) {
     match kind {
         QueryKind::Window => m.window_queries.inc(),
         QueryKind::Knn => m.knn_queries.inc(),
+        QueryKind::Exact => m.exact_queries.inc(),
     }
     m.nodes_visited.add(stats.nodes_visited);
     m.leaves_visited.add(stats.leaves_visited);

@@ -220,6 +220,65 @@ impl<const D: usize> RTree<D> {
         walk.map(|()| stats)
     }
 
+    /// Counts the stored copies of `item`'s exact identity (id and
+    /// coordinate bits, as
+    /// [`same_identity`](crate::dynamic::same_identity) compares them) —
+    /// the delete path's liveness probe. It is an exact-match descent,
+    /// not a window query:
+    /// * a child is opened only if its box *covers* `item.rect`
+    ///   ([`pr_geom::batch::covers_mask`]);
+    /// * a leaf counts the entries whose id and bits equal the victim's.
+    ///
+    /// In the paper's `R ↦ R*` view the victim is one point in
+    /// 2D-space, so this follows the few paths whose boxes hold that
+    /// point. For a valid rectangle, covering implies intersecting, so
+    /// it visits a subset of the nodes a window query on `item.rect`
+    /// visits. Flushes `tree_queries_total{kind="exact"}` and arms no
+    /// window trace. The count is the returned `results`.
+    pub fn count_exact(
+        &self,
+        item: &Item<D>,
+        scratch: &mut QueryScratch<D>,
+    ) -> Result<QueryStats, EmError> {
+        let mut stats = QueryStats::default();
+        if self.is_empty() {
+            return Ok(stats);
+        }
+        let mut tally = CacheTally::default();
+        let frozen = self.frozen_snapshot();
+        let QueryScratch {
+            stack,
+            page_buf,
+            mask,
+            soa,
+            ..
+        } = scratch;
+        stack.clear();
+        stack.push(self.root());
+        let walk = (|| {
+            while let Some(page) = stack.pop() {
+                let ((), did_io) =
+                    self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
+                        stats.nodes_visited += 1;
+                        if n.is_leaf() {
+                            stats.leaves_visited += 1;
+                            stats.results += n.count_identical(item);
+                        } else {
+                            stats.internal_visited += 1;
+                            n.for_each_covering(&item.rect, mask, |i| {
+                                stack.push(n.ptr(i) as BlockId)
+                            });
+                        }
+                    })?;
+                stats.device_reads += did_io as u64;
+            }
+            Ok(())
+        })();
+        self.record_cache_tally(tally);
+        crate::obs::record_query(crate::obs::QueryKind::Exact, &stats);
+        walk.map(|()| stats)
+    }
+
     /// True if any item intersects `query`. Stops at the first
     /// intersecting leaf entry, so it typically visits far fewer nodes
     /// than [`RTree::window`]; it reports no [`QueryStats`] for exactly

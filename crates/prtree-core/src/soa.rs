@@ -28,6 +28,7 @@
 //! contiguous); the kernels rely on contiguity, not on wider alignment —
 //! unaligned SIMD loads are free on every target this runs on.
 
+use crate::dynamic::same_identity;
 use crate::entry::Entry;
 use crate::page::{NodePage, MAGIC, PAGE_HEADER_SIZE};
 use pr_em::{EmError, Record};
@@ -246,6 +247,33 @@ impl<const D: usize> SoaNode<D> {
                 f(i);
             }
         }
+    }
+
+    /// [`SoaNode::for_each_intersecting`] with the covering kernel:
+    /// calls `f(i)` for every entry whose rectangle covers `query`
+    /// ([`batch::covers_mask`]), in ascending order.
+    #[inline]
+    pub fn for_each_covering(&self, query: &Rect<D>, mask: &mut Vec<u8>, mut f: impl FnMut(usize)) {
+        mask.resize(self.len, 0);
+        batch::covers_mask(&self.lo_dims(), &self.hi_dims(), query, mask);
+        for (i, &m) in mask.iter().enumerate() {
+            if m != 0 {
+                f(i);
+            }
+        }
+    }
+
+    /// Counts entries bit-identical to `item`: the same pointer (a
+    /// leaf's data id) and the same coordinate bits, exactly as
+    /// [`same_identity`] compares them.
+    /// The id test screens first, so a rectangle is gathered only for
+    /// an id match.
+    pub fn count_identical(&self, item: &Item<D>) -> u64 {
+        self.ptrs
+            .iter()
+            .enumerate()
+            .filter(|&(i, &p)| p == item.id && same_identity(&self.item(i), item))
+            .count() as u64
     }
 
     /// Counts entries intersecting `query` — the leaf kernel of

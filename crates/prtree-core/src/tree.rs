@@ -6,10 +6,14 @@
 //! *shape* of the tree differs between variants, exactly as in the paper.
 
 use crate::cache::{CachePolicy, CacheTally, FrozenMap, ShardedNodeCache};
+use crate::dynamic::membership::MembershipFilter;
+use crate::dynamic::tombstone::TombstoneKey;
 use crate::meta::TreeMeta;
 use crate::page::NodePage;
 use crate::params::TreeParams;
+use crate::scratch::QueryScratch;
 use crate::soa::SoaNode;
+use parking_lot::RwLock;
 use pr_em::{BlockDevice, BlockId, EmError};
 use pr_geom::Item;
 use std::sync::Arc;
@@ -28,6 +32,9 @@ pub struct RTree<const D: usize> {
     root_level: u8,
     len: u64,
     cache: ShardedNodeCache<D>,
+    /// Built on the first [`RTree::may_contain`], cleared by every
+    /// [`RTree::write_node`] ([`crate::dynamic::membership`]).
+    membership: RwLock<Option<MembershipFilter>>,
 }
 
 // Compile-time proof that trees can be shared across threads; fails to
@@ -58,6 +65,7 @@ impl<const D: usize> RTree<D> {
             root_level,
             len,
             cache: ShardedNodeCache::new(CachePolicy::InternalNodes),
+            membership: RwLock::new(None),
         }
     }
 
@@ -237,13 +245,53 @@ impl<const D: usize> RTree<D> {
 
     /// Writes a node page and invalidates (then re-admits) its cache slot.
     /// Used by dynamic updates. The AoS page is transcoded to its SoA
-    /// form at this boundary so queries keep reading columns.
+    /// form at this boundary so queries keep reading columns. This is
+    /// the one mutation path, so it also drops the membership filter;
+    /// the next [`RTree::may_contain`] rebuilds it from the new leaves.
     pub fn write_node(&self, page: BlockId, node: &NodePage<D>) -> Result<(), EmError> {
         node.write(self.dev.as_ref(), page)?;
         let arc = Arc::new(SoaNode::from_page(node));
         self.cache.invalidate(page);
         self.cache.admit(page, &arc);
+        *self.membership.write() = None;
         Ok(())
+    }
+
+    /// `false` only if the tree certainly stores no copy of `item`'s
+    /// exact identity (id and coordinate bits, as
+    /// [`same_identity`](crate::dynamic::same_identity) compares them).
+    /// The first call builds the tree's membership filter
+    /// ([`crate::dynamic::membership`]) with one leaf scan (`scratch`
+    /// serves it); later calls are one hash and one cache line.
+    pub fn may_contain(
+        &self,
+        item: &Item<D>,
+        scratch: &mut QueryScratch<D>,
+    ) -> Result<bool, EmError> {
+        if let Some(admits) = self.filter_admits(item) {
+            return Ok(admits);
+        }
+        let mut slot = self.membership.write();
+        // Another prober may have built it while this one waited.
+        if slot.is_none() {
+            *slot = Some(MembershipFilter::of_tree(self, scratch)?);
+        }
+        let filter = slot.as_ref().expect("built above");
+        Ok(filter.may_contain(&TombstoneKey::of(item)))
+    }
+
+    /// [`RTree::may_contain`]'s answer if the filter is built, `None` if
+    /// it is not. Never builds it.
+    pub fn filter_admits(&self, item: &Item<D>) -> Option<bool> {
+        let slot = self.membership.read();
+        slot.as_ref()
+            .map(|f| f.may_contain(&TombstoneKey::of(item)))
+    }
+
+    /// Heap bytes held by the membership filter: 0 until the first
+    /// [`RTree::may_contain`], and again after a node write.
+    pub fn filter_bytes(&self) -> usize {
+        self.membership.read().as_ref().map_or(0, |f| f.bytes())
     }
 
     /// Allocates a fresh page for a new node and writes it.
@@ -292,6 +340,40 @@ impl<const D: usize> RTree<D> {
             }
         }
         Ok(())
+    }
+
+    /// Runs `f` on every leaf's SoA view (DFS order) through the
+    /// decode-free read path: cache hits are read in place, misses
+    /// transcode into `scratch`.
+    pub(crate) fn for_each_leaf(
+        &self,
+        scratch: &mut QueryScratch<D>,
+        mut f: impl FnMut(&SoaNode<D>),
+    ) -> Result<(), EmError> {
+        let mut tally = CacheTally::default();
+        let frozen = self.frozen_snapshot();
+        let QueryScratch {
+            stack,
+            page_buf,
+            soa,
+            ..
+        } = scratch;
+        stack.clear();
+        stack.push(self.root);
+        let walk = (|| {
+            while let Some(page) = stack.pop() {
+                self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
+                    if n.is_leaf() {
+                        f(n);
+                    } else {
+                        stack.extend(n.ptrs().iter().map(|&p| p as BlockId));
+                    }
+                })?;
+            }
+            Ok(())
+        })();
+        self.record_cache_tally(tally);
+        walk
     }
 
     /// All items in the tree (test/rebuild helper).

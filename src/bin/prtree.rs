@@ -601,6 +601,14 @@ fn print_live_stats(ix: &LiveIndex<2>, verify: bool) -> i32 {
         print!("slot {slot}: {len}");
     }
     println!("]");
+    let m = pr_live::obs::metrics();
+    println!(
+        "deletes:      membership filters hold {} bytes; this process's probes \
+         searched {} component(s), skipped {}",
+        s.filter_bytes,
+        m.probe_searched.get(),
+        m.probe_skipped.get()
+    );
     println!(
         "wal:          seq {} acked / {} synced / {} merged; {} segment(s), {} bytes",
         s.durable_seq, s.synced_seq, s.merged_seq, s.wal_segments, s.wal_bytes
@@ -1358,6 +1366,7 @@ fn cmd_stats(args: &[String]) -> i32 {
         let mut live = pr_obs::json::JsonObj::new();
         live.u64("live", s.live)
             .u64("tombstones", s.tombstones)
+            .u64("filter_bytes", s.filter_bytes)
             .u64("store_epoch", s.store_epoch)
             .u64("store_file_bytes", s.store_file_bytes)
             .u64("store_garbage_bytes", s.store_garbage_bytes)
