@@ -85,9 +85,9 @@ pub trait BlockDevice: Send + Sync {
     /// serialize. Either way this counts exactly one read, so I/O
     /// accounting is unchanged.
     ///
-    /// This is the query engine's leaf-visit path: one page-sized
-    /// `memcpy` per uncached node visit is pure overhead when the
-    /// caller immediately transcodes the bytes elsewhere.
+    /// This is the query engine's uncached-node path: one page-sized
+    /// `memcpy` per visit is pure overhead when the caller reads the
+    /// bytes once (a leaf is scanned in place) or transcodes them.
     fn with_block(
         &self,
         block: BlockId,
@@ -734,7 +734,7 @@ impl BlockDevice for MemDevice {
         }
         // Zero-copy: hand out the stored block under a *read* lock (any
         // number of concurrent readers) instead of memcpy-ing a page the
-        // caller will only transcode once.
+        // caller will only read once.
         let blocks = self.blocks.read();
         let slot = blocks.get(block as usize).ok_or(EmError::BlockOutOfRange {
             block,

@@ -1,9 +1,9 @@
-//! Exporters: Prometheus-style text and JSON renderings of a
-//! [`RegistrySnapshot`] and an [`EventLog`].
+//! Exporters: JSON renderings of a [`RegistrySnapshot`] and an
+//! [`EventLog`].
 //!
-//! Both exporters consume *snapshots*, never live cells, so exporting
-//! is pure formatting: take the snapshot once, render it as many ways
-//! as needed. The JSON shape is versioned ([`SCHEMA_VERSION`]) — CI's
+//! They consume *snapshots*, never live cells, so exporting is pure
+//! formatting: take the snapshot once, render it as often as needed.
+//! The JSON shape is versioned ([`SCHEMA_VERSION`]) — CI's
 //! metrics-roundtrip job parses it and asserts the key metrics of all
 //! four instrumented layers are present and account exactly for the
 //! run's acknowledged writes.
@@ -17,69 +17,6 @@ use crate::registry::{MetricSnapshot, MetricValue, RegistrySnapshot};
 /// encoder (snapshots, `pr_bench::table` output). Bump on breaking
 /// shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// Quantiles reported for histograms in both exporters.
-const QUANTILES: [(f64, &str); 4] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99"), (1.0, "1")];
-
-fn prom_series(name: &str, labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push(format!("{k}=\"{v}\""));
-    }
-    if pairs.is_empty() {
-        name.to_string()
-    } else {
-        format!("{name}{{{}}}", pairs.join(","))
-    }
-}
-
-/// Renders a snapshot in the Prometheus text exposition format.
-/// Histograms are rendered as summaries (`_count`, `_sum`, quantile
-/// series) since the buckets are log-spaced, not cumulative-le.
-pub fn prometheus_text(snap: &RegistrySnapshot) -> String {
-    let mut out = String::new();
-    let mut last_name = "";
-    for m in &snap.metrics {
-        if m.name != last_name {
-            out.push_str(&format!("# HELP {} {}\n", m.name, m.help));
-            let kind = match &m.value {
-                MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge(_) => "gauge",
-                MetricValue::Histogram(_) => "summary",
-            };
-            out.push_str(&format!("# TYPE {} {}\n", m.name, kind));
-            last_name = &m.name;
-        }
-        match &m.value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                out.push_str(&format!("{} {v}\n", prom_series(&m.name, &m.labels, None)));
-            }
-            MetricValue::Histogram(h) => {
-                for (q, qs) in QUANTILES {
-                    out.push_str(&format!(
-                        "{} {}\n",
-                        prom_series(&m.name, &m.labels, Some(("quantile", qs))),
-                        h.quantile(q)
-                    ));
-                }
-                out.push_str(&format!(
-                    "{}_sum {}\n",
-                    prom_series(&m.name, &m.labels, None),
-                    (h.mean() * h.len() as f64) as u64
-                ));
-                out.push_str(&format!(
-                    "{}_count {}\n",
-                    prom_series(&m.name, &m.labels, None),
-                    h.len()
-                ));
-            }
-        }
-    }
-    out
-}
 
 fn histogram_json(h: &LatencyHistogram) -> String {
     let mut o = JsonObj::new();
@@ -181,18 +118,6 @@ mod tests {
         h.record(100);
         h.record(200);
         r
-    }
-
-    #[test]
-    fn prometheus_text_has_help_type_and_series() {
-        let text = prometheus_text(&sample().snapshot());
-        assert!(text.contains("# HELP em_device_reads_total device block reads"));
-        assert!(text.contains("# TYPE em_device_reads_total counter"));
-        assert!(text.contains("em_device_reads_total 7"));
-        assert!(text.contains("tree_queries_total{kind=\"window\"} 3"));
-        assert!(text.contains("# TYPE live_memtable_items gauge"));
-        assert!(text.contains("live_wal_fsync_us{quantile=\"0.5\"}"));
-        assert!(text.contains("live_wal_fsync_us_count 2"));
     }
 
     #[test]

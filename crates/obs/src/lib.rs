@@ -13,9 +13,8 @@
 //! * [`mod@events`] — a bounded lifecycle event ring (WAL rotate,
 //!   group-commit flush, memtable seal, merge start/commit, compaction,
 //!   store commit, scrub) readable without stopping writers.
-//! * [`export`] — Prometheus-style text and versioned JSON renderings
-//!   of snapshots, surfaced by `prtree stats --json`, `prtree events`,
-//!   and `--metrics-file`.
+//! * [`export`] — versioned JSON renderings of snapshots, surfaced by
+//!   `prtree stats --json`, `prtree events`, and `--metrics-file`.
 //! * [`trace`] — the sampling span tracer: per-operation phase
 //!   timelines ([`SpanCtx`]) across all four layers, a slowest-N
 //!   flight recorder, and a Chrome-trace-event exporter (`prtree
@@ -37,9 +36,7 @@ pub mod registry;
 pub mod trace;
 
 pub use events::{Event, EventLog, EventRing};
-pub use export::{
-    event_json, metric_json, prometheus_text, snapshot_json, snapshot_json_full, SCHEMA_VERSION,
-};
+pub use export::{event_json, metric_json, snapshot_json, snapshot_json_full, SCHEMA_VERSION};
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use registry::{
     global, recording, set_recording, Counter, Gauge, Histogram, MetricSnapshot, MetricValue,

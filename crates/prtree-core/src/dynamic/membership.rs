@@ -54,17 +54,15 @@ impl MembershipFilter {
         }
     }
 
-    /// The filter of every item stored in `tree`: one leaf scan through
-    /// the decode-free read path.
+    /// The filter of every item stored in `tree`: one scan of its leaves
+    /// in place.
     pub(crate) fn of_tree<const D: usize>(
         tree: &RTree<D>,
         scratch: &mut QueryScratch<D>,
     ) -> Result<Self, EmError> {
         let mut filter = Self::with_capacity(tree.len());
         tree.for_each_leaf(scratch, |leaf| {
-            for i in 0..leaf.len() {
-                filter.insert(&TombstoneKey::of(&leaf.item(i)));
-            }
+            leaf.for_each_item(|it| filter.insert(&TombstoneKey::of(&it)));
         })?;
         Ok(filter)
     }

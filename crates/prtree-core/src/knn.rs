@@ -41,7 +41,7 @@
 use crate::cache::{CacheTally, FrozenMap};
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
-use crate::tree::RTree;
+use crate::tree::{NodeView, RTree};
 use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Point};
 use std::cmp::{Ordering, Reverse};
@@ -170,9 +170,11 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
 
     /// Runs the best-first search over trees `0..trees` (`tree_at` may
     /// return `None` for an empty slot) and writes the result to `out`
-    /// (cleared first), nearest first. Per-node distances come from the
-    /// vectorized [`pr_geom::batch::min_dist2_batch`] kernel, which is
-    /// bit-identical to the scalar `Rect::min_dist2`.
+    /// (cleared first), nearest first. An internal node's distances come
+    /// from the vectorized [`pr_geom::batch::min_dist2_batch`] kernel; a
+    /// leaf's are computed in place as its records are read
+    /// ([`crate::leaf::LeafRecords`]). Both are bit-identical to the
+    /// scalar `Rect::min_dist2`.
     pub fn run<'t>(
         self,
         trees: usize,
@@ -213,7 +215,7 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                 let visit = &mut forest[tree];
                 let t_node = tracing.then(std::time::Instant::now);
                 let mut level = 0u8;
-                let ((), did_io) = tree_at(tree).expect("seeded above").with_soa_node(
+                let ((), did_io) = tree_at(tree).expect("seeded above").with_node(
                     page,
                     visit.frozen.as_ref(),
                     &mut visit.tally,
@@ -224,25 +226,21 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                             level = n.level();
                         }
                         stats.nodes_visited += 1;
-                        n.min_dist2_into(query, dist);
-                        if n.is_leaf() {
-                            stats.leaves_visited += 1;
-                            for (i, &d2) in dist.iter().enumerate() {
-                                if best.admits(d2) {
-                                    let item = n.item(i);
-                                    if admit(&item) {
-                                        best.insert(d2, item);
-                                    }
-                                }
+                        match n {
+                            NodeView::Leaf(leaf) => {
+                                stats.leaves_visited += 1;
+                                leaf.offer_nearest(query, best, &mut admit);
                             }
-                        } else {
-                            stats.internal_visited += 1;
-                            for (&d2, &ptr) in dist.iter().zip(n.ptrs()) {
-                                if best.admits(d2) {
-                                    nodes.push(Reverse(AtDist2 {
-                                        dist2: d2,
-                                        what: (tree, ptr as BlockId),
-                                    }));
+                            NodeView::Internal(n) => {
+                                stats.internal_visited += 1;
+                                n.min_dist2_into(query, dist);
+                                for (&d2, &ptr) in dist.iter().zip(n.ptrs()) {
+                                    if best.admits(d2) {
+                                        nodes.push(Reverse(AtDist2 {
+                                            dist2: d2,
+                                            what: (tree, ptr as BlockId),
+                                        }));
+                                    }
                                 }
                             }
                         }

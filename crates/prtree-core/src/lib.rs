@@ -7,11 +7,12 @@
 //!
 //! * [`tree::RTree`] — the common runtime: 4KB node pages, fanout 113 (in
 //!   2-D), window queries with exact I/O accounting, pluggable node cache.
-//! * [`soa`] / [`scratch`] / [`mod@reference`] — the decode-free query
-//!   engine: cached nodes are structure-of-arrays views scanned by
-//!   vectorized kernels, traversal state lives in a reusable
-//!   [`scratch::QueryScratch`], and the retained scalar AoS engine in
-//!   [`mod@reference`] pins result/stat equivalence.
+//! * [`soa`] / [`leaf`] / [`scratch`] / [`mod@reference`] — the
+//!   decode-free query engine: cached internal nodes are
+//!   structure-of-arrays views scanned by vectorized kernels, leaves are
+//!   scanned in place and never transcoded, traversal state lives in a
+//!   reusable [`scratch::QueryScratch`], and the retained scalar AoS
+//!   engine in [`mod@reference`] pins result/stat equivalence.
 //! * [`pseudo`] — the **pseudo-PR-tree** of §2.1: a `2D`-dimensional
 //!   kd-tree over corner-mapped rectangles with *priority leaves*.
 //! * [`bulk::pr`] — the **PR-tree** bulk loader of §2.2/§2.3 (worst-case
@@ -53,6 +54,7 @@ pub mod cache;
 pub mod dynamic;
 pub mod entry;
 pub mod knn;
+pub mod leaf;
 pub mod meta;
 pub mod obs;
 pub mod page;
@@ -69,6 +71,7 @@ pub mod writer;
 pub use cache::CachePolicy;
 pub use entry::Entry;
 pub use knn::KnnSearch;
+pub use leaf::LeafRecords;
 pub use meta::TreeMeta;
 pub use params::TreeParams;
 pub use query::QueryStats;

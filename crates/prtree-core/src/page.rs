@@ -103,7 +103,7 @@ impl<const D: usize> NodePage<D> {
 
 /// Validates a raw page's header against its buffer and returns
 /// `(level, entry count)`.
-fn page_header<const D: usize>(buf: &[u8]) -> Result<(u8, usize), EmError> {
+pub(crate) fn page_header<const D: usize>(buf: &[u8]) -> Result<(u8, usize), EmError> {
     if buf.len() < PAGE_HEADER_SIZE || buf[..4] != MAGIC {
         return Err(EmError::Corrupt("bad node page magic".into()));
     }

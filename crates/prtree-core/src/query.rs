@@ -10,21 +10,29 @@
 //!
 //! # The decode-free engine
 //!
-//! Traversal never touches a decoded [`crate::page::NodePage`]: cached
-//! nodes are SoA [`crate::soa::SoaNode`] views and uncached (leaf)
-//! visits transcode the raw page into a reusable
-//! [`QueryScratch`] buffer, so the per-node scan is the vectorized
-//! [`pr_geom::batch`] kernel and the steady-state query allocates
-//! nothing. The `_into` variants expose the scratch for reuse across
-//! queries; the plain variants wrap them with a throwaway scratch.
-//! Results, emit order, [`QueryStats`], and leaf-I/O counts are
-//! identical to the scalar AoS engine — the retained
+//! Traversal never touches a decoded [`crate::page::NodePage`]. It
+//! reaches every node through one access, `RTree::with_node`, which
+//! hands it one of two forms:
+//! * an **internal node** is a SoA [`crate::soa::SoaNode`] — cached (the
+//!   paper's setup pins every internal node) or, on a miss, transcoded
+//!   into the reusable [`QueryScratch`] — and is scanned by the
+//!   vectorized [`pr_geom::batch`] kernels;
+//! * a **leaf** is scanned in place: a [`LeafRecords`] borrows its
+//!   records from the bytes the device exposes, and each leaf kernel is
+//!   one pass over them. A leaf is never transcoded and never cached.
+//!
+//! The steady-state query therefore allocates nothing
+//! (`tests/build_alloc.rs` counts it). The `_into` variants expose the
+//! scratch for reuse across queries; the plain variants wrap them with a
+//! throwaway scratch. Results, emit order, [`QueryStats`], and leaf-I/O
+//! counts are identical to the scalar AoS engine — the retained
 //! [`crate::reference`] implementation plus the property tests in
 //! `tests/engine_equivalence.rs` pin that equivalence.
 
 use crate::cache::CacheTally;
+use crate::leaf::LeafRecords;
 use crate::scratch::QueryScratch;
-use crate::tree::RTree;
+use crate::tree::{NodeView, RTree};
 use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Rect};
 
@@ -114,7 +122,7 @@ impl<const D: usize> RTree<D> {
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<Item<D>>,
     ) -> Result<QueryStats, EmError> {
-        self.window_traverse(query, scratch, |n| n.collect_intersecting(query, out))
+        self.window_traverse(query, scratch, |leaf| leaf.collect_intersecting(query, out))
     }
 
     /// Counts intersecting items without materializing them.
@@ -124,21 +132,20 @@ impl<const D: usize> RTree<D> {
 
     /// [`RTree::window_count`] with a reusable scratch (the
     /// allocation-free hot path for counting workloads). Leaves are
-    /// tallied by the fused counting kernel
-    /// ([`crate::soa::SoaNode::count_intersecting`]) — no mask, no
-    /// per-match emit — with statistics identical to
+    /// tallied in place by [`LeafRecords::count_intersecting`] — no ids
+    /// read, no per-match emit — with statistics identical to
     /// [`RTree::window_with_stats`].
     pub fn window_count_into(
         &self,
         query: &Rect<D>,
         scratch: &mut QueryScratch<D>,
     ) -> Result<(u64, QueryStats), EmError> {
-        let stats = self.window_traverse(query, scratch, |n| n.count_intersecting(query))?;
+        let stats = self.window_traverse(query, scratch, |leaf| leaf.count_intersecting(query))?;
         Ok((stats.results, stats))
     }
 
     /// The shared window-traversal skeleton: DFS over nodes whose boxes
-    /// intersect `query`; `leaf` inspects a leaf's SoA view and returns
+    /// intersect `query`; `leaf` scans a leaf's records and returns
     /// how many entries matched (folded into `stats.results`). Cache
     /// hits/misses accumulate locally and flush once at the end
     /// (including the error path), so concurrent queries never touch
@@ -149,7 +156,7 @@ impl<const D: usize> RTree<D> {
         &self,
         query: &Rect<D>,
         scratch: &mut QueryScratch<D>,
-        mut leaf: impl FnMut(&crate::soa::SoaNode<D>) -> u64,
+        mut leaf: impl FnMut(LeafRecords<'_, D>) -> u64,
     ) -> Result<QueryStats, EmError> {
         let mut stats = QueryStats::default();
         if self.is_empty() {
@@ -178,19 +185,22 @@ impl<const D: usize> RTree<D> {
                 let t_node = tracing.then(std::time::Instant::now);
                 let mut level = 0u8;
                 let ((), did_io) =
-                    self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
+                    self.with_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
                         if tracing {
                             level = n.level();
                         }
                         stats.nodes_visited += 1;
-                        if n.is_leaf() {
-                            stats.leaves_visited += 1;
-                            stats.results += leaf(n);
-                        } else {
-                            stats.internal_visited += 1;
-                            n.for_each_intersecting(query, mask, |i| {
-                                stack.push(n.ptr(i) as BlockId)
-                            });
+                        match n {
+                            NodeView::Leaf(records) => {
+                                stats.leaves_visited += 1;
+                                stats.results += leaf(records);
+                            }
+                            NodeView::Internal(n) => {
+                                stats.internal_visited += 1;
+                                n.for_each_intersecting(query, mask, |i| {
+                                    stack.push(n.ptr(i) as BlockId)
+                                });
+                            }
                         }
                     })?;
                 stats.device_reads += did_io as u64;
@@ -227,7 +237,8 @@ impl<const D: usize> RTree<D> {
     /// not a window query:
     /// * a child is opened only if its box *covers* `item.rect`
     ///   ([`pr_geom::batch::covers_mask`]);
-    /// * a leaf counts the entries whose id and bits equal the victim's.
+    /// * a leaf counts, in place, the records whose id and bits equal the
+    ///   victim's ([`LeafRecords::count_identical`]).
     ///
     /// In the paper's `R ↦ R*` view the victim is one point in
     /// 2D-space, so this follows the few paths whose boxes hold that
@@ -258,16 +269,19 @@ impl<const D: usize> RTree<D> {
         let walk = (|| {
             while let Some(page) = stack.pop() {
                 let ((), did_io) =
-                    self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
+                    self.with_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
                         stats.nodes_visited += 1;
-                        if n.is_leaf() {
-                            stats.leaves_visited += 1;
-                            stats.results += n.count_identical(item);
-                        } else {
-                            stats.internal_visited += 1;
-                            n.for_each_covering(&item.rect, mask, |i| {
-                                stack.push(n.ptr(i) as BlockId)
-                            });
+                        match n {
+                            NodeView::Leaf(leaf) => {
+                                stats.leaves_visited += 1;
+                                stats.results += leaf.count_identical(item);
+                            }
+                            NodeView::Internal(n) => {
+                                stats.internal_visited += 1;
+                                n.for_each_covering(&item.rect, mask, |i| {
+                                    stack.push(n.ptr(i) as BlockId)
+                                });
+                            }
                         }
                     })?;
                 stats.device_reads += did_io as u64;
@@ -312,17 +326,22 @@ impl<const D: usize> RTree<D> {
         let mut found = false;
         let walk = (|| {
             while let Some(page) = stack.pop() {
-                let (hit, _) =
-                    self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
-                        if n.is_leaf() {
-                            n.any_intersecting(query, mask)
-                        } else {
+                let (hit, _) = self.with_node(
+                    page,
+                    frozen.as_ref(),
+                    &mut tally,
+                    page_buf,
+                    soa,
+                    |n| match n {
+                        NodeView::Leaf(leaf) => leaf.any_intersecting(query),
+                        NodeView::Internal(n) => {
                             n.for_each_intersecting(query, mask, |i| {
                                 stack.push(n.ptr(i) as BlockId)
                             });
                             false
                         }
-                    })?;
+                    },
+                )?;
                 if hit {
                     found = true;
                     break;
@@ -499,6 +518,45 @@ mod tests {
             brute.sort_by_key(|i| i.id);
             assert_eq!(got, brute);
         }
+    }
+
+    /// Overwrites the leaf holding items 2 and 3 with `corrupt(page)`
+    /// and asserts that every read path reaching it — and only it —
+    /// reports [`EmError::Corrupt`].
+    fn corrupt_leaf_is_an_error_on_every_read_path(corrupt: impl FnOnce(&mut [u8])) {
+        let (t, items) = grid_tree();
+        t.warm_cache().unwrap();
+        let mut buf = vec![0u8; t.device().block_size()];
+        let (root, _) = t.read_node(t.root()).unwrap();
+        let leaf = root.entries[1].ptr as BlockId;
+        t.device().read_block(leaf, &mut buf).unwrap();
+        corrupt(&mut buf);
+        t.device().write_block(leaf, &buf).unwrap();
+
+        let q = Rect::xyxy(2.1, 0.0, 3.2, 1.0); // this leaf's box only
+        let scratch = &mut QueryScratch::new();
+        let corrupt = |r: Result<(), EmError>| matches!(r, Err(EmError::Corrupt(_)));
+        assert!(corrupt(
+            t.window_into(&q, scratch, &mut Vec::new()).map(drop)
+        ));
+        assert!(corrupt(t.window_count_into(&q, scratch).map(drop)));
+        assert!(corrupt(t.count_exact(&items[2], scratch).map(drop)));
+        assert!(corrupt(t.intersects_any_into(&q, scratch).map(drop)));
+        // The other leaves still answer.
+        let elsewhere = Rect::xyxy(4.0, 0.0, 8.0, 1.0);
+        assert_eq!(t.window_count_into(&elsewhere, scratch).unwrap().0, 4);
+    }
+
+    #[test]
+    fn bad_magic_leaf_is_corrupt_on_every_read_path() {
+        corrupt_leaf_is_an_error_on_every_read_path(|page| page[..4].copy_from_slice(b"XXXX"));
+    }
+
+    #[test]
+    fn overfull_leaf_count_is_corrupt_on_every_read_path() {
+        corrupt_leaf_is_an_error_on_every_read_path(|page| {
+            page[6..8].copy_from_slice(&500u16.to_le_bytes())
+        });
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! Reusable per-query scratch state — the allocation-free traversal.
 //!
 //! Every buffer a query needs lives here: the DFS stack, the raw-page
-//! read buffer and the SoA transcode target for uncached (leaf) visits,
-//! the match mask the batch kernels write, and the k-NN search's node
-//! heap, k-best heap, per-tree tallies and batched-distance buffer. A
-//! [`QueryScratch`] is created once and threaded through the `_into`
-//! variants
+//! read buffer, the SoA transcode target for an internal node that
+//! misses the cache, the match mask the batch kernels write, and the
+//! k-NN search's node heap, k-best heap, per-tree tallies and
+//! batched-distance buffer. Leaves never use the transcode target: they
+//! are scanned in place over the page bytes the device lends, or over
+//! `page_buf` where it must copy ([`crate::leaf::LeafRecords`]). A [`QueryScratch`] is created once and threaded
+//! through the `_into` variants
 //! ([`crate::tree::RTree::window_into`],
 //! [`crate::tree::RTree::window_count_into`],
+//! [`crate::tree::RTree::count_exact`],
 //! [`crate::tree::RTree::nearest_neighbors_into`],
 //! [`crate::tree::RTree::intersects_any_into`]); after the first few
 //! queries sized the buffers, the steady-state hot path performs **zero
 //! heap allocations per query** — `tests/build_alloc.rs` counts them for
-//! k-NN, over one tree and over an LPR-tree's forest. Concurrent
-//! readers of one tree each bring their own scratch.
+//! windows, counts, exact matches and k-NN, over one tree and over an
+//! LPR-tree's forest. Concurrent readers of one tree each bring their
+//! own scratch.
 //!
 //! The convenience wrappers (`window`, `window_count`, …) construct a
 //! fresh scratch per call, so one-shot callers pay only what the old
@@ -37,10 +41,11 @@ pub struct QueryScratch<const D: usize> {
     pub(crate) page_buf: Vec<u8>,
     /// Per-entry match mask written by the batch kernels.
     pub(crate) mask: Vec<u8>,
-    /// SoA transcode target for uncached nodes (leaves, in the paper's
-    /// cache-all-internal-nodes steady state).
+    /// SoA transcode target for an internal node that misses the cache
+    /// (a cold cache, or [`crate::cache::CachePolicy::None`]). Leaves
+    /// never use it.
     pub(crate) soa: SoaNode<D>,
-    /// Batched `min_dist2` output (k-NN).
+    /// Batched `min_dist2` output of an internal node (k-NN).
     pub(crate) dist: Vec<f64>,
     /// Pages still to open, nearest first (k-NN).
     pub(crate) nodes: BinaryHeap<PendingNode>,

@@ -1,25 +1,29 @@
-//! Structure-of-arrays node views — the decode-free read path.
+//! Structure-of-arrays internal nodes — the cached half of the read
+//! path.
 //!
 //! # Why a second node representation
 //!
 //! [`crate::page::NodePage`] decodes a 4KB page into a `Vec<Entry>`:
-//! perfect for the *write* path (loaders, dynamic updates, encoding),
-//! but expensive to scan — every query visit walks 113 heap-allocated
-//! 36-byte AoS records with a branchy scalar `Rect::intersects` per
-//! entry. A [`SoaNode`] transcodes the same page **once** into
-//! per-dimension coordinate columns (`lo[d][..]`, `hi[d][..]`) plus a
-//! `ptrs` column, so the per-visit scan becomes the branch-free,
-//! auto-vectorized kernels of [`pr_geom::batch`] over contiguous `f64`
-//! slices.
+//! right for the *write* path (loaders, dynamic updates, encoding), but
+//! a poor shape to scan over and over. A [`SoaNode`] transcodes an
+//! internal page **once** into per-dimension coordinate columns
+//! (`lo[d][..]`, `hi[d][..]`) plus a `ptrs` column, so every later visit
+//! is a branch-free, auto-vectorized kernel of [`pr_geom::batch`] over
+//! contiguous `f64` slices.
 //!
-//! Division of labor after this module:
+//! The transcode pays only because internal nodes are visited many
+//! times. Leaves are visited once per query and never cached, so they
+//! are not transcoded: [`crate::leaf::LeafRecords`] scans their records
+//! in place.
 //!
-//! * **Read path (hot):** [`crate::cache::ShardedNodeCache`], its frozen
-//!   post-warm snapshot, and the pinned shard maps all store
-//!   `Arc<SoaNode>`; traversal ([`crate::query`], [`crate::knn`]) only
-//!   ever touches columns. Cache misses transcode straight from the raw
-//!   page bytes into a reusable [`crate::scratch::QueryScratch`] buffer —
-//!   no `Vec<Entry>`, no per-visit allocation.
+//! Division of labor:
+//!
+//! * **Internal nodes (read path):** [`crate::cache::ShardedNodeCache`],
+//!   its frozen post-warm snapshot and the pinned shard maps store
+//!   `Arc<SoaNode>`; traversal ([`crate::query`], [`crate::knn`]) reads
+//!   only columns. A cache miss transcodes the raw page into a reusable
+//!   [`crate::scratch::QueryScratch`] buffer ([`SoaNode::refill_from_bytes`]).
+//! * **Leaves (read path):** [`crate::leaf::LeafRecords`], in place.
 //! * **Write path:** loaders and dynamic updates keep producing
 //!   [`NodePage`]s; [`SoaNode::from_page`]/[`SoaNode::to_page`] convert
 //!   at the boundary (`tree.rs` admit/readback).
@@ -28,11 +32,10 @@
 //! contiguous); the kernels rely on contiguity, not on wider alignment —
 //! unaligned SIMD loads are free on every target this runs on.
 
-use crate::dynamic::same_identity;
 use crate::entry::Entry;
-use crate::page::{NodePage, MAGIC, PAGE_HEADER_SIZE};
+use crate::page::{page_header, NodePage, PAGE_HEADER_SIZE};
 use pr_em::{EmError, Record};
-use pr_geom::{batch, Item, Point, Rect};
+use pr_geom::{batch, Point, Rect};
 
 /// A node transcoded into structure-of-arrays columns.
 ///
@@ -62,34 +65,17 @@ impl<const D: usize> Default for SoaNode<D> {
 }
 
 impl<const D: usize> SoaNode<D> {
-    /// An empty leaf; the reusable transcode target starts here.
+    /// An empty node; the reusable transcode target starts here.
     pub fn new_empty() -> Self {
         Self::default()
     }
 
-    /// Transcodes a raw on-device page buffer (validates the header the
-    /// same way [`NodePage::decode`] does).
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, EmError> {
-        let mut node = Self::new_empty();
-        node.refill_from_bytes(buf)?;
-        Ok(node)
-    }
-
-    /// Re-transcodes `buf` into this node in place, reusing the column
-    /// allocations — the zero-allocation leaf-miss path of the query
-    /// engine.
+    /// Re-transcodes the raw internal page `buf` into this node in
+    /// place, reusing the column allocations — the query engine's
+    /// internal-miss path. The header is validated as
+    /// [`NodePage::decode`] validates it.
     pub fn refill_from_bytes(&mut self, buf: &[u8]) -> Result<(), EmError> {
-        if buf.len() < PAGE_HEADER_SIZE || buf[..4] != MAGIC {
-            return Err(EmError::Corrupt("bad node page magic".into()));
-        }
-        let level = buf[4];
-        let count = u16::from_le_bytes(buf[6..8].try_into().expect("2 bytes")) as usize;
-        let cap = (buf.len() - PAGE_HEADER_SIZE) / Entry::<D>::SIZE;
-        if count > cap {
-            return Err(EmError::Corrupt(format!(
-                "node count {count} exceeds page capacity {cap}"
-            )));
-        }
+        let (level, count) = page_header::<D>(buf)?;
         self.level = level;
         self.len = count;
         self.lo.resize(D * count, 0.0);
@@ -98,7 +84,7 @@ impl<const D: usize> SoaNode<D> {
         // Column-at-a-time transcode over `chunks_exact` records: the
         // zip bounds the iteration and the in-record offsets are
         // compile-time constants (the `0..D` loop unrolls), so the body
-        // is bounds-check-free — this runs on every uncached leaf visit.
+        // is bounds-check-free.
         let stride = Entry::<D>::SIZE;
         let records = buf[PAGE_HEADER_SIZE..].chunks_exact(stride);
         for d in 0..D {
@@ -152,12 +138,6 @@ impl<const D: usize> SoaNode<D> {
         self.level
     }
 
-    /// True for leaf nodes.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.level == 0
-    }
-
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -194,7 +174,7 @@ impl<const D: usize> SoaNode<D> {
         std::array::from_fn(|d| self.hi_dim(d))
     }
 
-    /// Pointer column (data ids in leaves, child pages in internal nodes).
+    /// Pointer column (child pages).
     #[inline]
     pub fn ptrs(&self) -> &[u32] {
         &self.ptrs
@@ -216,17 +196,6 @@ impl<const D: usize> SoaNode<D> {
     #[inline]
     pub fn entry(&self, i: usize) -> Entry<D> {
         Entry::new(self.rect(i), self.ptrs[i])
-    }
-
-    /// Leaf entry `i` as an input item.
-    #[inline]
-    pub fn item(&self, i: usize) -> Item<D> {
-        Item::new(self.rect(i), self.ptrs[i])
-    }
-
-    /// Minimal bounding rectangle of all entries.
-    pub fn mbr(&self) -> Rect<D> {
-        (0..self.len).fold(Rect::EMPTY, |acc, i| acc.mbr_with(&self.rect(i)))
     }
 
     /// Runs the vectorized intersection kernel against `query` and calls
@@ -263,65 +232,6 @@ impl<const D: usize> SoaNode<D> {
         }
     }
 
-    /// Counts entries bit-identical to `item`: the same pointer (a
-    /// leaf's data id) and the same coordinate bits, exactly as
-    /// [`same_identity`] compares them.
-    /// The id test screens first, so a rectangle is gathered only for
-    /// an id match.
-    pub fn count_identical(&self, item: &Item<D>) -> u64 {
-        self.ptrs
-            .iter()
-            .enumerate()
-            .filter(|&(i, &p)| p == item.id && same_identity(&self.item(i), item))
-            .count() as u64
-    }
-
-    /// Counts entries intersecting `query` — the leaf kernel of
-    /// counting window queries: no mask, no pointer reads, one fused
-    /// branch-free pass.
-    #[inline]
-    pub fn count_intersecting(&self, query: &Rect<D>) -> u64 {
-        batch::intersects_count(&self.lo_dims(), &self.hi_dims(), self.len, query)
-    }
-
-    /// Appends every entry intersecting `query` to `out` as an
-    /// [`Item`], in ascending index order, returning how many matched —
-    /// the leaf kernel of materializing window queries. The columns are
-    /// hoisted once, so each match is a handful of in-cache loads and
-    /// one 40-byte push rather than a fresh gather through the
-    /// accessors.
-    pub fn collect_intersecting(&self, query: &Rect<D>, out: &mut Vec<Item<D>>) -> u64 {
-        let lo = self.lo_dims();
-        let hi = self.hi_dims();
-        let mut count = 0u64;
-        for i in 0..self.len {
-            let mut keep = true;
-            for d in 0..D {
-                keep &= (lo[d][i] <= query.hi_at(d)) & (query.lo_at(d) <= hi[d][i]);
-            }
-            if keep {
-                out.push(Item::new(
-                    Rect::new(
-                        std::array::from_fn(|d| lo[d][i]),
-                        std::array::from_fn(|d| hi[d][i]),
-                    ),
-                    self.ptrs[i],
-                ));
-                count += 1;
-            }
-        }
-        count
-    }
-
-    /// True if any entry intersects `query` (kernel pass over the node;
-    /// the `intersects_any` early-exit path uses this per leaf).
-    #[inline]
-    pub fn any_intersecting(&self, query: &Rect<D>, mask: &mut Vec<u8>) -> bool {
-        mask.resize(self.len, 0);
-        batch::intersects_mask(&self.lo_dims(), &self.hi_dims(), query, mask);
-        mask.iter().any(|&m| m != 0)
-    }
-
     /// Batched `min_dist2` from `p` to every entry into `out`
     /// (bit-identical to the scalar [`Rect::min_dist2`]).
     #[inline]
@@ -345,15 +255,19 @@ mod tests {
             .collect()
     }
 
+    fn transcode(buf: &[u8]) -> Result<SoaNode<2>, EmError> {
+        let mut soa = SoaNode::new_empty();
+        soa.refill_from_bytes(buf)?;
+        Ok(soa)
+    }
+
     #[test]
     fn page_roundtrips_through_soa() {
         let page = NodePage::new(3, entries(7));
         let soa = SoaNode::from_page(&page);
         assert_eq!(soa.level(), 3);
-        assert!(!soa.is_leaf());
         assert_eq!(soa.len(), 7);
         assert_eq!(soa.to_page(), page);
-        assert_eq!(soa.mbr(), page.mbr());
         for (i, e) in page.entries.iter().enumerate() {
             assert_eq!(soa.entry(i), *e);
             assert_eq!(soa.rect(i), e.rect);
@@ -363,10 +277,10 @@ mod tests {
 
     #[test]
     fn bytes_transcode_matches_page_decode() {
-        let page = NodePage::new(0, entries(113));
+        let page = NodePage::new(1, entries(113));
         let mut buf = vec![0u8; 4096];
         page.encode(&mut buf);
-        let soa = SoaNode::<2>::from_bytes(&buf).unwrap();
+        let soa = transcode(&buf).unwrap();
         assert_eq!(soa.to_page(), NodePage::decode(&buf).unwrap());
         assert_eq!(soa.lo_dim(0).len(), 113);
         assert_eq!(soa.ptrs().len(), 113);
@@ -375,8 +289,8 @@ mod tests {
     #[test]
     fn refill_reuses_and_resizes() {
         let mut buf = vec![0u8; 4096];
-        NodePage::new(0, entries(50)).encode(&mut buf);
-        let mut soa = SoaNode::<2>::from_bytes(&buf).unwrap();
+        NodePage::new(1, entries(50)).encode(&mut buf);
+        let mut soa = transcode(&buf).unwrap();
         assert_eq!(soa.len(), 50);
         NodePage::new(2, entries(3)).encode(&mut buf);
         soa.refill_from_bytes(&buf).unwrap();
@@ -391,30 +305,32 @@ mod tests {
 
     #[test]
     fn corrupt_buffers_are_rejected() {
-        assert!(SoaNode::<2>::from_bytes(&[0u8; 4096]).is_err());
+        let bad = |buf: &[u8]| matches!(transcode(buf), Err(EmError::Corrupt(_)));
+        assert!(bad(&[0u8; 4096]), "bad magic");
         let mut buf = vec![0u8; 4096];
-        NodePage::new(0, entries(3)).encode(&mut buf);
+        NodePage::new(1, entries(3)).encode(&mut buf);
         buf[6..8].copy_from_slice(&500u16.to_le_bytes());
-        assert!(SoaNode::<2>::from_bytes(&buf).is_err());
-        assert!(SoaNode::<2>::from_bytes(&buf[..8]).is_err());
+        assert!(bad(&buf), "count > cap");
+        assert!(bad(&buf[..8]), "short header");
     }
 
     #[test]
     fn intersection_and_distance_helpers() {
-        let soa = SoaNode::from_page(&NodePage::new(0, entries(8)));
+        let soa = SoaNode::from_page(&NodePage::new(1, entries(8)));
         let q = Rect::xyxy(2.0, 0.0, 4.0, 1.0);
         let mut mask = Vec::new();
         let mut hits = Vec::new();
         soa.for_each_intersecting(&q, &mut mask, |i| hits.push(i));
         let want: Vec<usize> = (0..8).filter(|&i| soa.rect(i).intersects(&q)).collect();
         assert_eq!(hits, want);
-        assert_eq!(soa.count_intersecting(&q), want.len() as u64);
-        assert_eq!(
-            soa.count_intersecting(&Rect::xyxy(50.0, 50.0, 51.0, 51.0)),
-            0
-        );
-        assert!(soa.any_intersecting(&q, &mut mask));
-        assert!(!soa.any_intersecting(&Rect::xyxy(50.0, 50.0, 51.0, 51.0), &mut mask));
+        let inner = Rect::xyxy(3.25, 1.0, 3.5, 1.5);
+        let mut covering = Vec::new();
+        soa.for_each_covering(&inner, &mut mask, |i| covering.push(i));
+        let want: Vec<usize> = (0..8)
+            .filter(|&i| soa.rect(i).contains_rect(&inner))
+            .collect();
+        assert_eq!(covering, want);
+        assert!(!covering.is_empty());
         let p = pr_geom::Point::new([3.0, -2.0]);
         let mut d2 = Vec::new();
         soa.min_dist2_into(&p, &mut d2);
@@ -427,9 +343,9 @@ mod tests {
     fn empty_node() {
         let soa = SoaNode::<2>::new_empty();
         assert!(soa.is_empty());
-        assert!(soa.is_leaf());
-        assert!(soa.mbr().is_empty());
         let mut mask = Vec::new();
-        assert!(!soa.any_intersecting(&Rect::xyxy(0.0, 0.0, 1.0, 1.0), &mut mask));
+        soa.for_each_intersecting(&Rect::xyxy(0.0, 0.0, 1.0, 1.0), &mut mask, |_| {
+            panic!("no entries")
+        });
     }
 }

@@ -8,8 +8,9 @@
 use crate::cache::{CachePolicy, CacheTally, FrozenMap, ShardedNodeCache};
 use crate::dynamic::membership::MembershipFilter;
 use crate::dynamic::tombstone::TombstoneKey;
+use crate::leaf::LeafRecords;
 use crate::meta::TreeMeta;
-use crate::page::NodePage;
+use crate::page::{page_header, NodePage};
 use crate::params::TreeParams;
 use crate::scratch::QueryScratch;
 use crate::soa::SoaNode;
@@ -44,6 +45,25 @@ const _: () = {
     assert_send_sync::<RTree<2>>();
     assert_send_sync::<RTree<3>>();
 };
+
+/// One node as the query engine reads it ([`RTree::with_node`]).
+pub(crate) enum NodeView<'a, const D: usize> {
+    /// An internal node: cached, or transcoded into the query's scratch.
+    Internal(&'a SoaNode<D>),
+    /// A leaf's records, borrowed in place from the device.
+    Leaf(LeafRecords<'a, D>),
+}
+
+impl<const D: usize> NodeView<'_, D> {
+    /// Level in the tree: 0 for leaves.
+    #[inline]
+    pub(crate) fn level(&self) -> u8 {
+        match self {
+            NodeView::Internal(n) => n.level(),
+            NodeView::Leaf(_) => 0,
+        }
+    }
+}
 
 impl<const D: usize> RTree<D> {
     /// Wraps an existing tree: `root` is the page id of the root node at
@@ -175,61 +195,74 @@ impl<const D: usize> RTree<D> {
     /// [`SoaNode`]s, so a cache hit converts back to a [`NodePage`]
     /// (one allocation). Dynamic updates, validation, and the bulk-load
     /// inspectors use this; the query hot path goes through
-    /// `RTree::with_soa_node` instead and never materializes entries.
+    /// `RTree::with_node` instead and never materializes entries.
     pub fn read_node(&self, page: BlockId) -> Result<(Arc<NodePage<D>>, bool), EmError> {
         if let Some(n) = self.cache.get(page) {
             return Ok((Arc::new(n.to_page()), false));
         }
         let node = NodePage::read(self.dev.as_ref(), page)?;
-        self.cache.admit(page, &Arc::new(SoaNode::from_page(&node)));
+        self.admit_page(page, &node);
         Ok((Arc::new(node), true))
     }
 
-    /// The decode-free node access of the query engine: resolves `page`
-    /// and runs `f` against its SoA view *in place*, returning `f`'s
-    /// result and whether the read hit the device.
+    /// The node access of the query engine: resolves `page` and runs `f`
+    /// on it in place, returning `f`'s result and whether the read hit
+    /// the device.
     ///
-    /// * Cache hit: `f` runs against the cached [`SoaNode`] — on the
+    /// * Cache hit: `f` gets the cached internal [`SoaNode`]. On the
     ///   post-warm frozen snapshot this is one `HashMap` probe with no
     ///   lock and no `Arc` clone.
-    /// * Miss: the raw page is read into `page_buf` and transcoded into
-    ///   `soa` (both caller-owned, reused across queries via
-    ///   [`crate::scratch::QueryScratch`]), allocating nothing unless
-    ///   the cache policy wants to retain the node.
+    /// * Leaf miss (level byte 0): `f` gets the page's [`LeafRecords`],
+    ///   borrowed from the bytes [`BlockDevice::with_block`] exposes. It
+    ///   runs while the device lends the page, so it must not write to
+    ///   this tree's device. Nothing is transcoded or retained.
+    /// * Internal miss: the page is transcoded into `soa` (caller-owned,
+    ///   reused across queries via [`crate::scratch::QueryScratch`]) and
+    ///   admitted to the cache if the policy retains internal nodes.
     ///
-    /// Hit/miss accounting goes into `tally`; flush it once per query
-    /// with [`RTree::record_cache_tally`].
-    pub(crate) fn with_soa_node<R>(
+    /// Either way the header is validated first: a bad magic, or a count
+    /// beyond the page's capacity, is [`EmError::Corrupt`]. Hit/miss
+    /// accounting goes into `tally`; flush it once per query with
+    /// [`RTree::record_cache_tally`].
+    pub(crate) fn with_node<R>(
         &self,
         page: BlockId,
         frozen: Option<&FrozenMap<D>>,
         tally: &mut CacheTally,
         page_buf: &mut Vec<u8>,
         soa: &mut SoaNode<D>,
-        f: impl FnOnce(&SoaNode<D>) -> R,
+        f: impl FnOnce(NodeView<'_, D>) -> R,
     ) -> Result<(R, bool), EmError> {
         let mut f = Some(f);
-        if let Some(r) = self
-            .cache
-            .lookup_with(page, frozen, |n| (f.take().expect("first use"))(n))
-        {
+        if let Some(r) = self.cache.lookup_with(page, frozen, |n| {
+            (f.take().expect("first use"))(NodeView::Internal(n))
+        }) {
             tally.hits += 1;
             return Ok((r, false));
         }
         tally.misses += 1;
-        // Zero-copy read: the device exposes the raw page bytes and the
-        // transcode is the only pass over them ([`BlockDevice::with_block`]
-        // skips the page-sized memcpy for in-memory and mmap backends).
-        let mut transcoded = Ok(());
+        let mut leaf = None;
+        let mut header = Ok(());
         self.dev.with_block(page, page_buf, &mut |bytes| {
-            transcoded = soa.refill_from_bytes(bytes);
+            header = match page_header::<D>(bytes) {
+                Ok((0, count)) => {
+                    let f = f.take().expect("a leaf runs f once");
+                    leaf = Some(f(NodeView::Leaf(LeafRecords::new(bytes, count))));
+                    Ok(())
+                }
+                Ok(_) => soa.refill_from_bytes(bytes),
+                Err(e) => Err(e),
+            };
         })?;
-        transcoded?;
+        header?;
+        if let Some(r) = leaf {
+            return Ok((r, true));
+        }
         if self.cache.wants(soa.level()) {
             self.cache.admit(page, &Arc::new(soa.clone()));
         }
-        let f = f.take().expect("miss path runs f once");
-        Ok((f(soa), true))
+        let f = f.take().expect("an internal miss runs f once");
+        Ok((f(NodeView::Internal(soa)), true))
     }
 
     /// The cache's post-warm snapshot, cloned once per query.
@@ -244,17 +277,24 @@ impl<const D: usize> RTree<D> {
     }
 
     /// Writes a node page and invalidates (then re-admits) its cache slot.
-    /// Used by dynamic updates. The AoS page is transcoded to its SoA
+    /// Used by dynamic updates. An internal page is transcoded to its SoA
     /// form at this boundary so queries keep reading columns. This is
     /// the one mutation path, so it also drops the membership filter;
     /// the next [`RTree::may_contain`] rebuilds it from the new leaves.
     pub fn write_node(&self, page: BlockId, node: &NodePage<D>) -> Result<(), EmError> {
         node.write(self.dev.as_ref(), page)?;
-        let arc = Arc::new(SoaNode::from_page(node));
         self.cache.invalidate(page);
-        self.cache.admit(page, &arc);
+        self.admit_page(page, node);
         *self.membership.write() = None;
         Ok(())
+    }
+
+    /// Offers a decoded node to the cache, transcoding it only if the
+    /// policy retains its level (never a leaf).
+    fn admit_page(&self, page: BlockId, node: &NodePage<D>) {
+        if self.cache.wants(node.level) {
+            self.cache.admit(page, &Arc::new(SoaNode::from_page(node)));
+        }
     }
 
     /// `false` only if the tree certainly stores no copy of `item`'s
@@ -324,31 +364,19 @@ impl<const D: usize> RTree<D> {
         Ok(())
     }
 
-    /// Applies `f` to every item in the tree (DFS order).
+    /// Applies `f` to every item in the tree (DFS order). Leaves are
+    /// scanned in place ([`crate::leaf::LeafRecords`]); `f` must not write
+    /// to this tree's device.
     pub fn for_each_item(&self, mut f: impl FnMut(Item<D>)) -> Result<(), EmError> {
-        let mut stack = vec![self.root];
-        while let Some(page) = stack.pop() {
-            let (node, _) = self.read_node(page)?;
-            if node.is_leaf() {
-                for e in &node.entries {
-                    f(e.to_item());
-                }
-            } else {
-                for e in &node.entries {
-                    stack.push(e.ptr as BlockId);
-                }
-            }
-        }
-        Ok(())
+        self.for_each_leaf(&mut QueryScratch::new(), |leaf| leaf.for_each_item(&mut f))
     }
 
-    /// Runs `f` on every leaf's SoA view (DFS order) through the
-    /// decode-free read path: cache hits are read in place, misses
-    /// transcode into `scratch`.
+    /// Runs `f` on every leaf's records (DFS order) through the query
+    /// engine's node access ([`RTree::with_node`]).
     pub(crate) fn for_each_leaf(
         &self,
         scratch: &mut QueryScratch<D>,
-        mut f: impl FnMut(&SoaNode<D>),
+        mut f: impl FnMut(LeafRecords<'_, D>),
     ) -> Result<(), EmError> {
         let mut tally = CacheTally::default();
         let frozen = self.frozen_snapshot();
@@ -362,13 +390,19 @@ impl<const D: usize> RTree<D> {
         stack.push(self.root);
         let walk = (|| {
             while let Some(page) = stack.pop() {
-                self.with_soa_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
-                    if n.is_leaf() {
-                        f(n);
-                    } else {
-                        stack.extend(n.ptrs().iter().map(|&p| p as BlockId));
-                    }
-                })?;
+                self.with_node(
+                    page,
+                    frozen.as_ref(),
+                    &mut tally,
+                    page_buf,
+                    soa,
+                    |n| match n {
+                        NodeView::Leaf(leaf) => f(leaf),
+                        NodeView::Internal(n) => {
+                            stack.extend(n.ptrs().iter().map(|&p| p as BlockId))
+                        }
+                    },
+                )?;
             }
             Ok(())
         })();

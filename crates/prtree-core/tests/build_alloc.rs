@@ -18,8 +18,9 @@
 //! an input that fits); the peak is `pr_em`'s run formation, which holds
 //! such a load twice — the buffer and the stable sort's scratch.
 //!
-//! The third test holds `scratch.rs` to its word for k-NN: a warmed
-//! [`QueryScratch`] answers without allocating a byte.
+//! The last two tests hold `scratch.rs` to its word for windows, counts,
+//! exact matches and k-NN: a warmed [`QueryScratch`] answers without a
+//! single allocation.
 
 use pr_em::{BlockDevice, FileDevice, MemDevice, Stream};
 use pr_geom::{Item, Point, Rect};
@@ -32,6 +33,7 @@ use pr_tree::{Entry, QueryScratch, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -41,9 +43,15 @@ struct Counting;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocation calls made by this thread (growing reallocs included).
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -103,6 +111,15 @@ fn heap_high_water<T>(f: impl FnOnce() -> T) -> (T, usize) {
     PEAK.store(before, Ordering::Relaxed);
     let out = f();
     (out, PEAK.load(Ordering::Relaxed).saturating_sub(before))
+}
+
+/// Runs `f` and returns its result with the number of allocations this
+/// thread made during the call. Queries run on the calling thread, and
+/// the harness's own bookkeeping on other threads does not count.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
 }
 
 fn random_items(n: u32, seed: u64) -> Vec<Item<2>> {
@@ -213,9 +230,57 @@ fn warmed_knn_allocates_nothing() {
         }
         results
     };
-    let warm = pass(&mut scratch);
-    let (again, allocated) = heap_high_water(|| pass(&mut scratch));
+    let (warm, sizing) = allocations_in(|| pass(&mut scratch));
+    assert!(sizing > 0, "the first pass sizes the scratch");
+    let (again, allocations) = allocations_in(|| pass(&mut scratch));
     assert_eq!(again, warm);
     assert_eq!(warm, 2 * 10 * points.len() as u64);
-    assert_eq!(allocated, 0, "a warmed k-NN allocated {allocated} B");
+    assert_eq!(
+        allocations, 0,
+        "a warmed k-NN allocated {allocations} times"
+    );
+}
+
+/// Steady-state windows, counts and exact matches are allocation-free
+/// on a warmed tree: internal nodes come from the cache, leaves are
+/// scanned in place, and the stack, mask and output are reused.
+#[test]
+fn warmed_windows_allocate_nothing() {
+    let _alone = alone();
+    let params = TreeParams::paper_2d();
+    let items = random_items(20_000, 19);
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+    let tree = PrTreeLoader::default()
+        .load(dev, params, items.clone())
+        .unwrap();
+    tree.warm_cache().unwrap();
+    assert!(tree.root_level() >= 1);
+
+    let windows: Vec<Rect<2>> = (0..64)
+        .map(|i| {
+            let (x, y) = ((i * 131 % 1000) as f64, (i * 577 % 1000) as f64);
+            Rect::xyxy(x, y, x + 40.0, y + 40.0)
+        })
+        .collect();
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    let mut pass = |scratch: &mut QueryScratch<2>| {
+        let (mut reported, mut counted, mut found) = (0, 0, 0);
+        for (q, victim) in windows.iter().zip(items.iter().step_by(97)) {
+            reported += tree.window_into(q, scratch, &mut out).unwrap().results;
+            counted += tree.window_count_into(q, scratch).unwrap().0;
+            found += tree.count_exact(victim, scratch).unwrap().results;
+        }
+        (reported, counted, found)
+    };
+    let (warm, sizing) = allocations_in(|| pass(&mut scratch));
+    assert!(sizing > 0, "the first pass sizes the scratch");
+    let (again, allocations) = allocations_in(|| pass(&mut scratch));
+    assert_eq!(again, warm);
+    assert!(warm.0 > 0 && warm.0 == warm.1, "{warm:?}");
+    assert_eq!(warm.2, windows.len() as u64);
+    assert_eq!(
+        allocations, 0,
+        "warmed windows, counts and exact matches allocated {allocations} times"
+    );
 }
