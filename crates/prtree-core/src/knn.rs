@@ -9,11 +9,23 @@
 //!
 //! **The forest.** The paper's LPR-tree (§4) answers a query from
 //! O(log N) components plus an in-memory buffer, so the unit of search
-//! here is not a tree but a set of them. [`KnnSearch`] keeps a min-heap
-//! of `(dist², tree, page)` nodes seeded with every tree's root and
-//! pops them nearest first — the classic best-first branch-and-bound
-//! of Hjaltason–Samet, over all trees at once.
+//! here is not a tree but a set of them. [`KnnSearch`] opens pages
+//! nearest first over all trees at once — the classic best-first
+//! branch-and-bound of Hjaltason–Samet, seeded with every tree's root.
 //! [`RTree::nearest_neighbors_into`] is the forest of one.
+//!
+//! **The frontier.** A heap of every admitted child pushes a node's
+//! whole fan-out (≈ 640 pages per query on `static_hot`) to open ten of
+//! them. So an opened node's admitted `(dist², page)` children go into
+//! one range of a reusable arena instead, and the node heap holds one
+//! cursor per range, keyed by its nearest child. Popping a cursor takes
+//! that child and swap-removes it from the range; one linear scan
+//! (≤ B entries) finds the next nearest, and the cursor goes back only
+//! while the bound admits it. A tree root is a one-entry range. Pages
+//! still open best-first over every pending page, under the same strict
+//! test below (only the order among equal distances is the frontier's
+//! own), while heap work follows the pages opened: at most one cursor
+//! per tree and per opened internal node.
 //!
 //! **The bound.** Beside the node heap sits a max-heap of the `k` best
 //! *admitted* items so far; once it holds `k`, its top is the pruning
@@ -45,15 +57,16 @@ use crate::tree::{NodeView, RTree};
 use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Point};
 use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// A heap entry ordered by its squared distance **alone**. Equal
 /// distances compare equal, so a push never sifts past a tie and ties
-/// pop in `BinaryHeap`'s own order — deterministic for a given push
-/// sequence, which the scalar reference reproduces push for push. (On
-/// road-like data a query point sits inside many MBRs at distance 0; a
-/// total order on `(dist², tree, page)` made every such push climb
-/// through its ties and measured ≈ 20 % slower per query.)
+/// pop in `BinaryHeap`'s own order — deterministic for a given sequence
+/// of [`Frontier`] calls, which the scalar reference makes in the same
+/// order. (On road-like data a query point sits inside many MBRs at
+/// distance 0; a total order on `(dist², tree, page)` made every such
+/// push climb through its ties and measured ≈ 20 % slower per query.)
 pub(crate) struct AtDist2<T> {
     pub(crate) dist2: f64,
     pub(crate) what: T,
@@ -76,10 +89,95 @@ impl<T> Ord for AtDist2<T> {
     }
 }
 
-/// A page still to open — `(tree, page)` at the min distance of its
-/// MBR; `Reverse` because `BinaryHeap` is a max-heap and the nearest
-/// page goes first.
-pub(crate) type PendingNode = Reverse<AtDist2<(usize, BlockId)>>;
+/// The admitted children of one opened node that are still to open:
+/// `children[start..end]` of the [`Frontier`], whose nearest is at
+/// `children[at]`.
+#[derive(Clone, Copy)]
+struct Range {
+    tree: usize,
+    start: usize,
+    end: usize,
+    at: usize,
+}
+
+/// The pages still to open, nearest first (see the module docs): every
+/// opened node's admitted `(dist², page)` children, one range each, and
+/// a heap of one cursor per non-empty range, keyed by its nearest child
+/// (`Reverse` because `BinaryHeap` is a max-heap).
+#[derive(Default)]
+pub(crate) struct Frontier {
+    children: Vec<(f64, BlockId)>,
+    cursors: BinaryHeap<Reverse<AtDist2<Range>>>,
+}
+
+impl Frontier {
+    pub(crate) fn clear(&mut self) {
+        self.children.clear();
+        self.cursors.clear();
+    }
+
+    /// Adds one node's admitted children of `tree` as a new range.
+    pub(crate) fn open_range(
+        &mut self,
+        tree: usize,
+        children: impl IntoIterator<Item = (f64, BlockId)>,
+    ) {
+        let start = self.children.len();
+        self.children.extend(children);
+        let end = self.children.len();
+        if start < end {
+            let at = start + nearest(&self.children[start..end]);
+            self.cursors.push(Reverse(AtDist2 {
+                dist2: self.children[at].0,
+                what: Range {
+                    tree,
+                    start,
+                    end,
+                    at,
+                },
+            }));
+        }
+    }
+
+    /// Takes the nearest pending page as `(tree, page)`, or `None` when
+    /// none is left that `best` admits — every other pending page is at
+    /// least as far, so the search is over.
+    pub(crate) fn next_page<const D: usize>(
+        &mut self,
+        best: &KBest<D>,
+    ) -> Option<(usize, BlockId)> {
+        let mut top = self.cursors.peek_mut()?;
+        if !best.admits(top.0.dist2) {
+            return None;
+        }
+        let mut range = top.0.what;
+        let page = self.children[range.at].1;
+        range.end -= 1;
+        self.children[range.at] = self.children[range.end];
+        if range.start < range.end {
+            range.at = range.start + nearest(&self.children[range.start..range.end]);
+            let dist2 = self.children[range.at].0;
+            if best.admits(dist2) {
+                // Re-keyed in place: sifts down when the guard drops.
+                top.0 = AtDist2 { dist2, what: range };
+                return Some((range.tree, page));
+            }
+        }
+        PeekMut::pop(top);
+        Some((range.tree, page))
+    }
+}
+
+/// Index of the first nearest of `children` (non-empty).
+fn nearest(children: &[(f64, BlockId)]) -> usize {
+    let (mut at, mut near) = (0, children[0].0);
+    for (i, &(dist2, _)) in children.iter().enumerate().skip(1) {
+        if dist2 < near {
+            (at, near) = (i, dist2);
+        }
+    }
+    at
+}
 
 /// The `k` best admitted items so far: a max-heap capped at `k` whose
 /// top, once full, is the search's pruning bound. Grows by pushes only,
@@ -152,7 +250,7 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
         // when disabled, per-level tallies + per-I/O spans when sampled.
         // One trace per search, however many trees it spans.
         scratch.trace.arm_sampled("knn");
-        scratch.nodes.clear();
+        scratch.frontier.clear();
         scratch.best.reset(k);
         KnnSearch { query, scratch }
     }
@@ -187,7 +285,7 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
             page_buf,
             soa,
             dist,
-            nodes,
+            frontier,
             best,
             forest,
             trace,
@@ -200,18 +298,11 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
         for (tree, visit) in forest.iter_mut().enumerate() {
             if let Some(t) = tree_at(tree).filter(|t| !t.is_empty()) {
                 visit.frozen = t.frozen_snapshot();
-                nodes.push(Reverse(AtDist2 {
-                    dist2: 0.0,
-                    what: (tree, t.root()),
-                }));
+                frontier.open_range(tree, [(0.0, t.root())]);
             }
         }
         let walk = (|| {
-            while let Some(Reverse(AtDist2 { dist2, what })) = nodes.pop() {
-                let (tree, page) = what;
-                if !best.admits(dist2) {
-                    break; // every pending page is at least this far
-                }
+            while let Some((tree, page)) = frontier.next_page(best) {
                 let visit = &mut forest[tree];
                 let t_node = tracing.then(std::time::Instant::now);
                 let mut level = 0u8;
@@ -234,14 +325,13 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                             NodeView::Internal(n) => {
                                 stats.internal_visited += 1;
                                 n.min_dist2_into(query, dist);
-                                for (&d2, &ptr) in dist.iter().zip(n.ptrs()) {
-                                    if best.admits(d2) {
-                                        nodes.push(Reverse(AtDist2 {
-                                            dist2: d2,
-                                            what: (tree, ptr as BlockId),
-                                        }));
-                                    }
-                                }
+                                frontier.open_range(
+                                    tree,
+                                    dist.iter()
+                                        .zip(n.ptrs())
+                                        .filter(|(&d2, _)| best.admits(d2))
+                                        .map(|(&d2, &ptr)| (d2, ptr as BlockId)),
+                                );
                             }
                         }
                     },
@@ -305,8 +395,9 @@ impl<const D: usize> RTree<D> {
     }
 
     /// [`RTree::nearest_neighbors_with_stats`] with caller-owned
-    /// buffers: neighbors go into `out` (cleared first), the heaps and
-    /// the batched-distance buffer live in `scratch`. This is
+    /// buffers: neighbors go into `out` (cleared first), the frontier,
+    /// the k-best heap and the batched-distance buffer live in
+    /// `scratch`. This is
     /// [`KnnSearch`] over a forest of one.
     pub fn nearest_neighbors_into(
         &self,
@@ -326,6 +417,7 @@ mod tests {
     use crate::bulk::{BulkLoader, LoaderKind};
     use crate::dynamic::tombstone::{same_identity, Tombstones};
     use crate::params::TreeParams;
+    use crate::reference::ReferenceEngine;
     use pr_em::{BlockDevice, MemDevice};
     use pr_geom::Rect;
     use rand::rngs::SmallRng;
@@ -671,6 +763,97 @@ mod tests {
         assert_eq!(forest.knn(&q, 5).0, got, "deterministic choice among ties");
         forest.check(&q, 300);
         forest.check(&q, 301);
+    }
+
+    /// Every MBR in the forest contains the query point, so every child
+    /// and every item sits at `dist² = 0`: ranges drain through re-keys
+    /// among ties, and for large `k` every range empties. Checked
+    /// against the multiset oracle, and each tree against the scalar
+    /// reference (items in order, distance bits, `QueryStats`).
+    fn check_nested_forest<const D: usize>(seed: u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let c: [f64; D] = std::array::from_fn(|_| rng.gen_range(20.0..80.0));
+        let trees: Vec<RTree<D>> = (0..3u32)
+            .map(|t| {
+                let items: Vec<Item<D>> = (0..150)
+                    .map(|i| {
+                        let lo = std::array::from_fn(|d| c[d] - rng.gen_range(0.0..10.0));
+                        let hi = std::array::from_fn(|d| c[d] + rng.gen_range(0.0..10.0));
+                        Item::new(Rect::new(lo, hi), t * 1_000 + i)
+                    })
+                    .collect();
+                build(&items)
+            })
+            .collect();
+        for t in &trees {
+            assert!(t.root_level() >= 2);
+            t.warm_cache().unwrap();
+        }
+        let forest = Forest {
+            buffer: Vec::new(),
+            sealed: Vec::new(),
+            trees,
+            tombstones: Tombstones::new(),
+        };
+        let q = Point::new(c);
+        let cap = 8; // `build`'s node capacity
+        let live = forest.live().len();
+        for k in [1, cap, cap + 1, live, usize::MAX] {
+            forest.check(&q, k);
+            for t in &forest.trees {
+                let engine = ReferenceEngine::new(t).unwrap();
+                assert_eq!(
+                    t.nearest_neighbors_with_stats(&q, k).unwrap(),
+                    engine.nearest_neighbors_with_stats(&q, k).unwrap(),
+                    "k={k}"
+                );
+            }
+        }
+        assert_eq!(forest.knn(&q, usize::MAX).0.len(), live);
+    }
+
+    #[test]
+    fn all_distances_zero_drains_ranges_like_the_reference() {
+        check_nested_forest::<2>(51);
+    }
+
+    #[test]
+    fn all_distances_zero_drains_ranges_like_the_reference_in_three_dimensions() {
+        check_nested_forest::<3>(53);
+    }
+
+    /// The node heap holds one cursor per tree and per opened internal
+    /// node, never one entry per child: given exactly that capacity up
+    /// front, a k = 10 query never grows it. A heap of every admitted
+    /// child outgrows it at the first internal node below the root.
+    #[test]
+    fn node_heap_holds_one_cursor_per_opened_node() {
+        let cap = 32;
+        let params = TreeParams::with_cap::<2>(cap);
+        let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+        let tree = PrTreeLoader::default()
+            .load(dev, params, random_items(5_000, 19))
+            .unwrap();
+        assert!(tree.root_level() >= 2, "at least three levels");
+        tree.warm_cache().unwrap();
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut out = Vec::new();
+        for _ in 0..20 {
+            let q = Point::new([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]);
+            let (_, stats) = tree.nearest_neighbors_with_stats(&q, 10).unwrap();
+            let bound = stats.internal_visited as usize + 1;
+            assert!(bound < cap, "q={q:?}: {bound} cursors vs fan-out {cap}");
+            let mut scratch = QueryScratch::new();
+            scratch.frontier.cursors.reserve_exact(bound);
+            assert_eq!(scratch.frontier.cursors.capacity(), bound);
+            let again = tree.nearest_neighbors_into(&q, 10, &mut scratch, &mut out);
+            assert_eq!(again.unwrap(), stats);
+            assert_eq!(
+                scratch.frontier.cursors.capacity(),
+                bound,
+                "q={q:?}: node heap outgrew internal nodes opened + trees"
+            );
+        }
     }
 
     /// Leaves are the paper's cost unit: the search may open only

@@ -25,7 +25,7 @@ use crate::query::QueryStats;
 use crate::tree::RTree;
 use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Point, Rect};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Scalar AoS query engine over a borrowed tree (see module docs).
@@ -120,53 +120,43 @@ impl<'t, const D: usize> ReferenceEngine<'t, D> {
     }
 
     /// Scalar form of the bounded best-first k-NN in [`crate::knn`],
-    /// over this one tree: the same two heaps, the same strict
-    /// `dist² < k-th best` test on children, leaf items and popped
-    /// pages, with a per-entry `Rect::min_dist2` in place of the
-    /// batched kernel — so items, distance bits and [`QueryStats`] are
-    /// identical, ties included.
+    /// over this one tree: the same frontier of per-node child ranges
+    /// (same argmin, same swap-remove, one heap cursor per opened node),
+    /// the same k-best heap, the same strict `dist² < k-th best` test on
+    /// children, leaf items and popped pages, with a per-entry
+    /// `Rect::min_dist2` in place of the batched kernel — so items,
+    /// distance bits and [`QueryStats`] are identical, ties included.
     pub fn nearest_neighbors_with_stats(
         &self,
         query: &Point<D>,
         k: usize,
     ) -> Result<(Vec<(Item<D>, f64)>, QueryStats), EmError> {
-        use crate::knn::{AtDist2, KBest, PendingNode};
-        use std::cmp::Reverse;
+        use crate::knn::{Frontier, KBest};
         let mut stats = QueryStats::default();
         let mut best = KBest::new(k);
-        let mut nodes: BinaryHeap<PendingNode> = BinaryHeap::new();
+        let mut frontier = Frontier::default();
         if !self.tree.is_empty() {
-            nodes.push(Reverse(AtDist2 {
-                dist2: 0.0,
-                what: (0, self.tree.root()),
-            }));
+            frontier.open_range(0, [(0.0, self.tree.root())]);
         }
-        while let Some(Reverse(AtDist2 { dist2, what })) = nodes.pop() {
-            let (_, page) = what;
-            if !best.admits(dist2) {
-                break;
-            }
+        while let Some((_, page)) = frontier.next_page(&best) {
             let (node, did_io) = self.read_node(page)?;
             stats.nodes_visited += 1;
             stats.device_reads += did_io as u64;
             if node.is_leaf() {
                 stats.leaves_visited += 1;
+                for e in &node.entries {
+                    let dist2 = e.rect.min_dist2(query);
+                    if best.admits(dist2) {
+                        best.insert(dist2, e.to_item());
+                    }
+                }
             } else {
                 stats.internal_visited += 1;
-            }
-            for e in &node.entries {
-                let dist2 = e.rect.min_dist2(query);
-                if !best.admits(dist2) {
-                    continue;
-                }
-                if node.is_leaf() {
-                    best.insert(dist2, e.to_item());
-                } else {
-                    nodes.push(Reverse(AtDist2 {
-                        dist2,
-                        what: (0, e.ptr as BlockId),
-                    }));
-                }
+                let children = node.entries.iter().filter_map(|e| {
+                    let dist2 = e.rect.min_dist2(query);
+                    best.admits(dist2).then_some((dist2, e.ptr as BlockId))
+                });
+                frontier.open_range(0, children);
             }
         }
         let mut out = Vec::new();

@@ -3,11 +3,13 @@
 //! Every buffer a query needs lives here: the DFS stack, the raw-page
 //! read buffer, the SoA transcode target for an internal node that
 //! misses the cache, the match mask the batch kernels write, and the
-//! k-NN search's node heap, k-best heap, per-tree tallies and
-//! batched-distance buffer. Leaves never use the transcode target: they
-//! are scanned in place over the page bytes the device lends, or over
-//! `page_buf` where it must copy ([`crate::leaf::LeafRecords`]). A [`QueryScratch`] is created once and threaded
-//! through the `_into` variants
+//! k-NN search's frontier (an arena of opened nodes' admitted children
+//! plus a heap of one cursor per opened node), k-best heap, per-tree
+//! tallies and batched-distance buffer. Leaves never use the transcode
+//! target: they are scanned in place over the page bytes the device
+//! lends, or over `page_buf` where it must copy
+//! ([`crate::leaf::LeafRecords`]). A [`QueryScratch`] is created once
+//! and threaded through the `_into` variants
 //! ([`crate::tree::RTree::window_into`],
 //! [`crate::tree::RTree::window_count_into`],
 //! [`crate::tree::RTree::count_exact`],
@@ -23,10 +25,9 @@
 //! fresh scratch per call, so one-shot callers pay only what the old
 //! engine already paid.
 
-use crate::knn::{KBest, PendingNode, TreeVisit};
+use crate::knn::{Frontier, KBest, TreeVisit};
 use crate::soa::SoaNode;
 use pr_em::BlockId;
-use std::collections::BinaryHeap;
 
 /// Reusable buffers for window and k-NN queries (see module docs).
 ///
@@ -47,8 +48,9 @@ pub struct QueryScratch<const D: usize> {
     pub(crate) soa: SoaNode<D>,
     /// Batched `min_dist2` output of an internal node (k-NN).
     pub(crate) dist: Vec<f64>,
-    /// Pages still to open, nearest first (k-NN).
-    pub(crate) nodes: BinaryHeap<PendingNode>,
+    /// Pages still to open, nearest first: each opened node's admitted
+    /// children plus one heap cursor per node (k-NN).
+    pub(crate) frontier: Frontier,
     /// The k best admitted items so far; its top is the bound (k-NN).
     pub(crate) best: KBest<D>,
     /// Per-tree cache tally + frozen snapshot of the forest (k-NN);
@@ -71,7 +73,7 @@ impl<const D: usize> QueryScratch<D> {
             mask: Vec::new(),
             soa: SoaNode::new_empty(),
             dist: Vec::new(),
-            nodes: BinaryHeap::new(),
+            frontier: Frontier::default(),
             best: KBest::new(0),
             forest: Vec::new(),
             trace: pr_obs::SpanCtx::off(),
