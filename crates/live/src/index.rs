@@ -6,14 +6,18 @@
 //!   `fsync`ed before it is acknowledged or becomes visible.
 //! * **Memtable** ([`crate::memtable`]) — acknowledged writes accumulate
 //!   here; queries scan it alongside the components.
-//! * **Components** — bulk-loaded PR-trees in geometric slots
-//!   ([`GeometricPolicy`]), persisted in one `pr-store` file and opened
-//!   through checksum-verifying, snapshot-pinned devices.
+//! * **Components** — bulk-loaded PR-trees in the geometric slots of a
+//!   [`ComponentSet`], each beside its stable store id, persisted in one
+//!   `pr-store` file and opened through checksum-verifying,
+//!   snapshot-pinned devices.
 //! * **Merges** (`crate::merge`) — a memtable overflow seals it into
 //!   an immutable batch and merges batch + lower components into a new
 //!   bulk-loaded component, committed atomically (pages + manifest +
 //!   superblock flip); the manifest's `wal_seq` is what replay skips
 //!   up to, and old WAL segments are pruned after a cut that rotated.
+//!   The plan, drain and install are the set's, shared with the
+//!   in-memory `LprTree`; the locks, the commit and the WAL are this
+//!   crate's.
 //!
 //! ## Locking discipline
 //!
@@ -53,7 +57,7 @@ use parking_lot::{Mutex, RwLock};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store};
 use pr_tree::dynamic::fanout::{self, FilterBuild, ProbeTally};
-use pr_tree::dynamic::{GeometricPolicy, TombstoneKey, Tombstones};
+use pr_tree::dynamic::{ComponentSet, TombstoneKey, Tombstones};
 use pr_tree::{KnnSearch, QueryScratch, QueryStats, RTree, TreeParams};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -147,13 +151,11 @@ pub(crate) struct Core<const D: usize> {
     pub(crate) memtable: Memtable<D>,
     /// A sealed (immutable) memtable awaiting its merge.
     pub(crate) sealed: Option<Arc<Vec<Item<D>>>>,
-    /// Geometric component slots; every tree is store-backed and warmed.
-    pub(crate) components: Vec<Option<Arc<RTree<D>>>>,
-    /// Parallel to `components`: each occupied slot's stable store
-    /// component id (unchanged across commits that reuse the run in
-    /// place). Merges use it to commit surviving slots as in-place run
-    /// references — no page rewrite.
-    pub(crate) slot_ids: Vec<Option<u64>>,
+    /// Geometric component slots, each a store-backed, warmed tree and
+    /// its stable store component id (unchanged across commits that
+    /// reuse the run in place). Merges commit surviving slots by that id
+    /// as in-place run references — no page rewrite.
+    pub(crate) components: ComponentSet<(Arc<RTree<D>>, u64)>,
     /// Dead identities among sealed + components (never the memtable).
     pub(crate) tombstones: Arc<Tombstones<D>>,
     /// Enqueued-but-unacknowledged ops, in sequence order. Invisible to
@@ -206,7 +208,6 @@ pub(crate) struct LiveInner<const D: usize> {
     pub(crate) dir: PathBuf,
     pub(crate) params: TreeParams,
     pub(crate) opts: LiveOptions,
-    pub(crate) policy: GeometricPolicy,
     pub(crate) writer: Mutex<WriterState>,
     /// The group-commit pipeline (queue + condvar + the WAL itself).
     pub(crate) group: GroupCommit,
@@ -249,7 +250,7 @@ impl<const D: usize> Core<D> {
     ) -> Result<u64, LiveError> {
         Ok(fanout::count_stored_copies(
             self.sealed.as_deref().map(|v| v.as_slice()),
-            self.components.iter().flatten().map(|a| a.as_ref()),
+            self.components.iter().map(|(t, _)| t.as_ref()),
             item,
             build,
             scratch,
@@ -397,6 +398,40 @@ impl<const D: usize> LiveInner<D> {
             ReadPath::Recheck
         } else {
             ReadPath::ZeroCopy
+        }
+    }
+
+    /// The one outcome path of every merge, and the only place
+    /// merges-paused mode is entered or left. Success lifts it. With a
+    /// `retry` note, a transient failure (ENOSPC, most likely) enters it
+    /// and returns `Ok(true)`: the merge rode on acknowledged writes,
+    /// safe in memtable/sealed batch + WAL, so a later merge retries it.
+    /// Any other error, and every error of an explicit merge, returns.
+    pub(crate) fn settle_merge(
+        &self,
+        outcome: Result<(), LiveError>,
+        retry: Option<&str>,
+    ) -> Result<bool, LiveError> {
+        let mut sig = self.signal.lock().expect("signal mutex");
+        match (outcome, retry) {
+            (Ok(()), _) => {
+                if sig.merges_paused {
+                    sig.merges_paused = false;
+                    crate::obs::metrics().merges_paused.set(0);
+                    pr_obs::events()
+                        .emit("merges_resume", "merge succeeded after transient failure");
+                }
+                Ok(false)
+            }
+            (Err(e), Some(retry)) if e.is_transient() => {
+                sig.merges_paused = true;
+                let m = crate::obs::metrics();
+                m.merge_retries.inc();
+                m.merges_paused.set(1);
+                pr_obs::events().emit("merge_retry", format!("{retry}: {e}"));
+                Ok(true)
+            }
+            (Err(e), _) => Err(e),
         }
     }
 
@@ -667,36 +702,26 @@ impl<const D: usize> LiveIndex<D> {
                 manifest.slots.len()
             )));
         }
-        let nslots = manifest
-            .slots
-            .iter()
-            .map(|&s| s as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut components: Vec<Option<Arc<RTree<D>>>> = Vec::new();
-        components.resize_with(nslots, || None);
-        let mut slot_ids: Vec<Option<u64>> = vec![None; nslots];
+        let mut components = ComponentSet::new(opts.buffer_cap);
         // The manifest's slot list, the store's runs, and
         // `components_with`'s trees all share commit order, so they zip
         // 1:1 — that is how each slot learns its stable component id.
         for ((slot, tree), run) in manifest.slots.iter().zip(trees).zip(runs) {
             let slot = *slot as usize;
-            if components[slot].is_some() {
+            if components.get(slot).is_some() {
                 return Err(LiveError::Corrupt(format!(
                     "live manifest places two components in slot {slot}"
                 )));
             }
             tree.warm_cache()?;
-            components[slot] = Some(Arc::new(tree));
-            slot_ids[slot] = Some(run.id);
+            components.place(slot, (Arc::new(tree), run.id));
         }
 
-        let stored: u64 = components.iter().flatten().map(|c| c.len()).sum::<u64>();
+        let stored = components.stored();
         let mut core = Core {
             memtable: Memtable::from_items(manifest.memtable),
             sealed: None,
             components,
-            slot_ids,
             tombstones: Arc::new(manifest.tombstones),
             pending: VecDeque::new(),
             structure_epoch: 0,
@@ -775,7 +800,6 @@ impl<const D: usize> LiveIndex<D> {
             dir: dir.to_path_buf(),
             params,
             opts,
-            policy: GeometricPolicy::new(opts.buffer_cap),
             writer: Mutex::new(WriterState { next_seq }),
             group: GroupCommit::new(wal, recovered_seq),
             core: RwLock::new(core),
@@ -908,7 +932,10 @@ impl<const D: usize> LiveIndex<D> {
         m.insert_batch_us.record_duration_us(t0.elapsed());
         trace.set_detail(&format!("ops={} last_seq={last_seq}", items.len()));
         trace.finish_publish();
-        let overflow = inner.core.read().memtable.len() >= inner.policy.buffer_cap();
+        let overflow = {
+            let core = inner.core.read();
+            core.memtable.len() >= core.components.buffer_cap()
+        };
         if overflow {
             self.on_overflow()?;
         }
@@ -975,8 +1002,7 @@ impl<const D: usize> LiveIndex<D> {
                 core.sealed.clone(),
                 core.components
                     .iter()
-                    .flatten()
-                    .map(Arc::clone)
+                    .map(|(t, _)| Arc::clone(t))
                     .collect::<Vec<_>>(),
             )
         };
@@ -1070,16 +1096,9 @@ impl<const D: usize> LiveIndex<D> {
         trace.finish_publish();
         let needs_compaction = any_tombstone && {
             let core = inner.core.read();
-            let stored: u64 = core
-                .components
-                .iter()
-                .flatten()
-                .map(|c| c.len())
-                .sum::<u64>()
-                + core.sealed.as_ref().map_or(0, |s| s.len() as u64);
-            inner
-                .policy
-                .needs_compaction(core.tombstones.total(), stored)
+            let sealed = core.sealed.as_ref().map_or(0, |s| s.len() as u64);
+            core.components
+                .needs_compaction(core.tombstones.total(), sealed)
         };
         if needs_compaction {
             self.request_merge(MergeKind::Full { reclaim: false })?;
@@ -1096,7 +1115,7 @@ impl<const D: usize> LiveIndex<D> {
         LiveSnapshot {
             memtable: core.memtable.items().to_vec(),
             sealed: core.sealed.clone(),
-            components: core.components.iter().flatten().map(Arc::clone).collect(),
+            components: core.components.iter().map(|(t, _)| Arc::clone(t)).collect(),
             tombstones: Arc::clone(&core.tombstones),
             live: core.live,
             seq: core.durable_seq,
@@ -1133,11 +1152,7 @@ impl<const D: usize> LiveIndex<D> {
     /// window is fully drained (the merge cut quiesces the commit
     /// queue), so every acknowledged write is durable.
     pub fn flush(&self) -> Result<(), LiveError> {
-        self.surface_worker_error()?;
-        run_merge(&self.inner, MergeKind::Force)?;
-        self.merge_recovered();
-        self.notify_done();
-        Ok(())
+        self.merge_now(MergeKind::Force)
     }
 
     /// Global compaction: merges memtable + every component into one
@@ -1146,11 +1161,7 @@ impl<const D: usize> LiveIndex<D> {
     /// snapshots. Readers holding older snapshots keep working — their
     /// devices pin the unlinked file.
     pub fn compact(&self) -> Result<(), LiveError> {
-        self.surface_worker_error()?;
-        run_merge(&self.inner, MergeKind::Full { reclaim: true })?;
-        self.merge_recovered();
-        self.notify_done();
-        Ok(())
+        self.merge_now(MergeKind::Full { reclaim: true })
     }
 
     /// [`LiveIndex::compact`], but only when reclaimable garbage
@@ -1171,15 +1182,14 @@ impl<const D: usize> LiveIndex<D> {
         Ok(true)
     }
 
-    /// An explicit merge just succeeded: lift merges-paused degraded
-    /// mode if a transient failure had set it.
-    fn merge_recovered(&self) {
-        let mut sig = self.inner.signal.lock().expect("signal mutex");
-        if sig.merges_paused {
-            sig.merges_paused = false;
-            crate::obs::metrics().merges_paused.set(0);
-            pr_obs::events().emit("merges_resume", "merge succeeded after transient failure");
-        }
+    /// An explicit merge, run on this thread: every error is the
+    /// caller's.
+    fn merge_now(&self, kind: MergeKind) -> Result<(), LiveError> {
+        self.surface_worker_error()?;
+        self.inner
+            .settle_merge(run_merge(&self.inner, kind), None)?;
+        self.notify_done();
+        Ok(())
     }
 
     /// Blocks until no sealed batch is pending and no requested
@@ -1221,15 +1231,10 @@ impl<const D: usize> LiveIndex<D> {
                 core.live,
                 core.memtable.len(),
                 core.sealed.as_ref().map_or(0, |s| s.len()),
+                core.components.layout(),
                 core.components
                     .iter()
-                    .enumerate()
-                    .filter_map(|(slot, c)| c.as_ref().map(|t| (slot, t.len())))
-                    .collect::<Vec<_>>(),
-                core.components
-                    .iter()
-                    .flatten()
-                    .map(|c| c.filter_bytes() as u64)
+                    .map(|(t, _)| t.filter_bytes() as u64)
                     .sum(),
                 core.tombstones.total(),
                 core.durable_seq,
@@ -1355,27 +1360,12 @@ impl<const D: usize> LiveIndex<D> {
             self.inner.cv.notify_all();
             Ok(())
         } else {
-            match run_merge(&self.inner, kind) {
-                Ok(()) => self.merge_recovered(),
-                Err(e) if e.is_transient() => {
-                    // This merge piggybacked on an insert/delete that
-                    // was already acknowledged — a transient failure
-                    // (ENOSPC) must not retro-fail that ack. The data
-                    // is safe in the memtable/sealed batch + WAL; mark
-                    // merges paused and let a later overflow or an
-                    // explicit flush() retry.
-                    let mut sig = self.inner.signal.lock().expect("signal mutex");
-                    sig.merges_paused = true;
-                    let m = crate::obs::metrics();
-                    m.merge_retries.inc();
-                    m.merges_paused.set(1);
-                    pr_obs::events().emit(
-                        "merge_retry",
-                        format!("transient inline-merge failure: {e}"),
-                    );
-                }
-                Err(e) => return Err(e),
-            }
+            // A later overflow or an explicit flush() retries a merge
+            // that failed transiently.
+            self.inner.settle_merge(
+                run_merge(&self.inner, kind),
+                Some("transient inline-merge failure"),
+            )?;
             self.notify_done();
             Ok(())
         }
@@ -1388,11 +1378,11 @@ impl<const D: usize> LiveIndex<D> {
         }
         // Backpressure: a writer outrunning the merger stalls here once
         // the memtable is several seals deep, holding no locks.
-        let limit = BACKPRESSURE_FACTOR.saturating_mul(self.inner.policy.buffer_cap());
         loop {
             self.surface_worker_error()?;
             let crowded = {
                 let core = self.inner.core.read();
+                let limit = BACKPRESSURE_FACTOR.saturating_mul(core.components.buffer_cap());
                 core.sealed.is_some() && core.memtable.len() >= limit
             };
             if !crowded {
@@ -1467,42 +1457,27 @@ fn worker_loop<const D: usize>(inner: Arc<LiveInner<D>>) {
                 sig = inner.cv.wait(sig).expect("signal mutex");
             }
         };
-        let outcome = run_merge(&inner, kind);
+        // Transient (ENOSPC): a merge is safe to retry from scratch —
+        // rotation keeps the old segment on any error, and the store
+        // commit either flipped the superblock or left the old snapshot
+        // intact — so back off and re-request instead of failing acked
+        // writes. Writers stay up (memtable backpressure bounds memory);
+        // `sig.error` stays reserved for fatal failures.
+        let settled = inner.settle_merge(
+            run_merge(&inner, kind),
+            Some(&format!("transient failure, retrying in {backoff:?}")),
+        );
         let mut retry_after = None;
         {
             let mut sig = inner.signal.lock().expect("signal mutex");
             sig.busy = false;
-            match outcome {
-                Ok(()) => {
-                    backoff = Duration::from_millis(2);
-                    if sig.merges_paused {
-                        sig.merges_paused = false;
-                        crate::obs::metrics().merges_paused.set(0);
-                        pr_obs::events()
-                            .emit("merges_resume", "merge succeeded after transient failure");
-                    }
-                }
-                Err(e) if e.is_transient() => {
-                    // Transient (ENOSPC): a merge is safe to retry from
-                    // scratch — rotation keeps the old segment on any
-                    // error, and the store commit either flipped the
-                    // superblock or left the old snapshot intact — so
-                    // back off and re-request instead of failing acked
-                    // writes. Writers stay up (memtable backpressure
-                    // bounds memory); `sig.error` stays reserved for
-                    // fatal failures.
-                    sig.merges_paused = true;
+            match settled {
+                Ok(false) => backoff = Duration::from_millis(2),
+                Ok(true) => {
                     match kind {
                         MergeKind::Overflow => sig.merge = true,
                         _ => sig.full = true,
                     }
-                    let m = crate::obs::metrics();
-                    m.merge_retries.inc();
-                    m.merges_paused.set(1);
-                    pr_obs::events().emit(
-                        "merge_retry",
-                        format!("transient failure, retrying in {backoff:?}: {e}"),
-                    );
                     retry_after = Some(backoff);
                     backoff = (backoff * 2).min(Duration::from_millis(500));
                 }
@@ -1793,7 +1768,7 @@ mod tests {
         {
             let _w = ix.inner.writer.lock();
             let core = ix.inner.core.read();
-            assert!(core.memtable.is_empty() && core.components.iter().flatten().count() > 0);
+            assert!(core.memtable.is_empty() && !core.components.is_empty());
             // Off-lock counts taken against an older structure: all
             // wrong, so only the re-count can decide correctly.
             let probed = vec![0; victims.len()];
@@ -1813,8 +1788,7 @@ mod tests {
             assert_eq!(
                 core.components
                     .iter()
-                    .flatten()
-                    .map(|c| c.filter_bytes())
+                    .map(|(c, _)| c.filter_bytes())
                     .sum::<usize>(),
                 0,
                 "a filter was built under the sequencing lock"

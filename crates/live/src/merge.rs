@@ -5,23 +5,26 @@
 //! post-merge component set through `pr-store` in one atomic step
 //! (pages, then live manifest, then superblock flip — fsynced in that
 //! order); WAL segments are pruned only after that, and only by a
-//! merge whose cut rotated. The phases and what they hold:
+//! merge whose cut rotated. Plan, drain and install are the
+//! [`ComponentSet`](pr_tree::dynamic::ComponentSet)'s, as in `LprTree`;
+//! the phases around them and what they hold are this module's:
 //!
 //! 1. **Seal** (`writer` + `core` write, O(1)): quiesce the commit
 //!    queue (every assigned seq applied — no new seqs can appear while
 //!    `writer` is held), then move the memtable into the immutable
 //!    `sealed` slot; a fresh memtable keeps taking writes.
-//! 2. **Snapshot inputs** (`core` read, O(components)): clone Arcs of
-//!    the input components and the tombstone set.
-//! 3. **Build** (no locks — the long part): drain inputs, drop items
-//!    dead in the tombstone snapshot (recording what was *consumed*),
-//!    bulk-load the union. Readers and writers proceed untouched.
+//! 2. **Plan** (`core` read, O(components)): plan the merge, clone Arcs
+//!    of its inputs and the tombstone set.
+//! 3. **Build** (no locks — the long part): drain sealed batch + inputs,
+//!    dropping items dead in the tombstone snapshot (recording what was
+//!    *consumed*), bulk-load the union. Readers and writers proceed
+//!    untouched.
 //! 4. **Cut** (`writer`, O(memtable)): quiesce the commit queue again
 //!    (drain, and fsync whatever no group fsync covers yet — a segment
 //!    must be complete and durable before the log rotates past it,
 //!    which is also what makes `flush()` drain the async in-flight
 //!    window), fix `cut_seq`, and snapshot {memtable, tombstones −
-//!    consumed, survivor Arcs} for the manifest. A checkpoint
+//!    consumed, post-merge layout} for the manifest. A checkpoint
 //!    (`Force` / `Full`) rotates the WAL here, so every assigned seq ≤
 //!    `cut_seq` sits in old segments; an `Overflow` merge rotates only
 //!    once the segment is full ([`crate::wal::SEGMENT_ROTATE_BYTES`])
@@ -32,8 +35,8 @@
 //! 5. **Commit** (`store` lock only): write the snapshot whose manifest
 //!    checkpoints the cut, fsync, flip the superblock; open + warm the
 //!    freshly written component. Readers *and writers* run throughout.
-//! 6. **Swap + prune** (`writer`, then briefly `core` write): exchange
-//!    the component set, clear the sealed batch, and subtract exactly
+//! 6. **Swap + prune** (`writer`, then briefly `core` write): install
+//!    the merge, clear the sealed batch, and subtract exactly
 //!    the consumed tombstones from the *current* set — deletes recorded
 //!    while the commit ran are thereby preserved. If the cut rotated,
 //!    delete the WAL segments below the rotation.
@@ -60,14 +63,14 @@
 //! head of a segment the cut did not rotate away from.
 
 use crate::error::LiveError;
-use crate::index::{Core, CrashPoint, LiveInner};
+use crate::index::{CrashPoint, LiveInner};
 use crate::manifest::LiveManifest;
 use pr_em::{fsync_dir, BlockDevice, MemDevice};
 use pr_geom::Item;
 use pr_store::{CommitComponent, Store};
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
-use pr_tree::dynamic::Tombstones;
+use pr_tree::dynamic::{components, MergePlan};
 use pr_tree::RTree;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -118,7 +121,7 @@ pub(crate) fn run_merge<const D: usize>(
         let mut core = inner.core.write();
         if core.sealed.is_none() {
             let should = match kind {
-                MergeKind::Overflow => core.memtable.len() >= inner.policy.buffer_cap(),
+                MergeKind::Overflow => core.memtable.len() >= core.components.buffer_cap(),
                 MergeKind::Force | MergeKind::Full { .. } => !core.memtable.is_empty(),
             };
             if should {
@@ -149,23 +152,13 @@ pub(crate) fn run_merge<const D: usize>(
         }
     }
 
-    // Phase 2: snapshot the inputs. `planned_target` is the geometric
-    // slot an Overflow/Force merge aims for; a Full merge decides after
-    // filtering.
-    let (sealed, inputs, input_slots, planned_target) = {
+    // Phase 2: plan; pin the inputs and tombstones for the drain.
+    let (sealed, plan, inputs, t_snap) = {
         let core = inner.core.read();
         let sealed = core.sealed.clone();
-        match (kind, sealed) {
-            (MergeKind::Overflow | MergeKind::Force, Some(sealed)) => {
-                let sizes: Vec<u64> = core
-                    .components
-                    .iter()
-                    .map(|c| c.as_ref().map_or(0, |t| t.len()))
-                    .collect();
-                let target = inner.policy.merge_target(&sizes, sealed.len() as u64);
-                // Every occupied slot 0..=target is an input.
-                let (inputs, input_slots) = collect_inputs(&core, target + 1);
-                (Some(sealed), inputs, input_slots, Some(target))
+        let plan = match (kind, &sealed) {
+            (MergeKind::Overflow | MergeKind::Force, Some(batch)) => {
+                core.components.plan(batch.len() as u64)
             }
             (MergeKind::Overflow | MergeKind::Force, None) => {
                 // No batch to merge. An Overflow request is simply done;
@@ -176,70 +169,38 @@ pub(crate) fn run_merge<const D: usize>(
                 if matches!(kind, MergeKind::Overflow) || core.merged_seq == core.durable_seq {
                     return Ok(());
                 }
-                (None, Vec::new(), Vec::new(), None)
+                MergePlan::default()
             }
-            (MergeKind::Full { .. }, sealed) => {
-                let (inputs, input_slots) = collect_inputs(&core, usize::MAX);
+            (MergeKind::Full { .. }, _) => {
                 if sealed.is_none()
-                    && inputs.is_empty()
+                    && core.components.is_empty()
                     && !reclaim
                     && core.merged_seq == core.durable_seq
                 {
                     return Ok(()); // nothing to compact or checkpoint
                 }
-                (sealed, inputs, input_slots, None)
+                core.components.plan_full()
             }
-        }
+        };
+        let inputs: Vec<(usize, Arc<RTree<D>>)> = core
+            .components
+            .inputs(&plan)
+            .map(|(slot, (tree, _))| (slot, Arc::clone(tree)))
+            .collect();
+        (sealed, plan, inputs, Arc::clone(&core.tombstones))
     };
-    let t_snap = Arc::clone(&inner.core.read().tombstones);
 
-    // Phase 3: build the merged component off-lock. Items dead in the
-    // tombstone snapshot are dropped and recorded as consumed.
-    let mut consumed = Tombstones::<D>::new();
-    let held = sealed.as_ref().map_or(0, |s| s.len())
-        + inputs.iter().map(|c| c.len() as usize).sum::<usize>();
-    let mut items: Vec<Item<D>> = Vec::with_capacity(held);
-    {
-        let mut filter = t_snap.filter();
-        if let Some(sealed) = &sealed {
-            for it in sealed.iter() {
-                if filter.admit(it) {
-                    items.push(*it);
-                } else {
-                    consumed.add(it);
-                }
-            }
-        }
-        for (c, slot) in inputs.iter().zip(&input_slots) {
-            let t_read = tracing.then(std::time::Instant::now);
-            c.for_each_item(|it| {
-                if filter.admit(&it) {
-                    items.push(it);
-                } else {
-                    consumed.add(&it);
-                }
-            })?;
-            if let Some(t0) = t_read {
-                trace.span_since(
-                    "em",
-                    "component_read",
-                    t0,
-                    &format!("slot={slot} items={}", c.len()),
-                );
-            }
-        }
-    }
-    // Where the merged tree lands; `None` when the merge produced no
-    // items (a pure checkpoint or an all-dead merge).
-    let target: Option<usize> = if items.is_empty() {
-        None
-    } else {
-        Some(planned_target.unwrap_or_else(|| inner.policy.placement_slot(items.len() as u64)))
-    };
+    // Phase 3: drain and build the merged component off-lock.
+    let (items, consumed) = components::drain(
+        sealed.as_deref().map_or(&[][..], Vec::as_slice),
+        inputs.iter().map(|(slot, tree)| (*slot, tree.as_ref())),
+        &t_snap,
+        &mut trace,
+    )?;
+    let n_items = items.len();
     let new_tree: Option<RTree<D>> = if items.is_empty() {
         None
     } else {
-        let n_items = items.len();
         let t_build = tracing.then(std::time::Instant::now);
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(inner.params.page_size));
         let tree = PrTreeLoader::default().load(dev, inner.params, items)?;
@@ -258,7 +219,7 @@ pub(crate) fn run_merge<const D: usize>(
     // this cut is a checkpoint or the segment is full, and snapshot the
     // manifest state; then release so writers run during the commit.
     let t_cut = tracing.then(std::time::Instant::now);
-    let (cut_seq, rotated, survivors, manifest_tombstones, memtable_snapshot) = {
+    let (cut_seq, rotated, target, layout, manifest_tombstones, memtable_snapshot) = {
         let w = inner.writer.lock();
         inner.group.wait_applied(w.next_seq.saturating_sub(1))?;
         inner.group.sync_window()?;
@@ -272,26 +233,25 @@ pub(crate) fn run_merge<const D: usize>(
         };
         let cut_seq = w.next_seq - 1;
         let core = inner.core.read();
-        let nslots = core.components.len().max(target.map_or(0, |t| t + 1));
-        let mut survivors: Vec<Option<(Arc<RTree<D>>, u64)>> = vec![None; nslots];
-        for (slot, c) in core.components.iter().enumerate() {
-            if input_slots.contains(&slot) {
-                continue;
-            }
-            if let Some(t) = c {
-                let id = core.slot_ids[slot].expect("occupied slot has an identity");
-                survivors[slot] = Some((Arc::clone(t), id));
-            }
-        }
-        if let Some(t) = target {
-            debug_assert!(survivors[t].is_none(), "target slot occupied");
-        }
+        // Where the merged tree lands; `None` when the merge produced no
+        // items (a pure checkpoint or an all-dead merge).
+        let target = core.components.target(&plan, n_items);
+        // The commit plan in ascending slot order, the order the
+        // manifest, the store's runs and `components_with` share:
+        // survivors by their stable ids, the target as the one new run.
+        let layout: Vec<(u32, Option<u64>)> = core
+            .components
+            .after_merge(&plan, target)
+            .into_iter()
+            .map(|(slot, kept)| (slot as u32, kept.map(|&(_, id)| id)))
+            .collect();
         let mut after = (*core.tombstones).clone();
         after.subtract(&consumed);
         (
             cut_seq,
             rotated,
-            survivors,
+            target,
+            layout,
             after,
             core.memtable.items().to_vec(),
         )
@@ -304,23 +264,14 @@ pub(crate) fn run_merge<const D: usize>(
             &format!("cut_seq={cut_seq} rotated={rotated}"),
         );
     }
-    // The commit plan, in ascending slot order — the one order the
-    // manifest's slot list, the store's runs, and `components_with` all
-    // share. Survivors become in-place run references under their
-    // stable ids; the target slot (if any) is the sole new component.
-    let mut slots: Vec<u32> = Vec::new();
-    let mut comps: Vec<CommitComponent<'_, D>> = Vec::new();
-    for (slot, survivor) in survivors.iter().enumerate() {
-        if target == Some(slot) {
-            if let Some(t) = &new_tree {
-                slots.push(slot as u32);
-                comps.push(CommitComponent::New(t));
-            }
-        } else if let Some((_, id)) = survivor {
-            slots.push(slot as u32);
-            comps.push(CommitComponent::Reuse(*id));
-        }
-    }
+    let slots: Vec<u32> = layout.iter().map(|&(slot, _)| slot).collect();
+    let comps: Vec<CommitComponent<'_, D>> = layout
+        .iter()
+        .map(|&(_, kept)| match kept {
+            Some(id) => CommitComponent::Reuse(id),
+            None => CommitComponent::New(new_tree.as_ref().expect("the target holds the merge")),
+        })
+        .collect();
     let app = LiveManifest {
         wal_seq: cut_seq,
         slots: slots.clone(),
@@ -338,28 +289,18 @@ pub(crate) fn run_merge<const D: usize>(
     // Drop clears the thread-local on any error path.
     let t_commit = tracing.then(std::time::Instant::now);
     let ambient = pr_obs::AmbientScope::begin(tracing);
-    // What the swap will install, per committed slot: the open tree
-    // and its stable store id.
-    let mut installed: Vec<(u32, Arc<RTree<D>>, u64)> = Vec::with_capacity(slots.len());
-    let (pages_written, pages_reused) = {
+    // `merged` is what the swap installs in the target slot: the open
+    // tree and its stable store id.
+    let (pages_written, pages_reused, merged) = {
         let mut store = inner.store.lock();
-        if reclaim {
-            // Compaction keeps full-rewrite semantics: every component
-            // is copied into a fresh file renamed over the old one, so
+        let (written, reused) = if reclaim {
+            // Compaction keeps full-rewrite semantics: the snapshot is
+            // written into a fresh file renamed over the old one, so
             // superseded runs' space is reclaimed; pinned readers keep
-            // the unlinked inode alive.
-            let refs: Vec<&RTree<D>> = comps
-                .iter()
-                .zip(&slots)
-                .map(|(c, slot)| match c {
-                    CommitComponent::New(t) => *t,
-                    CommitComponent::Reuse(_) => survivors[*slot as usize]
-                        .as_ref()
-                        .expect("reused slot has a survivor")
-                        .0
-                        .as_ref(),
-                })
-                .collect();
+            // the unlinked inode alive. A full merge drains every slot,
+            // so the merged tree (if any) is the whole snapshot.
+            debug_assert!(layout.iter().all(|&(_, kept)| kept.is_none()));
+            let refs: Vec<&RTree<D>> = new_tree.iter().collect();
             let tmp = inner.dir.join("index.prt.tmp");
             let mut fresh = Store::create::<D>(&tmp, inner.params)?;
             fresh.save_components(&refs, &app)?;
@@ -372,40 +313,32 @@ pub(crate) fn run_merge<const D: usize>(
                 "compaction",
                 format!("cut_seq={cut_seq} components={}", refs.len()),
             );
-            // Everything was rewritten: fresh ids, fresh trees.
-            let reopened = store.components_with::<D>(inner.read_path())?;
-            let runs = store.component_runs();
-            let written: u64 = runs.iter().map(|r| r.num_pages).sum();
-            for ((slot, tree), run) in slots.iter().zip(reopened).zip(runs) {
-                tree.warm_cache()?;
-                installed.push((*slot, Arc::new(tree), run.id));
-            }
+            let written = store.component_runs().iter().map(|r| r.num_pages).sum();
             (written, 0)
         } else {
             // Incremental commit: surviving runs stay exactly where
             // they are — pages, checksum tables, and verify-once
             // bitmaps referenced, not copied — and their already-open
-            // trees (devices, pinned mmap, warmed caches) carry over
-            // untouched. Only the merged target's pages are appended,
-            // and only that one component is opened and warmed.
+            // trees (devices, pinned mmap, warmed caches) stay in their
+            // slots untouched. Only the merged target's pages are
+            // appended.
             let outcome = store.commit_components(&comps, &app)?;
-            for (i, (slot, comp)) in slots.iter().zip(&comps).enumerate() {
-                match comp {
-                    CommitComponent::New(_) => {
-                        let tree = store.component_with::<D>(i, inner.read_path())?;
-                        tree.warm_cache()?;
-                        installed.push((*slot, Arc::new(tree), outcome.component_ids[i]));
-                    }
-                    CommitComponent::Reuse(_) => {
-                        let (tree, id) = survivors[*slot as usize]
-                            .clone()
-                            .expect("reused slot has a survivor");
-                        installed.push((*slot, tree, id));
-                    }
-                }
-            }
             (outcome.pages_written, outcome.pages_reused)
-        }
+        };
+        // Only the freshly written component is opened and warmed.
+        let merged = match target {
+            Some(t) => {
+                let i = slots
+                    .iter()
+                    .position(|&slot| slot as usize == t)
+                    .expect("the target is committed");
+                let tree = store.component_with::<D>(i, inner.read_path())?;
+                tree.warm_cache()?;
+                Some((t, (Arc::new(tree), store.component_runs()[i].id)))
+            }
+            None => None,
+        };
+        (written, reused, merged)
     };
     inner
         .merge_pages_written
@@ -438,14 +371,7 @@ pub(crate) fn run_merge<const D: usize>(
     let t_swap = tracing.then(std::time::Instant::now);
     {
         let mut core = inner.core.write();
-        let mut components: Vec<Option<Arc<RTree<D>>>> = vec![None; survivors.len()];
-        let mut slot_ids: Vec<Option<u64>> = vec![None; survivors.len()];
-        for (slot, tree, id) in &installed {
-            components[*slot as usize] = Some(Arc::clone(tree));
-            slot_ids[*slot as usize] = Some(*id);
-        }
-        core.components = components;
-        core.slot_ids = slot_ids;
+        core.components.install(&plan, merged);
         core.sealed = None;
         let mut after = (*core.tombstones).clone();
         after.subtract(&consumed);
@@ -501,22 +427,4 @@ fn update_write_amp<const D: usize>(inner: &LiveInner<D>) {
     crate::obs::metrics()
         .write_amp
         .set(written * 100 / ingested);
-}
-
-fn collect_inputs<const D: usize>(
-    core: &Core<D>,
-    up_to: usize,
-) -> (Vec<Arc<RTree<D>>>, Vec<usize>) {
-    let mut inputs = Vec::new();
-    let mut slots = Vec::new();
-    for (slot, c) in core.components.iter().enumerate() {
-        if slot >= up_to {
-            break;
-        }
-        if let Some(t) = c {
-            inputs.push(Arc::clone(t));
-            slots.push(slot);
-        }
-    }
-    (inputs, slots)
 }

@@ -5,9 +5,10 @@
 //! present, tombstones against it, an aliased reinsert in the memtable)
 //! answers exactly like a brute-force scan of the live set; and the same
 //! op trace through `pr_tree::dynamic::LprTree` and an inline-merge
-//! `LiveIndex` gives identical `(id, dist bits)` lists and, for window
-//! queries, identical result sets and leaf visits — the two frontends
-//! of the logarithmic method share one search and one fan-out.
+//! `LiveIndex` gives identical slot layouts after every op and, at each
+//! check, identical `(id, dist bits)` lists, window result sets and leaf
+//! visits — the two frontends of the logarithmic method share one merge
+//! plan, one drain, one search and one fan-out.
 
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
@@ -129,91 +130,153 @@ fn knn_with_a_merge_in_flight_matches_oracle() {
     }
 }
 
-/// ROADMAP item 2's pin: one insert / delete / reinsert trace through
-/// both frontends of the logarithmic method, identical k-NN and window
-/// answers at every checkpoint (and equal to the brute-force oracle, so
-/// they cannot be wrong together), at identical leaf I/O.
-#[test]
-fn lpr_tree_and_live_index_give_identical_knn() {
-    const CAP: usize = 16;
-    let dir = tmpdir("differential");
-    let live_ix = LiveIndex::<2>::create(&dir, params(), opts(CAP)).unwrap();
-    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params().page_size));
-    let mut lpr = LprTree::<2>::new(dev, params(), CAP);
+/// One op of a differential trace.
+enum Op {
+    Insert(Item<2>),
+    Delete(Item<2>),
+    /// Compare both frontends' k-NN and window answers around each point.
+    Check(Vec<Point<2>>),
+}
+
+/// Inserts, deletes of random live items and bit-identical reinserts of
+/// dead ones (aliased copies), with a check every 60 ops: 1 200 ops
+/// drawn from seed 37. Its slots stay full, so every merge lands in the
+/// first empty slot.
+fn random_trace() -> Vec<Op> {
     let mut rng = SmallRng::seed_from_u64(37);
-    let mut live: Vec<Item<2>> = Vec::new();
-    let mut graveyard: Vec<Item<2>> = Vec::new();
-    let mut scratch = QueryScratch::new();
-    let (mut a, mut b) = (Vec::new(), Vec::new());
-    let (mut wa, mut wb) = (Vec::new(), Vec::new());
+    let (mut live, mut graveyard) = (Vec::new(), Vec::new());
+    let mut trace = Vec::new();
     for step in 0..1_200u32 {
         match rng.gen_range(0..10) {
             // Delete a random live item…
             0..=2 if !live.is_empty() => {
-                let victim = live.swap_remove(rng.gen_range(0..live.len()));
-                assert!(lpr.delete(&victim).unwrap());
-                assert!(live_ix.delete(&victim).unwrap());
+                let victim: Item<2> = live.swap_remove(rng.gen_range(0..live.len()));
                 graveyard.push(victim);
+                trace.push(Op::Delete(victim));
             }
             // …bring a dead one back bit-identically (aliased copies)…
             3 if !graveyard.is_empty() => {
                 let reborn = graveyard.swap_remove(rng.gen_range(0..graveyard.len()));
-                lpr.insert(reborn).unwrap();
-                live_ix.insert(reborn).unwrap();
                 live.push(reborn);
+                trace.push(Op::Insert(reborn));
             }
             // …or insert a fresh one.
             _ => {
                 let item = random_item(step, &mut rng);
-                lpr.insert(item).unwrap();
-                live_ix.insert(item).unwrap();
                 live.push(item);
+                trace.push(Op::Insert(item));
             }
         }
-        if step % 60 != 59 {
-            continue;
-        }
-        assert_eq!(lpr.len(), live.len() as u64);
-        let snap = live_ix.snapshot();
-        assert_eq!(snap.len(), live.len() as u64);
-        for _ in 0..6 {
-            let q = random_point(&mut rng);
-            for k in [1, 10, 50] {
-                lpr.nearest_neighbors_into(&q, k, &mut scratch, &mut a)
-                    .unwrap();
-                snap.nearest_neighbors_into(&q, k, &mut scratch, &mut b)
-                    .unwrap();
-                assert_eq!(id_and_bits(&a), id_and_bits(&b), "step {step} k={k}");
-                assert_eq!(
-                    id_and_bits(&a),
-                    brute_knn(&live, &q, k),
-                    "step {step} k={k}"
-                );
-            }
-            let [x, y] = q.0;
-            for half in [5.0, 60.0, 400.0] {
-                let w = Rect::xyxy(x - half, y - half, x + half, y + half);
-                let sa = lpr.window_into(&w, &mut scratch, &mut wa).unwrap();
-                let sb = snap.window_into(&w, &mut scratch, &mut wb).unwrap();
-                let want = sorted_ids(&brute_force_window(&live, &w));
-                assert_eq!(sorted_ids(&wa), want, "step {step} window {w:?}");
-                assert_eq!(sorted_ids(&wb), want, "step {step} window {w:?}");
-                assert_eq!(
-                    (sa.leaves_visited, sa.results),
-                    (sb.leaves_visited, sb.results),
-                    "step {step} window {w:?}"
-                );
-            }
+        if step % 60 == 59 {
+            trace.push(Op::Check((0..6).map(|_| random_point(&mut rng)).collect()));
         }
     }
+    trace
+}
+
+/// Underfull slots: 128 inserts fill slot 4 (buffer cap 8). Each of four
+/// rounds then deletes 7 stored items, reinserts them and inserts one
+/// new item. The reinserts consume their tombstones in the merge, so
+/// each round's batch drains to one item. The layouts go `[0:1]`,
+/// `[1:2]`, `[0:1, 1:2]` — and in round 3 the batch meets `[1, 2]`: it
+/// lands in slot 1, both an input and the target (4 items), not in the
+/// first empty slot 2.
+fn underfull_trace() -> Vec<Op> {
+    let mut rng = SmallRng::seed_from_u64(41);
+    let stored: Vec<Item<2>> = (0..128).map(|id| random_item(id, &mut rng)).collect();
+    let mut trace: Vec<Op> = stored.iter().map(|&item| Op::Insert(item)).collect();
+    for (round, victims) in stored.chunks(7).take(4).enumerate() {
+        trace.extend(victims.iter().map(|&item| Op::Delete(item)));
+        trace.extend(victims.iter().map(|&item| Op::Insert(item)));
+        trace.push(Op::Insert(random_item(128 + round as u32, &mut rng)));
+        trace.push(Op::Check((0..4).map(|_| random_point(&mut rng)).collect()));
+    }
+    trace
+}
+
+/// ROADMAP item 1's pin: one op trace through both frontends of the
+/// logarithmic method. After every op their slot layouts are equal —
+/// the same merge plan, the same drain. At every check their k-NN and
+/// window answers are identical (and equal to the brute-force oracle,
+/// so they cannot be wrong together), at identical leaf I/O. Returns the
+/// final layout.
+fn run_differential(name: &str, cap: usize, trace: &[Op]) -> Vec<(usize, u64)> {
+    let dir = tmpdir(name);
+    let live_ix = LiveIndex::<2>::create(&dir, params(), opts(cap)).unwrap();
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params().page_size));
+    let mut lpr = LprTree::<2>::new(dev, params(), cap);
+    let mut live: Vec<Item<2>> = Vec::new();
+    let mut scratch = QueryScratch::new();
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    let (mut wa, mut wb) = (Vec::new(), Vec::new());
+    for (step, op) in trace.iter().enumerate() {
+        match op {
+            Op::Insert(item) => {
+                lpr.insert(*item).unwrap();
+                live_ix.insert(*item).unwrap();
+                live.push(*item);
+            }
+            Op::Delete(victim) => {
+                assert!(lpr.delete(victim).unwrap());
+                assert!(live_ix.delete(victim).unwrap());
+                let pos = live.iter().position(|i| i == victim).unwrap();
+                live.swap_remove(pos);
+            }
+            Op::Check(points) => {
+                assert_eq!(lpr.len(), live.len() as u64);
+                let snap = live_ix.snapshot();
+                assert_eq!(snap.len(), live.len() as u64);
+                for q in points {
+                    for k in [1, 10, 50] {
+                        lpr.nearest_neighbors_into(q, k, &mut scratch, &mut a)
+                            .unwrap();
+                        snap.nearest_neighbors_into(q, k, &mut scratch, &mut b)
+                            .unwrap();
+                        assert_eq!(id_and_bits(&a), id_and_bits(&b), "{name} op {step} k={k}");
+                        assert_eq!(
+                            id_and_bits(&a),
+                            brute_knn(&live, q, k),
+                            "{name} op {step} k={k}"
+                        );
+                    }
+                    let [x, y] = q.0;
+                    for half in [5.0, 60.0, 400.0] {
+                        let w = Rect::xyxy(x - half, y - half, x + half, y + half);
+                        let sa = lpr.window_into(&w, &mut scratch, &mut wa).unwrap();
+                        let sb = snap.window_into(&w, &mut scratch, &mut wb).unwrap();
+                        let want = sorted_ids(&brute_force_window(&live, &w));
+                        assert_eq!(sorted_ids(&wa), want, "{name} op {step} window {w:?}");
+                        assert_eq!(sorted_ids(&wb), want, "{name} op {step} window {w:?}");
+                        assert_eq!(
+                            (sa.leaves_visited, sa.results),
+                            (sb.leaves_visited, sb.results),
+                            "{name} op {step} window {w:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            lpr.layout(),
+            live_ix.stats().unwrap().components,
+            "{name} op {step}: slot layouts"
+        );
+    }
+    lpr.layout()
+}
+
+#[test]
+fn lpr_tree_and_live_index_give_identical_knn() {
+    run_differential("differential", 16, &random_trace());
+    let underfull = run_differential("underfull", 8, &underfull_trace());
+    assert_eq!(underfull, [(1, 4), (4, 128)]);
 }
 
 /// The membership filters never say "absent" for a stored copy. The
-/// differential test's trace is replayed op for op (same seed, same
-/// draws), and at each of its checkpoints every item stored in a
-/// component — dead copies included — must pass that component's
-/// filter, in both frontends. The filters checked were built by the
-/// trace's own deletes.
+/// differential test's random trace is replayed op for op, and at each
+/// of its checkpoints every item stored in a component — dead copies
+/// included — must pass that component's filter, in both frontends. The
+/// filters checked were built by the trace's own deletes.
 #[test]
 fn membership_filters_admit_every_stored_copy() {
     const CAP: usize = 16;
@@ -221,53 +284,34 @@ fn membership_filters_admit_every_stored_copy() {
     let live_ix = LiveIndex::<2>::create(&dir, params(), opts(CAP)).unwrap();
     let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params().page_size));
     let mut lpr = LprTree::<2>::new(dev, params(), CAP);
-    let mut rng = SmallRng::seed_from_u64(37);
-    let mut live: Vec<Item<2>> = Vec::new();
-    let mut graveyard: Vec<Item<2>> = Vec::new();
     let mut scratch = QueryScratch::new();
     let (mut checked, mut built_by_deletes) = (0u64, 0usize);
-    for step in 0..1_200u32 {
-        match rng.gen_range(0..10) {
-            0..=2 if !live.is_empty() => {
-                let victim = live.swap_remove(rng.gen_range(0..live.len()));
-                assert!(lpr.delete(&victim).unwrap());
-                assert!(live_ix.delete(&victim).unwrap());
-                graveyard.push(victim);
+    for (step, op) in random_trace().iter().enumerate() {
+        match op {
+            Op::Insert(item) => {
+                lpr.insert(*item).unwrap();
+                live_ix.insert(*item).unwrap();
             }
-            3 if !graveyard.is_empty() => {
-                let reborn = graveyard.swap_remove(rng.gen_range(0..graveyard.len()));
-                lpr.insert(reborn).unwrap();
-                live_ix.insert(reborn).unwrap();
-                live.push(reborn);
+            Op::Delete(victim) => {
+                assert!(lpr.delete(victim).unwrap());
+                assert!(live_ix.delete(victim).unwrap());
             }
-            _ => {
-                let item = random_item(step, &mut rng);
-                lpr.insert(item).unwrap();
-                live_ix.insert(item).unwrap();
-                live.push(item);
-            }
-        }
-        if step % 60 != 59 {
-            continue;
-        }
-        // The differential test draws its query points here; draw them
-        // too, so every later op matches its trace.
-        for _ in 0..6 {
-            random_point(&mut rng);
-        }
-        let snap = live_ix.snapshot();
-        for (name, components) in [
-            ("lpr", lpr.components().collect::<Vec<_>>()),
-            ("live", snap.components().collect()),
-        ] {
-            built_by_deletes += components.iter().filter(|c| c.filter_bytes() > 0).count();
-            for c in components {
-                for it in c.items().unwrap() {
-                    assert!(
-                        c.may_contain(&it, &mut scratch).unwrap(),
-                        "{name} step {step}: stored {it:?} rejected"
-                    );
-                    checked += 1;
+            Op::Check(_) => {
+                let snap = live_ix.snapshot();
+                for (name, components) in [
+                    ("lpr", lpr.components().collect::<Vec<_>>()),
+                    ("live", snap.components().collect()),
+                ] {
+                    built_by_deletes += components.iter().filter(|c| c.filter_bytes() > 0).count();
+                    for c in components {
+                        for it in c.items().unwrap() {
+                            assert!(
+                                c.may_contain(&it, &mut scratch).unwrap(),
+                                "{name} op {step}: stored {it:?} rejected"
+                            );
+                            checked += 1;
+                        }
+                    }
                 }
             }
         }

@@ -9,7 +9,9 @@
 //! sealed batch and all components. These functions are that walk; the
 //! frontends own the state and pass it in (`LprTree` has no sealed
 //! batch and passes `None`). The k-NN counterpart is
-//! [`KnnSearch`](crate::knn::KnnSearch).
+//! [`KnnSearch`](crate::knn::KnnSearch); the write side — slots, merge
+//! plan, drain and install — is
+//! [`components`](crate::dynamic::components).
 
 use crate::dynamic::tombstone::{same_identity, Tombstones};
 use crate::query::QueryStats;

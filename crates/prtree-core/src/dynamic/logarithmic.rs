@@ -9,24 +9,23 @@
 //!
 //! Structure: an in-memory buffer of up to `buffer_cap` items plus
 //! components `T_0, T_1, …` where `T_i` is a bulk-loaded PR-tree of at
-//! most `buffer_cap · 2^i` items. A buffer overflow rebuilds into the
-//! first empty slot `j`, merging the buffer with all of `T_0..T_{j-1}`
-//! (whose combined size always fits, since capacities are geometric).
-//! All slotting/merge/compaction decisions live in the reusable
-//! [`GeometricPolicy`], which the durable `pr-live` index shares.
-//! Deletions are [`Tombstones`] — counted `(id, rect)` identities, so
-//! delete-then-reinsert of the same id is handled correctly — compacted
-//! by a global rebuild once half the stored items are dead. A window
-//! query fans out over the buffer and every component through the
-//! decode-free engine ([`fanout`]: one shared [`QueryScratch`], zero
-//! allocations in steady state) and filters tombstones — each component
-//! is a PR-tree, so the per-component cost keeps the `O(√(N/B) + T/B)`
-//! guarantee, at the price of an `O(log N)` multiplicative fan-out.
+//! most `buffer_cap · 2^i` items. A buffer overflow merges the buffer
+//! with every occupied slot up to the smallest slot that holds them
+//! all: the [`ComponentSet`] plan, drain and install `pr-live` runs too
+//! ([`components`]). Deletions are [`Tombstones`] — counted `(id, rect)`
+//! identities, so delete-then-reinsert of the same id is handled
+//! correctly — compacted by a global rebuild once half the stored items
+//! are dead. A window query fans out over the buffer and every component
+//! through the decode-free engine ([`fanout`]: one shared
+//! [`QueryScratch`], zero allocations in steady state) and filters
+//! tombstones — each component is a PR-tree, so the per-component cost
+//! keeps the `O(√(N/B) + T/B)` guarantee, at the price of an `O(log N)`
+//! multiplicative fan-out.
 
 use crate::bulk::pr::PrTreeLoader;
 use crate::bulk::BulkLoader;
+use crate::dynamic::components::{self, ComponentSet, MergePlan};
 use crate::dynamic::fanout;
-use crate::dynamic::policy::GeometricPolicy;
 use crate::dynamic::tombstone::{same_identity, Tombstones};
 use crate::knn::KnnSearch;
 use crate::params::TreeParams;
@@ -42,9 +41,8 @@ pub struct LprTree<const D: usize> {
     dev: Arc<dyn BlockDevice>,
     params: TreeParams,
     loader: PrTreeLoader,
-    policy: GeometricPolicy,
     buffer: Vec<Item<D>>,
-    components: Vec<Option<RTree<D>>>,
+    components: ComponentSet<RTree<D>>,
     tombstones: Tombstones<D>,
     live: u64,
     rebuilds: u64,
@@ -59,9 +57,8 @@ impl<const D: usize> LprTree<D> {
             dev,
             params,
             loader: PrTreeLoader::default(),
-            policy: GeometricPolicy::new(buffer_cap),
             buffer: Vec::new(),
-            components: Vec::new(),
+            components: ComponentSet::new(buffer_cap),
             tombstones: Tombstones::new(),
             live: 0,
             rebuilds: 0,
@@ -80,13 +77,19 @@ impl<const D: usize> LprTree<D> {
 
     /// Number of non-empty components (the query fan-out).
     pub fn num_components(&self) -> usize {
-        self.components.iter().flatten().count()
+        self.components.len()
     }
 
     /// The components, lowest slot first (read-only, test harness).
     #[doc(hidden)]
     pub fn components(&self) -> impl Iterator<Item = &RTree<D>> {
-        self.components.iter().flatten()
+        self.components.iter()
+    }
+
+    /// `(slot, items)` per component, lowest slot first, dead copies
+    /// counted — the shape of `pr-live`'s `LiveStats::components`.
+    pub fn layout(&self) -> Vec<(usize, u64)> {
+        self.components.layout()
     }
 
     /// How many component rebuilds have happened (amortization metric).
@@ -99,11 +102,6 @@ impl<const D: usize> LprTree<D> {
         &self.dev
     }
 
-    /// The component-management policy in force.
-    pub fn policy(&self) -> &GeometricPolicy {
-        &self.policy
-    }
-
     /// Total tombstones currently recorded (dead items awaiting merge).
     pub fn num_tombstones(&self) -> u64 {
         self.tombstones.total()
@@ -113,8 +111,8 @@ impl<const D: usize> LprTree<D> {
     pub fn insert(&mut self, item: Item<D>) -> Result<(), EmError> {
         self.buffer.push(item);
         self.live += 1;
-        if self.buffer.len() >= self.policy.buffer_cap() {
-            self.flush()?;
+        if self.buffer.len() >= self.components.buffer_cap() {
+            self.merge(self.components.plan(self.buffer.len() as u64))?;
         }
         Ok(())
     }
@@ -129,7 +127,7 @@ impl<const D: usize> LprTree<D> {
         }
         let copies = fanout::count_stored_copies(
             None,
-            self.components.iter().flatten(),
+            self.components.iter(),
             item,
             fanout::FilterBuild::Lazy,
             &mut QueryScratch::new(),
@@ -141,17 +139,11 @@ impl<const D: usize> LprTree<D> {
         self.tombstones.add(item);
         self.live -= 1;
         // Compact once half the stored items are dead.
-        let stored: u64 = self
-            .components
-            .iter()
-            .flatten()
-            .map(|c| c.len())
-            .sum::<u64>();
-        if self
-            .policy
-            .needs_compaction(self.tombstones.total(), stored)
-        {
-            self.rebuild_all()?;
+        if self.components.needs_compaction(self.tombstones.total(), 0) {
+            self.merge(self.components.plan_full())?;
+            // Every tombstone pointed at a stored copy, and every copy
+            // was just drained.
+            debug_assert!(self.tombstones.is_empty(), "tombstone left after rebuild");
         }
         Ok(true)
     }
@@ -176,7 +168,7 @@ impl<const D: usize> LprTree<D> {
         fanout::window_into(
             &self.buffer,
             None,
-            self.components.iter().flatten(),
+            self.components.iter(),
             &self.tombstones,
             query,
             scratch,
@@ -226,8 +218,8 @@ impl<const D: usize> LprTree<D> {
         }
         let mut filter = self.tombstones.filter();
         search.run(
-            self.components.len(),
-            |slot| self.components[slot].as_ref(),
+            self.components.num_slots(),
+            |slot| self.components.get(slot),
             |item| filter.admit(item),
             out,
         )
@@ -235,93 +227,39 @@ impl<const D: usize> LprTree<D> {
 
     /// All live items (test helper; costs a full scan).
     pub fn items(&self) -> Result<Vec<Item<D>>, EmError> {
-        fanout::items(
+        fanout::items(&self.buffer, None, self.components.iter(), &self.tombstones)
+    }
+
+    /// Runs `plan` ([`components`]): the buffer and the plan's inputs are
+    /// drained into one bulk-loaded component in the plan's target slot,
+    /// and the inputs' pages go back to the device.
+    fn merge(&mut self, plan: MergePlan) -> Result<(), EmError> {
+        let mut freed_pages: Vec<BlockId> = Vec::new();
+        for (_, c) in self.components.inputs(&plan) {
+            collect_pages(c, &mut freed_pages)?;
+        }
+        let (items, consumed) = components::drain(
             &self.buffer,
-            None,
-            self.components.iter().flatten(),
+            self.components.inputs(&plan),
             &self.tombstones,
-        )
-    }
-
-    /// Buffer overflow: merge buffer + components `0..j` into slot `j`,
-    /// where `j` is the first empty slot (geometric capacities guarantee
-    /// the fit).
-    fn flush(&mut self) -> Result<(), EmError> {
-        let occupied: Vec<bool> = self.components.iter().map(|c| c.is_some()).collect();
-        let j = self.policy.flush_slot(&occupied);
-        let mut items: Vec<Item<D>> = std::mem::take(&mut self.buffer);
-        // A buffered reinsert whose dead twin sits in a component pays
-        // the tombstone itself (the twin becomes the live copy), as
-        // pr-live's merge does for its sealed batch: aliased copies are
-        // bit-identical, and the two frontends keep one layout.
-        items.retain(|it| !self.tombstones.consume(it));
-        let mut freed_pages: Vec<BlockId> = Vec::new();
-        let merged = j.min(self.components.len());
-        items.reserve(held(&self.components[..merged]));
-        for slot in &mut self.components[..merged] {
-            if let Some(c) = slot.take() {
-                collect_pages(&c, &mut freed_pages)?;
-                // Dead items are dropped during the merge.
-                c.for_each_item(|it| {
-                    if !self.tombstones.consume(&it) {
-                        items.push(it);
-                    }
-                })?;
+            &mut pr_obs::SpanCtx::off(),
+        )?;
+        let merged = match self.components.target(&plan, items.len()) {
+            Some(slot) => {
+                let tree = self
+                    .loader
+                    .load(Arc::clone(&self.dev), self.params, items)?;
+                Some((slot, tree))
             }
-        }
-        debug_assert!(items.len() as u64 <= self.policy.slot_cap(j));
-        if self.components.len() <= j {
-            self.components.resize_with(j + 1, || None);
-        }
-        if !items.is_empty() {
-            let tree = self
-                .loader
-                .load(Arc::clone(&self.dev), self.params, items)?;
-            self.components[j] = Some(tree);
-        }
+            None => None,
+        };
+        self.buffer.clear();
+        self.tombstones.subtract(&consumed);
+        self.components.install(&plan, merged);
         self.dev.discard(&freed_pages);
         self.rebuilds += 1;
         Ok(())
     }
-
-    /// Global compaction: everything into one fresh PR-tree.
-    fn rebuild_all(&mut self) -> Result<(), EmError> {
-        let mut items: Vec<Item<D>> = std::mem::take(&mut self.buffer);
-        let mut freed_pages: Vec<BlockId> = Vec::new();
-        items.reserve(held(&self.components));
-        for slot in &mut self.components {
-            if let Some(c) = slot.take() {
-                collect_pages(&c, &mut freed_pages)?;
-                c.for_each_item(|it| {
-                    if !self.tombstones.consume(&it) {
-                        items.push(it);
-                    }
-                })?;
-            }
-        }
-        // Every tombstone pointed at a component item, and every
-        // component was just drained.
-        debug_assert!(self.tombstones.is_empty(), "tombstone left after rebuild");
-        self.tombstones.clear();
-        self.components.clear();
-        if !items.is_empty() {
-            let j = self.policy.placement_slot(items.len() as u64);
-            self.components.resize_with(j + 1, || None);
-            let tree = self
-                .loader
-                .load(Arc::clone(&self.dev), self.params, items)?;
-            self.components[j] = Some(tree);
-        }
-        self.dev.discard(&freed_pages);
-        self.rebuilds += 1;
-        Ok(())
-    }
-}
-
-/// Items stored in `components`, dead ones included: what a merge of
-/// them can add to its buffer at most.
-fn held<const D: usize>(components: &[Option<RTree<D>>]) -> usize {
-    components.iter().flatten().map(|c| c.len() as usize).sum()
 }
 
 fn collect_pages<const D: usize>(tree: &RTree<D>, out: &mut Vec<BlockId>) -> Result<(), EmError> {
@@ -387,16 +325,14 @@ mod tests {
         for id in 0..300 {
             t.insert(item(id, &mut rng)).unwrap();
         }
-        for (i, slot) in t.components.iter().enumerate() {
-            if let Some(c) = slot {
-                assert!(
-                    c.len() <= t.policy.slot_cap(i),
-                    "component {i} holds {} > cap {}",
-                    c.len(),
-                    t.policy.slot_cap(i)
-                );
-                c.validate().unwrap().assert_ok();
-            }
+        for (i, c) in t.components.occupied() {
+            assert!(
+                c.len() <= t.components.slot_cap(i),
+                "component {i} holds {} > cap {}",
+                c.len(),
+                t.components.slot_cap(i)
+            );
+            c.validate().unwrap().assert_ok();
         }
     }
 
@@ -449,7 +385,7 @@ mod tests {
         }
         // The invariant: at most half the stored items are dead, enforced
         // by at least one compaction during this delete storm.
-        let stored: u64 = t.components.iter().flatten().map(|c| c.len()).sum();
+        let stored: u64 = t.components.iter().map(|c| c.len()).sum();
         assert!(
             t.tombstones.total() * 2 <= stored.max(1),
             "{} tombstones vs {stored} stored",
@@ -503,7 +439,6 @@ mod tests {
         let live_pages: u64 = t
             .components
             .iter()
-            .flatten()
             .map(|c| c.stats().unwrap().num_nodes())
             .sum();
         let resident = dev.resident_bytes() as u64 / params.page_size as u64;
@@ -525,11 +460,7 @@ mod tests {
         }
         assert!(t.buffer.is_empty() && t.num_components() >= 2);
         let filter_bytes = |t: &LprTree<2>| -> Vec<usize> {
-            t.components
-                .iter()
-                .flatten()
-                .map(|c| c.filter_bytes())
-                .collect()
+            t.components.iter().map(|c| c.filter_bytes()).collect()
         };
         assert!(filter_bytes(&t).iter().all(|&b| b == 0), "insert-only");
         assert!(t.delete(&all[0]).unwrap());
@@ -561,7 +492,6 @@ mod tests {
             let apart: u64 = t
                 .components
                 .iter()
-                .flatten()
                 .map(|c| {
                     c.nearest_neighbors_into(&q, 10, &mut scratch, &mut out)
                         .unwrap()

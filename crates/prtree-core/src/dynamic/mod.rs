@@ -10,15 +10,16 @@
 //!   over bulk-loaded PR-tree components, which keeps the query bound at
 //!   the price of a logarithmic component fan-out (§1.2).
 
+pub mod components;
 pub mod fanout;
 pub mod logarithmic;
 pub mod membership;
-pub mod policy;
+mod policy;
 pub mod split;
 pub mod tombstone;
 pub mod update;
 
+pub use components::{Component, ComponentSet, MergePlan};
 pub use logarithmic::LprTree;
-pub use policy::GeometricPolicy;
 pub use split::SplitPolicy;
 pub use tombstone::{same_identity, TombstoneFilter, TombstoneKey, Tombstones};

@@ -1,178 +1,102 @@
-//! The logarithmic method's component-management policy, factored out of
-//! [`crate::dynamic::logarithmic::LprTree`] so any owner of a component
-//! list — the in-memory LPR-tree or the durable `pr-live` index — makes
-//! the same slotting, merging, and compaction decisions.
-//!
-//! Components live in geometric *slots*: slot `i` holds a bulk-loaded
-//! tree of at most `buffer_cap · 2^i` items. A buffer overflow merges the
-//! buffer with every component below the first empty slot `j` and
-//! bulk-loads the union into `j` (the sum of a full buffer and full
-//! slots `0..j` is exactly slot `j`'s capacity). Deletions tombstone;
+//! The slot arithmetic of the external logarithmic method, over the
+//! buffer capacity and the slot sizes, that
+//! [`ComponentSet`](crate::dynamic::ComponentSet) plans every merge by.
+//! Slot `i` holds at most `buffer_cap · 2^i` items. Deletions tombstone;
 //! once the dead outnumber half the stored items a global rebuild
-//! reclaims them — so queries never scan more than 2× the live set and
-//! the amortized analysis of §1.2 is preserved.
+//! reclaims them, so queries never scan more than 2× the live set and
+//! the amortized analysis of §1.2 holds.
 
-/// Slot arithmetic and merge/compaction decisions of the external
-/// logarithmic method. Pure: holds no component state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeometricPolicy {
-    buffer_cap: usize,
+/// Capacity of component slot `i` (`buffer_cap · 2^i`, saturating).
+pub(crate) fn slot_cap(buffer_cap: usize, i: usize) -> u64 {
+    let scale = u32::try_from(i).ok().and_then(|i| 1u64.checked_shl(i));
+    scale.map_or(u64::MAX, |scale| (buffer_cap as u64).saturating_mul(scale))
 }
 
-impl GeometricPolicy {
-    /// A policy for an in-memory buffer of `buffer_cap` items (the
-    /// method's `M`-analogue; clamped to at least 1).
-    pub fn new(buffer_cap: usize) -> Self {
-        GeometricPolicy {
-            buffer_cap: buffer_cap.max(1),
+/// Merge-target selection for an incoming batch of any size
+/// (`sizes[i]` = items in slot `i`, 0 = empty): the smallest slot `t`
+/// such that the batch plus **every occupied slot `0..=t`** (they all
+/// become merge inputs) fits `t`'s capacity. Batches larger than
+/// `buffer_cap` (a late-sealed memtable under write bursts) escalate as
+/// many extra levels as the geometry requires.
+pub(crate) fn merge_target(buffer_cap: usize, sizes: &[u64], incoming: u64) -> usize {
+    let mut t = 0;
+    let mut total = incoming;
+    loop {
+        if t < sizes.len() {
+            total += sizes[t];
         }
-    }
-
-    /// The buffer capacity this policy was built for.
-    pub fn buffer_cap(&self) -> usize {
-        self.buffer_cap
-    }
-
-    /// Capacity of component slot `i` (`buffer_cap · 2^i`, saturating).
-    pub fn slot_cap(&self, i: usize) -> u64 {
-        if i >= 64 {
-            return u64::MAX;
+        // Once t passes the occupied slots, total is fixed while the
+        // capacity keeps doubling — the loop always terminates.
+        if slot_cap(buffer_cap, t) >= total {
+            return t;
         }
-        (self.buffer_cap as u64).saturating_shl(i as u32)
-    }
-
-    /// The slot a buffer overflow rebuilds into: the first empty one.
-    /// Slots `0..j` are the merge inputs; geometric capacities guarantee
-    /// buffer + inputs fit in `j`.
-    pub fn flush_slot(&self, occupied: &[bool]) -> usize {
-        occupied.iter().position(|&o| !o).unwrap_or(occupied.len())
-    }
-
-    /// Merge-target selection for an incoming batch of arbitrary size
-    /// (`sizes[i]` = items in slot `i`, 0 = empty): the smallest slot
-    /// `t` such that the batch plus **every occupied slot `0..=t`**
-    /// (they all become merge inputs) fits `t`'s capacity. For a batch
-    /// of exactly `buffer_cap` this reduces to [`Self::flush_slot`];
-    /// larger batches (a late-sealed memtable under write bursts)
-    /// escalate as many extra levels as the geometry requires.
-    pub fn merge_target(&self, sizes: &[u64], incoming: u64) -> usize {
-        let mut t = 0;
-        let mut total = incoming;
-        loop {
-            if t < sizes.len() {
-                total += sizes[t];
-            }
-            // Once t passes the occupied slots, total is fixed while the
-            // capacity keeps doubling — the loop always terminates.
-            if self.slot_cap(t) >= total {
-                return t;
-            }
-            t += 1;
-        }
-    }
-
-    /// The smallest slot that can hold `n` items (placement after a
-    /// global rebuild).
-    pub fn placement_slot(&self, n: u64) -> usize {
-        let mut j = 0;
-        while self.slot_cap(j) < n {
-            j += 1;
-        }
-        j
-    }
-
-    /// True when enough items are dead that a global rebuild is owed:
-    /// tombstones outnumber half of everything stored in components.
-    pub fn needs_compaction(&self, dead: u64, stored: u64) -> bool {
-        stored > 0 && dead * 2 > stored
+        t += 1;
     }
 }
 
-/// `u64::saturating_shl` is unstable; the policy needs exactly this.
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
+/// The smallest slot that can hold `n` items (placement after a global
+/// rebuild).
+pub(crate) fn placement_slot(buffer_cap: usize, n: u64) -> usize {
+    let mut j = 0;
+    while slot_cap(buffer_cap, j) < n {
+        j += 1;
+    }
+    j
 }
 
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        if self == 0 {
-            return 0;
-        }
-        if shift >= self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << shift
-        }
-    }
+/// True when enough items are dead that a global rebuild is owed:
+/// tombstones outnumber half of everything stored.
+pub(crate) fn needs_compaction(dead: u64, stored: u64) -> bool {
+    stored > 0 && dead * 2 > stored
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynamic::components::ComponentSet;
+    use crate::tree::RTree;
 
     #[test]
     fn slot_caps_are_geometric() {
-        let p = GeometricPolicy::new(8);
-        assert_eq!(p.slot_cap(0), 8);
-        assert_eq!(p.slot_cap(1), 16);
-        assert_eq!(p.slot_cap(5), 256);
-        assert_eq!(p.slot_cap(70), u64::MAX);
+        assert_eq!(slot_cap(8, 0), 8);
+        assert_eq!(slot_cap(8, 1), 16);
+        assert_eq!(slot_cap(8, 5), 256);
+        assert_eq!(slot_cap(8, 70), u64::MAX);
         // Large shifts saturate instead of overflowing.
-        assert_eq!(p.slot_cap(63), u64::MAX);
-    }
-
-    #[test]
-    fn flush_slot_is_first_empty() {
-        let p = GeometricPolicy::new(8);
-        assert_eq!(p.flush_slot(&[]), 0);
-        assert_eq!(p.flush_slot(&[true, true, false, true]), 2);
-        assert_eq!(p.flush_slot(&[true, true]), 2);
-        assert_eq!(p.flush_slot(&[false]), 0);
-    }
-
-    #[test]
-    fn merge_target_matches_flush_slot_for_small_batches() {
-        let p = GeometricPolicy::new(8);
-        // 8 incoming into [8, 16, 0]: first empty slot is 2, 8+8+16=32 ≤ 32.
-        assert_eq!(p.merge_target(&[8, 16, 0], 8), 2);
-        assert_eq!(p.flush_slot(&[true, true, false]), 2);
-        // Empty structure: slot 0 unless the batch is oversized.
-        assert_eq!(p.merge_target(&[], 8), 0);
-        assert_eq!(p.merge_target(&[], 0), 0);
+        assert_eq!(slot_cap(8, 63), u64::MAX);
     }
 
     #[test]
     fn merge_target_escalates_for_oversized_batches() {
-        let p = GeometricPolicy::new(8);
+        // Empty structure: slot 0 unless the batch is oversized.
+        assert_eq!(merge_target(8, &[], 8), 0);
         // 100 incoming into an empty structure: needs slot 4 (cap 128).
-        assert_eq!(p.merge_target(&[], 100), 4);
+        assert_eq!(merge_target(8, &[], 100), 4);
         // 20 incoming into [8, 0, 32]: first empty is 1 (cap 16), union
         // 8+20=28 > 16 → escalate to 2, absorbing the 32 there: 60 > 32
         // → escalate to 3 (cap 64): fits.
-        assert_eq!(p.merge_target(&[8, 0, 32], 20), 3);
+        assert_eq!(merge_target(8, &[8, 0, 32], 20), 3);
     }
 
     #[test]
     fn placement_is_smallest_fitting_slot() {
-        let p = GeometricPolicy::new(8);
-        assert_eq!(p.placement_slot(0), 0);
-        assert_eq!(p.placement_slot(8), 0);
-        assert_eq!(p.placement_slot(9), 1);
-        assert_eq!(p.placement_slot(100), 4); // 8·2^4 = 128
+        assert_eq!(placement_slot(8, 0), 0);
+        assert_eq!(placement_slot(8, 8), 0);
+        assert_eq!(placement_slot(8, 9), 1);
+        assert_eq!(placement_slot(8, 100), 4); // 8·2^4 = 128
     }
 
     #[test]
     fn compaction_triggers_past_half_dead() {
-        let p = GeometricPolicy::new(8);
-        assert!(!p.needs_compaction(0, 0));
-        assert!(!p.needs_compaction(5, 10));
-        assert!(p.needs_compaction(6, 10));
+        assert!(!needs_compaction(0, 0));
+        assert!(!needs_compaction(5, 10));
+        assert!(needs_compaction(6, 10));
         // An empty component set never triggers (nothing to rebuild).
-        assert!(!p.needs_compaction(1, 0));
+        assert!(!needs_compaction(1, 0));
     }
 
     #[test]
     fn cap_is_clamped_to_one() {
-        assert_eq!(GeometricPolicy::new(0).buffer_cap(), 1);
+        assert_eq!(ComponentSet::<RTree<2>>::new(0).buffer_cap(), 1);
     }
 }

@@ -141,28 +141,9 @@ impl<const D: usize> Tombstones<D> {
         self.map.get(&TombstoneKey::of(item)).copied().unwrap_or(0)
     }
 
-    /// Removes one dead copy of `item` (a merge physically dropped it).
-    /// Returns `true` if a tombstone was present and consumed.
-    pub fn consume(&mut self, item: &Item<D>) -> bool {
-        if self.is_empty() {
-            return false; // merges of never-deleted data hash nothing
-        }
-        match self.map.entry(TombstoneKey::of(item)) {
-            Entry::Occupied(mut e) => {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                }
-                self.total -= 1;
-                true
-            }
-            Entry::Vacant(_) => false,
-        }
-    }
-
     /// Subtracts another (consumed) multiset from this one. Used by a
-    /// merge swap: the merge consumed tombstones against its *input
-    /// snapshot*; deletes recorded since then stay in the map.
+    /// merge's install: the drain consumed tombstones against its
+    /// *input snapshot*; deletes recorded since then stay in the map.
     pub fn subtract(&mut self, consumed: &Tombstones<D>) {
         for (key, &n) in &consumed.map {
             if let Entry::Occupied(mut e) = self.map.entry(*key) {
@@ -174,12 +155,6 @@ impl<const D: usize> Tombstones<D> {
                 self.total -= take as u64;
             }
         }
-    }
-
-    /// Drops every tombstone (global rebuild absorbed them all).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.total = 0;
     }
 
     /// Iterates `(key, count)` entries (manifest encode path). Order is
@@ -267,10 +242,11 @@ mod tests {
         assert_eq!(t.count(&item(1, 0.0)), 2);
         // Same id, different rect: distinct key.
         assert_eq!(t.count(&item(1, 9.0)), 0);
-        assert!(t.consume(&item(1, 0.0)));
-        assert_eq!(t.count(&item(1, 0.0)), 1);
-        assert!(t.consume(&item(1, 0.0)));
-        assert!(!t.consume(&item(1, 0.0)));
+        // A merge that dropped both dead copies consumed both.
+        let mut consumed = Tombstones::<2>::new();
+        consumed.add_count(TombstoneKey::of(&item(1, 0.0)), 2);
+        t.subtract(&consumed);
+        assert_eq!(t.count(&item(1, 0.0)), 0);
         assert_eq!(t.total(), 1);
     }
 

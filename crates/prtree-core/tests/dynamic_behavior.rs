@@ -2,11 +2,16 @@
 //! the tombstone-accounting corner cases the id-keyed implementation got
 //! wrong: delete-then-reinsert of the same item id must not let a stale
 //! tombstone shadow the new item, reject its deletion, or skew the
-//! compaction trigger.
+//! compaction trigger — and for the merge plan and drain its
+//! `ComponentSet` shares with `pr-live`.
 
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
-use pr_tree::dynamic::LprTree;
+use pr_obs::SpanCtx;
+use pr_tree::bulk::pr::PrTreeLoader;
+use pr_tree::bulk::BulkLoader;
+use pr_tree::dynamic::components::drain;
+use pr_tree::dynamic::{Component, ComponentSet, LprTree, MergePlan, Tombstones};
 use pr_tree::query::brute_force_window;
 use pr_tree::{QueryScratch, TreeParams};
 use std::sync::Arc;
@@ -274,4 +279,77 @@ fn drain_buffer_helper_flushes() {
     }
     drain_buffer(&mut t, 9000);
     assert!(t.num_components() >= 1);
+}
+
+/// A slot's size without a tree behind it.
+struct Held(u64);
+
+impl Component for Held {
+    fn stored(&self) -> u64 {
+        self.0
+    }
+}
+
+fn slots(sizes: &[u64]) -> ComponentSet<Held> {
+    let mut set = ComponentSet::new(8);
+    for (slot, &n) in sizes.iter().enumerate().filter(|(_, &n)| n > 0) {
+        set.place(slot, Held(n));
+    }
+    set
+}
+
+fn after(set: &ComponentSet<Held>, plan: &MergePlan, target: usize) -> Vec<(usize, Option<u64>)> {
+    let after = set.after_merge(plan, Some(target)).into_iter();
+    after.map(|(slot, c)| (slot, c.map(|c| c.0))).collect()
+}
+
+/// A full batch over full slots lands in the first empty slot; over an
+/// underfull slot it lands where that slot stands: `[1, 2]` + 8 → slot
+/// 1, an occupied slot that is both an input and the target.
+#[test]
+fn a_merge_can_target_one_of_its_inputs() {
+    let full = slots(&[8, 16]);
+    let plan = full.plan(8);
+    assert_eq!(full.target(&plan, 32), Some(2));
+    assert_eq!(after(&full, &plan, 2), [(2, None)]);
+
+    let mut underfull = slots(&[1, 2, 0, 0, 128]);
+    let plan = underfull.plan(8);
+    assert_eq!(underfull.target(&plan, 4), Some(1));
+    assert_eq!(underfull.target(&plan, 0), None, "an all-dead drain");
+    assert_eq!(after(&underfull, &plan, 1), [(1, None), (4, Some(128))]);
+    underfull.install(&plan, Some((1, Held(4))));
+    assert_eq!(underfull.layout(), [(1, 4), (4, 128)]);
+
+    // A global rebuild drains every slot and places by drained size.
+    let plan = underfull.plan_full();
+    assert_eq!(underfull.target(&plan, 100), Some(4));
+    assert!(underfull.after_merge(&plan, None).is_empty());
+    assert!(!underfull.needs_compaction(66, 0) && underfull.needs_compaction(67, 0));
+    assert!(
+        !underfull.needs_compaction(67, 2),
+        "a sealed batch counts as stored"
+    );
+}
+
+/// The drain reads the loose batch first, so a reinsert whose dead twin
+/// is stored consumes the tombstone and the stored copy survives.
+#[test]
+fn a_drained_reinsert_consumes_its_tombstone() {
+    let (dead, fresh, other) = (item(1, 0.0), item(2, 5.0), item(3, 9.0));
+    let params = TreeParams::with_cap::<2>(8);
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+    let tree = PrTreeLoader::default()
+        .load(dev, params, vec![dead, other])
+        .unwrap();
+    let mut tombstones = Tombstones::new();
+    tombstones.add(&dead);
+    let inputs = [(3, &tree)].into_iter();
+    let (items, consumed) =
+        drain(&[dead, fresh], inputs, &tombstones, &mut SpanCtx::off()).unwrap();
+    assert_eq!(items[0], fresh, "the reinsert was dropped");
+    let mut stored = items[1..].to_vec();
+    stored.sort_by_key(|i| i.id);
+    assert_eq!(stored, [dead, other], "its stored twin survives");
+    assert_eq!((consumed.total(), consumed.count(&dead)), (1, 1));
 }

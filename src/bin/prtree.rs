@@ -127,7 +127,8 @@ fn usage() {
          \x20       metrics registry (one formatter). --json emits the registry\n\
          \x20       snapshot + lifecycle events + the slow-op flight recorder as\n\
          \x20       one JSON document; live dirs add an \"index\" summary (write\n\
-         \x20       amp, garbage, arena allocs) and the per-run \"store_runs\"\n\
+         \x20       amp, garbage, arena allocs, \"components\": [{{slot, items}}])\n\
+         \x20       and the per-run \"store_runs\"\n\
          \x20       layout (stable id + byte offset + pages — unchanged pairs\n\
          \x20       across commits prove in-place page reuse)\n\
          \x20 events DIR [--limit N] [--since SEQ] [--json]\n\
@@ -1363,8 +1364,15 @@ fn cmd_stats(args: &[String]) -> i32 {
                 .u64("num_pages", r.num_pages);
             runs.push_raw(o.finish());
         }
+        let mut components = pr_obs::json::JsonArr::new();
+        for &(slot, items) in &s.components {
+            let mut o = pr_obs::json::JsonObj::new();
+            o.u64("slot", slot as u64).u64("items", items);
+            components.push_raw(o.finish());
+        }
         let mut live = pr_obs::json::JsonObj::new();
         live.u64("live", s.live)
+            .raw("components", &components.finish())
             .u64("tombstones", s.tombstones)
             .u64("filter_bytes", s.filter_bytes)
             .u64("store_epoch", s.store_epoch)
