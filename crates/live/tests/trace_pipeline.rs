@@ -1,8 +1,8 @@
 //! Pins the background/write trace shapes: with 1-in-1 sampling, the
 //! ingest pipeline publishes `write`, `merge`, `compaction`, and
 //! `wal_replay` traces whose spans cover all four layers (live, em,
-//! tree, store) — the contract `prtree trace` and the CI roundtrip
-//! validation build on.
+//! tree, store) — the contract `prtree ingest --trace-file` and the CI
+//! roundtrip validation build on.
 
 use pr_geom::{Item, Rect};
 use pr_live::{LiveIndex, LiveOptions};

@@ -39,13 +39,13 @@
 //!
 //! # Consumers
 //!
-//! * `prtree query/knn --explain` — installs a `Collector`, forces a
-//!   trace on one query, and prints the per-level profile (cross-checked
-//!   exactly against `QueryStats`).
+//! * `prtree query/knn --explain` — installs a `Collector`, samples
+//!   1-in-1 for one query, and prints the per-level profile
+//!   (cross-checked exactly against `QueryStats`).
 //! * `prtree slow [--json]` / `stats --json` — the flight recorder.
-//! * `prtree trace` / `ingest --trace-file` — [`chrome_trace_json`],
-//!   a Chrome-trace-event JSON export that opens in `about://tracing`
-//!   or Perfetto.
+//! * `prtree ingest --trace-file` — [`chrome_trace_json`], a
+//!   Chrome-trace-event JSON export that opens in `about://tracing` or
+//!   Perfetto (`--n 0 --flush` captures just open + replay + flush).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
