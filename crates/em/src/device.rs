@@ -7,7 +7,7 @@
 //! the same algorithms run unchanged against a real file.
 
 use crate::error::EmError;
-use crate::fault::{self, Decision, OpClass, Realm};
+use crate::fault::{self, Decision, OpClass};
 use crate::stats::{IoCounters, IoStats};
 use crate::Result;
 #[cfg(not(unix))]
@@ -166,17 +166,15 @@ impl PositionedFile {
     /// regions read as zeros, mirroring zero-initialized allocation).
     /// `EINTR` is retried with bounded backoff.
     pub fn read_exact_or_zero_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        retry_io(
-            || match fault::on_op(Realm::File, OpClass::Read, buf.len()) {
-                Decision::Proceed => self.read_exact_or_zero_at_impl(buf, offset),
-                Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
-                Decision::FlipBit { bit } => {
-                    self.read_exact_or_zero_at_impl(buf, offset)?;
-                    fault::flip_bit(buf, bit);
-                    Ok(())
-                }
-            },
-        )
+        retry_io(|| match fault::on_op(OpClass::Read, buf.len()) {
+            Decision::Proceed => self.read_exact_or_zero_at_impl(buf, offset),
+            Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
+            Decision::FlipBit { bit } => {
+                self.read_exact_or_zero_at_impl(buf, offset)?;
+                fault::flip_bit(buf, bit);
+                Ok(())
+            }
+        })
     }
 
     fn read_exact_or_zero_at_impl(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
@@ -215,23 +213,21 @@ impl PositionedFile {
     /// Writes all of `buf` at byte `offset`. `EINTR` is retried with
     /// bounded backoff.
     pub fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
-        retry_io(
-            || match fault::on_op(Realm::File, OpClass::Write, buf.len()) {
-                Decision::Proceed => self.write_all_at_impl(buf, offset),
-                Decision::Fail(e) => Err(e.to_io_error()),
-                Decision::Torn { keep, errno } => {
-                    // The short-write-then-fail shape: a strict prefix
-                    // reaches the file before the error surfaces.
-                    let _ = self.write_all_at_impl(&buf[..keep], offset);
-                    Err(errno.to_io_error())
-                }
-                Decision::FlipBit { bit } => {
-                    let mut copy = buf.to_vec();
-                    fault::flip_bit(&mut copy, bit);
-                    self.write_all_at_impl(&copy, offset)
-                }
-            },
-        )
+        retry_io(|| match fault::on_op(OpClass::Write, buf.len()) {
+            Decision::Proceed => self.write_all_at_impl(buf, offset),
+            Decision::Fail(e) => Err(e.to_io_error()),
+            Decision::Torn { keep, errno } => {
+                // The short-write-then-fail shape: a strict prefix
+                // reaches the file before the error surfaces.
+                let _ = self.write_all_at_impl(&buf[..keep], offset);
+                Err(errno.to_io_error())
+            }
+            Decision::FlipBit { bit } => {
+                let mut copy = buf.to_vec();
+                fault::flip_bit(&mut copy, bit);
+                self.write_all_at_impl(&copy, offset)
+            }
+        })
     }
 
     fn write_all_at_impl(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
@@ -261,7 +257,7 @@ impl PositionedFile {
     /// concatenation.
     pub fn write_all_vectored_at(&self, bufs: &[&[u8]], offset: u64) -> std::io::Result<()> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
-        retry_io(|| match fault::on_op(Realm::File, OpClass::Write, total) {
+        retry_io(|| match fault::on_op(OpClass::Write, total) {
             Decision::Proceed => self.write_all_vectored_at_impl(bufs, offset),
             Decision::Fail(e) => Err(e.to_io_error()),
             Decision::Torn { keep, errno } => {
@@ -362,7 +358,7 @@ impl PositionedFile {
     /// Forces written data (and metadata needed to read it back) to disk.
     pub fn sync_data(&self) -> std::io::Result<()> {
         crate::obs::metrics().device_fsyncs.inc();
-        retry_io(|| match fault::on_op(Realm::File, OpClass::Fsync, 0) {
+        retry_io(|| match fault::on_op(OpClass::Fsync, 0) {
             Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
             _ => self.sync_data_impl(),
         })
@@ -384,7 +380,7 @@ impl PositionedFile {
     /// record reaching the file, not a later superblock flip.
     pub fn sync_all(&self) -> std::io::Result<()> {
         crate::obs::metrics().device_fsyncs.inc();
-        retry_io(|| match fault::on_op(Realm::File, OpClass::Fsync, 0) {
+        retry_io(|| match fault::on_op(OpClass::Fsync, 0) {
             Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
             _ => self.sync_all_impl(),
         })
@@ -406,7 +402,7 @@ impl PositionedFile {
     /// later appends land on a clean boundary. Faultable as its own
     /// [`OpClass::Trunc`] class (a full disk fails writes, not shrinks).
     pub fn set_len(&self, len: u64) -> std::io::Result<()> {
-        retry_io(|| match fault::on_op(Realm::File, OpClass::Trunc, 0) {
+        retry_io(|| match fault::on_op(OpClass::Trunc, 0) {
             Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
             _ => self.set_len_impl(len),
         })
@@ -623,7 +619,7 @@ impl Mmap {
 /// non-unix platforms this is a best-effort no-op (the rename itself is
 /// still atomic; only its crash-durability ordering is weaker).
 pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    retry_io(|| match fault::on_op(Realm::File, OpClass::Fsync, 0) {
+    retry_io(|| match fault::on_op(OpClass::Fsync, 0) {
         Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
         _ => fsync_dir_impl(dir),
     })
@@ -698,13 +694,6 @@ impl BlockDevice for MemDevice {
                 want: self.block_size,
             });
         }
-        let flip = match fault::on_op(Realm::Mem, OpClass::Read, buf.len()) {
-            Decision::Proceed => None,
-            Decision::Fail(e) | Decision::Torn { errno: e, .. } => {
-                return Err(EmError::Io(e.to_io_error()))
-            }
-            Decision::FlipBit { bit } => Some(bit),
-        };
         let blocks = self.blocks.read();
         let slot = blocks.get(block as usize).ok_or(EmError::BlockOutOfRange {
             block,
@@ -715,9 +704,6 @@ impl BlockDevice for MemDevice {
             .ok_or_else(|| EmError::Corrupt(format!("read of discarded block {block}")))?;
         buf.copy_from_slice(src);
         drop(blocks);
-        if let Some(bit) = flip {
-            fault::flip_bit(buf, bit);
-        }
         self.counters.add_reads(1);
         Ok(())
     }
@@ -725,13 +711,9 @@ impl BlockDevice for MemDevice {
     fn with_block(
         &self,
         block: BlockId,
-        scratch: &mut Vec<u8>,
+        _scratch: &mut Vec<u8>,
         f: &mut dyn FnMut(&[u8]),
     ) -> Result<()> {
-        let decision = fault::on_op(Realm::Mem, OpClass::Read, self.block_size);
-        if let Decision::Fail(e) | Decision::Torn { errno: e, .. } = decision {
-            return Err(EmError::Io(e.to_io_error()));
-        }
         // Zero-copy: hand out the stored block under a *read* lock (any
         // number of concurrent readers) instead of memcpy-ing a page the
         // caller will only read once.
@@ -743,14 +725,7 @@ impl BlockDevice for MemDevice {
         let src = slot
             .as_ref()
             .ok_or_else(|| EmError::Corrupt(format!("read of discarded block {block}")))?;
-        if let Decision::FlipBit { bit } = decision {
-            scratch.clear();
-            scratch.extend_from_slice(src);
-            fault::flip_bit(scratch, bit);
-            f(scratch);
-        } else {
-            f(src);
-        }
+        f(src);
         drop(blocks);
         self.counters.add_reads(1);
         Ok(())
@@ -763,41 +738,14 @@ impl BlockDevice for MemDevice {
                 want: self.block_size,
             });
         }
-        let decision = fault::on_op(Realm::Mem, OpClass::Write, buf.len());
-        if let Decision::Fail(e) = decision {
-            return Err(EmError::Io(e.to_io_error()));
-        }
         let mut blocks = self.blocks.write();
         let len = blocks.len() as u64;
         let slot = blocks
             .get_mut(block as usize)
             .ok_or(EmError::BlockOutOfRange { block, len })?;
-        match decision {
-            Decision::Torn { keep, errno } => {
-                // A prefix lands, then the write fails — same shape a
-                // file-backed short write leaves on disk.
-                match slot {
-                    Some(dst) => dst[..keep].copy_from_slice(&buf[..keep]),
-                    None => {
-                        let mut fresh = vec![0u8; self.block_size];
-                        fresh[..keep].copy_from_slice(&buf[..keep]);
-                        *slot = Some(fresh.into_boxed_slice());
-                    }
-                }
-                return Err(EmError::Io(errno.to_io_error()));
-            }
-            Decision::FlipBit { bit } => {
-                let mut copy = buf.to_vec();
-                fault::flip_bit(&mut copy, bit);
-                match slot {
-                    Some(dst) => dst.copy_from_slice(&copy),
-                    None => *slot = Some(copy.into_boxed_slice()),
-                }
-            }
-            _ => match slot {
-                Some(dst) => dst.copy_from_slice(buf),
-                None => *slot = Some(buf.to_vec().into_boxed_slice()),
-            },
+        match slot {
+            Some(dst) => dst.copy_from_slice(buf),
+            None => *slot = Some(buf.to_vec().into_boxed_slice()),
         }
         drop(blocks);
         self.counters.add_writes(1);

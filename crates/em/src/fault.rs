@@ -1,14 +1,14 @@
 //! Deterministic, seed-driven I/O fault injection.
 //!
 //! Every file-backed I/O primitive in this crate ([`crate::PositionedFile`]
-//! reads/writes/fsyncs/truncates, [`crate::fsync_dir`], the
-//! [`crate::MemDevice`] block ops, and the store's mapped reads via
-//! [`mapped_read`]) carries a **probe**: one relaxed atomic load when no
-//! schedule is installed and a cold slow path when one is. A [`FaultSchedule`] is
-//! installed process-wide (test-only by convention: [`install`] returns a
-//! guard that disarms on drop, and [`exclusive`] serializes hook-using
-//! tests), numbers the matching ops `0, 1, 2, …` in execution order, and
-//! fires programmed faults at exact indices:
+//! reads/writes/fsyncs/truncates, [`crate::fsync_dir`], and the store's
+//! mapped reads via [`mapped_read`]) carries a **probe**: one relaxed
+//! atomic load when no schedule is installed and a cold slow path when one
+//! is. A [`FaultSchedule`] is installed process-wide (test-only by
+//! convention: [`install`] returns a guard that disarms on drop, and
+//! [`exclusive`] serializes hook-using tests), numbers the probed ops
+//! `0, 1, 2, …` in execution order, and fires programmed faults at exact
+//! indices:
 //!
 //! * **errno** — the op fails with a chosen OS error (EIO, ENOSPC,
 //!   EINTR) without touching the file,
@@ -21,15 +21,22 @@
 //! Determinism is the point: the same `(schedule, workload)` pair always
 //! fires at the same op, so a torture sweep can count a trace's total I/O
 //! ops with [`FaultSchedule::count_only`] and then replay "fail exactly
-//! op K" for every K. The op counter only advances for ops the schedule's
-//! realm filter admits (`include_mem`), applied *before* the count, so
-//! in-memory device traffic never perturbs a file-op sweep's indices.
+//! op K" for every K.
+//!
+//! **Marks** name a phase instead of an op: higher layers call
+//! [`mark`]`("merge.swap")` where a phase is about to start. A mark costs
+//! the same one relaxed load as a probe when disarmed, never advances the
+//! op counter, and is counted per name ([`mark_hits`]), so a sweep can
+//! also visit every mark hit. [`FaultSchedule::die_at`] latches on the
+//! `nth` hit of a name: that `mark` call fails with EIO, and so does every
+//! op and mark after it — a simulated power cut at a named point.
 //!
 //! The schedule can also deny mmap ([`FaultSchedule::deny_mmap`]):
 //! [`crate::PositionedFile::map_readonly`] then reports `None`, forcing
 //! every consumer through the positioned-read fallback path — that is how
 //! the zero-copy corruption battery re-runs bit-identically without a
-//! mapping.
+//! mapping. In-memory devices carry no probe; wrap one in a
+//! [`FaultDevice`] to fault it.
 
 use crate::device::{BlockDevice, BlockId};
 use crate::error::EmError;
@@ -54,17 +61,6 @@ pub enum OpClass {
     /// on a full disk in reality and which error-recovery paths (WAL
     /// rollback) rely on.
     Trunc,
-}
-
-/// Which backend an op runs against. The realm filter is applied before
-/// the op counter advances, so excluded realms are invisible to indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Realm {
-    /// Real-file I/O ([`crate::PositionedFile`], [`crate::FileDevice`],
-    /// mapped reads, directory fsyncs).
-    File,
-    /// [`crate::MemDevice`] block ops (excluded by default).
-    Mem,
 }
 
 /// The OS error an injected failure surfaces as.
@@ -97,25 +93,37 @@ pub enum FaultKind {
     /// Fail outright with the errno; the file is untouched.
     Errno(Errno),
     /// Write a seed-derived strict prefix of the buffer, then fail with
-    /// the errno. On non-write ops this degrades to [`FaultKind::Errno`].
+    /// the errno. On non-write ops (and at a mark) this degrades to
+    /// [`FaultKind::Errno`].
     TornWrite(Errno),
     /// Let the op proceed but silently flip one seed-derived bit of the
-    /// payload. On length-less ops (fsync) this degrades to a no-op.
+    /// payload. On length-less ops (fsync, marks) this degrades to a
+    /// no-op.
     BitFlip,
 }
 
-/// One programmed fault: fire on the first op at-or-after `at_op` that
-/// matches `class` (once, or on every such op when `sticky`).
+/// Where a [`FaultSpec`] arms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum At {
+    /// The first matching op at or after this op index.
+    Op(u64),
+    /// The `nth` (0-based) call of [`mark`] with this name: that call
+    /// fails; a sticky spec then also fails every later op and mark.
+    Mark(&'static str, u64),
+}
+
+/// One programmed fault: fire where `at` says, on ops matching `class`
+/// (once, or on every such op from then on when `sticky`).
 #[derive(Debug, Clone, Copy)]
 pub struct FaultSpec {
-    /// The op index (within the schedule's counted realm) to arm at.
-    pub at_op: u64,
+    /// The op index or mark hit to arm at.
+    pub at: At,
     /// Restrict to one op class; `None` matches any.
     pub class: Option<OpClass>,
     /// What to do when firing.
     pub kind: FaultKind,
     /// `false`: one-shot (fires exactly once). `true`: fires on every
-    /// matching op from `at_op` on — e.g. a full disk that stays full.
+    /// matching op from `at` on — e.g. a full disk that stays full.
     pub sticky: bool,
 }
 
@@ -127,64 +135,52 @@ pub struct FaultSchedule {
     pub seed: u64,
     /// The programmed faults.
     pub faults: Vec<FaultSpec>,
-    /// Count (and allow faulting) [`Realm::Mem`] ops too.
-    pub include_mem: bool,
     /// Make [`crate::PositionedFile::map_readonly`] report `None`,
     /// forcing the positioned-read fallback everywhere.
     pub deny_mmap: bool,
 }
 
 impl FaultSchedule {
-    /// No faults: just count file-realm ops (a sweep's measuring pass).
+    /// No faults: just count ops and mark hits (a sweep's measuring
+    /// pass, or the probe's armed-but-inert case).
     pub fn count_only(seed: u64) -> Self {
         FaultSchedule {
             seed,
             faults: Vec::new(),
-            include_mem: false,
             deny_mmap: false,
         }
     }
 
-    /// Armed but inert — the probe's worst honest case: every op
-    /// takes the slow path (counter bump + spec scan) and none fires.
-    pub fn never(include_mem: bool) -> Self {
+    fn one(seed: u64, at: At, class: Option<OpClass>, kind: FaultKind, sticky: bool) -> Self {
+        let spec = FaultSpec {
+            at,
+            class,
+            kind,
+            sticky,
+        };
         FaultSchedule {
-            seed: 0,
-            faults: Vec::new(),
-            include_mem,
-            deny_mmap: false,
+            faults: vec![spec],
+            ..FaultSchedule::count_only(seed)
         }
     }
 
     /// One one-shot fault at op `at_op`.
     pub fn fail_op(seed: u64, at_op: u64, class: Option<OpClass>, kind: FaultKind) -> Self {
-        FaultSchedule {
-            seed,
-            faults: vec![FaultSpec {
-                at_op,
-                class,
-                kind,
-                sticky: false,
-            }],
-            include_mem: false,
-            deny_mmap: false,
-        }
+        FaultSchedule::one(seed, At::Op(at_op), class, kind, false)
     }
 
     /// A sticky fault from op `at_op` on (a disk that stays broken/full
     /// until the schedule is cleared).
     pub fn sticky(seed: u64, at_op: u64, class: Option<OpClass>, kind: FaultKind) -> Self {
-        FaultSchedule {
-            seed,
-            faults: vec![FaultSpec {
-                at_op,
-                class,
-                kind,
-                sticky: true,
-            }],
-            include_mem: false,
-            deny_mmap: false,
-        }
+        FaultSchedule::one(seed, At::Op(at_op), class, kind, true)
+    }
+
+    /// A power cut at the `nth` (0-based) hit of mark `name`: that
+    /// [`mark`] call returns EIO, and every op and mark after it fails
+    /// with EIO until the schedule is cleared.
+    pub fn die_at(name: &'static str, nth: u64) -> Self {
+        let eio = FaultKind::Errno(Errno::Eio);
+        FaultSchedule::one(0, At::Mark(name, nth), None, eio, true)
     }
 
     /// Builder: deny mmap so every read takes the positioned fallback.
@@ -214,12 +210,15 @@ pub enum Decision {
 /// instances back the explicit [`FaultDevice`] wrapper.
 pub struct Injector {
     sched: FaultSchedule,
-    /// One latch per spec: one-shot specs set it on fire.
+    /// One latch per spec: set when a one-shot op spec fires, or when a
+    /// mark spec's hit is reached.
     fired: Vec<AtomicBool>,
-    /// Ops counted so far (realm-filtered).
+    /// Ops counted so far.
     ops: AtomicU64,
     /// Faults actually fired.
     injected: AtomicU64,
+    /// Hits per mark name, in first-hit order.
+    marks: Mutex<Vec<(&'static str, u64)>>,
 }
 
 impl Injector {
@@ -231,43 +230,70 @@ impl Injector {
                 .collect(),
             ops: AtomicU64::new(0),
             injected: AtomicU64::new(0),
+            marks: Mutex::new(Vec::new()),
             sched,
         }
     }
 
-    /// Counts the op (realm permitting) and returns its verdict.
-    pub fn decide(&self, realm: Realm, class: OpClass, len: usize) -> Decision {
-        // Realm filter BEFORE the counter: excluded-realm ops must not
-        // consume indices, or mem-device traffic would shift a file
-        // sweep.
-        if realm == Realm::Mem && !self.sched.include_mem {
-            return Decision::Proceed;
-        }
+    /// Counts the op and returns its verdict.
+    pub fn decide(&self, class: OpClass, len: usize) -> Decision {
         let idx = self.ops.fetch_add(1, Ordering::Relaxed);
         for (i, spec) in self.sched.faults.iter().enumerate() {
-            if let Some(c) = spec.class {
-                if c != class {
-                    continue;
-                }
-            }
-            if idx < spec.at_op {
+            if spec.class.is_some_and(|c| c != class) {
                 continue;
             }
-            if !spec.sticky && self.fired[i].swap(true, Ordering::Relaxed) {
-                continue; // one-shot already consumed
+            let armed = match spec.at {
+                At::Op(at) => {
+                    idx >= at && (spec.sticky || !self.fired[i].swap(true, Ordering::Relaxed))
+                }
+                // Latched by its mark; only a sticky spec outlives it.
+                At::Mark(..) => spec.sticky && self.fired[i].load(Ordering::Relaxed),
+            };
+            if !armed {
+                continue;
             }
             let decision = decide(spec, self.sched.seed, idx, class, len);
             if decision != Decision::Proceed {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                crate::obs::metrics().faults_injected.inc();
-                pr_obs::events().emit(
-                    "fault_injected",
-                    format!("op={idx} class={class:?} kind={:?}", spec.kind),
-                );
+                self.note_injected(format!("op={idx} class={class:?} kind={:?}", spec.kind));
             }
             return decision;
         }
         Decision::Proceed
+    }
+
+    /// Counts a hit of mark `name` and fails it if a mark spec latches
+    /// here or a sticky one latched earlier. Never counts an op.
+    fn hit(&self, name: &'static str) -> std::io::Result<()> {
+        let nth = {
+            let mut marks = self.marks.lock();
+            let i = marks.iter().position(|&(n, _)| n == name);
+            let i = i.unwrap_or_else(|| {
+                marks.push((name, 0));
+                marks.len() - 1
+            });
+            marks[i].1 += 1;
+            marks[i].1 - 1
+        };
+        for (i, spec) in self.sched.faults.iter().enumerate() {
+            let At::Mark(at, k) = spec.at else { continue };
+            let fires = if (at, k) == (name, nth) {
+                self.fired[i].store(true, Ordering::Relaxed);
+                true
+            } else {
+                spec.sticky && self.fired[i].load(Ordering::Relaxed)
+            };
+            if let (true, FaultKind::Errno(e) | FaultKind::TornWrite(e)) = (fires, spec.kind) {
+                self.note_injected(format!("mark={name}#{nth} kind={:?}", spec.kind));
+                return Err(e.to_io_error());
+            }
+        }
+        Ok(())
+    }
+
+    fn note_injected(&self, detail: String) {
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        crate::obs::metrics().faults_injected.inc();
+        pr_obs::events().emit("fault_injected", detail);
     }
 
     /// Ops counted so far.
@@ -319,18 +345,21 @@ pub fn clear() {
 
 /// Ops counted under the current schedule (0 when none).
 pub fn op_count() -> u64 {
-    active()
-        .read()
-        .as_ref()
-        .map_or(0, |a| a.ops.load(Ordering::Relaxed))
+    active().read().as_ref().map_or(0, |a| a.op_count())
 }
 
 /// Faults fired under the current schedule (0 when none).
 pub fn injected_count() -> u64 {
+    active().read().as_ref().map_or(0, |a| a.injected_count())
+}
+
+/// Hits per mark name under the current schedule, in first-hit order
+/// (empty when none).
+pub fn mark_hits() -> Vec<(&'static str, u64)> {
     active()
         .read()
         .as_ref()
-        .map_or(0, |a| a.injected.load(Ordering::Relaxed))
+        .map_or_else(Vec::new, |a| a.marks.lock().clone())
 }
 
 /// True while the installed schedule denies mmap.
@@ -350,19 +379,38 @@ pub fn exclusive() -> MutexGuard<'static, ()> {
 /// The probe every hooked primitive calls: a single relaxed load when
 /// disarmed (the release-mode cost), the cold path otherwise.
 #[inline]
-pub fn on_op(realm: Realm, class: OpClass, len: usize) -> Decision {
+pub fn on_op(class: OpClass, len: usize) -> Decision {
     if !ARMED.load(Ordering::Relaxed) {
         return Decision::Proceed;
     }
-    on_op_slow(realm, class, len)
+    on_op_slow(class, len)
 }
 
 #[cold]
-fn on_op_slow(realm: Realm, class: OpClass, len: usize) -> Decision {
-    let guard = active().read();
-    match guard.as_ref() {
-        Some(a) => a.decide(realm, class, len),
+fn on_op_slow(class: OpClass, len: usize) -> Decision {
+    match active().read().as_ref() {
+        Some(a) => a.decide(class, len),
         None => Decision::Proceed,
+    }
+}
+
+/// Names the phase about to start. Disarmed, a single relaxed load that
+/// returns `Ok`; armed, it counts a hit of `name` (not an op) and returns
+/// the EIO of a [`FaultSchedule::die_at`] that latches here or latched
+/// earlier. Call it as `fault::mark("merge.swap")?`.
+#[inline]
+pub fn mark(name: &'static str) -> std::io::Result<()> {
+    if !ARMED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    mark_slow(name)
+}
+
+#[cold]
+fn mark_slow(name: &'static str) -> std::io::Result<()> {
+    match active().read().as_ref() {
+        Some(a) => a.hit(name),
+        None => Ok(()),
     }
 }
 
@@ -412,7 +460,7 @@ pub fn mapped_read<'a>(bytes: &'a [u8], scratch: &'a mut Vec<u8>) -> std::io::Re
     if !ARMED.load(Ordering::Relaxed) {
         return Ok(bytes);
     }
-    match on_op_slow(Realm::File, OpClass::Read, bytes.len()) {
+    match on_op_slow(OpClass::Read, bytes.len()) {
         Decision::Proceed => Ok(bytes),
         Decision::Fail(e) | Decision::Torn { errno: e, .. } => Err(e.to_io_error()),
         Decision::FlipBit { bit } => {
@@ -436,8 +484,8 @@ pub(crate) fn flip_bit(buf: &mut [u8], bit: u64) {
 
 /// A [`BlockDevice`] wrapper carrying its own injector: every block op
 /// consults the instance schedule before delegating. Works over any
-/// backend (the realm is always [`Realm::File`] from the schedule's
-/// point of view — the wrapper *is* the explicitly faulted device).
+/// backend, and is the one way to fault an in-memory device. Marks go to
+/// the process-wide hook only, so a [`At::Mark`] spec never latches here.
 pub struct FaultDevice<D: BlockDevice> {
     inner: D,
     inj: Injector,
@@ -477,7 +525,7 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     }
 
     fn read_block(&self, block: BlockId, buf: &mut [u8]) -> crate::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Read, buf.len()) {
+        match self.inj.decide(OpClass::Read, buf.len()) {
             Decision::Proceed => self.inner.read_block(block, buf),
             Decision::Fail(e) | Decision::Torn { errno: e, .. } => {
                 Err(EmError::Io(e.to_io_error()))
@@ -496,10 +544,7 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
         scratch: &mut Vec<u8>,
         f: &mut dyn FnMut(&[u8]),
     ) -> crate::Result<()> {
-        match self
-            .inj
-            .decide(Realm::File, OpClass::Read, self.inner.block_size())
-        {
+        match self.inj.decide(OpClass::Read, self.inner.block_size()) {
             Decision::Proceed => self.inner.with_block(block, scratch, f),
             Decision::Fail(e) | Decision::Torn { errno: e, .. } => {
                 Err(EmError::Io(e.to_io_error()))
@@ -515,7 +560,7 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     }
 
     fn write_block(&self, block: BlockId, buf: &[u8]) -> crate::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Write, buf.len()) {
+        match self.inj.decide(OpClass::Write, buf.len()) {
             Decision::Proceed => self.inner.write_block(block, buf),
             Decision::Fail(e) => Err(EmError::Io(e.to_io_error())),
             Decision::Torn { keep, errno } => {
@@ -543,7 +588,7 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     }
 
     fn sync(&self) -> crate::Result<()> {
-        match self.inj.decide(Realm::File, OpClass::Fsync, 0) {
+        match self.inj.decide(OpClass::Fsync, 0) {
             Decision::Fail(e) | Decision::Torn { errno: e, .. } => {
                 Err(EmError::Io(e.to_io_error()))
             }
@@ -560,23 +605,52 @@ mod tests {
     fn disarmed_probe_proceeds_and_counts_nothing() {
         let _x = exclusive();
         clear();
-        assert_eq!(on_op(Realm::File, OpClass::Read, 64), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Read, 64), Decision::Proceed);
         assert_eq!(op_count(), 0);
     }
 
     #[test]
-    fn count_only_counts_file_ops_and_filters_mem() {
+    fn count_only_counts_every_op() {
         let _x = exclusive();
         let _g = install(FaultSchedule::count_only(1));
         for _ in 0..5 {
-            assert_eq!(on_op(Realm::File, OpClass::Write, 8), Decision::Proceed);
-        }
-        // Mem ops are invisible: no count, no index consumed.
-        for _ in 0..7 {
-            assert_eq!(on_op(Realm::Mem, OpClass::Read, 8), Decision::Proceed);
+            assert_eq!(on_op(OpClass::Write, 8), Decision::Proceed);
         }
         assert_eq!(op_count(), 5);
         assert_eq!(injected_count(), 0);
+    }
+
+    #[test]
+    fn disarmed_mark_passes_and_counts_nothing() {
+        let _x = exclusive();
+        clear();
+        mark("phase").unwrap();
+        assert_eq!((op_count(), injected_count()), (0, 0));
+        assert!(mark_hits().is_empty());
+    }
+
+    #[test]
+    fn die_at_fires_on_the_nth_hit_then_fails_every_op() {
+        let _x = exclusive();
+        let _g = install(FaultSchedule::die_at("phase", 1));
+        assert_eq!(on_op(OpClass::Write, 8), Decision::Proceed);
+        mark("phase").unwrap(); // hit 0 passes
+        mark("other").unwrap();
+        assert_eq!(op_count(), 1, "marks are not ops");
+        let err = mark("phase").unwrap_err(); // hit 1: the power cut
+        assert_eq!(err.raw_os_error(), Some(5));
+        assert_eq!(mark_hits(), [("phase", 2), ("other", 1)]);
+        for class in [
+            OpClass::Read,
+            OpClass::Write,
+            OpClass::Fsync,
+            OpClass::Trunc,
+        ] {
+            assert_eq!(on_op(class, 8), Decision::Fail(Errno::Eio), "{class:?}");
+        }
+        assert_eq!(mark("other").unwrap_err().raw_os_error(), Some(5));
+        assert_eq!(op_count(), 5);
+        assert_eq!(injected_count(), 6);
     }
 
     #[test]
@@ -588,13 +662,10 @@ mod tests {
             None,
             FaultKind::Errno(Errno::Eio),
         ));
-        assert_eq!(on_op(Realm::File, OpClass::Read, 8), Decision::Proceed);
-        assert_eq!(on_op(Realm::File, OpClass::Write, 8), Decision::Proceed);
-        assert_eq!(
-            on_op(Realm::File, OpClass::Fsync, 0),
-            Decision::Fail(Errno::Eio)
-        );
-        assert_eq!(on_op(Realm::File, OpClass::Read, 8), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Read, 8), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Write, 8), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Fsync, 0), Decision::Fail(Errno::Eio));
+        assert_eq!(on_op(OpClass::Read, 8), Decision::Proceed);
         assert_eq!(injected_count(), 1);
     }
 
@@ -607,12 +678,9 @@ mod tests {
             Some(OpClass::Fsync),
             FaultKind::Errno(Errno::Eintr),
         ));
-        assert_eq!(on_op(Realm::File, OpClass::Write, 8), Decision::Proceed);
-        assert_eq!(
-            on_op(Realm::File, OpClass::Fsync, 0),
-            Decision::Fail(Errno::Eintr)
-        );
-        assert_eq!(on_op(Realm::File, OpClass::Fsync, 0), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Write, 8), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Fsync, 0), Decision::Fail(Errno::Eintr));
+        assert_eq!(on_op(OpClass::Fsync, 0), Decision::Proceed);
     }
 
     #[test]
@@ -624,17 +692,14 @@ mod tests {
             Some(OpClass::Write),
             FaultKind::Errno(Errno::Enospc),
         ));
-        assert_eq!(on_op(Realm::File, OpClass::Write, 8), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Write, 8), Decision::Proceed);
         for _ in 0..3 {
-            assert_eq!(
-                on_op(Realm::File, OpClass::Write, 8),
-                Decision::Fail(Errno::Enospc)
-            );
+            assert_eq!(on_op(OpClass::Write, 8), Decision::Fail(Errno::Enospc));
             // A shrinking truncate (rollback) is NOT a Write.
-            assert_eq!(on_op(Realm::File, OpClass::Trunc, 0), Decision::Proceed);
+            assert_eq!(on_op(OpClass::Trunc, 0), Decision::Proceed);
         }
         drop(g); // space freed
-        assert_eq!(on_op(Realm::File, OpClass::Write, 8), Decision::Proceed);
+        assert_eq!(on_op(OpClass::Write, 8), Decision::Proceed);
     }
 
     #[test]
@@ -647,7 +712,7 @@ mod tests {
                 None,
                 FaultKind::TornWrite(Errno::Eio),
             ));
-            match on_op(Realm::File, OpClass::Write, 100) {
+            match on_op(OpClass::Write, 100) {
                 Decision::Torn { keep, errno } => {
                     assert!(keep < 100);
                     assert_eq!(errno, Errno::Eio);
@@ -664,7 +729,7 @@ mod tests {
             FaultKind::TornWrite(Errno::Eio),
         ));
         assert_eq!(
-            on_op(Realm::File, OpClass::Write, 100),
+            on_op(OpClass::Write, 100),
             Decision::Torn {
                 keep: keep1,
                 errno: Errno::Eio
@@ -677,10 +742,7 @@ mod tests {
             None,
             FaultKind::TornWrite(Errno::Enospc),
         ));
-        assert_eq!(
-            on_op(Realm::File, OpClass::Read, 100),
-            Decision::Fail(Errno::Enospc)
-        );
+        assert_eq!(on_op(OpClass::Read, 100), Decision::Fail(Errno::Enospc));
     }
 
     #[test]
@@ -688,7 +750,7 @@ mod tests {
         let _x = exclusive();
         let bit = {
             let _g = install(FaultSchedule::fail_op(9, 0, None, FaultKind::BitFlip));
-            match on_op(Realm::File, OpClass::Read, 32) {
+            match on_op(OpClass::Read, 32) {
                 Decision::FlipBit { bit } => {
                     assert!(bit < 32 * 8);
                     bit
@@ -697,10 +759,7 @@ mod tests {
             }
         };
         let _g = install(FaultSchedule::fail_op(9, 0, None, FaultKind::BitFlip));
-        assert_eq!(
-            on_op(Realm::File, OpClass::Read, 32),
-            Decision::FlipBit { bit }
-        );
+        assert_eq!(on_op(OpClass::Read, 32), Decision::FlipBit { bit });
     }
 
     #[test]

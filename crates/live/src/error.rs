@@ -20,9 +20,6 @@ pub enum LiveError {
     /// shared state (torn-tail truncation, temp-file cleanup), so
     /// concurrent opens are refused rather than risking corruption.
     Locked(std::path::PathBuf),
-    /// A test-injected crash point fired (failure-injection harness
-    /// only; never produced in normal operation).
-    Injected(&'static str),
     /// This writer's group commit failed: its batch was rolled back
     /// (WAL truncated to the pre-group offset, pending ops discarded)
     /// and was never applied. When `transient` the write path is *not*
@@ -66,7 +63,6 @@ impl fmt::Display for LiveError {
                 "live index at {} is locked by another process",
                 dir.display()
             ),
-            LiveError::Injected(point) => write!(f, "injected crash at {point}"),
             LiveError::GroupFailed { reason, transient } => write!(
                 f,
                 "group commit failed ({}): {reason}",
@@ -128,7 +124,6 @@ mod tests {
         let e: LiveError = StoreError::BadMagic.into();
         assert!(e.to_string().contains("magic"));
         assert!(LiveError::Corrupt("x".into()).to_string().contains("x"));
-        assert!(LiveError::Injected("p").to_string().contains("p"));
         let e = LiveError::GroupFailed {
             reason: "no space".into(),
             transient: true,

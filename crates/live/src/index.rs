@@ -61,7 +61,7 @@ use pr_tree::dynamic::{ComponentSet, TombstoneKey, Tombstones};
 use pr_tree::{KnnSearch, QueryScratch, QueryStats, RTree, TreeParams};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -119,19 +119,6 @@ impl Default for LiveOptions {
             recheck_reads: false,
         }
     }
-}
-
-/// Failure-injection points for crash-recovery tests. `#[doc(hidden)]`:
-/// not part of the public API contract.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Die after the WAL rotation (segments fsynced) but before the
-    /// store commit — the manifest flip never happens.
-    BeforeCommit = 1,
-    /// Die after the store commit (manifest flipped, durable) but before
-    /// the in-memory swap and WAL pruning.
-    AfterCommit = 2,
 }
 
 /// A sequenced, WAL-enqueued logical op awaiting its group's
@@ -225,9 +212,6 @@ pub(crate) struct LiveInner<const D: usize> {
     /// Cumulative bytes of items sealed out of the memtable — the
     /// write-amplification denominator.
     pub(crate) ingest_bytes: AtomicU64,
-    /// Failure injection: 0 = none, else a [`CrashPoint`] discriminant,
-    /// consumed by the next merge.
-    pub(crate) crash_at: AtomicU8,
     /// Held exclusive lock on `dir/LOCK` for this index's lifetime
     /// (released by the OS when the file closes, crash included).
     _lock: std::fs::File,
@@ -377,20 +361,6 @@ pub(crate) struct Claimable {
 }
 
 impl<const D: usize> LiveInner<D> {
-    /// Fires an injected crash if armed for `point`: the merge aborts
-    /// exactly there, leaving disk (and deliberately inconsistent
-    /// memory) as a real crash would.
-    pub(crate) fn crash_check(&self, point: CrashPoint) -> Result<(), LiveError> {
-        if self.crash_at.load(Ordering::Acquire) == point as u8 {
-            self.crash_at.store(0, Ordering::Release);
-            return Err(LiveError::Injected(match point {
-                CrashPoint::BeforeCommit => "before store commit",
-                CrashPoint::AfterCommit => "after store commit",
-            }));
-        }
-        Ok(())
-    }
-
     /// How store-backed components are opened (satellite: paranoid
     /// re-hash-every-read mode).
     pub(crate) fn read_path(&self) -> ReadPath {
@@ -817,7 +787,6 @@ impl<const D: usize> LiveIndex<D> {
             merge_pages_written: AtomicU64::new(0),
             merge_pages_reused: AtomicU64::new(0),
             ingest_bytes: AtomicU64::new(0),
-            crash_at: AtomicU8::new(0),
             _lock: lock,
         });
 
@@ -1331,12 +1300,6 @@ impl<const D: usize> LiveIndex<D> {
     /// scrub comes back clean.
     pub fn scrub(&self) -> Result<pr_store::ScrubReport, LiveError> {
         Ok(self.inner.store.lock().scrub()?)
-    }
-
-    /// Arms a one-shot injected crash for the next merge (test harness).
-    #[doc(hidden)]
-    pub fn inject_crash(&self, point: CrashPoint) {
-        self.inner.crash_at.store(point as u8, Ordering::Release);
     }
 
     /// Overrides the WAL segment rotation size of this handle (test

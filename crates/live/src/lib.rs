@@ -57,10 +57,8 @@ pub mod torture;
 pub mod wal;
 
 pub use error::LiveError;
-pub use index::{
-    CrashPoint, Durability, LiveIndex, LiveOptions, LiveSnapshot, LiveStats, StoreRunStat,
-};
+pub use index::{Durability, LiveIndex, LiveOptions, LiveSnapshot, LiveStats, StoreRunStat};
 pub use manifest::LiveManifest;
 pub use memtable::Memtable;
-pub use torture::{run_torture, run_torture_multi, TortureConfig, TortureReport};
+pub use torture::{run_torture, TortureConfig, TortureReport};
 pub use wal::{encode_records, encode_records_into, Wal, WalOp, WalRecord};

@@ -35,11 +35,16 @@
 //! 5. **Commit** (`store` lock only): write the snapshot whose manifest
 //!    checkpoints the cut, fsync, flip the superblock; open + warm the
 //!    freshly written component. Readers *and writers* run throughout.
+//!    It starts at the fault mark `merge.commit`: a
+//!    [`die_at`](pr_em::fault::FaultSchedule::die_at) there leaves the
+//!    cut (and any rotation) on disk and the old manifest in force.
 //! 6. **Swap + prune** (`writer`, then briefly `core` write): install
 //!    the merge, clear the sealed batch, and subtract exactly
 //!    the consumed tombstones from the *current* set — deletes recorded
 //!    while the commit ran are thereby preserved. If the cut rotated,
-//!    delete the WAL segments below the rotation.
+//!    delete the WAL segments below the rotation. It starts at the mark
+//!    `merge.swap`: dying there leaves the flipped manifest and the
+//!    unpruned segments.
 //!
 //! **Incremental commits:** phase 5 rewrites only what changed. Every
 //! *surviving* component is committed as an in-place run reference —
@@ -63,9 +68,9 @@
 //! head of a segment the cut did not rotate away from.
 
 use crate::error::LiveError;
-use crate::index::{CrashPoint, LiveInner};
+use crate::index::LiveInner;
 use crate::manifest::LiveManifest;
-use pr_em::{fsync_dir, BlockDevice, MemDevice};
+use pr_em::{fault, fsync_dir, BlockDevice, MemDevice};
 use pr_geom::Item;
 use pr_store::{CommitComponent, Store};
 use pr_tree::bulk::pr::PrTreeLoader;
@@ -283,7 +288,7 @@ pub(crate) fn run_merge<const D: usize>(
     // Phase 5: commit, with no writer lock held — inserts and deletes
     // acknowledged during this window carry seqs past the cut and are
     // covered by WAL replay; the next merge picks them up.
-    inner.crash_check(CrashPoint::BeforeCommit)?;
+    fault::mark("merge.commit")?;
     // Collect the store layer's ambient spans (commit, fsync_body,
     // fsync_flip, store_open) for the whole commit window; the scope's
     // Drop clears the thread-local on any error path.
@@ -359,7 +364,7 @@ pub(crate) fn run_merge<const D: usize>(
             ),
         );
     }
-    inner.crash_check(CrashPoint::AfterCommit)?;
+    fault::mark("merge.swap")?;
 
     // Phase 6: swap + prune. The tombstone set is re-derived from the
     // *current* map minus what this merge consumed, so deletes recorded

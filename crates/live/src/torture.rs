@@ -1,29 +1,36 @@
 //! Fail-any-I/O torture sweeps: the executable form of the failure
 //! model.
 //!
-//! The harness runs a deterministic scripted trace (insert batches with
-//! interleaved deletes, inline merges at every overflow) against a real
-//! [`LiveIndex`] on a real directory, with the process-wide fault hook
-//! ([`pr_em::fault`]) armed:
+//! The harness runs a deterministic trace against a real [`LiveIndex`]
+//! on a real directory, with the process-wide fault hook
+//! ([`pr_em::fault`]) armed. With one writer the trace is a scripted
+//! sequence of insert batches with interleaved deletes; with several,
+//! each writer thread inserts its own disjoint id range. Merges run
+//! inline at every overflow either way.
 //!
 //! 1. **Count.** One clean pass under [`FaultSchedule::count_only`]
-//!    numbers every file-realm I/O op the trace performs — reads,
-//!    writes, fsyncs, truncates, from WAL appends through store
-//!    superblock flips.
+//!    numbers every file I/O op the trace performs — reads, writes,
+//!    fsyncs, truncates, from WAL appends through store superblock
+//!    flips — and counts every hit of every fault mark (the merge's
+//!    `merge.commit` and `merge.swap`).
 //! 2. **Sweep.** For every op index `K` (stride-able), rerun the trace
 //!    with "fail exactly op K" programmed — cycling through EIO,
-//!    ENOSPC, torn-write-then-EIO, torn-write-then-ENOSPC, and EINTR —
-//!    then disarm, close, reopen, and check the recovered contents
-//!    against the trace's own ack log.
+//!    ENOSPC, torn-write-then-EIO, torn-write-then-ENOSPC, and EINTR.
+//!    Then, whatever the stride, one more run per mark hit dies there
+//!    ([`FaultSchedule::die_at`]). After each run: disarm, close,
+//!    reopen, and check the recovered contents against the trace's own
+//!    ack log.
 //!
-//! The invariant checked after every run (the **acked-prefix
-//! invariant**): the reopened index holds exactly the acknowledged
-//! operations applied in order — optionally plus the one in-flight
-//! batch whose call returned an error *after* its group had already
-//! committed (a fatal merge failure retro-fails the call but not the
-//! already-durable write; the harness accepts either boundary, and
-//! nothing in between or beyond). No lost ack, no resurrected failure,
-//! no wrong answer, no panic.
+//! The invariant checked after every run depends on the trace. One
+//! writer (the **acked-prefix invariant**): the reopened index holds
+//! exactly the acknowledged operations applied in order — optionally
+//! plus the one in-flight batch whose call returned an error *after* its
+//! group had already committed (a fatal merge failure retro-fails the
+//! call but not the already-durable write; the harness accepts either
+//! boundary, and nothing in between or beyond). Several writers: acked ⊆
+//! recovered ⊆ issued — concurrent group commit may ack batches the
+//! fail-stop observer never logged, but must never lose an acked one or
+//! invent an id. Either way: no duplicate, no panic.
 //!
 //! Silent bit flips ([`pr_em::fault::FaultKind::BitFlip`]) are
 //! deliberately **not** part of the sweep: a flip inside an
@@ -43,6 +50,7 @@ use pr_geom::{Item, Rect};
 use pr_tree::TreeParams;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Knobs for one torture sweep.
 #[derive(Debug, Clone)]
@@ -54,11 +62,12 @@ pub struct TortureConfig {
     /// Items per insert batch.
     pub batch: usize,
     /// Concurrent writer threads (1 = the deterministic scripted trace;
-    /// >1 switches to the insert-only multi-writer variant).
+    /// >1 switches to the insert-only multi-writer trace).
     pub writers: usize,
     /// Durability mode under test.
     pub durability: Durability,
-    /// Sweep every `stride`-th op index (1 = exhaustive).
+    /// Sweep every `stride`-th op index (1 = exhaustive). Mark hits are
+    /// all visited whatever the stride.
     pub stride: u64,
     /// Directory the harness works in (each run reuses a subdirectory).
     pub dir: PathBuf,
@@ -91,15 +100,18 @@ impl TortureConfig {
 /// **passed**.
 #[derive(Debug, Clone, Default)]
 pub struct TortureReport {
-    /// File-realm I/O ops the clean trace performs (the sweep range).
+    /// File I/O ops the clean trace performs (the op sweep's range).
     pub total_ops: u64,
+    /// Fault-mark hits of the clean trace; the sweep dies at each.
+    pub marks: u64,
     /// Sweep runs executed.
     pub runs: u64,
     /// Runs whose programmed fault actually fired.
     pub injected: u64,
-    /// Runs whose fault never fired (possible under `Async`, where
-    /// syncer-thread scheduling shifts op indices run to run; such runs
-    /// still verify the full no-fault invariant).
+    /// Runs whose fault never fired (possible under `Async` or with
+    /// several writers, where thread scheduling shifts op indices and
+    /// merge points run to run; such runs still verify the full no-fault
+    /// invariant).
     pub silent: u64,
     /// Runs where the trace saw a transient ([`LiveError::is_transient`])
     /// failure.
@@ -108,7 +120,7 @@ pub struct TortureReport {
     pub fatal_failures: u64,
 }
 
-/// The fault kinds a sweep cycles through, one per op index.
+/// The fault kinds an op sweep cycles through, one per op index.
 const KINDS: [FaultKind; 5] = [
     FaultKind::Errno(Errno::Eio),
     FaultKind::Errno(Errno::Enospc),
@@ -173,18 +185,104 @@ fn script(cfg: &TortureConfig) -> Vec<Step> {
     steps
 }
 
-/// Outcome of driving the script against one index: the ack log plus
-/// the first failure (the client is fail-stop: it quits at the first
-/// error, which keeps the recovery oracle two-valued).
+/// The trace a sweep replays, with what its recovery check needs.
+enum Trace {
+    /// One writer running the script.
+    Script(Vec<Step>),
+    /// `cfg.writers` threads inserting disjoint id ranges (no deletes —
+    /// interleaving makes a delete oracle ambiguous); holds every id
+    /// they issue.
+    Writers(BTreeSet<u32>),
+}
+
+/// Outcome of driving a trace against one index: the ack log plus the
+/// first failure (clients are fail-stop: each quits at its first error,
+/// which keeps the single-writer recovery oracle two-valued).
 struct TraceOutcome {
     /// Ids live according to acknowledged ops only.
     acked: BTreeSet<u32>,
     /// Ids live if the in-flight (errored) call's ops also landed —
-    /// `None` when the trace completed or failed with nothing in
-    /// flight.
+    /// `None` when the trace completed, failed with nothing in flight,
+    /// or ran several writers.
     with_inflight: Option<BTreeSet<u32>>,
     /// The first error, if any.
     error: Option<LiveError>,
+}
+
+impl Trace {
+    fn new(cfg: &TortureConfig) -> Self {
+        if cfg.writers <= 1 {
+            return Trace::Script(script(cfg));
+        }
+        Trace::Writers(
+            (0..cfg.writers as u32)
+                .flat_map(|w| {
+                    (0..(cfg.batches * cfg.batch) as u32)
+                        .map(move |n| torture_item(cfg.seed, w, n).id)
+                })
+                .collect(),
+        )
+    }
+
+    fn drive(&self, ix: &LiveIndex<2>, cfg: &TortureConfig) -> TraceOutcome {
+        match self {
+            Trace::Script(steps) => drive_script(ix, steps),
+            Trace::Writers(_) => drive_writers(ix, cfg),
+        }
+    }
+
+    /// Reopens `dir` with no faults armed and checks this trace's
+    /// invariant. Panics (with `ctx`) on any violation.
+    fn verify(&self, dir: &Path, out: &TraceOutcome, ctx: &str) {
+        let ix = LiveIndex::<2>::open(dir, opts(Durability::Fsync))
+            .unwrap_or_else(|e| panic!("{ctx}: reopen after fault failed: {e}"));
+        let items = ix
+            .snapshot()
+            .items()
+            .unwrap_or_else(|e| panic!("{ctx}: post-recovery scan failed: {e}"));
+        let mut got = BTreeSet::new();
+        for it in &items {
+            assert!(
+                got.insert(it.id),
+                "{ctx}: id {} recovered twice (duplicate ack or double replay)",
+                it.id
+            );
+        }
+        match self {
+            Trace::Script(_) => {
+                // The in-flight call's group may have committed before
+                // the call failed (e.g. a fatal merge error after the
+                // WAL ack): durable-but-errored is an allowed boundary.
+                if got == out.acked || out.with_inflight.as_ref() == Some(&got) {
+                    return;
+                }
+                let missing: Vec<u32> = out.acked.difference(&got).copied().collect();
+                let extra: Vec<u32> = got.difference(&out.acked).copied().collect();
+                panic!(
+                    "{ctx}: acked-prefix invariant violated — {} acked ids lost {:?}, \
+                     {} unexpected ids present {:?}",
+                    missing.len(),
+                    missing,
+                    extra.len(),
+                    extra
+                );
+            }
+            Trace::Writers(issued) => {
+                let lost: Vec<u32> = out.acked.difference(&got).copied().collect();
+                assert!(
+                    lost.is_empty(),
+                    "{ctx}: {} acked ids lost: {lost:?}",
+                    lost.len()
+                );
+                let invented: Vec<u32> = got.difference(issued).copied().collect();
+                assert!(
+                    invented.is_empty(),
+                    "{ctx}: {} ids recovered that were never issued: {invented:?}",
+                    invented.len()
+                );
+            }
+        }
+    }
 }
 
 fn drive_script(ix: &LiveIndex<2>, steps: &[Step]) -> TraceOutcome {
@@ -226,44 +324,37 @@ fn drive_script(ix: &LiveIndex<2>, steps: &[Step]) -> TraceOutcome {
     }
 }
 
-/// Reopens `dir` with no faults armed and checks the acked-prefix
-/// invariant. Panics (with `ctx`) on any violation.
-fn verify_recovery(dir: &Path, out: &TraceOutcome, ctx: &str) {
-    let ix = LiveIndex::<2>::open(dir, opts(Durability::Fsync))
-        .unwrap_or_else(|e| panic!("{ctx}: reopen after fault failed: {e}"));
-    let items = ix
-        .snapshot()
-        .items()
-        .unwrap_or_else(|e| panic!("{ctx}: post-recovery scan failed: {e}"));
-    let mut got = BTreeSet::new();
-    for it in &items {
-        assert!(
-            got.insert(it.id),
-            "{ctx}: id {} recovered twice (duplicate ack or double replay)",
-            it.id
-        );
-    }
-    if got == out.acked {
-        return;
-    }
-    if let Some(e1) = &out.with_inflight {
-        if &got == e1 {
-            // The in-flight call's group had already committed when the
-            // call failed (e.g. a fatal merge error after the WAL ack):
-            // durable-but-errored is an allowed boundary.
-            return;
+/// Spawns the writers, collects the union of their ack logs and the
+/// first error any of them hit.
+fn drive_writers(ix: &LiveIndex<2>, cfg: &TortureConfig) -> TraceOutcome {
+    let log = Mutex::new((BTreeSet::new(), None));
+    std::thread::scope(|s| {
+        for w in 0..cfg.writers as u32 {
+            let log = &log;
+            s.spawn(move || {
+                for b in 0..cfg.batches {
+                    let items: Vec<Item<2>> = (0..cfg.batch)
+                        .map(|i| torture_item(cfg.seed, w, (b * cfg.batch + i) as u32))
+                        .collect();
+                    let res = ix.insert_batch(&items);
+                    let (acked, error) = &mut *log.lock().expect("ack log");
+                    match res {
+                        Ok(()) => acked.extend(items.iter().map(|it| it.id)),
+                        Err(e) => {
+                            error.get_or_insert(e);
+                            return;
+                        }
+                    }
+                }
+            });
         }
+    });
+    let (acked, error) = log.into_inner().expect("ack log");
+    TraceOutcome {
+        acked,
+        with_inflight: None,
+        error,
     }
-    let missing: Vec<u32> = out.acked.difference(&got).copied().collect();
-    let extra: Vec<u32> = got.difference(&out.acked).copied().collect();
-    panic!(
-        "{ctx}: acked-prefix invariant violated — {} acked ids lost {:?}, \
-         {} unexpected ids present {:?}",
-        missing.len(),
-        missing,
-        extra.len(),
-        extra
-    );
 }
 
 /// A fresh index for one run of `cfg`, created before any fault is
@@ -282,45 +373,65 @@ fn fresh_subdir(base: &Path, name: &str) -> PathBuf {
     dir
 }
 
-/// Runs the full sweep for `cfg` (single-writer scripted trace) and
-/// returns the report. Panics on any invariant violation. See the
-/// module docs for the protocol.
+/// Runs the full sweep for `cfg` — the scripted trace for one writer,
+/// the multi-writer trace for several — and returns the report. Panics
+/// on any invariant violation. See the module docs for the protocol.
 pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport, LiveError> {
-    assert_eq!(cfg.writers, 1, "use run_torture_multi for writers > 1");
     let _hook = fault::exclusive();
-    let steps = script(cfg);
+    let trace = Trace::new(cfg);
     let mut report = TortureReport::default();
 
     // Counting pass: one clean, armed-but-faultless run measures the
-    // sweep range and sanity-checks the harness itself.
-    {
+    // sweep range and sanity-checks the harness itself. (With several
+    // writers the totals vary with thread interleaving; they still bound
+    // the sweep usefully.)
+    let marks = {
         let dir = fresh_subdir(&cfg.dir, "count");
         let ix = create_index(cfg, &dir)?;
         let guard = fault::install(FaultSchedule::count_only(cfg.seed));
-        let out = drive_script(&ix, &steps);
+        let out = trace.drive(&ix, cfg);
         report.total_ops = fault::op_count();
+        let marks = fault::mark_hits();
         drop(guard);
         drop(ix);
         if let Some(e) = &out.error {
             panic!("count pass failed with no fault armed: {e}");
         }
-        verify_recovery(&dir, &out, "count pass");
-    }
+        trace.verify(&dir, &out, "count pass");
+        marks
+    };
+    report.marks = marks.iter().map(|&(_, hits)| hits).sum();
 
-    // The sweep: fail exactly op K, for every K.
-    let stride = cfg.stride.max(1);
+    // The sweep: fail exactly op K, for every strided K; then die at
+    // every mark hit.
+    let mut schedules = Vec::new();
     let mut k = 0;
     while k < report.total_ops {
-        let kind = KINDS[(report.runs as usize) % KINDS.len()];
+        let kind = KINDS[schedules.len() % KINDS.len()];
+        schedules.push((
+            format!("k={k}/{} kind={kind:?}", report.total_ops),
+            FaultSchedule::fail_op(cfg.seed, k, None, kind),
+        ));
+        k = k.saturating_add(cfg.stride.max(1));
+    }
+    for &(name, hits) in &marks {
+        for nth in 0..hits {
+            schedules.push((
+                format!("die at {name}#{nth}"),
+                FaultSchedule::die_at(name, nth),
+            ));
+        }
+    }
+    for (what, sched) in schedules {
         let ctx = format!(
-            "sweep k={k}/{} kind={kind:?} durability={:?}",
-            report.total_ops, cfg.durability
+            "sweep {what} writers={} durability={:?}",
+            cfg.writers, cfg.durability
         );
         let dir = fresh_subdir(&cfg.dir, "run");
         let ix =
             create_index(cfg, &dir).unwrap_or_else(|e| panic!("{ctx}: clean create failed: {e}"));
-        let guard = fault::install(FaultSchedule::fail_op(cfg.seed, k, None, kind));
-        let out = drive_script(&ix, &steps);
+        let guard = fault::install(sched);
+        let out = trace.drive(&ix, cfg);
         let fired = fault::injected_count() > 0;
         drop(guard); // disarm before close: the final drain is clean
         drop(ix);
@@ -335,113 +446,7 @@ pub fn run_torture(cfg: &TortureConfig) -> Result<TortureReport, LiveError> {
             Some(_) => report.fatal_failures += 1,
             None => {}
         }
-        verify_recovery(&dir, &out, &ctx);
-        k += stride;
+        trace.verify(&dir, &out, &ctx);
     }
     Ok(report)
-}
-
-/// The multi-writer variant: `cfg.writers` threads insert disjoint id
-/// ranges concurrently (no deletes — interleaving makes a delete oracle
-/// ambiguous), the sweep fails one op per run, and recovery must
-/// satisfy acked ⊆ recovered ⊆ issued with no duplicates — concurrent
-/// group commit may ack batches the fail-stop observer never logged,
-/// but must never lose an acked one or invent an id.
-pub fn run_torture_multi(cfg: &TortureConfig) -> Result<TortureReport, LiveError> {
-    assert!(cfg.writers > 1, "use run_torture for a single writer");
-    let _hook = fault::exclusive();
-    let mut report = TortureReport::default();
-
-    let issued: BTreeSet<u32> = (0..cfg.writers as u32)
-        .flat_map(|w| {
-            (0..(cfg.batches * cfg.batch) as u32).map(move |n| torture_item(cfg.seed, w, n).id)
-        })
-        .collect();
-
-    // Counting pass (op totals vary run-to-run with thread interleaving;
-    // this still bounds the sweep range usefully).
-    {
-        let dir = fresh_subdir(&cfg.dir, "count");
-        let ix = create_index(cfg, &dir)?;
-        let guard = fault::install(FaultSchedule::count_only(cfg.seed));
-        let acked = drive_writers(&ix, cfg);
-        report.total_ops = fault::op_count();
-        drop(guard);
-        drop(ix);
-        assert_eq!(acked, issued, "count pass: clean run must ack everything");
-        verify_multi(&dir, &acked, &issued, "multi count pass");
-    }
-
-    let stride = cfg.stride.max(1);
-    let mut k = 0;
-    while k < report.total_ops {
-        let kind = KINDS[(report.runs as usize) % KINDS.len()];
-        let ctx = format!("multi sweep k={k}/{} kind={kind:?}", report.total_ops);
-        let dir = fresh_subdir(&cfg.dir, "run");
-        let ix =
-            create_index(cfg, &dir).unwrap_or_else(|e| panic!("{ctx}: clean create failed: {e}"));
-        let guard = fault::install(FaultSchedule::fail_op(cfg.seed, k, None, kind));
-        let acked = drive_writers(&ix, cfg);
-        let fired = fault::injected_count() > 0;
-        drop(guard);
-        drop(ix);
-        report.runs += 1;
-        if fired {
-            report.injected += 1;
-        } else {
-            report.silent += 1;
-        }
-        verify_multi(&dir, &acked, &issued, &ctx);
-        k += stride;
-    }
-    Ok(report)
-}
-
-/// Spawns the writers, collects the union of their ack logs. Writers
-/// are fail-stop: each quits at its first error.
-fn drive_writers(ix: &LiveIndex<2>, cfg: &TortureConfig) -> BTreeSet<u32> {
-    let acked = std::sync::Mutex::new(BTreeSet::new());
-    std::thread::scope(|s| {
-        for w in 0..cfg.writers as u32 {
-            let acked = &acked;
-            s.spawn(move || {
-                for b in 0..cfg.batches {
-                    let items: Vec<Item<2>> = (0..cfg.batch)
-                        .map(|i| torture_item(cfg.seed, w, (b * cfg.batch + i) as u32))
-                        .collect();
-                    if ix.insert_batch(&items).is_err() {
-                        return;
-                    }
-                    let mut a = acked.lock().expect("ack log");
-                    a.extend(items.iter().map(|it| it.id));
-                }
-            });
-        }
-    });
-    acked.into_inner().expect("ack log")
-}
-
-fn verify_multi(dir: &Path, acked: &BTreeSet<u32>, issued: &BTreeSet<u32>, ctx: &str) {
-    let ix = LiveIndex::<2>::open(dir, opts(Durability::Fsync))
-        .unwrap_or_else(|e| panic!("{ctx}: reopen after fault failed: {e}"));
-    let items = ix
-        .snapshot()
-        .items()
-        .unwrap_or_else(|e| panic!("{ctx}: post-recovery scan failed: {e}"));
-    let mut got = BTreeSet::new();
-    for it in &items {
-        assert!(got.insert(it.id), "{ctx}: id {} recovered twice", it.id);
-    }
-    let lost: Vec<u32> = acked.difference(&got).copied().collect();
-    assert!(
-        lost.is_empty(),
-        "{ctx}: {} acked ids lost: {lost:?}",
-        lost.len()
-    );
-    let invented: Vec<u32> = got.difference(issued).copied().collect();
-    assert!(
-        invented.is_empty(),
-        "{ctx}: {} ids recovered that were never issued: {invented:?}",
-        invented.len()
-    );
 }

@@ -1,15 +1,17 @@
-//! Fail-any-I/O torture sweeps (the tentpole acceptance tests).
+//! Fail-any-I/O torture sweeps, and faults during recovery itself.
 //!
 //! Each test arms the process-wide fault hook via the `pr_live::torture`
-//! harness or directly, so everything here serialises on
-//! `pr_em::fault::exclusive()` — either taken by the harness itself or
-//! taken explicitly at the top of the test.
+//! harness or directly. A schedule armed in one test would fault a
+//! parallel test's I/O (and kill its merges at the same marks), so
+//! everything here serialises on `pr_em::fault::exclusive()` — either
+//! taken by the harness itself or taken explicitly at the top of the
+//! test.
 
 use pr_em::fault::{self, Errno, FaultKind, FaultSchedule, OpClass};
 use pr_geom::{Item, Rect};
 use pr_live::{Durability, LiveError, LiveIndex, LiveOptions, TortureConfig};
 use pr_tree::TreeParams;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -29,6 +31,19 @@ fn item(i: u32) -> Item<2> {
     Item::new(Rect::xyxy(x, y, x + 1.0, y + 1.0), i)
 }
 
+/// Every id the index serves, sorted.
+fn ids(ix: &LiveIndex<2>) -> Vec<u32> {
+    let mut ids: Vec<u32> = ix
+        .snapshot()
+        .items()
+        .expect("scan")
+        .iter()
+        .map(|it| it.id)
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
 fn no_merge_opts(durability: Durability) -> LiveOptions {
     LiveOptions {
         buffer_cap: 10_000, // keep merges out of the picture
@@ -39,15 +54,16 @@ fn no_merge_opts(durability: Durability) -> LiveOptions {
 }
 
 /// The headline sweep: fail every single I/O op the fsync-mode trace
-/// performs, one run per op, and require the acked-prefix invariant
-/// after every reopen.
+/// performs, one run per op, then die at every merge-mark hit, and
+/// require the acked-prefix invariant after every reopen.
 #[test]
 fn sweep_every_op_fsync() {
     let dir = tmpdir("sweep-fsync");
     let cfg = TortureConfig::small(&dir, Durability::Fsync);
     let report = pr_live::run_torture(&cfg).expect("torture harness");
     assert!(report.total_ops > 30, "trace too small: {report:?}");
-    assert_eq!(report.runs, report.total_ops);
+    assert!(report.marks >= 2, "no merge marks hit: {report:?}");
+    assert_eq!(report.runs, report.total_ops + report.marks);
     // Fsync mode is deterministic: every programmed fault must fire
     // (EINTR runs inject too — the retry consumes the fault).
     assert_eq!(report.silent, 0, "fsync sweep had silent runs: {report:?}");
@@ -81,7 +97,7 @@ fn sweep_every_op_fsync_across_rotations() {
         "no rotation inside the sweep: {} ops with, {plain_ops} without",
         report.total_ops
     );
-    assert_eq!(report.runs, report.total_ops);
+    assert_eq!(report.runs, report.total_ops + report.marks);
     assert_eq!(report.silent, 0, "fsync sweep had silent runs: {report:?}");
 }
 
@@ -99,7 +115,7 @@ fn sweep_every_op_async() {
     );
     let report = pr_live::run_torture(&cfg).expect("torture harness");
     assert!(report.total_ops > 20, "trace too small: {report:?}");
-    assert_eq!(report.runs, report.total_ops);
+    assert_eq!(report.runs, report.total_ops + report.marks);
     assert!(
         report.injected > report.runs / 2,
         "async sweep mostly silent — op counting is off: {report:?}"
@@ -116,7 +132,7 @@ fn sweep_two_writers() {
         stride: 3,
         ..TortureConfig::small(&dir, Durability::Fsync)
     };
-    let report = pr_live::run_torture_multi(&cfg).expect("torture harness");
+    let report = pr_live::run_torture(&cfg).expect("torture harness");
     assert!(report.total_ops > 50, "trace too small: {report:?}");
     assert!(report.runs >= report.total_ops / 3, "{report:?}");
 }
@@ -171,16 +187,8 @@ fn enospc_then_free(durability: Durability, name: &str) {
     // The rolled-back batch must not resurrect on reopen.
     drop(ix);
     let ix = LiveIndex::<2>::open(&dir, no_merge_opts(Durability::Fsync)).expect("reopen");
-    let mut ids: Vec<u32> = ix
-        .snapshot()
-        .items()
-        .expect("scan")
-        .iter()
-        .map(|it| it.id)
-        .collect();
-    ids.sort_unstable();
     let want: Vec<u32> = (0..20).chain(200..220).collect();
-    assert_eq!(ids, want, "recovered exactly the acked batches");
+    assert_eq!(ids(&ix), want, "recovered exactly the acked batches");
 }
 
 #[test]
@@ -251,16 +259,8 @@ fn partial_merge_fault_sweep(durability: Durability, name: &str) {
             drop(ix); // crash: no shutdown, poisoned or not
         }
         let ix = LiveIndex::<2>::open(&dir, opts()).expect("reopen");
-        let mut ids: Vec<u32> = ix
-            .snapshot()
-            .items()
-            .expect("scan")
-            .iter()
-            .map(|it| it.id)
-            .collect();
-        ids.sort_unstable();
         let want: Vec<u32> = (0..120).chain(1000..1006).collect();
-        assert_eq!(ids, want, "op {at_op}: acked set after faulted merge");
+        assert_eq!(ids(&ix), want, "op {at_op}: acked set after faulted merge");
         let stats = ix.stats().expect("stats");
         let kept: Vec<_> = stats
             .store_runs
@@ -337,13 +337,96 @@ fn fatal_eio_poisons_until_reopen() {
 
     drop(ix);
     let ix = LiveIndex::<2>::open(&dir, no_merge_opts(Durability::Fsync)).expect("reopen");
-    let mut ids: Vec<u32> = ix
-        .snapshot()
-        .items()
-        .expect("scan")
-        .iter()
-        .map(|it| it.id)
-        .collect();
-    ids.sort_unstable();
-    assert_eq!(ids, (0..10).collect::<Vec<u32>>());
+    assert_eq!(ids(&ix), (0..10).collect::<Vec<u32>>());
+}
+
+/// Replaces `to` with a plain copy of every file in `from`.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::remove_dir_all(to).ok();
+    std::fs::create_dir_all(to).expect("mkdir");
+    for entry in std::fs::read_dir(from).expect("read_dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, to.join(path.file_name().expect("file name"))).expect("copy");
+    }
+}
+
+/// Faults during recovery itself. A power cut at `merge.swap` during a
+/// checkpoint leaves a flipped manifest and the unpruned WAL segments
+/// below its rotation. Then each op of the reopen fails once, cycling
+/// EIO / ENOSPC / torn write, each time on a fresh copy of that crashed
+/// directory. A faulted open may fail, but if it succeeds it serves
+/// exactly the acked set at the committed epoch; and a clean open after
+/// it does too.
+#[test]
+fn faults_during_recovery_after_a_post_flip_crash() {
+    let _hook = fault::exclusive();
+    let opts = || LiveOptions {
+        buffer_cap: 16,
+        background_merge: false,
+        ..LiveOptions::default()
+    };
+    let crashed = tmpdir("recovery-crashed");
+    let epoch = {
+        let ix = LiveIndex::<2>::create(&crashed, params(), opts()).expect("create");
+        for chunk in (0..40).collect::<Vec<u32>>().chunks(8) {
+            let batch: Vec<Item<2>> = chunk.iter().map(|&i| item(i)).collect();
+            ix.insert_batch(&batch).expect("ingest"); // merges at 16 and 32
+        }
+        let victims = [item(3), item(17)];
+        assert_eq!(ix.delete_batch(&victims).expect("delete"), 2);
+        let tail: Vec<Item<2>> = (40..45).map(item).collect();
+        ix.insert_batch(&tail).expect("memtable tail");
+        let before = ix.stats().expect("stats").store_epoch;
+        {
+            let _cut = fault::install(FaultSchedule::die_at("merge.swap", 0));
+            let err = ix.flush().expect_err("the flush dies at merge.swap");
+            assert!(matches!(&err, LiveError::Io(e) if e.raw_os_error() == Some(5)));
+        }
+        let stats = ix.stats().expect("stats");
+        assert!(stats.store_epoch > before, "the flip landed");
+        assert!(stats.wal_segments >= 2, "the prune never ran");
+        stats.store_epoch
+    }; // the process dies
+    let acked: Vec<u32> = (0..45).filter(|i| ![3, 17].contains(i)).collect();
+
+    let run = tmpdir("recovery-run");
+    copy_dir(&crashed, &run);
+    let ops = {
+        let _count = fault::install(FaultSchedule::count_only(0));
+        let ix = LiveIndex::<2>::open(&run, opts()).expect("clean reopen");
+        let ops = fault::op_count();
+        assert_eq!(ids(&ix), acked, "count pass");
+        ops
+    };
+    assert!(ops > 3, "recovery too small to sweep: {ops} ops");
+    let kinds = [
+        FaultKind::Errno(Errno::Eio),
+        FaultKind::Errno(Errno::Enospc),
+        FaultKind::TornWrite(Errno::Eio),
+    ];
+    for j in 0..ops {
+        let kind = kinds[j as usize % kinds.len()];
+        let ctx = format!("open op {j}/{ops} {kind:?}");
+        copy_dir(&crashed, &run);
+        {
+            let cut = fault::install(FaultSchedule::fail_op(j, j, None, kind));
+            let res = LiveIndex::<2>::open(&run, opts());
+            assert!(fault::injected_count() > 0, "{ctx}: the fault never fired");
+            drop(cut);
+            if let Ok(ix) = res {
+                // A read error is not a torn snapshot: an open that
+                // succeeds must not have fallen back past the flip.
+                assert_eq!(ids(&ix), acked, "{ctx}: the faulted open served");
+                assert_eq!(ix.stats().expect("stats").store_epoch, epoch, "{ctx}");
+            }
+        }
+        let ix = LiveIndex::<2>::open(&run, opts())
+            .unwrap_or_else(|e| panic!("{ctx}: clean open after the faulted one: {e}"));
+        assert_eq!(ids(&ix), acked, "{ctx}: recovered set");
+        assert_eq!(
+            ix.stats().expect("stats").store_epoch,
+            epoch,
+            "{ctx}: epoch"
+        );
+    }
 }

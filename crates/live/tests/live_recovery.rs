@@ -7,17 +7,23 @@
 //!
 //! * plain crash (drop without any shutdown) at **every op boundary**,
 //! * a torn WAL tail (garbage and corrupted final records),
-//! * injected death **between the WAL segment fsync/rotation and the
-//!   manifest flip**, and **between the flip and the WAL prune** —
-//!   the two windows of the merge-commit protocol,
+//! * a power cut **between the WAL segment fsync/rotation and the
+//!   manifest flip** (fault mark `merge.commit`), and **between the flip
+//!   and the WAL prune** (`merge.swap`) — the two windows of the
+//!   merge-commit protocol,
 //! * overflow merges that do **not** rotate the WAL (a segment holding
 //!   records on both sides of the manifest's cut), the size rotation,
 //!   and the checkpoint rotation `flush()` always performs,
 //! * compaction's atomic-rename window (stale temp file).
+//!
+//! The power cuts arm `pr_em::fault`'s process-wide hook, which a
+//! parallel test's merge would also hit at the same mark, so every test
+//! here takes `fault::exclusive()` first.
 
+use pr_em::fault::{self, FaultSchedule};
 use pr_geom::{Item, Rect};
 use pr_live::wal::{RECORD_HEADER_SIZE, SEGMENT_HEADER_SIZE};
-use pr_live::{CrashPoint, LiveError, LiveIndex, LiveOptions, WalRecord};
+use pr_live::{LiveError, LiveIndex, LiveOptions, WalRecord};
 use pr_tree::TreeParams;
 use std::path::PathBuf;
 
@@ -66,6 +72,17 @@ fn apply_op(ix: &LiveIndex<2>, oracle: &mut Vec<Item<2>>, k: u32) {
     }
 }
 
+/// Runs `op` under a power cut at the first hit of fault mark `at` and
+/// checks that it died there, with the injected EIO. The cut is lifted
+/// when this returns.
+fn dies_at<T: std::fmt::Debug>(at: &'static str, op: impl FnOnce() -> Result<T, LiveError>) {
+    let _cut = fault::install(FaultSchedule::die_at(at, 0));
+    match op() {
+        Err(LiveError::Io(e)) if e.raw_os_error() == Some(5) && fault::injected_count() > 0 => {}
+        other => panic!("expected the injected power cut at {at}, got {other:?}"),
+    }
+}
+
 fn assert_state_matches(ix: &LiveIndex<2>, oracle: &[Item<2>], context: &str) {
     let snap = ix.snapshot();
     assert_eq!(snap.len(), oracle.len() as u64, "{context}: len");
@@ -92,6 +109,7 @@ fn assert_state_matches(ix: &LiveIndex<2>, oracle: &[Item<2>], context: &str) {
 /// must recover exactly the acknowledged prefix each time.
 #[test]
 fn crash_at_every_op_boundary_recovers_exact_prefix() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("every-boundary");
     let mut oracle: Vec<Item<2>> = Vec::new();
     {
@@ -115,6 +133,7 @@ fn crash_at_every_op_boundary_recovers_exact_prefix() {
 /// survives.
 #[test]
 fn torn_wal_tail_is_truncated_to_acknowledged_prefix() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("torn-tail");
     let mut oracle = Vec::new();
     {
@@ -142,6 +161,7 @@ fn torn_wal_tail_is_truncated_to_acknowledged_prefix() {
 /// op and nothing before it.
 #[test]
 fn corrupt_final_record_drops_only_the_unacked_op() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("corrupt-last");
     let mut oracle = Vec::new();
     {
@@ -163,11 +183,12 @@ fn corrupt_final_record_drops_only_the_unacked_op() {
     assert_state_matches(&ix, &oracle, "after corrupt final record");
 }
 
-/// Injected death after the WAL rotation but **before the manifest
+/// A power cut after the WAL rotation but **before the manifest
 /// flip**: the merge never committed, the old manifest + the un-pruned
 /// segments replay everything acknowledged.
 #[test]
 fn crash_between_wal_fsync_and_manifest_flip_loses_nothing() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("before-flip");
     let mut oracle = Vec::new();
     let stats_before;
@@ -181,11 +202,7 @@ fn crash_between_wal_fsync_and_manifest_flip_loses_nothing() {
             apply_op(&ix, &mut oracle, k);
         }
         stats_before = ix.stats().unwrap();
-        ix.inject_crash(CrashPoint::BeforeCommit);
-        match ix.flush() {
-            Err(LiveError::Injected(_)) => {}
-            other => panic!("expected injected crash, got {other:?}"),
-        }
+        dies_at("merge.commit", || ix.flush());
         // The process "dies" here: plain drop, no further cleanup.
     }
     let ix = LiveIndex::<2>::open(&dir, opts(16)).unwrap();
@@ -198,11 +215,12 @@ fn crash_between_wal_fsync_and_manifest_flip_loses_nothing() {
     );
 }
 
-/// Injected death **after the manifest flip but before the WAL prune
+/// A power cut **after the manifest flip but before the WAL prune
 /// and in-memory swap**: the new manifest's cut filters the stale
 /// segments; nothing is lost, nothing double-applies.
 #[test]
 fn crash_between_manifest_flip_and_wal_prune_loses_nothing() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("after-flip");
     let mut oracle = Vec::new();
     let stats_before;
@@ -212,11 +230,7 @@ fn crash_between_manifest_flip_and_wal_prune_loses_nothing() {
             apply_op(&ix, &mut oracle, k);
         }
         stats_before = ix.stats().unwrap();
-        ix.inject_crash(CrashPoint::AfterCommit);
-        match ix.flush() {
-            Err(LiveError::Injected(_)) => {}
-            other => panic!("expected injected crash, got {other:?}"),
-        }
+        dies_at("merge.swap", || ix.flush());
     }
     // Stale segments from before the rotation still exist (prune never
     // ran) — replay must filter them by the manifest's cut, not
@@ -233,8 +247,9 @@ fn crash_between_manifest_flip_and_wal_prune_loses_nothing() {
 /// in the checkpoint path).
 #[test]
 fn injected_crashes_with_outstanding_tombstones() {
-    for point in [CrashPoint::BeforeCommit, CrashPoint::AfterCommit] {
-        let dir = tmpdir(&format!("tombstone-crash-{point:?}"));
+    let _hook = fault::exclusive();
+    for mark in ["merge.commit", "merge.swap"] {
+        let dir = tmpdir(&format!("tombstone-crash-{mark}"));
         let mut oracle = Vec::new();
         {
             let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
@@ -252,11 +267,10 @@ fn injected_crashes_with_outstanding_tombstones() {
                 ix.insert(item(k)).unwrap();
                 oracle.push(item(k));
             }
-            ix.inject_crash(point);
-            assert!(matches!(ix.flush(), Err(LiveError::Injected(_))));
+            dies_at(mark, || ix.flush());
         }
         let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
-        assert_state_matches(&ix, &oracle, &format!("tombstones across {point:?}"));
+        assert_state_matches(&ix, &oracle, &format!("tombstones across {mark}"));
     }
 }
 
@@ -268,8 +282,9 @@ fn injected_crashes_with_outstanding_tombstones() {
 /// the reused pages where they always were, never a rewritten copy.
 #[test]
 fn crash_at_partial_merge_boundaries_preserves_reused_runs() {
-    for point in [CrashPoint::BeforeCommit, CrashPoint::AfterCommit] {
-        let dir = tmpdir(&format!("partial-merge-{point:?}"));
+    let _hook = fault::exclusive();
+    for mark in ["merge.commit", "merge.swap"] {
+        let dir = tmpdir(&format!("partial-merge-{mark}"));
         let big: Vec<Item<2>> = (0..120).map(item).collect();
         let survivor_run;
         let epoch_before;
@@ -286,17 +301,13 @@ fn crash_at_partial_merge_boundaries_preserves_reused_runs() {
             // the partial-merge shape under test.
             let small: Vec<Item<2>> = (1000..1006).map(item).collect();
             ix.insert_batch(&small).unwrap();
-            ix.inject_crash(point);
-            match ix.flush() {
-                Err(LiveError::Injected(_)) => {}
-                other => panic!("expected injected crash, got {other:?}"),
-            }
+            dies_at(mark, || ix.flush());
             // Process "dies": plain drop.
         }
         let ix = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
         let mut oracle: Vec<Item<2>> = big.clone();
         oracle.extend((1000..1006).map(item));
-        assert_state_matches(&ix, &oracle, &format!("partial merge {point:?}"));
+        assert_state_matches(&ix, &oracle, &format!("partial merge {mark}"));
         let stats = ix.stats().unwrap();
         let reopened: Vec<_> = stats
             .store_runs
@@ -306,26 +317,23 @@ fn crash_at_partial_merge_boundaries_preserves_reused_runs() {
         assert_eq!(
             reopened.len(),
             1,
-            "{point:?}: surviving component id must still be live"
+            "{mark}: surviving component id must still be live"
         );
         assert_eq!(
             (reopened[0].data_offset, reopened[0].num_pages),
             (survivor_run.data_offset, survivor_run.num_pages),
-            "{point:?}: reused run moved — pages were rewritten"
+            "{mark}: reused run moved — pages were rewritten"
         );
-        match point {
-            CrashPoint::BeforeCommit => {
-                assert_eq!(stats.store_epoch, epoch_before, "flip must not have landed");
-                assert_eq!(stats.store_runs.len(), 1, "no new run before the flip");
-            }
-            CrashPoint::AfterCommit => {
-                assert!(stats.store_epoch > epoch_before, "the flip did commit");
-                assert_eq!(
-                    stats.store_runs.len(),
-                    2,
-                    "partial commit: reused run + one new run"
-                );
-            }
+        if mark == "merge.commit" {
+            assert_eq!(stats.store_epoch, epoch_before, "flip must not have landed");
+            assert_eq!(stats.store_runs.len(), 1, "no new run before the flip");
+        } else {
+            assert!(stats.store_epoch > epoch_before, "the flip did commit");
+            assert_eq!(
+                stats.store_runs.len(),
+                2,
+                "partial commit: reused run + one new run"
+            );
         }
     }
 }
@@ -337,6 +345,7 @@ fn crash_at_partial_merge_boundaries_preserves_reused_runs() {
 /// scan/query oracle still agrees.
 #[test]
 fn reopened_index_never_reads_reclaimed_runs() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("reclaimed-runs");
     let mut oracle = Vec::new();
     let ix = LiveIndex::<2>::create(&dir, params(), opts(16)).unwrap();
@@ -389,6 +398,7 @@ fn reopened_index_never_reads_reclaimed_runs() {
 /// temp file from a crashed compaction is ignored at open.
 #[test]
 fn compaction_reclaims_space_and_survives_reopen() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("compact");
     let mut oracle = Vec::new();
     let ix = LiveIndex::<2>::create(&dir, params(), opts(16)).unwrap();
@@ -423,6 +433,7 @@ fn compaction_reclaims_space_and_survives_reopen() {
 /// restarts) keeps all data and keeps merging correctly.
 #[test]
 fn reopen_with_different_buffer_cap() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("cap-change");
     let mut oracle = Vec::new();
     {
@@ -444,6 +455,7 @@ fn reopen_with_different_buffer_cap() {
 /// and the whole batch survives a crash-reopen.
 #[test]
 fn delete_batch_matches_serial_semantics_and_survives() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("delete-batch");
     let mut oracle = Vec::new();
     {
@@ -483,6 +495,7 @@ fn delete_batch_matches_serial_semantics_and_survives() {
 /// misses.
 #[test]
 fn delete_batch_decides_like_serial_deletes() {
+    let _hook = fault::exclusive();
     let history = |name: &str| {
         let ix = LiveIndex::<2>::create(&tmpdir(name), params(), opts(8)).unwrap();
         for k in 0..24 {
@@ -533,6 +546,7 @@ fn delete_batch_decides_like_serial_deletes() {
 /// exactly as an index that never restarted.
 #[test]
 fn filters_rebuilt_after_reopen_answer_as_before() {
+    let _hook = fault::exclusive();
     let history = |ix: &LiveIndex<2>| {
         for k in 0..64 {
             ix.insert(item(k)).unwrap(); // eight merges: memtable empty
@@ -582,6 +596,7 @@ fn filters_rebuilt_after_reopen_answer_as_before() {
 /// sequence and the WAL becomes prunable.
 #[test]
 fn flush_checkpoints_tombstone_only_deletes() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("tombstone-checkpoint");
     let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
     for k in 0..24 {
@@ -642,6 +657,7 @@ fn segment_seqs(path: &std::path::Path) -> Vec<u64> {
 /// replaying only the tail.
 #[test]
 fn crash_after_unrotated_overflow_merges_replays_only_the_tail() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("mixed-segment");
     let mut oracle = Vec::new();
     let stats;
@@ -684,6 +700,7 @@ fn crash_after_unrotated_overflow_merges_replays_only_the_tail() {
 /// nothing the cut covers, nothing before it in the tail.
 #[test]
 fn torn_tail_in_a_mixed_segment_drops_only_the_unacked_op() {
+    let _hook = fault::exclusive();
     for flip in [false, true] {
         let dir = tmpdir(&format!("mixed-torn-{flip}"));
         let mut oracle = Vec::new();
@@ -716,6 +733,7 @@ fn torn_tail_in_a_mixed_segment_drops_only_the_unacked_op() {
 /// older segment is pruned.
 #[test]
 fn size_rotation_leaves_a_complete_segment_and_survives_a_pre_flip_crash() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("size-rotation");
     let mut oracle = Vec::new();
     let epoch_before;
@@ -728,11 +746,7 @@ fn size_rotation_leaves_a_complete_segment_and_survives_a_pre_flip_crash() {
         let stats = ix.stats().unwrap();
         assert_eq!((stats.merges, stats.wal_segments), (2, 1));
         epoch_before = stats.store_epoch;
-        ix.inject_crash(CrashPoint::BeforeCommit);
-        match ix.insert(item(23)) {
-            Err(LiveError::Injected(_)) => {}
-            other => panic!("expected injected crash, got {other:?}"),
-        }
+        dies_at("merge.commit", || ix.insert(item(23)));
         // Op 24 was acknowledged (its WAL group landed) before the merge
         // it triggered died.
         oracle.push(item(23));
@@ -771,6 +785,7 @@ fn size_rotation_leaves_a_complete_segment_and_survives_a_pre_flip_crash() {
 /// header-only segment and a manifest that covers every acked op.
 #[test]
 fn flush_after_unrotated_merges_leaves_one_header_only_segment() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("flush-checkpoint");
     let mut oracle = Vec::new();
     let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
@@ -801,6 +816,7 @@ fn flush_after_unrotated_merges_leaves_one_header_only_segment() {
 /// "read-only" open truncates torn WAL tails, so sharing would corrupt.
 #[test]
 fn concurrent_open_is_refused_while_locked() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("locked");
     let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
     ix.insert(item(1)).unwrap();
@@ -819,6 +835,7 @@ fn concurrent_open_is_refused_while_locked() {
 /// replayed into the new index on a later reopen.
 #[test]
 fn create_over_existing_index_leaves_no_stale_wal() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("recreate");
     {
         let ix = LiveIndex::<2>::create(&dir, params(), opts(8)).unwrap();
@@ -848,6 +865,7 @@ fn create_over_existing_index_leaves_no_stale_wal() {
 /// acknowledged sequence**: never a torn suffix, never op `k` or later.
 #[test]
 fn async_crash_at_every_boundary_recovers_synced_prefix() {
+    let _hook = fault::exclusive();
     const TAIL: u32 = 3;
     let aopts = |cap| LiveOptions {
         durability: pr_live::Durability::Async {

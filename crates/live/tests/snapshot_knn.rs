@@ -9,10 +9,15 @@
 //! check, identical `(id, dist bits)` lists, window result sets and leaf
 //! visits — the two frontends of the logarithmic method share one merge
 //! plan, one drain, one search and one fan-out.
+//!
+//! The first pin kills a merge through `pr_em::fault`'s process-wide
+//! hook, which a parallel test's merge would also hit at the same mark,
+//! so every test here takes `fault::exclusive()` first.
 
+use pr_em::fault::{self, FaultSchedule};
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
-use pr_live::{CrashPoint, LiveError, LiveIndex, LiveOptions};
+use pr_live::{LiveError, LiveIndex, LiveOptions};
 use pr_tree::dynamic::LprTree;
 use pr_tree::query::brute_force_window;
 use pr_tree::{QueryScratch, TreeParams};
@@ -80,6 +85,7 @@ fn brute_knn(live: &[Item<2>], q: &Point<2>, k: usize) -> Vec<(u32, u64)> {
 /// live in the memtable).
 #[test]
 fn knn_with_a_merge_in_flight_matches_oracle() {
+    let _hook = fault::exclusive();
     let dir = tmpdir("sealed");
     let ix = LiveIndex::<2>::create(&dir, params(), opts(32)).unwrap();
     let mut rng = SmallRng::seed_from_u64(31);
@@ -87,11 +93,12 @@ fn knn_with_a_merge_in_flight_matches_oracle() {
     ix.insert_batch(&live[..200]).unwrap();
     ix.flush().unwrap();
     ix.insert_batch(&live[200..]).unwrap();
-    ix.inject_crash(CrashPoint::BeforeCommit);
+    let cut = fault::install(FaultSchedule::die_at("merge.commit", 0));
     match ix.flush() {
-        Err(LiveError::Injected(_)) => {}
-        other => panic!("expected the injected abort, got {other:?}"),
+        Err(LiveError::Io(e)) if e.raw_os_error() == Some(5) && fault::injected_count() > 0 => {}
+        other => panic!("expected the injected power cut, got {other:?}"),
     }
+    drop(cut);
 
     let reborn = live[3];
     for victim in [3usize, 50, 120, 205, 210] {
@@ -267,6 +274,7 @@ fn run_differential(name: &str, cap: usize, trace: &[Op]) -> Vec<(usize, u64)> {
 
 #[test]
 fn lpr_tree_and_live_index_give_identical_knn() {
+    let _hook = fault::exclusive();
     run_differential("differential", 16, &random_trace());
     let underfull = run_differential("underfull", 8, &underfull_trace());
     assert_eq!(underfull, [(1, 4), (4, 128)]);
@@ -279,6 +287,7 @@ fn lpr_tree_and_live_index_give_identical_knn() {
 /// filters checked were built by the trace's own deletes.
 #[test]
 fn membership_filters_admit_every_stored_copy() {
+    let _hook = fault::exclusive();
     const CAP: usize = 16;
     let dir = tmpdir("filters");
     let live_ix = LiveIndex::<2>::create(&dir, params(), opts(CAP)).unwrap();

@@ -270,7 +270,8 @@ impl Store {
                         read_only,
                     });
                 }
-                Err(reason) => {
+                Err(Rejected::Io(e)) => return Err(e.into()),
+                Err(Rejected::Torn(reason)) => {
                     if torn.is_none() {
                         torn = Some((sb.epoch, reason));
                     }
@@ -935,58 +936,74 @@ fn write_superblock(file: &PositionedFile, slot: usize, sb: &Superblock) -> Resu
 /// A run that passed validation, with its decoded page checksum table.
 type ValidatedRun = (ComponentRun, Vec<u32>);
 
+/// Why [`validate_snapshot`] did not accept a superblock's snapshot.
+enum Rejected {
+    /// Reading it failed. The snapshot may well be intact, so open
+    /// surfaces the error instead of falling back to an older epoch —
+    /// whose WAL cut may already have been pruned.
+    Io(std::io::Error),
+    /// It is torn or inconsistent: a human-readable reason.
+    Torn(String),
+}
+
+impl From<std::io::Error> for Rejected {
+    fn from(e: std::io::Error) -> Self {
+        Rejected::Io(e)
+    }
+}
+
 /// Proves a superblock's snapshot is intact; returns every component
 /// run with its decoded page checksum table, plus the manifest (if
-/// any), on success; a human-readable reason on failure. For a legacy
-/// single-tree snapshot one synthetic run (id 0) is derived from the
-/// superblock itself.
+/// any), on success. For a legacy single-tree snapshot one synthetic
+/// run (id 0) is derived from the superblock itself.
 fn validate_snapshot(
     file: &PositionedFile,
     sb: &Superblock,
-) -> Result<(Vec<ValidatedRun>, Option<ManifestRecord>), String> {
+) -> Result<(Vec<ValidatedRun>, Option<ManifestRecord>), Rejected> {
+    use Rejected::Torn;
     if !sb.has_snapshot() {
         return Ok((Vec::new(), None));
     }
     // The footer must exist inside the file...
-    let file_len = file.len().map_err(|e| e.to_string())?;
+    let file_len = file.len()?;
     if sb.footer_offset + Footer::ENCODED_SIZE as u64 > file_len {
-        return Err(format!(
+        return Err(Torn(format!(
             "footer at {} extends past end of file ({file_len} bytes)",
             sb.footer_offset
-        ));
+        )));
     }
     let mut fbuf = vec![0u8; Footer::ENCODED_SIZE];
-    file.read_exact_or_zero_at(&mut fbuf, sb.footer_offset)
-        .map_err(|e| e.to_string())?;
+    file.read_exact_or_zero_at(&mut fbuf, sb.footer_offset)?;
     // ...decode, and agree with the superblock on what was committed.
-    let footer = Footer::decode(&fbuf).map_err(|e| e.to_string())?;
+    let footer = Footer::decode(&fbuf).map_err(|e| Torn(e.to_string()))?;
     if footer.epoch != sb.epoch {
-        return Err(format!(
+        return Err(Torn(format!(
             "footer epoch {} does not match superblock epoch {}",
             footer.epoch, sb.epoch
-        ));
+        )));
     }
     if footer.num_pages != sb.num_pages {
-        return Err(format!(
+        return Err(Torn(format!(
             "footer page count {} does not match superblock {}",
             footer.num_pages, sb.num_pages
-        ));
+        )));
     }
     if footer.table_crc != sb.table_crc {
-        return Err("footer and superblock disagree on the checksum table CRC".into());
+        return Err(Torn(
+            "footer and superblock disagree on the checksum table CRC".into(),
+        ));
     }
     // The newly written region's checksum table must hash to the
     // committed value (this is what the footer proves landed).
     let table_len = (sb.num_pages * 4) as usize;
     let mut table = vec![0u8; table_len];
-    file.read_exact_or_zero_at(&mut table, sb.table_offset)
-        .map_err(|e| e.to_string())?;
+    file.read_exact_or_zero_at(&mut table, sb.table_offset)?;
     let computed = crc32(&table);
     if computed != sb.table_crc {
-        return Err(format!(
+        return Err(Torn(format!(
             "checksum table CRC mismatch (committed {:08x}, computed {computed:08x})",
             sb.table_crc
-        ));
+        )));
     }
     // A manifest, when present, must decode (its CRC covers the run
     // list and the app blob) and belong to this epoch; then every run —
@@ -995,50 +1012,48 @@ fn validate_snapshot(
     let bs = sb.block_size as u64;
     if sb.has_manifest() {
         if sb.manifest_offset + sb.manifest_len as u64 > file_len {
-            return Err(format!(
+            return Err(Torn(format!(
                 "manifest at {} (+{}) extends past end of file ({file_len} bytes)",
                 sb.manifest_offset, sb.manifest_len
-            ));
+            )));
         }
         let mut mbuf = vec![0u8; sb.manifest_len as usize];
-        file.read_exact_or_zero_at(&mut mbuf, sb.manifest_offset)
-            .map_err(|e| e.to_string())?;
-        let m = ManifestRecord::decode(&mbuf).map_err(|e| e.to_string())?;
+        file.read_exact_or_zero_at(&mut mbuf, sb.manifest_offset)?;
+        let m = ManifestRecord::decode(&mbuf).map_err(|e| Torn(e.to_string()))?;
         if m.epoch != sb.epoch {
-            return Err(format!(
+            return Err(Torn(format!(
                 "manifest epoch {} does not match superblock epoch {}",
                 m.epoch, sb.epoch
-            ));
+            )));
         }
         let mut runs = Vec::with_capacity(m.runs.len());
         for run in &m.runs {
             if run.num_pages > 0 && run.data_offset < Superblock::data_region_start() {
-                return Err(format!(
+                return Err(Torn(format!(
                     "component {} pages at {} overlap the superblocks",
                     run.id, run.data_offset
-                ));
+                )));
             }
             if run.data_offset + run.num_pages * bs > file_len {
-                return Err(format!(
+                return Err(Torn(format!(
                     "component {} pages extend past end of file ({file_len} bytes)",
                     run.id
-                ));
+                )));
             }
             if run.table_offset + run.num_pages * 4 > file_len {
-                return Err(format!(
+                return Err(Torn(format!(
                     "component {} table extends past end of file ({file_len} bytes)",
                     run.id
-                ));
+                )));
             }
             let mut rt = vec![0u8; (run.num_pages * 4) as usize];
-            file.read_exact_or_zero_at(&mut rt, run.table_offset)
-                .map_err(|e| e.to_string())?;
+            file.read_exact_or_zero_at(&mut rt, run.table_offset)?;
             let computed = crc32(&rt);
             if computed != run.table_crc {
-                return Err(format!(
+                return Err(Torn(format!(
                     "component {} table CRC mismatch (committed {:08x}, computed {computed:08x})",
                     run.id, run.table_crc
-                ));
+                )));
             }
             runs.push((
                 *run,

@@ -205,7 +205,7 @@ fn non_mmap_fallback_is_bit_identical_and_detects_rot() {
     drop(store);
 
     // Same file, mapping denied: the fallback must agree bit for bit.
-    let guard = fault::install(FaultSchedule::never(false).with_deny_mmap());
+    let guard = fault::install(FaultSchedule::count_only(0).with_deny_mmap());
     let store = Store::open(&path).unwrap();
     assert!(
         !store.is_mmapped(),
@@ -300,6 +300,6 @@ fn all_read_paths_agree_on_a_healthy_store() {
     let _hook = fault::exclusive();
     read_paths_agree_with_the_in_memory_tree(true);
     // The read_at fallback has nothing in front of it either.
-    let _guard = fault::install(FaultSchedule::never(false).with_deny_mmap());
+    let _guard = fault::install(FaultSchedule::count_only(0).with_deny_mmap());
     read_paths_agree_with_the_in_memory_tree(false);
 }

@@ -262,11 +262,12 @@ commands:\n\
 \x20 torture [DIR] [--seed S] [--batches B] [--batch SIZE] [--writers W]\n\
 \x20        [--durability fsync|async|async:BYTES] [--stride K]\n\
 \x20       fault-injection torture sweep: run a scripted ingest trace once\n\
-\x20       to count its I/O ops, then re-run it once per op with exactly\n\
-\x20       that op failing (EIO / ENOSPC / torn write / EINTR, cycling),\n\
+\x20       to count its I/O ops and fault-mark hits, then re-run it once per\n\
+\x20       op with exactly that op failing (EIO / ENOSPC / torn write /\n\
+\x20       EINTR, cycling) and once per mark hit with a power cut there,\n\
 \x20       reopening after each run and verifying the acked-prefix\n\
 \x20       invariant. --stride K sweeps every Kth op; --writers W > 1\n\
-\x20       switches to the concurrent insert-only variant. Exits 0 only\n\
+\x20       switches to the concurrent insert-only trace. Exits 0 only\n\
 \x20       if every run recovers exactly the acknowledged operations";
 
 fn main() {
@@ -1450,20 +1451,17 @@ fn cmd_torture(opts: &Opts) -> CmdResult {
         dir.display()
     );
     let t0 = Instant::now();
-    let report = if cfg.writers > 1 {
-        pr_live::run_torture_multi(&cfg)
-    } else {
-        pr_live::run_torture(&cfg)
-    };
     // The harness panics (aborting with a nonzero exit) on any invariant
     // violation, so reaching a report means the sweep passed.
-    let r = report.map_err(|e| format!("torture harness could not run: {e}"))?;
+    let r =
+        pr_live::run_torture(&cfg).map_err(|e| format!("torture harness could not run: {e}"))?;
     println!(
-        "torture: PASS — {} runs over {} ops in {:.2}s: {} faults injected \
-         ({} silent), {} transient failures, {} fatal; every run recovered \
-         exactly the acknowledged operations",
+        "torture: PASS — {} runs over {} ops and {} mark hits in {:.2}s: {} faults \
+         injected ({} silent), {} transient failures, {} fatal; every run \
+         recovered exactly the acknowledged operations",
         r.runs,
         r.total_ops,
+        r.marks,
         t0.elapsed().as_secs_f64(),
         r.injected,
         r.silent,
