@@ -5,7 +5,8 @@
 //! * **WAL** ([`crate::wal`]) — every insert/delete is appended and
 //!   `fsync`ed before it is acknowledged or becomes visible.
 //! * **Memtable** ([`crate::memtable`]) — acknowledged writes accumulate
-//!   here; queries scan it alongside the components.
+//!   here, in MBR-keyed chunks that queries treat as in-memory leaves
+//!   beside the components' pages.
 //! * **Components** — bulk-loaded PR-trees in the geometric slots of a
 //!   [`ComponentSet`], each beside its stable store id, persisted in one
 //!   `pr-store` file and opened through checksum-verifying,
@@ -32,7 +33,7 @@
 //!   applies them (in sequence order) after the group's WAL write is
 //!   acknowledged, so queries only ever see acknowledged state. Readers
 //!   take the read lock just long enough to clone a [`LiveSnapshot`]
-//!   (memtable copy + `Arc` bumps), then query entirely off-lock
+//!   (`Arc` bumps only), then query entirely off-lock
 //!   through the PR 3 decode-free engine.
 //! * `commit queue` (std mutex + condvar, `crate::commit`) — the
 //!   leader/follower handoff and the WAL itself. Never held while
@@ -57,7 +58,7 @@ use parking_lot::{Mutex, RwLock};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{ReadPath, Store};
 use pr_tree::dynamic::fanout::{self, FilterBuild, ProbeTally};
-use pr_tree::dynamic::{ComponentSet, TombstoneKey, Tombstones};
+use pr_tree::dynamic::{ComponentSet, LooseItems, TombstoneKey, Tombstones};
 use pr_tree::{KnnSearch, QueryScratch, QueryStats, RTree, TreeParams};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -137,7 +138,7 @@ pub(crate) enum PendingApply<const D: usize> {
 pub(crate) struct Core<const D: usize> {
     pub(crate) memtable: Memtable<D>,
     /// A sealed (immutable) memtable awaiting its merge.
-    pub(crate) sealed: Option<Arc<Vec<Item<D>>>>,
+    pub(crate) sealed: Option<Arc<LooseItems<D>>>,
     /// Geometric component slots, each a store-backed, warmed tree and
     /// its stable store component id (unchanged across commits that
     /// reuse the run in place). Merges commit surviving slots by that id
@@ -233,7 +234,7 @@ impl<const D: usize> Core<D> {
         tally: &mut ProbeTally,
     ) -> Result<u64, LiveError> {
         Ok(fanout::count_stored_copies(
-            self.sealed.as_deref().map(|v| v.as_slice()),
+            self.sealed.as_deref(),
             self.components.iter().map(|(t, _)| t.as_ref()),
             item,
             build,
@@ -244,33 +245,44 @@ impl<const D: usize> Core<D> {
 
     /// Pops and applies the oldest `n` pending ops — the group leader's
     /// step, run under the core write lock after the group's WAL write
-    /// is acknowledged. Ops apply in sequence order (enqueue order).
+    /// is acknowledged. Ops apply in sequence order (enqueue order); each
+    /// run of consecutive inserts enters the memtable as one run, so a
+    /// batch of at least a chunk is tiled ([`LooseItems::extend`]).
     pub(crate) fn apply_pending(&mut self, n: usize) {
+        let mut run = Vec::new();
         for _ in 0..n {
             match self.pending.pop_front().expect("pending ops underflow") {
-                PendingApply::Insert(it) => {
-                    self.memtable.insert(it);
-                    self.live += 1;
-                }
+                PendingApply::Insert(it) => run.push(it),
                 PendingApply::DeleteMem(it) => {
+                    self.insert_run(&mut run);
                     let removed = self.memtable.remove(&it);
                     debug_assert!(removed, "decision said memtable");
                     self.live -= 1;
                 }
                 PendingApply::DeleteTomb(it) => {
+                    self.insert_run(&mut run);
                     Arc::make_mut(&mut self.tombstones).add(&it);
                     self.live -= 1;
                 }
             }
         }
+        self.insert_run(&mut run);
+    }
+
+    /// Moves a run of inserts (emptied) into the memtable.
+    fn insert_run(&mut self, run: &mut Vec<Item<D>>) {
+        self.memtable.extend(run);
+        self.live += run.len() as u64;
+        run.clear();
     }
 
     /// What a delete batch may claim, per distinct victim identity,
     /// in the serial-equivalent view: the applied state plus every
     /// enqueued-but-unapplied op (`pending`). Returns one share per
-    /// distinct identity and, per victim, the index of its share. One
-    /// pass over the memtable and one over `pending`, so the cost is
-    /// O(memtable + pending + batch) whatever the batch size.
+    /// distinct identity and, per victim, the index of its share. Each
+    /// distinct identity's memtable copies are counted in the chunks
+    /// whose MBR contains it, and `pending` is passed over once, so the
+    /// cost is O(pending + batch · chunks met) whatever the batch size.
     pub(crate) fn claimable(&self, victims: &[Item<D>]) -> (Vec<Claimable>, Vec<usize>) {
         let mut index: HashMap<TombstoneKey<D>, usize> = HashMap::with_capacity(victims.len());
         let mut shares: Vec<Claimable> = Vec::with_capacity(victims.len());
@@ -278,8 +290,9 @@ impl<const D: usize> Core<D> {
             .iter()
             .map(|v| {
                 *index.entry(TombstoneKey::of(v)).or_insert_with(|| {
+                    let mem = self.memtable.count_identical(v) as i64;
                     let dead = u64::from(self.tombstones.count(v));
-                    shares.push(Claimable { mem: 0, dead });
+                    shares.push(Claimable { mem, dead });
                     shares.len() - 1
                 })
             })
@@ -289,9 +302,6 @@ impl<const D: usize> Core<D> {
                 f(&mut shares[i]);
             }
         };
-        for it in self.memtable.items() {
-            bump(it, |c| c.mem += 1);
-        }
         for op in &self.pending {
             match op {
                 PendingApply::Insert(it) => bump(it, |c| c.mem += 1),
@@ -687,20 +697,27 @@ impl<const D: usize> LiveIndex<D> {
             components.place(slot, (Arc::new(tree), run.id));
         }
 
-        let stored = components.stored();
+        let mut memtable = Memtable::new();
+        memtable.extend(&manifest.memtable);
+        let held = components.stored() + memtable.len() as u64;
+        let Some(live) = held.checked_sub(manifest.tombstones.total()) else {
+            return Err(LiveError::Corrupt(format!(
+                "live manifest holds {} tombstones against {held} stored and memtable copies",
+                manifest.tombstones.total()
+            )));
+        };
         let mut core = Core {
-            memtable: Memtable::from_items(manifest.memtable),
+            memtable,
             sealed: None,
             components,
             tombstones: Arc::new(manifest.tombstones),
             pending: VecDeque::new(),
             structure_epoch: 0,
-            live: 0,
+            live,
             durable_seq: manifest.wal_seq,
             merged_seq: manifest.wal_seq,
             merges: 0,
         };
-        core.live = stored + core.memtable.len() as u64 - core.tombstones.total();
 
         // WAL replay: everything past the manifest's cut, in order.
         let mut rtrace = pr_obs::SpanCtx::off();
@@ -712,16 +729,17 @@ impl<const D: usize> LiveIndex<D> {
         let mut replayed: u64 = 0;
         let mut scratch = QueryScratch::new();
         let mut tally = ProbeTally::default();
+        // Consecutive inserts enter the memtable as one run, as the
+        // group leader applies them.
+        let mut run = Vec::new();
         for rec in records {
             if rec.seq <= manifest.wal_seq {
                 continue;
             }
             match rec.op {
-                WalOp::Insert => {
-                    core.memtable.insert(rec.item);
-                    core.live += 1;
-                }
+                WalOp::Insert => run.push(rec.item),
                 WalOp::Delete => {
+                    core.insert_run(&mut run);
                     // Re-derive where the delete landed against the
                     // reconstructed state — the same decision the live
                     // path made.
@@ -745,6 +763,7 @@ impl<const D: usize> LiveIndex<D> {
             next_seq = rec.seq + 1;
             replayed += 1;
         }
+        core.insert_run(&mut run);
         crate::obs::record_probe(&tally);
         crate::obs::metrics()
             .memtable_items
@@ -937,9 +956,9 @@ impl<const D: usize> LiveIndex<D> {
     ///   probe, so a merge's output pays that scan once, at its first
     ///   delete.
     /// * **Decide, under the lock.** One counted map of the batch's
-    ///   distinct identities is filled by one pass over the memtable
-    ///   and one over the pending ops. The decide is therefore
-    ///   O(memtable + pending + batch), not O(memtable × batch). The
+    ///   distinct identities is filled from the memtable chunks whose
+    ///   MBRs contain each identity and by one pass over the pending
+    ///   ops. The decide never scans the whole memtable per victim. The
     ///   probe is redone under the lock only when a seal or merge swap
     ///   landed in between. That re-probe builds no filter: a component
     ///   the swap installed is searched by one exact-match descent per
@@ -982,7 +1001,7 @@ impl<const D: usize> LiveIndex<D> {
             .iter()
             .map(|item| {
                 fanout::count_stored_copies(
-                    pinned_sealed.as_deref().map(|v| v.as_slice()),
+                    pinned_sealed.as_deref(),
                     pinned_components.iter().map(|a| a.as_ref()),
                     item,
                     FilterBuild::Lazy,
@@ -1075,14 +1094,15 @@ impl<const D: usize> LiveIndex<D> {
         Ok(deleted)
     }
 
-    /// An epoch-pinned, point-in-time view for querying. Cheap: one
-    /// memtable copy plus `Arc` bumps. The snapshot stays valid and
-    /// immutable across any amount of concurrent ingest, merging, and
-    /// compaction.
+    /// An epoch-pinned, point-in-time view for querying. Cheap: `Arc`
+    /// bumps only, one per memtable chunk and component; no item is
+    /// copied. The snapshot stays valid and immutable across any amount
+    /// of concurrent ingest, merging, and compaction: a later append or
+    /// delete copies the one memtable chunk it changes.
     pub fn snapshot(&self) -> LiveSnapshot<D> {
         let core = self.inner.core.read();
         LiveSnapshot {
-            memtable: core.memtable.items().to_vec(),
+            memtable: core.memtable.clone(),
             sealed: core.sealed.clone(),
             components: core.components.iter().map(|(t, _)| Arc::clone(t)).collect(),
             tombstones: Arc::clone(&core.tombstones),
@@ -1571,15 +1591,15 @@ pub struct StoreRunStat {
 
 /// An immutable, point-in-time view of a [`LiveIndex`].
 ///
-/// Queries fan out over the memtable copy, the sealed batch (if a merge
-/// is in flight), and every component through the decode-free engine —
-/// one shared [`QueryScratch`] across all of them — with tombstones
-/// filtered by multiset subtraction. Holding a snapshot pins its
-/// components' store pages; results are bit-stable no matter what the
-/// live index does meanwhile.
+/// Queries fan out over the memtable's chunks, the sealed batch's (if a
+/// merge is in flight), and every component through the decode-free
+/// engine — one shared [`QueryScratch`] across all of them — with
+/// tombstones filtered by multiset subtraction. Holding a snapshot pins
+/// its memtable chunks and its components' store pages; results are
+/// bit-stable no matter what the live index does meanwhile.
 pub struct LiveSnapshot<const D: usize> {
-    memtable: Vec<Item<D>>,
-    sealed: Option<Arc<Vec<Item<D>>>>,
+    memtable: Memtable<D>,
+    sealed: Option<Arc<LooseItems<D>>>,
     components: Vec<Arc<RTree<D>>>,
     tombstones: Arc<Tombstones<D>>,
     live: u64,
@@ -1613,6 +1633,11 @@ impl<const D: usize> LiveSnapshot<D> {
         self.components.iter().map(|c| c.as_ref())
     }
 
+    /// Loose chunks in view: the memtable's and the sealed batch's.
+    pub fn loose_chunks(&self) -> usize {
+        self.memtable.chunks().len() + self.sealed.as_ref().map_or(0, |s| s.chunks().len())
+    }
+
     /// Window query with caller-owned buffers (allocation-free when
     /// reused).
     pub fn window_into(
@@ -1624,7 +1649,7 @@ impl<const D: usize> LiveSnapshot<D> {
         let t0 = std::time::Instant::now();
         let stats = fanout::window_into(
             &self.memtable,
-            self.sealed.as_deref().map(|v| v.as_slice()),
+            self.sealed.as_deref(),
             self.components.iter().map(|c| c.as_ref()),
             &self.tombstones,
             query,
@@ -1646,16 +1671,16 @@ impl<const D: usize> LiveSnapshot<D> {
     }
 
     /// k-nearest-neighbors with caller-owned buffers: one
-    /// [`KnnSearch`] over the whole snapshot. The memtable copy and the
-    /// (tombstone-filtered) sealed batch are offered first — squared
-    /// distances, no sort — so the k-th-distance bound is tight before
-    /// the first page is touched; the components are then searched
-    /// best-first as one forest under that bound. One
+    /// [`KnnSearch`] over the whole snapshot. The memtable's and the
+    /// sealed batch's chunks enter the frontier beside the components'
+    /// roots, each keyed by its MBR's distance, so a chunk is scanned
+    /// only when the k-th-distance bound admits it, like a leaf. The
+    /// memtable is never tombstoned. One
     /// [`TombstoneFilter`](pr_tree::dynamic::TombstoneFilter) spans the
-    /// sealed batch and every component and is asked only about items
-    /// that would otherwise be kept, which keeps the multiset
-    /// subtraction exact (see `pr_tree::knn` for the argument) and costs
-    /// no over-fetch as tombstones approach the compaction trigger.
+    /// sealed batch and every component and is asked only about items that
+    /// would otherwise be kept, which keeps the multiset subtraction
+    /// exact (see `pr_tree::knn` for the argument) and costs no
+    /// over-fetch as tombstones approach the compaction trigger.
     pub fn nearest_neighbors_into(
         &self,
         query: &Point<D>,
@@ -1664,18 +1689,12 @@ impl<const D: usize> LiveSnapshot<D> {
         out: &mut Vec<(Item<D>, f64)>,
     ) -> Result<QueryStats, LiveError> {
         let t0 = std::time::Instant::now();
-        let mut search = KnnSearch::new(query, k, scratch);
-        for item in &self.memtable {
-            search.offer(item, |_| true);
-        }
-        let mut filter = self.tombstones.filter();
-        for item in self.sealed.iter().flat_map(|s| s.iter()) {
-            search.offer(item, |i| filter.admit(i));
-        }
-        let stats = search.run(
+        let stats = KnnSearch::new(query, k, scratch).run(
             self.components.len(),
             |c| Some(&*self.components[c]),
-            |i| filter.admit(i),
+            &self.memtable,
+            self.sealed.as_deref(),
+            &self.tombstones,
             out,
         )?;
         crate::obs::metrics()
@@ -1688,7 +1707,7 @@ impl<const D: usize> LiveSnapshot<D> {
     pub fn items(&self) -> Result<Vec<Item<D>>, LiveError> {
         Ok(fanout::items(
             &self.memtable,
-            self.sealed.as_deref().map(|v| v.as_slice()),
+            self.sealed.as_deref(),
             self.components.iter().map(|c| c.as_ref()),
             &self.tombstones,
         )?)
@@ -1759,6 +1778,48 @@ mod tests {
         }
         assert_eq!(ix.delete_batch(&victims).unwrap(), 3);
         assert!(filter_bytes() > 0, "the off-lock probe builds them");
+        drop(ix);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A manifest that decodes cleanly but holds more tombstones than
+    /// stored and memtable copies is corrupt: the live count would wrap.
+    #[test]
+    fn a_manifest_with_surplus_tombstones_is_corrupt() {
+        let dir = std::env::temp_dir()
+            .join(format!("pr-live-index-{}", std::process::id()))
+            .join("surplus-tombstones");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let params = TreeParams::with_cap::<2>(8);
+        let item = Item::new(Rect::xyxy(1.0, 1.0, 2.0, 2.0), 7);
+        // One memtable copy of `item` and `dead` tombstones for it.
+        let assemble = |dead: u32| {
+            let lock = acquire_dir_lock(&dir).unwrap();
+            let store = Store::create::<2>(&dir.join("index.prt"), params).unwrap();
+            let wal = Wal::create(&dir).unwrap();
+            let manifest = LiveManifest {
+                memtable: vec![item],
+                tombstones: [(TombstoneKey::of(&item), dead)].into_iter().collect(),
+                ..LiveManifest::default()
+            };
+            LiveIndex::assemble(
+                &dir,
+                params,
+                LiveOptions::default(),
+                store,
+                wal,
+                manifest,
+                Vec::new(),
+                lock,
+            )
+        };
+        match assemble(2) {
+            Err(LiveError::Corrupt(msg)) => assert!(msg.contains("2 tombstones"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|ix| ix.len())),
+        }
+        let ix = assemble(0).unwrap();
+        assert_eq!(ix.len(), 1);
         drop(ix);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -128,14 +128,15 @@ impl<const D: usize> LiveManifest<D> {
             ));
             off += 4;
         }
-        let mut tombstones = Tombstones::new();
-        for _ in 0..nt {
-            let item = Item::<D>::decode(&buf[off..off + item_size]);
-            off += item_size;
-            let count = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"));
-            off += 4;
-            tombstones.add_count(TombstoneKey::of(&item), count);
-        }
+        let tombstones: Tombstones<D> = (0..nt)
+            .map(|_| {
+                let item = Item::<D>::decode(&buf[off..off + item_size]);
+                off += item_size;
+                let count = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"));
+                off += 4;
+                (TombstoneKey::of(&item), count)
+            })
+            .collect();
         let mut memtable = Vec::with_capacity(nm);
         for _ in 0..nm {
             memtable.push(Item::<D>::decode(&buf[off..off + item_size]));

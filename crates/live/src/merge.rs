@@ -12,7 +12,8 @@
 //! 1. **Seal** (`writer` + `core` write, O(1)): quiesce the commit
 //!    queue (every assigned seq applied — no new seqs can appear while
 //!    `writer` is held), then move the memtable into the immutable
-//!    `sealed` slot; a fresh memtable keeps taking writes.
+//!    `sealed` slot, chunks and all; a fresh memtable keeps taking
+//!    writes.
 //! 2. **Plan** (`core` read, O(components)): plan the merge, clone Arcs
 //!    of its inputs and the tombstone set.
 //! 3. **Build** (no locks — the long part): drain sealed batch + inputs,
@@ -75,7 +76,7 @@ use pr_geom::Item;
 use pr_store::{CommitComponent, Store};
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
-use pr_tree::dynamic::{components, MergePlan};
+use pr_tree::dynamic::{components, LooseItems, MergePlan};
 use pr_tree::RTree;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -130,7 +131,7 @@ pub(crate) fn run_merge<const D: usize>(
                 MergeKind::Force | MergeKind::Full { .. } => !core.memtable.is_empty(),
             };
             if should {
-                let batch = core.memtable.drain();
+                let batch = std::mem::take(&mut core.memtable);
                 sealed_items = batch.len();
                 let m = crate::obs::metrics();
                 m.memtable_seals.inc();
@@ -197,7 +198,7 @@ pub(crate) fn run_merge<const D: usize>(
 
     // Phase 3: drain and build the merged component off-lock.
     let (items, consumed) = components::drain(
-        sealed.as_deref().map_or(&[][..], Vec::as_slice),
+        sealed.as_deref().unwrap_or(&LooseItems::new()),
         inputs.iter().map(|(slot, tree)| (*slot, tree.as_ref())),
         &t_snap,
         &mut trace,
@@ -258,7 +259,7 @@ pub(crate) fn run_merge<const D: usize>(
             target,
             layout,
             after,
-            core.memtable.items().to_vec(),
+            core.memtable.to_vec(),
         )
     };
     if let Some(t0) = t_cut {

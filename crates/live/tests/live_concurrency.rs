@@ -241,30 +241,59 @@ fn mixed_ops_match_oracle_with_concurrent_readers() {
 
 /// A snapshot is pinned: its results never change, even across further
 /// ingest, merges, and a full compaction that rewrites (and unlinks)
-/// the store file underneath it.
+/// the store file underneath it. It is taken while the memtable holds
+/// tiled full chunks and a partly filled tail, which it shares with the
+/// index until deletes and appends copy them.
 #[test]
 fn snapshot_stays_frozen_across_merges_and_compaction() {
     let dir = tmpdir("pinned");
     let opts = LiveOptions {
-        buffer_cap: 32,
+        buffer_cap: 256,
         background_merge: false,
         ..LiveOptions::default()
     };
     let ix = LiveIndex::<2>::create(&dir, params(), opts).unwrap();
-    for i in 0..300 {
-        ix.insert(item(i)).unwrap();
+    let run = |ids: std::ops::Range<u32>| ids.map(item).collect::<Vec<_>>();
+    ix.insert_batch(&run(0..256)).unwrap(); // one merge: a component
+    ix.insert_batch(&run(256..356)).unwrap(); // three tiled chunks + tail
+    for i in 356..366 {
+        ix.insert(item(i)).unwrap(); // onto the tail chunk
     }
     let snap: LiveSnapshot<2> = ix.snapshot();
+    assert_eq!(
+        (snap.num_components(), snap.loose_chunks()),
+        (1, 4),
+        "a component, three full chunks and a tail"
+    );
     let q = Rect::xyxy(0.0, 0.0, 600.0, 600.0);
+    let points: Vec<Point<2>> = (0..16u32)
+        .map(|i| Point::new([f64::from(i * 67 % 1000), f64::from(i * 131 % 1000)]))
+        .collect();
+    let knn = |snap: &LiveSnapshot<2>| {
+        let (mut scratch, mut out) = (QueryScratch::new(), Vec::new());
+        points
+            .iter()
+            .map(|p| {
+                snap.nearest_neighbors_into(p, 12, &mut scratch, &mut out)
+                    .unwrap();
+                out.clone()
+            })
+            .collect::<Vec<_>>()
+    };
     let baseline = snap.window(&q).unwrap();
+    let baseline_knn = knn(&snap);
     let baseline_len = snap.len();
 
-    // Mutate heavily: more inserts, deletes, merges, then a compaction
-    // that replaces the store file wholesale.
-    for i in 300..900 {
+    // Mutate heavily: delete memtable residents out of the shared
+    // chunks, append to the shared tail, then more inserts, deletes,
+    // merges, and a compaction that replaces the store file wholesale.
+    for i in [260, 300, 357] {
+        assert!(ix.delete(&item(i)).unwrap());
+    }
+    for i in 366..900 {
         ix.insert(item(i)).unwrap();
     }
-    for i in (0..300).step_by(2) {
+    for i in (0..256).step_by(2) {
         assert!(ix.delete(&item(i)).unwrap());
     }
     ix.compact().unwrap();
@@ -273,10 +302,11 @@ fn snapshot_stays_frozen_across_merges_and_compaction() {
     assert_eq!(snap.len(), baseline_len);
     let again = snap.window(&q).unwrap();
     assert_eq!(again, baseline, "snapshot results drifted");
+    assert_eq!(knn(&snap), baseline_knn, "snapshot k-NN drifted");
 
     // And a fresh snapshot sees the new world.
     let fresh = ix.snapshot();
-    assert_eq!(fresh.len(), 900 - 150);
+    assert_eq!(fresh.len(), 900 - 3 - 128);
 }
 
 /// k-NN on a live snapshot matches a brute-force oracle while merges

@@ -540,6 +540,39 @@ fn delete_batch_decides_like_serial_deletes() {
     assert_eq!(got, want);
 }
 
+/// A WAL tail that deletes memtable residents, which `insert_batch`
+/// runs of several chunks put in tile order: replay finds each victim
+/// through the chunk MBRs, removes exactly it, and records no tombstone.
+#[test]
+fn replayed_deletes_of_tiled_memtable_residents() {
+    let _hook = fault::exclusive();
+    let dir = tmpdir("replay-tiled-deletes");
+    let mut oracle: Vec<Item<2>> = (0..700).map(item).collect();
+    {
+        let ix = LiveIndex::<2>::create(&dir, params(), opts(4096)).unwrap();
+        for run in oracle.chunks(175) {
+            ix.insert_batch(run).unwrap();
+        }
+        let victims: Vec<Item<2>> = oracle.iter().step_by(3).copied().collect();
+        assert_eq!(ix.delete_batch(&victims).unwrap(), victims.len() as u64);
+        for id in [1u32, 350, 698] {
+            assert!(ix.delete(&item(id)).unwrap());
+        }
+        oracle.retain(|i| i.id % 3 != 0 && ![1, 350, 698].contains(&i.id));
+        let st = ix.stats().unwrap();
+        assert_eq!((st.merges, st.tombstones), (0, 0), "memtable only");
+        assert_state_matches(&ix, &oracle, "before the crash");
+    }
+    let ix = LiveIndex::<2>::open(&dir, opts(4096)).unwrap();
+    let st = ix.stats().unwrap();
+    assert_eq!((st.memtable, st.tombstones), (oracle.len(), 0));
+    assert_state_matches(&ix, &oracle, "after replaying the deletes");
+    assert!(
+        !ix.delete(&item(3)).unwrap(),
+        "replayed deletes stay deleted"
+    );
+}
+
 /// Membership filters live only in memory. After a restart with
 /// deletes in the WAL tail, replay rebuilds them through the same lazy
 /// path, and the replayed state and the first `delete_batch` answer

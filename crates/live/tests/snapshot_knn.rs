@@ -140,6 +140,10 @@ fn knn_with_a_merge_in_flight_matches_oracle() {
 /// One op of a differential trace.
 enum Op {
     Insert(Item<2>),
+    /// A run the live side applies as one `insert_batch` (STR-tiled
+    /// chunks once it holds a chunk) and `LprTree` one item at a time
+    /// (chunks in arrival order).
+    InsertRun(Vec<Item<2>>),
     Delete(Item<2>),
     /// Compare both frontends' k-NN and window answers around each point.
     Check(Vec<Point<2>>),
@@ -201,6 +205,43 @@ fn underfull_trace() -> Vec<Op> {
     trace
 }
 
+/// Insert runs of at least one chunk beside deletes. Each of eight
+/// rounds inserts a run of 48 fresh items, deletes six random live ones
+/// (memtable residents and stored copies), checks, then inserts a run
+/// that fills the buffer to exactly its cap of 64. The live side merges
+/// once per `insert_batch` that reaches the cap and `LprTree` at the
+/// insert that does, so the fill run makes them merge at the same op.
+fn tiled_trace() -> Vec<Op> {
+    const CAP: usize = 64;
+    let mut rng = SmallRng::seed_from_u64(43);
+    let (mut live, mut buffered): (Vec<Item<2>>, Vec<Item<2>>) = (Vec::new(), Vec::new());
+    let mut trace = Vec::new();
+    let mut next_id = 0u32;
+    for _ in 0..8 {
+        for len in [48, 0] {
+            let len = if len > 0 { len } else { CAP - buffered.len() };
+            let run: Vec<Item<2>> = (next_id..next_id + len as u32)
+                .map(|id| random_item(id, &mut rng))
+                .collect();
+            next_id += len as u32;
+            live.extend(&run);
+            buffered.extend(&run);
+            trace.push(Op::InsertRun(run));
+            if buffered.len() == CAP {
+                buffered.clear();
+                break;
+            }
+            for _ in 0..6 {
+                let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                buffered.retain(|i| *i != victim);
+                trace.push(Op::Delete(victim));
+            }
+            trace.push(Op::Check((0..4).map(|_| random_point(&mut rng)).collect()));
+        }
+    }
+    trace
+}
+
 /// ROADMAP item 1's pin: one op trace through both frontends of the
 /// logarithmic method. After every op their slot layouts are equal —
 /// the same merge plan, the same drain. At every check their k-NN and
@@ -222,6 +263,11 @@ fn run_differential(name: &str, cap: usize, trace: &[Op]) -> Vec<(usize, u64)> {
                 lpr.insert(*item).unwrap();
                 live_ix.insert(*item).unwrap();
                 live.push(*item);
+            }
+            Op::InsertRun(run) => {
+                run.iter().for_each(|item| lpr.insert(*item).unwrap());
+                live_ix.insert_batch(run).unwrap();
+                live.extend(run);
             }
             Op::Delete(victim) => {
                 assert!(lpr.delete(victim).unwrap());
@@ -278,6 +324,7 @@ fn lpr_tree_and_live_index_give_identical_knn() {
     run_differential("differential", 16, &random_trace());
     let underfull = run_differential("underfull", 8, &underfull_trace());
     assert_eq!(underfull, [(1, 4), (4, 128)]);
+    run_differential("tiled", 64, &tiled_trace());
 }
 
 /// The membership filters never say "absent" for a stored copy. The
@@ -301,6 +348,7 @@ fn membership_filters_admit_every_stored_copy() {
                 lpr.insert(*item).unwrap();
                 live_ix.insert(*item).unwrap();
             }
+            Op::InsertRun(_) => unreachable!("the random trace inserts one by one"),
             Op::Delete(victim) => {
                 assert!(lpr.delete(victim).unwrap());
                 assert!(live_ix.delete(victim).unwrap());

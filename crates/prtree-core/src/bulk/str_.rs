@@ -25,8 +25,9 @@ use std::sync::Arc;
 pub struct StrLoader;
 
 /// Orders `entries` into STR tile order for node capacity `cap`,
-/// recursing over dimensions starting at `dim`.
-fn tile<const D: usize>(entries: &mut [Entry<D>], dim: usize, cap: usize) {
+/// recursing over dimensions starting at `dim`. Loose items are cut into
+/// chunks in this order too ([`crate::dynamic::loose`]).
+pub(crate) fn tile<const D: usize>(entries: &mut [Entry<D>], dim: usize, cap: usize) {
     entries.sort_unstable_by(|a, b| {
         let ca = (a.rect.lo_at(dim) + a.rect.hi_at(dim)) / 2.0;
         let cb = (b.rect.lo_at(dim) + b.rect.hi_at(dim)) / 2.0;

@@ -7,8 +7,9 @@
 //! does no I/O and owns no thread. The read side is
 //! [`fanout`](crate::dynamic::fanout).
 
+use crate::dynamic::loose::LooseItems;
 use crate::dynamic::policy;
-use crate::dynamic::tombstone::Tombstones;
+use crate::dynamic::tombstone::{Spent, Tombstones};
 use crate::tree::RTree;
 use pr_em::EmError;
 use pr_geom::Item;
@@ -208,10 +209,12 @@ impl<C: Component> ComponentSet<C> {
 /// survivors in loader order and the tombstones the dropped copies
 /// consumed. A reinsert whose dead twin is stored pays the tombstone
 /// itself: aliased copies are bit-identical, so which one survives is
-/// unobservable, and both frontends drop the same one. Pure, so it runs
-/// off any lock; each input read is an `em/component_read` span.
+/// unobservable, and both frontends drop the same number. The bulk
+/// load's leaves are the same sets whatever order the loose chunks
+/// hold their items in. Pure, so it runs off any lock; each input read
+/// is an `em/component_read` span.
 pub fn drain<'a, const D: usize>(
-    loose: &[Item<D>],
+    loose: &LooseItems<D>,
     inputs: impl Iterator<Item = (usize, &'a RTree<D>)> + Clone,
     tombstones: &Tombstones<D>,
     trace: &mut pr_obs::SpanCtx,
@@ -219,7 +222,8 @@ pub fn drain<'a, const D: usize>(
     let held: u64 = inputs.clone().map(|(_, tree)| tree.len()).sum();
     let mut items = Vec::with_capacity(loose.len() + held as usize);
     let mut consumed = Tombstones::new();
-    let mut filter = tombstones.filter();
+    let mut spent = Spent::new();
+    let mut filter = tombstones.filter(&mut spent);
     let mut keep = |item: Item<D>| {
         if filter.admit(&item) {
             items.push(item);
@@ -227,7 +231,7 @@ pub fn drain<'a, const D: usize>(
             consumed.add(&item);
         }
     };
-    loose.iter().for_each(|item| keep(*item));
+    loose.for_each_item(&mut keep);
     for (slot, tree) in inputs {
         let t0 = trace.is_active().then(Instant::now);
         tree.for_each_item(&mut keep)?;

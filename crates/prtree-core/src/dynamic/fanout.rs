@@ -2,18 +2,21 @@
 //!
 //! An LPR-tree in either frontend — the in-memory
 //! [`LprTree`](crate::dynamic::LprTree) or `pr-live`'s durable index —
-//! is read the same way: the loose items (buffer / memtable: resident,
-//! never tombstoned), then the sealed batch if a merge has one in
-//! flight, then every component, with one multiset
+//! is read the same way. Its in-memory level is [`LooseItems`] whose
+//! chunks are scanned only where their MBRs can matter: the fresh list
+//! (`LprTree`'s buffer, `pr-live`'s memtable: resident, never
+//! tombstoned), then the sealed batch if a merge has one in flight. Then
+//! come the components, with one multiset
 //! [`TombstoneFilter`](crate::dynamic::TombstoneFilter) spanning the
 //! sealed batch and all components. These functions are that walk; the
-//! frontends own the state and pass it in (`LprTree` has no sealed
-//! batch and passes `None`). The k-NN counterpart is
+//! frontends own the state and pass it in (`LprTree` has no sealed batch
+//! and passes `None`). The k-NN counterpart is
 //! [`KnnSearch`](crate::knn::KnnSearch); the write side — slots, merge
 //! plan, drain and install — is
 //! [`components`](crate::dynamic::components).
 
-use crate::dynamic::tombstone::{same_identity, Tombstones};
+use crate::dynamic::loose::LooseItems;
+use crate::dynamic::tombstone::{Spent, Tombstones};
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
 use crate::tree::RTree;
@@ -24,11 +27,12 @@ use pr_geom::{Item, Rect};
 /// One reused [`QueryScratch`] is threaded through **every**
 /// component's decode-free traversal ([`RTree::window_append_into`]), so
 /// a hot loop allocates nothing in steady state despite the logarithmic
-/// fan-out. The loose items and the sealed batch are main-memory
-/// resident and cost no I/O.
+/// fan-out. Loose chunks are main-memory resident and cost no I/O; only
+/// those whose MBR meets `query` are scanned
+/// ([`QueryStats::loose_chunks`]).
 pub fn window_into<'a, const D: usize>(
-    loose: &[Item<D>],
-    sealed: Option<&[Item<D>]>,
+    fresh: &LooseItems<D>,
+    sealed: Option<&LooseItems<D>>,
     components: impl Iterator<Item = &'a RTree<D>>,
     tombstones: &Tombstones<D>,
     query: &Rect<D>,
@@ -36,45 +40,47 @@ pub fn window_into<'a, const D: usize>(
     out: &mut Vec<Item<D>>,
 ) -> Result<QueryStats, EmError> {
     out.clear();
-    out.extend(loose.iter().filter(|i| i.rect.intersects(query)));
     let mut stats = QueryStats::default();
-    let mut filter = tombstones.filter();
+    stats.loose_chunks += fresh.collect_intersecting(query, out);
+    // The filter borrows the scratch's consumption map while each
+    // traversal borrows the rest of it, so the map is lent out and
+    // returned.
+    let mut spent = std::mem::take(&mut scratch.spent);
+    let mut filter = tombstones.filter(&mut spent);
     if let Some(sealed) = sealed {
-        out.extend(
-            sealed
-                .iter()
-                .filter(|i| i.rect.intersects(query) && filter.admit(i)),
-        );
+        let start = out.len();
+        stats.loose_chunks += sealed.collect_intersecting(query, out);
+        filter.retain_admitted(out, start);
     }
-    for c in components {
+    let walk = components.into_iter().try_for_each(|c| {
         let start = out.len();
         let s = c.window_append_into(query, scratch, out)?;
         stats.absorb_traversal(&s);
         filter.retain_admitted(out, start);
-    }
+        Ok::<(), EmError>(())
+    });
+    scratch.spent = spent;
+    walk?;
     stats.results = out.len() as u64;
     Ok(stats)
 }
 
 /// All live items (test helper; costs a full scan).
 pub fn items<'a, const D: usize>(
-    loose: &[Item<D>],
-    sealed: Option<&[Item<D>]>,
+    fresh: &LooseItems<D>,
+    sealed: Option<&LooseItems<D>>,
     components: impl Iterator<Item = &'a RTree<D>>,
     tombstones: &Tombstones<D>,
 ) -> Result<Vec<Item<D>>, EmError> {
-    let mut out = loose.to_vec();
-    let mut filter = tombstones.filter();
-    if let Some(sealed) = sealed {
-        out.extend(sealed.iter().filter(|i| filter.admit(i)));
-    }
+    let mut stored = sealed.map_or_else(Vec::new, LooseItems::to_vec);
     for c in components {
-        for it in c.items()? {
-            if filter.admit(&it) {
-                out.push(it);
-            }
-        }
+        stored.extend(c.items()?);
     }
+    let mut spent = Spent::new();
+    let mut filter = tombstones.filter(&mut spent);
+    stored.retain(|it| filter.admit(it));
+    let mut out = fresh.to_vec();
+    out.append(&mut stored);
     Ok(out)
 }
 
@@ -104,7 +110,8 @@ pub struct ProbeTally {
 /// copies-vs-tombstones liveness decision. The item is live iff more
 /// copies are stored than tombstoned. (An id-only check would wrongly
 /// reject deleting a *reinserted* item whose earlier incarnation was
-/// tombstoned.) The count is the sealed batch's copies plus, for each
+/// tombstoned.) The count is the sealed batch's copies (only chunks
+/// whose MBR contains `item.rect` are scanned) plus, for each
 /// component:
 /// * nothing, if its membership filter ([`RTree::may_contain`]) rejects
 ///   `item`. A filter has no false negatives, so such a component holds
@@ -122,17 +129,14 @@ pub struct ProbeTally {
 /// it against the current one, and [`LprTree`](crate::dynamic::LprTree)
 /// against its own.
 pub fn count_stored_copies<'a, const D: usize>(
-    sealed: Option<&[Item<D>]>,
+    sealed: Option<&LooseItems<D>>,
     components: impl Iterator<Item = &'a RTree<D>>,
     item: &Item<D>,
     build: FilterBuild,
     scratch: &mut QueryScratch<D>,
     tally: &mut ProbeTally,
 ) -> Result<u64, EmError> {
-    let mut copies = 0u64;
-    if let Some(sealed) = sealed {
-        copies += sealed.iter().filter(|i| same_identity(i, item)).count() as u64;
-    }
+    let mut copies = sealed.map_or(0, |s| s.count_identical(item));
     for c in components {
         let admitted = match build {
             FilterBuild::Lazy => c.may_contain(item, scratch)?,

@@ -7,7 +7,8 @@
 //! performance"; §4 lists experimenting with it as future work — done
 //! here.
 //!
-//! Structure: an in-memory buffer of up to `buffer_cap` items plus
+//! Structure: an in-memory buffer of up to `buffer_cap` items, held as
+//! loose chunks ([`LooseItems`], the type `pr-live`'s memtable is), plus
 //! components `T_0, T_1, …` where `T_i` is a bulk-loaded PR-tree of at
 //! most `buffer_cap · 2^i` items. A buffer overflow merges the buffer
 //! with every occupied slot up to the smallest slot that holds them
@@ -15,8 +16,8 @@
 //! ([`components`]). Deletions are [`Tombstones`] — counted `(id, rect)`
 //! identities, so delete-then-reinsert of the same id is handled
 //! correctly — compacted by a global rebuild once half the stored items
-//! are dead. A window query fans out over the buffer and every component
-//! through the decode-free engine ([`fanout`]: one shared
+//! are dead. A window query fans out over the buffer's chunks and every
+//! component through the decode-free engine ([`fanout`]: one shared
 //! [`QueryScratch`], zero allocations in steady state) and filters
 //! tombstones — each component is a PR-tree, so the per-component cost
 //! keeps the `O(√(N/B) + T/B)` guarantee, at the price of an `O(log N)`
@@ -26,7 +27,8 @@ use crate::bulk::pr::PrTreeLoader;
 use crate::bulk::BulkLoader;
 use crate::dynamic::components::{self, ComponentSet, MergePlan};
 use crate::dynamic::fanout;
-use crate::dynamic::tombstone::{same_identity, Tombstones};
+use crate::dynamic::loose::LooseItems;
+use crate::dynamic::tombstone::Tombstones;
 use crate::knn::KnnSearch;
 use crate::params::TreeParams;
 use crate::query::QueryStats;
@@ -41,7 +43,7 @@ pub struct LprTree<const D: usize> {
     dev: Arc<dyn BlockDevice>,
     params: TreeParams,
     loader: PrTreeLoader,
-    buffer: Vec<Item<D>>,
+    buffer: LooseItems<D>,
     components: ComponentSet<RTree<D>>,
     tombstones: Tombstones<D>,
     live: u64,
@@ -57,7 +59,7 @@ impl<const D: usize> LprTree<D> {
             dev,
             params,
             loader: PrTreeLoader::default(),
-            buffer: Vec::new(),
+            buffer: LooseItems::new(),
             components: ComponentSet::new(buffer_cap),
             tombstones: Tombstones::new(),
             live: 0,
@@ -120,8 +122,7 @@ impl<const D: usize> LprTree<D> {
     /// Deletes by id + rectangle (checked against live items). Returns
     /// `false` if no live item matches.
     pub fn delete(&mut self, item: &Item<D>) -> Result<bool, EmError> {
-        if let Some(pos) = self.buffer.iter().position(|b| same_identity(b, item)) {
-            self.buffer.swap_remove(pos);
+        if self.buffer.remove(item) {
             self.live -= 1;
             return Ok(true);
         }
@@ -149,7 +150,7 @@ impl<const D: usize> LprTree<D> {
     }
 
     /// Window query over buffer + all components, filtering tombstones.
-    /// The buffer is main-memory resident and costs no I/O.
+    /// The buffer's chunks are main-memory resident and cost no I/O.
     pub fn window(&self, query: &Rect<D>) -> Result<(Vec<Item<D>>, QueryStats), EmError> {
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
@@ -190,14 +191,14 @@ impl<const D: usize> LprTree<D> {
     }
 
     /// [`LprTree::nearest_neighbors`] with caller-owned buffers: one
-    /// [`KnnSearch`] over the whole structure. The buffer (main-memory
-    /// resident, never tombstoned) is offered first, so the k-th-distance
-    /// bound is already tight when the forest of components is searched
-    /// best-first with the query's multiset
-    /// [`crate::dynamic::tombstone::TombstoneFilter`] as `admit`. A dead
-    /// copy consumes a tombstone, not a result slot, so heavy tombstones
-    /// cost no over-fetch; a component whose nearest page lies beyond
-    /// the bound costs its root and nothing else.
+    /// [`KnnSearch`] over the whole structure. The buffer's chunks and
+    /// the components' pages are opened best-first in one order. The
+    /// buffer is never tombstoned; every stored copy passes the query's
+    /// multiset [`crate::dynamic::tombstone::TombstoneFilter`]. A dead copy
+    /// consumes a tombstone, not a result slot, so heavy tombstones cost
+    /// no over-fetch; a component whose nearest page lies beyond the
+    /// bound costs its root and nothing else, and a chunk beyond it
+    /// costs nothing.
     ///
     /// Sharing one filter across components is exact for the same
     /// reason window queries share one: for a key with `m` stored
@@ -212,15 +213,12 @@ impl<const D: usize> LprTree<D> {
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<(Item<D>, f64)>,
     ) -> Result<QueryStats, EmError> {
-        let mut search = KnnSearch::new(query, k, scratch);
-        for item in &self.buffer {
-            search.offer(item, |_| true);
-        }
-        let mut filter = self.tombstones.filter();
-        search.run(
+        KnnSearch::new(query, k, scratch).run(
             self.components.num_slots(),
             |slot| self.components.get(slot),
-            |item| filter.admit(item),
+            &self.buffer,
+            None,
+            &self.tombstones,
             out,
         )
     }
@@ -253,7 +251,7 @@ impl<const D: usize> LprTree<D> {
             }
             None => None,
         };
-        self.buffer.clear();
+        self.buffer = LooseItems::new();
         self.tombstones.subtract(&consumed);
         self.components.install(&plan, merged);
         self.dev.discard(&freed_pages);

@@ -40,6 +40,8 @@ const BLOCK_BITS: u64 = (BLOCK_WORDS * 64) as u64;
 
 /// A blocked Bloom filter over stored identities (see the module docs).
 /// No false negatives: every identity inserted answers "maybe" forever.
+/// [`Tombstones`](crate::dynamic::Tombstones) screens its keys with one
+/// too.
 #[derive(Debug, Clone)]
 pub(crate) struct MembershipFilter {
     blocks: Vec<[u64; BLOCK_WORDS]>,
@@ -47,7 +49,7 @@ pub(crate) struct MembershipFilter {
 
 impl MembershipFilter {
     /// An empty filter sized for `items` identities.
-    fn with_capacity(items: u64) -> Self {
+    pub(crate) fn with_capacity(items: u64) -> Self {
         let bits = (items.max(1) as usize).saturating_mul(BITS_PER_ITEM);
         MembershipFilter {
             blocks: vec![[0; BLOCK_WORDS]; bits.div_ceil(BLOCK_BITS as usize)],
@@ -68,21 +70,24 @@ impl MembershipFilter {
     }
 
     /// Records one identity.
-    fn insert<const D: usize>(&mut self, key: &TombstoneKey<D>) {
+    pub(crate) fn insert<const D: usize>(&mut self, key: &TombstoneKey<D>) {
         let (block, bits) = self.locate(key);
-        for (word, mask) in self.blocks[block].iter_mut().zip(bits) {
-            *word |= mask;
+        let block = &mut self.blocks[block];
+        for pos in bits {
+            block[pos / 64] |= 1 << (pos % 64);
         }
     }
 
     /// `false` only if `key` was never inserted; `true` otherwise, and
-    /// for a small fraction of identities that were not.
+    /// for a small fraction of identities that were not. Tests the
+    /// [`HASHES`] bits one by one: a query asks this about every
+    /// candidate it keeps, and building eight word masks to compare cost
+    /// twice as much.
     pub(crate) fn may_contain<const D: usize>(&self, key: &TombstoneKey<D>) -> bool {
         let (block, bits) = self.locate(key);
-        self.blocks[block]
-            .iter()
-            .zip(bits)
-            .all(|(word, mask)| word & mask == mask)
+        let block = &self.blocks[block];
+        bits.iter()
+            .all(|&pos| block[pos / 64] >> (pos % 64) & 1 == 1)
     }
 
     /// Heap bytes the filter holds.
@@ -90,19 +95,16 @@ impl MembershipFilter {
         self.blocks.len() * BLOCK_WORDS * 8
     }
 
-    /// The block `key` lives in and the per-word masks of its bits. The
+    /// The block `key` lives in and the positions of its bits there. The
     /// high half of the fingerprint picks the block (multiply-shift
     /// range reduction); a second multiply spreads it into the `HASHES`
     /// 9-bit positions inside the block.
-    fn locate<const D: usize>(&self, key: &TombstoneKey<D>) -> (usize, [u64; BLOCK_WORDS]) {
+    #[inline]
+    fn locate<const D: usize>(&self, key: &TombstoneKey<D>) -> (usize, [usize; HASHES as usize]) {
         let h = key.fingerprint();
         let block = (((h >> 32) * self.blocks.len() as u64) >> 32) as usize;
         let g = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut bits = [0u64; BLOCK_WORDS];
-        for k in 0..HASHES {
-            let pos = (g >> (64 - 9 * (k + 1))) % BLOCK_BITS;
-            bits[(pos / 64) as usize] |= 1 << (pos % 64);
-        }
+        let bits = std::array::from_fn(|k| ((g >> (64 - 9 * (k + 1))) % BLOCK_BITS) as usize);
         (block, bits)
     }
 }

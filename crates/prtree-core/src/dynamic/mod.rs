@@ -13,6 +13,7 @@
 pub mod components;
 pub mod fanout;
 pub mod logarithmic;
+pub mod loose;
 pub mod membership;
 mod policy;
 pub mod split;
@@ -21,5 +22,6 @@ pub mod update;
 
 pub use components::{Component, ComponentSet, MergePlan};
 pub use logarithmic::LprTree;
+pub use loose::LooseItems;
 pub use split::SplitPolicy;
 pub use tombstone::{same_identity, TombstoneFilter, TombstoneKey, Tombstones};

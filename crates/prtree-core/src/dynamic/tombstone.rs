@@ -17,10 +17,19 @@
 //! `m - c` copies are reported — and since aliased copies are
 //! bit-identical items, it does not matter *which* copies survive.
 //!
+//! A query asks the filter about every stored candidate that beats its
+//! bound, and most are live. So beside the map sits a screen over its
+//! keys: the blocked Bloom filter that components keep for deletes
+//! ([`membership`](crate::dynamic::membership)). Its "absent" is exact
+//! and costs one seedless hash and one cache line; only a "maybe" pays
+//! the map's SipHash probe. The map stays SipHash, so a key crafted to
+//! pass the screen costs what every probe cost before it.
+//!
 //! Shared by [`crate::dynamic::logarithmic::LprTree`] and the `pr-live`
 //! crate's durable `LiveIndex`, whose manifest persists the map across
 //! restarts.
 
+use crate::dynamic::membership::MembershipFilter;
 use pr_geom::{Item, Rect};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -95,20 +104,77 @@ pub fn same_identity<const D: usize>(a: &Item<D>, b: &Item<D>) -> bool {
     TombstoneKey::of(a) == TombstoneKey::of(b)
 }
 
+/// The screen is rebuilt for this many times the keys the map holds
+/// when the map outgrows it…
+const SCREEN_GROWTH: usize = 2;
+/// …and when the map shrinks below `1 / SCREEN_SHRINK` of what the
+/// screen was sized for, since a removed key's bits stay set.
+const SCREEN_SHRINK: usize = 4;
+
 /// A counted set of dead `(id, rect)` identities. See the module docs.
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
+///
+/// Beside the map sits a blocked Bloom filter over its keys
+/// ([`membership`](crate::dynamic::membership)), the screen that lets
+/// [`TombstoneFilter::admit`] pass most live copies without hashing
+/// them into the map. Equality is the map's alone.
+#[derive(Clone, Default)]
 pub struct Tombstones<const D: usize> {
     map: HashMap<TombstoneKey<D>, u32>,
     total: u64,
+    /// Never says "absent" for a key of `map`. `None` while `map` is
+    /// empty, and in a set [collected](FromIterator) from a checkpoint
+    /// until its first new key: a reopen pays no screen build, and until
+    /// then every candidate probes the map.
+    screen: Option<MembershipFilter>,
+    /// Keys `screen` was sized for.
+    screen_keys: usize,
+}
+
+/// A checkpoint's `(key, count)` entries (manifest decode path), with no
+/// screen yet: the first key added later builds it.
+impl<const D: usize> FromIterator<(TombstoneKey<D>, u32)> for Tombstones<D> {
+    fn from_iter<I: IntoIterator<Item = (TombstoneKey<D>, u32)>>(entries: I) -> Self {
+        let mut set = Tombstones::new();
+        for (key, count) in entries.into_iter().filter(|&(_, count)| count > 0) {
+            *set.map.entry(key).or_insert(0) += count;
+            set.total += u64::from(count);
+        }
+        set
+    }
+}
+
+impl<const D: usize> PartialEq for Tombstones<D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.map == other.map
+    }
+}
+
+impl<const D: usize> Eq for Tombstones<D> {}
+
+impl<const D: usize> std::fmt::Debug for Tombstones<D> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tombstones")
+            .field("map", &self.map)
+            .field("total", &self.total)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<const D: usize> Tombstones<D> {
     /// An empty set.
     pub fn new() -> Self {
-        Tombstones {
-            map: HashMap::new(),
-            total: 0,
-        }
+        Self::default()
+    }
+
+    /// Sizes the screen for [`SCREEN_GROWTH`] times the keys held and
+    /// sets exactly their bits.
+    fn rebuild_screen(&mut self) {
+        self.screen_keys = self.map.len() * SCREEN_GROWTH;
+        self.screen = (!self.map.is_empty()).then(|| {
+            let mut screen = MembershipFilter::with_capacity(self.screen_keys as u64);
+            self.map.keys().for_each(|key| screen.insert(key));
+            screen
+        });
     }
 
     /// Total number of tombstones, counting multiplicity (the
@@ -127,12 +193,21 @@ impl<const D: usize> Tombstones<D> {
         self.add_count(TombstoneKey::of(item), 1);
     }
 
-    /// Records `count` dead copies under `key` (manifest decode path).
+    /// Records `count` dead copies under `key`.
     pub fn add_count(&mut self, key: TombstoneKey<D>, count: u32) {
         if count == 0 {
             return;
         }
-        *self.map.entry(key).or_insert(0) += count;
+        match self.map.entry(key) {
+            Entry::Occupied(mut e) => *e.get_mut() += count,
+            Entry::Vacant(e) => {
+                e.insert(count);
+                match &mut self.screen {
+                    Some(screen) if self.map.len() <= self.screen_keys => screen.insert(&key),
+                    _ => self.rebuild_screen(),
+                }
+            }
+        }
         self.total += count as u64;
     }
 
@@ -144,6 +219,8 @@ impl<const D: usize> Tombstones<D> {
     /// Subtracts another (consumed) multiset from this one. Used by a
     /// merge's install: the drain consumed tombstones against its
     /// *input snapshot*; deletes recorded since then stay in the map.
+    /// A removed key's screen bits stay set until the map shrinks enough
+    /// for a rebuild.
     pub fn subtract(&mut self, consumed: &Tombstones<D>) {
         for (key, &n) in &consumed.map {
             if let Entry::Occupied(mut e) = self.map.entry(*key) {
@@ -155,6 +232,9 @@ impl<const D: usize> Tombstones<D> {
                 self.total -= take as u64;
             }
         }
+        if self.map.len() * SCREEN_SHRINK < self.screen_keys {
+            self.rebuild_screen();
+        }
     }
 
     /// Iterates `(key, count)` entries (manifest encode path). Order is
@@ -163,23 +243,34 @@ impl<const D: usize> Tombstones<D> {
         self.map.iter().map(|(k, &c)| (*k, c))
     }
 
-    /// A per-query consuming view for multiset filtering.
-    pub fn filter(&self) -> TombstoneFilter<'_, D> {
+    /// A per-query consuming view for multiset filtering. `spent` holds
+    /// its per-key consumption; it is cleared here, and its capacity is
+    /// kept, so a query that reuses one (the [`QueryScratch`]'s)
+    /// allocates nothing once it has grown.
+    ///
+    /// [`QueryScratch`]: crate::QueryScratch
+    pub fn filter<'a>(&'a self, spent: &'a mut Spent<D>) -> TombstoneFilter<'a, D> {
+        if !spent.is_empty() {
+            spent.clear();
+        }
         TombstoneFilter {
             tombstones: self,
-            used: HashMap::new(),
+            spent,
         }
     }
 }
 
+/// How many tombstones of each key one [`TombstoneFilter`] has consumed.
+pub type Spent<const D: usize> = HashMap<TombstoneKey<D>, u32>;
+
 /// Per-query filtering state: the first `count` stored copies of each
 /// tombstoned key are suppressed, later copies pass. One filter must be
 /// shared across *all* storage a query fans out over (every component
-/// plus any frozen batch), so aliased copies are suppressed exactly
+/// plus any sealed batch), so aliased copies are suppressed exactly
 /// `count` times in total.
 pub struct TombstoneFilter<'a, const D: usize> {
     tombstones: &'a Tombstones<D>,
-    used: HashMap<TombstoneKey<D>, u32>,
+    spent: &'a mut Spent<D>,
 }
 
 impl<'a, const D: usize> TombstoneFilter<'a, D> {
@@ -203,18 +294,27 @@ impl<'a, const D: usize> TombstoneFilter<'a, D> {
     }
 
     /// Returns `true` if this stored copy of `item` is live (should be
-    /// reported), consuming one tombstone otherwise.
+    /// reported), consuming one tombstone otherwise. The screen answers
+    /// first: its "absent" is exact, so only a "maybe" probes the map.
     pub fn admit(&mut self, item: &Item<D>) -> bool {
-        if self.tombstones.is_empty() {
+        let tombstones = self.tombstones;
+        if tombstones.is_empty() {
             return true;
         }
         let key = TombstoneKey::of(item);
-        let Some(&count) = self.tombstones.map.get(&key) else {
+        if tombstones
+            .screen
+            .as_ref()
+            .is_some_and(|s| !s.may_contain(&key))
+        {
+            return true;
+        }
+        let Some(&count) = tombstones.map.get(&key) else {
             return true;
         };
-        let used = self.used.entry(key).or_insert(0);
-        if *used < count {
-            *used += 1;
+        let spent = self.spent.entry(key).or_insert(0);
+        if *spent < count {
+            *spent += 1;
             false
         } else {
             true
@@ -254,11 +354,63 @@ mod tests {
     fn filter_is_multiset_subtraction() {
         let mut t = Tombstones::<2>::new();
         t.add(&item(7, 1.0));
-        let mut f = t.filter();
+        let mut spent = Spent::new();
+        let mut f = t.filter(&mut spent);
         // Two stored copies, one tombstone: exactly one admitted.
         assert!(!f.admit(&item(7, 1.0)));
         assert!(f.admit(&item(7, 1.0)));
         assert!(f.admit(&item(8, 1.0)));
+        // A new filter starts from nothing spent.
+        let mut f = t.filter(&mut spent);
+        assert!(!f.admit(&item(7, 1.0)));
+    }
+
+    /// The screen grows with the keys, shrinks once three quarters are
+    /// gone, and never turns a dead copy live; equality ignores it.
+    #[test]
+    fn screen_follows_the_keys_and_stays_exact() {
+        let mut t = Tombstones::<2>::new();
+        assert_eq!(t.screen_keys, 0);
+        for id in 0..1_000 {
+            t.add(&item(id, 0.0));
+        }
+        assert!(t.screen_keys >= 1_000 && t.screen_keys <= 1_000 * SCREEN_GROWTH);
+        let grown = t.screen_keys;
+        let mut consumed = Tombstones::new();
+        (0..900).for_each(|id| consumed.add(&item(id, 0.0)));
+        let mut lean = Tombstones::new();
+        (900..1_000).for_each(|id| lean.add(&item(id, 0.0)));
+        t.subtract(&consumed);
+        assert!(t.screen_keys < grown, "rebuilt smaller");
+        assert_eq!(t, lean, "equal maps, different screen histories");
+        let mut spent = Spent::new();
+        let mut f = t.filter(&mut spent);
+        for id in 0..1_000 {
+            assert_eq!(f.admit(&item(id, 0.0)), id < 900, "id {id}");
+        }
+        t.subtract(&lean);
+        assert!(t.is_empty() && t.screen_keys == 0);
+    }
+
+    /// A set collected from a checkpoint has no screen and is exact
+    /// through the map alone; its first new key builds the screen.
+    #[test]
+    fn a_collected_set_builds_its_screen_on_its_first_new_key() {
+        let mut t: Tombstones<2> = (0..100)
+            .map(|id| (TombstoneKey::of(&item(id, 0.0)), 1 + id % 2))
+            .collect();
+        assert_eq!(t.total(), 150);
+        assert!(t.screen.is_none());
+        let mut spent = Spent::new();
+        let mut f = t.filter(&mut spent);
+        assert!(!f.admit(&item(2, 0.0)) && f.admit(&item(2, 0.0)));
+        assert!(f.admit(&item(100, 0.0)));
+        t.add(&item(2, 0.0));
+        assert!(t.screen.is_none(), "no new key");
+        t.add(&item(100, 0.0));
+        assert!(t.screen.is_some() && t.screen_keys >= 101);
+        let mut f = t.filter(&mut spent);
+        assert!(!f.admit(&item(100, 0.0)) && f.admit(&item(100, 0.0)));
     }
 
     #[test]

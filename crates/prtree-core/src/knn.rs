@@ -8,10 +8,15 @@
 //! robustness extends to k-NN workloads for free.
 //!
 //! **The forest.** The paper's LPR-tree (§4) answers a query from
-//! O(log N) components plus an in-memory buffer, so the unit of search
+//! O(log N) components plus an in-memory level, so the unit of search
 //! here is not a tree but a set of them. [`KnnSearch`] opens pages
 //! nearest first over all trees at once — the classic best-first
 //! branch-and-bound of Hjaltason–Samet, seeded with every tree's root.
+//! The in-memory level is [`LooseItems`], whose chunks are leaves that
+//! cost no I/O: each list (a buffer or memtable, and a sealed batch)
+//! enters the frontier as one range of its chunks, keyed by the `dist²`
+//! of each chunk's MBR, so a chunk is scanned only when the bound admits
+//! it, like any leaf.
 //! [`RTree::nearest_neighbors_into`] is the forest of one.
 //!
 //! **The frontier.** A heap of every admitted child pushes a node's
@@ -29,28 +34,30 @@
 //!
 //! **The bound.** Beside the node heap sits a max-heap of the `k` best
 //! *admitted* items so far; once it holds `k`, its top is the pruning
-//! bound. Items held outside any tree (a memtable, a sealed batch) are
-//! [offered](KnnSearch::offer) to it first, so the bound is tight before
-//! the first page is touched. A child or leaf item is considered only
-//! if the set is not full or its `dist²` is **strictly** below the
-//! bound, and the search stops at the first popped page that fails the
-//! same test: a page is never read to settle a tie. Work follows the
-//! `k` answers reported, not `k` candidates per component.
+//! bound. A child, a loose chunk or a leaf item is considered only if
+//! the set is not full or its `dist²` is **strictly** below the bound,
+//! and the search stops at the first popped page that fails the same
+//! test: a page is never read to settle a tie. Loose chunks and pages
+//! compete in one order, so a chunk far from the query is pruned like
+//! a far leaf instead of being scanned up front. Work follows the `k`
+//! answers reported, not `k` candidates per component.
 //!
 //! **The contract.** The reported distances are exactly the `k`
 //! smallest among admitted (live) items — fewer only when fewer exist —
 //! in `(dist, id)` order. Which of several items tied *at the k-th
-//! distance* is reported is deterministic but unspecified. `admit` is
+//! distance* is reported is deterministic but unspecified. The query's
+//! multiset [`TombstoneFilter`](crate::dynamic::TombstoneFilter) covers
+//! every stored copy (a buffer or memtable is never tombstoned). It is
 //! asked only about items that would otherwise be kept, and about each
-//! stored copy at most once; a multiset
-//! [`TombstoneFilter`](crate::dynamic::tombstone::TombstoneFilter)
-//! passed as `admit` therefore stays exact: aliased copies are
+//! copy at most once, so it stays exact: aliased copies are
 //! bit-identical and equidistant, so a copy that is never asked about
 //! is one the bound had already excluded together with its twins.
 //! Distances are squared throughout (the batched kernel's output); the
 //! square root is taken once per reported item.
 
 use crate::cache::{CacheTally, FrozenMap};
+use crate::dynamic::loose::LooseItems;
+use crate::dynamic::tombstone::Tombstones;
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
 use crate::tree::{NodeView, RTree};
@@ -234,10 +241,10 @@ pub(crate) struct TreeVisit<const D: usize> {
     frozen: Option<FrozenMap<D>>,
 }
 
-/// One k-NN query in progress over a forest of trees plus any items the
-/// caller holds outside them (see the module docs for the search and
-/// its contract). Every buffer lives in the [`QueryScratch`], so a
-/// warmed scratch makes the whole query allocation-free.
+/// One k-NN query in progress over a forest of trees and loose chunks
+/// (see the module docs for the search and its contract). Every buffer
+/// lives in the [`QueryScratch`], so a warmed scratch makes the whole
+/// query allocation-free.
 pub struct KnnSearch<'a, const D: usize> {
     query: &'a Point<D>,
     scratch: &'a mut QueryScratch<D>,
@@ -255,29 +262,24 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
         KnnSearch { query, scratch }
     }
 
-    /// Offers an item stored outside any tree (an insert buffer, a
-    /// sealed batch). `admit` is consulted only if the item would be
-    /// kept.
-    pub fn offer(&mut self, item: &Item<D>, admit: impl FnOnce(&Item<D>) -> bool) {
-        let dist2 = item.rect.min_dist2(self.query);
-        let best = &mut self.scratch.best;
-        if best.admits(dist2) && admit(item) {
-            best.insert(dist2, *item);
-        }
-    }
-
     /// Runs the best-first search over trees `0..trees` (`tree_at` may
-    /// return `None` for an empty slot) and writes the result to `out`
-    /// (cleared first), nearest first. An internal node's distances come
-    /// from the vectorized [`pr_geom::batch::min_dist2_batch`] kernel; a
-    /// leaf's are computed in place as its records are read
+    /// return `None` for an empty slot) and the chunks of the `fresh`
+    /// and `sealed` loose lists, and writes the result to `out` (cleared
+    /// first), nearest first. `fresh` (a buffer or memtable) is never
+    /// tombstoned; every other copy passes one multiset filter over
+    /// `tombstones`. An internal node's distances come from the
+    /// vectorized [`pr_geom::batch::min_dist2_batch`] kernel; a leaf's
+    /// or a chunk's are computed in place as its records are read
     /// ([`crate::leaf::LeafRecords`]). Both are bit-identical to the
-    /// scalar `Rect::min_dist2`.
+    /// scalar `Rect::min_dist2`. A chunk scan counts in
+    /// [`QueryStats::loose_chunks`], never as a node or leaf.
     pub fn run<'t>(
         self,
         trees: usize,
         tree_at: impl Fn(usize) -> Option<&'t RTree<D>>,
-        mut admit: impl FnMut(&Item<D>) -> bool,
+        fresh: &LooseItems<D>,
+        sealed: Option<&LooseItems<D>>,
+        tombstones: &Tombstones<D>,
         out: &mut Vec<(Item<D>, f64)>,
     ) -> Result<QueryStats, EmError> {
         let query = self.query;
@@ -288,9 +290,11 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
             frontier,
             best,
             forest,
+            spent,
             trace,
             ..
         } = self.scratch;
+        let mut filter = tombstones.filter(spent);
         let mut stats = QueryStats::default();
         let tracing = trace.is_active();
         let traverse = trace.begin("tree", "best_first");
@@ -301,8 +305,29 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                 frontier.open_range(tree, [(0.0, t.root())]);
             }
         }
+        // `fresh` is source `trees` and `sealed` source `trees + 1`;
+        // their "pages" are chunk indexes.
+        let no_batch = LooseItems::new();
+        let loose = [fresh, sealed.unwrap_or(&no_batch)];
+        for (j, list) in loose.iter().enumerate() {
+            let chunks = list.chunks().iter().enumerate();
+            frontier.open_range(
+                trees + j,
+                chunks.map(|(i, c)| (c.mbr().min_dist2(query), i as BlockId)),
+            );
+        }
         let walk = (|| {
             while let Some((tree, page)) = frontier.next_page(best) {
+                if let Some(j) = tree.checked_sub(trees) {
+                    stats.loose_chunks += 1;
+                    let records = loose[j].chunks()[page as usize].records();
+                    if j == 0 {
+                        records.offer_nearest(query, best, |_| true);
+                    } else {
+                        records.offer_nearest(query, best, |it| filter.admit(it));
+                    }
+                    continue;
+                }
                 let visit = &mut forest[tree];
                 let t_node = tracing.then(std::time::Instant::now);
                 let mut level = 0u8;
@@ -320,7 +345,7 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                         match n {
                             NodeView::Leaf(leaf) => {
                                 stats.leaves_visited += 1;
-                                leaf.offer_nearest(query, best, &mut admit);
+                                leaf.offer_nearest(query, best, |it| filter.admit(it));
                             }
                             NodeView::Internal(n) => {
                                 stats.internal_visited += 1;
@@ -406,7 +431,14 @@ impl<const D: usize> RTree<D> {
         scratch: &mut QueryScratch<D>,
         out: &mut Vec<(Item<D>, f64)>,
     ) -> Result<QueryStats, EmError> {
-        KnnSearch::new(query, k, scratch).run(1, |_| Some(self), |_| true, out)
+        KnnSearch::new(query, k, scratch).run(
+            1,
+            |_| Some(self),
+            &LooseItems::new(),
+            None,
+            &Tombstones::new(),
+            out,
+        )
     }
 }
 
@@ -415,7 +447,7 @@ mod tests {
     use super::*;
     use crate::bulk::pr::PrTreeLoader;
     use crate::bulk::{BulkLoader, LoaderKind};
-    use crate::dynamic::tombstone::{same_identity, Tombstones};
+    use crate::dynamic::tombstone::{same_identity, Spent};
     use crate::params::TreeParams;
     use crate::reference::ReferenceEngine;
     use pr_em::{BlockDevice, MemDevice};
@@ -580,11 +612,18 @@ mod tests {
             .collect()
     }
 
-    /// Everything a snapshot can hold: unfiltered buffer items, a
-    /// tombstone-filtered sealed batch, and tombstone-filtered trees.
+    fn loose<const D: usize>(items: &[Item<D>]) -> LooseItems<D> {
+        let mut loose = LooseItems::new();
+        loose.extend(items);
+        loose
+    }
+
+    /// Everything a snapshot can hold: an unfiltered buffer and a
+    /// tombstone-filtered sealed batch of loose chunks, and
+    /// tombstone-filtered trees.
     struct Forest<const D: usize> {
-        buffer: Vec<Item<D>>,
-        sealed: Vec<Item<D>>,
+        buffer: LooseItems<D>,
+        sealed: LooseItems<D>,
         trees: Vec<RTree<D>>,
         tombstones: Tombstones<D>,
     }
@@ -593,19 +632,13 @@ mod tests {
         fn knn(&self, q: &Point<D>, k: usize) -> (Vec<(Item<D>, f64)>, QueryStats) {
             let mut scratch = QueryScratch::new();
             let mut out = Vec::new();
-            let mut search = KnnSearch::new(q, k, &mut scratch);
-            for item in &self.buffer {
-                search.offer(item, |_| true);
-            }
-            let mut filter = self.tombstones.filter();
-            for item in &self.sealed {
-                search.offer(item, |i| filter.admit(i));
-            }
-            let stats = search
+            let stats = KnnSearch::new(q, k, &mut scratch)
                 .run(
                     self.trees.len(),
                     |t| Some(&self.trees[t]),
-                    |i| filter.admit(i),
+                    &self.buffer,
+                    Some(&self.sealed),
+                    &self.tombstones,
                     &mut out,
                 )
                 .unwrap();
@@ -615,16 +648,12 @@ mod tests {
         /// The live multiset by brute force: buffer items, plus stored
         /// copies minus `count` tombstones per identity.
         fn live(&self) -> Vec<Item<D>> {
-            let mut live = self.buffer.clone();
-            let mut filter = self.tombstones.filter();
+            let mut live = self.buffer.to_vec();
+            let mut spent = Spent::new();
+            let mut filter = self.tombstones.filter(&mut spent);
             let stored = self.trees.iter().flat_map(|t| t.items().unwrap());
-            live.extend(
-                self.sealed
-                    .iter()
-                    .copied()
-                    .chain(stored)
-                    .filter(|i| filter.admit(i)),
-            );
+            let stored = self.sealed.to_vec().into_iter().chain(stored);
+            live.extend(stored.filter(|i| filter.admit(i)));
             live
         }
 
@@ -682,8 +711,8 @@ mod tests {
         sets.push([random_boxes(40, 2_000, seed + 2), aliased.clone()].concat());
         sets.push(aliased);
         Forest {
-            buffer: random_boxes(12, 3_000, seed + 3),
-            sealed,
+            buffer: loose(&random_boxes(12, 3_000, seed + 3)),
+            sealed: loose(&sealed),
             trees: sets.iter().map(|s| build(s)).collect(),
             tombstones,
         }
@@ -749,8 +778,8 @@ mod tests {
             })
             .collect();
         let forest = Forest {
-            buffer: Vec::new(),
-            sealed: Vec::new(),
+            buffer: LooseItems::new(),
+            sealed: LooseItems::new(),
             trees,
             tombstones: Tombstones::new(),
         };
@@ -790,8 +819,8 @@ mod tests {
             t.warm_cache().unwrap();
         }
         let forest = Forest {
-            buffer: Vec::new(),
-            sealed: Vec::new(),
+            buffer: LooseItems::new(),
+            sealed: LooseItems::new(),
             trees,
             tombstones: Tombstones::new(),
         };
@@ -888,6 +917,38 @@ mod tests {
                     "k={k} q={q:?}: {} leaves opened, {within} within the k-th distance",
                     stats.leaves_visited
                 );
+            }
+        }
+    }
+
+    /// Loose chunks are leaves to the search: only chunks whose MBR is
+    /// no farther than the k-th reported item are scanned, none counts
+    /// as a node, and the answers are the brute-force ones.
+    #[test]
+    fn loose_chunks_open_only_within_the_kth_distance() {
+        let items = random_items(3_000, 29);
+        let forest = Forest {
+            buffer: loose(&items[..2_000]),
+            sealed: loose(&items[2_000..]),
+            trees: Vec::new(),
+            tombstones: Tombstones::new(),
+        };
+        let held = forest.buffer.chunks().len() + forest.sealed.chunks().len();
+        let mut rng = SmallRng::seed_from_u64(31);
+        for _ in 0..40 {
+            let q = Point::new([rng.gen_range(-5.0..105.0), rng.gen_range(-5.0..105.0)]);
+            for k in [1usize, 10, 64] {
+                forest.check(&q, k);
+                let (got, stats) = forest.knn(&q, k);
+                let kth = got.last().unwrap().0.rect.min_dist2(&q);
+                let within = [&forest.buffer, &forest.sealed]
+                    .iter()
+                    .flat_map(|l| l.chunks())
+                    .filter(|c| c.mbr().min_dist2(&q) <= kth)
+                    .count();
+                assert!(stats.loose_chunks <= within as u64, "k={k} q={q:?}");
+                assert!(stats.loose_chunks * 4 < held as u64, "k={k} q={q:?}");
+                assert_eq!(stats.nodes_visited, 0);
             }
         }
     }

@@ -57,6 +57,13 @@ fn decode_item<const D: usize>(rec: &[u8]) -> Item<D> {
     Item::new(Rect::new(lo, hi), id::<D>(rec))
 }
 
+/// True when `rec` is bit-identical to `item`; coordinates are read only
+/// for a record whose id matches.
+#[inline(always)]
+fn identical<const D: usize>(rec: &[u8], item: &Item<D>) -> bool {
+    id::<D>(rec) == item.id && same_identity(&decode_item::<D>(rec), item)
+}
+
 /// Closed intersection, branch-free over the dimensions — the test
 /// [`pr_geom::batch::intersects_mask`] makes.
 #[inline(always)]
@@ -85,9 +92,14 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
     /// The first `count` records of a page whose header
     /// [`page_header`] has already accepted.
     pub(crate) fn new(buf: &'a [u8], count: usize) -> Self {
-        LeafRecords {
-            bytes: &buf[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + count * Entry::<D>::SIZE],
-        }
+        Self::from_records(&buf[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + count * Entry::<D>::SIZE])
+    }
+
+    /// Records laid out back to back with no page header: a loose chunk
+    /// ([`crate::dynamic::loose`]).
+    pub(crate) fn from_records(bytes: &'a [u8]) -> Self {
+        debug_assert_eq!(bytes.len() % Entry::<D>::SIZE, 0);
+        LeafRecords { bytes }
     }
 
     #[inline]
@@ -150,9 +162,13 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
     /// compares them. The id is tested first; coordinates are read only
     /// for a record whose id matches.
     pub fn count_identical(&self, item: &Item<D>) -> u64 {
-        self.records()
-            .filter(|rec| id::<D>(rec) == item.id && same_identity(&decode_item::<D>(rec), item))
-            .count() as u64
+        self.records().filter(|rec| identical(rec, item)).count() as u64
+    }
+
+    /// Index of the first record bit-identical to `item`, tested as
+    /// [`LeafRecords::count_identical`] tests it.
+    pub(crate) fn position_identical(&self, item: &Item<D>) -> Option<usize> {
+        self.records().position(|rec| identical(rec, item))
     }
 
     /// The k-NN leaf step: every record whose squared distance to `p`

@@ -49,6 +49,10 @@ pub struct QueryStats {
     pub device_reads: u64,
     /// Number of reported items (`T`).
     pub results: u64,
+    /// In-memory loose chunks scanned ([`crate::dynamic::loose`]): an
+    /// LPR-tree's smallest level, which costs no I/O and so counts in
+    /// none of the node fields above.
+    pub loose_chunks: u64,
 }
 
 impl QueryStats {

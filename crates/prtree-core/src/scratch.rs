@@ -2,14 +2,14 @@
 //!
 //! Every buffer a query needs lives here: the DFS stack, the raw-page
 //! read buffer, the SoA transcode target for an internal node that
-//! misses the cache, the match mask the batch kernels write, and the
-//! k-NN search's frontier (an arena of opened nodes' admitted children
-//! plus a heap of one cursor per opened node), k-best heap, per-tree
-//! tallies and batched-distance buffer. Leaves never use the transcode
-//! target: they are scanned in place over the page bytes the device
-//! lends, or over `page_buf` where it must copy
-//! ([`crate::leaf::LeafRecords`]). A [`QueryScratch`] is created once
-//! and threaded through the `_into` variants
+//! misses the cache, the match mask the batch kernels write, the k-NN
+//! search's frontier (an arena of opened nodes' admitted children plus
+//! a heap of one cursor per opened node), k-best heap, per-tree tallies
+//! and batched-distance buffer, and the tombstone filter's per-key
+//! consumption. Leaves never use the transcode target: they are scanned
+//! in place over the page bytes the device lends, or over `page_buf`
+//! where it must copy ([`crate::leaf::LeafRecords`]). A [`QueryScratch`]
+//! is created once and threaded through the `_into` variants
 //! ([`crate::tree::RTree::window_into`],
 //! [`crate::tree::RTree::window_count_into`],
 //! [`crate::tree::RTree::count_exact`],
@@ -18,13 +18,14 @@
 //! queries sized the buffers, the steady-state hot path performs **zero
 //! heap allocations per query** — `tests/build_alloc.rs` counts them for
 //! windows, counts, exact matches and k-NN, over one tree and over an
-//! LPR-tree's forest. Concurrent readers of one tree each bring their
-//! own scratch.
+//! LPR-tree's forest with tombstones. Concurrent readers of one tree
+//! each bring their own scratch.
 //!
 //! The convenience wrappers (`window`, `window_count`, …) construct a
 //! fresh scratch per call, so one-shot callers pay only what the old
 //! engine already paid.
 
+use crate::dynamic::tombstone::Spent;
 use crate::knn::{Frontier, KBest, TreeVisit};
 use crate::soa::SoaNode;
 use pr_em::BlockId;
@@ -56,6 +57,10 @@ pub struct QueryScratch<const D: usize> {
     /// Per-tree cache tally + frozen snapshot of the forest (k-NN);
     /// empty between queries.
     pub(crate) forest: Vec<TreeVisit<D>>,
+    /// Tombstones the query's
+    /// [`TombstoneFilter`](crate::dynamic::TombstoneFilter) consumed, per
+    /// key.
+    pub(crate) spent: Spent<D>,
     /// Span-trace context riding the query (see `pr_obs::trace`). The
     /// engine arms it via sampling at the top of each traversal and
     /// publishes the finished trace; callers wanting a guaranteed trace
@@ -76,6 +81,7 @@ impl<const D: usize> QueryScratch<D> {
             frontier: Frontier::default(),
             best: KBest::new(0),
             forest: Vec::new(),
+            spent: Spent::new(),
             trace: pr_obs::SpanCtx::off(),
         }
     }

@@ -190,10 +190,27 @@ fn external_load_stays_near_its_memory_budget() {
     );
 }
 
+/// An LPR-tree over `items` whose every third stored item is dead: its
+/// queries meet tombstoned copies, whose per-key consumption the
+/// query's filter tracks in the [`QueryScratch`].
+fn tombstoned_lpr(params: TreeParams, items: &[Item<2>]) -> LprTree<2> {
+    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+    let mut lpr = LprTree::<2>::new(dev, params, 16);
+    for item in items {
+        lpr.insert(*item).unwrap();
+    }
+    let stored = items.len() - items.len() % 16;
+    for item in items[..stored].iter().step_by(3) {
+        assert!(lpr.delete(item).unwrap());
+    }
+    assert!(lpr.num_components() >= 3 && lpr.num_tombstones() > 0);
+    lpr
+}
+
 /// Steady-state k-NN is allocation-free: every heap of the best-first
-/// search lives in the `QueryScratch`, over one tree and over an
-/// LPR-tree's whole forest (buffer + components; no tombstones, whose
-/// per-query filter state is the one thing that would allocate).
+/// search and the tombstone filter's consumption map live in the
+/// `QueryScratch`, over one tree and over an LPR-tree's whole forest
+/// (buffer chunks + components, with tombstones).
 #[test]
 fn warmed_knn_allocates_nothing() {
     let _alone = alone();
@@ -204,12 +221,7 @@ fn warmed_knn_allocates_nothing() {
         .load(dev, params, items.clone())
         .unwrap();
     tree.warm_cache().unwrap();
-    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
-    let mut lpr = LprTree::<2>::new(dev, params, 16);
-    for item in &items[..1_000] {
-        lpr.insert(*item).unwrap();
-    }
-    assert!(lpr.num_components() >= 3 && lpr.num_tombstones() == 0);
+    let lpr = tombstoned_lpr(params, &items[..1_000]);
 
     let points: Vec<Point<2>> = (0..64)
         .map(|i| Point::new([(i * 131 % 1000) as f64, (i * 577 % 1000) as f64]))
@@ -243,7 +255,8 @@ fn warmed_knn_allocates_nothing() {
 
 /// Steady-state windows, counts and exact matches are allocation-free
 /// on a warmed tree: internal nodes come from the cache, leaves are
-/// scanned in place, and the stack, mask and output are reused.
+/// scanned in place, and the stack, mask and output are reused. So are
+/// windows over an LPR-tree with tombstones.
 #[test]
 fn warmed_windows_allocate_nothing() {
     let _alone = alone();
@@ -255,6 +268,7 @@ fn warmed_windows_allocate_nothing() {
         .unwrap();
     tree.warm_cache().unwrap();
     assert!(tree.root_level() >= 1);
+    let lpr = tombstoned_lpr(TreeParams::with_cap::<2>(8), &items[..1_000]);
 
     let windows: Vec<Rect<2>> = (0..64)
         .map(|i| {
@@ -265,13 +279,14 @@ fn warmed_windows_allocate_nothing() {
     let mut scratch = QueryScratch::new();
     let mut out = Vec::new();
     let mut pass = |scratch: &mut QueryScratch<2>| {
-        let (mut reported, mut counted, mut found) = (0, 0, 0);
+        let (mut reported, mut counted, mut found, mut lpr_live) = (0, 0, 0, 0);
         for (q, victim) in windows.iter().zip(items.iter().step_by(97)) {
             reported += tree.window_into(q, scratch, &mut out).unwrap().results;
             counted += tree.window_count_into(q, scratch).unwrap().0;
             found += tree.count_exact(victim, scratch).unwrap().results;
+            lpr_live += lpr.window_into(q, scratch, &mut out).unwrap().results;
         }
-        (reported, counted, found)
+        (reported, counted, found, lpr_live)
     };
     let (warm, sizing) = allocations_in(|| pass(&mut scratch));
     assert!(sizing > 0, "the first pass sizes the scratch");
@@ -279,8 +294,9 @@ fn warmed_windows_allocate_nothing() {
     assert_eq!(again, warm);
     assert!(warm.0 > 0 && warm.0 == warm.1, "{warm:?}");
     assert_eq!(warm.2, windows.len() as u64);
+    assert!(warm.3 > 0, "{warm:?}");
     assert_eq!(
         allocations, 0,
-        "warmed windows, counts and exact matches allocated {allocations} times"
+        "warmed windows, counts, exact matches and LPR windows allocated {allocations} times"
     );
 }

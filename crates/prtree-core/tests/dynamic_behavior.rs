@@ -11,7 +11,7 @@ use pr_obs::SpanCtx;
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
 use pr_tree::dynamic::components::drain;
-use pr_tree::dynamic::{Component, ComponentSet, LprTree, MergePlan, Tombstones};
+use pr_tree::dynamic::{Component, ComponentSet, LooseItems, LprTree, MergePlan, Tombstones};
 use pr_tree::query::brute_force_window;
 use pr_tree::{QueryScratch, TreeParams};
 use std::sync::Arc;
@@ -345,8 +345,9 @@ fn a_drained_reinsert_consumes_its_tombstone() {
     let mut tombstones = Tombstones::new();
     tombstones.add(&dead);
     let inputs = [(3, &tree)].into_iter();
-    let (items, consumed) =
-        drain(&[dead, fresh], inputs, &tombstones, &mut SpanCtx::off()).unwrap();
+    let mut loose = LooseItems::new();
+    loose.extend(&[dead, fresh]);
+    let (items, consumed) = drain(&loose, inputs, &tombstones, &mut SpanCtx::off()).unwrap();
     assert_eq!(items[0], fresh, "the reinsert was dropped");
     let mut stored = items[1..].to_vec();
     stored.sort_by_key(|i| i.id);

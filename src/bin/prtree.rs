@@ -1024,6 +1024,20 @@ impl Reader {
         }
     }
 
+    /// The `--explain` line for a live query's in-memory level: the
+    /// loose chunks it scanned and the ones the snapshot holds. A chunk
+    /// scan reads no page, so it stays out of the level sums.
+    fn loose_line(&self, stats: &QueryStats) -> Option<String> {
+        match self {
+            Reader::File { .. } => None,
+            Reader::Live { snap, .. } => Some(format!(
+                "loose chunks: {} scanned of {} held (in memory, outside the level sums)",
+                stats.loose_chunks,
+                snap.loose_chunks()
+            )),
+        }
+    }
+
     /// What opening cost, and what it found.
     fn open_line(&self, open_ms: f64) -> String {
         match self {
@@ -1044,10 +1058,12 @@ impl Reader {
 /// Runs one query and times it in ms. With `--explain` every traversal
 /// it makes is traced — sampling goes 1-in-1 for the query, then back
 /// off so a `--repeat` loop runs untraced — and the profile is printed
-/// and cross-checked against the query's own statistics.
+/// and cross-checked against the query's own statistics, followed by
+/// the live reader's loose-chunk line.
 fn explained(
     opts: &Opts,
     kind: &str,
+    reader: &Reader,
     query: impl FnOnce() -> CmdResult<QueryStats>,
 ) -> CmdResult<(QueryStats, f64)> {
     let explain = opts.has("explain");
@@ -1061,6 +1077,9 @@ fn explained(
     if explain {
         pr_obs::trace::set_sampling(0);
         print_explain(&pr_obs::trace::drain_collector(), kind, &stats)?;
+        if let Some(line) = reader.loose_line(&stats) {
+            println!("{line}");
+        }
     }
     Ok((stats, ms))
 }
@@ -1076,7 +1095,7 @@ fn cmd_query(opts: &Opts) -> CmdResult {
     let open_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mut scratch = QueryScratch::new();
     let mut hits = Vec::new();
-    let (stats, query_ms) = explained(opts, "window", || {
+    let (stats, query_ms) = explained(opts, "window", &reader, || {
         reader.window(&q, &mut scratch, &mut hits)
     })?;
 
@@ -1135,7 +1154,7 @@ fn cmd_knn(opts: &Opts) -> CmdResult {
     let reader = Reader::open(path, opts)?;
     let mut scratch = QueryScratch::new();
     let mut neighbors = Vec::new();
-    let (stats, knn_ms) = explained(opts, "knn", || {
+    let (stats, knn_ms) = explained(opts, "knn", &reader, || {
         reader.knn(&Point::new([x, y]), k, &mut scratch, &mut neighbors)
     })?;
     println!("{} nearest to ({x}, {y}):", neighbors.len());
