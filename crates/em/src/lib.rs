@@ -36,7 +36,7 @@ pub use error::{io_error_is_transient, EmError};
 pub use sort::{
     external_sort, external_sort_by, external_sort_multi, merge_runs, MergeReader, SortConfig,
 };
-pub use stats::{HitCounters, IoCounters, IoStats};
+pub use stats::{IoCounters, IoStats};
 pub use stream::{Record, Stream, StreamReader, StreamWriter};
 
 /// Result alias for substrate operations.

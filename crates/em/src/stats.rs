@@ -51,56 +51,6 @@ impl IoCounters {
     }
 }
 
-/// Shared, thread-safe hit/miss counters for a cache layer.
-///
-/// The node cache in `pr-tree` reports `(hits, misses)` through this
-/// type. Counters are relaxed atomics: totals are exact whatever the
-/// interleaving (every lookup increments exactly one counter), only
-/// cross-counter ordering is unspecified — the same contract as
-/// [`IoCounters`].
-#[derive(Debug, Default)]
-pub struct HitCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl HitCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        HitCounters::default()
-    }
-
-    /// Records `n` cache hits.
-    #[inline]
-    pub fn add_hits(&self, n: u64) {
-        if n > 0 {
-            self.hits.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Records `n` cache misses.
-    #[inline]
-    pub fn add_misses(&self, n: u64) {
-        if n > 0 {
-            self.misses.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current `(hits, misses)` totals.
-    pub fn snapshot(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Resets both counters to zero.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-}
-
 /// A point-in-time copy of the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoStats {
@@ -192,33 +142,6 @@ mod tests {
         c.add_writes(9);
         c.reset();
         assert_eq!(c.snapshot().total(), 0);
-    }
-
-    #[test]
-    fn hit_counters_accumulate_and_reset() {
-        let h = HitCounters::new();
-        h.add_hits(3);
-        h.add_misses(1);
-        h.add_hits(0); // no-op, must not touch the atomic
-        assert_eq!(h.snapshot(), (3, 1));
-        h.reset();
-        assert_eq!(h.snapshot(), (0, 0));
-    }
-
-    #[test]
-    fn hit_counters_are_exact_across_threads() {
-        let h = HitCounters::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        h.add_hits(1);
-                        h.add_misses(2);
-                    }
-                });
-            }
-        });
-        assert_eq!(h.snapshot(), (4000, 8000));
     }
 
     #[test]

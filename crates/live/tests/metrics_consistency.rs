@@ -12,9 +12,10 @@
 //!   item-for-item);
 //! * fsync/group counts never exceed the batch count (group commit
 //!   coalesces, it never splits);
-//! * node-cache hit+miss totals equal the nodes visited summed over
-//!   every query thread's own [`pr_tree::QueryStats`] — the sharded
-//!   counters lose nothing under contention;
+//! * node-cache misses equal the device reads, and hits the nodes
+//!   visited minus device reads, summed over every query thread's own
+//!   [`pr_tree::QueryStats`] — the sharded counters lose nothing under
+//!   contention;
 //! * the event ring preserves merge commit order (`cut_seq` is strictly
 //!   increasing in ring order, because ring order is seq order).
 
@@ -116,7 +117,8 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
 
     let inserted = AtomicU64::new(0);
     let batches = AtomicU64::new(0);
-    let probes = AtomicU64::new(0); // query threads' own nodes-visited sums
+    // Query threads' own sums of nodes visited and of device reads.
+    let (probes, reads) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|s| {
         for w in 0..WRITERS {
             let ix = &ix;
@@ -133,19 +135,21 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
         }
         for q in 0..QUERY_THREADS {
             let ix = &ix;
-            let probes = &probes;
+            let (probes, reads) = (&probes, &reads);
             s.spawn(move || {
                 let snap = ix.snapshot();
                 let mut scratch = QueryScratch::new();
                 let mut out = Vec::new();
-                let mut sum = 0u64;
+                let (mut sum, mut read) = (0u64, 0u64);
                 for i in 0..QUERIES_PER_THREAD {
                     let x = ((q * QUERIES_PER_THREAD + i) as f64 * 13.0) % 950.0;
                     let query = Rect::xyxy(x, 0.0, x + 50.0, 1000.0);
                     let stats = snap.window_into(&query, &mut scratch, &mut out).unwrap();
                     sum += stats.nodes_visited;
+                    read += stats.device_reads;
                 }
                 probes.fetch_add(sum, Ordering::Relaxed);
+                reads.fetch_add(read, Ordering::Relaxed);
             });
         }
     });
@@ -155,6 +159,7 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
     let inserted = inserted.load(Ordering::Relaxed);
     let batches = batches.load(Ordering::Relaxed);
     let probes = probes.load(Ordering::Relaxed);
+    let reads = reads.load(Ordering::Relaxed);
 
     // Acked inserts are exact — once as the acked-op counter, once as
     // WAL records (1 insert == 1 record; no deletes in this window).
@@ -172,13 +177,19 @@ fn registry_agrees_with_serial_oracle_under_concurrency() {
     assert!(fsyncs == groups, "fsyncs={fsyncs} groups={groups}");
 
     // Sharded node-cache counters lose nothing under contention: every
-    // node visit is one lookup, so the registry's hit+miss delta equals
-    // the nodes the query threads counted through their per-traversal
-    // QueryStats.
-    let cache_probes =
-        delta.counter("tree_node_cache_hits_total") + delta.counter("tree_node_cache_misses_total");
+    // node visit is one lookup, a miss exactly when it read the device,
+    // so the registry's deltas split the nodes the query threads counted
+    // through their per-traversal QueryStats.
+    let hits = delta.counter("tree_node_cache_hits_total");
+    let misses = delta.counter("tree_node_cache_misses_total");
     assert!(probes > 0, "queries must have visited component nodes");
-    assert_eq!(cache_probes, probes);
+    assert!(reads > 0, "queries must have read leaves from the device");
+    assert_eq!(misses, reads, "misses = Σ device_reads");
+    assert_eq!(
+        hits,
+        probes - reads,
+        "hits = Σ (nodes_visited − device_reads)"
+    );
 
     // No merges ran in the window.
     assert_eq!(delta.counter("live_merges_total"), 0);

@@ -30,12 +30,12 @@
 //!   steady-state query configuration. Any invalidation or policy change
 //!   thaws the frozen map; the sharded path (which retains the same
 //!   entries) keeps lookups correct, so dynamic updates stay exact.
-//! * **Exact statistics.** Hits/misses accumulate in the shared atomic
-//!   [`pr_em::HitCounters`]; every lookup increments exactly one counter,
-//!   so totals equal the serial run's regardless of thread interleaving.
-//!   Query code batches its counts locally (one [`CacheTally`] per query)
-//!   and flushes once via [`ShardedNodeCache::record`], keeping the hot
-//!   loop free of shared-cacheline traffic.
+//! * **No shared statistics.** The cache counts nothing. A query's
+//!   [`crate::query::QueryStats`] is its tally: a node visit is a hit
+//!   unless it read the device (`device_reads`). Each traversal flushes
+//!   that once into the registry's `tree_node_cache_{hits,misses}_total`
+//!   ([`crate::obs`]), so the hot loop writes no shared cache line and
+//!   totals are exact under any thread interleaving.
 //!
 //! The policy is stored as an atomic flag so `get`/`admit` can take their
 //! early-outs — `CachePolicy::None` lookups and leaf admissions under
@@ -43,7 +43,7 @@
 
 use crate::soa::SoaNode;
 use parking_lot::RwLock;
-use pr_em::{BlockId, HitCounters};
+use pr_em::BlockId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -60,17 +60,6 @@ pub enum CachePolicy {
     /// Cache every internal node forever; leaves are always read from the
     /// device. This is the paper's experimental setup.
     InternalNodes,
-}
-
-/// Per-query local hit/miss accumulator; flushed once per query through
-/// [`ShardedNodeCache::record`] so global totals stay exact without
-/// per-node atomic traffic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheTally {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to the device.
-    pub misses: u64,
 }
 
 /// Immutable post-warm snapshot of all pinned internal nodes. Queries
@@ -91,7 +80,6 @@ pub struct ShardedNodeCache<const D: usize> {
     pinning: AtomicBool,
     shards: Vec<RwLock<PinnedShard<D>>>,
     frozen: RwLock<Option<FrozenMap<D>>>,
-    stats: HitCounters,
 }
 
 impl<const D: usize> ShardedNodeCache<D> {
@@ -103,7 +91,6 @@ impl<const D: usize> ShardedNodeCache<D> {
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
             frozen: RwLock::new(None),
-            stats: HitCounters::new(),
         }
     }
 
@@ -116,8 +103,7 @@ impl<const D: usize> ShardedNodeCache<D> {
         }
     }
 
-    /// Replaces the policy, dropping all cached nodes and resetting hit
-    /// statistics.
+    /// Replaces the policy, dropping all cached nodes.
     pub fn set_policy(&self, policy: CachePolicy) {
         *self.frozen.write() = None;
         self.pinning
@@ -125,7 +111,6 @@ impl<const D: usize> ShardedNodeCache<D> {
         for shard in &self.shards {
             shard.write().clear();
         }
-        self.stats.reset();
     }
 
     #[inline]
@@ -133,23 +118,9 @@ impl<const D: usize> ShardedNodeCache<D> {
         &self.shards[(page as usize) & (SHARD_COUNT - 1)]
     }
 
-    /// Looks up a node and records the hit/miss in the shared counters.
+    /// Looks up a node, cloning its `Arc` out of the cache.
     pub fn get(&self, page: BlockId) -> Option<Arc<SoaNode<D>>> {
-        let found = self.lookup(page, None);
-        if found.is_some() {
-            self.stats.add_hits(1);
-        } else {
-            self.stats.add_misses(1);
-        }
-        found
-    }
-
-    /// Folds a per-query tally into the shared counters. Query loops
-    /// count each [`ShardedNodeCache::lookup_with`] outcome into their
-    /// local [`CacheTally`] and flush it here exactly once.
-    pub fn record(&self, tally: CacheTally) {
-        self.stats.add_hits(tally.hits);
-        self.stats.add_misses(tally.misses);
+        self.lookup_with(page, None, Arc::clone)
     }
 
     /// The current frozen snapshot, if [`ShardedNodeCache::freeze`] ran
@@ -159,10 +130,6 @@ impl<const D: usize> ShardedNodeCache<D> {
     /// yields are the same ones the shards hold).
     pub fn frozen_snapshot(&self) -> Option<FrozenMap<D>> {
         self.frozen.read().clone()
-    }
-
-    fn lookup(&self, page: BlockId, frozen: Option<&FrozenMap<D>>) -> Option<Arc<SoaNode<D>>> {
-        self.lookup_with(page, frozen, Arc::clone)
     }
 
     /// Closure-form lookup: runs `f` against the cached node *in place*
@@ -223,7 +190,7 @@ impl<const D: usize> ShardedNodeCache<D> {
         self.shard(page).write().remove(&page);
     }
 
-    /// Empties the cache (does not reset hit statistics).
+    /// Empties the cache.
     pub fn clear(&self) {
         *self.frozen.write() = None;
         for shard in &self.shards {
@@ -263,11 +230,6 @@ impl<const D: usize> ShardedNodeCache<D> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// `(hits, misses)` since construction (or the last policy change).
-    pub fn hit_stats(&self) -> (u64, u64) {
-        self.stats.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +252,6 @@ mod tests {
         c.admit(1, &node(2));
         assert!(c.get(1).is_none());
         assert!(c.is_empty());
-        assert_eq!(c.hit_stats(), (0, 1));
     }
 
     #[test]
@@ -301,7 +262,6 @@ mod tests {
         assert!(c.get(1).is_none());
         assert!(c.get(2).is_some());
         assert_eq!(c.len(), 1);
-        assert_eq!(c.hit_stats(), (1, 1));
     }
 
     #[test]
@@ -367,33 +327,12 @@ mod tests {
         let c = ShardedNodeCache::new(CachePolicy::InternalNodes);
         c.admit(2, &node(1));
         c.freeze();
-        let _ = c.get(2);
-        assert_eq!(c.hit_stats(), (1, 0));
+        assert!(c.get(2).is_some());
         c.set_policy(CachePolicy::None);
         assert_eq!(c.policy(), CachePolicy::None);
         assert!(c.is_empty());
         assert!(!c.is_frozen());
-        assert_eq!(c.hit_stats(), (0, 0));
-    }
-
-    #[test]
-    fn tallied_lookups_flush_exactly() {
-        // Query-style accounting: outcomes counted into a local tally
-        // (as the traversal's node access does), flushed exactly once.
-        let c = ShardedNodeCache::new(CachePolicy::InternalNodes);
-        c.admit(2, &node(1));
-        let mut tally = CacheTally::default();
-        for page in [2u64, 7] {
-            if c.lookup_with(page, None, |_| ()).is_some() {
-                tally.hits += 1;
-            } else {
-                tally.misses += 1;
-            }
-        }
-        assert_eq!((tally.hits, tally.misses), (1, 1));
-        assert_eq!(c.hit_stats(), (0, 0), "nothing flushed yet");
-        c.record(tally);
-        assert_eq!(c.hit_stats(), (1, 1));
+        assert!(c.get(2).is_none());
     }
 
     #[test]
@@ -423,21 +362,19 @@ mod tests {
             c.admit(p, &node(1));
         }
         c.freeze();
+        // A reader's panic fails the scope, so every outcome is checked.
         std::thread::scope(|s| {
             for t in 0..8 {
                 let c = &c;
                 s.spawn(move || {
                     for i in 0..1000u64 {
-                        // Half the lookups hit, half miss.
-                        let page = (i + t) % 64 + if i % 2 == 0 { 0 } else { 1000 };
-                        let _ = c.get(page);
+                        // Even lookups are pinned pages and hit; odd ones miss.
+                        let pinned = i % 2 == 0;
+                        let page = (i + t) % 64 + if pinned { 0 } else { 1000 };
+                        assert_eq!(c.get(page).is_some(), pinned, "page {page}");
                     }
                 });
             }
         });
-        let (h, m) = c.hit_stats();
-        assert_eq!(h + m, 8000, "every lookup counted exactly once");
-        assert_eq!(h, 4000);
-        assert_eq!(m, 4000);
     }
 }

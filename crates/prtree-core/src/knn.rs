@@ -55,12 +55,12 @@
 //! Distances are squared throughout (the batched kernel's output); the
 //! square root is taken once per reported item.
 
-use crate::cache::{CacheTally, FrozenMap};
 use crate::dynamic::loose::LooseItems;
 use crate::dynamic::tombstone::Tombstones;
+use crate::obs::QueryKind;
 use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
-use crate::tree::{NodeView, RTree};
+use crate::tree::{NodeView, RTree, Walk};
 use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Point};
 use std::cmp::{Ordering, Reverse};
@@ -233,14 +233,6 @@ impl<const D: usize> KBest<D> {
     }
 }
 
-/// Per-tree state of one search: the tree's cache accounting and its
-/// one-time frozen snapshot, flushed/dropped once (see query.rs).
-#[derive(Default)]
-pub(crate) struct TreeVisit<const D: usize> {
-    tally: CacheTally,
-    frozen: Option<FrozenMap<D>>,
-}
-
 /// One k-NN query in progress over a forest of trees and loose chunks
 /// (see the module docs for the search and its contract). Every buffer
 /// lives in the [`QueryScratch`], so a warmed scratch makes the whole
@@ -253,10 +245,6 @@ pub struct KnnSearch<'a, const D: usize> {
 impl<'a, const D: usize> KnnSearch<'a, D> {
     /// Starts a search for the `k` items nearest to `query`.
     pub fn new(query: &'a Point<D>, k: usize, scratch: &'a mut QueryScratch<D>) -> Self {
-        // Same tracing contract as `window_traverse`: one relaxed load
-        // when disabled, per-level tallies + per-I/O spans when sampled.
-        // One trace per search, however many trees it spans.
-        scratch.trace.arm_sampled("knn");
         scratch.frontier.clear();
         scratch.best.reset(k);
         KnnSearch { query, scratch }
@@ -295,13 +283,13 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
             ..
         } = self.scratch;
         let mut filter = tombstones.filter(spent);
-        let mut stats = QueryStats::default();
-        let tracing = trace.is_active();
-        let traverse = trace.begin("tree", "best_first");
-        forest.resize_with(trees, TreeVisit::default);
-        for (tree, visit) in forest.iter_mut().enumerate() {
+        // One walk, so one trace and one registry flush, however many
+        // trees the search spans.
+        let mut walk = Walk::new(page_buf, soa, trace, Some(QueryKind::Knn));
+        forest.resize(trees, None);
+        for (tree, frozen) in forest.iter_mut().enumerate() {
             if let Some(t) = tree_at(tree).filter(|t| !t.is_empty()) {
-                visit.frozen = t.frozen_snapshot();
+                *frozen = t.frozen_snapshot();
                 frontier.open_range(tree, [(0.0, t.root())]);
             }
         }
@@ -316,10 +304,10 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                 chunks.map(|(i, c)| (c.mbr().min_dist2(query), i as BlockId)),
             );
         }
-        let walk = (|| {
+        let result = (|| {
             while let Some((tree, page)) = frontier.next_page(best) {
                 if let Some(j) = tree.checked_sub(trees) {
-                    stats.loose_chunks += 1;
+                    walk.stats.loose_chunks += 1;
                     let records = loose[j].chunks()[page as usize].records();
                     if j == 0 {
                         records.offer_nearest(query, best, |_| true);
@@ -328,70 +316,27 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                     }
                     continue;
                 }
-                let visit = &mut forest[tree];
-                let t_node = tracing.then(std::time::Instant::now);
-                let mut level = 0u8;
-                let ((), did_io) = tree_at(tree).expect("seeded above").with_node(
-                    page,
-                    visit.frozen.as_ref(),
-                    &mut visit.tally,
-                    page_buf,
-                    soa,
-                    |n| {
-                        if tracing {
-                            level = n.level();
-                        }
-                        stats.nodes_visited += 1;
-                        match n {
-                            NodeView::Leaf(leaf) => {
-                                stats.leaves_visited += 1;
-                                leaf.offer_nearest(query, best, |it| filter.admit(it));
-                            }
-                            NodeView::Internal(n) => {
-                                stats.internal_visited += 1;
-                                n.min_dist2_into(query, dist);
-                                frontier.open_range(
-                                    tree,
-                                    dist.iter()
-                                        .zip(n.ptrs())
-                                        .filter(|(&d2, _)| best.admits(d2))
-                                        .map(|(&d2, &ptr)| (d2, ptr as BlockId)),
-                                );
-                            }
-                        }
-                    },
-                )?;
-                stats.device_reads += did_io as u64;
-                if tracing {
-                    if did_io {
-                        let t0 = t_node.expect("set while tracing");
-                        trace.span_since("em", "page_read", t0, &format!("page={page}"));
+                let t = tree_at(tree).expect("seeded above");
+                walk.visit(t, forest[tree].as_ref(), page, |n| match n {
+                    NodeView::Leaf(leaf) => leaf.offer_nearest(query, best, |it| filter.admit(it)),
+                    NodeView::Internal(n) => {
+                        n.min_dist2_into(query, dist);
+                        frontier.open_range(
+                            tree,
+                            dist.iter()
+                                .zip(n.ptrs())
+                                .filter(|(&d2, _)| best.admits(d2))
+                                .map(|(&d2, &ptr)| (d2, ptr as BlockId)),
+                        );
                     }
-                    let is_leaf = level == 0;
-                    trace.tally_level(
-                        level as usize,
-                        is_leaf as u64,
-                        !is_leaf as u64,
-                        did_io as u64,
-                    );
-                }
+                })?;
             }
             Ok(())
         })();
-        for (tree, visit) in forest.drain(..).enumerate() {
-            if let Some(t) = tree_at(tree) {
-                t.record_cache_tally(visit.tally);
-            }
-        }
+        forest.clear();
         best.drain_sorted_into(out);
-        stats.results = out.len() as u64;
-        crate::obs::record_query(crate::obs::QueryKind::Knn, &stats);
-        if tracing {
-            trace.end_detail(traverse, &format!("nodes={}", stats.nodes_visited));
-            trace.set_detail(&format!("results={}", stats.results));
-            trace.finish_publish();
-        }
-        walk.map(|()| stats)
+        walk.stats.results = out.len() as u64;
+        walk.finish(result)
     }
 }
 

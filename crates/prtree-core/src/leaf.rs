@@ -150,14 +150,6 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
             .sum()
     }
 
-    /// True if any record intersects `query`; stops at the first one.
-    pub fn any_intersecting(&self, query: &Rect<D>) -> bool {
-        self.records().any(|rec| {
-            let (lo, hi) = corners::<D>(rec);
-            intersects(&lo, &hi, query)
-        })
-    }
-
     /// Counts records bit-identical to `item`, as [`same_identity`]
     /// compares them. The id is tested first; coordinates are read only
     /// for a record whose id matches.
@@ -265,7 +257,6 @@ mod tests {
             assert_eq!(leaf.collect_intersecting(&q, &mut out), hits.len() as u64);
             assert_eq!(out[1..], hits[..], "appended in page order");
             assert_eq!(leaf.count_intersecting(&q), hits.len() as u64);
-            assert_eq!(leaf.any_intersecting(&q), !hits.is_empty());
         }
         assert_eq!(leaf.count_identical(&want[7]), 1);
         let mut moved = want[7];

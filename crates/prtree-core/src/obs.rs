@@ -1,17 +1,16 @@
 //! pr-tree's catalog of process-wide metrics.
 //!
 //! Per-query numbers stay in [`crate::query::QueryStats`] (the exact
-//! per-call view); these registry counters hold the process-wide
-//! running totals, flushed once per traversal — the same batching the
-//! node cache uses ([`crate::cache::CacheTally`]) so the hot loop never
-//! touches a shared counter mid-traversal.
+//! per-call view, and the only thing a traversal's hot loop writes);
+//! these registry counters hold the process-wide running totals, derived
+//! from it and flushed once per traversal, so the hot loop never touches
+//! a shared counter mid-traversal.
 
 use std::sync::OnceLock;
 
-use crate::cache::CacheTally;
 use crate::query::QueryStats;
 
-/// Which traversal a `record_query` flush describes.
+/// Which query a traversal answers (`record_walk` flushes it).
 #[derive(Clone, Copy)]
 pub enum QueryKind {
     /// Window (range) query, including the counting variants.
@@ -20,6 +19,18 @@ pub enum QueryKind {
     Knn,
     /// Exact-match descent (`RTree::count_exact`, the delete probe).
     Exact,
+}
+
+impl QueryKind {
+    /// The trace kind and traversal span a query of this kind arms by
+    /// sampling; an exact-match probe traces nothing.
+    pub(crate) fn trace(self) -> Option<(&'static str, &'static str)> {
+        match self {
+            QueryKind::Window => Some(("window", "traverse")),
+            QueryKind::Knn => Some(("knn", "best_first")),
+            QueryKind::Exact => None,
+        }
+    }
 }
 
 /// Handles to pr-tree's registry metrics.
@@ -83,27 +94,32 @@ pub fn metrics() -> &'static Metrics {
     })
 }
 
-/// Flushes one completed traversal's stats into the registry.
-pub(crate) fn record_query(kind: QueryKind, stats: &QueryStats) {
+/// Flushes one traversal's stats into the registry. A node visit is a
+/// cache hit unless it read the device, so hits are `nodes_visited −
+/// device_reads` and misses are `device_reads`, plus one if the
+/// traversal failed (its error is a failed page read). A query `kind`
+/// also adds its node, leaf and result totals, and counts as a query
+/// only if it completed (`ok`); a leaf scan (`None`) adds the cache pair
+/// alone.
+pub(crate) fn record_walk(kind: Option<QueryKind>, stats: &QueryStats, ok: bool) {
     let m = metrics();
-    match kind {
-        QueryKind::Window => m.window_queries.inc(),
-        QueryKind::Knn => m.knn_queries.inc(),
-        QueryKind::Exact => m.exact_queries.inc(),
+    let hits = stats.nodes_visited - stats.device_reads;
+    let misses = stats.device_reads + !ok as u64;
+    if hits > 0 {
+        m.node_cache_hits.add(hits);
+    }
+    if misses > 0 {
+        m.node_cache_misses.add(misses);
+    }
+    let Some(kind) = kind else { return };
+    if ok {
+        match kind {
+            QueryKind::Window => m.window_queries.inc(),
+            QueryKind::Knn => m.knn_queries.inc(),
+            QueryKind::Exact => m.exact_queries.inc(),
+        }
     }
     m.nodes_visited.add(stats.nodes_visited);
     m.leaves_visited.add(stats.leaves_visited);
     m.query_results.add(stats.results);
-}
-
-/// Flushes one query's cache tally into the registry (zero adds are
-/// skipped, mirroring [`pr_em::HitCounters`]).
-pub(crate) fn record_cache(tally: &CacheTally) {
-    let m = metrics();
-    if tally.hits > 0 {
-        m.node_cache_hits.add(tally.hits);
-    }
-    if tally.misses > 0 {
-        m.node_cache_misses.add(tally.misses);
-    }
 }

@@ -15,6 +15,7 @@
 
 use crate::bulk::kd_split::{split_node, NodeShape};
 use crate::entry::Entry;
+use crate::query::QueryStats;
 use pr_geom::{Axis, Item, Rect};
 
 /// One node of a pseudo-PR-tree.
@@ -26,17 +27,6 @@ pub enum PseudoNode<const D: usize> {
     /// A kd node: up to `2D` priority leaves plus up to two subtrees,
     /// each tagged with the minimal bounding box of its contents.
     Internal(Vec<(Rect<D>, PseudoNode<D>)>),
-}
-
-/// Query cost counters for a pseudo-PR-tree traversal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PseudoQueryStats {
-    /// Total nodes visited (each occupies `O(1)` blocks).
-    pub nodes_visited: u64,
-    /// Leaf blocks visited (priority or kd leaves).
-    pub leaves_visited: u64,
-    /// Reported rectangles.
-    pub results: u64,
 }
 
 /// An in-memory pseudo-PR-tree.
@@ -86,13 +76,16 @@ impl<const D: usize> PseudoPrTree<D> {
         self.window_with_stats(query).0
     }
 
-    /// Window query with cost counters.
-    pub fn window_with_stats(&self, query: &Rect<D>) -> (Vec<Item<D>>, PseudoQueryStats) {
+    /// Window query with cost counters. Every node occupies `O(1)`
+    /// blocks and a leaf one; `device_reads` is 0, because the structure
+    /// lives in memory.
+    pub fn window_with_stats(&self, query: &Rect<D>) -> (Vec<Item<D>>, QueryStats) {
         let mut out = Vec::new();
-        let mut stats = PseudoQueryStats::default();
+        let mut stats = QueryStats::default();
         if let Some(root) = &self.root {
             visit(root, query, &mut out, &mut stats);
         }
+        stats.internal_visited = stats.nodes_visited - stats.leaves_visited;
         stats.results = out.len() as u64;
         (out, stats)
     }
@@ -164,7 +157,7 @@ fn visit<const D: usize>(
     node: &PseudoNode<D>,
     query: &Rect<D>,
     out: &mut Vec<Item<D>>,
-    stats: &mut PseudoQueryStats,
+    stats: &mut QueryStats,
 ) {
     stats.nodes_visited += 1;
     match node {

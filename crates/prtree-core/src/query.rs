@@ -10,9 +10,10 @@
 //!
 //! # The decode-free engine
 //!
-//! Traversal never touches a decoded [`crate::page::NodePage`]. It
-//! reaches every node through one access, `RTree::with_node`, which
-//! hands it one of two forms:
+//! Traversal never touches a decoded [`crate::page::NodePage`]. Every
+//! traversal reaches its nodes through one visit, the crate's per-query
+//! walk in `tree.rs`, which also keeps the [`QueryStats`] and hands
+//! each node over in one of two forms:
 //! * an **internal node** is a SoA [`crate::soa::SoaNode`] — cached (the
 //!   paper's setup pins every internal node) or, on a miss, transcoded
 //!   into the reusable [`QueryScratch`] — and is scanned by the
@@ -29,10 +30,11 @@
 //! [`crate::reference`] implementation plus the property tests in
 //! `tests/engine_equivalence.rs` pin that equivalence.
 
-use crate::cache::CacheTally;
 use crate::leaf::LeafRecords;
+use crate::obs::QueryKind;
 use crate::scratch::QueryScratch;
-use crate::tree::{NodeView, RTree};
+use crate::soa::SoaNode;
+use crate::tree::RTree;
 use pr_em::{BlockId, EmError};
 use pr_geom::{Item, Rect};
 
@@ -148,90 +150,22 @@ impl<const D: usize> RTree<D> {
         Ok((stats.results, stats))
     }
 
-    /// The shared window-traversal skeleton: DFS over nodes whose boxes
-    /// intersect `query`; `leaf` scans a leaf's records and returns
-    /// how many entries matched (folded into `stats.results`). Cache
-    /// hits/misses accumulate locally and flush once at the end
-    /// (including the error path), so concurrent queries never touch
-    /// the shared counters mid-traversal yet totals stay exact; the
-    /// frozen snapshot is cloned once, making per-node lookups
-    /// lock-free after `warm_cache`.
+    /// The window traversal: a DFS ([`RTree::dfs`]) into every child
+    /// whose box intersects `query`; `leaf` scans a leaf's records and
+    /// returns how many matched. An empty tree records nothing.
     fn window_traverse(
         &self,
         query: &Rect<D>,
         scratch: &mut QueryScratch<D>,
-        mut leaf: impl FnMut(LeafRecords<'_, D>) -> u64,
+        leaf: impl FnMut(LeafRecords<'_, D>) -> u64,
     ) -> Result<QueryStats, EmError> {
-        let mut stats = QueryStats::default();
         if self.is_empty() {
-            return Ok(stats);
+            return Ok(QueryStats::default());
         }
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
-        let QueryScratch {
-            stack,
-            page_buf,
-            mask,
-            soa,
-            trace,
-            ..
-        } = scratch;
-        // One relaxed atomic load when tracing is disabled; a sampled
-        // (or `--explain`-forced) query records per-node levels and
-        // per-I/O spans below.
-        trace.arm_sampled("window");
-        let tracing = trace.is_active();
-        let traverse = trace.begin("tree", "traverse");
-        stack.clear();
-        stack.push(self.root());
-        let walk = (|| {
-            while let Some(page) = stack.pop() {
-                let t_node = tracing.then(std::time::Instant::now);
-                let mut level = 0u8;
-                let ((), did_io) =
-                    self.with_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
-                        if tracing {
-                            level = n.level();
-                        }
-                        stats.nodes_visited += 1;
-                        match n {
-                            NodeView::Leaf(records) => {
-                                stats.leaves_visited += 1;
-                                stats.results += leaf(records);
-                            }
-                            NodeView::Internal(n) => {
-                                stats.internal_visited += 1;
-                                n.for_each_intersecting(query, mask, |i| {
-                                    stack.push(n.ptr(i) as BlockId)
-                                });
-                            }
-                        }
-                    })?;
-                stats.device_reads += did_io as u64;
-                if tracing {
-                    if did_io {
-                        let t0 = t_node.expect("set while tracing");
-                        trace.span_since("em", "page_read", t0, &format!("page={page}"));
-                    }
-                    let is_leaf = level == 0;
-                    trace.tally_level(
-                        level as usize,
-                        is_leaf as u64,
-                        !is_leaf as u64,
-                        did_io as u64,
-                    );
-                }
-            }
-            Ok(())
-        })();
-        self.record_cache_tally(tally);
-        crate::obs::record_query(crate::obs::QueryKind::Window, &stats);
-        if tracing {
-            trace.end_detail(traverse, &format!("nodes={}", stats.nodes_visited));
-            trace.set_detail(&format!("results={}", stats.results));
-            trace.finish_publish();
-        }
-        walk.map(|()| stats)
+        let descend = |n: &SoaNode<D>, mask: &mut _, stack: &mut Vec<BlockId>| {
+            n.for_each_intersecting(query, mask, |i| stack.push(n.ptr(i) as BlockId))
+        };
+        self.dfs(scratch, Some(QueryKind::Window), descend, leaf)
     }
 
     /// Counts the stored copies of `item`'s exact identity (id and
@@ -248,113 +182,23 @@ impl<const D: usize> RTree<D> {
     /// 2D-space, so this follows the few paths whose boxes hold that
     /// point. For a valid rectangle, covering implies intersecting, so
     /// it visits a subset of the nodes a window query on `item.rect`
-    /// visits. Flushes `tree_queries_total{kind="exact"}` and arms no
-    /// window trace. The count is the returned `results`.
+    /// visits. A completed probe counts in
+    /// `tree_queries_total{kind="exact"}`; it arms no trace. The count is
+    /// the returned `results`.
     pub fn count_exact(
         &self,
         item: &Item<D>,
         scratch: &mut QueryScratch<D>,
     ) -> Result<QueryStats, EmError> {
-        let mut stats = QueryStats::default();
         if self.is_empty() {
-            return Ok(stats);
+            return Ok(QueryStats::default());
         }
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
-        let QueryScratch {
-            stack,
-            page_buf,
-            mask,
-            soa,
-            ..
-        } = scratch;
-        stack.clear();
-        stack.push(self.root());
-        let walk = (|| {
-            while let Some(page) = stack.pop() {
-                let ((), did_io) =
-                    self.with_node(page, frozen.as_ref(), &mut tally, page_buf, soa, |n| {
-                        stats.nodes_visited += 1;
-                        match n {
-                            NodeView::Leaf(leaf) => {
-                                stats.leaves_visited += 1;
-                                stats.results += leaf.count_identical(item);
-                            }
-                            NodeView::Internal(n) => {
-                                stats.internal_visited += 1;
-                                n.for_each_covering(&item.rect, mask, |i| {
-                                    stack.push(n.ptr(i) as BlockId)
-                                });
-                            }
-                        }
-                    })?;
-                stats.device_reads += did_io as u64;
-            }
-            Ok(())
-        })();
-        self.record_cache_tally(tally);
-        crate::obs::record_query(crate::obs::QueryKind::Exact, &stats);
-        walk.map(|()| stats)
-    }
-
-    /// True if any item intersects `query`. Stops at the first
-    /// intersecting leaf entry, so it typically visits far fewer nodes
-    /// than [`RTree::window`]; it reports no [`QueryStats`] for exactly
-    /// that reason (its traversal is not the paper's full-window cost).
-    /// The `window`-path accounting is untouched by the early exit —
-    /// pinned by `existence_early_exit_leaves_window_stats_alone` below.
-    pub fn intersects_any(&self, query: &Rect<D>) -> Result<bool, EmError> {
-        self.intersects_any_into(query, &mut QueryScratch::new())
-    }
-
-    /// [`RTree::intersects_any`] with a reusable scratch.
-    pub fn intersects_any_into(
-        &self,
-        query: &Rect<D>,
-        scratch: &mut QueryScratch<D>,
-    ) -> Result<bool, EmError> {
-        if self.is_empty() {
-            return Ok(false);
-        }
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
-        let QueryScratch {
-            stack,
-            page_buf,
-            mask,
-            soa,
-            ..
-        } = scratch;
-        stack.clear();
-        stack.push(self.root());
-        let mut found = false;
-        let walk = (|| {
-            while let Some(page) = stack.pop() {
-                let (hit, _) = self.with_node(
-                    page,
-                    frozen.as_ref(),
-                    &mut tally,
-                    page_buf,
-                    soa,
-                    |n| match n {
-                        NodeView::Leaf(leaf) => leaf.any_intersecting(query),
-                        NodeView::Internal(n) => {
-                            n.for_each_intersecting(query, mask, |i| {
-                                stack.push(n.ptr(i) as BlockId)
-                            });
-                            false
-                        }
-                    },
-                )?;
-                if hit {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(())
-        })();
-        self.record_cache_tally(tally);
-        walk.map(|()| found)
+        let descend = |n: &SoaNode<D>, mask: &mut _, stack: &mut Vec<BlockId>| {
+            n.for_each_covering(&item.rect, mask, |i| stack.push(n.ptr(i) as BlockId))
+        };
+        self.dfs(scratch, Some(QueryKind::Exact), descend, |leaf| {
+            leaf.count_identical(item)
+        })
     }
 }
 
@@ -375,6 +219,7 @@ mod tests {
     use crate::page::NodePage;
     use crate::params::TreeParams;
     use pr_em::{BlockDevice, MemDevice};
+    use pr_geom::Point;
     use std::sync::Arc;
 
     /// Hand-built 2-level tree: items i = 0..8 at x in [i, i+0.5].
@@ -458,47 +303,6 @@ mod tests {
         let q = Rect::xyxy(0.0, 0.0, 2.0, 1.0);
         let (n, _) = t.window_count(&q).unwrap();
         assert_eq!(n, 3); // items 0, 1, 2 (touching at x=2.0)
-        assert!(t.intersects_any(&q).unwrap());
-        assert!(!t
-            .intersects_any(&Rect::xyxy(50.0, 50.0, 51.0, 51.0))
-            .unwrap());
-    }
-
-    #[test]
-    fn existence_early_exit_leaves_window_stats_alone() {
-        let (t, _) = grid_tree();
-        t.warm_cache().unwrap();
-        let q = Rect::xyxy(0.0, 0.0, 8.0, 1.0); // hits every leaf
-        let (_, before) = t.window_with_stats(&q).unwrap();
-        assert_eq!(before.leaves_visited, 4);
-
-        // The early exit really does stop at the first intersecting
-        // leaf: with the cache disabled every node visit is one device
-        // read, so the I/O delta counts visits.
-        t.set_cache_policy(crate::cache::CachePolicy::None);
-        let io0 = t.device().io_stats();
-        assert!(t.intersects_any(&q).unwrap());
-        let exist_reads = t.device().io_stats().since(io0).reads;
-        assert_eq!(exist_reads, 2, "root + first intersecting leaf only");
-
-        let io0 = t.device().io_stats();
-        let (_, full) = t.window_with_stats(&q).unwrap();
-        assert_eq!(t.device().io_stats().since(io0).reads, 5);
-
-        // And the window path's accounting is untouched by the early
-        // exit: same stats before and after, with either cache policy.
-        assert_eq!(full.leaves_visited, before.leaves_visited);
-        assert_eq!(full.results, before.results);
-        t.set_cache_policy(crate::cache::CachePolicy::InternalNodes);
-        t.warm_cache().unwrap();
-        assert!(t.intersects_any(&q).unwrap());
-        let (_, after) = t.window_with_stats(&q).unwrap();
-        assert_eq!(after, before, "window stats unchanged by intersects_any");
-
-        // Misses still answer false (and must scan everything).
-        assert!(!t
-            .intersects_any(&Rect::xyxy(50.0, 50.0, 51.0, 51.0))
-            .unwrap());
     }
 
     #[test]
@@ -545,7 +349,11 @@ mod tests {
         ));
         assert!(corrupt(t.window_count_into(&q, scratch).map(drop)));
         assert!(corrupt(t.count_exact(&items[2], scratch).map(drop)));
-        assert!(corrupt(t.intersects_any_into(&q, scratch).map(drop)));
+        let inside = Point::new([2.2, 0.5]);
+        assert!(corrupt(
+            t.nearest_neighbors_into(&inside, 1, scratch, &mut Vec::new())
+                .map(drop)
+        ));
         // The other leaves still answer.
         let elsewhere = Rect::xyxy(4.0, 0.0, 8.0, 1.0);
         assert_eq!(t.window_count_into(&elsewhere, scratch).unwrap().0, 4);

@@ -4,17 +4,16 @@
 //! read buffer, the SoA transcode target for an internal node that
 //! misses the cache, the match mask the batch kernels write, the k-NN
 //! search's frontier (an arena of opened nodes' admitted children plus
-//! a heap of one cursor per opened node), k-best heap, per-tree tallies
-//! and batched-distance buffer, and the tombstone filter's per-key
-//! consumption. Leaves never use the transcode target: they are scanned
+//! a heap of one cursor per opened node), k-best heap, per-tree frozen
+//! cache snapshots and batched-distance buffer, and the tombstone
+//! filter's per-key consumption. Leaves never use the transcode target: they are scanned
 //! in place over the page bytes the device lends, or over `page_buf`
 //! where it must copy ([`crate::leaf::LeafRecords`]). A [`QueryScratch`]
 //! is created once and threaded through the `_into` variants
 //! ([`crate::tree::RTree::window_into`],
 //! [`crate::tree::RTree::window_count_into`],
 //! [`crate::tree::RTree::count_exact`],
-//! [`crate::tree::RTree::nearest_neighbors_into`],
-//! [`crate::tree::RTree::intersects_any_into`]); after the first few
+//! [`crate::tree::RTree::nearest_neighbors_into`]); after the first few
 //! queries sized the buffers, the steady-state hot path performs **zero
 //! heap allocations per query** — `tests/build_alloc.rs` counts them for
 //! windows, counts, exact matches and k-NN, over one tree and over an
@@ -25,8 +24,9 @@
 //! fresh scratch per call, so one-shot callers pay only what the old
 //! engine already paid.
 
+use crate::cache::FrozenMap;
 use crate::dynamic::tombstone::Spent;
-use crate::knn::{Frontier, KBest, TreeVisit};
+use crate::knn::{Frontier, KBest};
 use crate::soa::SoaNode;
 use pr_em::BlockId;
 
@@ -54,9 +54,9 @@ pub struct QueryScratch<const D: usize> {
     pub(crate) frontier: Frontier,
     /// The k best admitted items so far; its top is the bound (k-NN).
     pub(crate) best: KBest<D>,
-    /// Per-tree cache tally + frozen snapshot of the forest (k-NN);
+    /// Each tree's frozen cache snapshot, taken once per search (k-NN);
     /// empty between queries.
-    pub(crate) forest: Vec<TreeVisit<D>>,
+    pub(crate) forest: Vec<Option<FrozenMap<D>>>,
     /// Tombstones the query's
     /// [`TombstoneFilter`](crate::dynamic::TombstoneFilter) consumed, per
     /// key.

@@ -5,19 +5,23 @@
 //! same representation, so query costs are directly comparable — only the
 //! *shape* of the tree differs between variants, exactly as in the paper.
 
-use crate::cache::{CachePolicy, CacheTally, FrozenMap, ShardedNodeCache};
+use crate::cache::{CachePolicy, FrozenMap, ShardedNodeCache};
 use crate::dynamic::membership::MembershipFilter;
 use crate::dynamic::tombstone::TombstoneKey;
 use crate::leaf::LeafRecords;
 use crate::meta::TreeMeta;
+use crate::obs::QueryKind;
 use crate::page::{page_header, NodePage};
 use crate::params::TreeParams;
+use crate::query::QueryStats;
 use crate::scratch::QueryScratch;
 use crate::soa::SoaNode;
 use parking_lot::RwLock;
 use pr_em::{BlockDevice, BlockId, EmError};
 use pr_geom::Item;
+use pr_obs::{SpanCtx, SpanId};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A height-balanced R-tree stored on a block device.
 ///
@@ -46,23 +50,12 @@ const _: () = {
     assert_send_sync::<RTree<3>>();
 };
 
-/// One node as the query engine reads it ([`RTree::with_node`]).
+/// One node as a traversal reads it ([`Walk::visit`]).
 pub(crate) enum NodeView<'a, const D: usize> {
     /// An internal node: cached, or transcoded into the query's scratch.
     Internal(&'a SoaNode<D>),
     /// A leaf's records, borrowed in place from the device.
     Leaf(LeafRecords<'a, D>),
-}
-
-impl<const D: usize> NodeView<'_, D> {
-    /// Level in the tree: 0 for leaves.
-    #[inline]
-    pub(crate) fn level(&self) -> u8 {
-        match self {
-            NodeView::Internal(n) => n.level(),
-            NodeView::Leaf(_) => 0,
-        }
-    }
 }
 
 impl<const D: usize> RTree<D> {
@@ -177,12 +170,6 @@ impl<const D: usize> RTree<D> {
         self.cache.set_policy(policy);
     }
 
-    /// `(hits, misses)` of the node cache. Totals are exact under
-    /// concurrent queries (atomic counters; every lookup counts once).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.hit_stats()
-    }
-
     /// The node cache itself (read-only view for tests/tools).
     pub fn cache(&self) -> &ShardedNodeCache<D> {
         &self.cache
@@ -195,7 +182,8 @@ impl<const D: usize> RTree<D> {
     /// [`SoaNode`]s, so a cache hit converts back to a [`NodePage`]
     /// (one allocation). Dynamic updates, validation, and the bulk-load
     /// inspectors use this; the query hot path goes through
-    /// `RTree::with_node` instead and never materializes entries.
+    /// the crate's one node visit instead and never materializes
+    /// entries.
     pub fn read_node(&self, page: BlockId) -> Result<(Arc<NodePage<D>>, bool), EmError> {
         if let Some(n) = self.cache.get(page) {
             return Ok((Arc::new(n.to_page()), false));
@@ -205,75 +193,9 @@ impl<const D: usize> RTree<D> {
         Ok((Arc::new(node), true))
     }
 
-    /// The node access of the query engine: resolves `page` and runs `f`
-    /// on it in place, returning `f`'s result and whether the read hit
-    /// the device.
-    ///
-    /// * Cache hit: `f` gets the cached internal [`SoaNode`]. On the
-    ///   post-warm frozen snapshot this is one `HashMap` probe with no
-    ///   lock and no `Arc` clone.
-    /// * Leaf miss (level byte 0): `f` gets the page's [`LeafRecords`],
-    ///   borrowed from the bytes [`BlockDevice::with_block`] exposes. It
-    ///   runs while the device lends the page, so it must not write to
-    ///   this tree's device. Nothing is transcoded or retained.
-    /// * Internal miss: the page is transcoded into `soa` (caller-owned,
-    ///   reused across queries via [`crate::scratch::QueryScratch`]) and
-    ///   admitted to the cache if the policy retains internal nodes.
-    ///
-    /// Either way the header is validated first: a bad magic, or a count
-    /// beyond the page's capacity, is [`EmError::Corrupt`]. Hit/miss
-    /// accounting goes into `tally`; flush it once per query with
-    /// [`RTree::record_cache_tally`].
-    pub(crate) fn with_node<R>(
-        &self,
-        page: BlockId,
-        frozen: Option<&FrozenMap<D>>,
-        tally: &mut CacheTally,
-        page_buf: &mut Vec<u8>,
-        soa: &mut SoaNode<D>,
-        f: impl FnOnce(NodeView<'_, D>) -> R,
-    ) -> Result<(R, bool), EmError> {
-        let mut f = Some(f);
-        if let Some(r) = self.cache.lookup_with(page, frozen, |n| {
-            (f.take().expect("first use"))(NodeView::Internal(n))
-        }) {
-            tally.hits += 1;
-            return Ok((r, false));
-        }
-        tally.misses += 1;
-        let mut leaf = None;
-        let mut header = Ok(());
-        self.dev.with_block(page, page_buf, &mut |bytes| {
-            header = match page_header::<D>(bytes) {
-                Ok((0, count)) => {
-                    let f = f.take().expect("a leaf runs f once");
-                    leaf = Some(f(NodeView::Leaf(LeafRecords::new(bytes, count))));
-                    Ok(())
-                }
-                Ok(_) => soa.refill_from_bytes(bytes),
-                Err(e) => Err(e),
-            };
-        })?;
-        header?;
-        if let Some(r) = leaf {
-            return Ok((r, true));
-        }
-        if self.cache.wants(soa.level()) {
-            self.cache.admit(page, &Arc::new(soa.clone()));
-        }
-        let f = f.take().expect("an internal miss runs f once");
-        Ok((f(NodeView::Internal(soa)), true))
-    }
-
     /// The cache's post-warm snapshot, cloned once per query.
     pub(crate) fn frozen_snapshot(&self) -> Option<FrozenMap<D>> {
         self.cache.frozen_snapshot()
-    }
-
-    /// Flushes a per-query [`CacheTally`] into the shared counters.
-    pub(crate) fn record_cache_tally(&self, tally: CacheTally) {
-        self.cache.record(tally);
-        crate::obs::record_cache(&tally);
     }
 
     /// Writes a node page and invalidates (then re-admits) its cache slot.
@@ -371,43 +293,60 @@ impl<const D: usize> RTree<D> {
         self.for_each_leaf(&mut QueryScratch::new(), |leaf| leaf.for_each_item(&mut f))
     }
 
-    /// Runs `f` on every leaf's records (DFS order) through the query
-    /// engine's node access ([`RTree::with_node`]).
+    /// Runs `f` on every leaf's records (DFS order) on a [`Walk`]; it
+    /// flushes only the node-cache pair.
     pub(crate) fn for_each_leaf(
         &self,
         scratch: &mut QueryScratch<D>,
         mut f: impl FnMut(LeafRecords<'_, D>),
     ) -> Result<(), EmError> {
-        let mut tally = CacheTally::default();
-        let frozen = self.frozen_snapshot();
+        let descend = |n: &SoaNode<D>, _: &mut _, stack: &mut Vec<BlockId>| {
+            stack.extend(n.ptrs().iter().map(|&p| p as BlockId))
+        };
+        self.dfs(scratch, None, descend, |records| {
+            f(records);
+            0
+        })
+        .map(drop)
+    }
+
+    /// Depth-first from the root on a [`Walk`] of `kind`: `descend` pushes
+    /// the children of an internal node to open (the batch kernels write
+    /// the scratch's mask), and `leaf` scans a leaf's records in place and
+    /// returns how many matched, summed into `results`.
+    pub(crate) fn dfs(
+        &self,
+        scratch: &mut QueryScratch<D>,
+        kind: Option<QueryKind>,
+        mut descend: impl FnMut(&SoaNode<D>, &mut Vec<u8>, &mut Vec<BlockId>),
+        mut leaf: impl FnMut(LeafRecords<'_, D>) -> u64,
+    ) -> Result<QueryStats, EmError> {
         let QueryScratch {
             stack,
             page_buf,
+            mask,
             soa,
+            trace,
             ..
         } = scratch;
+        let mut walk = Walk::new(page_buf, soa, trace, kind);
+        let frozen = self.frozen_snapshot();
         stack.clear();
         stack.push(self.root);
-        let walk = (|| {
+        let result = (|| {
             while let Some(page) = stack.pop() {
-                self.with_node(
-                    page,
-                    frozen.as_ref(),
-                    &mut tally,
-                    page_buf,
-                    soa,
-                    |n| match n {
-                        NodeView::Leaf(leaf) => f(leaf),
-                        NodeView::Internal(n) => {
-                            stack.extend(n.ptrs().iter().map(|&p| p as BlockId))
-                        }
-                    },
-                )?;
+                let matched = walk.visit(self, frozen.as_ref(), page, |n| match n {
+                    NodeView::Leaf(records) => leaf(records),
+                    NodeView::Internal(n) => {
+                        descend(n, mask, stack);
+                        0
+                    }
+                })?;
+                walk.stats.results += matched;
             }
             Ok(())
         })();
-        self.record_cache_tally(tally);
-        walk
+        walk.finish(result)
     }
 
     /// All items in the tree (test/rebuild helper).
@@ -450,6 +389,136 @@ impl<const D: usize> RTree<D> {
 
     pub(crate) fn bump_len(&mut self, delta: i64) {
         self.len = (self.len as i64 + delta) as u64;
+    }
+}
+
+/// One traversal's node visits: the crate's one node-visit path.
+/// Every traversal ([`RTree::dfs`], [`crate::knn::KnnSearch::run`]) runs
+/// its own descend test, leaf kernel and frontier on top of it.
+///
+/// [`Walk::visit`] resolves a page and counts it in [`Walk::stats`]. A
+/// walk of a query kind that traces ([`QueryKind::trace`]) arms the
+/// scratch's trace by sampling (one relaxed load when tracing is off);
+/// when armed, each visit also tallies its level and each device read
+/// its `em/page_read` span. [`Walk::finish`] flushes the registry once
+/// ([`crate::obs::record_walk`]) and publishes the trace.
+pub(crate) struct Walk<'s, const D: usize> {
+    page_buf: &'s mut Vec<u8>,
+    soa: &'s mut SoaNode<D>,
+    kind: Option<QueryKind>,
+    /// The armed trace and its traversal span.
+    trace: Option<(&'s mut SpanCtx, SpanId)>,
+    /// Nodes, leaves, internal nodes and device reads; callers add
+    /// `results` and `loose_chunks`.
+    pub(crate) stats: QueryStats,
+}
+
+impl<'s, const D: usize> Walk<'s, D> {
+    /// Starts a walk that reads pages into `page_buf` and transcodes
+    /// internal misses into `soa` (the query's scratch buffers). A `kind`
+    /// of `None` is a leaf scan, not a query.
+    pub(crate) fn new(
+        page_buf: &'s mut Vec<u8>,
+        soa: &'s mut SoaNode<D>,
+        trace: &'s mut SpanCtx,
+        kind: Option<QueryKind>,
+    ) -> Self {
+        let trace = kind.and_then(QueryKind::trace).and_then(|(name, span)| {
+            trace.arm_sampled(name);
+            trace.is_active().then(|| {
+                let id = trace.begin("tree", span);
+                (trace, id)
+            })
+        });
+        Walk {
+            page_buf,
+            soa,
+            kind,
+            trace,
+            stats: QueryStats::default(),
+        }
+    }
+
+    /// Resolves `page` of `tree` (`frozen` is its snapshot, taken once
+    /// per traversal) and runs `f` on it in place, returning `f`'s result.
+    ///
+    /// * Cache hit: `f` gets the cached internal [`SoaNode`]. On the
+    ///   post-warm frozen snapshot this is one `HashMap` probe with no
+    ///   lock and no `Arc` clone.
+    /// * Leaf miss (level byte 0): `f` gets the page's [`LeafRecords`],
+    ///   borrowed from the bytes [`BlockDevice::with_block`] exposes. It
+    ///   runs while the device lends the page, so it must not write to
+    ///   this tree's device. Nothing is transcoded or retained.
+    /// * Internal miss: the page is transcoded into the scratch's `soa`
+    ///   and admitted to the cache if the policy retains internal nodes.
+    ///
+    /// Either way the header is validated first: a bad magic, or a count
+    /// beyond the page's capacity, is [`EmError::Corrupt`]. Every error
+    /// is a failed device read, which visits nothing.
+    #[inline]
+    pub(crate) fn visit<R>(
+        &mut self,
+        tree: &RTree<D>,
+        frozen: Option<&FrozenMap<D>>,
+        page: BlockId,
+        f: impl FnOnce(NodeView<'_, D>) -> R,
+    ) -> Result<R, EmError> {
+        let t0 = self.trace.is_some().then(Instant::now);
+        let mut f = Some(f);
+        let mut level = 0u8;
+        let mut r = tree.cache.lookup_with(page, frozen, |n| {
+            level = n.level();
+            (f.take().expect("first use"))(NodeView::Internal(n))
+        });
+        let did_io = r.is_none();
+        if did_io {
+            let soa = &mut *self.soa;
+            let mut header = Ok(());
+            tree.dev.with_block(page, self.page_buf, &mut |bytes| {
+                header = match page_header::<D>(bytes) {
+                    Ok((0, count)) => {
+                        let f = f.take().expect("a leaf runs f once");
+                        r = Some(f(NodeView::Leaf(LeafRecords::new(bytes, count))));
+                        Ok(())
+                    }
+                    Ok(_) => soa.refill_from_bytes(bytes),
+                    Err(e) => Err(e),
+                };
+            })?;
+            header?;
+            if r.is_none() {
+                level = soa.level();
+                if tree.cache.wants(level) {
+                    tree.cache.admit(page, &Arc::new(soa.clone()));
+                }
+                let f = f.take().expect("an internal miss runs f once");
+                r = Some(f(NodeView::Internal(soa)));
+            }
+        }
+        let (leaf, internal) = ((level == 0) as u64, (level > 0) as u64);
+        self.stats.nodes_visited += 1;
+        self.stats.leaves_visited += leaf;
+        self.stats.internal_visited += internal;
+        self.stats.device_reads += did_io as u64;
+        if let (Some((trace, _)), Some(t0)) = (&mut self.trace, t0) {
+            if did_io {
+                trace.span_since("em", "page_read", t0, &format!("page={page}"));
+            }
+            trace.tally_level(level as usize, leaf, internal, did_io as u64);
+        }
+        Ok(r.expect("every path runs f"))
+    }
+
+    /// Ends the walk with its traversal's `result`: flushes the registry
+    /// once, closes and publishes the trace, and returns the stats.
+    pub(crate) fn finish(self, result: Result<(), EmError>) -> Result<QueryStats, EmError> {
+        crate::obs::record_walk(self.kind, &self.stats, result.is_ok());
+        if let Some((trace, traverse)) = self.trace {
+            trace.end_detail(traverse, &format!("nodes={}", self.stats.nodes_visited));
+            trace.set_detail(&format!("results={}", self.stats.results));
+            trace.finish_publish();
+        }
+        result.map(|()| self.stats)
     }
 }
 
