@@ -12,8 +12,7 @@
 //! `OnceLock` catalog and bump them from hot paths, so recording costs:
 //!
 //! * counter add — one relaxed `fetch_add` into one of 8 cache-padded
-//!   shards (sharded as `ShardedNodeCache` shards its locks: writers on
-//!   different threads don't bounce a shared line),
+//!   shards (writers on different threads don't bounce a shared line),
 //! * gauge set/add/sub — one relaxed RMW on a single atomic,
 //! * histogram record — a bucket increment plus running-stat RMWs
 //!   (see [`crate::hist::AtomicHistogram`]).

@@ -15,8 +15,8 @@
 //!   therefore never builds one, and neither does a count taken under
 //!   a lock ([`FilterBuild::Never`](crate::dynamic::fanout::FilterBuild)).
 //! * It is held in memory beside the tree and dropped with it.
-//! * [`RTree::write_node`], the one mutation path (Guttman updates),
-//!   clears it.
+//! * Every page a Guttman update writes (`RTree::write_node`, the one
+//!   mutation path) clears it.
 //!
 //! Nothing is persisted, so no on-disk format changes. A component
 //! reopened from a store builds its filter on its first probe, through

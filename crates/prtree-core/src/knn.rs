@@ -287,9 +287,9 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
         // trees the search spans.
         let mut walk = Walk::new(page_buf, soa, trace, Some(QueryKind::Knn));
         forest.resize(trees, None);
-        for (tree, frozen) in forest.iter_mut().enumerate() {
+        for (tree, cached) in forest.iter_mut().enumerate() {
             if let Some(t) = tree_at(tree).filter(|t| !t.is_empty()) {
-                *frozen = t.frozen_snapshot();
+                *cached = Some(t.cache_snapshot());
                 frontier.open_range(tree, [(0.0, t.root())]);
             }
         }
@@ -317,7 +317,8 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
                     continue;
                 }
                 let t = tree_at(tree).expect("seeded above");
-                walk.visit(t, forest[tree].as_ref(), page, |n| match n {
+                let cached = forest[tree].as_ref().expect("seeded above");
+                walk.visit(t, cached, page, |n| match n {
                     NodeView::Leaf(leaf) => leaf.offer_nearest(query, best, |it| filter.admit(it)),
                     NodeView::Internal(n) => {
                         n.min_dist2_into(query, dist);

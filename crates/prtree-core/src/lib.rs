@@ -68,7 +68,6 @@ pub mod tree;
 pub mod validate;
 pub mod writer;
 
-pub use cache::CachePolicy;
 pub use entry::Entry;
 pub use knn::KnnSearch;
 pub use leaf::LeafRecords;

@@ -292,9 +292,19 @@ mod tests {
         assert_eq!(stats.device_reads, 4);
         assert_eq!(stats.leaves_visited, 4);
 
-        t.set_cache_policy(crate::cache::CachePolicy::None);
-        let (_, stats) = t.window_with_stats(&q).unwrap();
-        assert_eq!(stats.device_reads, 5, "uncached: every visit is an I/O");
+        // A fresh handle on the same device is cold: the root is read
+        // once, then admitted.
+        let cold = RTree::attach(
+            Arc::clone(t.device()),
+            *t.params(),
+            t.root(),
+            t.root_level(),
+            t.len(),
+        );
+        let (_, stats) = cold.window_with_stats(&q).unwrap();
+        assert_eq!(stats.device_reads, 5, "cold: every visit is an I/O");
+        let (_, stats) = cold.window_with_stats(&q).unwrap();
+        assert_eq!(stats.device_reads, 4, "the root was admitted");
     }
 
     #[test]

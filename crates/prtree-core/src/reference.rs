@@ -15,7 +15,7 @@
 //!
 //! A [`ReferenceEngine`] models the paper's steady state the old engine
 //! ran in: every internal node decoded and pinned in its own AoS map
-//! (what `warm_cache` + the frozen snapshot used to hold), leaves read
+//! (what a warmed node cache held, in AoS form), leaves read
 //! and decoded from the device on every visit. Construct it *after*
 //! `warm_cache` when comparing statistics, so both engines see
 //! internal-hit/leaf-miss accounting.
@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub struct ReferenceEngine<'t, const D: usize> {
     tree: &'t RTree<D>,
     /// Every internal node, decoded once — the old engine's post-warm
-    /// frozen map.
+    /// node map.
     pinned: HashMap<BlockId, Arc<NodePage<D>>>,
 }
 
@@ -58,7 +58,7 @@ impl<'t, const D: usize> ReferenceEngine<'t, D> {
     }
 
     /// Old-engine node access: pinned internal nodes are cloned out of
-    /// the map (an `Arc` clone, as the frozen snapshot did); everything
+    /// the map (an `Arc` clone per visit, as the old engine did); everything
     /// else is one device read plus a full AoS decode.
     fn read_node(&self, page: BlockId) -> Result<(Arc<NodePage<D>>, bool), EmError> {
         if let Some(n) = self.pinned.get(&page) {

@@ -4,7 +4,7 @@
 //! read buffer, the SoA transcode target for an internal node that
 //! misses the cache, the match mask the batch kernels write, the k-NN
 //! search's frontier (an arena of opened nodes' admitted children plus
-//! a heap of one cursor per opened node), k-best heap, per-tree frozen
+//! a heap of one cursor per opened node), k-best heap, per-tree node
 //! cache snapshots and batched-distance buffer, and the tombstone
 //! filter's per-key consumption. Leaves never use the transcode target: they are scanned
 //! in place over the page bytes the device lends, or over `page_buf`
@@ -43,9 +43,8 @@ pub struct QueryScratch<const D: usize> {
     pub(crate) page_buf: Vec<u8>,
     /// Per-entry match mask written by the batch kernels.
     pub(crate) mask: Vec<u8>,
-    /// SoA transcode target for an internal node that misses the cache
-    /// (a cold cache, or [`crate::cache::CachePolicy::None`]). Leaves
-    /// never use it.
+    /// SoA transcode target for an internal node that misses a cold
+    /// cache ([`crate::cache`]). Leaves never use it.
     pub(crate) soa: SoaNode<D>,
     /// Batched `min_dist2` output of an internal node (k-NN).
     pub(crate) dist: Vec<f64>,
@@ -54,7 +53,7 @@ pub struct QueryScratch<const D: usize> {
     pub(crate) frontier: Frontier,
     /// The k best admitted items so far; its top is the bound (k-NN).
     pub(crate) best: KBest<D>,
-    /// Each tree's frozen cache snapshot, taken once per search (k-NN);
+    /// Each tree's node-cache snapshot, taken once per search (k-NN);
     /// empty between queries.
     pub(crate) forest: Vec<Option<FrozenMap<D>>>,
     /// Tombstones the query's

@@ -18,9 +18,8 @@
 //!
 //! Division of labor:
 //!
-//! * **Internal nodes (read path):** [`crate::cache::ShardedNodeCache`],
-//!   its frozen post-warm snapshot and the pinned shard maps store
-//!   `Arc<SoaNode>`; traversal ([`crate::query`], [`crate::knn`]) reads
+//! * **Internal nodes (read path):** the node cache's one map
+//!   ([`crate::cache::FrozenMap`]) stores `Arc<SoaNode>`; traversal ([`crate::query`], [`crate::knn`]) reads
 //!   only columns. A cache miss transcodes the raw page into a reusable
 //!   [`crate::scratch::QueryScratch`] buffer ([`SoaNode::refill_from_bytes`]).
 //! * **Leaves (read path):** [`crate::leaf::LeafRecords`], in place.

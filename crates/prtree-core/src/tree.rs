@@ -5,7 +5,7 @@
 //! same representation, so query costs are directly comparable — only the
 //! *shape* of the tree differs between variants, exactly as in the paper.
 
-use crate::cache::{CachePolicy, FrozenMap, ShardedNodeCache};
+use crate::cache::{FrozenMap, NodeCache};
 use crate::dynamic::membership::MembershipFilter;
 use crate::dynamic::tombstone::TombstoneKey;
 use crate::leaf::LeafRecords;
@@ -20,13 +20,14 @@ use parking_lot::RwLock;
 use pr_em::{BlockDevice, BlockId, EmError};
 use pr_geom::Item;
 use pr_obs::{SpanCtx, SpanId};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A height-balanced R-tree stored on a block device.
 ///
 /// The handle is `Send + Sync` (statically asserted below): the node
-/// cache is internally sharded ([`crate::cache`]) and the device is
+/// cache is one copy-on-write map ([`crate::cache`]) and the device is
 /// `Send + Sync` by trait bound, so any number of threads may run
 /// queries on one `&RTree` concurrently. Mutation (`&mut self` dynamic
 /// updates) follows the usual exclusive-borrow rules.
@@ -36,7 +37,7 @@ pub struct RTree<const D: usize> {
     root: BlockId,
     root_level: u8,
     len: u64,
-    cache: ShardedNodeCache<D>,
+    cache: NodeCache<D>,
     /// Built on the first [`RTree::may_contain`], cleared by every
     /// [`RTree::write_node`] ([`crate::dynamic::membership`]).
     membership: RwLock<Option<MembershipFilter>>,
@@ -77,15 +78,15 @@ impl<const D: usize> RTree<D> {
             root,
             root_level,
             len,
-            cache: ShardedNodeCache::new(CachePolicy::InternalNodes),
+            cache: NodeCache::new(),
             membership: RwLock::new(None),
         }
     }
 
     /// Reopens a tree from persisted metadata — the open path used by
     /// `pr-store` after it has validated checksums and picked a committed
-    /// snapshot. Produces the same handle as [`RTree::attach`] (fresh
-    /// sharded cache; [`RTree::warm_cache`] works as usual) but validates
+    /// snapshot. Produces the same handle as [`RTree::attach`] (a cold
+    /// node cache; [`RTree::warm_cache`] works as usual) but validates
     /// the metadata against the device instead of trusting it: the root
     /// must be an allocated block and the device's block size must match
     /// the recorded page size.
@@ -165,16 +166,6 @@ impl<const D: usize> RTree<D> {
         &self.dev
     }
 
-    /// Swaps the cache policy, dropping all cached nodes.
-    pub fn set_cache_policy(&self, policy: CachePolicy) {
-        self.cache.set_policy(policy);
-    }
-
-    /// The node cache itself (read-only view for tests/tools).
-    pub fn cache(&self) -> &ShardedNodeCache<D> {
-        &self.cache
-    }
-
     /// Reads a node through the cache in decoded AoS form. Returns the
     /// node and whether the read hit the device (`true` = one real I/O).
     ///
@@ -185,38 +176,37 @@ impl<const D: usize> RTree<D> {
     /// the crate's one node visit instead and never materializes
     /// entries.
     pub fn read_node(&self, page: BlockId) -> Result<(Arc<NodePage<D>>, bool), EmError> {
-        if let Some(n) = self.cache.get(page) {
+        if let Some(n) = self.cache.snapshot().get(&page) {
             return Ok((Arc::new(n.to_page()), false));
         }
         let node = NodePage::read(self.dev.as_ref(), page)?;
-        self.admit_page(page, &node);
+        if let Some(soa) = Self::cached_form(&node) {
+            self.cache.admit([(page, soa)]);
+        }
         Ok((Arc::new(node), true))
     }
 
-    /// The cache's post-warm snapshot, cloned once per query.
-    pub(crate) fn frozen_snapshot(&self) -> Option<FrozenMap<D>> {
-        self.cache.frozen_snapshot()
+    /// The internal node's SoA form the cache holds; `None` for a leaf.
+    fn cached_form(node: &NodePage<D>) -> Option<Arc<SoaNode<D>>> {
+        (!node.is_leaf()).then(|| Arc::new(SoaNode::from_page(node)))
     }
 
-    /// Writes a node page and invalidates (then re-admits) its cache slot.
-    /// Used by dynamic updates. An internal page is transcoded to its SoA
-    /// form at this boundary so queries keep reading columns. This is
-    /// the one mutation path, so it also drops the membership filter;
-    /// the next [`RTree::may_contain`] rebuilds it from the new leaves.
-    pub fn write_node(&self, page: BlockId, node: &NodePage<D>) -> Result<(), EmError> {
+    /// The node cache's current map, cloned once per traversal.
+    pub(crate) fn cache_snapshot(&self) -> FrozenMap<D> {
+        self.cache.snapshot()
+    }
+
+    /// Writes a node page and updates its cache entry. Only Guttman
+    /// updates call it, on `&mut self`, so no query reads the cache
+    /// meanwhile. An internal page is transcoded to its SoA form at this
+    /// boundary so queries keep reading columns. This is the one
+    /// mutation path, so it also drops the membership filter; the next
+    /// [`RTree::may_contain`] rebuilds it from the new leaves.
+    pub(crate) fn write_node(&mut self, page: BlockId, node: &NodePage<D>) -> Result<(), EmError> {
         node.write(self.dev.as_ref(), page)?;
-        self.cache.invalidate(page);
-        self.admit_page(page, node);
-        *self.membership.write() = None;
+        self.cache.rewrite(page, Self::cached_form(node));
+        *self.membership.get_mut() = None;
         Ok(())
-    }
-
-    /// Offers a decoded node to the cache, transcoding it only if the
-    /// policy retains its level (never a leaf).
-    fn admit_page(&self, page: BlockId, node: &NodePage<D>) {
-        if self.cache.wants(node.level) {
-            self.cache.admit(page, &Arc::new(SoaNode::from_page(node)));
-        }
     }
 
     /// `false` only if the tree certainly stores no copy of `item`'s
@@ -257,32 +247,35 @@ impl<const D: usize> RTree<D> {
     }
 
     /// Allocates a fresh page for a new node and writes it.
-    pub fn append_node(&self, node: &NodePage<D>) -> Result<BlockId, EmError> {
+    pub(crate) fn append_node(&mut self, node: &NodePage<D>) -> Result<BlockId, EmError> {
         let page = self.dev.allocate(1);
         self.write_node(page, node)?;
         Ok(page)
     }
 
-    /// Pre-loads every internal node into the cache (the paper's setup:
-    /// "in all our experiments we cached all internal nodes"), then
-    /// freezes the pinned map so concurrent queries read it without
-    /// locking ([`crate::cache`] module docs). A no-op under
-    /// [`CachePolicy::None`].
+    /// Loads every internal node into the cache (the paper's setup: "in
+    /// all our experiments we cached all internal nodes") and installs
+    /// the whole map at once ([`crate::cache`] module docs). A node
+    /// already cached is reused, not read again.
     pub fn warm_cache(&self) -> Result<(), EmError> {
         if self.root_level == 0 {
             // Single-leaf tree: nothing internal to cache.
             return Ok(());
         }
-        let mut stack = vec![(self.root, self.root_level)];
-        while let Some((page, level)) = stack.pop() {
-            let (node, _) = self.read_node(page)?;
-            if level > 1 {
-                for e in &node.entries {
-                    stack.push((e.ptr as BlockId, level - 1));
-                }
+        let (dev, cached) = (self.dev.as_ref(), self.cache.snapshot());
+        let mut map = HashMap::new();
+        let mut stack = vec![self.root];
+        while let Some(page) = stack.pop() {
+            let node = match cached.get(&page) {
+                Some(n) => Arc::clone(n),
+                None => Arc::new(SoaNode::from_page(&NodePage::read(dev, page)?)),
+            };
+            if node.level() > 1 {
+                stack.extend(node.ptrs().iter().map(|&p| p as BlockId));
             }
+            map.insert(page, node);
         }
-        self.cache.freeze();
+        self.cache.install(map);
         Ok(())
     }
 
@@ -330,12 +323,12 @@ impl<const D: usize> RTree<D> {
             ..
         } = scratch;
         let mut walk = Walk::new(page_buf, soa, trace, kind);
-        let frozen = self.frozen_snapshot();
+        let cached = self.cache_snapshot();
         stack.clear();
         stack.push(self.root);
         let result = (|| {
             while let Some(page) = stack.pop() {
-                let matched = walk.visit(self, frozen.as_ref(), page, |n| match n {
+                let matched = walk.visit(self, &cached, page, |n| match n {
                     NodeView::Leaf(records) => leaf(records),
                     NodeView::Internal(n) => {
                         descend(n, mask, stack);
@@ -346,6 +339,9 @@ impl<const D: usize> RTree<D> {
             }
             Ok(())
         })();
+        // Unshare the map first, so admitting this walk's misses copies
+        // it only if another traversal holds it.
+        drop(cached);
         walk.finish(result)
     }
 
@@ -400,20 +396,23 @@ impl<const D: usize> RTree<D> {
 /// walk of a query kind that traces ([`QueryKind::trace`]) arms the
 /// scratch's trace by sampling (one relaxed load when tracing is off);
 /// when armed, each visit also tallies its level and each device read
-/// its `em/page_read` span. [`Walk::finish`] flushes the registry once
-/// ([`crate::obs::record_walk`]) and publishes the trace.
-pub(crate) struct Walk<'s, const D: usize> {
+/// its `em/page_read` span. [`Walk::finish`] admits the walk's
+/// internal-node misses to their trees' caches, flushes the registry
+/// once ([`crate::obs::record_walk`]) and publishes the trace.
+pub(crate) struct Walk<'s, 't, const D: usize> {
     page_buf: &'s mut Vec<u8>,
     soa: &'s mut SoaNode<D>,
     kind: Option<QueryKind>,
     /// The armed trace and its traversal span.
     trace: Option<(&'s mut SpanCtx, SpanId)>,
+    /// Internal nodes read from the device, admitted at [`Walk::finish`].
+    misses: Vec<(&'t RTree<D>, BlockId, Arc<SoaNode<D>>)>,
     /// Nodes, leaves, internal nodes and device reads; callers add
     /// `results` and `loose_chunks`.
     pub(crate) stats: QueryStats,
 }
 
-impl<'s, const D: usize> Walk<'s, D> {
+impl<'s, 't, const D: usize> Walk<'s, 't, D> {
     /// Starts a walk that reads pages into `page_buf` and transcodes
     /// internal misses into `soa` (the query's scratch buffers). A `kind`
     /// of `None` is a leaf scan, not a query.
@@ -435,22 +434,23 @@ impl<'s, const D: usize> Walk<'s, D> {
             soa,
             kind,
             trace,
+            misses: Vec::new(),
             stats: QueryStats::default(),
         }
     }
 
-    /// Resolves `page` of `tree` (`frozen` is its snapshot, taken once
-    /// per traversal) and runs `f` on it in place, returning `f`'s result.
+    /// Resolves `page` of `tree` (`cached` is its cache snapshot, taken
+    /// once per traversal) and runs `f` on it in place, returning `f`'s
+    /// result.
     ///
-    /// * Cache hit: `f` gets the cached internal [`SoaNode`]. On the
-    ///   post-warm frozen snapshot this is one `HashMap` probe with no
-    ///   lock and no `Arc` clone.
+    /// * Cache hit: `f` gets the cached internal [`SoaNode`], found by
+    ///   one `HashMap` probe with no lock and no `Arc` clone.
     /// * Leaf miss (level byte 0): `f` gets the page's [`LeafRecords`],
     ///   borrowed from the bytes [`BlockDevice::with_block`] exposes. It
     ///   runs while the device lends the page, so it must not write to
     ///   this tree's device. Nothing is transcoded or retained.
-    /// * Internal miss: the page is transcoded into the scratch's `soa`
-    ///   and admitted to the cache if the policy retains internal nodes.
+    /// * Internal miss: the page is transcoded into the scratch's `soa`,
+    ///   and a copy is kept for [`Walk::finish`] to admit.
     ///
     /// Either way the header is validated first: a bad magic, or a count
     /// beyond the page's capacity, is [`EmError::Corrupt`]. Every error
@@ -458,15 +458,15 @@ impl<'s, const D: usize> Walk<'s, D> {
     #[inline]
     pub(crate) fn visit<R>(
         &mut self,
-        tree: &RTree<D>,
-        frozen: Option<&FrozenMap<D>>,
+        tree: &'t RTree<D>,
+        cached: &FrozenMap<D>,
         page: BlockId,
         f: impl FnOnce(NodeView<'_, D>) -> R,
     ) -> Result<R, EmError> {
         let t0 = self.trace.is_some().then(Instant::now);
         let mut f = Some(f);
         let mut level = 0u8;
-        let mut r = tree.cache.lookup_with(page, frozen, |n| {
+        let mut r = cached.get(&page).map(|n| {
             level = n.level();
             (f.take().expect("first use"))(NodeView::Internal(n))
         });
@@ -488,9 +488,7 @@ impl<'s, const D: usize> Walk<'s, D> {
             header?;
             if r.is_none() {
                 level = soa.level();
-                if tree.cache.wants(level) {
-                    tree.cache.admit(page, &Arc::new(soa.clone()));
-                }
+                self.misses.push((tree, page, Arc::new(soa.clone())));
                 let f = f.take().expect("an internal miss runs f once");
                 r = Some(f(NodeView::Internal(soa)));
             }
@@ -509,9 +507,18 @@ impl<'s, const D: usize> Walk<'s, D> {
         Ok(r.expect("every path runs f"))
     }
 
-    /// Ends the walk with its traversal's `result`: flushes the registry
-    /// once, closes and publishes the trace, and returns the stats.
-    pub(crate) fn finish(self, result: Result<(), EmError>) -> Result<QueryStats, EmError> {
+    /// Ends the walk with its traversal's `result`: admits its misses,
+    /// one [`crate::cache`] write per tree (the caller has dropped its
+    /// snapshots, so the map is copied only if another traversal holds
+    /// one), flushes the registry once, closes and publishes the trace,
+    /// and returns the stats.
+    pub(crate) fn finish(mut self, result: Result<(), EmError>) -> Result<QueryStats, EmError> {
+        self.misses
+            .sort_by_key(|(tree, ..)| *tree as *const RTree<D>);
+        for run in self.misses.chunk_by(|a, b| std::ptr::eq(a.0, b.0)) {
+            let nodes = run.iter().map(|(_, page, n)| (*page, Arc::clone(n)));
+            run[0].0.cache.admit(nodes);
+        }
         crate::obs::record_walk(self.kind, &self.stats, result.is_ok());
         if let Some((trace, traverse)) = self.trace {
             trace.end_detail(traverse, &format!("nodes={}", self.stats.nodes_visited));
@@ -642,11 +649,14 @@ mod tests {
         assert!(!io1, "root cached after warm_cache");
         assert_eq!(t.device().io_stats().since(before).reads, 0);
 
-        t.set_cache_policy(CachePolicy::None);
+        // A fresh handle on the same device starts cold.
+        let cold = RTree::<2>::attach(Arc::clone(t.device()), t.params, t.root, 1, t.len);
         let before = t.device().io_stats();
-        let (_, io2) = t.read_node(t.root()).unwrap();
+        let (_, io2) = cold.read_node(t.root()).unwrap();
         assert!(io2);
         assert_eq!(t.device().io_stats().since(before).reads, 1);
+        let (_, io3) = cold.read_node(t.root()).unwrap();
+        assert!(!io3, "a read admits the internal node");
     }
 
     #[test]
@@ -713,7 +723,7 @@ mod tests {
 
     #[test]
     fn write_node_updates_cache() {
-        let t = two_leaf_tree();
+        let mut t = two_leaf_tree();
         t.warm_cache().unwrap();
         let (root_node, _) = t.read_node(t.root()).unwrap();
         let mut modified = (*root_node).clone();

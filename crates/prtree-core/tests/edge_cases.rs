@@ -142,7 +142,8 @@ fn corrupt_page_surfaces_as_error_through_queries() {
     // Smash the root page on the device.
     let garbage = vec![0xFFu8; params.page_size];
     dev.write_block(t.root(), &garbage).unwrap();
-    t.set_cache_policy(pr_tree::CachePolicy::None);
+    // A fresh handle on the device is cold, so the query reads the root.
+    let t = RTree::<2>::from_parts(dev, t.meta()).unwrap();
     let err = t.window(&Rect::xyxy(0.0, 0.0, 10.0, 10.0)).unwrap_err();
     assert!(matches!(err, EmError::Corrupt(_)), "got {err:?}");
 }

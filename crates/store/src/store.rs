@@ -612,7 +612,7 @@ impl Store {
 
     /// Reopens the committed tree. The returned handle reads through a
     /// fresh [`StoreDevice`] (checksum-verified, read-only) and feeds the
-    /// normal sharded node cache — `warm_cache`, window and k-NN queries
+    /// normal node cache — `warm_cache`, window and k-NN queries
     /// behave exactly as on the never-persisted tree. Reads take the
     /// default zero-copy path ([`ReadPath::ZeroCopy`]).
     pub fn tree<const D: usize>(&self) -> Result<RTree<D>, StoreError> {

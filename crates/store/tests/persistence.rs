@@ -8,6 +8,7 @@ use pr_em::{BlockDevice, EmError, MemDevice};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{Store, StoreError};
 use pr_tree::bulk::LoaderKind;
+use pr_tree::dynamic::SplitPolicy;
 use pr_tree::{QueryStats, RTree, TreeParams};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -416,10 +417,10 @@ fn read_only_file_opens_for_queries_but_not_saves() {
 #[test]
 fn reopened_tree_is_read_only() {
     let (path, store) = saved_store("readonly", 200);
-    let tree = store.tree::<2>().unwrap();
-    let (node, _) = tree.read_node(tree.root()).unwrap();
+    let mut tree = store.tree::<2>().unwrap();
+    let item = Item::new(Rect::xyxy(0.5, 0.5, 0.6, 0.6), 9_999);
     assert!(matches!(
-        tree.write_node(tree.root(), &node),
+        tree.insert(item, SplitPolicy::Quadratic),
         Err(EmError::ReadOnly)
     ));
     std::fs::remove_file(&path).ok();

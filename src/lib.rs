@@ -70,7 +70,5 @@ pub mod prelude {
     pub use pr_tree::bulk::{BulkLoader, LoaderKind};
     pub use pr_tree::dynamic::{LprTree, SplitPolicy};
     pub use pr_tree::pseudo::PseudoPrTree;
-    pub use pr_tree::{
-        CachePolicy, QueryScratch, QueryStats, RTree, ReferenceEngine, SoaNode, TreeParams,
-    };
+    pub use pr_tree::{QueryScratch, QueryStats, RTree, ReferenceEngine, SoaNode, TreeParams};
 }

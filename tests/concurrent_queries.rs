@@ -1,10 +1,12 @@
-//! Concurrent-read correctness for the sharded-cache runtime.
+//! Concurrent-read correctness for the node cache: one copy-on-write
+//! map per tree.
 //!
 //! The contract: any number of threads may query one `&RTree`
-//! concurrently, and neither results nor any query's `QueryStats` (its
-//! leaf I/Os and device reads, which are also its node-cache hits and
-//! misses) may differ from a serial run. These tests pin that down
-//! against `brute_force_window` ground truth.
+//! concurrently, and on a warmed tree neither results nor any query's
+//! `QueryStats` (its leaf I/Os and device reads, which are also its
+//! node-cache hits and misses) may differ from a serial run. On a cold
+//! tree, concurrent misses are admitted copy-on-write and none is lost.
+//! These tests pin that down against `brute_force_window` ground truth.
 
 use prtree::em::{BlockId, EmError, IoCounters};
 use prtree::prelude::*;
@@ -194,22 +196,50 @@ fn concurrent_knn_agrees_with_serial() {
     });
 }
 
+/// The race pin for copy-on-write admission: 8 threads split the
+/// windows over one unwarmed tree, so their internal-node misses are
+/// admitted concurrently. Each round starts from a fresh cold handle.
 #[test]
 fn uncached_concurrent_queries_still_correct() {
-    // CachePolicy::None: every visit is a device read; the device itself
-    // synchronizes. Results must still be exact.
-    let items = random_items(2_000, 71);
-    let tree = build(&items);
-    tree.set_cache_policy(CachePolicy::None);
-    let windows = random_windows(32, 72);
-
-    let serial: Vec<Vec<u32>> = windows
+    let items = random_items(20_000, 71);
+    let built = build(&items);
+    let cold = || RTree::<2>::from_parts(Arc::clone(built.device()), built.meta()).unwrap();
+    let windows = random_windows(256, 72);
+    let serial_tree = cold();
+    let serial: Vec<_> = windows
         .iter()
-        .map(|q| sorted_ids(&tree.window(q).unwrap()))
+        .map(|q| serial_tree.window_with_stats(q).unwrap())
         .collect();
-    let parallel = windows_on_threads(&tree, &windows, 6);
-    for (i, (pr, _)) in parallel.iter().enumerate() {
-        assert_eq!(sorted_ids(pr), serial[i]);
+    assert!(
+        serial[0].1.device_reads > serial[0].1.leaves_visited,
+        "cold"
+    );
+    let brute: Vec<_> = windows
+        .iter()
+        .map(|q| sorted_ids(&brute_force_window(&items, q)))
+        .collect();
+
+    for round in 0..4 {
+        let tree = cold();
+        let parallel = windows_on_threads(&tree, &windows, 8);
+        for (i, ((got, stats), (want, want_stats))) in parallel.iter().zip(&serial).enumerate() {
+            assert_eq!(
+                sorted_ids(got),
+                sorted_ids(want),
+                "round {round} window {i}"
+            );
+            assert_eq!(sorted_ids(got), brute[i], "round {round} window {i}");
+            assert_eq!(stats.nodes_visited, want_stats.nodes_visited);
+            assert_eq!(stats.leaves_visited, want_stats.leaves_visited);
+        }
+        // Every internal node the windows reached was admitted and kept.
+        for (i, q) in windows.iter().enumerate() {
+            let (_, stats) = tree.window_with_stats(q).unwrap();
+            assert_eq!(
+                stats.device_reads, stats.leaves_visited,
+                "round {round} window {i}: an admission was lost"
+            );
+        }
     }
 }
 
