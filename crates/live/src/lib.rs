@@ -30,7 +30,7 @@
 //!                                      rotates, older segments pruned
 //! ```
 //!
-//! **Durability contract** ([`index::Durability`]): under `Fsync`, when
+//! **Durability contract** ([`Durability`]): under `Fsync`, when
 //! `insert`/`insert_batch`/`delete` returns the operation is fsynced in
 //! the WAL (one group fsync shared by every concurrent writer);
 //! reopening after a crash at *any* point recovers exactly the
@@ -47,18 +47,28 @@
 //! `tests/live_group_commit.rs`).
 
 mod commit;
+mod core;
 pub mod error;
 pub mod index;
+mod maintenance;
 pub mod manifest;
 pub mod memtable;
 mod merge;
 pub mod obs;
+mod options;
+mod recovery;
+mod snapshot;
+mod stats;
 pub mod torture;
 pub mod wal;
+mod write;
 
 pub use error::LiveError;
-pub use index::{Durability, LiveIndex, LiveOptions, LiveSnapshot, LiveStats, StoreRunStat};
+pub use index::LiveIndex;
 pub use manifest::LiveManifest;
 pub use memtable::Memtable;
+pub use options::{Durability, LiveOptions};
+pub use snapshot::LiveSnapshot;
+pub use stats::{LiveStats, StoreRunStat};
 pub use torture::{run_torture, TortureConfig, TortureReport};
 pub use wal::{encode_records, encode_records_into, Wal, WalOp, WalRecord};

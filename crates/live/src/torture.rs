@@ -44,7 +44,7 @@
 //! takes it itself (the hook is process-global).
 
 use crate::error::LiveError;
-use crate::index::{Durability, LiveIndex, LiveOptions};
+use crate::{Durability, LiveIndex, LiveOptions};
 use pr_em::fault::{self, Errno, FaultKind, FaultSchedule};
 use pr_geom::{Item, Rect};
 use pr_tree::TreeParams;
