@@ -1,8 +1,12 @@
-//! The queryable state ([`Core`]), its pending ops, and the delete
-//! decision.
+//! The queryable state ([`Core`]) and the one delete decision.
+//!
+//! A delete lands the same way whether it is decided live or re-derived
+//! by WAL replay: both paths count the victim's stored copies, decide
+//! with [`Core::decide`] and apply the decided ops with
+//! [`Core::apply_pending`]. Crash recovery depends on that equivalence.
 
 use crate::error::LiveError;
-use crate::memtable::Memtable;
+use crate::wal::{WalOp, WalRecord};
 use pr_geom::Item;
 use pr_tree::dynamic::fanout::{self, FilterBuild, ProbeTally};
 use pr_tree::dynamic::{ComponentSet, LooseItems, TombstoneKey, Tombstones};
@@ -13,6 +17,7 @@ use std::sync::Arc;
 /// A sequenced, WAL-enqueued logical op awaiting its group's
 /// acknowledgment. Decisions (insert vs. memtable-delete vs. tombstone)
 /// are final at enqueue time; the group leader replays them verbatim.
+#[derive(Clone, Copy)]
 pub(crate) enum PendingApply<const D: usize> {
     /// Insert into the memtable.
     Insert(Item<D>),
@@ -22,9 +27,28 @@ pub(crate) enum PendingApply<const D: usize> {
     DeleteTomb(Item<D>),
 }
 
+impl<const D: usize> PendingApply<D> {
+    /// This op's WAL record at `seq` — the one place a record is built
+    /// from an op. Both delete variants log as [`WalOp::Delete`]: replay
+    /// re-derives where the delete lands.
+    pub(crate) fn record(self, seq: u64) -> WalRecord<D> {
+        let (op, item) = match self {
+            PendingApply::Insert(item) => (WalOp::Insert, item),
+            PendingApply::DeleteMem(item) | PendingApply::DeleteTomb(item) => (WalOp::Delete, item),
+        };
+        WalRecord { seq, op, item }
+    }
+}
+
 /// The queryable state, swapped atomically under the core write lock.
 pub(crate) struct Core<const D: usize> {
-    pub(crate) memtable: Memtable<D>,
+    /// The memtable: acknowledged writes not yet sealed, as `Arc`'d
+    /// chunks in leaf-record layout that queries scan like leaves. A
+    /// delete of a memtable resident removes it directly and needs no
+    /// tombstone, which is why queries never filter the memtable. A
+    /// snapshot shares the chunks, and a later write copies only the
+    /// chunk it changes.
+    pub(crate) memtable: LooseItems<D>,
     /// A sealed (immutable) memtable awaiting its merge.
     pub(crate) sealed: Option<Arc<LooseItems<D>>>,
     /// Geometric component slots, each a store-backed, warmed tree and
@@ -59,9 +83,7 @@ impl<const D: usize> Core<D> {
     /// exact bit identity — the copies-vs-tombstones liveness probe,
     /// against this core's current structure. The off-lock delete path
     /// runs the same [`fanout::count_stored_copies`] against a pinned
-    /// structure instead; WAL-replay re-derivation calls this directly,
-    /// so their equivalence (which crash recovery depends on) is
-    /// structural, not copy-paste.
+    /// structure instead; replay and the stale re-probe call this.
     pub(crate) fn stored_copies(
         &self,
         item: &Item<D>,
@@ -106,7 +128,7 @@ impl<const D: usize> Core<D> {
     }
 
     /// Moves a run of inserts (emptied) into the memtable.
-    pub(crate) fn insert_run(&mut self, run: &mut Vec<Item<D>>) {
+    fn insert_run(&mut self, run: &mut Vec<Item<D>>) {
         self.memtable.extend(run);
         self.live += run.len() as u64;
         run.clear();
@@ -192,6 +214,41 @@ impl<const D: usize> Core<D> {
         }
         crate::obs::record_probe(&reprobe);
         Ok((ops, any_tombstone))
+    }
+
+    /// Replays a WAL tail — the records past the manifest's cut, in
+    /// order — through the live path's own steps. Each run of inserts
+    /// enters the memtable as one run, as the group leader applies it.
+    /// Each run of deletes is probed, decided by [`Core::decide`] and
+    /// applied by [`Core::apply_pending`], so every delete lands where
+    /// it landed before the crash.
+    pub(crate) fn replay(&mut self, records: &[WalRecord<D>]) -> Result<(), LiveError> {
+        let mut scratch = QueryScratch::new();
+        let mut tally = ProbeTally::default();
+        let mut run = Vec::new();
+        for ops in records.chunk_by(|a, b| a.op == b.op) {
+            run.extend(ops.iter().map(|r| r.item));
+            match ops[0].op {
+                WalOp::Insert => self.insert_run(&mut run),
+                WalOp::Delete => {
+                    let probed = run
+                        .iter()
+                        .map(|v| self.stored_copies(v, FilterBuild::Lazy, &mut scratch, &mut tally))
+                        .collect::<Result<Vec<u64>, _>>()?;
+                    let (decided, _) =
+                        self.decide(&run, &probed, self.structure_epoch, &mut scratch)?;
+                    let n = decided.len();
+                    self.pending.extend(decided);
+                    self.apply_pending(n);
+                    run.clear();
+                }
+            }
+        }
+        if let Some(last) = records.last() {
+            self.durable_seq = last.seq;
+        }
+        crate::obs::record_probe(&tally);
+        Ok(())
     }
 }
 

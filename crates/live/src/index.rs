@@ -4,9 +4,10 @@
 //!
 //! * **WAL** ([`crate::wal`]) — every insert/delete is appended and
 //!   `fsync`ed before it is acknowledged or becomes visible.
-//! * **Memtable** ([`crate::memtable`]) — acknowledged writes accumulate
-//!   here, in MBR-keyed chunks that queries treat as in-memory leaves
-//!   beside the components' pages.
+//! * **Memtable** (`Core::memtable`, a
+//!   [`LooseItems`](pr_tree::dynamic::LooseItems)) — acknowledged writes
+//!   accumulate here, in MBR-keyed chunks that queries treat as
+//!   in-memory leaves beside the components' pages.
 //! * **Components** — bulk-loaded PR-trees in the geometric slots of a
 //!   [`ComponentSet`], each beside its stable store id, persisted in one
 //!   `pr-store` file and opened through checksum-verifying,
@@ -67,7 +68,7 @@ use crate::maintenance::Signal;
 use crate::options::LiveOptions;
 use crate::snapshot::LiveSnapshot;
 use parking_lot::{Mutex, RwLock};
-use pr_store::{ReadPath, Store};
+use pr_store::Store;
 use pr_tree::TreeParams;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
@@ -103,18 +104,6 @@ pub(crate) struct LiveInner<const D: usize> {
     /// Held exclusive lock on `dir/LOCK` for this index's lifetime
     /// (released by the OS when the file closes, crash included).
     pub(crate) _lock: std::fs::File,
-}
-
-impl<const D: usize> LiveInner<D> {
-    /// How store-backed components are opened (satellite: paranoid
-    /// re-hash-every-read mode).
-    pub(crate) fn read_path(&self) -> ReadPath {
-        if self.opts.recheck_reads {
-            ReadPath::Recheck
-        } else {
-            ReadPath::ZeroCopy
-        }
-    }
 }
 
 /// A durable, concurrently-readable LPR-tree.

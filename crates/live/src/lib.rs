@@ -10,7 +10,7 @@
 //!      │          │          │                     │
 //!      └──────────┼──────────┘                     ▼
 //!                 ▼ enqueue (seq + encode)  ┌── LiveSnapshot (pinned) ──┐
-//!   ┌──────── commit queue ────────┐        │ memtable copy             │
+//!   ┌──────── commit queue ────────┐        │ memtable chunks (Arc)     │
 //!   │ leader: 1 writev + 1 fsync   │        │ sealed batch   (Arc)      │
 //!   │ for the whole group; apply;  │        │ components     (Arc, SoA  │
 //!   │ followers wake on condvar    │        │   decode-free engine)     │
@@ -25,10 +25,20 @@
 //!                  │   pr-store commit: pages → manifest{wal_seq,
 //!                  │   slots, tombstones, memtable} → superblock flip
 //!                  │              │
-//!                  └──────────────┴──▶ replay skips WAL records ≤ wal_seq;
-//!                                      a full segment or a checkpoint
-//!                                      rotates, older segments pruned
+//!                  └──────────────┴──▶ replay skips WAL records ≤ wal_seq
+//!                                      and decides each delete as the
+//!                                      live path did; a full segment or
+//!                                      a checkpoint rotates, older
+//!                                      segments pruned
 //! ```
+//!
+//! Every write, insert or delete, takes one op path: its ops are
+//! sequenced and encoded under the writer lock, pushed onto the pending
+//! queue and enqueued for the group leader (`write`). A delete is
+//! decided by one function, `Core::decide` (`core`), both live and
+//! when WAL replay (`Core::replay`, run by `recovery` on open)
+//! re-derives it, so a replayed delete lands exactly where the
+//! acknowledged one did.
 //!
 //! **Durability contract** ([`Durability`]): under `Fsync`, when
 //! `insert`/`insert_batch`/`delete` returns the operation is fsynced in
@@ -40,10 +50,11 @@
 //! window, and crash recovery reaches at least the last *synced* prefix
 //! of the acknowledged sequence (and never anything unacknowledged);
 //! `flush()`/`sync_wal()` drain the window. **Concurrency contract:**
-//! readers take [`LiveSnapshot`]s — point-in-time, immutable views
-//! served by the PR 3 decode-free engine — and are never blocked by
-//! ingest, merges, or compaction. The contracts are enforced by tests
-//! (`tests/live_recovery.rs`, `tests/live_concurrency.rs`,
+//! readers take [`LiveSnapshot`]s — point-in-time, immutable views that
+//! share the memtable's `Arc`'d chunks and pin the sealed batch, the
+//! components and the tombstones, so no item is copied — and are never
+//! blocked by ingest, merges, or compaction. The contracts are enforced
+//! by tests (`tests/live_recovery.rs`, `tests/live_concurrency.rs`,
 //! `tests/live_group_commit.rs`).
 
 mod commit;
@@ -52,7 +63,6 @@ pub mod error;
 pub mod index;
 mod maintenance;
 pub mod manifest;
-pub mod memtable;
 mod merge;
 pub mod obs;
 mod options;
@@ -66,9 +76,8 @@ mod write;
 pub use error::LiveError;
 pub use index::LiveIndex;
 pub use manifest::LiveManifest;
-pub use memtable::Memtable;
 pub use options::{Durability, LiveOptions};
 pub use snapshot::LiveSnapshot;
 pub use stats::{LiveStats, StoreRunStat};
 pub use torture::{run_torture, TortureConfig, TortureReport};
-pub use wal::{encode_records, encode_records_into, Wal, WalOp, WalRecord};
+pub use wal::{Wal, WalOp, WalRecord};

@@ -14,6 +14,7 @@ use std::time::Duration;
 const BACKPRESSURE_FACTOR: usize = 4;
 
 /// Background-worker signaling.
+#[derive(Default)]
 pub(crate) struct Signal {
     pub(crate) merge: bool,
     pub(crate) full: bool,
@@ -32,6 +33,16 @@ pub(crate) struct Signal {
     /// retrying. Writers keep ingesting, bounded only by memtable
     /// backpressure; cleared by the next successful merge.
     pub(crate) merges_paused: bool,
+}
+
+impl Signal {
+    /// Asks the worker for a merge of this kind.
+    fn request(&mut self, kind: MergeKind) {
+        match kind {
+            MergeKind::Overflow => self.merge = true,
+            _ => self.full = true,
+        }
+    }
 }
 
 impl<const D: usize> LiveInner<D> {
@@ -174,13 +185,11 @@ impl<const D: usize> LiveIndex<D> {
 
     pub(crate) fn request_merge(&self, kind: MergeKind) -> Result<(), LiveError> {
         if self.inner.opts.background_merge {
-            {
-                let mut sig = self.inner.signal.lock().expect("signal mutex");
-                match kind {
-                    MergeKind::Overflow => sig.merge = true,
-                    _ => sig.full = true,
-                }
-            }
+            self.inner
+                .signal
+                .lock()
+                .expect("signal mutex")
+                .request(kind);
             self.inner.cv.notify_all();
             Ok(())
         } else {
@@ -275,10 +284,7 @@ pub(crate) fn worker_loop<const D: usize>(inner: Arc<LiveInner<D>>) {
             match settled {
                 Ok(false) => backoff = Duration::from_millis(2),
                 Ok(true) => {
-                    match kind {
-                        MergeKind::Overflow => sig.merge = true,
-                        _ => sig.full = true,
-                    }
+                    sig.request(kind);
                     retry_after = Some(backoff);
                     backoff = (backoff * 2).min(Duration::from_millis(500));
                 }

@@ -338,7 +338,7 @@ pub(crate) fn run_merge<const D: usize>(
                     .iter()
                     .position(|&slot| slot as usize == t)
                     .expect("the target is committed");
-                let tree = store.component_with::<D>(i, inner.read_path())?;
+                let tree = store.component_with::<D>(i, inner.opts.read_path())?;
                 tree.warm_cache()?;
                 Some((t, (Arc::new(tree), store.component_runs()[i].id)))
             }

@@ -1,6 +1,8 @@
 //! The tuning knobs of a [`LiveIndex`](crate::LiveIndex): [`LiveOptions`]
 //! and the [`Durability`] mode it carries.
 
+use pr_store::ReadPath;
+
 /// When a write is acknowledged relative to its fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
@@ -43,6 +45,18 @@ pub struct LiveOptions {
     /// instead of the default verify-once zero-copy path. Catches
     /// in-memory corruption of cached pages at a per-read CRC cost.
     pub recheck_reads: bool,
+}
+
+impl LiveOptions {
+    /// How store-backed components are opened: the paranoid
+    /// re-hash-every-read path when `recheck_reads` is set.
+    pub(crate) fn read_path(&self) -> ReadPath {
+        if self.recheck_reads {
+            ReadPath::Recheck
+        } else {
+            ReadPath::ZeroCopy
+        }
+    }
 }
 
 impl Default for LiveOptions {

@@ -8,14 +8,12 @@ use crate::error::LiveError;
 use crate::index::{LiveIndex, LiveInner, WriterState};
 use crate::maintenance::{worker_loop, Signal};
 use crate::manifest::LiveManifest;
-use crate::memtable::Memtable;
 use crate::options::{Durability, LiveOptions};
-use crate::wal::{Wal, WalOp, WalRecord};
+use crate::wal::{Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
-use pr_store::{ReadPath, Store};
-use pr_tree::dynamic::fanout::{FilterBuild, ProbeTally};
-use pr_tree::dynamic::ComponentSet;
-use pr_tree::{QueryScratch, TreeParams};
+use pr_store::Store;
+use pr_tree::dynamic::{ComponentSet, LooseItems};
+use pr_tree::TreeParams;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::AtomicU64;
@@ -112,16 +110,11 @@ impl<const D: usize> LiveIndex<D> {
         store: Store,
         wal: Wal,
         manifest: LiveManifest<D>,
-        records: Vec<WalRecord<D>>,
+        mut records: Vec<WalRecord<D>>,
         lock: std::fs::File,
     ) -> Result<Self, LiveError> {
         // Components out of the store, arranged into their slots.
-        let read_path = if opts.recheck_reads {
-            ReadPath::Recheck
-        } else {
-            ReadPath::ZeroCopy
-        };
-        let trees = store.components_with::<D>(read_path)?;
+        let trees = store.components_with::<D>(opts.read_path())?;
         let runs = store.component_runs();
         if trees.len() != manifest.slots.len() {
             return Err(LiveError::Corrupt(format!(
@@ -145,7 +138,7 @@ impl<const D: usize> LiveIndex<D> {
             components.place(slot, (Arc::new(tree), run.id));
         }
 
-        let mut memtable = Memtable::new();
+        let mut memtable = LooseItems::new();
         memtable.extend(&manifest.memtable);
         let held = components.stored() + memtable.len() as u64;
         let Some(live) = held.checked_sub(manifest.tombstones.total()) else {
@@ -173,46 +166,9 @@ impl<const D: usize> LiveIndex<D> {
             rtrace.arm_sampled("wal_replay");
         }
         let t_replay = rtrace.is_active().then(std::time::Instant::now);
-        let mut next_seq = manifest.wal_seq + 1;
-        let mut replayed: u64 = 0;
-        let mut scratch = QueryScratch::new();
-        let mut tally = ProbeTally::default();
-        // Consecutive inserts enter the memtable as one run, as the
-        // group leader applies them.
-        let mut run = Vec::new();
-        for rec in records {
-            if rec.seq <= manifest.wal_seq {
-                continue;
-            }
-            match rec.op {
-                WalOp::Insert => run.push(rec.item),
-                WalOp::Delete => {
-                    core.insert_run(&mut run);
-                    // Re-derive where the delete landed against the
-                    // reconstructed state — the same decision the live
-                    // path made.
-                    if core.memtable.remove(&rec.item) {
-                        core.live -= 1;
-                    } else {
-                        let copies = core.stored_copies(
-                            &rec.item,
-                            FilterBuild::Lazy,
-                            &mut scratch,
-                            &mut tally,
-                        )?;
-                        if copies > core.tombstones.count(&rec.item) as u64 {
-                            Arc::make_mut(&mut core.tombstones).add(&rec.item);
-                            core.live -= 1;
-                        }
-                    }
-                }
-            }
-            core.durable_seq = rec.seq;
-            next_seq = rec.seq + 1;
-            replayed += 1;
-        }
-        core.insert_run(&mut run);
-        crate::obs::record_probe(&tally);
+        records.retain(|rec| rec.seq > manifest.wal_seq);
+        core.replay(&records)?;
+        let replayed = records.len();
         crate::obs::metrics()
             .memtable_items
             .set(core.memtable.len() as u64);
@@ -237,19 +193,14 @@ impl<const D: usize> LiveIndex<D> {
             dir: dir.to_path_buf(),
             params,
             opts,
-            writer: Mutex::new(WriterState { next_seq }),
+            writer: Mutex::new(WriterState {
+                next_seq: recovered_seq + 1,
+            }),
             group: GroupCommit::new(wal, recovered_seq),
             core: RwLock::new(core),
             store: Mutex::new(store),
             maintenance: Mutex::new(()),
-            signal: StdMutex::new(Signal {
-                merge: false,
-                full: false,
-                shutdown: false,
-                busy: false,
-                error: None,
-                merges_paused: false,
-            }),
+            signal: StdMutex::new(Signal::default()),
             cv: Condvar::new(),
             merge_pages_written: AtomicU64::new(0),
             merge_pages_reused: AtomicU64::new(0),

@@ -2,7 +2,6 @@
 
 use crate::error::LiveError;
 use crate::index::LiveIndex;
-use crate::memtable::Memtable;
 use pr_geom::{Item, Point, Rect};
 use pr_tree::dynamic::fanout;
 use pr_tree::dynamic::{LooseItems, Tombstones};
@@ -60,7 +59,7 @@ impl<const D: usize> LiveIndex<D> {
 /// its memtable chunks and its components' store pages; results are
 /// bit-stable no matter what the live index does meanwhile.
 pub struct LiveSnapshot<const D: usize> {
-    memtable: Memtable<D>,
+    memtable: LooseItems<D>,
     sealed: Option<Arc<LooseItems<D>>>,
     components: Vec<Arc<RTree<D>>>,
     tombstones: Arc<Tombstones<D>>,

@@ -6,8 +6,9 @@
 //!
 //! * **Enqueue** — a writer, holding only the sequencing lock, assigns
 //!   sequence numbers and *encodes* its batch into a frame buffer
-//!   ([`encode_records`]), then pushes the buffer onto the commit
-//!   queue. No I/O happens under the sequencing lock.
+//!   ([`WalRecord::encode_into`], one record per op), then pushes the
+//!   buffer onto the commit queue. No I/O happens under the sequencing
+//!   lock.
 //! * **Lead** — the first waiter to find the queue non-idle drains
 //!   *every* queued batch, lands them with one vectored positioned
 //!   write ([`Wal::append_encoded`] → `pwritev`), issues **one**
@@ -282,35 +283,6 @@ impl Wal {
         Ok((wal.expect("segs nonempty"), records))
     }
 
-    /// Appends a batch of records and `fsync`s once. When this returns,
-    /// every record in the batch is durable — the caller may acknowledge.
-    ///
-    /// This is the pre-group-commit primitive, kept for standalone users
-    /// (the raw-append ceiling benchmark, tests); the live index goes
-    /// through [`Wal::append_encoded`] + [`Wal::sync`] via the commit
-    /// queue instead.
-    pub fn append<const D: usize>(&mut self, records: &[WalRecord<D>]) -> Result<(), LiveError> {
-        self.append_buffered(records)?;
-        if !records.is_empty() {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Appends a batch of records **without** syncing: the buffered half
-    /// of [`Wal::append`]. Durability comes from a later [`Wal::sync`].
-    pub fn append_buffered<const D: usize>(
-        &mut self,
-        records: &[WalRecord<D>],
-    ) -> Result<(), LiveError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let buf = encode_records(records);
-        self.append_encoded(&[&buf])?;
-        Ok(())
-    }
-
     /// Appends pre-encoded record frames — one buffer per enqueued batch
     /// — with a single vectored positioned write, and **no** sync. This
     /// is the group leader's step: the whole commit group reaches the
@@ -425,27 +397,6 @@ impl Wal {
             total += std::fs::metadata(path)?.len();
         }
         Ok(total)
-    }
-}
-
-/// Encodes `records` into one contiguous buffer of framed records —
-/// the enqueue step of group commit, run under the sequencing lock so
-/// the only work there is CPU (no I/O). The buffer is byte-identical to
-/// what [`Wal::append`] would have written.
-pub fn encode_records<const D: usize>(records: &[WalRecord<D>]) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(records.len() * (RECORD_HEADER_SIZE + WalRecord::<D>::PAYLOAD_SIZE));
-    encode_records_into(records, &mut buf);
-    buf
-}
-
-/// [`encode_records`] into a caller-owned buffer (appended, not
-/// cleared) — the arena-backed enqueue path's form, which allocates
-/// nothing once the buffer's capacity has warmed.
-pub fn encode_records_into<const D: usize>(records: &[WalRecord<D>], buf: &mut Vec<u8>) {
-    buf.reserve(records.len() * (RECORD_HEADER_SIZE + WalRecord::<D>::PAYLOAD_SIZE));
-    for r in records {
-        r.encode_into(buf);
     }
 }
 

@@ -4,10 +4,10 @@
 use crate::commit::PendingBatch;
 use crate::core::PendingApply;
 use crate::error::LiveError;
-use crate::index::{LiveIndex, LiveInner};
+use crate::index::{LiveIndex, LiveInner, WriterState};
 use crate::merge::MergeKind;
 use crate::options::Durability;
-use crate::wal::{WalOp, WalRecord};
+use parking_lot::MutexGuard;
 use pr_geom::Item;
 use pr_tree::dynamic::fanout::{self, FilterBuild, ProbeTally};
 use pr_tree::QueryScratch;
@@ -136,20 +136,67 @@ impl<const D: usize> LiveInner<D> {
         res
     }
 
-    /// Enqueues an encoded batch whose logical ops were just pushed onto
-    /// `core.pending` — rolling those ops back if the enqueue itself
-    /// fails (sticky WAL error), so the two queues never desync. Caller
-    /// holds the sequencing lock.
-    fn enqueue_or_rollback(&self, batch: PendingBatch) -> Result<(), LiveError> {
-        let n_ops = batch.n_ops;
+    /// The one op path of every write. Under the sequencing lock `w`,
+    /// gives the batch's ops (at least one) consecutive sequence numbers,
+    /// encodes one WAL record per op, pushes the ops onto `core.pending`
+    /// and enqueues the batch; then releases `w` and waits for the group
+    /// commit that acknowledges and applies them. Returns the batch's
+    /// last sequence number.
+    ///
+    /// `ops` is walked twice, once to encode and once to push, so an
+    /// insert batch passes a mapping iterator and allocates nothing.
+    pub(crate) fn commit_ops<I>(
+        &self,
+        mut w: MutexGuard<'_, WriterState>,
+        ops: I,
+        trace: &mut pr_obs::SpanCtx,
+    ) -> Result<u64, LiveError>
+    where
+        I: ExactSizeIterator<Item = PendingApply<D>> + Clone,
+    {
+        let tracing = trace.is_active();
+        let n_ops = ops.len();
+        let first = w.next_seq;
+        let last_seq = first + n_ops as u64 - 1;
+        let t_enc = tracing.then(std::time::Instant::now);
+        // Encode straight into an arena buffer (recycled once the group
+        // leader lands the batch): the steady-state enqueue path
+        // allocates nothing per batch.
+        let mut bytes = self.group.take_buf();
+        for (seq, op) in (first..).zip(ops.clone()) {
+            op.record(seq).encode_into(&mut bytes);
+        }
+        if let Some(t) = t_enc {
+            trace.span_since(
+                "live",
+                "encode",
+                t,
+                &format!("ops={n_ops} bytes={}", bytes.len()),
+            );
+        }
+        self.core.write().pending.extend(ops);
+        let t_enq = tracing.then(std::time::Instant::now);
+        let batch = PendingBatch {
+            bytes,
+            n_ops,
+            last_seq,
+        };
         if let Err(e) = self.group.enqueue(batch, self.max_inflight()) {
+            // A sticky WAL error: take the ops back off `core.pending`,
+            // so the two queues never desync.
             let mut core = self.core.write();
             for _ in 0..n_ops {
                 core.pending.pop_back();
             }
             return Err(e);
         }
-        Ok(())
+        if let Some(t) = t_enq {
+            trace.span_since("live", "enqueue", t, "");
+        }
+        w.next_seq = last_seq + 1;
+        drop(w);
+        self.commit_wait(last_seq, trace)?;
+        Ok(last_seq)
     }
 }
 
@@ -176,50 +223,8 @@ impl<const D: usize> LiveIndex<D> {
         let inner = &self.inner;
         let mut trace = pr_obs::SpanCtx::off();
         trace.arm_sampled("write");
-        let tracing = trace.is_active();
-        let last_seq = {
-            let mut w = inner.writer.lock();
-            let first = w.next_seq;
-            let t_enc = tracing.then(std::time::Instant::now);
-            // Encode straight into an arena buffer (recycled once the
-            // group leader lands the batch): the steady-state enqueue
-            // path allocates nothing per batch.
-            let mut bytes = inner.group.take_buf();
-            for (i, item) in items.iter().enumerate() {
-                WalRecord {
-                    seq: first + i as u64,
-                    op: WalOp::Insert,
-                    item: *item,
-                }
-                .encode_into(&mut bytes);
-            }
-            if let Some(t) = t_enc {
-                trace.span_since(
-                    "live",
-                    "encode",
-                    t,
-                    &format!("ops={} bytes={}", items.len(), bytes.len()),
-                );
-            }
-            let last_seq = first + items.len() as u64 - 1;
-            {
-                let mut core = inner.core.write();
-                core.pending
-                    .extend(items.iter().map(|it| PendingApply::Insert(*it)));
-            }
-            let t_enq = tracing.then(std::time::Instant::now);
-            inner.enqueue_or_rollback(PendingBatch {
-                bytes,
-                n_ops: items.len(),
-                last_seq,
-            })?;
-            if let Some(t) = t_enq {
-                trace.span_since("live", "enqueue", t, "");
-            }
-            w.next_seq = last_seq + 1;
-            last_seq
-        };
-        inner.commit_wait(last_seq, &mut trace)?;
+        let ops = items.iter().map(|&item| PendingApply::Insert(item));
+        let last_seq = inner.commit_ops(inner.writer.lock(), ops, &mut trace)?;
         let m = crate::obs::metrics();
         m.inserts_acked.add(items.len() as u64);
         m.insert_batch_us.record_duration_us(t0.elapsed());
@@ -329,59 +334,21 @@ impl<const D: usize> LiveIndex<D> {
                 ),
             );
         }
-        let (deleted, last_seq, any_tombstone) = {
-            let mut w = inner.writer.lock();
-            let t_decide = tracing.then(std::time::Instant::now);
-            let (ops, any_tombstone) =
-                inner
-                    .core
-                    .read()
-                    .decide(items, &probed, pin_epoch, &mut scratch)?;
-            if ops.is_empty() {
-                return Ok(0);
-            }
-            let first = w.next_seq;
-            let mut bytes = inner.group.take_buf();
-            for (i, op) in ops.iter().enumerate() {
-                let item = match op {
-                    PendingApply::Insert(it)
-                    | PendingApply::DeleteMem(it)
-                    | PendingApply::DeleteTomb(it) => *it,
-                };
-                WalRecord {
-                    seq: first + i as u64,
-                    op: WalOp::Delete,
-                    item,
-                }
-                .encode_into(&mut bytes);
-            }
-            let n_ops = ops.len();
-            let last_seq = first + n_ops as u64 - 1;
-            if let Some(t) = t_decide {
-                trace.span_since(
-                    "live",
-                    "decide",
-                    t,
-                    &format!("ops={n_ops} bytes={}", bytes.len()),
-                );
-            }
-            {
-                let mut core = inner.core.write();
-                core.pending.extend(ops);
-            }
-            let t_enq = tracing.then(std::time::Instant::now);
-            inner.enqueue_or_rollback(PendingBatch {
-                bytes,
-                n_ops,
-                last_seq,
-            })?;
-            if let Some(t) = t_enq {
-                trace.span_since("live", "enqueue", t, "");
-            }
-            w.next_seq = last_seq + 1;
-            (n_ops as u64, last_seq, any_tombstone)
-        };
-        inner.commit_wait(last_seq, &mut trace)?;
+        let w = inner.writer.lock();
+        let t_decide = tracing.then(std::time::Instant::now);
+        let (ops, any_tombstone) =
+            inner
+                .core
+                .read()
+                .decide(items, &probed, pin_epoch, &mut scratch)?;
+        if ops.is_empty() {
+            return Ok(0);
+        }
+        if let Some(t) = t_decide {
+            trace.span_since("live", "decide", t, &format!("ops={}", ops.len()));
+        }
+        let last_seq = inner.commit_ops(w, ops.iter().copied(), &mut trace)?;
+        let deleted = ops.len() as u64;
         let m = crate::obs::metrics();
         m.deletes_acked.add(deleted);
         m.delete_batch_us.record_duration_us(t0.elapsed());

@@ -504,10 +504,11 @@ fn delete_batch_decides_like_serial_deletes() {
         assert!(ix.delete(&item(3)).unwrap());
         ix.insert(item(3)).unwrap(); // reborn: dead stored, live buffered
         ix.insert(item(7)).unwrap(); // live stored and live buffered
+        ix.insert(item(9)).unwrap(); // the same, deleted only once
         for k in 24..28 {
             ix.insert(item(k)).unwrap(); // memtable residents
         }
-        assert_eq!(ix.stats().unwrap().memtable, 6);
+        assert_eq!(ix.stats().unwrap().memtable, 7);
         ix
     };
     let batch = [
@@ -519,6 +520,7 @@ fn delete_batch_decides_like_serial_deletes() {
         item(25),
         item(7),
         item(26),
+        item(9),
         item(5),
         item(5),
         item(500),
@@ -527,7 +529,7 @@ fn delete_batch_decides_like_serial_deletes() {
     let one_by_one: u64 = batch.iter().map(|v| serial.delete(v).unwrap() as u64).sum();
     let batched = history("decide-batch");
     assert_eq!(batched.delete_batch(&batch).unwrap(), one_by_one);
-    assert_eq!(one_by_one, 6, "3 once, 7 twice, 25, 26 and 5 once each");
+    assert_eq!(one_by_one, 7, "3 once, 7 twice, 25, 26, 9 and 5 once each");
     let (a, b) = (serial.stats().unwrap(), batched.stats().unwrap());
     assert_eq!(
         (a.live, a.memtable, a.tombstones),
@@ -538,6 +540,22 @@ fn delete_batch_decides_like_serial_deletes() {
     want.sort_by_key(|i| i.id);
     got.sort_by_key(|i| i.id);
     assert_eq!(got, want);
+
+    // Crash without a flush: replay re-derives every delete of the
+    // batch — the reborn identity, the one live on both sides and the
+    // in-batch duplicates — and must land each where it landed live.
+    let dir = batched.dir().to_path_buf();
+    drop(batched);
+    let replayed = LiveIndex::<2>::open(&dir, opts(8)).unwrap();
+    let c = replayed.stats().unwrap();
+    assert_eq!(
+        (c.live, c.memtable, c.tombstones),
+        (b.live, b.memtable, b.tombstones),
+        "replay decided a delete differently"
+    );
+    let mut after = replayed.snapshot().items().unwrap();
+    after.sort_by_key(|i| i.id);
+    assert_eq!(after, want);
 }
 
 /// A WAL tail that deletes memtable residents, which `insert_batch`

@@ -317,6 +317,11 @@ mod tests {
             !loose.remove(&Item::new(victim.rect, 9_999)),
             "same rect, other id"
         );
+        let moved = Rect::xyxy(-2.0, -2.0, -1.0, -1.0);
+        assert!(
+            !loose.remove(&Item::new(moved, victim.id)),
+            "same id, other rect"
+        );
         check_mbrs(&loose);
         for (i, (now, then)) in loose.chunks().iter().zip(snapshot.chunks()).enumerate() {
             assert_eq!(Arc::ptr_eq(now, then), i != holder, "chunk {i}");
