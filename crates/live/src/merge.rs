@@ -73,6 +73,7 @@ use crate::index::LiveInner;
 use crate::manifest::LiveManifest;
 use pr_em::{fault, fsync_dir, BlockDevice, MemDevice};
 use pr_geom::Item;
+use pr_obs::trace;
 use pr_store::{CommitComponent, Store};
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
@@ -106,11 +107,9 @@ pub(crate) fn run_merge<const D: usize>(
     let _serialize = inner.maintenance.lock();
     let merge_start = std::time::Instant::now();
     let reclaim = matches!(kind, MergeKind::Full { reclaim: true });
-    // Background-op trace (sampled): one span per merge phase, plus the
-    // store layer's ambient commit spans absorbed in phase 5.
-    let mut trace = pr_obs::SpanCtx::off();
-    trace.arm_sampled(if reclaim { "compaction" } else { "merge" });
-    let tracing = trace.is_active();
+    // This merge's trace (sampled): one span per merge phase, plus the
+    // store layer's commit spans, recorded on this thread in phase 5.
+    let op = trace::start(if reclaim { "compaction" } else { "merge" });
     pr_obs::events().emit("merge_start", format!("kind={kind:?}"));
 
     // Phase 1: seal the memtable (if this merge wants it). Quiesce
@@ -120,7 +119,7 @@ pub(crate) fn run_merge<const D: usize>(
     // must find its resident; an enqueued insert must not miss the
     // seal and then double-apply after it).
     {
-        let t_seal = tracing.then(std::time::Instant::now);
+        let t_seal = trace::span_start();
         let mut sealed_items = 0usize;
         let w = inner.writer.lock();
         inner.group.wait_applied(w.next_seq.saturating_sub(1))?;
@@ -153,9 +152,7 @@ pub(crate) fn run_merge<const D: usize>(
                 Ordering::Relaxed,
             );
         }
-        if let Some(t0) = t_seal {
-            trace.span_since("live", "seal", t0, &format!("items={sealed_items}"));
-        }
+        trace::span_since("live", "seal", t_seal, format_args!("items={sealed_items}"));
     }
 
     // Phase 2: plan; pin the inputs and tombstones for the drain.
@@ -201,18 +198,20 @@ pub(crate) fn run_merge<const D: usize>(
         sealed.as_deref().unwrap_or(&LooseItems::new()),
         inputs.iter().map(|(slot, tree)| (*slot, tree.as_ref())),
         &t_snap,
-        &mut trace,
     )?;
     let n_items = items.len();
     let new_tree: Option<RTree<D>> = if items.is_empty() {
         None
     } else {
-        let t_build = tracing.then(std::time::Instant::now);
+        let t_build = trace::span_start();
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(inner.params.page_size));
         let tree = PrTreeLoader::default().load(dev, inner.params, items)?;
-        if let Some(t0) = t_build {
-            trace.span_since("tree", "bulk_load", t0, &format!("items={n_items}"));
-        }
+        trace::span_since(
+            "tree",
+            "bulk_load",
+            t_build,
+            format_args!("items={n_items}"),
+        );
         Some(tree)
     };
 
@@ -224,7 +223,7 @@ pub(crate) fn run_merge<const D: usize>(
     // also what drains the async in-flight window on flush) — rotate if
     // this cut is a checkpoint or the segment is full, and snapshot the
     // manifest state; then release so writers run during the commit.
-    let t_cut = tracing.then(std::time::Instant::now);
+    let t_cut = trace::span_start();
     let (cut_seq, rotated, target, layout, manifest_tombstones, memtable_snapshot) = {
         let w = inner.writer.lock();
         inner.group.wait_applied(w.next_seq.saturating_sub(1))?;
@@ -262,14 +261,12 @@ pub(crate) fn run_merge<const D: usize>(
             core.memtable.to_vec(),
         )
     };
-    if let Some(t0) = t_cut {
-        trace.span_since(
-            "live",
-            "cut",
-            t0,
-            &format!("cut_seq={cut_seq} rotated={rotated}"),
-        );
-    }
+    trace::span_since(
+        "live",
+        "cut",
+        t_cut,
+        format_args!("cut_seq={cut_seq} rotated={rotated}"),
+    );
     let slots: Vec<u32> = layout.iter().map(|&(slot, _)| slot).collect();
     let comps: Vec<CommitComponent<'_, D>> = layout
         .iter()
@@ -290,11 +287,9 @@ pub(crate) fn run_merge<const D: usize>(
     // acknowledged during this window carry seqs past the cut and are
     // covered by WAL replay; the next merge picks them up.
     fault::mark("merge.commit")?;
-    // Collect the store layer's ambient spans (commit, fsync_body,
-    // fsync_flip, store_open) for the whole commit window; the scope's
-    // Drop clears the thread-local on any error path.
-    let t_commit = tracing.then(std::time::Instant::now);
-    let ambient = pr_obs::AmbientScope::begin(tracing);
+    // The store records its own spans (commit, fsync_body, fsync_flip,
+    // store_open) into this merge's trace.
+    let t_commit = trace::span_start();
     // `merged` is what the swap installs in the target slot: the open
     // tree and its stable store id.
     let (pages_written, pages_reused, merged) = {
@@ -352,19 +347,18 @@ pub(crate) fn run_merge<const D: usize>(
     inner
         .merge_pages_reused
         .fetch_add(pages_reused, Ordering::Relaxed);
-    update_write_amp(inner);
-    trace.absorb(ambient.finish());
-    if let Some(t0) = t_commit {
-        trace.span_since(
-            "store",
-            "commit_snapshot",
-            t0,
-            &format!(
-                "components={} written={pages_written} reused={pages_reused} reclaim={reclaim}",
-                slots.len()
-            ),
-        );
+    if let Some(x100) = inner.write_amp_x100() {
+        crate::obs::metrics().write_amp.set(x100);
     }
+    trace::span_since(
+        "store",
+        "commit_snapshot",
+        t_commit,
+        format_args!(
+            "components={} written={pages_written} reused={pages_reused} reclaim={reclaim}",
+            slots.len()
+        ),
+    );
     fault::mark("merge.swap")?;
 
     // Phase 6: swap + prune. The tombstone set is re-derived from the
@@ -374,7 +368,7 @@ pub(crate) fn run_merge<const D: usize>(
     // across the swap because a merge preserves per-identity stored-copy
     // and tombstone counts.)
     let _w = inner.writer.lock();
-    let t_swap = tracing.then(std::time::Instant::now);
+    let t_swap = trace::span_start();
     {
         let mut core = inner.core.write();
         core.components.install(&plan, merged);
@@ -386,51 +380,26 @@ pub(crate) fn run_merge<const D: usize>(
         core.merges += 1;
         core.structure_epoch += 1;
     }
-    if let Some(t0) = t_swap {
-        trace.span_since("live", "swap", t0, "");
-    }
+    trace::span_since("live", "swap", t_swap, format_args!(""));
     // The manifest at cut_seq is durable; segments below this cut's
     // rotation hold nothing newer than cut_seq. Without a rotation there
     // is nothing new to prune.
     if rotated {
-        let t_prune = tracing.then(std::time::Instant::now);
+        let t_prune = trace::span_start();
         let mut wal = inner.group.wal.lock().expect("wal mutex");
         wal.prune_old()?;
         drop(wal);
-        if let Some(t0) = t_prune {
-            trace.span_since("live", "wal_prune", t0, "");
-        }
+        trace::span_since("live", "wal_prune", t_prune, format_args!(""));
     }
     let elapsed = merge_start.elapsed();
     let m = crate::obs::metrics();
     m.merges.inc();
     m.merge_us.record_duration_us(elapsed);
-    pr_obs::events().emit_timed(
-        "merge_commit",
-        format!(
-            "cut_seq={cut_seq} components={} written={pages_written} reused={pages_reused}",
-            slots.len()
-        ),
-        elapsed,
-    );
-    trace.set_detail(&format!(
+    let summary = format!(
         "cut_seq={cut_seq} components={} written={pages_written} reused={pages_reused}",
         slots.len()
-    ));
-    trace.finish_publish();
+    );
+    pr_obs::events().emit_timed("merge_commit", summary.clone(), elapsed);
+    op.finish(format_args!("{summary}"));
     Ok(())
-}
-
-/// Publishes the cumulative write-amplification gauge: store bytes
-/// written by merge commits per byte sealed out of the memtable,
-/// fixed-point ×100.
-fn update_write_amp<const D: usize>(inner: &LiveInner<D>) {
-    let ingested = inner.ingest_bytes.load(Ordering::Relaxed);
-    if ingested == 0 {
-        return;
-    }
-    let written = inner.merge_pages_written.load(Ordering::Relaxed) * inner.params.page_size as u64;
-    crate::obs::metrics()
-        .write_amp
-        .set(written * 100 / ingested);
 }

@@ -69,6 +69,10 @@ impl<const D: usize> LiveIndex<D> {
         // A compaction that died before its atomic rename leaves a stale
         // temp file; it was never the index.
         std::fs::remove_file(dir.join("index.prt.tmp")).ok();
+        // The replay trace begins before the store opens, so it holds
+        // `store/store_open`; it is published only when the WAL holds
+        // records.
+        let replay = pr_obs::trace::start("wal_replay");
         let store = Store::open(&dir.join("index.prt"))?;
         let sb = *store.superblock();
         if sb.dim != D as u32 {
@@ -85,7 +89,15 @@ impl<const D: usize> LiveIndex<D> {
             LiveManifest::<D>::decode(app)?
         };
         let (wal, records) = Wal::open::<D>(dir)?;
-        Self::assemble(dir, params, opts, store, wal, manifest, records, lock)
+        let cut_seq = manifest.wal_seq;
+        let last_seq = records.last().map(|rec| rec.seq.max(cut_seq));
+        let ix = Self::assemble(dir, params, opts, store, wal, manifest, records, lock)?;
+        if let Some(recovered_seq) = last_seq {
+            replay.finish(format_args!(
+                "cut_seq={cut_seq} recovered_seq={recovered_seq}"
+            ));
+        }
+        Ok(ix)
     }
 
     /// [`LiveIndex::open`] if an index exists in `dir`, else
@@ -161,11 +173,7 @@ impl<const D: usize> LiveIndex<D> {
         };
 
         // WAL replay: everything past the manifest's cut, in order.
-        let mut rtrace = pr_obs::SpanCtx::off();
-        if !records.is_empty() {
-            rtrace.arm_sampled("wal_replay");
-        }
-        let t_replay = rtrace.is_active().then(std::time::Instant::now);
+        let t_replay = pr_obs::trace::span_start().filter(|_| !records.is_empty());
         records.retain(|rec| rec.seq > manifest.wal_seq);
         core.replay(&records)?;
         let replayed = records.len();
@@ -179,14 +187,12 @@ impl<const D: usize> LiveIndex<D> {
                 manifest.wal_seq, core.durable_seq
             ),
         );
-        if let Some(t0) = t_replay {
-            rtrace.span_since("live", "replay", t0, &format!("records={replayed}"));
-            rtrace.set_detail(&format!(
-                "cut_seq={} recovered_seq={}",
-                manifest.wal_seq, core.durable_seq
-            ));
-        }
-        rtrace.finish_publish();
+        pr_obs::trace::span_since(
+            "live",
+            "replay",
+            t_replay,
+            format_args!("records={replayed}"),
+        );
 
         let recovered_seq = core.durable_seq;
         let inner = Arc::new(LiveInner {

@@ -1,8 +1,20 @@
 //! [`LiveStats`]: a live index's operational counters.
 
 use crate::error::LiveError;
-use crate::index::LiveIndex;
+use crate::index::{LiveIndex, LiveInner};
 use std::sync::atomic::Ordering;
+
+impl<const D: usize> LiveInner<D> {
+    /// Write amplification, fixed-point ×100: store bytes written by
+    /// merge commits per byte sealed out of the memtable; `None` before
+    /// the first seal. The `live_write_amp` gauge and [`LiveStats`] both
+    /// read it here.
+    pub(crate) fn write_amp_x100(&self) -> Option<u64> {
+        let pages = self.merge_pages_written.load(Ordering::Relaxed);
+        (pages * self.params.page_size as u64 * 100)
+            .checked_div(self.ingest_bytes.load(Ordering::Relaxed))
+    }
+}
 
 impl<const D: usize> LiveIndex<D> {
     /// Operational counters for `prtree stats` and tests.
@@ -65,10 +77,7 @@ impl<const D: usize> LiveIndex<D> {
         };
         let store_pages_written = self.inner.merge_pages_written.load(Ordering::Relaxed);
         let store_pages_reused = self.inner.merge_pages_reused.load(Ordering::Relaxed);
-        let ingest_bytes = self.inner.ingest_bytes.load(Ordering::Relaxed);
-        let write_amp_x100 = (store_pages_written * self.inner.params.page_size as u64 * 100)
-            .checked_div(ingest_bytes)
-            .unwrap_or(0);
+        let write_amp_x100 = self.inner.write_amp_x100().unwrap_or(0);
         let wal_arena_allocs = self.inner.group.arena_allocs.load(Ordering::Relaxed);
         let merges_paused = {
             let sig = self.inner.signal.lock().expect("signal mutex");

@@ -9,6 +9,7 @@ use crate::merge::MergeKind;
 use crate::options::Durability;
 use parking_lot::MutexGuard;
 use pr_geom::Item;
+use pr_obs::trace;
 use pr_tree::dynamic::fanout::{self, FilterBuild, ProbeTally};
 use pr_tree::QueryScratch;
 use std::sync::atomic::Ordering;
@@ -28,15 +29,15 @@ impl<const D: usize> LiveInner<D> {
     /// batch, one fsync for the lot (Fsync mode), then the whole group's
     /// ops applied to the core in sequence order.
     ///
-    /// When `trace` is armed, the commit phases are recorded on it:
-    /// `lead`/`wait` covering the whole call, and (leader only)
-    /// `wal_append`, `wal_fsync`, and `apply` — the attribution half of
-    /// the group-commit story: a follower's trace shows one opaque wait,
-    /// the leader's shows where the group's time actually went.
-    fn commit_wait(&self, seq: u64, trace: &mut pr_obs::SpanCtx) -> Result<(), LiveError> {
+    /// When the caller's op is sampled, the commit phases are recorded
+    /// in its trace: `lead`/`wait` covering the whole call, and (leader
+    /// only) `wal_append`, `wal_fsync`, and `apply` — the attribution
+    /// half of the group-commit story: a follower's trace shows one
+    /// opaque wait, the leader's shows where the group's time actually
+    /// went.
+    fn commit_wait(&self, seq: u64) -> Result<(), LiveError> {
         let fsync_mode = matches!(self.opts.durability, Durability::Fsync);
-        let tracing = trace.is_active();
-        let t_wait = tracing.then(std::time::Instant::now);
+        let t_wait = trace::span_start();
         let mut led = false;
         let res = self.group.commit_wait(seq, fsync_mode, |group| {
             led = true;
@@ -45,24 +46,20 @@ impl<const D: usize> LiveInner<D> {
                 let mut wal = self.group.wal.lock().expect("wal mutex");
                 let saved_off = wal.offset();
                 let bufs: Vec<&[u8]> = group.iter().map(|b| b.bytes.as_slice()).collect();
-                let t_append = tracing.then(std::time::Instant::now);
+                let t_append = trace::span_start();
                 let res = wal.append_encoded(&bufs).inspect(|_| {
-                    if let Some(t0) = t_append {
-                        trace.span_since(
-                            "live",
-                            "wal_append",
-                            t0,
-                            &format!("batches={} ops={n_ops}", group.len()),
-                        );
-                    }
+                    trace::span_since(
+                        "live",
+                        "wal_append",
+                        t_append,
+                        format_args!("batches={} ops={n_ops}", group.len()),
+                    );
                 });
                 let res = res.and_then(|_| {
                     if fsync_mode {
-                        let t_sync = tracing.then(std::time::Instant::now);
+                        let t_sync = trace::span_start();
                         wal.sync().map(|_| {
-                            if let Some(t0) = t_sync {
-                                trace.span_since("live", "wal_fsync", t0, "");
-                            }
+                            trace::span_since("live", "wal_fsync", t_sync, format_args!(""));
                         })
                     } else {
                         Ok(())
@@ -111,7 +108,7 @@ impl<const D: usize> LiveInner<D> {
                 }
             }
             let last_seq = group.last().expect("group nonempty").last_seq;
-            let t_apply = tracing.then(std::time::Instant::now);
+            let t_apply = trace::span_start();
             {
                 let mut core = self.core.write();
                 core.apply_pending(n_ops);
@@ -120,19 +117,15 @@ impl<const D: usize> LiveInner<D> {
                     .memtable_items
                     .set(core.memtable.len() as u64);
             }
-            if let Some(t0) = t_apply {
-                trace.span_since("live", "apply", t0, &format!("ops={n_ops}"));
-            }
+            trace::span_since("live", "apply", t_apply, format_args!("ops={n_ops}"));
             Ok(())
         });
-        if let Some(t0) = t_wait {
-            trace.span_since(
-                "live",
-                if led { "lead" } else { "wait" },
-                t0,
-                &format!("seq={seq}"),
-            );
-        }
+        trace::span_since(
+            "live",
+            if led { "lead" } else { "wait" },
+            t_wait,
+            format_args!("seq={seq}"),
+        );
         res
     }
 
@@ -149,16 +142,14 @@ impl<const D: usize> LiveInner<D> {
         &self,
         mut w: MutexGuard<'_, WriterState>,
         ops: I,
-        trace: &mut pr_obs::SpanCtx,
     ) -> Result<u64, LiveError>
     where
         I: ExactSizeIterator<Item = PendingApply<D>> + Clone,
     {
-        let tracing = trace.is_active();
         let n_ops = ops.len();
         let first = w.next_seq;
         let last_seq = first + n_ops as u64 - 1;
-        let t_enc = tracing.then(std::time::Instant::now);
+        let t_enc = trace::span_start();
         // Encode straight into an arena buffer (recycled once the group
         // leader lands the batch): the steady-state enqueue path
         // allocates nothing per batch.
@@ -166,16 +157,14 @@ impl<const D: usize> LiveInner<D> {
         for (seq, op) in (first..).zip(ops.clone()) {
             op.record(seq).encode_into(&mut bytes);
         }
-        if let Some(t) = t_enc {
-            trace.span_since(
-                "live",
-                "encode",
-                t,
-                &format!("ops={n_ops} bytes={}", bytes.len()),
-            );
-        }
+        trace::span_since(
+            "live",
+            "encode",
+            t_enc,
+            format_args!("ops={n_ops} bytes={}", bytes.len()),
+        );
         self.core.write().pending.extend(ops);
-        let t_enq = tracing.then(std::time::Instant::now);
+        let t_enq = trace::span_start();
         let batch = PendingBatch {
             bytes,
             n_ops,
@@ -190,12 +179,10 @@ impl<const D: usize> LiveInner<D> {
             }
             return Err(e);
         }
-        if let Some(t) = t_enq {
-            trace.span_since("live", "enqueue", t, "");
-        }
+        trace::span_since("live", "enqueue", t_enq, format_args!(""));
         w.next_seq = last_seq + 1;
         drop(w);
-        self.commit_wait(last_seq, trace)?;
+        self.commit_wait(last_seq)?;
         Ok(last_seq)
     }
 }
@@ -221,15 +208,13 @@ impl<const D: usize> LiveIndex<D> {
         }
         let t0 = std::time::Instant::now();
         let inner = &self.inner;
-        let mut trace = pr_obs::SpanCtx::off();
-        trace.arm_sampled("write");
+        let op = trace::start("write");
         let ops = items.iter().map(|&item| PendingApply::Insert(item));
-        let last_seq = inner.commit_ops(inner.writer.lock(), ops, &mut trace)?;
+        let last_seq = inner.commit_ops(inner.writer.lock(), ops)?;
         let m = crate::obs::metrics();
         m.inserts_acked.add(items.len() as u64);
         m.insert_batch_us.record_duration_us(t0.elapsed());
-        trace.set_detail(&format!("ops={} last_seq={last_seq}", items.len()));
-        trace.finish_publish();
+        op.finish(format_args!("ops={} last_seq={last_seq}", items.len()));
         let overflow = {
             let core = inner.core.read();
             core.memtable.len() >= core.components.buffer_cap()
@@ -281,9 +266,7 @@ impl<const D: usize> LiveIndex<D> {
         }
         let t0 = std::time::Instant::now();
         let inner = &self.inner;
-        let mut trace = pr_obs::SpanCtx::off();
-        trace.arm_sampled("delete");
-        let tracing = trace.is_active();
+        let op = trace::start("delete");
         // Pin the stored structure (sealed + components) with a brief
         // read lock, then probe copies entirely off-lock. Validity: a
         // merge moves copies between sealed/components without changing
@@ -306,7 +289,7 @@ impl<const D: usize> LiveIndex<D> {
         };
         let mut scratch = QueryScratch::new();
         let mut tally = ProbeTally::default();
-        let t_probe = tracing.then(std::time::Instant::now);
+        let t_probe = trace::span_start();
         let probed = items
             .iter()
             .map(|item| {
@@ -321,21 +304,19 @@ impl<const D: usize> LiveIndex<D> {
             })
             .collect::<Result<Vec<u64>, _>>()?;
         crate::obs::record_probe(&tally);
-        if let Some(t) = t_probe {
-            trace.span_since(
-                "live",
-                "probe",
-                t,
-                &format!(
-                    "victims={} searched={} skipped={}",
-                    items.len(),
-                    tally.searched,
-                    tally.skipped
-                ),
-            );
-        }
+        trace::span_since(
+            "live",
+            "probe",
+            t_probe,
+            format_args!(
+                "victims={} searched={} skipped={}",
+                items.len(),
+                tally.searched,
+                tally.skipped
+            ),
+        );
         let w = inner.writer.lock();
-        let t_decide = tracing.then(std::time::Instant::now);
+        let t_decide = trace::span_start();
         let (ops, any_tombstone) =
             inner
                 .core
@@ -344,16 +325,18 @@ impl<const D: usize> LiveIndex<D> {
         if ops.is_empty() {
             return Ok(0);
         }
-        if let Some(t) = t_decide {
-            trace.span_since("live", "decide", t, &format!("ops={}", ops.len()));
-        }
-        let last_seq = inner.commit_ops(w, ops.iter().copied(), &mut trace)?;
+        trace::span_since(
+            "live",
+            "decide",
+            t_decide,
+            format_args!("ops={}", ops.len()),
+        );
+        let last_seq = inner.commit_ops(w, ops.iter().copied())?;
         let deleted = ops.len() as u64;
         let m = crate::obs::metrics();
         m.deletes_acked.add(deleted);
         m.delete_batch_us.record_duration_us(t0.elapsed());
-        trace.set_detail(&format!("deleted={deleted} last_seq={last_seq}"));
-        trace.finish_publish();
+        op.finish(format_args!("deleted={deleted} last_seq={last_seq}"));
         let needs_compaction = any_tombstone && {
             let core = inner.core.read();
             let sealed = core.sealed.as_ref().map_or(0, |s| s.len() as u64);

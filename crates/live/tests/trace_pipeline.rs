@@ -2,7 +2,8 @@
 //! ingest pipeline publishes `write`, `merge`, `compaction`, and
 //! `wal_replay` traces whose spans cover all four layers (live, em,
 //! tree, store) — the contract `prtree ingest --trace-file` and the CI
-//! roundtrip validation build on.
+//! roundtrip validation build on — and each span lands in the trace of
+//! the operation that recorded it on its own thread.
 
 use pr_geom::{Item, Rect};
 use pr_live::{LiveIndex, LiveOptions};
@@ -30,6 +31,24 @@ fn span_names(t: &pr_obs::Trace) -> BTreeSet<&'static str> {
 
 fn layers(t: &pr_obs::Trace) -> BTreeSet<&'static str> {
     t.spans.iter().map(|s| s.layer).collect()
+}
+
+fn store_spans(t: &pr_obs::Trace) -> BTreeSet<&'static str> {
+    let store = t.spans.iter().filter(|s| s.layer == "store");
+    store.map(|s| s.name).collect()
+}
+
+/// Every trace of `kind` holds the store's commit spans; no write does.
+fn assert_store_spans_in(traces: &[pr_obs::Trace], kind: &str) {
+    assert!(traces.iter().any(|t| t.kind == kind), "no {kind} trace");
+    for t in traces {
+        let store = store_spans(t);
+        let want = ["commit", "fsync_body", "fsync_flip"];
+        if t.kind == kind {
+            assert!(want.iter().all(|w| store.contains(w)), "{kind}: {store:?}");
+        }
+        assert!(t.kind != "write" || store.is_empty(), "write: {store:?}");
+    }
 }
 
 /// One test (sampling and the collector are process-global).
@@ -81,7 +100,9 @@ fn pipeline_traces_cover_all_layers() {
         );
     }
 
-    // Delete path adds the off-lock probe and the decision phase.
+    // Delete path adds the off-lock probe and the decision phase. Its
+    // exact-match probes and filter builds are traversals of their own
+    // that never trace: no tree span, no page read leaks into it.
     let delete = traces.iter().find(|t| t.kind == "delete").unwrap();
     let names = span_names(delete);
     for want in ["probe", "decide", "enqueue", "lead"] {
@@ -90,9 +111,11 @@ fn pipeline_traces_cover_all_layers() {
             "delete trace missing {want}: {names:?}"
         );
     }
+    let leaked = |s: &&pr_obs::Span| s.layer == "tree" || s.name == "page_read";
+    assert!(delete.levels.is_empty() && !delete.spans.iter().any(|s| leaked(&s)));
 
     // Merge #1: seal -> bulk_load -> cut -> commit -> swap, with the
-    // store layer's ambient commit spans absorbed.
+    // store layer's commit spans recorded in the merge's own trace.
     let merge = traces.iter().find(|t| t.kind == "merge").unwrap();
     let names = span_names(merge);
     for want in [
@@ -100,9 +123,6 @@ fn pipeline_traces_cover_all_layers() {
         "bulk_load",
         "cut",
         "commit_snapshot",
-        "commit",
-        "fsync_body",
-        "fsync_flip",
         "swap",
         "wal_prune",
     ] {
@@ -130,10 +150,36 @@ fn pipeline_traces_cover_all_layers() {
         );
     }
 
-    // Reopen replayed the post-compaction writes.
+    assert_store_spans_in(&traces, "merge");
+    assert_store_spans_in(&traces, "compaction");
+
+    // Reopen replayed the post-compaction writes, and its trace began
+    // before the store opened.
     let replay = traces.iter().find(|t| t.kind == "wal_replay").unwrap();
     let replay_span = replay.spans.iter().find(|s| s.name == "replay").unwrap();
     assert_eq!(replay_span.layer, "live");
     assert!(replay_span.detail.starts_with("records="));
+    let store = store_spans(replay);
+    assert!(store.contains("store_open"), "replay trace: {store:?}");
+
+    // Background merges run on the worker thread: their store spans
+    // land in the worker's `merge` trace, none in the writer's traces.
+    pr_obs::trace::set_sampling(1);
+    pr_obs::trace::install_collector(256);
+    {
+        let bg = LiveOptions {
+            background_merge: true,
+            ..opts
+        };
+        let params = TreeParams::with_cap::<2>(8);
+        let idx = LiveIndex::<2>::create(&tmpdir("background"), params, bg).unwrap();
+        for start in (0..3_000).step_by(250) {
+            let batch: Vec<Item<2>> = (start..start + 250).map(item).collect();
+            idx.insert_batch(&batch).unwrap();
+        }
+        idx.wait_idle().unwrap();
+    }
+    pr_obs::trace::set_sampling(0);
+    assert_store_spans_in(&pr_obs::trace::drain_collector(), "merge");
     pr_obs::recorder().clear();
 }

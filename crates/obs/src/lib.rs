@@ -16,9 +16,10 @@
 //! * [`export`] — versioned JSON renderings of snapshots, surfaced by
 //!   `prtree stats --json`, `prtree events`, and `--metrics-file`.
 //! * [`trace`] — the sampling span tracer: per-operation phase
-//!   timelines ([`SpanCtx`]) across all four layers, a slowest-N
-//!   flight recorder, and a Chrome-trace-event exporter (`prtree
-//!   query --explain`, `prtree slow`, `ingest --trace-file`).
+//!   timelines across all four layers, recorded into a per-thread stack
+//!   of open operations ([`OpTrace`]) with one free call per span, a
+//!   slowest-N flight recorder, and a Chrome-trace-event exporter
+//!   (`prtree query --explain`, `prtree slow`, `ingest --trace-file`).
 //! * [`json`] — the workspace's single hand-rolled JSON encoder.
 //!
 //! Every other crate records into the process-wide [`global()`]
@@ -43,8 +44,8 @@ pub use registry::{
     Registry, RegistrySnapshot,
 };
 pub use trace::{
-    ambient_span, chrome_trace_json, recorder, slow_traces_json, trace_json, AmbientScope,
-    AmbientSpan, FlightRecorder, LevelCounters, Span, SpanCtx, SpanId, Trace,
+    chrome_trace_json, recorder, slow_traces_json, trace_json, FlightRecorder, LevelCounters,
+    OpTrace, Span, Trace,
 };
 
 /// The process-wide lifecycle event ring.

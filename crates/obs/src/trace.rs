@@ -4,49 +4,62 @@
 //! Metrics (the [`crate::registry`]) answer *how much in aggregate*;
 //! the event ring answers *when, in what order*. This module answers
 //! the remaining question — *where did this one operation spend its
-//! time* — by recording a bounded list of timestamped [`Span`]s (and,
-//! for queries, per-level traversal counters) into a [`SpanCtx`] that
-//! rides the operation itself: a query's `QueryScratch`, a writer's
-//! stack frame through group commit, a merge worker's loop.
+//! time* — by recording timestamped [`Span`]s (and, for queries,
+//! per-level traversal counters) into the operation's trace.
+//!
+//! # One per-thread stack
+//!
+//! Each thread keeps a stack of its open operations. An operation (a
+//! query's traversal, a write batch, a merge, a WAL replay) opens one
+//! with [`start`], which decides sampling and returns an [`OpTrace`]:
+//! [`OpTrace::finish`] publishes the trace, dropping it unfinished (an
+//! error path) discards it. Every layer records into the innermost open
+//! operation on its own thread with one free call — [`span_since`]
+//! after [`span_start`], or the RAII [`span`] — and a query tallies its
+//! levels with [`tally_level`]; nothing is threaded through signatures.
+//! Isolation: a frame is pushed only while tracing is enabled; an
+//! operation that is not sampled pushes an inert frame, so what its
+//! nested calls record reaches no enclosing trace; a nested operation
+//! (an inline merge) publishes its own trace; and a span lands on its
+//! own thread's stack, so a group-commit leader's WAL spans stay in the
+//! leader's trace and a background merge's store commit in the worker's.
 //!
 //! # Sampling & overhead contract
 //!
-//! Tracing is off by default. The entire hot-path cost while disabled
-//! is **one relaxed atomic load** ([`enabled()`]) — the same contract
-//! as the registry's recording switch and the fault layer's disarmed
-//! probe. prbench reports what arming costs (`obs.trace_overhead_pct`,
-//! traced against untraced rounds of the same work, interleaved).
-//!
-//! [`set_sampling(n)`](set_sampling) arms the tracer at a 1-in-`n`
-//! sampling rate (`0` disables, `1` traces everything). Sampling is
-//! decided once per operation ([`SpanCtx::sampled`]) by a shared
-//! relaxed counter, so the per-operation cost while armed is one load
-//! plus (1/n of the time) one heap allocation; the per-span cost inside
-//! a sampled operation is two `Instant` reads and a `Vec` push.
+//! Tracing is off by default. While disabled, [`start`] and
+//! [`span_start`] cost **one relaxed atomic load** ([`enabled()`]) —
+//! the same contract as the registry's recording switch and the fault
+//! layer's disarmed probe. prbench reports what arming costs
+//! (`obs.trace_overhead_pct`, traced against untraced rounds of the
+//! same work, interleaved). [`set_sampling(n)`](set_sampling) arms the
+//! tracer at a 1-in-`n` rate (`0` disables, `1` traces everything),
+//! decided once per operation by a shared relaxed counter; a span
+//! inside a sampled operation costs two `Instant` reads and a push.
 //!
 //! # Flight recorder & retention policy
 //!
-//! Completed traces are published ([`SpanCtx::finish_publish`]) to the
-//! process-wide [`FlightRecorder`], which keeps the **N slowest traces
-//! per op-kind** (default 8), admitting only traces at least as slow as
-//! the configured threshold ([`FlightRecorder::configure`]; default 0 µs =
+//! Finished traces are published ([`publish`]) to the process-wide
+//! [`FlightRecorder`], which keeps the **N slowest traces per op-kind**
+//! (default 8), admitting only traces at least as slow as the
+//! configured threshold ([`FlightRecorder::configure`]; default 0 µs =
 //! keep the slowest N regardless). Within a kind the list is sorted
 //! slowest-first and the fastest retained trace is evicted on overflow,
-//! so the recorder is a bounded reservoir whose contents converge on
-//! "the worst operations this process has seen". `prtree slow` and
-//! `stats --json` dump it; nothing is ever written unless the tracer is
-//! armed.
+//! so the recorder converges on "the worst operations this process has
+//! seen". `prtree slow` and `stats --json` dump it.
 //!
 //! # Consumers
 //!
-//! * `prtree query/knn --explain` — installs a `Collector`, samples
-//!   1-in-1 for one query, and prints the per-level profile
-//!   (cross-checked exactly against `QueryStats`).
+//! * `prtree query/knn --explain` — installs a collector
+//!   ([`install_collector`]), samples 1-in-1 for one query, and prints
+//!   the per-level profile (cross-checked exactly against `QueryStats`).
 //! * `prtree slow [--json]` / `stats --json` — the flight recorder.
 //! * `prtree ingest --trace-file` — [`chrome_trace_json`], a
 //!   Chrome-trace-event JSON export that opens in `about://tracing` or
 //!   Perfetto (`--n 0 --flush` captures just open + replay + flush).
 
+use std::cell::RefCell;
+use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -79,17 +92,6 @@ pub fn set_sampling(every: u64) {
     ENABLED.store(every != 0, Ordering::Relaxed);
 }
 
-/// One relaxed load when disabled; when armed, one fetch-add deciding
-/// whether this operation is the 1-in-n sample.
-#[inline]
-fn should_sample() -> bool {
-    if !enabled() {
-        return false;
-    }
-    let every = SAMPLE_EVERY.load(Ordering::Relaxed).max(1);
-    TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(every)
-}
-
 // ---------------------------------------------------------------------------
 // Trace data model
 // ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ pub struct Span {
     pub name: &'static str,
     /// Microseconds from the trace's start.
     pub start_us: u64,
-    /// Span length in microseconds (0 for instantaneous notes).
+    /// Span length in microseconds.
     pub dur_us: u64,
     /// Short free-form payload (`"slot=3 items=4096"`).
     pub detail: String,
@@ -137,349 +139,203 @@ pub struct Trace {
     pub total_us: u64,
     /// Short free-form payload (`"results=117"`).
     pub detail: String,
-    /// Phase spans, in begin order.
+    /// Phase spans, in the order they ended.
     pub spans: Vec<Span>,
     /// Per-level traversal counters (queries only; empty otherwise).
     pub levels: Vec<LevelCounters>,
 }
 
-/// Live recording state behind an armed [`SpanCtx`]. Boxed so the
-/// not-sampled case stays a single pointer-sized `None`.
-#[derive(Debug)]
-struct ActiveTrace {
-    kind: &'static str,
-    t0: Instant,
-    unix_ms: u64,
-    detail: String,
-    spans: Vec<Span>,
-    levels: Vec<LevelCounters>,
+// ---------------------------------------------------------------------------
+// The per-thread stack of open operations
+// ---------------------------------------------------------------------------
+
+/// A sampled operation's frame: its start and the trace it fills.
+type Frame = (Instant, Trace);
+
+thread_local! {
+    /// This thread's open operations, innermost last. `None` is an
+    /// operation that was not sampled: what its nested calls record is
+    /// dropped.
+    static STACK: RefCell<Vec<Option<Frame>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Handle returned by [`SpanCtx::begin`]; pass to [`SpanCtx::end`].
-/// The sentinel (`u32::MAX`) means "context inactive, nothing to end".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanId(u32);
-
-impl SpanId {
-    const OFF: SpanId = SpanId(u32::MAX);
+/// Runs `f` on the innermost open operation's start and trace when
+/// that operation is sampled; does nothing otherwise.
+fn with_top(f: impl FnOnce(Instant, &mut Trace)) {
+    STACK.with(|s| {
+        if let Some(Some((t0, trace))) = s.borrow_mut().last_mut() {
+            f(*t0, trace);
+        }
+    });
 }
 
-/// A per-operation trace context. `off()` (the common case) is inert:
-/// every method returns immediately. Construct with [`SpanCtx::sampled`]
-/// to participate in 1-in-n sampling, or [`SpanCtx::forced`] to trace
-/// unconditionally (used by `--explain`).
-#[derive(Debug, Default)]
-pub struct SpanCtx {
-    inner: Option<Box<ActiveTrace>>,
-}
-
-impl SpanCtx {
-    /// An inert context: all methods are no-ops.
-    pub const fn off() -> Self {
-        SpanCtx { inner: None }
-    }
-
-    /// An armed context if this operation is the 1-in-n sample;
-    /// otherwise inert. One relaxed load when tracing is disabled.
-    #[inline]
-    pub fn sampled(kind: &'static str) -> Self {
-        if should_sample() {
-            Self::forced(kind)
-        } else {
-            Self::off()
-        }
-    }
-
-    /// An unconditionally armed context (ignores the sampling rate but
-    /// not much else: publication still goes through the recorder's
-    /// threshold).
-    pub fn forced(kind: &'static str) -> Self {
-        SpanCtx {
-            inner: Some(Box::new(ActiveTrace {
-                kind,
-                t0: Instant::now(),
-                unix_ms: crate::now_unix_ms(),
-                detail: String::new(),
-                spans: Vec::new(),
-                levels: Vec::new(),
-            })),
-        }
-    }
-
-    /// Arms this context in place via sampling, unless already armed.
-    /// Lets a context embedded in a reusable scratch participate in
-    /// sampling at the top of each operation.
-    #[inline]
-    pub fn arm_sampled(&mut self, kind: &'static str) {
-        if self.inner.is_none() && should_sample() {
-            *self = Self::forced(kind);
-        }
-    }
-
-    /// True when this operation is being traced.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    #[inline]
-    fn elapsed_us(active: &ActiveTrace) -> u64 {
-        active.t0.elapsed().as_micros() as u64
-    }
-
-    /// Opens a span; close it with [`end`](Self::end). Returns a
-    /// sentinel id (and does nothing) when inactive.
-    #[inline]
-    pub fn begin(&mut self, layer: &'static str, name: &'static str) -> SpanId {
-        let Some(active) = self.inner.as_deref_mut() else {
-            return SpanId::OFF;
-        };
-        let start_us = Self::elapsed_us(active);
-        let id = active.spans.len() as u32;
-        active.spans.push(Span {
-            layer,
-            name,
-            start_us,
-            dur_us: 0,
-            detail: String::new(),
+/// Opens an operation's trace on this thread, deciding sampling: one
+/// relaxed load when tracing is off (nothing is pushed then), else a
+/// fetch-add and a frame push — an inert frame unless this operation is
+/// the 1-in-n sample. Finish the guard to publish.
+#[inline]
+pub fn start(kind: &'static str) -> OpTrace {
+    let mut op = OpTrace {
+        depth: 0,
+        sampled: false,
+        _thread: PhantomData,
+    };
+    if enabled() {
+        let every = SAMPLE_EVERY.load(Ordering::Relaxed).max(1);
+        op.sampled = TICK.fetch_add(1, Ordering::Relaxed).is_multiple_of(every);
+        op.depth = STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            s.push(op.sampled.then(|| {
+                let trace = Trace {
+                    kind,
+                    unix_ms: crate::now_unix_ms(),
+                    total_us: 0,
+                    detail: String::new(),
+                    spans: Vec::new(),
+                    levels: Vec::new(),
+                };
+                (Instant::now(), trace)
+            }));
+            s.len()
         });
-        SpanId(id)
     }
+    op
+}
 
-    /// Closes a span opened by [`begin`](Self::begin).
+/// An open operation's frame on its thread's stack (see [`start`]).
+/// Dropping it unfinished discards the frame and any left above it.
+#[must_use = "a trace is published only by `finish`"]
+pub struct OpTrace {
+    /// Stack length once this frame was pushed; 0 when nothing was.
+    depth: usize,
+    sampled: bool,
+    _thread: PhantomData<*const ()>,
+}
+
+impl OpTrace {
+    /// True when this operation is the sample, so its trace records.
     #[inline]
-    pub fn end(&mut self, id: SpanId) {
-        self.end_detail(id, "");
+    pub fn is_sampled(&self) -> bool {
+        self.sampled
     }
 
-    /// Closes a span and attaches a payload (skipped when empty).
-    pub fn end_detail(&mut self, id: SpanId, detail: &str) {
-        let Some(active) = self.inner.as_deref_mut() else {
-            return;
-        };
-        if id == SpanId::OFF {
-            return;
-        }
-        let now_us = Self::elapsed_us(active);
-        if let Some(span) = active.spans.get_mut(id.0 as usize) {
-            span.dur_us = now_us.saturating_sub(span.start_us);
-            if !detail.is_empty() {
-                span.detail = detail.to_string();
-            }
+    /// Pops this operation's frame and, when it was sampled, publishes
+    /// its trace with `detail` as the trace-level payload
+    /// (`format_args!("results={n}")`, formatted only then).
+    pub fn finish(mut self, detail: fmt::Arguments<'_>) {
+        if let Some((t0, mut trace)) = self.pop() {
+            trace.total_us = t0.elapsed().as_micros() as u64;
+            trace.detail = detail.to_string();
+            publish(trace);
         }
     }
 
-    /// Records a complete span that started at `start` (an `Instant`
-    /// taken by the caller) and ends now. Convenient where begin/end
-    /// would straddle a borrow.
-    pub fn span_since(
-        &mut self,
-        layer: &'static str,
-        name: &'static str,
-        start: Instant,
-        detail: &str,
-    ) {
-        let Some(active) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let now_us = Self::elapsed_us(active);
+    fn pop(&mut self) -> Option<Frame> {
+        let depth = std::mem::take(&mut self.depth);
+        if depth == 0 {
+            return None;
+        }
+        STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            let frame = s.get_mut(depth - 1).and_then(Option::take);
+            s.truncate(depth - 1);
+            frame
+        })
+    }
+}
+
+impl Drop for OpTrace {
+    fn drop(&mut self) {
+        self.pop();
+    }
+}
+
+/// The start of a span, when this thread's innermost open operation is
+/// sampled: pass it to [`span_since`]. One relaxed load when tracing is
+/// off.
+#[inline]
+pub fn span_start() -> Option<Instant> {
+    if !enabled() {
+        return None;
+    }
+    let sampled = STACK.with(|s| matches!(s.borrow().last(), Some(Some(_))));
+    sampled.then(Instant::now)
+}
+
+/// Records a span from `start` (from [`span_start`]; `None` records
+/// nothing) to now into this thread's innermost open operation, if that
+/// operation is sampled. `detail` is formatted only then.
+pub fn span_since(
+    layer: &'static str,
+    name: &'static str,
+    start: Option<Instant>,
+    detail: fmt::Arguments<'_>,
+) {
+    let Some(start) = start else { return };
+    with_top(|t0, trace| {
+        let now_us = t0.elapsed().as_micros() as u64;
         let dur_us = start.elapsed().as_micros() as u64;
-        active.spans.push(Span {
+        trace.spans.push(Span {
             layer,
             name,
             start_us: now_us.saturating_sub(dur_us),
             dur_us,
             detail: detail.to_string(),
         });
-    }
+    });
+}
 
-    /// Records an instantaneous (zero-duration) note span.
-    pub fn note(&mut self, layer: &'static str, name: &'static str, detail: &str) {
-        let Some(active) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let now_us = Self::elapsed_us(active);
-        active.spans.push(Span {
-            layer,
-            name,
-            start_us: now_us,
-            dur_us: 0,
-            detail: detail.to_string(),
-        });
-    }
-
-    /// Accumulates per-level traversal counters for a query trace.
-    /// `level` 0 is the leaf level.
-    pub fn tally_level(&mut self, level: usize, leaves: u64, internal: u64, device_reads: u64) {
-        let Some(active) = self.inner.as_deref_mut() else {
-            return;
-        };
-        if active.levels.len() <= level {
-            active.levels.resize_with(level + 1, LevelCounters::default);
+/// Accumulates per-level traversal counters into this thread's
+/// innermost sampled operation. `level` 0 is the leaf level.
+pub fn tally_level(level: usize, leaves: u64, internal: u64, device_reads: u64) {
+    with_top(|_, trace| {
+        if trace.levels.len() <= level {
+            trace.levels.resize_with(level + 1, LevelCounters::default);
         }
-        let lc = &mut active.levels[level];
+        let lc = &mut trace.levels[level];
         lc.nodes += leaves + internal;
         lc.leaves += leaves;
         lc.internal += internal;
         lc.device_reads += device_reads;
-    }
+    });
+}
 
-    /// Sets the trace-level payload (`"results=117"`).
-    pub fn set_detail(&mut self, detail: &str) {
-        if let Some(active) = self.inner.as_deref_mut() {
-            active.detail = detail.to_string();
-        }
-    }
-
-    /// Absorbs ambient spans collected by an [`AmbientScope`] (spans
-    /// recorded by a layer that has no `SpanCtx` in its signatures).
-    pub fn absorb(&mut self, ambient: Vec<AmbientSpan>) {
-        let Some(active) = self.inner.as_deref_mut() else {
-            return;
-        };
-        for a in ambient {
-            let start_us = a.start.saturating_duration_since(active.t0).as_micros() as u64;
-            active.spans.push(Span {
-                layer: a.layer,
-                name: a.name,
-                start_us,
-                dur_us: a.end.saturating_duration_since(a.start).as_micros() as u64,
-                detail: a.detail,
-            });
-        }
-    }
-
-    /// Completes the trace and returns it (None when inactive). The
-    /// context reverts to inert, ready for the next `arm_sampled`.
-    pub fn finish(&mut self) -> Option<Trace> {
-        let active = self.inner.take()?;
-        Some(Trace {
-            kind: active.kind,
-            unix_ms: active.unix_ms,
-            total_us: active.t0.elapsed().as_micros() as u64,
-            detail: active.detail,
-            spans: active.spans,
-            levels: active.levels,
-        })
-    }
-
-    /// Completes the trace and publishes it to the flight recorder and
-    /// any installed collector. No-op when inactive.
-    pub fn finish_publish(&mut self) {
-        if let Some(trace) = self.finish() {
-            publish(trace);
-        }
+/// Opens a span recorded from now until the guard drops, for a layer
+/// whose phase has many exits (a store commit, a store open).
+pub fn span(layer: &'static str, name: &'static str) -> SpanGuard {
+    SpanGuard {
+        layer,
+        name,
+        start: span_start(),
+        detail: String::new(),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Ambient spans (layers without a SpanCtx in their signatures)
-// ---------------------------------------------------------------------------
-
-/// A completed span recorded without access to the operation's
-/// [`SpanCtx`] — `Instant`-based so the absorbing context can rebase
-/// it onto its own clock.
-#[derive(Debug)]
-pub struct AmbientSpan {
-    /// Emitting layer (`"store"`, `"em"`, …).
-    pub layer: &'static str,
-    /// Phase name.
-    pub name: &'static str,
-    /// When the phase started.
-    pub start: Instant,
-    /// When the phase ended.
-    pub end: Instant,
-    /// Short free-form payload.
-    pub detail: String,
-}
-
-thread_local! {
-    static AMBIENT: std::cell::RefCell<Option<Vec<AmbientSpan>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Collects [`ambient_span`]s emitted on this thread between
-/// construction and [`finish`](AmbientScope::finish). Used by cold
-/// paths (merge commit, store open) to let `pr_store` report phases
-/// without threading a `SpanCtx` through its API. Only installs the
-/// thread-local collection when `active` is true, so the common
-/// untraced path stays free.
-pub struct AmbientScope {
-    installed: bool,
-}
-
-impl AmbientScope {
-    /// Begins collecting on this thread when `active`.
-    pub fn begin(active: bool) -> Self {
-        if active {
-            AMBIENT.with(|a| *a.borrow_mut() = Some(Vec::new()));
-        }
-        AmbientScope { installed: active }
-    }
-
-    /// Stops collecting and returns the spans recorded on this thread.
-    pub fn finish(self) -> Vec<AmbientSpan> {
-        if self.installed {
-            AMBIENT.with(|a| a.borrow_mut().take()).unwrap_or_default()
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-impl Drop for AmbientScope {
-    fn drop(&mut self) {
-        if self.installed {
-            AMBIENT.with(|a| a.borrow_mut().take());
-        }
-    }
-}
-
-/// Guard that records one ambient span from construction to drop, if
-/// (and only if) an [`AmbientScope`] is collecting on this thread.
-pub struct AmbientGuard {
+/// A span that records itself on drop (see [`span`]).
+pub struct SpanGuard {
     layer: &'static str,
     name: &'static str,
     start: Option<Instant>,
     detail: String,
 }
 
-impl AmbientGuard {
-    /// Attaches a payload reported when the guard drops.
-    pub fn detail(&mut self, detail: impl Into<String>) {
-        self.detail = detail.into();
+impl SpanGuard {
+    /// Attaches a payload, formatted only when the span records.
+    pub fn detail(&mut self, detail: fmt::Arguments<'_>) {
+        if self.start.is_some() {
+            self.detail = detail.to_string();
+        }
     }
 }
 
-impl Drop for AmbientGuard {
+impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let end = Instant::now();
-        let detail = std::mem::take(&mut self.detail);
-        AMBIENT.with(|a| {
-            if let Some(spans) = a.borrow_mut().as_mut() {
-                spans.push(AmbientSpan {
-                    layer: self.layer,
-                    name: self.name,
-                    start,
-                    end,
-                    detail,
-                });
-            }
-        });
-    }
-}
-
-/// Opens an ambient span guard. Near-free when no [`AmbientScope`] is
-/// collecting on this thread (one TL borrow at construction, one at
-/// drop).
-pub fn ambient_span(layer: &'static str, name: &'static str) -> AmbientGuard {
-    let collecting = AMBIENT.with(|a| a.borrow().is_some());
-    AmbientGuard {
-        layer,
-        name,
-        start: collecting.then(Instant::now),
-        detail: String::new(),
+        span_since(
+            self.layer,
+            self.name,
+            self.start,
+            format_args!("{}", self.detail),
+        );
     }
 }
 
@@ -569,41 +425,28 @@ pub fn recorder() -> &'static FlightRecorder {
 // Collector (trace-file export / --explain)
 // ---------------------------------------------------------------------------
 
-/// An optional process-wide sink receiving *every* published trace (up
-/// to a cap), installed by CLI consumers that want the traces
-/// themselves rather than the slowest-N digest.
-struct Collector {
-    cap: usize,
-    traces: Mutex<Vec<Trace>>,
-}
-
-static COLLECTOR: Mutex<Option<&'static Collector>> = Mutex::new(None);
+/// An optional process-wide sink receiving *every* published trace, up
+/// to its cap: `(cap, traces)`. CLI consumers that want the traces
+/// themselves rather than the slowest-N digest install it.
+static COLLECTOR: Mutex<Option<(usize, Vec<Trace>)>> = Mutex::new(None);
 
 /// Installs a process-wide collector keeping up to `cap` published
 /// traces (further traces are dropped, never blocked on).
 pub fn install_collector(cap: usize) {
-    let collector = Box::leak(Box::new(Collector {
-        cap: cap.max(1),
-        traces: Mutex::new(Vec::new()),
-    }));
-    *COLLECTOR.lock().unwrap() = Some(collector);
+    *COLLECTOR.lock().unwrap() = Some((cap.max(1), Vec::new()));
 }
 
 /// Removes the collector and returns everything it captured.
 pub fn drain_collector() -> Vec<Trace> {
     let collector = COLLECTOR.lock().unwrap().take();
-    match collector {
-        Some(c) => std::mem::take(&mut *c.traces.lock().unwrap()),
-        None => Vec::new(),
-    }
+    collector.map(|(_, traces)| traces).unwrap_or_default()
 }
 
 /// Publishes a completed trace to the flight recorder and (when
-/// installed) the collector. Called by [`SpanCtx::finish_publish`].
+/// installed) the collector. Called by [`OpTrace::finish`].
 pub fn publish(trace: Trace) {
-    if let Some(c) = *COLLECTOR.lock().unwrap() {
-        let mut traces = c.traces.lock().unwrap();
-        if traces.len() < c.cap {
+    if let Some((cap, traces)) = COLLECTOR.lock().unwrap().as_mut() {
+        if traces.len() < *cap {
             traces.push(trace.clone());
         }
     }
@@ -760,124 +603,157 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Runs `f` at 1-in-`every` sampling; returns what it published.
+    fn traced(every: u64, f: impl FnOnce()) -> Vec<Trace> {
+        let _g = sampling_lock();
+        drain_collector();
+        install_collector(64);
+        set_sampling(every);
+        f();
+        set_sampling(0);
+        assert_eq!(STACK.with(|s| s.borrow().len()), 0, "every frame popped");
+        drain_collector()
+    }
+
+    fn names(t: &Trace) -> Vec<&'static str> {
+        t.spans.iter().map(|s| s.name).collect()
+    }
+
     #[test]
     fn off_ctx_is_inert() {
-        let mut ctx = SpanCtx::off();
-        assert!(!ctx.is_active());
-        let id = ctx.begin("em", "read");
-        assert_eq!(id, SpanId::OFF);
-        ctx.end(id);
-        ctx.tally_level(0, 1, 0, 0);
-        assert!(ctx.finish().is_none());
+        let traces = traced(0, || {
+            let op = start("window");
+            assert!(!op.is_sampled() && span_start().is_none());
+            tally_level(0, 1, 0, 0);
+            drop(span("em", "read"));
+            op.finish(format_args!("results=1"));
+        });
+        assert!(traces.is_empty());
     }
 
     #[test]
     fn disabled_sampling_never_arms() {
-        let _g = sampling_lock();
-        set_sampling(0);
-        assert!(!enabled());
-        let ctx = SpanCtx::sampled("window");
-        assert!(!ctx.is_active());
-        let mut ctx = SpanCtx::off();
-        ctx.arm_sampled("window");
-        assert!(!ctx.is_active());
+        traced(0, || {
+            assert!(!enabled() && !start("window").is_sampled());
+            let _op = start("window");
+            assert_eq!(STACK.with(|s| s.borrow().len()), 0, "nothing pushed");
+        });
     }
 
     #[test]
     fn sample_every_one_arms_every_op() {
-        let _g = sampling_lock();
-        set_sampling(1);
-        for _ in 0..3 {
-            assert!(SpanCtx::sampled("window").is_active());
-        }
-        set_sampling(0);
+        assert!(traced(1, || assert!((0..3).all(|_| start("w").is_sampled()))).is_empty());
     }
 
     #[test]
     fn sample_every_n_arms_one_in_n() {
-        let _g = sampling_lock();
-        set_sampling(4);
-        let armed = (0..64)
-            .filter(|_| SpanCtx::sampled("w").is_active())
-            .count();
-        set_sampling(0);
-        assert_eq!(armed, 16, "1-in-4 sampling over 64 ops");
+        traced(4, || {
+            let armed = (0..64).filter(|_| start("w").is_sampled()).count();
+            assert_eq!(armed, 16, "1-in-4 sampling over 64 ops");
+        });
     }
 
     #[test]
     fn spans_and_levels_round_trip() {
-        let mut ctx = SpanCtx::forced("window");
-        let id = ctx.begin("tree", "traverse");
-        std::thread::sleep(Duration::from_millis(2));
-        ctx.end_detail(id, "nodes=5");
-        ctx.tally_level(1, 0, 2, 2);
-        ctx.tally_level(0, 3, 0, 1);
-        ctx.set_detail("results=9");
-        let t = ctx.finish().expect("forced ctx must yield a trace");
-        assert_eq!(t.kind, "window");
-        assert_eq!(t.detail, "results=9");
-        assert_eq!(t.spans.len(), 1);
-        assert_eq!(t.spans[0].name, "traverse");
+        let traces = traced(1, || {
+            let op = start("window");
+            let t0 = span_start();
+            std::thread::sleep(Duration::from_millis(2));
+            span_since("tree", "traverse", t0, format_args!("nodes={}", 5));
+            tally_level(1, 0, 2, 2);
+            tally_level(0, 3, 0, 1);
+            op.finish(format_args!("results={}", 9));
+        });
+        let [t] = &traces[..] else {
+            panic!("one trace")
+        };
+        assert_eq!((t.kind, t.detail.as_str()), ("window", "results=9"));
+        assert_eq!(
+            (names(t), t.spans[0].detail.as_str()),
+            (vec!["traverse"], "nodes=5")
+        );
         assert!(t.spans[0].dur_us >= 1_000, "slept 2ms inside the span");
-        assert_eq!(t.spans[0].detail, "nodes=5");
-        assert_eq!(t.levels.len(), 2);
-        assert_eq!(t.levels[0].leaves, 3);
-        assert_eq!(t.levels[0].nodes, 3);
-        assert_eq!(t.levels[0].device_reads, 1);
-        assert_eq!(t.levels[1].internal, 2);
         assert!(t.total_us >= t.spans[0].dur_us);
-        // Context is reusable after finish.
-        assert!(!ctx.is_active());
+        let l = &t.levels;
+        assert_eq!(
+            (l.len(), l[0].leaves, l[0].nodes, l[0].device_reads),
+            (2, 3, 3, 1)
+        );
+        assert_eq!(l[1].internal, 2);
     }
 
     #[test]
-    fn span_since_and_note() {
-        let mut ctx = SpanCtx::forced("merge");
-        let start = Instant::now();
-        std::thread::sleep(Duration::from_millis(1));
-        ctx.span_since("em", "component_read", start, "slot=2");
-        ctx.note("live", "cut", "cut_seq=17");
-        let t = ctx.finish().unwrap();
-        assert_eq!(t.spans.len(), 2);
-        assert!(t.spans[0].dur_us >= 500);
-        assert_eq!(t.spans[1].dur_us, 0);
-        assert_eq!(t.spans[1].detail, "cut_seq=17");
-    }
-
-    #[test]
-    fn ambient_spans_are_absorbed() {
-        let scope = AmbientScope::begin(true);
-        {
-            let mut g = ambient_span("store", "commit");
-            g.detail("pages=7");
+    fn span_since_and_span_guard() {
+        let traces = traced(1, || {
+            let op = start("merge");
+            let t0 = span_start();
             std::thread::sleep(Duration::from_millis(1));
-        }
-        let spans = scope.finish();
-        assert_eq!(spans.len(), 1);
-        let mut ctx = SpanCtx::forced("merge");
-        ctx.absorb(spans);
-        let t = ctx.finish().unwrap();
-        assert_eq!(t.spans.len(), 1);
-        assert_eq!(t.spans[0].layer, "store");
-        assert_eq!(t.spans[0].detail, "pages=7");
+            span_since("em", "component_read", t0, format_args!("slot=2"));
+            {
+                let mut g = span("store", "commit");
+                g.detail(format_args!("pages={}", 7));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            op.finish(format_args!(""));
+        });
+        let s = &traces[0].spans;
+        assert_eq!((s.len(), s[1].layer, s[1].name), (2, "store", "commit"));
+        assert_eq!(s[1].detail, "pages=7");
+        assert!(s[0].dur_us >= 500 && s[1].dur_us >= 500);
     }
 
     #[test]
-    fn ambient_span_without_scope_records_nothing() {
-        {
-            let _g = ambient_span("store", "commit");
-        }
-        let scope = AmbientScope::begin(true);
-        assert!(scope.finish().is_empty());
+    fn span_guard_lands_in_the_innermost_op() {
+        let traces = traced(1, || {
+            let write = start("write");
+            let merge = start("merge");
+            drop(span("store", "commit"));
+            merge.finish(format_args!(""));
+            span_since("live", "lead", span_start(), format_args!(""));
+            write.finish(format_args!(""));
+        });
+        // The nested op publishes first, each with its own spans.
+        let got: Vec<_> = traces.iter().map(|t| (t.kind, names(t))).collect();
+        assert_eq!(got, [("merge", vec!["commit"]), ("write", vec!["lead"])]);
+    }
+
+    #[test]
+    fn span_outside_any_op_records_nothing() {
+        let traces = traced(1, || {
+            assert!(span_start().is_none());
+            drop(span("store", "commit"));
+            tally_level(0, 1, 0, 1);
+            start("scrub").finish(format_args!(""));
+            // Dropped unfinished: discarded, with the frame left above.
+            let outer = start("wal_replay");
+            std::mem::forget(start("merge"));
+            drop(outer);
+        });
+        assert_eq!(traces.len(), 1);
+        assert!(traces[0].spans.is_empty() && traces[0].levels.is_empty());
     }
 
     #[test]
     fn inactive_scope_collects_nothing() {
-        let scope = AmbientScope::begin(false);
-        {
-            let _g = ambient_span("store", "commit");
-        }
-        assert!(scope.finish().is_empty());
+        // An op that is not the sample pushes an inert frame: what its
+        // nested calls record leaks into no enclosing trace.
+        let traces = traced(2, || {
+            let mut delete = start("delete");
+            if !delete.is_sampled() {
+                drop(delete); // before the next push: a drop pops above it
+                delete = start("delete");
+            }
+            let probe = start("window");
+            assert!(!probe.is_sampled(), "1-in-2: the next op is not sampled");
+            drop(span("tree", "traverse"));
+            span_since("em", "page_read", Some(Instant::now()), format_args!(""));
+            tally_level(0, 1, 0, 1);
+            probe.finish(format_args!(""));
+            span_since("live", "probe", span_start(), format_args!(""));
+            delete.finish(format_args!(""));
+        });
+        assert_eq!(names(&traces[0]), ["probe"]);
+        assert!(traces.len() == 1 && traces[0].levels.is_empty());
     }
 
     fn mk_trace(kind: &'static str, total_us: u64) -> Trace {

@@ -14,7 +14,6 @@ use crate::tree::RTree;
 use pr_em::EmError;
 use pr_geom::Item;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What a slot holds: a component tree, and whatever its owner keeps
 /// beside it.
@@ -217,7 +216,6 @@ pub fn drain<'a, const D: usize>(
     loose: &LooseItems<D>,
     inputs: impl Iterator<Item = (usize, &'a RTree<D>)> + Clone,
     tombstones: &Tombstones<D>,
-    trace: &mut pr_obs::SpanCtx,
 ) -> Result<(Vec<Item<D>>, Tombstones<D>), EmError> {
     let held: u64 = inputs.clone().map(|(_, tree)| tree.len()).sum();
     let mut items = Vec::with_capacity(loose.len() + held as usize);
@@ -233,12 +231,10 @@ pub fn drain<'a, const D: usize>(
     };
     loose.for_each_item(&mut keep);
     for (slot, tree) in inputs {
-        let t0 = trace.is_active().then(Instant::now);
+        let t0 = pr_obs::trace::span_start();
         tree.for_each_item(&mut keep)?;
-        if let Some(t0) = t0 {
-            let detail = format!("slot={slot} items={}", tree.len());
-            trace.span_since("em", "component_read", t0, &detail);
-        }
+        let detail = format_args!("slot={slot} items={}", tree.len());
+        pr_obs::trace::span_since("em", "component_read", t0, detail);
     }
     Ok((items, consumed))
 }

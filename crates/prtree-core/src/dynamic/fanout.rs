@@ -55,7 +55,7 @@ pub fn window_into<'a, const D: usize>(
     let walk = components.into_iter().try_for_each(|c| {
         let start = out.len();
         let s = c.window_append_into(query, scratch, out)?;
-        stats.absorb_traversal(&s);
+        stats.add_traversal(&s);
         filter.retain_admitted(out, start);
         Ok::<(), EmError>(())
     });

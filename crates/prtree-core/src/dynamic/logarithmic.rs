@@ -240,7 +240,6 @@ impl<const D: usize> LprTree<D> {
             &self.buffer,
             self.components.inputs(&plan),
             &self.tombstones,
-            &mut pr_obs::SpanCtx::off(),
         )?;
         let merged = match self.components.target(&plan, items.len()) {
             Some(slot) => {

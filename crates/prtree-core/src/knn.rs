@@ -279,13 +279,12 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
             best,
             forest,
             spent,
-            trace,
             ..
         } = self.scratch;
         let mut filter = tombstones.filter(spent);
         // One walk, so one trace and one registry flush, however many
         // trees the search spans.
-        let mut walk = Walk::new(page_buf, soa, trace, Some(QueryKind::Knn));
+        let mut walk = Walk::new(page_buf, soa, Some(QueryKind::Knn));
         forest.resize(trees, None);
         for (tree, cached) in forest.iter_mut().enumerate() {
             if let Some(t) = tree_at(tree).filter(|t| !t.is_empty()) {

@@ -63,7 +63,7 @@ impl QueryStats {
     /// structures (the LPR-tree, pr-live snapshots) use this to
     /// aggregate their per-component fan-out; `results` is set once from
     /// the filtered output they assemble.
-    pub fn absorb_traversal(&mut self, other: &QueryStats) {
+    pub fn add_traversal(&mut self, other: &QueryStats) {
         self.nodes_visited += other.nodes_visited;
         self.leaves_visited += other.leaves_visited;
         self.internal_visited += other.internal_visited;

@@ -18,7 +18,8 @@
 //! heap allocations per query** — `tests/build_alloc.rs` counts them for
 //! windows, counts, exact matches and k-NN, over one tree and over an
 //! LPR-tree's forest with tombstones. Concurrent readers of one tree
-//! each bring their own scratch.
+//! each bring their own scratch. A scratch carries no trace: a sampled
+//! traversal records into its thread's trace stack ([`pr_obs::trace`]).
 //!
 //! The convenience wrappers (`window`, `window_count`, …) construct a
 //! fresh scratch per call, so one-shot callers pay only what the old
@@ -60,11 +61,6 @@ pub struct QueryScratch<const D: usize> {
     /// [`TombstoneFilter`](crate::dynamic::TombstoneFilter) consumed, per
     /// key.
     pub(crate) spent: Spent<D>,
-    /// Span-trace context riding the query (see `pr_obs::trace`). The
-    /// engine arms it via sampling at the top of each traversal and
-    /// publishes the finished trace; callers wanting a guaranteed trace
-    /// (`--explain`) set it to [`pr_obs::SpanCtx::forced`] beforehand.
-    pub trace: pr_obs::SpanCtx,
 }
 
 impl<const D: usize> QueryScratch<D> {
@@ -81,7 +77,6 @@ impl<const D: usize> QueryScratch<D> {
             best: KBest::new(0),
             forest: Vec::new(),
             spent: Spent::new(),
-            trace: pr_obs::SpanCtx::off(),
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::soa::SoaNode;
 use parking_lot::RwLock;
 use pr_em::{BlockDevice, BlockId, EmError};
 use pr_geom::Item;
-use pr_obs::{SpanCtx, SpanId};
+use pr_obs::trace::{self, OpTrace};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -319,10 +319,9 @@ impl<const D: usize> RTree<D> {
             page_buf,
             mask,
             soa,
-            trace,
             ..
         } = scratch;
-        let mut walk = Walk::new(page_buf, soa, trace, kind);
+        let mut walk = Walk::new(page_buf, soa, kind);
         let cached = self.cache_snapshot();
         stack.clear();
         stack.push(self.root);
@@ -393,18 +392,20 @@ impl<const D: usize> RTree<D> {
 /// its own descend test, leaf kernel and frontier on top of it.
 ///
 /// [`Walk::visit`] resolves a page and counts it in [`Walk::stats`]. A
-/// walk of a query kind that traces ([`QueryKind::trace`]) arms the
-/// scratch's trace by sampling (one relaxed load when tracing is off);
-/// when armed, each visit also tallies its level and each device read
-/// its `em/page_read` span. [`Walk::finish`] admits the walk's
-/// internal-node misses to their trees' caches, flushes the registry
-/// once ([`crate::obs::record_walk`]) and publishes the trace.
+/// walk of a query kind that traces ([`QueryKind::trace`]) opens its
+/// operation's trace ([`pr_obs::trace::start`]: one relaxed load when
+/// tracing is off); when sampled, each visit also tallies its level and
+/// each device read its `em/page_read` span. [`Walk::finish`] admits the
+/// walk's internal-node misses to their trees' caches, flushes the
+/// registry once ([`crate::obs::record_walk`]) and publishes the trace.
 pub(crate) struct Walk<'s, 't, const D: usize> {
     page_buf: &'s mut Vec<u8>,
     soa: &'s mut SoaNode<D>,
     kind: Option<QueryKind>,
-    /// The armed trace and its traversal span.
-    trace: Option<(&'s mut SpanCtx, SpanId)>,
+    /// The walk's operation trace, if its kind traces.
+    trace: Option<OpTrace>,
+    /// The traversal span's name and start, when the trace is sampled.
+    traverse: Option<(&'static str, Instant)>,
     /// Internal nodes read from the device, admitted at [`Walk::finish`].
     misses: Vec<(&'t RTree<D>, BlockId, Arc<SoaNode<D>>)>,
     /// Nodes, leaves, internal nodes and device reads; callers add
@@ -419,21 +420,22 @@ impl<'s, 't, const D: usize> Walk<'s, 't, D> {
     pub(crate) fn new(
         page_buf: &'s mut Vec<u8>,
         soa: &'s mut SoaNode<D>,
-        trace: &'s mut SpanCtx,
         kind: Option<QueryKind>,
     ) -> Self {
-        let trace = kind.and_then(QueryKind::trace).and_then(|(name, span)| {
-            trace.arm_sampled(name);
-            trace.is_active().then(|| {
-                let id = trace.begin("tree", span);
-                (trace, id)
-            })
-        });
+        let (trace, traverse) = match kind.and_then(QueryKind::trace) {
+            Some((name, span)) => {
+                let op = trace::start(name);
+                let traverse = op.is_sampled().then(|| (span, Instant::now()));
+                (Some(op), traverse)
+            }
+            None => (None, None),
+        };
         Walk {
             page_buf,
             soa,
             kind,
             trace,
+            traverse,
             misses: Vec::new(),
             stats: QueryStats::default(),
         }
@@ -463,7 +465,7 @@ impl<'s, 't, const D: usize> Walk<'s, 't, D> {
         page: BlockId,
         f: impl FnOnce(NodeView<'_, D>) -> R,
     ) -> Result<R, EmError> {
-        let t0 = self.trace.is_some().then(Instant::now);
+        let t0 = self.traverse.is_some().then(Instant::now);
         let mut f = Some(f);
         let mut level = 0u8;
         let mut r = cached.get(&page).map(|n| {
@@ -498,11 +500,11 @@ impl<'s, 't, const D: usize> Walk<'s, 't, D> {
         self.stats.leaves_visited += leaf;
         self.stats.internal_visited += internal;
         self.stats.device_reads += did_io as u64;
-        if let (Some((trace, _)), Some(t0)) = (&mut self.trace, t0) {
+        if t0.is_some() {
             if did_io {
-                trace.span_since("em", "page_read", t0, &format!("page={page}"));
+                trace::span_since("em", "page_read", t0, format_args!("page={page}"));
             }
-            trace.tally_level(level as usize, leaf, internal, did_io as u64);
+            trace::tally_level(level as usize, leaf, internal, did_io as u64);
         }
         Ok(r.expect("every path runs f"))
     }
@@ -520,10 +522,12 @@ impl<'s, 't, const D: usize> Walk<'s, 't, D> {
             run[0].0.cache.admit(nodes);
         }
         crate::obs::record_walk(self.kind, &self.stats, result.is_ok());
-        if let Some((trace, traverse)) = self.trace {
-            trace.end_detail(traverse, &format!("nodes={}", self.stats.nodes_visited));
-            trace.set_detail(&format!("results={}", self.stats.results));
-            trace.finish_publish();
+        if let Some((span, t0)) = self.traverse {
+            let nodes = self.stats.nodes_visited;
+            trace::span_since("tree", span, Some(t0), format_args!("nodes={nodes}"));
+        }
+        if let Some(op) = self.trace {
+            op.finish(format_args!("results={}", self.stats.results));
         }
         result.map(|()| self.stats)
     }

@@ -7,7 +7,6 @@
 
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
-use pr_obs::SpanCtx;
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
 use pr_tree::dynamic::components::drain;
@@ -347,7 +346,7 @@ fn a_drained_reinsert_consumes_its_tombstone() {
     let inputs = [(3, &tree)].into_iter();
     let mut loose = LooseItems::new();
     loose.extend(&[dead, fresh]);
-    let (items, consumed) = drain(&loose, inputs, &tombstones, &mut SpanCtx::off()).unwrap();
+    let (items, consumed) = drain(&loose, inputs, &tombstones).unwrap();
     assert_eq!(items[0], fresh, "the reinsert was dropped");
     let mut stored = items[1..].to_vec();
     stored.sort_by_key(|i| i.id);

@@ -69,20 +69,20 @@ fn explain_levels_sum_exactly_to_query_stats() {
         .nearest_neighbors_into(&p, 12, &mut plain, &mut want_nn)
         .unwrap();
 
-    // Forced trace on a fresh scratch: identical results and stats,
-    // plus a published trace whose level sums match exactly — on the
-    // first pass and on the repeat (leaves come from the device every
-    // time; only internal nodes are cached).
+    // Every query traced (1-in-1, a collector installed — what
+    // `--explain` does) on a fresh scratch: identical results and
+    // stats, plus a published trace whose level sums match exactly — on
+    // the first pass and on the repeat (leaves come from the device
+    // every time; only internal nodes are cached).
     for _pass in 0..2 {
         let mut scratch = QueryScratch::new();
         pr_obs::trace::install_collector(16);
-        scratch.trace = pr_obs::SpanCtx::forced("window");
+        pr_obs::trace::set_sampling(1);
         let mut out = Vec::new();
         let stats = tree.window_into(&q, &mut scratch, &mut out).unwrap();
         assert_eq!(out, want, "tracing must not change results");
         assert_eq!(stats, want_stats, "tracing must not change statistics");
 
-        scratch.trace = pr_obs::SpanCtx::forced("knn");
         let mut nn = Vec::new();
         let nn_stats = tree
             .nearest_neighbors_into(&p, 12, &mut scratch, &mut nn)
@@ -90,6 +90,7 @@ fn explain_levels_sum_exactly_to_query_stats() {
         assert_eq!(nn, want_nn, "tracing must not change k-NN results");
         assert_eq!(nn_stats, want_nn_stats);
 
+        pr_obs::trace::set_sampling(0);
         let traces = pr_obs::trace::drain_collector();
         assert_eq!(traces.len(), 2, "window + knn traces collected");
         let window = traces.iter().find(|t| t.kind == "window").unwrap();
@@ -121,11 +122,12 @@ fn explain_levels_sum_exactly_to_query_stats() {
     for _pass in 0..2 {
         let mut scratch = QueryScratch::new();
         pr_obs::trace::install_collector(16);
-        scratch.trace = pr_obs::SpanCtx::forced("knn");
+        pr_obs::trace::set_sampling(1);
         let mut nn = Vec::new();
         let nn_stats = lpr
             .nearest_neighbors_into(&p, 12, &mut scratch, &mut nn)
             .unwrap();
+        pr_obs::trace::set_sampling(0);
         let traces = pr_obs::trace::drain_collector();
         assert_eq!(traces.len(), 1, "one trace for the whole forest");
         assert_eq!(traces[0].kind, "knn");
@@ -134,8 +136,7 @@ fn explain_levels_sum_exactly_to_query_stats() {
         assert!(nn_stats.leaves_visited > 0);
     }
 
-    // Sampled arming (1-in-1) through the engine's own arm_sampled: the
-    // scratch ctx starts off, arms itself, and publishes to the flight
+    // Without a collector the sampled trace still reaches the flight
     // recorder.
     pr_obs::recorder().clear();
     pr_obs::trace::set_sampling(1);

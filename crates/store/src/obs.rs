@@ -12,8 +12,6 @@ pub struct Metrics {
     /// `store_commits_total` — successful snapshot commits (superblock
     /// flips).
     pub commits: pr_obs::Counter,
-    /// `store_commit_pages_total` — pages written by commits.
-    pub commit_pages: pr_obs::Counter,
     /// `store_pages_written_total` — pages freshly appended by commits
     /// (new components). With `store_pages_reused_total` this is the
     /// write-amplification ledger: written / (written + reused) is the
@@ -49,7 +47,6 @@ pub fn metrics() -> &'static Metrics {
                 "store_commits_total",
                 "successful snapshot commits (superblock flips)",
             ),
-            commit_pages: r.counter("store_commit_pages_total", "pages written by commits"),
             pages_written: r.counter(
                 "store_pages_written_total",
                 "pages freshly appended by commits (new components)",

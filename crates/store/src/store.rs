@@ -187,9 +187,9 @@ impl Store {
     /// or media) opens read-only: queries and verification work,
     /// [`Store::save`] returns [`StoreError::ReadOnly`].
     pub fn open(path: &Path) -> Result<Store, StoreError> {
-        // Reported into an enclosing trace (a live-dir open's WAL-replay
-        // trace) when one is collecting on this thread.
-        let mut open_span = pr_obs::ambient_span("store", "store_open");
+        // Recorded into this thread's innermost open trace (a live-dir
+        // open's `wal_replay`, a compaction, `prtree slow`'s scrub).
+        let mut open_span = pr_obs::trace::span("store", "store_open");
         let (file, read_only) = match OpenOptions::new().read(true).write(true).open(path) {
             Ok(f) => (f, false),
             Err(rw_err) => match OpenOptions::new().read(true).open(path) {
@@ -252,7 +252,7 @@ impl Store {
                     let map = map_runs(&file, &runs, sb.block_size as u64);
                     let next_component_id = runs.iter().map(|r| r.run.id).max().unwrap_or(0) + 1;
                     let total: u64 = runs.iter().map(|r| r.run.num_pages).sum();
-                    open_span.detail(format!(
+                    open_span.detail(format_args!(
                         "epoch={} components={} pages={total}",
                         sb.epoch,
                         runs.len()
@@ -344,9 +344,9 @@ impl Store {
         app: Option<&[u8]>,
     ) -> Result<CommitOutcome, StoreError> {
         let commit_start = std::time::Instant::now();
-        // Reported into an enclosing trace (a merge/compaction) when one
-        // is collecting on this thread; free otherwise.
-        let mut commit_span = pr_obs::ambient_span("store", "commit");
+        // Recorded into this thread's innermost open trace (a merge or
+        // compaction).
+        let mut commit_span = pr_obs::trace::span("store", "commit");
         if self.read_only {
             return Err(StoreError::ReadOnly);
         }
@@ -524,7 +524,7 @@ impl Store {
         footer.encode(&mut out.buf[at..]);
         out.flush()?;
         {
-            let _s = pr_obs::ambient_span("store", "fsync_body");
+            let _s = pr_obs::trace::span("store", "fsync_body");
             self.file.sync_data()?;
         }
 
@@ -554,7 +554,7 @@ impl Store {
         let stale_slot = 1 - self.active_slot;
         write_superblock(&self.file, stale_slot, &new_sb)?;
         {
-            let _s = pr_obs::ambient_span("store", "fsync_flip");
+            let _s = pr_obs::trace::span("store", "fsync_flip");
             self.file.sync_data()?;
         }
 
@@ -582,13 +582,12 @@ impl Store {
         self.map = map_runs(&self.file, &self.runs, bs64);
         self.manifest = manifest;
         self.next_component_id = next_component_id;
-        commit_span.detail(format!(
+        commit_span.detail(format_args!(
             "epoch={} written={written} reused={reused}",
             self.sb.epoch
         ));
         let m = crate::obs::metrics();
         m.commits.inc();
-        m.commit_pages.add(written);
         m.pages_written.add(written);
         m.pages_reused.add(reused);
         m.commit_us.record_duration_us(commit_start.elapsed());

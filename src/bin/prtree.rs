@@ -1393,23 +1393,17 @@ fn cmd_slow(opts: &Opts) -> CmdResult {
         let _ix = open_live(path, opts)?;
     } else {
         // A bare store file has no write pipeline; trace the next best
-        // thing — open + full scrub — absorbing the store layer's
-        // ambient spans so the trace shows where the time went.
-        let mut trace = pr_obs::SpanCtx::forced("scrub");
-        let ambient = pr_obs::AmbientScope::begin(true);
+        // thing — open + full scrub — with the store's own `store_open`
+        // span inside, so the trace shows where the time went.
+        let op = pr_obs::trace::start("scrub");
         let t0 = Instant::now();
         let store = Store::open(Path::new(path))?;
         if store.superblock().has_snapshot() {
             store.scrub()?;
         }
-        trace.absorb(ambient.finish());
-        trace.span_since(
-            "store",
-            "scrub",
-            t0,
-            &format!("epoch={}", store.superblock().epoch),
-        );
-        trace.finish_publish();
+        let epoch = store.superblock().epoch;
+        pr_obs::trace::span_since("store", "scrub", Some(t0), format_args!("epoch={epoch}"));
+        op.finish(format_args!(""));
     }
     pr_obs::trace::set_sampling(0);
     let mut groups = pr_obs::recorder().snapshot();
