@@ -12,7 +12,12 @@
 //! that admits leaves, a k-NN that opens a page past its bound — fails
 //! here and prints the whole table, pinned beside current. A deliberate
 //! accounting change re-pins it and says by how much each cell moved.
-//! The registry is process-global, so this binary holds one test.
+//!
+//! A second test pins the write side: `write_amp` and `space_amp` of a
+//! scripted `LprTree` insert/delete trace, whose merges bulk-load
+//! components of 1 024 to 16 384 items and whose compaction rebuilds
+//! everything. The registry is process-global and the trace's deletes
+//! probe trees, so the two tests take one lock.
 
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
@@ -23,7 +28,10 @@ use pr_tree::dynamic::LprTree;
 use pr_tree::{QueryScratch, QueryStats, RTree, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Held by each test: both move the registry's node-cache counters.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// Not reported by this kind (printed `-`).
 const NA: u64 = u64::MAX;
@@ -122,6 +130,7 @@ fn rows(
 
 #[test]
 fn query_accounting_is_pinned() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let params = TreeParams::with_cap::<2>(16);
     let items = pr_data::synthetic::size_dataset(20_000, 0.01, 11);
     let mut rng = SmallRng::seed_from_u64(37);
@@ -201,5 +210,79 @@ fn query_accounting_is_pinned() {
             table += &format!("{:<56}| {}{mark}\n", row.0, row.1);
         }
         panic!("query accounting moved:\n{table}");
+    }
+}
+
+/// Bytes of one user item, as prbench counts them: one 36-byte `Entry`.
+const ITEM_BYTES: f64 = 36.0;
+
+/// The scripted `LprTree` trace's end state, one `name value` line each:
+/// its slot layout, tombstones and merges, the pages written to and
+/// resident on its device, then the ratios prbench reports — bytes
+/// written per inserted byte, bytes held per live byte.
+const PINNED_AMP: &str = "\
+layout           0:1024,2:4096,4:12223
+tombstones       4223
+rebuilds         29
+pages_written    5542
+pages_resident   1158
+write_amp        3.0378
+space_amp        1.3602
+";
+
+#[test]
+fn lpr_amplification_is_pinned() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let params = TreeParams::with_cap::<2>(16);
+    let items = pr_data::synthetic::size_dataset(30_000, 0.01, 13);
+    let dev = Arc::new(MemDevice::new(params.page_size));
+    let mut lpr = LprTree::<2>::new(dev.clone(), params, 1_024);
+    // Merges up to slot 4 (16 384 items), then deletes two of every
+    // three: a full rebuild once half the stored items are dead, new
+    // tombstones after it. Then inserts on top.
+    let (first, rest) = items.split_at(24_000);
+    for &item in first {
+        lpr.insert(item).unwrap();
+    }
+    for (_, item) in first.iter().enumerate().filter(|(i, _)| i % 3 != 2) {
+        assert!(lpr.delete(item).unwrap());
+    }
+    for &item in rest {
+        lpr.insert(item).unwrap();
+    }
+    assert_eq!(lpr.len(), 14_000);
+
+    let page = params.page_size as f64;
+    let written = dev.io_stats().writes;
+    let resident = (dev.resident_bytes() / params.page_size) as u64;
+    let layout: Vec<String> = lpr
+        .layout()
+        .iter()
+        .map(|(slot, n)| format!("{slot}:{n}"))
+        .collect();
+    let current = format!(
+        "layout {}\ntombstones {}\nrebuilds {}\npages_written {written}\npages_resident {resident}\n\
+         write_amp {:.4}\nspace_amp {:.4}\n",
+        layout.join(","),
+        lpr.num_tombstones(),
+        lpr.rebuilds(),
+        written as f64 * page / (items.len() as f64 * ITEM_BYTES),
+        resident as f64 * page / (lpr.len() as f64 * ITEM_BYTES),
+    );
+    let pinned: Vec<Vec<&str>> = PINNED_AMP
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let now: Vec<Vec<&str>> = current
+        .lines()
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    if pinned != now {
+        let mut table = format!("{:<16} {:>12} {:>12}\n", "", "pinned", "current");
+        for (p, c) in pinned.iter().zip(&now) {
+            let mark = if p != c { "  <<" } else { "" };
+            table += &format!("{:<16} {:>12} {:>12}{mark}\n", p[0], p[1], c[1]);
+        }
+        panic!("LprTree amplification moved:\n{table}");
     }
 }

@@ -1,12 +1,14 @@
 //! Golden hashes of the pages `PrTreeLoader::load` writes.
 //!
-//! Every hash below was computed with the `Vec`-per-node recursion this
-//! crate had before the in-place kernel of `bulk::kd_split`, and is
-//! FNV-1a over every block of the `MemDevice` in block order — so it pins
-//! which entries share a page, their order inside it, and the order the
-//! pages were written in (page ids break coordinate ties one stage up).
-//! A kernel change that moves any of those must fail here, not be
-//! re-baselined.
+//! Each hash is FNV-1a over every block of the `MemDevice` in block
+//! order — so it pins which entries share a page, their order inside it,
+//! and the order the pages were written in (page ids break coordinate
+//! ties one stage up). The first six were computed with the `Vec`-per-node
+//! recursion this crate had before the in-place kernel of
+//! `bulk::kd_split`; the seventh, 100 k rectangles that fork the grouping
+//! across threads twice on a 4-core host, with the serial in-place kernel
+//! before the fork. A kernel change that moves any of those must fail
+//! here, not be re-baselined.
 
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Rect};
@@ -73,7 +75,7 @@ fn in_memory_build_bytes_are_pinned() {
     let cap16 = TreeParams::with_cap::<2>(16);
     let default = PrTreeLoader::default();
 
-    let cases: [(&str, u64, u64); 6] = [
+    let cases: [(&str, u64, u64); 7] = [
         (
             "20k lattice, cap 16",
             built_hash(default, cap16, lattice.clone()),
@@ -124,6 +126,11 @@ fn in_memory_build_bytes_are_pinned() {
                 lattice,
             ),
             0xa3bd_a438_d6e9_07d1,
+        ),
+        (
+            "100k lattice, paper_2d (cap 113)",
+            built_hash(default, TreeParams::paper_2d(), lattice_items(100_000, 7)),
+            0x4955_bfeb_7d21_99a2,
         ),
     ];
     let moved: Vec<String> = cases
