@@ -39,7 +39,8 @@
 //! left's — and every selection sees exactly the slice the serial loop
 //! gives it, so the output bytes do not depend on the core count
 //! (`fork_depth_moves_nothing_*` below runs depths 0, 1 and 3 on any
-//! host). `FORK_MIN` is where a thread starts to pay. On a 2-core Xeon,
+//! host). If the OS refuses the thread, the node's children go back on
+//! the serial loop's stack. `FORK_MIN` is where a thread starts to pay. On a 2-core Xeon,
 //! grouping uniform boxes at capacity 113 with one fork ran 1.31 × the
 //! serial loop at 8 192 entries, 1.39 × at 16 384 and 0.90 × at 4 096;
 //! `static_hot`'s 500 k-rectangle build ran 1.44 × (median of 10
@@ -186,23 +187,30 @@ fn subtree_leaves<const D: usize>(
         }
         let Some([left, right]) = kids else { continue };
         let next = axis.next::<D>();
-        if forks == 0 || len < FORK_MIN {
+        let forked = forks > 0 && len >= FORK_MIN && {
+            let (ls, rs) = s[left.start..right.end].split_at_mut(left.len());
+            let (left_base, right_base) = (base + left.start, base + right.start);
+            thread::scope(|scope| {
+                // The OS may refuse a thread (a process or cgroup limit);
+                // the serial loop below then groups both children.
+                let Ok(left_leaves) = thread::Builder::new().spawn_scoped(scope, move || {
+                    let mut own = Vec::with_capacity(ls.len() / shape.cap.max(1) + 1);
+                    subtree_leaves(ls, left_base, next, shape, forks - 1, &mut own);
+                    own
+                }) else {
+                    return false;
+                };
+                subtree_leaves(rs, right_base, next, shape, forks - 1, leaves);
+                let mut left_leaves = left_leaves
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                leaves.append(&mut left_leaves);
+                true
+            })
+        };
+        if !forked {
             stack.extend([(left, next), (right, next)]);
-            continue;
         }
-        let (ls, rs) = s[left.start..right.end].split_at_mut(left.len());
-        thread::scope(|scope| {
-            let left_leaves = scope.spawn(move || {
-                let mut own = Vec::with_capacity(ls.len() / shape.cap.max(1) + 1);
-                subtree_leaves(ls, base + left.start, next, shape, forks - 1, &mut own);
-                own
-            });
-            subtree_leaves(rs, base + right.start, next, shape, forks - 1, leaves);
-            let mut left_leaves = left_leaves
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            leaves.append(&mut left_leaves);
-        });
     }
 }
 
