@@ -158,8 +158,15 @@ pub(crate) fn leaf_ranges<const D: usize>(
     shape: NodeShape,
 ) -> Vec<Range<usize>> {
     // ⌈log₂ cores⌉ fork levels, about one thread per core; 0 on one core.
-    let forks = thread::available_parallelism()
-        .map_or(0, |cores| cores.get().next_power_of_two().trailing_zeros());
+    // Below `FORK_MIN` nothing can fork, so the core count is not asked
+    // for: on Linux that reads procfs and cgroup files (≈ 20 µs), and the
+    // logarithmic method's many small merges would pay it on every stage.
+    let forks = if s.len() < FORK_MIN {
+        0
+    } else {
+        thread::available_parallelism()
+            .map_or(0, |cores| cores.get().next_power_of_two().trailing_zeros())
+    };
     let mut leaves = Vec::with_capacity(s.len() / shape.cap.max(1) + 1);
     subtree_leaves(s, 0, start_axis, shape, forks, &mut leaves);
     leaves
