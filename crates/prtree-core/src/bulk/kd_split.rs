@@ -40,11 +40,17 @@
 //! gives it, so the output bytes do not depend on the core count
 //! (`fork_depth_moves_nothing_*` below runs depths 0, 1 and 3 on any
 //! host). If the OS refuses the thread, the node's children go back on
-//! the serial loop's stack. `FORK_MIN` is where a thread starts to pay. On a 2-core Xeon,
-//! grouping uniform boxes at capacity 113 with one fork ran 1.31 × the
-//! serial loop at 8 192 entries, 1.39 × at 16 384 and 0.90 × at 4 096;
-//! `static_hot`'s 500 k-rectangle build ran 1.44 × (median of 10
-//! interleaved prbench pairs).
+//! the serial loop's stack. `FORK_MIN` is where a thread starts to pay.
+//! On a 2-core Xeon, grouping uniform boxes at capacity 113 with one
+//! fork ran, as the median of each run's paired serial / forked times
+//! over six runs, 1.03 × the serial loop at 4 096 entries (0.90–1.13
+//! across runs), 1.27 × at 8 192, 1.45 × at 16 384 and 1.61 × at
+//! 65 536. The serial loop took ≈ 0.86 ms at 8 192; with the per-call
+//! comparators it replaced (below) it took ≈ 1.41 ms and the fork ran
+//! 1.14 ×, 1.39 ×, 1.52 × and 1.66 ×. A cheaper serial kernel leaves a
+//! thread less to win, but not less than its cost at 8 192, so
+//! `FORK_MIN` stays there. `static_hot`'s 500 k-rectangle build ran
+//! 1.44 × with the fork (median of 10 interleaved prbench pairs).
 //!
 //! **Why the output bytes cannot change.** The recursion this replaced
 //! selected on a `Vec` per node and cut it at `k`. A selection sees only
@@ -57,9 +63,31 @@
 //! ≈ `2D · N · depth` entries of 40 B, 33 × the input for 200 000
 //! rectangles (`tests/build_alloc.rs`). The kernel allocates one `Range`
 //! per leaf and, per thread, a stack of at most `depth + 1` ranges.
+//!
+//! The comparators follow the same argument. Each selection binds one
+//! closure (`with_cmp!`) for the order of
+//! [`pr_geom::mapped::cmp_extreme_on_axis`] (priority leaves) or
+//! [`pr_geom::mapped::cmp_items_on_axis`] (kd splits): `f64::total_cmp`
+//! on one mapped coordinate, then the id, with `b` compared against `a`
+//! on a max side's extreme order. These are the same total orders, so
+//! every comparison answers as the reference would, and
+//! `select_nth_unstable_by`, whose swaps depend only on those answers,
+//! makes the same swaps (`comparators_match_the_reference_*` below
+//! checks every axis and both orders, on signed zeros, NaNs of either
+//! sign, infinities, subnormals and tied ids). What changed is the cost
+//! of the ≈ 10⁸ comparisons of a 500 k build: the reference functions
+//! decide the axis's side, chain `then_with` and perhaps reverse on
+//! every call; here the side is decided once per selection and a
+//! comparison is one `u128` compare of packed keys. On a 2-core host
+//! that ran prbench `static_hot`'s `build_items_per_s` 1.46 × the
+//! per-call comparators (10 interleaved 30 s pairs; 1.49 × in 6 pairs
+//! of 10 s runs). Two variants, in the same 10 s runs, show where the
+//! gain is. The same per-selection closures comparing
+//! `total_cmp(..).then_with(id)` measured within a few % of it. Packed
+//! keys inside the reference functions, with the side still decided per
+//! call, were no faster than before. The gain is the hoist, not the key.
 
 use crate::entry::Entry;
-use pr_geom::mapped::{cmp_extreme_on_axis, cmp_items_on_axis};
 use pr_geom::Axis;
 use std::ops::Range;
 use std::thread;
@@ -99,6 +127,58 @@ pub(crate) fn split_point(n: usize, snap_to: Option<usize>) -> usize {
     mid.clamp(1, n - 1)
 }
 
+/// The two orders a selection runs along a mapped axis.
+#[derive(Clone, Copy, Debug)]
+enum Order {
+    /// Most extreme first ([`pr_geom::mapped::cmp_extreme_on_axis`]):
+    /// priority leaves.
+    Extreme,
+    /// Ascending mapped coordinate ([`pr_geom::mapped::cmp_items_on_axis`]):
+    /// kd splits.
+    Kd,
+}
+
+/// `c`'s rank under `f64::total_cmp`, above `id`: comparing two keys is
+/// `c.total_cmp(..).then_with(|| id.cmp(..))` in one integer compare.
+/// A negative `c` has every bit flipped (larger magnitudes rank lower),
+/// a positive one only its sign bit (it ranks above every negative).
+#[inline]
+fn key(c: f64, id: u32) -> u128 {
+    let bits = c.to_bits();
+    let rank = bits ^ ((((bits as i64) >> 63) as u64) | 1 << 63);
+    (rank as u128) << 32 | id as u128
+}
+
+/// Evaluates `$body` with `$cmp` bound to the comparator of `$order`
+/// along `$axis` for `Entry<$d>`, the order [`Order`] names. The axis's
+/// side is matched once, here, not in every comparison: each arm binds
+/// its own closure, which reads one coordinate column at a fixed
+/// dimension and compares one [`key`], so `$body` is compiled once per
+/// arm around an inlined compare. A max-side extreme order compares `b`
+/// against `a`; a kd order is always ascending.
+macro_rules! with_cmp {
+    ($d:ident, $axis:expr, $order:expr, |$cmp:ident| $body:expr) => {{
+        let (axis, order): (Axis, Order) = ($axis, $order);
+        let dim = axis.dim::<$d>();
+        let lo = move |e: &Entry<$d>| key(e.rect.lo_at(dim), e.ptr);
+        let hi = move |e: &Entry<$d>| key(e.rect.hi_at(dim), e.ptr);
+        match (axis.is_min_side::<$d>(), order) {
+            (true, _) => {
+                let $cmp = |a: &Entry<$d>, b: &Entry<$d>| lo(a).cmp(&lo(b));
+                $body
+            }
+            (false, Order::Kd) => {
+                let $cmp = |a: &Entry<$d>, b: &Entry<$d>| hi(a).cmp(&hi(b));
+                $body
+            }
+            (false, Order::Extreme) => {
+                let $cmp = |a: &Entry<$d>, b: &Entry<$d>| hi(b).cmp(&hi(a));
+                $body
+            }
+        }
+    }};
+}
+
 /// One pseudo-PR-tree node over `s[range]`, kd axis `axis`.
 ///
 /// Permutes `s[range]` so that the node's leaves — up to `2D` priority
@@ -122,8 +202,8 @@ pub(crate) fn split_node<const D: usize>(
                 break;
             }
             if k < end - start {
-                s[start..end].select_nth_unstable_by(k - 1, |a, b| {
-                    cmp_extreme_on_axis(extreme, &a.to_item(), &b.to_item())
+                with_cmp!(D, extreme, Order::Extreme, |cmp| {
+                    s[start..end].select_nth_unstable_by(k - 1, cmp);
                 });
             }
             leaves.push(start..start + k);
@@ -138,8 +218,8 @@ pub(crate) fn split_node<const D: usize>(
         return None;
     }
     let mid = start + split_point(n, shape.snap);
-    s[start..end].select_nth_unstable_by(mid - start, |a, b| {
-        cmp_items_on_axis(axis, &a.to_item(), &b.to_item())
+    with_cmp!(D, axis, Order::Kd, |cmp| {
+        s[start..end].select_nth_unstable_by(mid - start, cmp);
     });
     Some([start..mid, mid..end])
 }
@@ -399,5 +479,94 @@ mod tests {
     #[test]
     fn fork_depth_moves_nothing_3d() {
         fork_depth_moves_nothing::<3>();
+    }
+
+    /// Finite coordinates a careless compare or key gets wrong: both
+    /// zeros, subnormals of either sign, the finite extremes.
+    const FINITE: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 4.0,
+        f64::MIN_POSITIVE,
+        1.0,
+        -1.0,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    /// Non-finite ones: both infinities, quiet and signalling NaNs with
+    /// either sign bit, one with a payload.
+    const NON_FINITE: [f64; 6] = [
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff8_0000_dead_beef),
+    ];
+
+    /// Every selection comparator `with_cmp!` binds — every axis, both
+    /// orders — answers exactly what the reference orders answer, on
+    /// every ordered pair of a set with ties in coordinates and in ids.
+    fn comparators_match_the_reference<const D: usize>() {
+        use pr_geom::mapped::{cmp_extreme_on_axis, cmp_items_on_axis};
+        use pr_geom::{Item, Point};
+        use std::cmp::Ordering;
+
+        let mut rng = SmallRng::seed_from_u64(40 + D as u64);
+        let all: Vec<f64> = FINITE.iter().chain(&NON_FINITE).copied().collect();
+        let mut s = Vec::new();
+        // `Rect::new` takes finite, ordered corners only: non-finite
+        // values go in as points, whose `lo` is their `hi`. Ids 0..3 make
+        // equal coordinates meet both equal and different ids.
+        for _ in 0..120 {
+            let c = std::array::from_fn(|_| all[rng.gen_range(0..all.len())]);
+            s.push(Entry::new(Rect::from_point(Point(c)), rng.gen_range(0..3)));
+        }
+        for _ in 0..80 {
+            let (mut lo, mut hi) = ([0.0; D], [0.0; D]);
+            for d in 0..D {
+                let a = FINITE[rng.gen_range(0..FINITE.len())];
+                let b = FINITE[rng.gen_range(0..FINITE.len())];
+                (lo[d], hi[d]) = if b < a { (b, a) } else { (a, b) };
+            }
+            s.push(Entry::new(Rect::new(lo, hi), rng.gen_range(0..3)));
+        }
+        for _ in 0..100 {
+            let lo: [f64; D] = std::array::from_fn(|_| rng.gen_range(-1.0..1.0));
+            let hi = lo.map(|c| c + rng.gen_range(0.0..1.0));
+            s.push(Entry::new(Rect::new(lo, hi), rng.gen()));
+        }
+        type Reference<const D: usize> = fn(Axis, &Item<D>, &Item<D>) -> Ordering;
+        for axis in Axis::all::<D>() {
+            let orders: [(Order, Reference<D>); 2] = [
+                (Order::Extreme, cmp_extreme_on_axis::<D>),
+                (Order::Kd, cmp_items_on_axis::<D>),
+            ];
+            for (order, reference) in orders {
+                with_cmp!(D, axis, order, |cmp| {
+                    for a in &s {
+                        for b in &s {
+                            let want = reference(axis, &a.to_item(), &b.to_item());
+                            assert!(
+                                cmp(a, b) == want,
+                                "D = {D}, {axis:?} {order:?}: {a:?} vs {b:?}, want {want:?}"
+                            );
+                        }
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn comparators_match_the_reference_2d() {
+        comparators_match_the_reference::<2>();
+    }
+
+    #[test]
+    fn comparators_match_the_reference_3d() {
+        comparators_match_the_reference::<3>();
     }
 }

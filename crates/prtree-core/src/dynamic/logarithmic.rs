@@ -259,13 +259,16 @@ impl<const D: usize> LprTree<D> {
     }
 }
 
+/// Appends every page id of `tree` to `out`. Only internal nodes are
+/// read: a level-1 node's children are leaves, whose ids it holds, so no
+/// leaf is decoded just to be freed (`components::drain` reads them).
 fn collect_pages<const D: usize>(tree: &RTree<D>, out: &mut Vec<BlockId>) -> Result<(), EmError> {
-    let mut stack = vec![tree.root()];
-    while let Some(p) = stack.pop() {
-        out.push(p);
-        let (node, _) = tree.read_node(p)?;
-        if !node.is_leaf() {
-            stack.extend(node.entries.iter().map(|e| e.ptr as BlockId));
+    let mut stack = vec![(tree.root(), tree.root_level())];
+    while let Some((page, level)) = stack.pop() {
+        out.push(page);
+        if level > 0 {
+            let (node, _) = tree.read_node(page)?;
+            stack.extend(node.entries.iter().map(|e| (e.ptr as BlockId, level - 1)));
         }
     }
     Ok(())
