@@ -35,6 +35,7 @@ pub use device::{
 pub use error::{io_error_is_transient, EmError};
 pub use sort::{
     external_sort, external_sort_by, external_sort_multi, merge_runs, MergeReader, SortConfig,
+    SortOrder,
 };
 pub use stats::{IoCounters, IoStats};
 pub use stream::{Record, Stream, StreamReader, StreamWriter};

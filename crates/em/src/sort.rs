@@ -68,6 +68,33 @@ impl SortConfig {
     }
 }
 
+/// An order an external sort runs under: how two records compare, and
+/// how one memory load is sorted.
+///
+/// Every `FnMut(&R, &R) -> Ordering` is one, sorting a load with the
+/// stable `sort_by`. A named order may override [`SortOrder::sort`], say
+/// with an unstable in-place sort that needs no scratch buffer.
+pub trait SortOrder<R> {
+    /// Compares two records: the order runs are sorted in and merged by.
+    fn cmp(&mut self, a: &R, b: &R) -> Ordering;
+
+    /// Sorts one memory load under [`SortOrder::cmp`]. The default is a
+    /// stable `sort_by`. An override may sort any other way, an unstable
+    /// one included: records that compare `Equal` then come out of the
+    /// load, and so of the sort, in an order nothing pins. An order that
+    /// is total on the records sorted (ties broken by a unique id, say)
+    /// gives the same runs however its loads are sorted.
+    fn sort(&mut self, load: &mut [R]) {
+        load.sort_by(|a, b| self.cmp(a, b));
+    }
+}
+
+impl<R, F: FnMut(&R, &R) -> Ordering> SortOrder<R> for F {
+    fn cmp(&mut self, a: &R, b: &R) -> Ordering {
+        self(a, b)
+    }
+}
+
 /// Sorts `input` by `R`'s natural order. See [`external_sort_by`].
 pub fn external_sort<R: Record + Ord>(
     dev: &dyn BlockDevice,
@@ -97,8 +124,8 @@ where
     merge_runs(dev, runs.expect("one order in, one set of runs out"), cmp)
 }
 
-/// Sorts `input` under every comparator of `orders` at once and returns,
-/// per comparator (same positions), the sorted order as a short list of
+/// Sorts `input` under every order of `orders` at once and returns,
+/// per order (same positions), the sorted order as a short list of
 /// sorted **runs**: at most `max(fan_in / 4, 1)` of them, none for an
 /// empty input. A [`MergeReader`] over the runs yields the order record
 /// by record for one buffered block per run; [`merge_runs`] writes it
@@ -114,18 +141,21 @@ where
 /// memory in use never exceeds that of a single sort. With the paper's
 /// 64 MB against 600 MB of input that is nine runs and no merge pass.
 ///
-/// A load is re-sorted in place, so only the first order is stable with
-/// respect to the input; later orders keep ties in the sequence the
-/// previous order left them. Total orders are unaffected.
-pub fn external_sort_multi<R, F>(
+/// A load is sorted in place by each order's [`SortOrder::sort`] in
+/// turn, so records an order ties come out in the sequence its `sort`
+/// leaves them: under a closure's stable sort, the input's for the first
+/// order and the previous order's for later ones; under an unstable
+/// override, a sequence nothing pins. An order that is total on the
+/// input forms the same runs either way.
+pub fn external_sort_multi<R, O>(
     dev: &dyn BlockDevice,
     input: &Stream,
     config: SortConfig,
-    orders: &mut [F],
+    orders: &mut [O],
 ) -> Result<Vec<Vec<Stream>>>
 where
     R: Record,
-    F: FnMut(&R, &R) -> Ordering,
+    O: SortOrder<R>,
 {
     config.validate(dev.block_size(), R::SIZE)?;
 
@@ -141,8 +171,8 @@ where
                 None => break,
             }
         }
-        for (cmp, runs) in orders.iter_mut().zip(&mut runs) {
-            buf.sort_by(&mut *cmp);
+        for (order, runs) in orders.iter_mut().zip(&mut runs) {
+            order.sort(&mut buf);
             let mut w = StreamWriter::<R>::new(dev);
             for r in &buf {
                 w.push(r)?;
@@ -157,11 +187,11 @@ where
     // more than a quarter of the budget in blocks.
     let fan_in = config.fan_in(dev.block_size());
     let max_runs = (fan_in / 4).max(1);
-    for (cmp, runs) in orders.iter_mut().zip(&mut runs) {
+    for (order, runs) in orders.iter_mut().zip(&mut runs) {
         while runs.len() > max_runs {
             let mut next: Vec<Stream> = Vec::with_capacity(runs.len().div_ceil(fan_in));
             for group in runs.chunks(fan_in) {
-                next.push(write_merged(dev, group, &mut *cmp)?);
+                next.push(write_merged(dev, group, |a: &R, b: &R| order.cmp(a, b))?);
             }
             // Consumed runs are temporary files: released as soon as the
             // merged runs replace them.
@@ -173,31 +203,31 @@ where
     Ok(runs)
 }
 
-/// Writes the merge of `runs` (each sorted under `cmp`) out as one
+/// Writes the merge of `runs` (each sorted under `order`) out as one
 /// stream and releases the runs' blocks: one read and one write of the
 /// data. A single run is returned as it is, at no I/O.
-pub fn merge_runs<R, F>(dev: &dyn BlockDevice, mut runs: Vec<Stream>, cmp: F) -> Result<Stream>
+pub fn merge_runs<R, O>(dev: &dyn BlockDevice, mut runs: Vec<Stream>, order: O) -> Result<Stream>
 where
     R: Record,
-    F: FnMut(&R, &R) -> Ordering,
+    O: SortOrder<R>,
 {
     if runs.len() == 1 {
         return Ok(runs.pop().expect("one run"));
     }
-    let merged = write_merged(dev, &runs, cmp)?;
+    let merged = write_merged(dev, &runs, order)?;
     for run in runs {
         run.discard(dev);
     }
     Ok(merged)
 }
 
-fn write_merged<R, F>(dev: &dyn BlockDevice, runs: &[Stream], cmp: F) -> Result<Stream>
+fn write_merged<R, O>(dev: &dyn BlockDevice, runs: &[Stream], order: O) -> Result<Stream>
 where
     R: Record,
-    F: FnMut(&R, &R) -> Ordering,
+    O: SortOrder<R>,
 {
     let mut writer = StreamWriter::<R>::new(dev);
-    let mut merged = MergeReader::new(dev, runs, cmp);
+    let mut merged = MergeReader::new(dev, runs, order);
     while let Some(r) = merged.next_record()? {
         writer.push(&r)?;
     }
@@ -212,7 +242,7 @@ where
 /// over a single run this is a plain [`StreamReader`], and a scan that
 /// stops after `r` records has read at most `⌈r / per_block⌉ + k` blocks
 /// of `k` runs.
-pub struct MergeReader<'d, R: Record, F> {
+pub struct MergeReader<'d, R: Record, O> {
     sources: Vec<StreamReader<'d, R>>,
     /// The next record of every source; `None` once it is exhausted,
     /// before the first read, and for the source at the top of the heap
@@ -221,23 +251,23 @@ pub struct MergeReader<'d, R: Record, F> {
     /// Binary min-heap of the live sources, by head (ties: lower index).
     heap: Vec<usize>,
     primed: bool,
-    cmp: F,
+    order: O,
 }
 
-impl<'d, R, F> MergeReader<'d, R, F>
+impl<'d, R, O> MergeReader<'d, R, O>
 where
     R: Record,
-    F: FnMut(&R, &R) -> Ordering,
+    O: SortOrder<R>,
 {
-    /// Opens `runs`, each sorted under `cmp`, for reading in merged
+    /// Opens `runs`, each sorted under `order`, for reading in merged
     /// order on `dev`.
-    pub fn new(dev: &'d dyn BlockDevice, runs: &[Stream], cmp: F) -> Self {
+    pub fn new(dev: &'d dyn BlockDevice, runs: &[Stream], order: O) -> Self {
         MergeReader {
             sources: runs.iter().map(|r| StreamReader::new(dev, r)).collect(),
             heads: runs.iter().map(|_| None).collect(),
             heap: Vec::with_capacity(runs.len()),
             primed: false,
-            cmp,
+            order,
         }
     }
 
@@ -272,7 +302,7 @@ where
             self.heads[a].as_ref().expect("heap source has a head"),
             self.heads[b].as_ref().expect("heap source has a head"),
         );
-        (self.cmp)(ra, rb).then(a.cmp(&b)) == Ordering::Less
+        self.order.cmp(ra, rb).then(a.cmp(&b)) == Ordering::Less
     }
 
     fn sift_down(&mut self, mut at: usize) {
@@ -414,6 +444,73 @@ mod tests {
             }
             assert_eq!(got, want);
         }
+    }
+
+    /// Ascending by `(a % 1000, a)`, each load sorted unstably.
+    struct Unstable {
+        loads: usize,
+    }
+
+    impl SortOrder<u32> for Unstable {
+        fn cmp(&mut self, a: &u32, b: &u32) -> Ordering {
+            (a % 1000, a).cmp(&(b % 1000, b))
+        }
+
+        fn sort(&mut self, load: &mut [u32]) {
+            self.loads += 1;
+            load.sort_unstable_by(|a, b| self.cmp(a, b));
+        }
+    }
+
+    /// What sorting `s` under `order` with a 1 KiB budget gives: the
+    /// runs' contents, their merged view, the written sort, and the
+    /// reads and writes of forming the runs and of writing the sort.
+    type Sorted = (Vec<Vec<u32>>, Vec<u32>, Vec<u32>, [u64; 4]);
+
+    fn sort_through<O: SortOrder<u32>>(dev: &MemDevice, s: &Stream, mut order: O) -> (O, Sorted) {
+        let config = SortConfig::with_memory(1024);
+        let before = dev.io_stats();
+        let mut runs =
+            external_sort_multi(dev, s, config, std::slice::from_mut(&mut order)).unwrap();
+        let runs = runs.pop().unwrap();
+        let formed = dev.io_stats().since(before);
+        let contents = runs.iter().map(|r| r.read_all(dev).unwrap()).collect();
+        let mut view = Vec::new();
+        let mut merged = MergeReader::new(dev, &runs, |a: &u32, b: &u32| order.cmp(a, b));
+        while let Some(r) = merged.next_record().unwrap() {
+            view.push(r);
+        }
+        let before = dev.io_stats();
+        let written = merge_runs(dev, runs, |a: &u32, b: &u32| order.cmp(a, b)).unwrap();
+        let wrote = dev.io_stats().since(before);
+        let io = [formed.reads, formed.writes, wrote.reads, wrote.writes];
+        let written = written.read_all(dev).unwrap();
+        (order, (contents, view, written, io))
+    }
+
+    #[test]
+    fn an_overridden_load_sort_forms_the_closures_runs() {
+        // The shape of `io_cost_matches_pass_structure`: 16 loads of 256
+        // records, fan-in 15, so the runs take one merge pass (16 → 2)
+        // and `merge_runs` a second. A total order gives the same runs,
+        // merged view, written sort and I/O whichever way loads sort.
+        let dev = MemDevice::new(64);
+        let input: Vec<u32> = (0..4096u32)
+            .map(|i| i.wrapping_mul(2654435761) >> 7)
+            .collect();
+        let s = Stream::from_iter(&dev, input.iter().copied()).unwrap();
+        let closure = |a: &u32, b: &u32| (a % 1000, a).cmp(&(b % 1000, b));
+        let mut want = input.clone();
+        want.sort_by(closure);
+
+        let (named, by_override) = sort_through(&dev, &s, Unstable { loads: 0 });
+        let (_, by_closure) = sort_through(&dev, &s, closure);
+        assert_eq!(named.loads, 16, "run formation sorts through the override");
+        assert_eq!(by_override, by_closure);
+        let (contents, view, written, io) = by_closure;
+        assert_eq!(contents.len(), 2);
+        assert_eq!((view, written), (want.clone(), want));
+        assert_eq!(io, [2 * 256, 2 * 256, 256, 256]);
     }
 
     #[test]

@@ -228,7 +228,10 @@ impl<'d, R: Record> StreamReader<'d, R> {
         }
         let off = self.in_block * R::SIZE;
         let r = R::decode(&self.buf[off..off + R::SIZE]);
-        self.in_block = (self.in_block + 1) % self.per_block;
+        self.in_block += 1;
+        if self.in_block == self.per_block {
+            self.in_block = 0;
+        }
         self.remaining -= 1;
         Ok(Some(r))
     }

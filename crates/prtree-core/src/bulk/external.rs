@@ -33,11 +33,11 @@ use std::sync::Arc;
 /// `memory_bytes / 4` for a reader), and a round of
 /// [`crate::bulk::pr_external`] its partial kd-tree, writer blocks and
 /// reader blocks within `memory_bytes` together. The process heap peaks
-/// higher, at 2.50 × `memory_bytes` for `PrExternalLoader`
-/// (`tests/build_alloc.rs` prints it): run formation holds a load of
-/// decoded records, larger in memory than on disk, next to the stable
-/// sort's scratch. Reading the sorted lists off their runs did not move
-/// that figure.
+/// higher, at 1.42 × `memory_bytes` for `PrExternalLoader`
+/// (`tests/build_alloc.rs` prints it): a load of decoded records is
+/// larger in memory than on disk (1.11 × in 2-D). It was 2.50 × while
+/// run formation sorted each load with a stable sort beside its scratch;
+/// the PR and TGS loaders' orders sort a load in place.
 #[derive(Debug, Clone, Copy)]
 pub struct ExternalConfig {
     /// Main-memory budget in bytes.

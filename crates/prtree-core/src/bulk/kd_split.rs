@@ -88,7 +88,9 @@
 //! call, were no faster than before. The gain is the hoist, not the key.
 
 use crate::entry::Entry;
+use pr_em::SortOrder;
 use pr_geom::Axis;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::thread;
 
@@ -129,7 +131,7 @@ pub(crate) fn split_point(n: usize, snap_to: Option<usize>) -> usize {
 
 /// The two orders a selection runs along a mapped axis.
 #[derive(Clone, Copy, Debug)]
-enum Order {
+pub(crate) enum Order {
     /// Most extreme first ([`pr_geom::mapped::cmp_extreme_on_axis`]):
     /// priority leaves.
     Extreme,
@@ -177,6 +179,51 @@ macro_rules! with_cmp {
             }
         }
     }};
+}
+
+/// [`Order`] along a mapped axis as an external sort's order: the
+/// external loaders' sorted lists. A memory load is sorted in place,
+/// unstably, with the closure `with_cmp!` binds for the axis's side, so
+/// run formation needs no scratch and decides the side once per load.
+///
+/// The order is the reference's `(total_cmp rank, id)`, and where that
+/// ties (equal coordinate and equal id, so only with repeated ids) the
+/// corners' ranks, reversed with the rest on a max side's extreme
+/// order. Only identical entries tie, so identical entries are adjacent
+/// in every sorted list, and for distinct ids the runs are the ones a
+/// stable sort under the reference forms.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AxisOrder(pub Axis, pub Order);
+
+impl AxisOrder {
+    /// Orders entries the reference order ties: by every corner's rank.
+    fn tie<const D: usize>(self, a: &Entry<D>, b: &Entry<D>) -> Ordering {
+        let corners = |e: &Entry<D>| [e.rect.lo(), e.rect.hi()].map(|c| c.map(|c| key(c, 0)));
+        match (self.0.is_min_side::<D>(), self.1) {
+            (false, Order::Extreme) => corners(b).cmp(&corners(a)),
+            _ => corners(a).cmp(&corners(b)),
+        }
+    }
+}
+
+impl<const D: usize> SortOrder<Entry<D>> for AxisOrder {
+    fn cmp(&mut self, a: &Entry<D>, b: &Entry<D>) -> Ordering {
+        with_cmp!(D, self.0, self.1, |cmp| cmp(a, b)).then_with(|| self.tie(a, b))
+    }
+
+    fn sort(&mut self, load: &mut [Entry<D>]) {
+        let order = *self;
+        with_cmp!(D, self.0, self.1, |cmp| {
+            load.sort_unstable_by(cmp);
+            // What the reference order ties is adjacent now; only with
+            // repeated ids is a run longer than one.
+            for run in load.chunk_by_mut(|a, b| cmp(a, b) == Ordering::Equal) {
+                if run.len() > 1 {
+                    run.sort_unstable_by(|a, b| order.tie(a, b));
+                }
+            }
+        })
+    }
 }
 
 /// One pseudo-PR-tree node over `s[range]`, kd axis `axis`.
@@ -538,6 +585,15 @@ mod tests {
             let hi = lo.map(|c| c + rng.gen_range(0.0..1.0));
             s.push(Entry::new(Rect::new(lo, hi), rng.gen()));
         }
+        // The same entries with distinct ids, dealt out of order so the
+        // id tie-break disagrees with every corner: what the external
+        // lists' `AxisOrder` must sort exactly as the reference does.
+        let mut distinct = s.clone();
+        let mut ids: Vec<u32> = (0..distinct.len() as u32).collect();
+        ids.sort_by_key(|&id| id.wrapping_mul(0x9e37_79b9));
+        for (e, id) in distinct.iter_mut().zip(ids) {
+            e.ptr = id;
+        }
         type Reference<const D: usize> = fn(Axis, &Item<D>, &Item<D>) -> Ordering;
         for axis in Axis::all::<D>() {
             let orders: [(Order, Reference<D>); 2] = [
@@ -556,6 +612,24 @@ mod tests {
                         }
                     }
                 });
+                let mut want = distinct.clone();
+                want.sort_by(|a, b| reference(axis, &a.to_item(), &b.to_item()));
+                let mut got = distinct.clone();
+                AxisOrder(axis, order).sort(&mut got);
+                let ids = |v: &[Entry<D>]| v.iter().map(|e| e.ptr).collect::<Vec<_>>();
+                assert!(
+                    ids(&got) == ids(&want),
+                    "D = {D}, {axis:?} {order:?}: AxisOrder sorts unlike the reference"
+                );
+                for a in &distinct {
+                    for b in &distinct {
+                        let want = reference(axis, &a.to_item(), &b.to_item());
+                        assert!(
+                            AxisOrder(axis, order).cmp(a, b) == want,
+                            "D = {D}, {axis:?} {order:?}: AxisOrder {a:?} vs {b:?}, want {want:?}"
+                        );
+                    }
+                }
             }
         }
     }

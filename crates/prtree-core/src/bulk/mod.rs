@@ -106,6 +106,64 @@ impl LoaderKind {
     }
 }
 
+/// An input and a check the external loaders' tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::tree::RTree;
+    use pr_geom::{Item, Rect};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `n` boxes whose ids repeat mod 500. From item 500 on, every fifth
+    /// one also takes the rectangle of the item 500 before it, so some
+    /// records are equal in full, id and all.
+    pub(crate) fn duplicate_ids(n: u32, seed: u64) -> Vec<Item<2>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut items: Vec<Item<2>> = (0..n)
+            .map(|i| {
+                let x: f64 = rng.gen_range(0.0..100.0);
+                let y: f64 = rng.gen_range(0.0..100.0);
+                Item::new(Rect::xyxy(x, y, x + 1.5, y + 0.5), i % 500)
+            })
+            .collect();
+        for i in (500..items.len()).step_by(5) {
+            items[i].rect = items[i - 500].rect;
+        }
+        items
+    }
+
+    /// Items in a canonical order: by id, then by corner bits.
+    fn canonical(mut items: Vec<Item<2>>) -> Vec<Item<2>> {
+        let bits = |i: &Item<2>| {
+            let r = &i.rect;
+            [r.lo_at(0), r.lo_at(1), r.hi_at(0), r.hi_at(1)].map(f64::to_bits)
+        };
+        items.sort_by(|a, b| a.id.cmp(&b.id).then_with(|| bits(a).cmp(&bits(b))));
+        items
+    }
+
+    /// `t` is valid, holds `items` as a multiset of `(rect, id)`, and
+    /// answers windows as a scan of `items` does.
+    pub(crate) fn assert_holds_exactly(t: &RTree<2>, items: &[Item<2>]) {
+        t.validate().unwrap().assert_ok();
+        let everything = Rect::xyxy(-1e9, -1e9, 1e9, 1e9);
+        assert_eq!(
+            canonical(t.window(&everything).unwrap()),
+            canonical(items.to_vec())
+        );
+        let mut rng = SmallRng::seed_from_u64(3);
+        for _ in 0..30 {
+            let x: f64 = rng.gen_range(0.0..92.0);
+            let y: f64 = rng.gen_range(0.0..92.0);
+            let q = Rect::xyxy(x, y, x + 8.0, y + 4.0);
+            assert_eq!(
+                canonical(t.window(&q).unwrap()),
+                canonical(crate::query::brute_force_window(items, &q))
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,8 +54,9 @@
 //! the stage's first round resolves within the budget less those `k − 1`
 //! extra blocks; the lists a round distributes to its children are one
 //! run each. Before distributing, the leaves are spilled to one
-//! temporary stream in emission order and read back through a single
-//! block, so a frontier child finished in memory has the whole budget
+//! temporary stream in emission order, to be read back through a single
+//! block; they are freed once distribution, which still consults them,
+//! is done. So a frontier child finished in memory has the whole budget
 //! again: its entries in one buffer (40 B in memory for 36 B on disk in
 //! 2-D), permuted in place, plus one range per leaf and one page being
 //! encoded.
@@ -68,22 +69,54 @@
 //! memory is decided by the same size test. `Store::save` of the result
 //! is byte-identical, which `tests/external_io.rs` pins with hashes taken
 //! from that earlier loader.
+//!
+//! **The sort.** Run formation sorts each memory load in place under
+//! each list's `kd_split::AxisOrder`: an unstable sort, with the comparator
+//! bound once per load for the axis's side, comparing packed keys. The
+//! order is the reference's `(total_cmp rank, id)`, a total order on
+//! entries with distinct ids, so each load sorts to the one sequence a
+//! stable sort under the reference gives: the same runs, block for
+//! block, the same merged lists, the same tree and the same I/O. On a
+//! 2-core host, 500 k TIGER rectangles under a 2 MiB budget on a
+//! `MemDevice` (12 loads each way, medians) took 1.26 s with stable
+//! sorts that allocated a load-sized scratch and called the reference
+//! comparator through `to_item()`: 434 ms forming runs (36 sorts of
+//! 58 254 entries), 610 ms resolving (4.2 M records read), 92 ms
+//! distributing and 105 ms finishing children in memory. With the
+//! in-place sorts, and the scans routing a record through the
+//! thresholds before they look it up in the taken set (hashed with one
+//! multiply), it took 1.00 s: 260, 533, 85 and 109 ms.
+//!
+//! **Repeated ids.** Distinct ids are what make a record's id its
+//! identity in the taken set and make the orders total. Where ids
+//! repeat, the lists' orders break the reference's ties on every
+//! corner, so only identical entries tie and they are adjacent in every
+//! list. A scan numbers each run of identical entries (copy 0, 1, …),
+//! and identical entries, being interchangeable, are placed by count:
+//! a priority leaf holds every entry before its last one in its list's
+//! order and as many copies of the last as it ends with, and a kd
+//! threshold sends its first copies one way and the rest the other
+//! (`Tie`). A record whose id is in the taken set is checked against
+//! the leaves on its way down, so another record with that id is not
+//! mistaken for it. The tree holds every record and is valid; its bytes
+//! are not pinned, as the in-memory kernel's unstable selections never
+//! pinned them either.
 
 use crate::bulk::external::{finish_root, ExternalConfig};
-use crate::bulk::kd_split::{leaf_ranges, split_point, NodeShape};
+use crate::bulk::kd_split::{leaf_ranges, split_point, AxisOrder, NodeShape, Order};
 use crate::bulk::pr::PrTreeLoader;
 use crate::entry::Entry;
 use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::LevelWriter;
 use pr_em::{
-    external_sort_multi, BlockDevice, EmError, MergeReader, Record, Stream, StreamReader,
-    StreamWriter,
+    external_sort_multi, BlockDevice, EmError, MergeReader, Record, SortOrder, Stream,
+    StreamReader, StreamWriter,
 };
-use pr_geom::mapped::{cmp_extreme_on_axis, cmp_items_on_axis};
 use pr_geom::Axis;
 use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::Arc;
 
 /// External PR-tree loader.
@@ -163,8 +196,9 @@ impl PrExternalLoader {
         // 2D extremeness-sorted lists of the whole stage input, left as
         // the sort's runs. `round_bytes` counts one reader block; a scan
         // of these lists holds one per run.
-        let mut orders: Vec<_> = Axis::all::<D>().map(extreme_first::<D>).collect();
-        let lists = external_sort_multi(dev, input, self.config.sort(), &mut orders)?;
+        let mut orders: Vec<_> = Axis::all::<D>().map(extreme_first).collect();
+        let lists =
+            external_sort_multi::<Entry<D>, _>(dev, input, self.config.sort(), &mut orders)?;
         let extra_blocks = lists[0].len() - 1;
         let budget = self.config.memory_bytes - extra_blocks * dev.block_size();
         stage.round(lists, input.len(), Axis(0), budget)?;
@@ -178,20 +212,8 @@ impl PrExternalLoader {
 type List = Vec<Stream>;
 
 /// The order of list `axis`: most extreme entry on that axis first.
-fn extreme_first<const D: usize>(
-    axis: Axis,
-) -> impl FnMut(&Entry<D>, &Entry<D>) -> Ordering + Copy {
-    move |a, b| cmp_extreme_on_axis(axis, &a.to_item(), &b.to_item())
-}
-
-/// Opens list `a` for one front-to-back scan: a merge of its runs, a
-/// plain stream read when there is one.
-fn scan<'d, const D: usize>(
-    dev: &'d dyn BlockDevice,
-    lists: &[List],
-    a: usize,
-) -> MergeReader<'d, Entry<D>, impl FnMut(&Entry<D>, &Entry<D>) -> Ordering> {
-    MergeReader::new(dev, &lists[a], extreme_first::<D>(Axis(a)))
+fn extreme_first(axis: Axis) -> AxisOrder {
+    AxisOrder(axis, Order::Extreme)
 }
 
 /// What one stage's rounds share.
@@ -214,8 +236,8 @@ struct Node<const D: usize> {
     axis: Axis,
     /// How many of `count` the node's own priority leaves hold.
     taken: u64,
-    /// The priority leaves, concatenated in axis order (emptied by the
-    /// spill), and their lengths.
+    /// The priority leaves, concatenated in axis order (emptied after
+    /// distribution), and their lengths.
     leaves: Vec<Entry<D>>,
     leaf_lens: Vec<usize>,
     kids: Kids<D>,
@@ -233,20 +255,83 @@ enum Kids<const D: usize> {
     /// single child.
     One(usize),
     /// Resolved; entries below the threshold on the node's axis go to
-    /// the first child, the others to the second.
-    Two(Entry<D>, usize, usize),
+    /// the left child, entries above it to the right one, and copies of
+    /// the threshold as `tie` says.
+    Two {
+        threshold: Entry<D>,
+        tie: Tie,
+        left: usize,
+        right: usize,
+    },
+}
+
+/// Where the copies of a threshold go: in any scan, the first `first`
+/// copies that pass the node's priority leaves to the left child if
+/// `first_left`, else to the right one, and the rest to the other.
+/// Identical entries are interchangeable, so the count is all that must
+/// agree across lists. With distinct entries the only copy is the
+/// threshold itself, which goes right.
+#[derive(Clone, Copy)]
+struct Tie {
+    first: u64,
+    first_left: bool,
 }
 
 /// Hash-set bytes per taken id: a 4-byte slot and a control byte, at the
 /// table's lowest load factor (7/16, just after it doubles).
 const TAKEN_ID_BYTES: usize = 12;
 
+/// Hashes taken ids with one multiply by an odd factor drawn per round:
+/// ids are the caller's, and a fixed factor would let chosen ids collide.
+/// The table indexes by the low bits of the hash, so the product's
+/// well-mixed high half is rotated down to them.
+#[derive(Clone, Copy)]
+struct IdHashing(u64);
+
+impl IdHashing {
+    fn new() -> Self {
+        IdHashing(RandomState::new().hash_one(0u32) | 1)
+    }
+}
+
+impl BuildHasher for IdHashing {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            factor: self.0,
+            hash: 0,
+        }
+    }
+}
+
+struct IdHasher {
+    factor: u64,
+    hash: u64,
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.hash = (self.hash ^ u64::from(id)).wrapping_mul(self.factor);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
 /// A round's in-memory state.
 struct Round<const D: usize> {
     /// The partial kd-tree; node 0 is the round's root.
     nodes: Vec<Node<D>>,
     /// Ids held by the priority leaves of `nodes`.
-    taken: HashSet<u32>,
+    taken: HashSet<u32, IdHashing>,
 }
 
 impl<const D: usize> Round<D> {
@@ -263,25 +348,70 @@ impl<const D: usize> Round<D> {
         self.nodes.len() - 1
     }
 
-    /// The unresolved node `e` belongs to; `None` if a priority leaf of
-    /// this round holds it.
-    fn route(&self, e: &Entry<D>) -> Option<usize> {
-        if self.taken.contains(&e.ptr) {
+    /// The frontier node a scan's `copy`-th copy of `e` (see [`Scan`])
+    /// belongs to, and its index among the copies that reach that node,
+    /// if `wanted` says the scan wants the node; `None` if it does not
+    /// or a priority leaf of this round holds the copy.
+    ///
+    /// The thresholds are walked first. Only a record that lands on a
+    /// wanted node is looked up in the taken set, and only one whose id
+    /// is there is walked again past the priority leaves: with distinct
+    /// ids, that id is its own.
+    fn route(
+        &self,
+        e: &Entry<D>,
+        copy: u64,
+        wanted: impl Fn(usize) -> bool,
+    ) -> Option<(usize, u64)> {
+        let (n, k) = self.walk(e, copy, false)?;
+        if !wanted(n) {
             return None;
         }
+        if !self.taken.contains(&e.ptr) {
+            return Some((n, k));
+        }
+        self.walk(e, copy, true).filter(|&(n, _)| wanted(n))
+    }
+
+    /// Routes the `copy`-th copy of `e` down the resolved nodes. With
+    /// `leaves`, a node's priority leaves are passed first, and `None`
+    /// means one holds the copy; without, `None` means the copy reached
+    /// a node whose leaves took every entry.
+    fn walk(&self, e: &Entry<D>, mut copy: u64, leaves: bool) -> Option<(usize, u64)> {
         let mut n = 0;
         loop {
             let node = &self.nodes[n];
-            n = match &node.kids {
-                Kids::Frontier => return Some(n),
-                Kids::One(kid) => *kid,
-                Kids::Two(threshold, left, right) => {
-                    match cmp_items_on_axis(node.axis, &e.to_item(), &threshold.to_item()) {
-                        Ordering::Less => *left,
-                        _ => *right,
+            if leaves {
+                copy = node.pass_leaves(e, copy)?;
+            }
+            n = match node.kids {
+                Kids::Frontier => return Some((n, copy)),
+                Kids::None => return None,
+                Kids::One(kid) => kid,
+                Kids::Two {
+                    threshold,
+                    tie,
+                    left,
+                    right,
+                } => match AxisOrder(node.axis, Order::Kd).cmp(e, &threshold) {
+                    Ordering::Less => left,
+                    Ordering::Greater => right,
+                    Ordering::Equal if copy < tie.first => {
+                        if tie.first_left {
+                            left
+                        } else {
+                            right
+                        }
                     }
-                }
-                Kids::None => unreachable!("an entry outside the leaves that took them all"),
+                    Ordering::Equal => {
+                        copy -= tie.first;
+                        if tie.first_left {
+                            right
+                        } else {
+                            left
+                        }
+                    }
+                },
             };
         }
     }
@@ -295,11 +425,80 @@ impl<const D: usize> Round<D> {
             match self.nodes[n].kids {
                 Kids::Frontier | Kids::None => {}
                 Kids::One(kid) => stack.push(kid),
-                Kids::Two(_, left, right) => stack.extend([right, left]),
+                Kids::Two { left, right, .. } => stack.extend([right, left]),
             }
         }
         order
     }
+}
+
+impl<const D: usize> Node<D> {
+    /// Passes the `copy`-th copy of `e` that reaches this node by its
+    /// priority leaves: `None` if one holds it, else its index among the
+    /// copies that pass them. Leaf `a` holds a prefix, in list `a`'s
+    /// order, of what the leaves before it left: every entry before its
+    /// last one, and as many copies of the last as it ends with.
+    fn pass_leaves(&self, e: &Entry<D>, mut copy: u64) -> Option<u64> {
+        let mut end = 0;
+        for (a, &len) in self.leaf_lens.iter().enumerate() {
+            let leaf = &self.leaves[end..end + len];
+            end += len;
+            let Some(last) = leaf.last() else { continue };
+            match extreme_first(Axis(a)).cmp(e, last) {
+                Ordering::Less => return None,
+                Ordering::Equal => {
+                    let held = leaf.iter().rev().take_while(|l| same(l, e)).count() as u64;
+                    copy = copy.checked_sub(held)?;
+                }
+                Ordering::Greater => {}
+            }
+        }
+        Some(copy)
+    }
+}
+
+/// A front-to-back read of one list that numbers copies: the `k`-th of
+/// a run of identical entries is copy `k`. The lists' orders break ties
+/// on every corner, so identical entries are adjacent in each of them.
+struct Scan<'d, const D: usize> {
+    reader: MergeReader<'d, Entry<D>, AxisOrder>,
+    last: Option<Entry<D>>,
+    copy: u64,
+    /// The list's length, for the error if it ends early.
+    len: u64,
+}
+
+impl<'d, const D: usize> Scan<'d, D> {
+    /// Opens list `a` of `lists` (`len` entries each): a merge of its
+    /// runs, a plain stream read when there is one.
+    fn new(dev: &'d dyn BlockDevice, lists: &[List], a: usize, len: u64) -> Self {
+        Scan {
+            reader: MergeReader::new(dev, &lists[a], extreme_first(Axis(a))),
+            last: None,
+            copy: 0,
+            len,
+        }
+    }
+
+    /// The next entry and its copy number.
+    fn next(&mut self) -> Result<(Entry<D>, u64), EmError> {
+        let e = self.reader.next_record()?.ok_or_else(|| short(self.len))?;
+        self.copy = match &self.last {
+            Some(last) if same(last, &e) => self.copy + 1,
+            _ => 0,
+        };
+        self.last = Some(e);
+        Ok((e, self.copy))
+    }
+}
+
+/// Identical entries: equal ids and equal corners, bit for bit.
+fn same<const D: usize>(a: &Entry<D>, b: &Entry<D>) -> bool {
+    let bits = |e: &Entry<D>| {
+        let r = &e.rect;
+        (e.ptr, r.lo().map(f64::to_bits), r.hi().map(f64::to_bits))
+    };
+    bits(a) == bits(b)
 }
 
 impl<const D: usize> Stage<'_, D> {
@@ -328,19 +527,23 @@ impl<const D: usize> Stage<'_, D> {
         let dev = self.dev;
         let mut round = self.resolve(&lists, count, axis, budget)?;
 
-        // Spill the priority leaves in emission order.
+        // Spill the priority leaves in emission order. Distribution
+        // still reads them; then they are freed, with the taken set.
         let order = round.preorder();
         let mut spill = StreamWriter::<Entry<D>>::new(dev);
         for &n in &order {
-            for e in std::mem::take(&mut round.nodes[n].leaves) {
-                spill.push(&e)?;
+            for e in &round.nodes[n].leaves {
+                spill.push(e)?;
             }
         }
         let spill = spill.finish()?;
 
         self.distribute(&mut round, &lists)?;
         discard_all(dev, lists);
-        let mut nodes = round.nodes; // and the taken set is freed
+        let mut nodes = round.nodes;
+        for node in &mut nodes {
+            node.leaves = Vec::new();
+        }
 
         // Emit. A nested round works beside this round's reader.
         let nested_budget = budget.saturating_sub(dev.block_size());
@@ -381,7 +584,7 @@ impl<const D: usize> Stage<'_, D> {
     ) -> Result<Round<D>, EmError> {
         let mut round = Round {
             nodes: Vec::new(),
-            taken: HashSet::new(),
+            taken: HashSet::with_hasher(IdHashing::new()),
         };
         // The root is resolved whatever the budget; `open` holds the
         // nodes of the current depth, all splitting on the same axis.
@@ -425,13 +628,11 @@ impl<const D: usize> Stage<'_, D> {
             if todo == 0 {
                 continue;
             }
-            let mut reader = scan(self.dev, lists, a);
+            let mut scan = Scan::new(self.dev, lists, a, round.nodes[0].count);
             while todo > 0 {
-                let e = reader
-                    .next_record()?
-                    .ok_or_else(|| short(round.nodes[0].count))?;
-                if let Some(w) = round.route(&e).and_then(|n| writers[n].as_mut()) {
-                    w.push(&e)?;
+                let (e, copy) = scan.next()?;
+                if let Some((n, _)) = round.route(&e, copy, |n| writers[n].is_some()) {
+                    writers[n].as_mut().expect("wanted").push(&e)?;
                     todo -= 1;
                 }
             }
@@ -464,12 +665,10 @@ impl<const D: usize> Stage<'_, D> {
                 need += 1;
             }
         }
-        let mut reader = scan(self.dev, lists, a);
+        let mut scan = Scan::new(self.dev, lists, a, round.nodes[0].count);
         while need > 0 {
-            let e = reader
-                .next_record()?
-                .ok_or_else(|| short(round.nodes[0].count))?;
-            let Some(n) = round.route(&e).filter(|&n| filling[n]) else {
+            let (e, copy) = scan.next()?;
+            let Some((n, _)) = round.route(&e, copy, |n| filling[n]) else {
                 continue;
             };
             round.taken.insert(e.ptr);
@@ -499,11 +698,13 @@ impl<const D: usize> Stage<'_, D> {
         // The in-memory split puts the `mid` strictly-smaller entries
         // left, so the threshold is the remaining entry of ascending
         // rank `mid`: `skip` entries come before it in list order
-        // (max-side lists are stored in exact-reverse order).
+        // (max-side lists are stored in exact-reverse order). The copies
+        // of it before it in list order are below it on a min side, so
+        // they go left; on a max side they and it go right.
         struct Median<const D: usize> {
             mid: u64,
             skip: u64,
-            threshold: Option<Entry<D>>,
+            threshold: Option<(Entry<D>, Tie)>,
         }
         let mut medians: Vec<Option<Median<D>>> = round.nodes.iter().map(|_| None).collect();
         let mut need = 0;
@@ -524,19 +725,27 @@ impl<const D: usize> Stage<'_, D> {
                 need += 1;
             }
         }
-        let mut reader = scan(self.dev, lists, axis.0);
+        let mut scan = Scan::new(self.dev, lists, axis.0, round.nodes[0].count);
+        let pending = |m: &Option<Median<D>>| m.as_ref().is_some_and(|m| m.threshold.is_none());
         while need > 0 {
-            let e = reader
-                .next_record()?
-                .ok_or_else(|| short(round.nodes[0].count))?;
-            let Some(median) = round.route(&e).and_then(|n| medians[n].as_mut()) else {
+            let (e, copy) = scan.next()?;
+            let Some((n, before)) = round.route(&e, copy, |n| pending(&medians[n])) else {
                 continue;
             };
-            if median.threshold.is_some() {
-                continue;
-            }
+            let median = medians[n].as_mut().expect("pending");
             if median.skip == 0 {
-                median.threshold = Some(e);
+                let tie = if axis.is_min_side::<D>() {
+                    Tie {
+                        first: before,
+                        first_left: true,
+                    }
+                } else {
+                    Tie {
+                        first: before + 1,
+                        first_left: false,
+                    }
+                };
+                median.threshold = Some((e, tie));
                 need -= 1;
             } else {
                 median.skip -= 1;
@@ -549,10 +758,16 @@ impl<const D: usize> Stage<'_, D> {
             let remaining = round.nodes[n].count - round.nodes[n].taken;
             round.nodes[n].kids = match medians[n].take() {
                 Some(Median { mid, threshold, .. }) => {
-                    let threshold = threshold.expect("the scan ran until every median was found");
+                    let (threshold, tie) =
+                        threshold.expect("the scan ran until every median was found");
                     let (left, right) = (round.push(mid, next), round.push(remaining - mid, next));
                     kids.extend([left, right]);
-                    Kids::Two(threshold, left, right)
+                    Kids::Two {
+                        threshold,
+                        tie,
+                        left,
+                        right,
+                    }
                 }
                 None if remaining == 0 => Kids::None,
                 None => {
@@ -725,6 +940,31 @@ mod tests {
         assert!(stage.round_bytes(1, 2) <= budget);
         assert!(stage.round_bytes(2, 3) > budget);
         assert_matches_in_memory(&random_items(2000, 8), 8, 12);
+    }
+
+    #[test]
+    fn repeated_ids_keep_every_record() {
+        // Repeated ids, identical entries among them: the only inputs
+        // the lists' orders tie on, so the only ones whose bytes an
+        // unstable load sort may move. No bytes are pinned here.
+        use crate::bulk::testing::{assert_holds_exactly, duplicate_ids};
+        let same = vec![Item::new(Rect::xyxy(1.0, 2.0, 3.0, 4.0), 7); 1500];
+        for items in [duplicate_ids(3000, 14), same] {
+            for cap in [4, 8, 16] {
+                let params = TreeParams::with_cap::<2>(cap);
+                for pages in [12, 40, 100] {
+                    let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+                    let input =
+                        Stream::from_iter(dev.as_ref(), items.iter().map(|&i| Entry::from_item(i)))
+                            .unwrap();
+                    let memory = ExternalConfig::with_memory(pages * params.page_size);
+                    let t = PrExternalLoader::new(memory)
+                        .load::<2>(Arc::clone(&dev), params, &input)
+                        .unwrap();
+                    assert_holds_exactly(&t, &items);
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! exists as an ablation to show how much of TGS's cost is recoverable.
 
 use crate::bulk::external::ExternalConfig;
+use crate::bulk::kd_split::{AxisOrder, Order};
 use crate::bulk::tgs;
 use crate::entry::Entry;
 use crate::page::NodePage;
@@ -20,11 +21,11 @@ use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::page_ptr;
 use pr_em::{
-    external_sort_multi, merge_runs, BlockDevice, EmError, Record, Stream, StreamReader,
+    external_sort_multi, merge_runs, BlockDevice, EmError, Record, SortOrder, Stream, StreamReader,
     StreamWriter,
 };
-use pr_geom::mapped::cmp_items_on_axis;
 use pr_geom::{Axis, Rect};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A subset mid-partition: its `2D` sorted lists and its size.
@@ -74,17 +75,18 @@ impl TgsExternalLoader {
         // one read of the input forms the runs of all `2D`, and every
         // list is written out, since each binary partition rescans it.
         let mut orders: Vec<_> = Axis::all::<D>()
-            .map(|axis| {
-                move |a: &Entry<D>, b: &Entry<D>| {
-                    cmp_items_on_axis(axis, &a.to_item(), &b.to_item())
-                }
-            })
+            .map(|axis| AxisOrder(axis, Order::Kd))
             .collect();
-        let runs = external_sort_multi(dev.as_ref(), input, self.config.sort(), &mut orders)?;
+        let runs = external_sort_multi::<Entry<D>, _>(
+            dev.as_ref(),
+            input,
+            self.config.sort(),
+            &mut orders,
+        )?;
         let lists = runs
             .into_iter()
             .zip(orders)
-            .map(|(runs, order)| merge_runs(dev.as_ref(), runs, order))
+            .map(|(runs, order)| merge_runs::<Entry<D>, _>(dev.as_ref(), runs, order))
             .collect::<Result<Vec<_>, _>>()?;
 
         let root_entry = self.build::<D>(dev.as_ref(), &params, lists, len, root_level)?;
@@ -158,22 +160,32 @@ impl TgsExternalLoader {
         debug_assert!(m >= 2);
 
         // Scan each ordering once: segment MBRs + the boundary entries
-        // that would become split thresholds.
-        let mut best: Option<(usize, u64, f64, Entry<D>)> = None; // (axis, left_len, cost, threshold)
+        // that would become split thresholds, each with the number of
+        // entries up to it that are identical to it (the only ones its
+        // order ties with it): 1 unless entries repeat.
+        // (axis, left_len, cost, threshold, ties)
+        let mut best: Option<(usize, u64, f64, Entry<D>, u64)> = None;
         for (axis_idx, list) in lists.iter().enumerate() {
+            let mut order = AxisOrder(Axis(axis_idx), Order::Kd);
             let mut seg_mbrs: Vec<Rect<D>> = Vec::with_capacity(m as usize);
-            let mut boundaries: Vec<Entry<D>> = Vec::with_capacity(m as usize - 1);
+            let mut boundaries: Vec<(Entry<D>, u64)> = Vec::with_capacity(m as usize - 1);
             let mut reader = StreamReader::<Entry<D>>::new(dev, list);
             let mut acc = Rect::EMPTY;
             let mut idx = 0u64;
+            let (mut prev, mut ties) = (None, 0u64);
             while let Some(e) = reader.next_record()? {
                 acc = acc.mbr_with(&e.rect);
                 idx += 1;
+                ties = match prev {
+                    Some(p) if order.cmp(&p, &e) == Ordering::Equal => ties + 1,
+                    _ => 1,
+                };
+                prev = Some(e);
                 if idx.is_multiple_of(unit) || idx == n {
                     seg_mbrs.push(acc);
                     acc = Rect::EMPTY;
                     if idx < n {
-                        boundaries.push(e);
+                        boundaries.push((e, ties));
                     }
                 }
             }
@@ -194,30 +206,35 @@ impl TgsExternalLoader {
             for k in 1..m {
                 let cost = prefix[k as usize - 1].area() + suffix[k as usize].area();
                 if best.as_ref().is_none_or(|b| cost < b.2) {
-                    best = Some((
-                        axis_idx,
-                        (k * unit).min(n),
-                        cost,
-                        boundaries[k as usize - 1],
-                    ));
+                    let (threshold, ties) = boundaries[k as usize - 1];
+                    best = Some((axis_idx, (k * unit).min(n), cost, threshold, ties));
                 }
             }
         }
-        let (axis_idx, left_len, _, threshold) = best.expect("m >= 2 yields a cut");
-        let axis = Axis(axis_idx);
+        let (axis_idx, left_len, _, threshold, ties) = best.expect("m >= 2 yields a cut");
+        let mut order = AxisOrder(Axis(axis_idx), Order::Kd);
 
-        // Distribution pass: ≤ threshold goes left (the threshold is the
-        // last entry of the left side in the chosen ordering).
+        // Distribution pass: < threshold goes left, and so do the first
+        // `ties` entries equal to it (the threshold is the last entry of
+        // the left side in the chosen ordering), so every list splits at
+        // `left_len`.
         let mut left_lists = Vec::with_capacity(lists.len());
         let mut right_lists = Vec::with_capacity(lists.len());
         for list in &lists {
             let mut reader = StreamReader::<Entry<D>>::new(dev, list);
             let mut lw = StreamWriter::<Entry<D>>::new(dev);
             let mut rw = StreamWriter::<Entry<D>>::new(dev);
+            let mut ties_left = ties;
             while let Some(e) = reader.next_record()? {
-                if cmp_items_on_axis(axis, &e.to_item(), &threshold.to_item())
-                    != std::cmp::Ordering::Greater
-                {
+                let left = match order.cmp(&e, &threshold) {
+                    Ordering::Less => true,
+                    Ordering::Equal if ties_left > 0 => {
+                        ties_left -= 1;
+                        true
+                    }
+                    _ => false,
+                };
+                if left {
                     lw.push(&e)?;
                 } else {
                     rw.push(&e)?;
@@ -352,6 +369,26 @@ mod tests {
             got.sort_by_key(|i| i.id);
             want.sort_by_key(|i| i.id);
             assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn repeated_ids_keep_every_record() {
+        use crate::bulk::testing::{assert_holds_exactly, duplicate_ids};
+        let same = vec![Item::new(Rect::xyxy(1.0, 2.0, 3.0, 4.0), 7); 600];
+        for items in [duplicate_ids(1200, 19), same] {
+            let params = TreeParams::with_cap::<2>(8);
+            for pages in [16, 40] {
+                let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+                let input =
+                    Stream::from_iter(dev.as_ref(), items.iter().map(|&i| Entry::from_item(i)))
+                        .unwrap();
+                let t =
+                    TgsExternalLoader::new(ExternalConfig::with_memory(pages * params.page_size))
+                        .load::<2>(Arc::clone(&dev), params, &input)
+                        .unwrap();
+                assert_holds_exactly(&t, &items);
+            }
         }
     }
 
