@@ -10,13 +10,20 @@
 //! key-tagging scan, one external sort whose final merge feeds the leaf
 //! packing directly, then a single packing scan per upper level (the
 //! paper: "H is simple to bulk-load").
+//!
+//! What the external loaders share with the in-memory ones lives in
+//! [`crate::writer`]: the node writer, the root rule, and the streaming
+//! level loop (`writer::stack_stream_levels`) that both this
+//! module's Hilbert loaders and [`crate::bulk::pr_external`] stack their
+//! levels with. The Hilbert loaders pack each level with
+//! `writer::pack_stream`, the leaves straight off the merge of
+//! the keyed runs. TGS's rules are [`crate::bulk::tgs`]'s.
 
 use crate::bulk::hilbert::HilbertLoader;
 use crate::entry::{Entry, KeyedEntry};
-use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::page_ptr;
+use crate::writer::{pack_stream, stack_stream_levels};
 use pr_em::{
     external_sort_multi, BlockDevice, EmError, MergeReader, SortConfig, Stream, StreamReader,
     StreamWriter,
@@ -81,75 +88,6 @@ pub fn scan_domain<const D: usize>(
     Ok(domain)
 }
 
-/// Chunks an entry stream into nodes of `cap` at `level`, writing pages
-/// and returning the parent-entry stream (plus its length).
-pub fn pack_level_stream<const D: usize>(
-    dev: &dyn BlockDevice,
-    level: u8,
-    input: &Stream,
-    cap: usize,
-) -> Result<Stream, EmError> {
-    let mut reader = StreamReader::<Entry<D>>::new(dev, input);
-    let mut parents = StreamWriter::<Entry<D>>::new(dev);
-    let mut group: Vec<Entry<D>> = Vec::with_capacity(cap);
-    loop {
-        let rec = reader.next_record()?;
-        if let Some(e) = rec {
-            group.push(e);
-        }
-        if group.len() == cap || (rec.is_none() && !group.is_empty()) {
-            let mbr = Entry::mbr(&group);
-            let page = NodePage::new(level, std::mem::take(&mut group)).append(dev)?;
-            parents.push(&Entry::new(mbr, page_ptr(page)?))?;
-        }
-        if rec.is_none() {
-            break;
-        }
-    }
-    parents.finish()
-}
-
-/// Reads a small entry stream (≤ node capacity) and writes it as the root
-/// node, finishing the tree.
-pub fn finish_root<const D: usize>(
-    dev: Arc<dyn BlockDevice>,
-    params: TreeParams,
-    entries_stream: &Stream,
-    level: u8,
-    len: u64,
-) -> Result<RTree<D>, EmError> {
-    let entries = entries_stream.read_all::<Entry<D>>(dev.as_ref())?;
-    debug_assert!(entries.len() <= params.cap_at_level(level));
-    if entries.len() == 1 && level > 0 {
-        // A single child is itself the root.
-        let root = entries[0].ptr as u64;
-        return Ok(RTree::attach(dev, params, root, level - 1, len));
-    }
-    let root = NodePage::new(level, entries).append(dev.as_ref())?;
-    Ok(RTree::attach(dev, params, root, level, len))
-}
-
-/// Builds upper levels by repeated external packing scans and finishes
-/// the tree. `parents` point at already-written nodes of `child_level`.
-pub fn pack_upper_levels_stream<const D: usize>(
-    dev: Arc<dyn BlockDevice>,
-    params: TreeParams,
-    mut parents: Stream,
-    child_level: u8,
-    len: u64,
-) -> Result<RTree<D>, EmError> {
-    let mut level = child_level + 1;
-    while parents.len() > params.node_cap as u64 {
-        let next = pack_level_stream::<D>(dev.as_ref(), level, &parents, params.node_cap)?;
-        parents.discard(dev.as_ref());
-        parents = next;
-        level += 1;
-    }
-    let tree = finish_root(Arc::clone(&dev), params, &parents, level, len)?;
-    parents.discard(dev.as_ref());
-    Ok(tree)
-}
-
 /// External packed Hilbert bulk loading ("H" with `corners = false`,
 /// "H4" with `corners = true`).
 ///
@@ -200,32 +138,30 @@ pub fn load_hilbert_external<const D: usize>(
         .expect("one order in, one set of runs out");
     keyed.discard(dev.as_ref());
 
-    // Strip keys while packing leaves, straight off the merge of the runs.
+    // Strip keys while packing leaves, straight off the merge of the
+    // runs; each level above is one packing scan.
     let parents = {
-        let mut reader = MergeReader::new(dev.as_ref(), &runs, by_key);
-        let mut parent_writer = StreamWriter::<Entry<D>>::new(dev.as_ref());
-        let mut group: Vec<Entry<D>> = Vec::with_capacity(params.leaf_cap);
-        loop {
-            let rec = reader.next_record()?;
-            if let Some(k) = rec {
-                group.push(k.entry);
-            }
-            if group.len() == params.leaf_cap || (rec.is_none() && !group.is_empty()) {
-                let mbr = Entry::mbr(&group);
-                let page = NodePage::new(0, std::mem::take(&mut group)).append(dev.as_ref())?;
-                parent_writer.push(&Entry::new(mbr, page_ptr(page)?))?;
-            }
-            if rec.is_none() {
-                break;
-            }
-        }
-        parent_writer.finish()?
+        let mut merged = MergeReader::new(dev.as_ref(), &runs, by_key);
+        pack_stream(dev.as_ref(), 0, params.leaf_cap, || {
+            Ok(merged.next_record()?.map(|k| k.entry))
+        })?
     };
     for run in runs {
         run.discard(dev.as_ref());
     }
-
-    pack_upper_levels_stream(dev, params, parents, 0, len)
+    let tree = stack_stream_levels(
+        Arc::clone(&dev),
+        params,
+        &parents,
+        1,
+        len,
+        |dev, s, level, cap| {
+            let mut reader = StreamReader::<Entry<D>>::new(dev, s);
+            pack_stream(dev, level, cap, || reader.next_record())
+        },
+    );
+    parents.discard(dev.as_ref());
+    tree
 }
 
 #[cfg(test)]

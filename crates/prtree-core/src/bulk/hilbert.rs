@@ -118,7 +118,7 @@ impl<const D: usize> BulkLoader<D> for HilbertLoader {
         // Ties (identical curve cells) break by id for determinism.
         keyed.sort_unstable_by_key(|(k, e)| (*k, e.ptr));
         let leaf_entries: Vec<Entry<D>> = keyed.into_iter().map(|(_, e)| e).collect();
-        build_packed(dev, params, &leaf_entries)
+        build_packed(dev, params, leaf_entries)
     }
 }
 

@@ -12,7 +12,8 @@
 //! ([`crate::bulk::kd_split`]) permutes it in place and names each leaf
 //! by its range, the leaves are encoded straight from the buffer through
 //! one page-sized scratch block in emission order, and their bounding
-//! boxes become the next stage's buffer. Besides its pages a build holds
+//! boxes become the next stage's buffer (the level loop and root rule
+//! are [`crate::writer`]'s). Besides its pages a build holds
 //! the input buffer (`Item`s are converted in place), one range per leaf
 //! and the parent entries — not the ≈ `2D · N · depth` entries the
 //! per-node `Vec`s of the old recursion pinned (see the kernel's docs).
@@ -24,10 +25,9 @@
 use crate::bulk::kd_split::{leaf_ranges, NodeShape};
 use crate::bulk::BulkLoader;
 use crate::entry::Entry;
-use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::write_level;
+use crate::writer::stack_levels;
 use pr_em::{BlockDevice, EmError};
 use pr_geom::{Axis, Item};
 use std::sync::Arc;
@@ -78,31 +78,10 @@ impl<const D: usize> BulkLoader<D> for PrTreeLoader {
         items: Vec<Item<D>>,
     ) -> Result<RTree<D>, EmError> {
         // Same size and alignment: the collect reuses the input's buffer.
-        let mut entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-        if entries.is_empty() {
-            return RTree::new_empty(dev, params);
-        }
-        let len = entries.len() as u64;
-        let mut level: u8 = 0;
-        loop {
-            let cap = params.cap_at_level(level);
-            if entries.len() == 1 && level > 0 {
-                // A single child: it is the root itself.
-                let root = entries[0].ptr as u64;
-                return Ok(RTree::attach(dev, params, root, level - 1, len));
-            }
-            if entries.len() <= cap {
-                let root = NodePage::new(level, entries).append(dev.as_ref())?;
-                return Ok(RTree::attach(dev, params, root, level, len));
-            }
-            let groups = leaf_ranges(&mut entries, Axis(0), self.shape(cap));
-            entries = write_level(
-                dev.as_ref(),
-                level,
-                groups.into_iter().map(|leaf| &entries[leaf]),
-            )?;
-            level = level.checked_add(1).expect("tree height exceeds 255");
-        }
+        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
+        stack_levels(dev, params, entries, |entries, cap| {
+            leaf_ranges(entries, Axis(0), self.shape(cap))
+        })
     }
 }
 

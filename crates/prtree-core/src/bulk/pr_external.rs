@@ -102,13 +102,13 @@
 //! are not pinned, as the in-memory kernel's unstable selections never
 //! pinned them either.
 
-use crate::bulk::external::{finish_root, ExternalConfig};
+use crate::bulk::external::ExternalConfig;
 use crate::bulk::kd_split::{leaf_ranges, split_point, AxisOrder, NodeShape, Order};
 use crate::bulk::pr::PrTreeLoader;
 use crate::entry::Entry;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::LevelWriter;
+use crate::writer::{stack_stream_levels, LevelWriter};
 use pr_em::{
     external_sort_multi, BlockDevice, EmError, MergeReader, Record, SortOrder, Stream,
     StreamReader, StreamWriter,
@@ -147,27 +147,9 @@ impl PrExternalLoader {
         if input.is_empty() {
             return RTree::new_empty(dev, params);
         }
-        let len = input.len();
-        let mut level: u8 = 0;
-        let mut current: Option<Stream> = None; // None = use `input`
-        loop {
-            let cap = params.cap_at_level(level);
-            let stream_ref = current.as_ref().unwrap_or(input);
-            let count = stream_ref.len();
-            if count <= cap as u64 {
-                let tree = finish_root(Arc::clone(&dev), params, stream_ref, level, len)?;
-                if let Some(s) = current {
-                    s.discard(dev.as_ref());
-                }
-                return Ok(tree);
-            }
-            let parents = self.stage::<D>(dev.as_ref(), stream_ref, cap, level)?;
-            if let Some(s) = current {
-                s.discard(dev.as_ref());
-            }
-            current = Some(parents);
-            level = level.checked_add(1).expect("tree height exceeds 255");
-        }
+        stack_stream_levels(dev, params, input, 0, input.len(), |dev, s, level, cap| {
+            self.stage::<D>(dev, s, cap, level)
+        })
     }
 
     /// One stage: writes the pseudo-PR-tree leaf pages for `input` at

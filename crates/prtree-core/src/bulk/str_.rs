@@ -15,7 +15,7 @@ use crate::bulk::BulkLoader;
 use crate::entry::Entry;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::{pack_level, pack_upper_levels};
+use crate::writer::{chunks, stack_levels};
 use pr_em::{BlockDevice, EmError};
 use pr_geom::Item;
 use std::sync::Arc;
@@ -59,25 +59,14 @@ impl<const D: usize> BulkLoader<D> for StrLoader {
         params: TreeParams,
         items: Vec<Item<D>>,
     ) -> Result<RTree<D>, EmError> {
-        if items.is_empty() {
-            return RTree::new_empty(dev, params);
-        }
-        let len = items.len() as u64;
-        let mut entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-
-        // Leaf level: STR order, packed chunks.
-        tile(&mut entries, 0, params.leaf_cap);
-        let mut parents = pack_level(dev.as_ref(), 0, &entries, params.leaf_cap)?;
-
-        // Upper levels re-tile the parent rectangles — the "recursive"
-        // in Sort-Tile-Recursive.
-        let mut level: u8 = 1;
-        while parents.len() > params.node_cap {
-            tile(&mut parents, 0, params.node_cap);
-            parents = pack_level(dev.as_ref(), level, &parents, params.node_cap)?;
-            level += 1;
-        }
-        pack_upper_levels(dev, params, parents, level - 1, len)
+        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
+        // Every level, leaves and the parent rectangles above them alike,
+        // is tiled before it is packed — the "recursive" in
+        // Sort-Tile-Recursive.
+        stack_levels(dev, params, entries, |entries, cap| {
+            tile(entries, 0, cap);
+            chunks(entries.len(), cap)
+        })
     }
 }
 

@@ -16,61 +16,126 @@
 //! fresh `O(n log n)` sort — the tree produced is identical, because the
 //! greedy rule only consults orderings, which distribution preserves.
 //!
+//! Both TGS loaders share this module's rules, so they build the same
+//! tree (`tgs_external::tests` compares their leaves, repeated ids
+//! included):
+//!
+//! * the height, `root_level`, from `subtree_capacity`;
+//! * the orders: each is sorted like the external loader's lists, by
+//!   `kd_split::AxisOrder(axis, Order::Kd)`, so only identical entries
+//!   tie and they are adjacent in every ordering;
+//! * the greedy cut, `best_cut`, over each ordering's unit segments;
+//! * the split, `goes_left`: the last entry left of the cut is the
+//!   threshold, and every ordering sends left what is below it plus the
+//!   first `ties` copies of it, where `ties` counts its copies left of
+//!   the cut. A split needs no side table: identical entries are
+//!   interchangeable, so a count is all the orderings must agree on.
+//!
+//! Pages go through `writer::LevelWriter`, like every loader's.
+//!
 //! §2.4 of the paper proves this greedy rule can be trapped: on the
 //! shifted-grid dataset it always prefers vertical cuts, producing
 //! column-aligned leaves that a horizontal line query must all visit.
 
+use crate::bulk::kd_split::{AxisOrder, Order};
 use crate::bulk::BulkLoader;
 use crate::entry::Entry;
-use crate::page::NodePage;
 use crate::params::TreeParams;
 use crate::tree::RTree;
-use crate::writer::page_ptr;
-use pr_em::{BlockDevice, EmError};
-use pr_geom::mapped::cmp_items_on_axis;
+use crate::writer::LevelWriter;
+use pr_em::{BlockDevice, EmError, SortOrder};
 use pr_geom::{Axis, Item, Rect};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// The TGS bulk loader.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TgsLoader;
 
+/// Maximum items a subtree rooted at `level` can hold.
+pub(crate) fn subtree_capacity(params: &TreeParams, level: u8) -> usize {
+    let mut cap = params.leaf_cap;
+    for _ in 0..level {
+        cap = cap.saturating_mul(params.node_cap);
+    }
+    cap
+}
+
+/// The root's level for `n` items: the smallest `h` with
+/// `leaf_cap · node_cap^h ≥ n`.
+pub(crate) fn root_level(params: &TreeParams, n: u64) -> u8 {
+    let mut level = 0;
+    while (subtree_capacity(params, level) as u64) < n {
+        level += 1;
+    }
+    level
+}
+
+/// The greedy rule. `segments[a]` holds the bounding boxes of ordering
+/// `a` cut into consecutive units; returns the ordering and the number
+/// of units left of the cut that minimizes the sum of the two sides'
+/// areas (the first such cut on ties).
+pub(crate) fn best_cut<const D: usize>(segments: &[Vec<Rect<D>>]) -> (Axis, usize) {
+    let mut best = (Axis(0), 1);
+    let mut best_cost = f64::INFINITY;
+    for (a, segs) in segments.iter().enumerate() {
+        let mut suffix = vec![Rect::EMPTY; segs.len()];
+        let mut fold = Rect::EMPTY;
+        for (i, s) in segs.iter().enumerate().rev() {
+            fold = fold.mbr_with(s);
+            suffix[i] = fold;
+        }
+        let mut prefix = Rect::EMPTY;
+        for k in 1..segs.len() {
+            prefix = prefix.mbr_with(&segs[k - 1]);
+            let cost = prefix.area() + suffix[k].area();
+            if cost < best_cost {
+                best = (Axis(a), k);
+                best_cost = cost;
+            }
+        }
+    }
+    best
+}
+
+/// The split rule: in every ordering, an entry goes left if it is below
+/// `threshold` in the order of `axis`'s list, or is one of the first
+/// `ties` copies of it. Only identical entries tie, and the threshold is
+/// the last entry left of the cut in its own ordering, so every ordering
+/// sends the same entries left.
+pub(crate) fn goes_left<const D: usize>(
+    axis: Axis,
+    threshold: Entry<D>,
+    mut ties: u64,
+) -> impl FnMut(&Entry<D>) -> bool {
+    let mut order = AxisOrder(axis, Order::Kd);
+    move |e| match order.cmp(e, &threshold) {
+        Ordering::Less => true,
+        Ordering::Equal if ties > 0 => {
+            ties -= 1;
+            true
+        }
+        _ => false,
+    }
+}
+
 /// The working state of one subset: the same entries in all `2D`
-/// coordinate orders (ascending by `(mapped coordinate, id)`). Inside
-/// one [`build_node`] call an entry's `ptr` holds its *tag*, an index
-/// into [`Tags::ids`], rather than its id.
+/// coordinate orders, each sorted like the external loader's lists.
 struct Orders<const D: usize> {
     by_axis: Vec<Vec<Entry<D>>>,
 }
 
-/// Tells the entries of one [`build_node`] call apart. A multiset input
-/// may hold one id on several rectangles and one identity several times
-/// (aliased copies), so ids do not; tags do, and a split finds its left
-/// side with one flag lookup per entry.
-struct Tags {
-    /// The entry's id, by tag.
-    ids: Vec<u32>,
-    /// Scratch for [`Orders::split`]: set for the tags going left, all
-    /// clear between splits.
-    in_left: Vec<bool>,
-}
-
 impl<const D: usize> Orders<D> {
-    /// Sorts `entries` into every ordering, replacing each id by a tag.
-    fn build(mut entries: Vec<Entry<D>>) -> (Self, Tags) {
-        let ids: Vec<u32> = entries.iter().map(|e| e.ptr).collect();
-        for (tag, e) in entries.iter_mut().enumerate() {
-            e.ptr = tag as u32;
-        }
-        let mut by_axis = Vec::with_capacity(2 * D);
-        for axis in Axis::all::<D>() {
-            let mut v = entries.clone();
-            sort_by_axis(&mut v, axis, &ids);
-            by_axis.push(v);
-        }
-        drop(entries);
-        let in_left = vec![false; ids.len()];
-        (Orders { by_axis }, Tags { ids, in_left })
+    /// Sorts `entries` into every ordering.
+    fn build(entries: Vec<Entry<D>>) -> Self {
+        let by_axis = Axis::all::<D>()
+            .map(|axis| {
+                let mut v = entries.clone();
+                AxisOrder(axis, Order::Kd).sort(&mut v);
+                v
+            })
+            .collect();
+        Orders { by_axis }
     }
 
     fn len(&self) -> usize {
@@ -78,20 +143,24 @@ impl<const D: usize> Orders<D> {
     }
 
     /// Splits along `axis` after the first `left_len` entries of that
-    /// ordering, distributing every other ordering stably. Every
-    /// ordering sends exactly those `left_len` tags left.
-    fn split(self, axis: Axis, left_len: usize, tags: &mut Tags) -> (Orders<D>, Orders<D>) {
-        let n = self.len();
-        for e in &self.by_axis[axis.0][..left_len] {
-            tags.in_left[e.ptr as usize] = true;
-        }
+    /// ordering, distributing every ordering stably.
+    fn split(self, axis: Axis, left_len: usize) -> (Orders<D>, Orders<D>) {
+        let cut = &self.by_axis[axis.0][..left_len];
+        let threshold = cut[left_len - 1];
+        let mut order = AxisOrder(axis, Order::Kd);
+        let ties = cut
+            .iter()
+            .rev()
+            .take_while(|e| order.cmp(e, &threshold) == Ordering::Equal)
+            .count() as u64;
         let mut left = Vec::with_capacity(2 * D);
         let mut right = Vec::with_capacity(2 * D);
-        for order in self.by_axis {
+        for list in self.by_axis {
+            let mut goes_left = goes_left(axis, threshold, ties);
             let mut l = Vec::with_capacity(left_len);
-            let mut r = Vec::with_capacity(n - left_len);
-            for e in order {
-                if tags.in_left[e.ptr as usize] {
+            let mut r = Vec::with_capacity(list.len() - left_len);
+            for e in list {
+                if goes_left(&e) {
                     l.push(e);
                 } else {
                     r.push(e);
@@ -100,92 +169,31 @@ impl<const D: usize> Orders<D> {
             left.push(l);
             right.push(r);
         }
-        for e in &left[0] {
-            tags.in_left[e.ptr as usize] = false;
-        }
         (Orders { by_axis: left }, Orders { by_axis: right })
     }
 }
 
-/// Sorts tagged entries by `(mapped coordinate, id)`.
-fn sort_by_axis<const D: usize>(entries: &mut [Entry<D>], axis: Axis, ids: &[u32]) {
-    let item = |e: &Entry<D>| Item {
-        rect: e.rect,
-        id: ids[e.ptr as usize],
-    };
-    entries.sort_unstable_by(|a, b| cmp_items_on_axis(axis, &item(a), &item(b)));
-}
-
-/// The best binary cut found for one subset.
-struct Cut {
-    axis: Axis,
-    /// Number of leading *items* (not units) going to the left side.
-    left_len: usize,
-    cost: f64,
-}
-
-/// Evaluates every (ordering, unit cut) pair and returns the greedy best.
-fn best_cut<const D: usize>(orders: &Orders<D>, unit: usize) -> Cut {
-    let n = orders.len();
-    let m = n.div_ceil(unit);
-    debug_assert!(m >= 2);
-    let mut best = Cut {
-        axis: Axis(0),
-        left_len: unit,
-        cost: f64::INFINITY,
-    };
-    for axis in Axis::all::<D>() {
-        let sorted = &orders.by_axis[axis.0];
-        // Bounding boxes of the m unit segments in this ordering.
-        let seg_mbrs: Vec<Rect<D>> = sorted.chunks(unit).map(Entry::mbr).collect();
-        // Prefix and suffix folds at segment boundaries.
-        let mut prefix = Vec::with_capacity(m);
-        let mut acc = Rect::EMPTY;
-        for s in &seg_mbrs {
-            acc = acc.mbr_with(s);
-            prefix.push(acc);
-        }
-        let mut suffix = vec![Rect::EMPTY; m];
-        let mut acc = Rect::EMPTY;
-        for (i, s) in seg_mbrs.iter().enumerate().rev() {
-            acc = acc.mbr_with(s);
-            suffix[i] = acc;
-        }
-        for k in 1..m {
-            let cost = prefix[k - 1].area() + suffix[k].area();
-            if cost < best.cost {
-                best = Cut {
-                    axis,
-                    left_len: (k * unit).min(n),
-                    cost,
-                };
-            }
-        }
-    }
-    best
-}
-
 /// Recursively binary-partitions `orders` into groups of at most `unit`.
-fn partition<const D: usize>(
-    orders: Orders<D>,
-    unit: usize,
-    tags: &mut Tags,
-    out: &mut Vec<Vec<Entry<D>>>,
-) {
-    if orders.len() <= unit {
+fn partition<const D: usize>(orders: Orders<D>, unit: usize, out: &mut Vec<Vec<Entry<D>>>) {
+    let n = orders.len();
+    if n <= unit {
         out.push(orders.by_axis.into_iter().next().expect("2D ≥ 1 orders"));
         return;
     }
-    let cut = best_cut(&orders, unit);
-    let (left, right) = orders.split(cut.axis, cut.left_len, tags);
-    partition(left, unit, tags, out);
-    partition(right, unit, tags, out);
+    let segments: Vec<Vec<Rect<D>>> = orders
+        .by_axis
+        .iter()
+        .map(|list| list.chunks(unit).map(Entry::mbr).collect())
+        .collect();
+    let (axis, k) = best_cut(&segments);
+    let (left, right) = orders.split(axis, (k * unit).min(n));
+    partition(left, unit, out);
+    partition(right, unit, out);
 }
 
 /// Builds the subtree for `entries` whose root sits at `level`; returns
-/// the root's entry (MBR + page id). Shared with the external loader's
-/// memory-cutoff path.
-pub(crate) fn build_node<const D: usize>(
+/// the root's entry (MBR + page id).
+fn build_node<const D: usize>(
     dev: &dyn BlockDevice,
     params: &TreeParams,
     entries: Vec<Entry<D>>,
@@ -193,34 +201,17 @@ pub(crate) fn build_node<const D: usize>(
 ) -> Result<Entry<D>, EmError> {
     if level == 0 {
         debug_assert!(entries.len() <= params.leaf_cap);
-        let mbr = Entry::mbr(&entries);
-        let page = NodePage::new(0, entries).append(dev)?;
-        return Ok(Entry::new(mbr, page_ptr(page)?));
+        return LevelWriter::new(dev, 0).append(&entries);
     }
     let unit = subtree_capacity(params, level - 1);
     let mut groups = Vec::new();
-    let (orders, mut tags) = Orders::build(entries);
-    partition(orders, unit, &mut tags, &mut groups);
+    partition(Orders::build(entries), unit, &mut groups);
     debug_assert!(groups.len() <= params.node_cap);
-    let mut children = Vec::with_capacity(groups.len());
-    for mut g in groups {
-        for e in &mut g {
-            e.ptr = tags.ids[e.ptr as usize];
-        }
-        children.push(build_node(dev, params, g, level - 1)?);
-    }
-    let mbr = Entry::mbr(&children);
-    let page = NodePage::new(level, children).append(dev)?;
-    Ok(Entry::new(mbr, page_ptr(page)?))
-}
-
-/// Maximum items a subtree rooted at `level` can hold.
-fn subtree_capacity(params: &TreeParams, level: u8) -> usize {
-    let mut cap = params.leaf_cap;
-    for _ in 0..level {
-        cap = cap.saturating_mul(params.node_cap);
-    }
-    cap
+    let children = groups
+        .into_iter()
+        .map(|g| build_node(dev, params, g, level - 1))
+        .collect::<Result<Vec<_>, _>>()?;
+    LevelWriter::new(dev, level).append(&children)
 }
 
 impl<const D: usize> BulkLoader<D> for TgsLoader {
@@ -238,20 +229,10 @@ impl<const D: usize> BulkLoader<D> for TgsLoader {
             return RTree::new_empty(dev, params);
         }
         let len = items.len() as u64;
-        let entries: Vec<Entry<D>> = items.into_iter().map(Entry::from_item).collect();
-        // Height: smallest h with leaf_cap · node_cap^(h-1) ≥ n.
-        let mut root_level: u8 = 0;
-        while subtree_capacity(&params, root_level) < entries.len() {
-            root_level += 1;
-        }
-        let root_entry = build_node(dev.as_ref(), &params, entries, root_level)?;
-        Ok(RTree::attach(
-            dev,
-            params,
-            root_entry.ptr as u64,
-            root_level,
-            len,
-        ))
+        let level = root_level(&params, len);
+        let entries = items.into_iter().map(Entry::from_item).collect();
+        let root = build_node(dev.as_ref(), &params, entries, level)?;
+        Ok(RTree::attach(dev, params, root.ptr as u64, level, len))
     }
 }
 
@@ -315,12 +296,17 @@ mod tests {
             items.push(Item::new(Rect::xyxy(x, 0.0, x + 0.5, 1.0), i));
         }
         let entries: Vec<Entry<2>> = items.iter().map(|&i| Entry::from_item(i)).collect();
-        let (orders, mut tags) = Orders::build(entries);
-        let cut = best_cut(&orders, 4);
-        assert_eq!(cut.left_len, 4);
-        assert_eq!(cut.axis.dim::<2>(), 0, "cut along x");
+        let orders = Orders::build(entries);
+        let segments: Vec<Vec<Rect<2>>> = orders
+            .by_axis
+            .iter()
+            .map(|list| list.chunks(4).map(Entry::mbr).collect())
+            .collect();
+        let (axis, k) = best_cut(&segments);
+        assert_eq!(k, 1, "one unit of 4 left of the cut");
+        assert_eq!(axis.dim::<2>(), 0, "cut along x");
         // And the split really separates the clusters.
-        let (l, r) = orders.split(cut.axis, cut.left_len, &mut tags);
+        let (l, r) = orders.split(axis, 4);
         assert!(l.by_axis[0].iter().all(|e| e.rect.lo_at(0) < 50.0));
         assert!(r.by_axis[0].iter().all(|e| e.rect.lo_at(0) > 50.0));
     }
@@ -331,25 +317,15 @@ mod tests {
             .into_iter()
             .map(Entry::from_item)
             .collect();
-        let (orders, mut tags) = Orders::build(entries);
-        let (l, r) = orders.split(Axis(1), 80, &mut tags);
-        assert!(tags.in_left.iter().all(|&f| !f), "flags cleared");
+        let (l, r) = Orders::build(entries).split(Axis(1), 80);
         for (part, expect_len) in [(&l, 80usize), (&r, 120usize)] {
             for (a, order) in part.by_axis.iter().enumerate() {
                 assert_eq!(order.len(), expect_len);
-                let axis = Axis(a);
+                let mut cmp = AxisOrder(Axis(a), Order::Kd);
                 for w in order.windows(2) {
-                    let ia = Item {
-                        rect: w[0].rect,
-                        id: tags.ids[w[0].ptr as usize],
-                    };
-                    let ib = Item {
-                        rect: w[1].rect,
-                        id: tags.ids[w[1].ptr as usize],
-                    };
                     assert_ne!(
-                        cmp_items_on_axis(axis, &ia, &ib),
-                        std::cmp::Ordering::Greater,
+                        cmp.cmp(&w[0], &w[1]),
+                        Ordering::Greater,
                         "ordering {a} broken after split"
                     );
                 }
@@ -394,10 +370,7 @@ mod tests {
         let naive = crate::writer::build_packed(
             dev,
             TreeParams::with_cap::<2>(10),
-            &items
-                .iter()
-                .map(|&i| Entry::from_item(i))
-                .collect::<Vec<_>>(),
+            items.iter().map(|&i| Entry::from_item(i)).collect(),
         )
         .unwrap();
         let leaf_area = |t: &RTree<2>| -> f64 {

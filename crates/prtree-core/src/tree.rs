@@ -691,7 +691,7 @@ mod tests {
         let params = TreeParams::with_cap::<2>(4);
         let dev: Arc<dyn BlockDevice> = Arc::new(pr_em::MemDevice::new(params.page_size));
         let entries: Vec<Entry<2>> = (0..6).map(leaf_entry).collect();
-        crate::writer::build_packed(dev, params, &entries).unwrap()
+        crate::writer::build_packed(dev, params, entries).unwrap()
     }
 
     #[test]

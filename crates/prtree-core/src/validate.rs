@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn packed_tree_is_valid() {
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(4096));
-        let t = build_packed(dev, TreeParams::with_cap::<2>(4), &entries(50)).unwrap();
+        let t = build_packed(dev, TreeParams::with_cap::<2>(4), entries(50)).unwrap();
         let report = t.validate().unwrap();
         report.assert_ok();
         assert_eq!(report.structure.entries_per_level[0], 50);

@@ -780,11 +780,6 @@ impl Store {
         }
     }
 
-    /// [`Store::scrub`] without the report (compatibility wrapper).
-    pub fn verify(&self) -> Result<(), StoreError> {
-        self.scrub().map(|_| ())
-    }
-
     /// `(verified, total)` pages of the active snapshot per the shared
     /// verify-once bitmaps, summed over all component runs.
     pub fn verified_pages(&self) -> (u64, u64) {

@@ -181,7 +181,7 @@ fn successive_saves_alternate_slots_and_reopen_newest() {
     let reopened = Store::open(&path).unwrap();
     assert_eq!(reopened.superblock().epoch, 2);
     assert_eq!(reopened.tree::<2>().unwrap().len(), 900);
-    reopened.verify().unwrap();
+    reopened.scrub().unwrap();
     std::fs::remove_file(&path).ok();
 }
 
@@ -254,7 +254,7 @@ fn flipped_page_byte_fails_checksum_not_answers() {
     // Open succeeds: the superblock, footer, and table are intact.
     let store = Store::open(&path).unwrap();
     assert!(matches!(
-        store.verify(),
+        store.scrub(),
         Err(StoreError::ChecksumMismatch { page }) if page == mid_page
     ));
     // A full-coverage query must hit the bad page and error — the damage
