@@ -14,7 +14,7 @@ use pr_data::{
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Rect};
 use pr_tree::bulk::LoaderKind;
-use pr_tree::dynamic::{LprTree, SplitPolicy};
+use pr_tree::dynamic::LprTree;
 use pr_tree::{RTree, TreeParams};
 use std::sync::Arc;
 
@@ -503,13 +503,12 @@ pub fn dyn_experiment(scale: Scale) -> Vec<Table> {
     for _ in 0..n_updates {
         let idx = (next() % live.len() as u64) as usize;
         let victim = live.swap_remove(idx);
-        tree.delete(&victim, SplitPolicy::Quadratic)
-            .expect("delete");
+        tree.delete(&victim).expect("delete");
         let x = (next() % 1_000_000) as f64 / 1_000_000.0;
         let y = (next() % 1_000_000) as f64 / 1_000_000.0;
         let fresh = Item::new(Rect::xyxy(x, y, x, y), next_id);
         next_id += 1;
-        tree.insert(fresh, SplitPolicy::Quadratic).expect("insert");
+        tree.insert(fresh).expect("insert");
         live.push(fresh);
     }
     let agg1 = run_queries(&tree, &queries);

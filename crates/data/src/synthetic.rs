@@ -117,14 +117,6 @@ pub fn cluster_dataset(clusters: u32, per_cluster: u32, side: f64, seed: u64) ->
     out
 }
 
-/// The paper's CLUSTER parameters scaled by `scale ∈ (0, 1]`: at scale 1
-/// this is 10,000 clusters × 1,000 points.
-pub fn cluster_dataset_scaled(scale: f64, seed: u64) -> Vec<Item<2>> {
-    let clusters = ((10_000.0 * scale.sqrt()).round() as u32).max(10);
-    let per_cluster = ((1_000.0 * scale.sqrt()).round() as u32).max(10);
-    cluster_dataset(clusters, per_cluster, 1e-5, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,14 +206,5 @@ mod tests {
         let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(max - min <= 1e-5);
-    }
-
-    #[test]
-    fn cluster_scaled_matches_paper_at_full_scale() {
-        let items = cluster_dataset_scaled(0.0001, 7);
-        assert!(!items.is_empty());
-        // Full scale would be 10M points; just check the formula.
-        let tiny = cluster_dataset_scaled(0.01, 7);
-        assert_eq!(tiny.len(), 1000 * 100);
     }
 }

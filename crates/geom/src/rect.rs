@@ -45,19 +45,6 @@ impl<const D: usize> Rect<D> {
         Rect { lo: p.0, hi: p.0 }
     }
 
-    /// Axis-parallel square (hyper-cube) centered at `center` with side
-    /// length `side`.
-    pub fn centered_cube(center: Point<D>, side: f64) -> Self {
-        let h = side / 2.0;
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for i in 0..D {
-            lo[i] = center.0[i] - h;
-            hi[i] = center.0[i] + h;
-        }
-        Rect::new(lo, hi)
-    }
-
     /// Rectangle centered at `center` with per-dimension extents `sides`.
     pub fn centered(center: Point<D>, sides: [f64; D]) -> Self {
         let mut lo = [0.0; D];
@@ -205,18 +192,12 @@ impl<const D: usize> Rect<D> {
         (0..D).map(|i| self.hi[i] - self.lo[i]).product()
     }
 
-    /// Surface measure used by R* heuristics: the sum of extents
-    /// (perimeter/2 in 2-D).
+    /// The sum of extents: the half-perimeter in 2-D.
     pub fn margin(&self) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
         (0..D).map(|i| self.hi[i] - self.lo[i]).sum()
-    }
-
-    /// Area of overlap with `other` (0 when disjoint).
-    pub fn overlap_area(&self, other: &Self) -> f64 {
-        self.intersection(other).map_or(0.0, |r| r.area())
     }
 
     /// How much `self`'s area grows if enlarged to also cover `other`.
@@ -325,7 +306,6 @@ mod tests {
         assert!(a.intersects(&b));
         let i = a.intersection(&b).unwrap();
         assert_eq!(i, r(1.0, 1.0, 2.0, 2.0));
-        assert_eq!(a.overlap_area(&b), 1.0);
     }
 
     #[test]
@@ -333,7 +313,6 @@ mod tests {
         let a = r(0.0, 0.0, 1.0, 1.0);
         let b = r(1.0, 0.0, 2.0, 1.0); // shares an edge
         assert!(a.intersects(&b));
-        assert_eq!(a.overlap_area(&b), 0.0);
         let c = r(1.0, 1.0, 2.0, 2.0); // shares a corner
         assert!(a.intersects(&c));
     }
@@ -344,7 +323,6 @@ mod tests {
         let b = r(1.5, 0.0, 2.0, 1.0);
         assert!(!a.intersects(&b));
         assert!(a.intersection(&b).is_none());
-        assert_eq!(a.overlap_area(&b), 0.0);
     }
 
     #[test]
@@ -386,8 +364,6 @@ mod tests {
 
     #[test]
     fn centered_constructors() {
-        let c = Rect::centered_cube(Point::new([1.0, 1.0]), 2.0);
-        assert_eq!(c, r(0.0, 0.0, 2.0, 2.0));
         let s = Rect::centered(Point::new([0.0, 0.0]), [4.0, 2.0]);
         assert_eq!(s, r(-2.0, -1.0, 2.0, 1.0));
         assert_eq!(s.aspect_ratio(), 2.0);

@@ -70,13 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn overlap_bounded_by_min_area(a in arb_rect2(), b in arb_rect2()) {
-        let o = a.overlap_area(&b);
-        prop_assert!(o >= 0.0);
-        prop_assert!(o <= a.area().min(b.area()) + 1e-9);
-    }
-
-    #[test]
     fn center_inside(a in arb_rect2()) {
         prop_assert!(a.contains_point(&a.center()));
     }

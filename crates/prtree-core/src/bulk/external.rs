@@ -225,18 +225,10 @@ mod tests {
         assert_eq!(t_mem.height(), t_ext.height());
         // Leaf sequences must match exactly.
         let leaves = |t: &RTree<2>| -> Vec<Vec<u32>> {
-            let mut out = Vec::new();
-            let mut stack = vec![(t.root(), t.root_level())];
-            while let Some((p, l)) = stack.pop() {
-                let (node, _) = t.read_node(p).unwrap();
-                if node.is_leaf() {
-                    out.push(node.entries.iter().map(|e| e.ptr).collect());
-                } else {
-                    for e in &node.entries {
-                        stack.push((e.ptr as u64, l - 1));
-                    }
-                }
-            }
+            let mut out: Vec<Vec<u32>> = crate::bulk::testing::leaves(t)
+                .iter()
+                .map(|n| n.entries.iter().map(|e| e.ptr).collect())
+                .collect();
             out.sort();
             out
         };

@@ -212,20 +212,9 @@ mod tests {
         let s = t.stats().unwrap();
         assert_eq!(s.nodes_per_level[0], 100);
         // Average leaf MBR area must be tiny compared to the 100×100 domain.
-        let mut total_area = 0.0;
-        let mut leaves = 0.0;
-        let mut stack = vec![t.root()];
-        while let Some(p) = stack.pop() {
-            let (node, _) = t.read_node(p).unwrap();
-            if node.is_leaf() {
-                total_area += node.mbr().area();
-                leaves += 1.0;
-            } else {
-                for e in &node.entries {
-                    stack.push(e.ptr as u64);
-                }
-            }
-        }
+        let pages = crate::bulk::testing::leaves(&t);
+        let total_area: f64 = pages.iter().map(|n| n.mbr().area()).sum();
+        let leaves = pages.len() as f64;
         assert!(total_area / leaves < 0.05 * 100.0 * 100.0);
     }
 }

@@ -106,9 +106,10 @@ impl LoaderKind {
     }
 }
 
-/// An input and a check the external loaders' tests share.
+/// Inputs, checks and a leaf walk the loaders' tests share.
 #[cfg(test)]
 pub(crate) mod testing {
+    use crate::page::NodePage;
     use crate::tree::RTree;
     use pr_geom::{Item, Rect};
     use rand::rngs::SmallRng;
@@ -130,6 +131,21 @@ pub(crate) mod testing {
             items[i].rect = items[i - 500].rect;
         }
         items
+    }
+
+    /// Every leaf page of `t`, depth first.
+    pub(crate) fn leaves<const D: usize>(t: &RTree<D>) -> Vec<NodePage<D>> {
+        let mut out = Vec::new();
+        let mut stack = vec![t.root()];
+        while let Some(p) = stack.pop() {
+            let (node, _) = t.read_node(p).unwrap();
+            if node.is_leaf() {
+                out.push(node);
+            } else {
+                stack.extend(node.entries.iter().map(|e| e.ptr as u64));
+            }
+        }
+        out
     }
 
     /// Items in a canonical order: by id, then by corner bits.

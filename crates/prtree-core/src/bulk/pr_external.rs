@@ -91,9 +91,11 @@
 //! identity in the taken set and make the orders total. Where ids
 //! repeat, the lists' orders break the reference's ties on every
 //! corner, so only identical entries tie and they are adjacent in every
-//! list. A scan numbers each run of identical entries (copy 0, 1, …),
-//! and identical entries, being interchangeable, are placed by count:
-//! a priority leaf holds every entry before its last one in its list's
+//! list. Identical means one id and the same corner bits, the rule
+//! tombstones and the delete path's probes use ([`same_identity`]). A
+//! scan numbers each run of identical entries (copy 0, 1, …), and
+//! identical entries, being interchangeable, are placed by count: a
+//! priority leaf holds every entry before its last one in its list's
 //! order and as many copies of the last as it ends with, and a kd
 //! threshold sends its first copies one way and the rest the other
 //! (`Tie`). A record whose id is in the taken set is checked against
@@ -105,6 +107,7 @@
 use crate::bulk::external::ExternalConfig;
 use crate::bulk::kd_split::{leaf_ranges, split_point, AxisOrder, NodeShape, Order};
 use crate::bulk::pr::PrTreeLoader;
+use crate::dynamic::same_identity;
 use crate::entry::Entry;
 use crate::params::TreeParams;
 use crate::tree::RTree;
@@ -429,7 +432,11 @@ impl<const D: usize> Node<D> {
             match extreme_first(Axis(a)).cmp(e, last) {
                 Ordering::Less => return None,
                 Ordering::Equal => {
-                    let held = leaf.iter().rev().take_while(|l| same(l, e)).count() as u64;
+                    let held = leaf
+                        .iter()
+                        .rev()
+                        .take_while(|l| same_identity(&l.to_item(), &e.to_item()))
+                        .count() as u64;
                     copy = copy.checked_sub(held)?;
                 }
                 Ordering::Greater => {}
@@ -466,21 +473,12 @@ impl<'d, const D: usize> Scan<'d, D> {
     fn next(&mut self) -> Result<(Entry<D>, u64), EmError> {
         let e = self.reader.next_record()?.ok_or_else(|| short(self.len))?;
         self.copy = match &self.last {
-            Some(last) if same(last, &e) => self.copy + 1,
+            Some(last) if same_identity(&last.to_item(), &e.to_item()) => self.copy + 1,
             _ => 0,
         };
         self.last = Some(e);
         Ok((e, self.copy))
     }
-}
-
-/// Identical entries: equal ids and equal corners, bit for bit.
-fn same<const D: usize>(a: &Entry<D>, b: &Entry<D>) -> bool {
-    let bits = |e: &Entry<D>| {
-        let r = &e.rect;
-        (e.ptr, r.lo().map(f64::to_bits), r.hi().map(f64::to_bits))
-    };
-    bits(a) == bits(b)
 }
 
 impl<const D: usize> Stage<'_, D> {
@@ -817,20 +815,14 @@ mod tests {
     /// Leaf contents as a canonical multiset (each group id-sorted, groups
     /// sorted) — page ids differ between devices, contents must not.
     fn leaf_groups<const D: usize>(t: &RTree<D>) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut stack = vec![t.root()];
-        while let Some(p) = stack.pop() {
-            let (node, _) = t.read_node(p).unwrap();
-            if node.is_leaf() {
-                let mut ids: Vec<u32> = node.entries.iter().map(|e| e.ptr).collect();
+        let mut out: Vec<Vec<u32>> = crate::bulk::testing::leaves(t)
+            .iter()
+            .map(|n| {
+                let mut ids: Vec<u32> = n.entries.iter().map(|e| e.ptr).collect();
                 ids.sort_unstable();
-                out.push(ids);
-            } else {
-                for e in &node.entries {
-                    stack.push(e.ptr as u64);
-                }
-            }
-        }
+                ids
+            })
+            .collect();
         out.sort();
         out
     }

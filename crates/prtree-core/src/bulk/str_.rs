@@ -133,18 +133,10 @@ mod tests {
         // Uniform points: each leaf MBR should cover a small fraction of
         // the domain (tiles, not stripes).
         let t = build(random_items(4000, 8), 16);
-        let mut max_area: f64 = 0.0;
-        let mut stack = vec![t.root()];
-        while let Some(p) = stack.pop() {
-            let (node, _) = t.read_node(p).unwrap();
-            if node.is_leaf() {
-                max_area = max_area.max(node.mbr().area());
-            } else {
-                for e in &node.entries {
-                    stack.push(e.ptr as u64);
-                }
-            }
-        }
+        let max_area = crate::bulk::testing::leaves(&t)
+            .iter()
+            .map(|n| n.mbr().area())
+            .fold(0.0, f64::max);
         assert!(
             max_area < 0.05 * 100.0 * 100.0,
             "leaf MBR too large: {max_area}"

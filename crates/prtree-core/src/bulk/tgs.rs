@@ -374,19 +374,10 @@ mod tests {
         )
         .unwrap();
         let leaf_area = |t: &RTree<2>| -> f64 {
-            let mut total = 0.0;
-            let mut stack = vec![t.root()];
-            while let Some(p) = stack.pop() {
-                let (node, _) = t.read_node(p).unwrap();
-                if node.is_leaf() {
-                    total += node.mbr().area();
-                } else {
-                    for e in &node.entries {
-                        stack.push(e.ptr as u64);
-                    }
-                }
-            }
-            total
+            crate::bulk::testing::leaves(t)
+                .iter()
+                .map(|n| n.mbr().area())
+                .sum()
         };
         assert!(leaf_area(&tgs) * 5.0 < leaf_area(&naive));
     }

@@ -212,20 +212,14 @@ mod tests {
     }
 
     fn leaf_groups(t: &RTree<2>) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut stack = vec![t.root()];
-        while let Some(p) = stack.pop() {
-            let (node, _) = t.read_node(p).unwrap();
-            if node.is_leaf() {
-                let mut ids: Vec<u32> = node.entries.iter().map(|e| e.ptr).collect();
+        let mut out: Vec<Vec<u32>> = crate::bulk::testing::leaves(t)
+            .iter()
+            .map(|n| {
+                let mut ids: Vec<u32> = n.entries.iter().map(|e| e.ptr).collect();
                 ids.sort_unstable();
-                out.push(ids);
-            } else {
-                for e in &node.entries {
-                    stack.push(e.ptr as u64);
-                }
-            }
-        }
+                ids
+            })
+            .collect();
         out.sort();
         out
     }

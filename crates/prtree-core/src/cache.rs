@@ -95,7 +95,6 @@ impl<const D: usize> NodeCache<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::SplitPolicy;
     use crate::entry::Entry;
     use crate::page::NodePage;
     use crate::params::TreeParams;
@@ -128,7 +127,7 @@ mod tests {
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         let mut t = RTree::<2>::new_empty(dev, params).unwrap();
         for i in 0..20 {
-            t.insert(item(i), SplitPolicy::Quadratic).unwrap();
+            t.insert(item(i)).unwrap();
         }
         t
     }
@@ -192,7 +191,7 @@ mod tests {
         let held = t.cache_snapshot();
         let before: Vec<_> = held.iter().map(|(&p, n)| (p, n.to_page())).collect();
 
-        t.insert(item(100), SplitPolicy::Quadratic).unwrap();
+        t.insert(item(100)).unwrap();
         for (p, node) in &before {
             assert_eq!(held[p].to_page(), *node, "held snapshot unchanged");
         }

@@ -2,8 +2,8 @@
 //!
 //! Two roads to a dynamic PR-tree, both discussed in the paper:
 //!
-//! * [`update`] — classic Guttman heuristics (insert via ChooseLeaf with
-//!   [`split::SplitPolicy`], delete via CondenseTree). Work on any tree
+//! * [`update`] — classic Guttman heuristics (insert via ChooseLeaf and
+//!   the quadratic split, delete via CondenseTree). Work on any tree
 //!   produced by any loader, but void the PR-tree's worst-case query
 //!   guarantee (§4).
 //! * [`logarithmic`] — the **LPR-tree**: the external logarithmic method
@@ -16,12 +16,10 @@ pub mod logarithmic;
 pub mod loose;
 pub mod membership;
 mod policy;
-pub mod split;
 pub mod tombstone;
 pub mod update;
 
 pub use components::{Component, ComponentSet, MergePlan};
 pub use logarithmic::LprTree;
 pub use loose::LooseItems;
-pub use split::SplitPolicy;
 pub use tombstone::{same_identity, TombstoneFilter, TombstoneKey, Tombstones};

@@ -21,8 +21,8 @@
 //!   Hilbert R-tree (H4) baselines.
 //! * [`bulk::tgs`] — Top-down Greedy Split baseline.
 //! * [`bulk::str_`] — Sort-Tile-Recursive packing (extra baseline).
-//! * [`dynamic`] — Guttman insert/delete with Linear/Quadratic/R* splits,
-//!   and the logarithmic-method dynamization (LPR-tree) of §1.2/§4.
+//! * [`dynamic`] — Guttman insert/delete with the quadratic split, and
+//!   the logarithmic-method dynamization (LPR-tree) of §1.2/§4.
 //!
 //! ## Quick start
 //!

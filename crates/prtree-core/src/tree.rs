@@ -171,19 +171,19 @@ impl<const D: usize> RTree<D> {
     ///
     /// This is the **maintenance/write boundary**: the cache stores
     /// [`SoaNode`]s, so a cache hit converts back to a [`NodePage`]
-    /// (one allocation). Dynamic updates, validation, and the bulk-load
+    /// (one allocation), which the caller owns and may edit. Dynamic updates, validation, and the bulk-load
     /// inspectors use this; the query hot path goes through
     /// the crate's one node visit instead and never materializes
     /// entries.
-    pub fn read_node(&self, page: BlockId) -> Result<(Arc<NodePage<D>>, bool), EmError> {
+    pub fn read_node(&self, page: BlockId) -> Result<(NodePage<D>, bool), EmError> {
         if let Some(n) = self.cache.snapshot().get(&page) {
-            return Ok((Arc::new(n.to_page()), false));
+            return Ok((n.to_page(), false));
         }
         let node = NodePage::read(self.dev.as_ref(), page)?;
         if let Some(soa) = Self::cached_form(&node) {
             self.cache.admit([(page, soa)]);
         }
-        Ok((Arc::new(node), true))
+        Ok((node, true))
     }
 
     /// The internal node's SoA form the cache holds; `None` for a leaf.
@@ -729,8 +729,7 @@ mod tests {
     fn write_node_updates_cache() {
         let mut t = two_leaf_tree();
         t.warm_cache().unwrap();
-        let (root_node, _) = t.read_node(t.root()).unwrap();
-        let mut modified = (*root_node).clone();
+        let (mut modified, _) = t.read_node(t.root()).unwrap();
         modified.entries.pop();
         t.write_node(t.root(), &modified).unwrap();
         let (back, io) = t.read_node(t.root()).unwrap();

@@ -11,7 +11,7 @@
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Rect};
 use pr_tree::bulk::LoaderKind;
-use pr_tree::dynamic::{same_identity, SplitPolicy};
+use pr_tree::dynamic::same_identity;
 use pr_tree::{QueryScratch, RTree, TreeParams};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -163,7 +163,7 @@ fn a_guttman_update_after_a_probe_is_seen() {
     assert!(!tree.may_contain(&late, &mut scratch).unwrap());
     assert!(tree.filter_bytes() > 0);
 
-    tree.insert(late, SplitPolicy::Quadratic).unwrap();
+    tree.insert(late).unwrap();
     assert_eq!(tree.filter_bytes(), 0, "the node write dropped the filter");
     assert!(tree.may_contain(&late, &mut scratch).unwrap());
     assert_eq!(tree.count_exact(&late, &mut scratch).unwrap().results, 1);
@@ -171,6 +171,6 @@ fn a_guttman_update_after_a_probe_is_seen() {
         assert!(tree.may_contain(it, &mut scratch).unwrap(), "{it:?}");
     }
 
-    assert!(tree.delete(&late, SplitPolicy::Quadratic).unwrap());
+    assert!(tree.delete(&late).unwrap());
     assert_eq!(tree.count_exact(&late, &mut scratch).unwrap().results, 0);
 }

@@ -5,7 +5,6 @@
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Rect};
 use pr_tree::bulk::LoaderKind;
-use pr_tree::dynamic::SplitPolicy;
 use pr_tree::pseudo::PseudoPrTree;
 use pr_tree::{RTree, TreeParams};
 use proptest::prelude::*;
@@ -97,14 +96,12 @@ proptest! {
     fn insert_delete_roundtrip(
         items in arb_items(120),
         q in arb_query(),
-        policy_idx in 0usize..3,
     ) {
-        let policy = SplitPolicy::all()[policy_idx];
         let params = TreeParams::with_cap::<2>(4);
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         let mut tree = RTree::<2>::new_empty(dev, params).unwrap();
         for &it in &items {
-            tree.insert(it, policy).unwrap();
+            tree.insert(it).unwrap();
         }
         prop_assert_eq!(tree.len(), items.len() as u64);
         let mut got: Vec<u32> = tree.window(&q).unwrap().iter().map(|i| i.id).collect();
@@ -113,7 +110,7 @@ proptest! {
         // Delete the first half; the rest must remain queryable.
         let half = items.len() / 2;
         for it in &items[..half] {
-            prop_assert!(tree.delete(it, policy).unwrap());
+            prop_assert!(tree.delete(it).unwrap());
         }
         let report = tree.validate().unwrap();
         prop_assert!(report.is_ok(), "{:?}", report.errors);

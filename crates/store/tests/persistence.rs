@@ -8,7 +8,6 @@ use pr_em::{BlockDevice, EmError, MemDevice};
 use pr_geom::{Item, Point, Rect};
 use pr_store::{Store, StoreError};
 use pr_tree::bulk::LoaderKind;
-use pr_tree::dynamic::SplitPolicy;
 use pr_tree::{QueryStats, RTree, TreeParams};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -419,9 +418,6 @@ fn reopened_tree_is_read_only() {
     let (path, store) = saved_store("readonly", 200);
     let mut tree = store.tree::<2>().unwrap();
     let item = Item::new(Rect::xyxy(0.5, 0.5, 0.6, 0.6), 9_999);
-    assert!(matches!(
-        tree.insert(item, SplitPolicy::Quadratic),
-        Err(EmError::ReadOnly)
-    ));
+    assert!(matches!(tree.insert(item), Err(EmError::ReadOnly)));
     std::fs::remove_file(&path).ok();
 }

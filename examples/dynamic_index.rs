@@ -49,17 +49,13 @@ fn main() {
     for _ in 0..n_updates {
         let idx = (rnd() % live.len() as u64) as usize;
         let victim = live.swap_remove(idx);
-        guttman
-            .delete(&victim, SplitPolicy::Quadratic)
-            .expect("delete");
+        guttman.delete(&victim).expect("delete");
         lpr.delete(&victim).expect("lpr delete");
         let x = (rnd() % 1_000_000) as f64 / 1_000_000.0;
         let y = (rnd() % 1_000_000) as f64 / 1_000_000.0;
         let fresh = Item::new(Rect::xyxy(x, y, x, y), next_id);
         next_id += 1;
-        guttman
-            .insert(fresh, SplitPolicy::Quadratic)
-            .expect("insert");
+        guttman.insert(fresh).expect("insert");
         lpr.insert(fresh).expect("lpr insert");
         live.push(fresh);
     }

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use pr_tree::bulk::str_::StrLoader;
     pub use pr_tree::bulk::tgs::TgsLoader;
     pub use pr_tree::bulk::{BulkLoader, LoaderKind};
-    pub use pr_tree::dynamic::{LprTree, SplitPolicy};
+    pub use pr_tree::dynamic::LprTree;
     pub use pr_tree::pseudo::PseudoPrTree;
     pub use pr_tree::{QueryScratch, QueryStats, RTree, ReferenceEngine, SoaNode, TreeParams};
 }

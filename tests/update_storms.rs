@@ -32,7 +32,7 @@ fn every_bulk_loaded_variant_survives_update_storms() {
                 let idx = rng.gen_range(0..reference.len());
                 let victim = reference.swap_remove(idx);
                 assert!(
-                    tree.delete(&victim, SplitPolicy::Quadratic).unwrap(),
+                    tree.delete(&victim).unwrap(),
                     "{}: delete failed",
                     kind.name()
                 );
@@ -41,7 +41,7 @@ fn every_bulk_loaded_variant_survives_update_storms() {
                 let y: f64 = rng.gen_range(0.0..1.0);
                 let it = Item::new(Rect::xyxy(x, y, x, y), next_id);
                 next_id += 1;
-                tree.insert(it, SplitPolicy::Quadratic).unwrap();
+                tree.insert(it).unwrap();
                 reference.push(it);
             }
         }
@@ -70,13 +70,13 @@ fn lpr_tree_matches_rtree_under_identical_op_stream() {
             let y: f64 = rng.gen_range(0.0..1.0);
             let it = Item::new(Rect::xyxy(x, y, x, y), next_id);
             next_id += 1;
-            guttman.insert(it, SplitPolicy::RStar).unwrap();
+            guttman.insert(it).unwrap();
             lpr.insert(it).unwrap();
             reference.push(it);
         } else {
             let idx = rng.gen_range(0..reference.len());
             let victim = reference.swap_remove(idx);
-            assert!(guttman.delete(&victim, SplitPolicy::RStar).unwrap());
+            assert!(guttman.delete(&victim).unwrap());
             assert!(lpr.delete(&victim).unwrap());
         }
         if step % 200 == 199 {
@@ -108,12 +108,12 @@ fn updates_preserve_query_correctness_on_rectangles_not_just_points() {
         let w: f64 = rng.gen_range(0.0..3.0); // overlapping rects
         let h: f64 = rng.gen_range(0.0..3.0);
         let it = Item::new(Rect::xyxy(x, y, x + w, y + h), id);
-        tree.insert(it, SplitPolicy::Linear).unwrap();
+        tree.insert(it).unwrap();
         reference.push(it);
     }
     // Delete every third.
     for it in reference.iter().step_by(3) {
-        assert!(tree.delete(it, SplitPolicy::Linear).unwrap());
+        assert!(tree.delete(it).unwrap());
     }
     let survivors: Vec<Item<2>> = reference
         .iter()
