@@ -181,6 +181,58 @@ mod tests {
         assert_eq!(back.tombstones.count(&item(9, 1.5)), 2);
     }
 
+    /// A checkpoint's bytes, pinned field by field. One tombstone key
+    /// (counted twice): the map's iteration order is not fixed, so a
+    /// second key would make the order of the tombstone records vary.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let mut tombstones = Tombstones::new();
+        tombstones.add(&item(9, -0.0));
+        tombstones.add(&item(9, -0.0));
+        let m = LiveManifest::<2> {
+            wal_seq: 12345,
+            slots: vec![2, 5],
+            tombstones,
+            memtable: vec![item(100, 0.0), item(101, 3.0)],
+        };
+        let f = |v: f64| v.to_le_bytes();
+        let u = |v: u32| v.to_le_bytes();
+        let want: Vec<u8> = [
+            &b"PRLIVE1\0"[..],
+            &u(1),                   // version
+            &u(0),                   // reserved
+            &12345u64.to_le_bytes(), // wal_seq
+            &u(2),                   // slots
+            &u(1),                   // distinct tombstone keys
+            &u(2),                   // memtable items
+            &u(0),                   // reserved
+            &u(2),
+            &u(5),                        // slot indices
+            &[0, 0, 0, 0, 0, 0, 0, 0x80], // tombstone: lo = (-0.0, 0.0)
+            &[0; 8],
+            &f(1.0), // hi = (1.0, 1.0)
+            &f(1.0),
+            &u(9),   // id
+            &u(2),   // count
+            &f(0.0), // memtable[0]
+            &f(0.0),
+            &f(1.0),
+            &f(1.0),
+            &u(100),
+            &f(3.0), // memtable[1]
+            &f(0.0),
+            &f(4.0),
+            &f(1.0),
+            &u(101),
+        ]
+        .concat();
+        let buf = m.encode();
+        assert_eq!(buf, want);
+        let back = LiveManifest::<2>::decode(&want).unwrap();
+        assert_eq!(back, m);
+        assert_eq!(back.tombstones.count(&item(9, 0.0)), 0, "-0.0 is kept");
+    }
+
     #[test]
     fn empty_roundtrip() {
         let m = LiveManifest::<2>::default();

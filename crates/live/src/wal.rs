@@ -439,3 +439,38 @@ fn scan_segment<const D: usize>(
         off += RECORD_HEADER_SIZE + len;
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pr_geom::Rect;
+
+    /// One record frame, pinned byte for byte: length, CRC-32 of the
+    /// payload, then sequence number, op and the item's 36 bytes.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let rec = WalRecord::<2> {
+            seq: 0x0102_0304_0506_0708,
+            op: WalOp::Delete,
+            item: Item::new(Rect::xyxy(-0.0, 1.0, 2.0, 3.0), 7),
+        };
+        let want: [u8; 53] = [
+            0x2d, 0x00, 0x00, 0x00, // payload_len = 45
+            0xaa, 0xf2, 0x8a, 0xb6, // crc32 over the payload
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // seq
+            0x02, // op = Delete
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // lo[0] = -0.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // lo[1] = 1.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // hi[0] = 2.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, // hi[1] = 3.0
+            0x07, 0x00, 0x00, 0x00, // id = 7
+        ];
+        let mut buf = vec![0xee];
+        rec.encode_into(&mut buf);
+        assert_eq!(buf[0], 0xee, "the frame is appended");
+        assert_eq!(buf[1..], want);
+        let back = WalRecord::<2>::decode(&want[8..]).unwrap();
+        assert_eq!(back, rec);
+        assert_eq!(back.item.rect.lo_at(0).to_bits(), (-0.0f64).to_bits());
+    }
+}

@@ -137,6 +137,44 @@ mod tests {
         assert_eq!(Entry::<2>::decode(&buf), e);
     }
 
+    /// The record's bytes, pinned by hand: the lower corner, the upper
+    /// corner, each coordinate a little-endian `f64`, then the
+    /// little-endian `u32` pointer. Signed zeros keep their sign bit.
+    #[test]
+    fn entry_bytes_are_pinned() {
+        let e2 = Entry::new(Rect::new([-0.0, 0.1], [2.0, 3.25]), 0xDEAD_BEEF);
+        let want2: [u8; 36] = [
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // lo[0] = -0.0
+            0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f, // lo[1] = 0.1
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, // hi[0] = 2.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x40, // hi[1] = 3.25
+            0xef, 0xbe, 0xad, 0xde, // ptr = 0xDEADBEEF
+        ];
+        let mut buf = [0u8; 36];
+        e2.encode(&mut buf);
+        assert_eq!(buf, want2);
+        let back = Entry::<2>::decode(&want2);
+        assert_eq!(back.rect.lo_at(0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back, e2);
+
+        let e3 = Entry::new(Rect::new([-1.0, 0.0, -0.0], [0.5, 4.0, 1.5]), 7);
+        let want3: [u8; 52] = [
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xbf, // lo[0] = -1.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lo[1] = 0.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, // lo[2] = -0.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // hi[0] = 0.5
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x40, // hi[1] = 4.0
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // hi[2] = 1.5
+            0x07, 0x00, 0x00, 0x00, // ptr = 7
+        ];
+        let mut buf = [0u8; 52];
+        e3.encode(&mut buf);
+        assert_eq!(buf, want3);
+        let back = Entry::<3>::decode(&want3);
+        assert_eq!(back.rect.lo_at(2).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back, e3);
+    }
+
     #[test]
     fn keyed_entry_roundtrip() {
         let k = KeyedEntry {

@@ -123,6 +123,25 @@ mod tests {
         assert_eq!(TreeMeta::decode(&buf).unwrap(), meta);
     }
 
+    /// The superblock's tree record, pinned byte for byte.
+    #[test]
+    fn meta_bytes_are_pinned() {
+        let want: [u8; TreeMeta::ENCODED_SIZE] = [
+            0x00, 0x10, 0x00, 0x00, // page_size = 4096
+            0x71, 0x00, 0x00, 0x00, // leaf_cap = 113
+            0x71, 0x00, 0x00, 0x00, // node_cap = 113
+            0x28, 0x00, 0x00, 0x00, // min_fill_percent = 40
+            0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // root = 1234
+            0x40, 0x4b, 0x4c, 0x00, 0x00, 0x00, 0x00, 0x00, // len = 5 000 000
+            0x03, // root_level
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // reserved
+        ];
+        let mut buf = [0xffu8; TreeMeta::ENCODED_SIZE];
+        sample().encode(&mut buf);
+        assert_eq!(buf, want);
+        assert_eq!(TreeMeta::decode(&want).unwrap(), sample());
+    }
+
     #[test]
     fn wrong_length_is_an_error() {
         assert!(TreeMeta::decode(&[0u8; 16]).is_err());
