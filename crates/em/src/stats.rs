@@ -43,12 +43,6 @@ impl IoCounters {
             writes: self.writes.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets both counters to zero (between experiments).
-    pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of the counters.
@@ -137,22 +131,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let c = IoCounters::new();
-        c.add_writes(9);
-        c.reset();
-        assert_eq!(c.snapshot().total(), 0);
-    }
-
-    #[test]
-    fn since_saturates_after_reset() {
+    fn since_saturates() {
         let c = IoCounters::new();
         c.add_reads(10);
-        let before = c.snapshot();
-        c.reset();
-        c.add_reads(1);
-        let delta = c.snapshot().since(before);
-        assert_eq!(delta.reads, 0);
+        let later = c.snapshot();
+        let earlier = IoStats::default();
+        assert_eq!(earlier.since(later).reads, 0);
     }
 
     #[test]

@@ -65,29 +65,6 @@ pub fn intersects_mask<const D: usize>(
     }
 }
 
-/// Counts rectangles intersecting `query` without materializing a mask
-/// or touching pointer data — the leaf kernel of counting window
-/// queries. Exactly `intersects_mask(..).count_ones()`.
-pub fn intersects_count<const D: usize>(
-    lo: &[&[f64]; D],
-    hi: &[&[f64]; D],
-    n: usize,
-    query: &Rect<D>,
-) -> u64 {
-    check_columns(lo, hi, n);
-    let lo_cols: [&[f64]; D] = std::array::from_fn(|d| &lo[d][..n]);
-    let hi_cols: [&[f64]; D] = std::array::from_fn(|d| &hi[d][..n]);
-    let mut count = 0u64;
-    for i in 0..n {
-        let mut keep = 1u8;
-        for d in 0..D {
-            keep &= ((lo_cols[d][i] <= query.hi_at(d)) & (query.lo_at(d) <= hi_cols[d][i])) as u8;
-        }
-        count += keep as u64;
-    }
-    count
-}
-
 /// Scalar reference for [`intersects_mask`]: per-element
 /// [`Rect::intersects`].
 pub fn intersects_mask_scalar<const D: usize>(
@@ -101,44 +78,10 @@ pub fn intersects_mask_scalar<const D: usize>(
     }
 }
 
-/// Writes `mask[i] = 1` iff rectangle `i` lies entirely inside `query`
-/// (boundary included, exactly `query.contains_rect(rect_i)`), else `0`.
-pub fn contains_mask<const D: usize>(
-    lo: &[&[f64]; D],
-    hi: &[&[f64]; D],
-    query: &Rect<D>,
-    mask: &mut [u8],
-) {
-    let n = mask.len();
-    check_columns(lo, hi, n);
-    let lo_cols: [&[f64]; D] = std::array::from_fn(|d| &lo[d][..n]);
-    let hi_cols: [&[f64]; D] = std::array::from_fn(|d| &hi[d][..n]);
-    for (i, m) in mask.iter_mut().enumerate() {
-        let mut keep = 1u8;
-        for d in 0..D {
-            keep &= ((query.lo_at(d) <= lo_cols[d][i]) & (hi_cols[d][i] <= query.hi_at(d))) as u8;
-        }
-        *m = keep;
-    }
-}
-
-/// Scalar reference for [`contains_mask`]: per-element
-/// [`Rect::contains_rect`] with `query` as the container.
-pub fn contains_mask_scalar<const D: usize>(
-    lo: &[&[f64]; D],
-    hi: &[&[f64]; D],
-    query: &Rect<D>,
-    mask: &mut [u8],
-) {
-    for (i, m) in mask.iter_mut().enumerate() {
-        *m = query.contains_rect(&gather_rect(lo, hi, i)) as u8;
-    }
-}
-
 /// Writes `mask[i] = 1` iff rectangle `i` covers `query` (boundary
-/// included, exactly `rect_i.contains_rect(query)`), else `0` — the
-/// opposite direction of [`contains_mask`]. An exact-match descent opens
-/// only the children whose box covers the sought rectangle.
+/// included, exactly `rect_i.contains_rect(query)`), else `0`. An
+/// exact-match descent opens only the children whose box covers the
+/// sought rectangle.
 pub fn covers_mask<const D: usize>(
     lo: &[&[f64]; D],
     hi: &[&[f64]; D],
@@ -244,18 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_matches_scalar_on_fixture() {
-        let (lo, hi) = fixture();
-        let q = Rect::xyxy(-1.0, -1.0, 5.0, 5.0);
-        let mut fast = [0u8; 4];
-        let mut slow = [9u8; 4];
-        contains_mask(&cols(&lo), &cols(&hi), &q, &mut fast);
-        contains_mask_scalar(&cols(&lo), &cols(&hi), &q, &mut slow);
-        assert_eq!(fast, slow);
-        assert_eq!(fast, [1, 1, 1, 0], "boundary-touching rects contained");
-    }
-
-    #[test]
     fn covers_matches_scalar_on_fixture() {
         let (lo, hi) = fixture();
         let q = Rect::xyxy(2.0, 2.0, 3.0, 3.0);
@@ -287,27 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_mask_popcount() {
-        let (lo, hi) = fixture();
-        for q in [
-            Rect::xyxy(0.5, 0.5, 2.0, 2.0),
-            Rect::xyxy(-10.0, -10.0, 20.0, 20.0),
-            Rect::xyxy(50.0, 50.0, 51.0, 51.0),
-        ] {
-            let mut mask = [0u8; 4];
-            intersects_mask(&cols(&lo), &cols(&hi), &q, &mut mask);
-            let want: u64 = mask.iter().map(|&m| m as u64).sum();
-            assert_eq!(intersects_count(&cols(&lo), &cols(&hi), 4, &q), want);
-        }
-    }
-
-    #[test]
     fn empty_batch_is_a_noop() {
         let lo: [&[f64]; 2] = [&[], &[]];
         let hi: [&[f64]; 2] = [&[], &[]];
         let q = Rect::xyxy(0.0, 0.0, 1.0, 1.0);
         intersects_mask(&lo, &hi, &q, &mut []);
-        contains_mask(&lo, &hi, &q, &mut []);
         covers_mask(&lo, &hi, &q, &mut []);
         min_dist2_batch(&lo, &hi, &Point::new([0.0, 0.0]), &mut []);
     }

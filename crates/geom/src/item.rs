@@ -5,10 +5,10 @@ use std::fmt;
 
 /// A data rectangle with a payload id.
 ///
-/// This mirrors the paper's input record layout exactly: in 2-D it is
-/// 4 × 8-byte coordinates plus a 4-byte "pointer to the original object",
-/// i.e. 36 bytes (§3.1). The id doubles as the deterministic tie-breaker
-/// for all coordinate orderings.
+/// The paper's input record: a rectangle plus a "pointer to the
+/// original object" (§3.1). The id doubles as the deterministic
+/// tie-breaker for all coordinate orderings. Its 36-byte encoding in
+/// 2-D is `pr_tree::Entry`'s.
 #[derive(Clone, Copy, PartialEq)]
 pub struct Item<const D: usize> {
     /// The (bounding) rectangle stored in the index.
@@ -22,81 +22,10 @@ impl<const D: usize> Item<D> {
     pub fn new(rect: Rect<D>, id: u32) -> Self {
         Item { rect, id }
     }
-
-    /// Size in bytes of the on-disk encoding: `2 * D` f64 coordinates plus
-    /// the u32 id (36 bytes for `D = 2`, as in the paper).
-    pub const ENCODED_SIZE: usize = 2 * D * 8 + 4;
-
-    /// Encodes into little-endian bytes. `buf` must be exactly
-    /// [`Self::ENCODED_SIZE`] long.
-    pub fn encode(&self, buf: &mut [u8]) {
-        assert_eq!(buf.len(), Self::ENCODED_SIZE);
-        let mut off = 0;
-        for i in 0..D {
-            buf[off..off + 8].copy_from_slice(&self.rect.lo_at(i).to_le_bytes());
-            off += 8;
-        }
-        for i in 0..D {
-            buf[off..off + 8].copy_from_slice(&self.rect.hi_at(i).to_le_bytes());
-            off += 8;
-        }
-        buf[off..off + 4].copy_from_slice(&self.id.to_le_bytes());
-    }
-
-    /// Decodes from little-endian bytes written by [`Item::encode`].
-    pub fn decode(buf: &[u8]) -> Self {
-        assert_eq!(buf.len(), Self::ENCODED_SIZE);
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        let mut off = 0;
-        for v in lo.iter_mut() {
-            *v = f64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-            off += 8;
-        }
-        for v in hi.iter_mut() {
-            *v = f64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-            off += 8;
-        }
-        let id = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-        Item {
-            rect: Rect::new(lo, hi),
-            id,
-        }
-    }
 }
 
 impl<const D: usize> fmt::Debug for Item<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Item#{} {:?}", self.id, self.rect)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn encoded_size_matches_paper() {
-        // §3.1: "we used 36 bytes to represent each input rectangle".
-        assert_eq!(Item::<2>::ENCODED_SIZE, 36);
-        assert_eq!(Item::<3>::ENCODED_SIZE, 52);
-        assert_eq!(Item::<1>::ENCODED_SIZE, 20);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let item = Item::new(Rect::xyxy(-1.5, 2.25, 3.75, 10.0), 0xDEAD_BEEF);
-        let mut buf = [0u8; Item::<2>::ENCODED_SIZE];
-        item.encode(&mut buf);
-        let back = Item::<2>::decode(&buf);
-        assert_eq!(back, item);
-    }
-
-    #[test]
-    fn encode_decode_3d() {
-        let item = Item::new(Rect::<3>::new([0.0, 1.0, 2.0], [3.0, 4.0, 5.0]), 42);
-        let mut buf = vec![0u8; Item::<3>::ENCODED_SIZE];
-        item.encode(&mut buf);
-        assert_eq!(Item::<3>::decode(&buf), item);
     }
 }

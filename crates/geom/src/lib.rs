@@ -10,11 +10,10 @@
 //!   `2D`-dimensional point (`(xmin, ymin, xmax, ymax)` in the plane), which
 //!   is the heart of both the pseudo-PR-tree and the four-dimensional
 //!   Hilbert R-tree — see [`mapped`],
-//! * [`Item<D>`]: a rectangle tagged with a `u32` payload id, matching the
-//!   paper's 36-byte input records (4 × 8-byte coordinates + 4-byte
-//!   pointer),
+//! * [`Item<D>`]: a rectangle tagged with a `u32` payload id, the
+//!   paper's input record (its bytes are `pr_tree::Entry`'s to encode),
 //! * [`batch`]: structure-of-arrays predicate kernels
-//!   (intersection/containment masks, batched point-to-rectangle
+//!   (intersection and cover masks, batched point-to-rectangle
 //!   distances) over per-dimension coordinate columns — the vectorized
 //!   heart of the decode-free query engine, proven bit-identical to the
 //!   scalar [`Rect`] predicates by property tests.

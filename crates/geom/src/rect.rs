@@ -146,20 +146,6 @@ impl<const D: usize> Rect<D> {
         true
     }
 
-    /// Geometric intersection, or `None` if disjoint.
-    pub fn intersection(&self, other: &Self) -> Option<Self> {
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for i in 0..D {
-            lo[i] = self.lo[i].max(other.lo[i]);
-            hi[i] = self.hi[i].min(other.hi[i]);
-            if lo[i] > hi[i] {
-                return None;
-            }
-        }
-        Some(Rect { lo, hi })
-    }
-
     /// Minimal bounding rectangle of `self` and `other`.
     ///
     /// [`Rect::EMPTY`] is the identity element, which lets callers fold a
@@ -304,8 +290,7 @@ mod tests {
         let a = r(0.0, 0.0, 2.0, 2.0);
         let b = r(1.0, 1.0, 3.0, 3.0);
         assert!(a.intersects(&b));
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, r(1.0, 1.0, 2.0, 2.0));
+        assert!(b.intersects(&a));
     }
 
     #[test]
@@ -322,7 +307,6 @@ mod tests {
         let a = r(0.0, 0.0, 1.0, 1.0);
         let b = r(1.5, 0.0, 2.0, 1.0);
         assert!(!a.intersects(&b));
-        assert!(a.intersection(&b).is_none());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! scalar `Rect` predicates on arbitrary rectangle columns.
 
 use pr_geom::batch::{
-    contains_mask, contains_mask_scalar, covers_mask, covers_mask_scalar, gather_rect,
-    intersects_count, intersects_mask, intersects_mask_scalar, min_dist2_batch,
-    min_dist2_batch_scalar,
+    covers_mask, covers_mask_scalar, gather_rect, intersects_mask, intersects_mask_scalar,
+    min_dist2_batch, min_dist2_batch_scalar,
 };
 use pr_geom::{Point, Rect};
 use proptest::prelude::*;
@@ -65,23 +64,6 @@ proptest! {
         // And the scalar twin really is the Rect predicate.
         for (i, m) in slow.iter().enumerate() {
             prop_assert_eq!(*m == 1, gather_rect(&lo, &hi, i).intersects(&q));
-        }
-        // The counting kernel is the mask's popcount.
-        let want: u64 = slow.iter().map(|&m| m as u64).sum();
-        prop_assert_eq!(intersects_count(&lo, &hi, raw.len(), &q), want);
-    }
-
-    #[test]
-    fn contains_mask_is_bit_identical(raw in arb_columns(200), q in arb_query()) {
-        let (lo, hi) = to_columns(&raw);
-        let (lo, hi): ([&[f64]; 2], [&[f64]; 2]) = ([&lo[0], &lo[1]], [&hi[0], &hi[1]]);
-        let mut fast = vec![0u8; raw.len()];
-        let mut slow = vec![7u8; raw.len()];
-        contains_mask(&lo, &hi, &q, &mut fast);
-        contains_mask_scalar(&lo, &hi, &q, &mut slow);
-        prop_assert_eq!(&fast, &slow);
-        for (i, m) in slow.iter().enumerate() {
-            prop_assert_eq!(*m == 1, q.contains_rect(&gather_rect(&lo, &hi, i)));
         }
     }
 

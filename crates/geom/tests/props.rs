@@ -21,20 +21,6 @@ proptest! {
     #[test]
     fn intersection_symmetric(a in arb_rect2(), b in arb_rect2()) {
         prop_assert_eq!(a.intersects(&b), b.intersects(&a));
-        prop_assert_eq!(a.intersection(&b), b.intersection(&a));
-    }
-
-    #[test]
-    fn intersection_consistent_with_predicate(a in arb_rect2(), b in arb_rect2()) {
-        prop_assert_eq!(a.intersects(&b), a.intersection(&b).is_some());
-    }
-
-    #[test]
-    fn intersection_contained_in_both(a in arb_rect2(), b in arb_rect2()) {
-        if let Some(i) = a.intersection(&b) {
-            prop_assert!(a.contains_rect(&i));
-            prop_assert!(b.contains_rect(&i));
-        }
     }
 
     #[test]
@@ -72,13 +58,6 @@ proptest! {
     #[test]
     fn center_inside(a in arb_rect2()) {
         prop_assert!(a.contains_point(&a.center()));
-    }
-
-    #[test]
-    fn encode_decode_roundtrip(item in arb_item2()) {
-        let mut buf = [0u8; Item::<2>::ENCODED_SIZE];
-        item.encode(&mut buf);
-        prop_assert_eq!(Item::<2>::decode(&buf), item);
     }
 
     #[test]

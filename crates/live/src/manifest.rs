@@ -30,8 +30,10 @@
 //! ```
 
 use crate::error::LiveError;
+use pr_em::Record;
 use pr_geom::Item;
 use pr_tree::dynamic::tombstone::{TombstoneKey, Tombstones};
+use pr_tree::Entry;
 
 /// Live-manifest magic.
 pub const LIVE_MAGIC: [u8; 8] = *b"PRLIVE1\0";
@@ -58,7 +60,7 @@ pub struct LiveManifest<const D: usize> {
 impl<const D: usize> LiveManifest<D> {
     /// Serializes the checkpoint (see module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
-        let item_size = Item::<D>::ENCODED_SIZE;
+        let item_size = Entry::<D>::SIZE;
         let tombs: Vec<(TombstoneKey<D>, u32)> = self.tombstones.entries().collect();
         let size = HEADER_SIZE
             + self.slots.len() * 4
@@ -77,13 +79,13 @@ impl<const D: usize> LiveManifest<D> {
             off += 4;
         }
         for (key, count) in &tombs {
-            key.to_item().encode(&mut buf[off..off + item_size]);
+            Entry::from_item(key.to_item()).encode(&mut buf[off..off + item_size]);
             off += item_size;
             buf[off..off + 4].copy_from_slice(&count.to_le_bytes());
             off += 4;
         }
         for item in &self.memtable {
-            item.encode(&mut buf[off..off + item_size]);
+            Entry::from_item(*item).encode(&mut buf[off..off + item_size]);
             off += item_size;
         }
         debug_assert_eq!(off, size);
@@ -92,7 +94,7 @@ impl<const D: usize> LiveManifest<D> {
 
     /// Deserializes a checkpoint written by [`LiveManifest::encode`].
     pub fn decode(buf: &[u8]) -> Result<Self, LiveError> {
-        let item_size = Item::<D>::ENCODED_SIZE;
+        let item_size = Entry::<D>::SIZE;
         if buf.len() < HEADER_SIZE {
             return Err(LiveError::Corrupt(format!(
                 "live manifest is {} bytes, too short for a header",
@@ -130,7 +132,7 @@ impl<const D: usize> LiveManifest<D> {
         }
         let tombstones: Tombstones<D> = (0..nt)
             .map(|_| {
-                let item = Item::<D>::decode(&buf[off..off + item_size]);
+                let item = Entry::<D>::decode(&buf[off..off + item_size]).to_item();
                 off += item_size;
                 let count = u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes"));
                 off += 4;
@@ -139,7 +141,7 @@ impl<const D: usize> LiveManifest<D> {
             .collect();
         let mut memtable = Vec::with_capacity(nm);
         for _ in 0..nm {
-            memtable.push(Item::<D>::decode(&buf[off..off + item_size]));
+            memtable.push(Entry::<D>::decode(&buf[off..off + item_size]).to_item());
             off += item_size;
         }
         Ok(LiveManifest {

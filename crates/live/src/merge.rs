@@ -71,14 +71,13 @@
 use crate::error::LiveError;
 use crate::index::LiveInner;
 use crate::manifest::LiveManifest;
-use pr_em::{fault, fsync_dir, BlockDevice, MemDevice};
-use pr_geom::Item;
+use pr_em::{fault, fsync_dir, BlockDevice, MemDevice, Record};
 use pr_obs::trace;
 use pr_store::{CommitComponent, Store};
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
 use pr_tree::dynamic::{components, LooseItems, MergePlan};
-use pr_tree::RTree;
+use pr_tree::{Entry, RTree};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -148,7 +147,7 @@ pub(crate) fn run_merge<const D: usize>(
             // Write-amp denominator: bytes of user data leaving the
             // memtable for durable storage.
             inner.ingest_bytes.fetch_add(
-                sealed_items as u64 * Item::<D>::ENCODED_SIZE as u64,
+                sealed_items as u64 * Entry::<D>::SIZE as u64,
                 Ordering::Relaxed,
             );
         }

@@ -66,9 +66,10 @@
 //! past them) and surfaces as [`LiveError::Corrupt`].
 
 use crate::error::LiveError;
-use pr_em::{fsync_dir, PositionedFile};
+use pr_em::{fsync_dir, PositionedFile, Record};
 use pr_geom::Item;
 use pr_store::crc32;
+use pr_tree::Entry;
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
@@ -128,7 +129,7 @@ pub struct WalRecord<const D: usize> {
 
 impl<const D: usize> WalRecord<D> {
     /// Payload bytes of one record (seq + op + item).
-    pub const PAYLOAD_SIZE: usize = 8 + 1 + Item::<D>::ENCODED_SIZE;
+    pub const PAYLOAD_SIZE: usize = 8 + 1 + Entry::<D>::SIZE;
 
     /// Appends this record's frame (length + CRC header, then the
     /// payload) to `buf`. Allocation-free: the payload is encoded
@@ -143,8 +144,8 @@ impl<const D: usize> WalRecord<D> {
         buf.extend_from_slice(&self.seq.to_le_bytes());
         buf.push(self.op.to_byte());
         let item = buf.len();
-        buf.resize(item + Item::<D>::ENCODED_SIZE, 0);
-        self.item.encode(&mut buf[item..]);
+        buf.resize(item + Entry::<D>::SIZE, 0);
+        Entry::from_item(self.item).encode(&mut buf[item..]);
         let crc = crc32(&buf[payload..]);
         buf[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
     }
@@ -155,7 +156,7 @@ impl<const D: usize> WalRecord<D> {
         }
         let seq = u64::from_le_bytes(payload[0..8].try_into().ok()?);
         let op = WalOp::from_byte(payload[8])?;
-        let item = Item::<D>::decode(&payload[9..]);
+        let item = Entry::<D>::decode(&payload[9..]).to_item();
         Some(WalRecord { seq, op, item })
     }
 }

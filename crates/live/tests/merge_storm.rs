@@ -9,9 +9,10 @@
 //! count below is deterministic: this is exact page accounting, not a
 //! timing.
 
+use pr_em::Record;
 use pr_geom::{Item, Rect};
 use pr_live::{LiveIndex, LiveOptions, LiveStats};
-use pr_tree::TreeParams;
+use pr_tree::{Entry, TreeParams};
 
 /// Items in the resident (compacted, high-slot) component.
 const BASE_N: u32 = 100_000;
@@ -82,7 +83,7 @@ fn storm_commits_reuse_the_resident_run_and_bound_write_amp() {
     let after = ix.stats().unwrap();
     assert_eq!(after.live, u64::from(BASE_N + ROUNDS * ROUND_N));
     let pages_written = after.store_pages_written - start.store_pages_written;
-    let ingested = u64::from(ROUNDS * ROUND_N) * Item::<2>::ENCODED_SIZE as u64;
+    let ingested = u64::from(ROUNDS * ROUND_N) * Entry::<2>::SIZE as u64;
     let write_amp = (pages_written * params.page_size as u64) as f64 / ingested as f64;
     println!(
         "storm write-amp {write_amp:.2}x ({pages_written} pages written, {} reused)",

@@ -25,14 +25,14 @@ use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::{pack_stream, stack_stream_levels};
 use pr_em::{
-    external_sort_multi, BlockDevice, EmError, MergeReader, SortConfig, Stream, StreamReader,
-    StreamWriter,
+    external_sort_multi, BlockDevice, EmError, MergeReader, Stream, StreamReader, StreamWriter,
 };
 use pr_geom::Rect;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Memory budget for external construction (the model's `M`).
+/// Memory budget for external construction (the model's `M`):
+/// [`pr_em::SortConfig`], under the name the loaders take it by.
 ///
 /// It is what the loaders size their state by: a sort's run formation
 /// holds `memory_bytes` of records, its merges and a
@@ -45,35 +45,7 @@ use std::sync::Arc;
 /// larger in memory than on disk (1.11 × in 2-D). It was 2.50 × while
 /// run formation sorted each load with a stable sort beside its scratch;
 /// the PR and TGS loaders' orders sort a load in place.
-#[derive(Debug, Clone, Copy)]
-pub struct ExternalConfig {
-    /// Main-memory budget in bytes.
-    pub memory_bytes: usize,
-}
-
-impl ExternalConfig {
-    /// Budget of `memory_bytes`.
-    pub fn with_memory(memory_bytes: usize) -> Self {
-        ExternalConfig { memory_bytes }
-    }
-
-    /// The paper's TPIE budget: 64MB.
-    pub fn paper() -> Self {
-        ExternalConfig {
-            memory_bytes: 64 << 20,
-        }
-    }
-
-    /// How many records of size `sz` fit in memory.
-    pub fn records_fit(&self, sz: usize) -> usize {
-        (self.memory_bytes / sz).max(1)
-    }
-
-    /// Sort configuration with this budget.
-    pub fn sort(&self) -> SortConfig {
-        SortConfig::with_memory(self.memory_bytes)
-    }
-}
+pub use pr_em::SortConfig as ExternalConfig;
 
 /// One sequential pass: the bounding box of every rectangle in `input`.
 pub fn scan_domain<const D: usize>(
@@ -133,7 +105,7 @@ pub fn load_hilbert_external<const D: usize>(
             .cmp(&b.key)
             .then_with(|| a.entry.ptr.cmp(&b.entry.ptr))
     };
-    let runs = external_sort_multi(dev.as_ref(), &keyed, config.sort(), &mut [by_key])?
+    let runs = external_sort_multi(dev.as_ref(), &keyed, config, &mut [by_key])?
         .pop()
         .expect("one order in, one set of runs out");
     keyed.discard(dev.as_ref());

@@ -113,8 +113,8 @@ use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::{stack_stream_levels, LevelWriter};
 use pr_em::{
-    external_sort_multi, BlockDevice, EmError, MergeReader, Record, SortOrder, Stream,
-    StreamReader, StreamWriter,
+    external_sort_multi, BlockDevice, EmError, MergeReader, SortOrder, Stream, StreamReader,
+    StreamWriter,
 };
 use pr_geom::Axis;
 use std::cmp::Ordering;
@@ -167,7 +167,7 @@ impl PrExternalLoader {
         let mut stage = Stage::<D> {
             dev,
             shape: self.inner.shape(cap),
-            mem_fit: self.config.records_fit(Entry::<D>::SIZE) as u64,
+            mem_fit: self.config.run_capacity::<Entry<D>>() as u64,
             pages: LevelWriter::new(dev, level),
             parents: StreamWriter::new(dev),
         };
@@ -182,8 +182,7 @@ impl PrExternalLoader {
         // the sort's runs. `round_bytes` counts one reader block; a scan
         // of these lists holds one per run.
         let mut orders: Vec<_> = Axis::all::<D>().map(extreme_first).collect();
-        let lists =
-            external_sort_multi::<Entry<D>, _>(dev, input, self.config.sort(), &mut orders)?;
+        let lists = external_sort_multi::<Entry<D>, _>(dev, input, self.config, &mut orders)?;
         let extra_blocks = lists[0].len() - 1;
         let budget = self.config.memory_bytes - extra_blocks * dev.block_size();
         stage.round(lists, input.len(), Axis(0), budget)?;

@@ -52,17 +52,14 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TgsLoader;
 
-/// Maximum items a subtree rooted at `level` can hold.
+/// Maximum items a subtree rooted at `level` can hold:
+/// `leaf_cap^(level + 1)`.
 pub(crate) fn subtree_capacity(params: &TreeParams, level: u8) -> usize {
-    let mut cap = params.leaf_cap;
-    for _ in 0..level {
-        cap = cap.saturating_mul(params.node_cap);
-    }
-    cap
+    params.leaf_cap.saturating_pow(u32::from(level) + 1)
 }
 
 /// The root's level for `n` items: the smallest `h` with
-/// `leaf_cap · node_cap^h ≥ n`.
+/// `leaf_cap^(h+1) ≥ n`.
 pub(crate) fn root_level(params: &TreeParams, n: u64) -> u8 {
     let mut level = 0;
     while (subtree_capacity(params, level) as u64) < n {
@@ -206,7 +203,7 @@ fn build_node<const D: usize>(
     let unit = subtree_capacity(params, level - 1);
     let mut groups = Vec::new();
     partition(Orders::build(entries), unit, &mut groups);
-    debug_assert!(groups.len() <= params.node_cap);
+    debug_assert!(groups.len() <= params.leaf_cap);
     let children = groups
         .into_iter()
         .map(|g| build_node(dev, params, g, level - 1))

@@ -65,12 +65,8 @@ impl TgsExternalLoader {
         let mut orders: Vec<_> = Axis::all::<D>()
             .map(|axis| AxisOrder(axis, Order::Kd))
             .collect();
-        let runs = external_sort_multi::<Entry<D>, _>(
-            dev.as_ref(),
-            input,
-            self.config.sort(),
-            &mut orders,
-        )?;
+        let runs =
+            external_sort_multi::<Entry<D>, _>(dev.as_ref(), input, self.config, &mut orders)?;
         let lists = runs
             .into_iter()
             .zip(orders)
@@ -110,7 +106,7 @@ fn build<const D: usize>(
         queue.push(right);
         queue.push(left);
     }
-    debug_assert!(groups.len() <= params.node_cap);
+    debug_assert!(groups.len() <= params.leaf_cap);
 
     let children = groups
         .into_iter()

@@ -8,6 +8,7 @@
 //! reinsertion — so the degradation experiment (`dyn`) can measure what
 //! happens to a bulk-loaded tree under updates.
 
+use crate::dynamic::same_identity;
 use crate::entry::Entry;
 use crate::page::NodePage;
 use crate::tree::RTree;
@@ -79,15 +80,13 @@ impl<const D: usize> RTree<D> {
             }
         }
 
-        let cap = self.params().cap_at_level(level);
-        if node.len() <= cap {
+        if node.len() <= self.params().leaf_cap {
             let mbr = node.mbr();
             self.write_node(page, &node)?;
             return Ok(InsertOutcome::Fit(mbr));
         }
         // Overflow: split this node.
-        let min_fill = self.params().min_fill(level);
-        let (a, b) = quadratic_split(node.entries, min_fill);
+        let (a, b) = quadratic_split(node.entries, self.params().min_fill());
         let node_a = NodePage::new(level, a);
         let node_b = NodePage::new(level, b);
         let mbr_a = node_a.mbr();
@@ -166,14 +165,14 @@ impl<const D: usize> RTree<D> {
         orphans: &mut Vec<(u8, Entry<D>)>,
     ) -> Result<DeleteOutcome<D>, EmError> {
         let (mut node, _) = self.read_node(page)?;
-        let min_fill = self.params().min_fill(level);
+        let min_fill = self.params().min_fill();
         let is_root = page == self.root();
 
         if node.is_leaf() {
             let Some(pos) = node
                 .entries
                 .iter()
-                .position(|e| e.ptr == item.id && e.rect == item.rect)
+                .position(|e| e.ptr == item.id && same_identity(&e.to_item(), item))
             else {
                 return Ok(DeleteOutcome::NotFound);
             };
@@ -381,6 +380,24 @@ mod tests {
         let params = TreeParams::with_cap::<2>(cap);
         let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
         RTree::new_empty(dev, params).unwrap()
+    }
+
+    /// A delete matches bit identity, as `count_exact`, the LPR-tree and
+    /// the live index do: id 7 at `-0.0` is not id 7 at `0.0`.
+    #[test]
+    fn delete_matches_signed_zero_twins_by_bits() {
+        let mut t = empty_tree(4);
+        for item in random_items(40, 5) {
+            t.insert(item).unwrap();
+        }
+        let stored = Item::new(Rect::xyxy(0.0, 1.0, 2.0, 3.0), 7);
+        t.insert(stored).unwrap();
+        let twin = Item::new(Rect::xyxy(-0.0, 1.0, 2.0, 3.0), 7);
+        assert!(!t.delete(&twin).unwrap(), "the signed-zero twin is absent");
+        assert_eq!(t.len(), 41);
+        assert!(t.delete(&stored).unwrap());
+        assert_eq!(t.len(), 40);
+        assert!(!t.delete(&stored).unwrap());
     }
 
     #[test]

@@ -1,4 +1,16 @@
 //! Tree entries: the 36-byte record everything is made of.
+//!
+//! This module is the one place that knows the record's layout: pages,
+//! streams, loose chunks, WAL frames and live manifests all encode
+//! through [`Entry`]'s [`Record`] impl, and the in-place readers below
+//! serve the kernels that scan records without decoding them.
+//!
+//! ```text
+//! offset   size   field
+//! 0        8·D    lower corner (little-endian f64 each)
+//! 8·D      8·D    upper corner
+//! 16·D     4      ptr (little-endian u32)
+//! ```
 
 use pr_em::Record;
 use pr_geom::{Item, Rect};
@@ -49,6 +61,41 @@ impl<const D: usize> Entry<D> {
         entries
             .iter()
             .fold(Rect::EMPTY, |acc, e| acc.mbr_with(&e.rect))
+    }
+
+    /// Byte offset of `ptr` within a record.
+    const PTR_AT: usize = 2 * D * 8;
+
+    /// Coordinate `k` of an encoded record, read in place: `0..D` are
+    /// the lower corner, `D..2D` the upper corner.
+    #[inline(always)]
+    pub(crate) fn read_coord(rec: &[u8], k: usize) -> f64 {
+        f64::from_le_bytes(rec[k * 8..k * 8 + 8].try_into().expect("8 bytes"))
+    }
+
+    /// Both corners of an encoded record, read in place.
+    #[inline(always)]
+    pub(crate) fn read_corners(rec: &[u8]) -> ([f64; D], [f64; D]) {
+        (
+            std::array::from_fn(|d| Self::read_coord(rec, d)),
+            std::array::from_fn(|d| Self::read_coord(rec, D + d)),
+        )
+    }
+
+    /// The `ptr` of an encoded record, read in place.
+    #[inline(always)]
+    pub(crate) fn read_ptr(rec: &[u8]) -> u32 {
+        u32::from_le_bytes(
+            rec[Self::PTR_AT..Self::PTR_AT + 4]
+                .try_into()
+                .expect("4 bytes"),
+        )
+    }
+
+    /// Overwrites the `ptr` of an encoded record in place.
+    #[inline]
+    pub(crate) fn write_ptr(rec: &mut [u8], ptr: u32) {
+        rec[Self::PTR_AT..Self::PTR_AT + 4].copy_from_slice(&ptr.to_le_bytes());
     }
 }
 
@@ -122,6 +169,7 @@ impl<const D: usize> Record for KeyedEntry<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn entry_size_matches_paper() {
@@ -173,6 +221,25 @@ mod tests {
         let back = Entry::<3>::decode(&want3);
         assert_eq!(back.rect.lo_at(2).to_bits(), (-0.0f64).to_bits());
         assert_eq!(back, e3);
+    }
+
+    proptest! {
+        #[test]
+        fn encode_decode_roundtrip(
+            x in -1000.0..1000.0f64,
+            y in -1000.0..1000.0f64,
+            w in 0.0..100.0f64,
+            h in 0.0..100.0f64,
+            id in any::<u32>(),
+        ) {
+            let e = Entry::new(Rect::xyxy(x, y, x + w, y + h), id);
+            let mut buf = [0u8; 36];
+            e.encode(&mut buf);
+            let back = Entry::<2>::decode(&buf);
+            prop_assert_eq!(back, e);
+            prop_assert_eq!(Entry::<2>::read_corners(&buf), (*e.rect.lo(), *e.rect.hi()));
+            prop_assert_eq!(Entry::<2>::read_ptr(&buf), id);
+        }
     }
 
     #[test]

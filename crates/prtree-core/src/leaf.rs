@@ -31,37 +31,17 @@ pub struct LeafRecords<'a, const D: usize> {
     bytes: &'a [u8],
 }
 
-/// Coordinate `k` of a record: `0..D` are the lower corner, `D..2D` the
-/// upper corner.
-#[inline(always)]
-fn coord(rec: &[u8], k: usize) -> f64 {
-    f64::from_le_bytes(rec[k * 8..k * 8 + 8].try_into().expect("8 bytes"))
-}
-
-#[inline(always)]
-fn corners<const D: usize>(rec: &[u8]) -> ([f64; D], [f64; D]) {
-    (
-        std::array::from_fn(|d| coord(rec, d)),
-        std::array::from_fn(|d| coord(rec, D + d)),
-    )
-}
-
-#[inline(always)]
-fn id<const D: usize>(rec: &[u8]) -> u32 {
-    u32::from_le_bytes(rec[2 * D * 8..2 * D * 8 + 4].try_into().expect("4 bytes"))
-}
-
 #[inline(always)]
 fn decode_item<const D: usize>(rec: &[u8]) -> Item<D> {
-    let (lo, hi) = corners::<D>(rec);
-    Item::new(Rect::new(lo, hi), id::<D>(rec))
+    let (lo, hi) = Entry::<D>::read_corners(rec);
+    Item::new(Rect::new(lo, hi), Entry::<D>::read_ptr(rec))
 }
 
 /// True when `rec` is bit-identical to `item`; coordinates are read only
 /// for a record whose id matches.
 #[inline(always)]
 fn identical<const D: usize>(rec: &[u8], item: &Item<D>) -> bool {
-    id::<D>(rec) == item.id && same_identity(&decode_item::<D>(rec), item)
+    Entry::<D>::read_ptr(rec) == item.id && same_identity(&decode_item::<D>(rec), item)
 }
 
 /// Closed intersection, branch-free over the dimensions — the test
@@ -131,9 +111,9 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
     pub fn collect_intersecting(&self, query: &Rect<D>, out: &mut Vec<Item<D>>) -> u64 {
         let mut count = 0u64;
         for rec in self.records() {
-            let (lo, hi) = corners::<D>(rec);
+            let (lo, hi) = Entry::<D>::read_corners(rec);
             if intersects(&lo, &hi, query) {
-                out.push(Item::new(Rect::new(lo, hi), id::<D>(rec)));
+                out.push(Item::new(Rect::new(lo, hi), Entry::<D>::read_ptr(rec)));
                 count += 1;
             }
         }
@@ -144,7 +124,7 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
     pub fn count_intersecting(&self, query: &Rect<D>) -> u64 {
         self.records()
             .map(|rec| {
-                let (lo, hi) = corners::<D>(rec);
+                let (lo, hi) = Entry::<D>::read_corners(rec);
                 intersects(&lo, &hi, query) as u64
             })
             .sum()
@@ -175,7 +155,7 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
         mut admit: impl FnMut(&Item<D>) -> bool,
     ) {
         for rec in self.records() {
-            let (lo, hi) = corners::<D>(rec);
+            let (lo, hi) = Entry::<D>::read_corners(rec);
             let mut d2 = 0.0;
             for d in 0..D {
                 let c = p.coord(d);
@@ -183,7 +163,7 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
                 d2 += delta * delta;
             }
             if best.admits(d2) {
-                let it = Item::new(Rect::new(lo, hi), id::<D>(rec));
+                let it = Item::new(Rect::new(lo, hi), Entry::<D>::read_ptr(rec));
                 if admit(&it) {
                     best.insert(d2, it);
                 }

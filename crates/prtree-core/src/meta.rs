@@ -11,24 +11,30 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       4     page_size        (u32)
-//! 4       4     leaf_cap         (u32)
-//! 8       4     node_cap         (u32)
-//! 12      4     min_fill_percent (u32)
-//! 16      8     root page id     (u64)
-//! 24      8     item count       (u64)
-//! 32      1     root_level       (u8)
+//! 0       4     page_size                   (u32)
+//! 4       4     leaf_cap                    (u32)
+//! 8       4     node_cap, always leaf_cap   (u32)
+//! 12      4     min_fill_percent, always 40 (u32)
+//! 16      8     root page id                (u64)
+//! 24      8     item count                  (u64)
+//! 32      1     root_level                  (u8)
 //! 33      7     reserved (zero)
 //! ```
+//!
+//! A tree has one capacity and a fixed 40 % minimum fill
+//! ([`TreeParams`]). The `node_cap` and `min_fill_percent` slots are
+//! kept so that stored files do not change: encode writes `leaf_cap`
+//! and 40 there, as every writer always has, and decode rejects any
+//! other value as corrupt.
 
-use crate::params::TreeParams;
+use crate::params::{TreeParams, MIN_FILL_PERCENT};
 use pr_em::{BlockId, EmError};
 
 /// Everything an R-tree is besides its pages. See the module docs for
 /// the wire layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeMeta {
-    /// Static tree configuration (page size, fanout, fill).
+    /// Static tree configuration (page size, capacity).
     pub params: TreeParams,
     /// Page id of the root node.
     pub root: BlockId,
@@ -47,8 +53,8 @@ impl TreeMeta {
         assert_eq!(buf.len(), Self::ENCODED_SIZE);
         buf[0..4].copy_from_slice(&(self.params.page_size as u32).to_le_bytes());
         buf[4..8].copy_from_slice(&(self.params.leaf_cap as u32).to_le_bytes());
-        buf[8..12].copy_from_slice(&(self.params.node_cap as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&self.params.min_fill_percent.to_le_bytes());
+        buf[8..12].copy_from_slice(&(self.params.leaf_cap as u32).to_le_bytes());
+        buf[12..16].copy_from_slice(&(MIN_FILL_PERCENT as u32).to_le_bytes());
         buf[16..24].copy_from_slice(&self.root.to_le_bytes());
         buf[24..32].copy_from_slice(&self.len.to_le_bytes());
         buf[32] = self.root_level;
@@ -74,8 +80,6 @@ impl TreeMeta {
         let params = TreeParams {
             page_size: u32_at(0),
             leaf_cap: u32_at(4),
-            node_cap: u32_at(8),
-            min_fill_percent: u32_at(12) as u32,
         };
         let meta = TreeMeta {
             params,
@@ -83,16 +87,17 @@ impl TreeMeta {
             len: u64_at(24),
             root_level: buf[32],
         };
-        if params.leaf_cap < 2 || params.node_cap < 2 {
+        if params.leaf_cap < 2 || u32_at(8) != params.leaf_cap {
             return Err(EmError::Corrupt(format!(
                 "tree metadata has impossible capacities (leaf {}, node {})",
-                params.leaf_cap, params.node_cap
+                params.leaf_cap,
+                u32_at(8)
             )));
         }
-        if params.min_fill_percent > 100 {
+        if u32_at(12) != MIN_FILL_PERCENT {
             return Err(EmError::Corrupt(format!(
-                "tree metadata has min fill {}% > 100%",
-                params.min_fill_percent
+                "tree metadata has min fill {}%, want {MIN_FILL_PERCENT}%",
+                u32_at(12)
             )));
         }
         if params.page_size == 0 {
@@ -157,6 +162,12 @@ mod tests {
         assert!(TreeMeta::decode(&bad).is_err());
         let mut bad = buf;
         bad[12..16].copy_from_slice(&250u32.to_le_bytes()); // fill > 100%
+        assert!(TreeMeta::decode(&bad).is_err());
+        let mut bad = buf;
+        bad[8..12].copy_from_slice(&112u32.to_le_bytes()); // capacities differ
+        assert!(TreeMeta::decode(&bad).is_err());
+        let mut bad = buf;
+        bad[12..16].copy_from_slice(&39u32.to_le_bytes()); // fill != 40%
         assert!(TreeMeta::decode(&bad).is_err());
         let mut bad = buf;
         bad[0..4].copy_from_slice(&0u32.to_le_bytes()); // page_size = 0

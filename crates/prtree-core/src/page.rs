@@ -134,9 +134,8 @@ pub fn remap_children<const D: usize>(
     if level > 0 {
         let entries = &mut page[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + count * Entry::<D>::SIZE];
         for entry in entries.chunks_exact_mut(Entry::<D>::SIZE) {
-            let ptr = &mut entry[Entry::<D>::SIZE - 4..];
-            let child = u32::from_le_bytes((&*ptr).try_into().expect("4 bytes"));
-            ptr.copy_from_slice(&remap(BlockId::from(child))?.to_le_bytes());
+            let child = BlockId::from(Entry::<D>::read_ptr(entry));
+            Entry::<D>::write_ptr(entry, remap(child)?);
         }
     }
     Ok(level)

@@ -1,27 +1,27 @@
-//! Tree parameters: page size, fanout, fill factors.
+//! Tree parameters: page size and the one node capacity.
 
 use crate::entry::Entry;
 use crate::page::PAGE_HEADER_SIZE;
 use pr_em::Record;
 
+/// Guttman's minimum fill for dynamically maintained nodes, as a
+/// percentage of the capacity (his `m`; 40 % is the classic choice).
+/// Bulk loaders ignore it.
+pub(crate) const MIN_FILL_PERCENT: usize = 40;
+
 /// Static configuration of an R-tree.
 ///
-/// `leaf_cap` is the paper's `B` (rectangles per leaf); `node_cap` is the
-/// internal fanout. With the paper's 4KB pages and 36-byte entries both
-/// are 113 (§3.1). Tests use tiny capacities to force deep trees on small
-/// inputs.
+/// A tree has one capacity, `leaf_cap`: the paper stores data
+/// rectangles and bounding boxes in the same 36-byte record (§3.1), so a
+/// page holds as many entries at every level — 113 with its 4KB pages.
+/// It is the paper's `B` and the internal fanout alike. Tests use tiny
+/// capacities to force deep trees on small inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeParams {
     /// Page (disk block) size in bytes.
     pub page_size: usize,
-    /// Maximum entries in a leaf (`B`).
+    /// Maximum entries in a node at any level (`B`).
     pub leaf_cap: usize,
-    /// Maximum children of an internal node.
-    pub node_cap: usize,
-    /// Minimum fill for dynamically maintained nodes, as a percentage of
-    /// capacity (Guttman's `m`; 40% is the classic choice). Bulk loaders
-    /// ignore it.
-    pub min_fill_percent: u32,
 }
 
 impl TreeParams {
@@ -36,8 +36,6 @@ impl TreeParams {
         TreeParams {
             page_size,
             leaf_cap: cap,
-            node_cap: cap,
-            min_fill_percent: 40,
         }
     }
 
@@ -56,23 +54,13 @@ impl TreeParams {
         TreeParams {
             page_size: PAGE_HEADER_SIZE + cap * Entry::<D>::SIZE,
             leaf_cap: cap,
-            node_cap: cap,
-            min_fill_percent: 40,
         }
     }
 
-    /// Capacity at a given level (level 0 = leaves).
-    pub fn cap_at_level(&self, level: u8) -> usize {
-        if level == 0 {
-            self.leaf_cap
-        } else {
-            self.node_cap
-        }
-    }
-
-    /// Guttman's minimum entries for a non-root node at `level`.
-    pub fn min_fill(&self, level: u8) -> usize {
-        (self.cap_at_level(level) * self.min_fill_percent as usize / 100).max(1)
+    /// Guttman's minimum entries for a non-root node: 40 % of the
+    /// capacity, at least 1.
+    pub fn min_fill(&self) -> usize {
+        (self.leaf_cap * MIN_FILL_PERCENT / 100).max(1)
     }
 }
 
@@ -94,7 +82,6 @@ mod tests {
         // §3.1: "The disk block size was chosen to be 4KB, resulting in a
         // maximum fanout of 113."
         assert_eq!(p.leaf_cap, 113);
-        assert_eq!(p.node_cap, 113);
     }
 
     #[test]
@@ -108,11 +95,10 @@ mod tests {
     #[test]
     fn min_fill_is_40_percent() {
         let p = TreeParams::with_cap::<2>(10);
-        assert_eq!(p.min_fill(0), 4);
-        assert_eq!(p.min_fill(1), 4);
+        assert_eq!(p.min_fill(), 4);
         // Never zero, even for tiny capacities.
         let tiny = TreeParams::with_cap::<2>(2);
-        assert_eq!(tiny.min_fill(0), 1);
+        assert_eq!(tiny.min_fill(), 1);
     }
 
     #[test]

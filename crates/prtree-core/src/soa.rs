@@ -84,24 +84,19 @@ impl<const D: usize> SoaNode<D> {
         // zip bounds the iteration and the in-record offsets are
         // compile-time constants (the `0..D` loop unrolls), so the body
         // is bounds-check-free.
-        let stride = Entry::<D>::SIZE;
-        let records = buf[PAGE_HEADER_SIZE..].chunks_exact(stride);
+        let records = buf[PAGE_HEADER_SIZE..].chunks_exact(Entry::<D>::SIZE);
         for d in 0..D {
             let lo_col = &mut self.lo[d * count..(d + 1) * count];
             for (v, rec) in lo_col.iter_mut().zip(records.clone()) {
-                *v = f64::from_le_bytes(rec[d * 8..d * 8 + 8].try_into().expect("8 bytes"));
+                *v = Entry::<D>::read_coord(rec, d);
             }
             let hi_col = &mut self.hi[d * count..(d + 1) * count];
             for (v, rec) in hi_col.iter_mut().zip(records.clone()) {
-                *v = f64::from_le_bytes(
-                    rec[(D + d) * 8..(D + d) * 8 + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                );
+                *v = Entry::<D>::read_coord(rec, D + d);
             }
         }
         for (v, rec) in self.ptrs.iter_mut().zip(records) {
-            *v = u32::from_le_bytes(rec[2 * D * 8..2 * D * 8 + 4].try_into().expect("4 bytes"));
+            *v = Entry::<D>::read_ptr(rec);
         }
         Ok(())
     }

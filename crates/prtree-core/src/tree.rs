@@ -372,7 +372,6 @@ impl<const D: usize> RTree<D> {
             nodes_per_level: nodes,
             entries_per_level: entries,
             leaf_cap: self.params.leaf_cap,
-            node_cap: self.params.node_cap,
         })
     }
 
@@ -540,10 +539,9 @@ pub struct TreeStructure {
     pub nodes_per_level: Vec<u64>,
     /// Total entries at each level.
     pub entries_per_level: Vec<u64>,
-    /// Leaf capacity (for utilization).
+    /// The tree's one node capacity, the same at every level (for
+    /// utilization).
     pub leaf_cap: usize,
-    /// Internal capacity.
-    pub node_cap: usize,
 }
 
 impl TreeStructure {
@@ -560,26 +558,12 @@ impl TreeStructure {
     /// Space utilization over all nodes: entries stored divided by entry
     /// slots available. The paper reports >99% for all bulk loaders.
     pub fn utilization(&self) -> f64 {
-        let mut used = 0.0;
-        let mut avail = 0.0;
-        for (level, (&n, &e)) in self
-            .nodes_per_level
-            .iter()
-            .zip(&self.entries_per_level)
-            .enumerate()
-        {
-            let cap = if level == 0 {
-                self.leaf_cap
-            } else {
-                self.node_cap
-            };
-            used += e as f64;
-            avail += (n as usize * cap) as f64;
-        }
+        let used: u64 = self.entries_per_level.iter().sum();
+        let avail = (self.num_nodes() as usize * self.leaf_cap) as f64;
         if avail == 0.0 {
             0.0
         } else {
-            used / avail
+            used as f64 / avail
         }
     }
 

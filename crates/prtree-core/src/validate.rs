@@ -78,7 +78,7 @@ impl<const D: usize> RTree<D> {
             nodes[l] += 1;
             entries[l] += node.len() as u64;
 
-            let cap = self.params().cap_at_level(node.level);
+            let cap = self.params().leaf_cap;
             if node.len() > cap {
                 errors.push(format!(
                     "page {page}: {} entries exceed capacity {cap}",
@@ -90,7 +90,7 @@ impl<const D: usize> RTree<D> {
                 errors.push(format!("page {page}: empty node"));
             }
             if opts.check_min_fill && !is_root {
-                let min = self.params().min_fill(node.level);
+                let min = self.params().min_fill();
                 if node.len() < min {
                     errors.push(format!(
                         "page {page}: {} entries below minimum fill {min}",
@@ -132,7 +132,6 @@ impl<const D: usize> RTree<D> {
                 nodes_per_level: nodes,
                 entries_per_level: entries,
                 leaf_cap: self.params().leaf_cap,
-                node_cap: self.params().node_cap,
             },
             errors,
         })

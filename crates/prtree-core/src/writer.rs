@@ -84,7 +84,7 @@ pub(crate) fn attach_root<const D: usize>(
     level: u8,
     len: u64,
 ) -> Result<RTree<D>, EmError> {
-    debug_assert!(entries.len() <= params.cap_at_level(level));
+    debug_assert!(entries.len() <= params.leaf_cap);
     if entries.len() == 1 && level > 0 {
         let root = entries[0].ptr as u64;
         return Ok(RTree::attach(dev, params, root, level - 1, len));
@@ -110,7 +110,7 @@ pub(crate) fn stack_levels<const D: usize>(
     let len = entries.len() as u64;
     let mut level = 0u8;
     loop {
-        let groups = group(&mut entries, params.cap_at_level(level));
+        let groups = group(&mut entries, params.leaf_cap);
         let mut pages = LevelWriter::new(dev.as_ref(), level);
         let mut parents = Vec::with_capacity(groups.len());
         for g in groups {
@@ -120,7 +120,7 @@ pub(crate) fn stack_levels<const D: usize>(
         level = level
             .checked_add(1)
             .expect("tree height exceeds 255 levels");
-        if entries.len() <= params.node_cap {
+        if entries.len() <= params.leaf_cap {
             return attach_root(dev, params, &entries, level, len);
         }
     }
@@ -155,10 +155,10 @@ pub(crate) fn stack_stream_levels<const D: usize>(
     len: u64,
     mut stage: impl FnMut(&dyn BlockDevice, &Stream, u8, usize) -> Result<Stream, EmError>,
 ) -> Result<RTree<D>, EmError> {
+    let cap = params.leaf_cap;
     let mut made: Option<Stream> = None;
     loop {
         let current = made.as_ref().unwrap_or(entries);
-        let cap = params.cap_at_level(level);
         if current.len() <= cap as u64 {
             let root = current.read_all::<Entry<D>>(dev.as_ref())?;
             let tree = attach_root(Arc::clone(&dev), params, &root, level, len);

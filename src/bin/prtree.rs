@@ -1266,12 +1266,8 @@ fn stats_file(file: &str, opts: &Opts) -> CmdResult {
             println!("file length:  {len} bytes");
         }
         println!(
-            "tree meta:    {} items, root level {}, leaf/node cap {}/{}, page size {}",
-            sb.meta.len,
-            sb.meta.root_level,
-            sb.meta.params.leaf_cap,
-            sb.meta.params.node_cap,
-            sb.meta.params.page_size
+            "tree meta:    {} items, root level {}, node cap {}, page size {}",
+            sb.meta.len, sb.meta.root_level, sb.meta.params.leaf_cap, sb.meta.params.page_size
         );
     }
     if !sb.has_snapshot() {
