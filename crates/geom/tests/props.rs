@@ -1,6 +1,8 @@
 //! Property-based tests for the geometry kernel.
 
+use pr_em::Record;
 use pr_geom::{mapped, Axis, Item, Point, Rect};
+use pr_tree::Entry;
 use proptest::prelude::*;
 
 fn arb_rect2() -> impl Strategy<Value = Rect<2>> {
@@ -58,6 +60,14 @@ proptest! {
     #[test]
     fn center_inside(a in arb_rect2()) {
         prop_assert!(a.contains_point(&a.center()));
+    }
+
+    /// Every item survives the 36-byte record codec bit for bit.
+    #[test]
+    fn encode_decode_roundtrip(item in arb_item2()) {
+        let mut buf = [0u8; Entry::<2>::SIZE];
+        Entry::from_item(item).encode(&mut buf);
+        prop_assert_eq!(Entry::<2>::decode(&buf).to_item(), item);
     }
 
     #[test]
