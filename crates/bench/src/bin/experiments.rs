@@ -8,6 +8,8 @@
 //! Prints each table in the paper's row/series layout; `--json` also
 //! writes machine-readable output.
 
+#![forbid(unsafe_code)]
+
 use pr_bench::{experiments, Scale, Table};
 use std::io::Write;
 

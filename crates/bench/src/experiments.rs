@@ -219,6 +219,25 @@ fn fig12_13(scale: Scale, eastern: bool) -> Table {
     t
 }
 
+/// One row of Figures 14 and 15: `label`, the queries' average output
+/// size T, then TGS, PR, H and H4's cost in percent of optimal. Each
+/// variant is built, queried and dropped before the next is built, so
+/// at most one tree is held beside `items`.
+fn four_variant_row(label: String, items: &[Item<2>], queries: &[Rect<2>]) -> Vec<String> {
+    let aggs: Vec<QueryAgg> = [
+        LoaderKind::Tgs,
+        LoaderKind::Pr,
+        LoaderKind::Hilbert,
+        LoaderKind::Hilbert4,
+    ]
+    .into_iter()
+    .map(|kind| run_queries(&build_in_memory(kind, items, params()), queries))
+    .collect();
+    let mut row = vec![label, format!("{:.0}", aggs[3].avg_results)];
+    row.extend(aggs.iter().map(|a| pct(a.avg_relative_cost)));
+    row
+}
+
 /// Figure 14: query cost vs dataset size (nested Eastern subsets, 1%-area
 /// square queries).
 pub fn fig14(scale: Scale) -> Table {
@@ -235,23 +254,7 @@ pub fn fig14(scale: Scale) -> Table {
         let items = profile.generate(n, r as u32 + 1);
         let domain = Rect::mbr_of(items.iter().map(|i| &i.rect));
         let queries = square_queries(&domain, 0.01, scale.queries_per_batch(), 0xF14 + r as u64);
-        let mut row = vec![format!("{n}")];
-        let mut avg_t = 0.0;
-        let mut costs = Vec::new();
-        for kind in [
-            LoaderKind::Tgs,
-            LoaderKind::Pr,
-            LoaderKind::Hilbert,
-            LoaderKind::Hilbert4,
-        ] {
-            let tree = build_in_memory(kind, &items, params());
-            let agg = run_queries(&tree, &queries);
-            avg_t = agg.avg_results;
-            costs.push(agg.avg_relative_cost);
-        }
-        row.push(format!("{avg_t:.0}"));
-        row.extend(costs.into_iter().map(pct));
-        t.row(row);
+        t.row(four_variant_row(format!("{n}"), &items, &queries));
     }
     t.note("paper (Fig 14): flat in N, all within ~110% of optimal");
     t
@@ -273,23 +276,7 @@ pub fn fig15_size(scale: Scale) -> Table {
             scale.queries_per_batch(),
             0xF15 + (max_side * 1e5) as u64,
         );
-        let mut row = vec![format!("{max_side}")];
-        let mut avg_t = 0.0;
-        let mut costs = Vec::new();
-        for kind in [
-            LoaderKind::Tgs,
-            LoaderKind::Pr,
-            LoaderKind::Hilbert,
-            LoaderKind::Hilbert4,
-        ] {
-            let tree = build_in_memory(kind, &items, params());
-            let agg = run_queries(&tree, &queries);
-            avg_t = agg.avg_results;
-            costs.push(agg.avg_relative_cost);
-        }
-        row.push(format!("{avg_t:.0}"));
-        row.extend(costs.into_iter().map(pct));
-        t.row(row);
+        t.row(four_variant_row(format!("{max_side}"), &items, &queries));
     }
     t.note("paper (Fig 15 left): small rects ≈100% for all; large rects: H degrades worst, TGS notably, PR & H4 stay low");
     t
@@ -311,23 +298,7 @@ pub fn fig15_aspect(scale: Scale) -> Table {
             scale.queries_per_batch(),
             0xF15A + aspect as u64,
         );
-        let mut row = vec![format!("{aspect:.0}")];
-        let mut avg_t = 0.0;
-        let mut costs = Vec::new();
-        for kind in [
-            LoaderKind::Tgs,
-            LoaderKind::Pr,
-            LoaderKind::Hilbert,
-            LoaderKind::Hilbert4,
-        ] {
-            let tree = build_in_memory(kind, &items, params());
-            let agg = run_queries(&tree, &queries);
-            avg_t = agg.avg_results;
-            costs.push(agg.avg_relative_cost);
-        }
-        row.push(format!("{avg_t:.0}"));
-        row.extend(costs.into_iter().map(pct));
-        t.row(row);
+        t.row(four_variant_row(format!("{aspect:.0}"), &items, &queries));
     }
     t.note(
         "paper (Fig 15 middle): H and TGS degrade with aspect ratio; PR ≈ H4 ≈ optimal throughout",
@@ -347,23 +318,7 @@ pub fn fig15_skew(scale: Scale) -> Table {
     for c in [1u32, 3, 5, 7, 9] {
         let items = skewed_dataset(n, c, 0x5E3D);
         let queries = skewed_queries(c, 0.01, scale.queries_per_batch(), 0xF15C + c as u64);
-        let mut row = vec![format!("{c}")];
-        let mut avg_t = 0.0;
-        let mut costs = Vec::new();
-        for kind in [
-            LoaderKind::Tgs,
-            LoaderKind::Pr,
-            LoaderKind::Hilbert,
-            LoaderKind::Hilbert4,
-        ] {
-            let tree = build_in_memory(kind, &items, params());
-            let agg = run_queries(&tree, &queries);
-            avg_t = agg.avg_results;
-            costs.push(agg.avg_relative_cost);
-        }
-        row.push(format!("{avg_t:.0}"));
-        row.extend(costs.into_iter().map(pct));
-        t.row(row);
+        t.row(four_variant_row(format!("{c}"), &items, &queries));
     }
     t.note("paper (Fig 15 right): PR flat in c (order-based construction); H, H4 and TGS degrade as skew grows");
     t

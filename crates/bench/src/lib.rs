@@ -15,6 +15,8 @@
 //! reports: the metric is an I/O count, not wall time, so who wins and
 //! by roughly what factor is preserved (README, "Paper fidelity").
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod measure;
 pub mod scale;

@@ -25,6 +25,8 @@
 //!   fraction, skew-transformed squares, CLUSTER strips, Theorem-3
 //!   lines).
 
+#![forbid(unsafe_code)]
+
 pub mod queries;
 pub mod synthetic;
 pub mod tiger;

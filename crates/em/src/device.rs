@@ -245,116 +245,6 @@ impl PositionedFile {
         }
     }
 
-    /// Writes every buffer in `bufs` back to back, starting at byte
-    /// `offset` — the positioned analogue of `write_vectored`. On 64-bit
-    /// unix the buffers go down in `pwritev` calls (one kernel crossing
-    /// gathers the whole group in the common case); elsewhere this
-    /// degrades to one `write_all_at` per buffer. The WAL's group-commit
-    /// leader uses it to land a queue of independently encoded batches
-    /// in a single syscall ahead of the one shared fsync. The whole
-    /// gather counts as **one** op for fault injection (it is one
-    /// logical append); a torn fault keeps a prefix of the logical
-    /// concatenation.
-    pub fn write_all_vectored_at(&self, bufs: &[&[u8]], offset: u64) -> std::io::Result<()> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        retry_io(|| match fault::on_op(OpClass::Write, total) {
-            Decision::Proceed => self.write_all_vectored_at_impl(bufs, offset),
-            Decision::Fail(e) => Err(e.to_io_error()),
-            Decision::Torn { keep, errno } => {
-                let mut remaining = keep;
-                let mut off = offset;
-                for b in bufs {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let n = b.len().min(remaining);
-                    let _ = self.write_all_at_impl(&b[..n], off);
-                    off += n as u64;
-                    remaining -= n;
-                }
-                Err(errno.to_io_error())
-            }
-            Decision::FlipBit { bit } => {
-                let mut flat: Vec<u8> = Vec::with_capacity(total);
-                for b in bufs {
-                    flat.extend_from_slice(b);
-                }
-                fault::flip_bit(&mut flat, bit);
-                self.write_all_at_impl(&flat, offset)
-            }
-        })
-    }
-
-    fn write_all_vectored_at_impl(&self, bufs: &[&[u8]], offset: u64) -> std::io::Result<()> {
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        {
-            use std::os::unix::io::AsRawFd;
-            // Stay under IOV_MAX (1024 on every supported unix); larger
-            // groups simply take another lap.
-            const IOV_CHUNK: usize = 1024;
-            let mut off = offset;
-            for chunk in bufs.chunks(IOV_CHUNK) {
-                let mut iov: Vec<sys::IoVec> = chunk
-                    .iter()
-                    .filter(|b| !b.is_empty())
-                    .map(|b| sys::IoVec {
-                        base: b.as_ptr() as *mut _,
-                        len: b.len(),
-                    })
-                    .collect();
-                let mut total: usize = iov.iter().map(|v| v.len).sum();
-                let mut start = 0usize;
-                while total > 0 {
-                    let rc = unsafe {
-                        sys::pwritev(
-                            self.file.as_raw_fd(),
-                            iov[start..].as_ptr(),
-                            (iov.len() - start) as std::ffi::c_int,
-                            off as i64,
-                        )
-                    };
-                    if rc < 0 {
-                        let err = std::io::Error::last_os_error();
-                        if err.kind() == std::io::ErrorKind::Interrupted {
-                            continue;
-                        }
-                        return Err(err);
-                    }
-                    let mut n = rc as usize;
-                    if n == 0 {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::WriteZero,
-                            "pwritev wrote 0 bytes",
-                        ));
-                    }
-                    off += n as u64;
-                    total -= n;
-                    // Skip fully written iovecs; trim a partial one.
-                    while n > 0 {
-                        if n >= iov[start].len {
-                            n -= iov[start].len;
-                            start += 1;
-                        } else {
-                            iov[start].base = unsafe { iov[start].base.cast::<u8>().add(n).cast() };
-                            iov[start].len -= n;
-                            n = 0;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }
-        #[cfg(not(all(unix, target_pointer_width = "64")))]
-        {
-            let mut off = offset;
-            for buf in bufs {
-                self.write_all_at(buf, off)?;
-                off += buf.len() as u64;
-            }
-            Ok(())
-        }
-    }
-
     /// Forces written data (and metadata needed to read it back) to disk.
     pub fn sync_data(&self) -> std::io::Result<()> {
         crate::obs::metrics().device_fsyncs.inc();
@@ -510,25 +400,10 @@ mod sys {
     }
     pub const PROT_READ: c_int = 1;
     pub const MAP_SHARED: c_int = 1;
-
-    /// `struct iovec` — identical layout on every unix ABI.
-    #[cfg(target_pointer_width = "64")]
-    #[repr(C)]
-    pub struct IoVec {
-        pub base: *mut c_void,
-        pub len: usize,
-    }
-
-    #[cfg(target_pointer_width = "64")]
-    extern "C" {
-        // `off_t` is 64-bit on every LP64 unix; the pointer-width gate
-        // keeps us off ILP32, where the plain `pwritev` symbol takes a
-        // 32-bit offset and this declaration would corrupt the call.
-        pub fn pwritev(fd: c_int, iov: *const IoVec, iovcnt: c_int, offset: i64) -> isize;
-    }
 }
 
 #[cfg(unix)]
+#[allow(unsafe_code)]
 impl Mmap {
     fn new(file: &File, len: usize) -> Option<Mmap> {
         use std::os::unix::io::AsRawFd;
@@ -573,11 +448,14 @@ impl Mmap {
 // SAFETY: the mapping is immutable (PROT_READ) and not tied to any
 // thread; concurrent `&`-reads of plain bytes are race-free.
 #[cfg(unix)]
+#[allow(unsafe_code)]
 unsafe impl Send for Mmap {}
 #[cfg(unix)]
+#[allow(unsafe_code)]
 unsafe impl Sync for Mmap {}
 
 #[cfg(unix)]
+#[allow(unsafe_code)]
 impl Drop for Mmap {
     fn drop(&mut self) {
         unsafe {

@@ -51,7 +51,7 @@ pub enum OpClass {
     /// A positioned / block read (including mapped reads probed through
     /// [`mapped_read`]).
     Read,
-    /// A positioned / vectored / block write.
+    /// A positioned / block write.
     Write,
     /// `fsync` / `fdatasync`, including directory fsyncs.
     Fsync,

@@ -20,6 +20,8 @@
 //! All counters are cheap atomics; devices are `Sync` so concurrent
 //! readers and a merge can share them.
 
+#![deny(unsafe_code)]
+
 pub mod device;
 pub mod error;
 pub mod fault;

@@ -23,6 +23,8 @@
 //! here break ties by item id (see [`mapped::cmp_items_on_axis`]), making
 //! every ordering total and deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod item;
 pub mod mapped;

@@ -16,6 +16,8 @@
 //! [`hilbert_point`] inverts it. [`HilbertMapper`] handles the
 //! quantization of floating-point coordinates into the integer grid.
 
+#![forbid(unsafe_code)]
+
 /// Maximum total bits (`dimensions × order`) representable in the `u128`
 /// index.
 pub const MAX_TOTAL_BITS: u32 = 128;

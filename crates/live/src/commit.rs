@@ -4,17 +4,18 @@
 //! ## Protocol
 //!
 //! 1. **Enqueue.** A writer, still holding the index's sequencing lock,
-//!    pushes its already-encoded batch ([`PendingBatch`]) onto the
-//!    queue. Because every enqueue happens under that lock, queue order
-//!    is sequence order. (The writer's logical ops were pushed onto the
-//!    core's pending FIFO in the same critical section, so the leader
-//!    can apply them without re-decoding anything.)
+//!    encodes its batch's record frames straight onto the end of the
+//!    queued [`Group`], one buffer shared by every batch that group
+//!    will carry. Because every enqueue happens under that lock, the
+//!    buffer is in sequence order. (The writer's logical ops were
+//!    pushed onto the core's pending FIFO in the same critical section,
+//!    so the leader can apply them without re-decoding anything.)
 //! 2. **Lead / follow.** The writer then calls
 //!    [`GroupCommit::commit_wait`] — *without* the sequencing lock. The
 //!    first waiter to observe "no leader active, queue non-empty"
-//!    becomes the leader: it takes the whole queue, and the caller's
-//!    `lead` closure lands it with one vectored write (plus one fsync
-//!    under `Fsync` durability) and applies the group to the core.
+//!    becomes the leader: it takes the whole group, and the caller's
+//!    `lead` closure lands its buffer with one positioned write (plus
+//!    one fsync under `Fsync` durability) and applies it to the core.
 //!    Everyone else sleeps on the condvar until the published horizon
 //!    covers their last sequence number.
 //! 3. **Sync window** (async durability). Acks happen at the *applied*
@@ -59,18 +60,24 @@
 //! queued batch has a live waiter that can lead it.
 
 use crate::error::LiveError;
-use crate::wal::Wal;
+use crate::wal::{Wal, WalRecord, RECORD_HEADER_SIZE};
+use pr_obs::trace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// One enqueued, already-encoded WAL batch awaiting its group.
-pub(crate) struct PendingBatch {
-    /// Concatenated record frames, ready for the vectored append.
+/// The batches enqueued since the last leader took the queue: their
+/// record frames back to back in sequence order, as one append lands
+/// them.
+#[derive(Default)]
+pub(crate) struct Group {
+    /// Concatenated record frames of every batch in the group.
     pub(crate) bytes: Vec<u8>,
-    /// Number of records (== logical ops) in the batch.
+    /// Batches (enqueue calls) in the group.
+    pub(crate) batches: usize,
+    /// Records (== logical ops) in the group.
     pub(crate) n_ops: usize,
-    /// Highest sequence number in the batch.
+    /// Highest sequence number in the group.
     pub(crate) last_seq: u64,
 }
 
@@ -95,10 +102,8 @@ pub(crate) struct FailedRange {
 
 /// Mutable queue state, behind [`GroupCommit::q`].
 pub(crate) struct CommitQueue {
-    /// Encoded batches awaiting a leader, in sequence order.
-    pub(crate) pending: Vec<PendingBatch>,
-    /// Total frame bytes queued in `pending`.
-    pub(crate) pending_bytes: u64,
+    /// The group awaiting a leader; empty when `batches == 0`.
+    pub(crate) group: Group,
     /// A leader is writing/applying a group right now.
     pub(crate) leader_active: bool,
     /// Highest seq written to the WAL file *and* applied to the core —
@@ -157,11 +162,6 @@ impl CommitQueue {
     }
 }
 
-/// Cap on pooled spare encode buffers: generous for any realistic
-/// writer count, small enough that one ingest burst can't pin
-/// unbounded memory in the pool forever.
-const SPARE_BUFS_CAP: usize = 64;
-
 /// The commit pipeline: queue + condvar + the WAL itself + counters.
 pub(crate) struct GroupCommit {
     pub(crate) q: Mutex<CommitQueue>,
@@ -176,16 +176,6 @@ pub(crate) struct GroupCommit {
     pub(crate) groups: AtomicU64,
     /// Records written through groups.
     pub(crate) records: AtomicU64,
-    /// The encode arena: spare frame buffers recycled across batches.
-    /// Writers take one under the sequencing lock ([`GroupCommit::
-    /// take_buf`]); the leader returns the whole group's buffers after
-    /// landing (or rolling back) it. Lock order: only ever taken with
-    /// `q` already held or with no pipeline lock at all — never the
-    /// reverse.
-    spare: Mutex<Vec<Vec<u8>>>,
-    /// Fresh buffer allocations — pool-empty takes. Pinned by the
-    /// group-commit test: once the pool warms, batches stop allocating.
-    pub(crate) arena_allocs: AtomicU64,
 }
 
 impl GroupCommit {
@@ -194,8 +184,7 @@ impl GroupCommit {
     pub(crate) fn new(wal: Wal, start_seq: u64) -> GroupCommit {
         GroupCommit {
             q: Mutex::new(CommitQueue {
-                pending: Vec::new(),
-                pending_bytes: 0,
+                group: Group::default(),
                 leader_active: false,
                 applied_seq: start_seq,
                 synced_seq: start_seq,
@@ -212,64 +201,56 @@ impl GroupCommit {
             fsyncs: AtomicU64::new(0),
             groups: AtomicU64::new(0),
             records: AtomicU64::new(0),
-            spare: Mutex::new(Vec::new()),
-            arena_allocs: AtomicU64::new(0),
         }
     }
 
-    /// Hands out a cleared encode buffer from the arena pool — the
-    /// per-batch frame `Vec` without the per-batch allocation. The
-    /// buffer rides the queue inside its [`PendingBatch`] and returns
-    /// to the pool once its group's leader is done with it.
-    pub(crate) fn take_buf(&self) -> Vec<u8> {
-        if let Some(buf) = self.spare.lock().expect("spare buffers").pop() {
-            return buf;
-        }
-        self.arena_allocs.fetch_add(1, Ordering::Relaxed);
-        Vec::new()
-    }
-
-    /// Returns a landed (or rolled-back — either way never again read)
-    /// group's encode buffers to the arena pool.
-    fn recycle(&self, group: Vec<PendingBatch>) {
-        let mut pool = self.spare.lock().expect("spare buffers");
-        for b in group {
-            if pool.len() >= SPARE_BUFS_CAP {
-                break;
-            }
-            let mut bytes = b.bytes;
-            bytes.clear();
-            pool.push(bytes);
-        }
-    }
-
-    /// Enqueues an encoded batch. The caller holds the sequencing lock,
-    /// so queue order == seq order. With `max_inflight` set (async
+    /// Encodes a batch's records (at least one, in sequence order) onto
+    /// the end of the queued group. The caller holds the sequencing
+    /// lock, so group order == seq order. With `max_inflight` set (async
     /// durability) this is also the backpressure point: blocks while
     /// the unsynced window plus the queue would overflow the bound —
     /// unless the window is empty, so a single oversized batch is
     /// always admitted rather than deadlocking.
-    pub(crate) fn enqueue(
+    pub(crate) fn enqueue<const D: usize>(
         &self,
-        batch: PendingBatch,
+        records: impl ExactSizeIterator<Item = WalRecord<D>>,
         max_inflight: Option<u64>,
     ) -> Result<(), LiveError> {
+        let n_ops = records.len();
+        let batch_bytes = n_ops * (RECORD_HEADER_SIZE + WalRecord::<D>::PAYLOAD_SIZE);
+        let t_enq = trace::span_start();
         let mut q = self.q.lock().expect("commit queue");
         if let Some(maxb) = max_inflight {
             loop {
                 if q.io_error.is_some() {
                     break;
                 }
-                let outstanding = (q.written_bytes - q.synced_bytes) + q.pending_bytes;
-                if outstanding == 0 || outstanding + batch.bytes.len() as u64 <= maxb {
+                let outstanding = (q.written_bytes - q.synced_bytes) + q.group.bytes.len() as u64;
+                if outstanding == 0 || outstanding + batch_bytes as u64 <= maxb {
                     break;
                 }
                 q = self.cv.wait(q).expect("commit queue");
             }
         }
         q.check_poisoned()?;
-        q.pending_bytes += batch.bytes.len() as u64;
-        q.pending.push(batch);
+        trace::span_since("live", "enqueue", t_enq, format_args!(""));
+        let t_enc = trace::span_start();
+        let group = &mut q.group;
+        // One allocation at most, also when the leader holds the last
+        // group's buffer and this batch starts a fresh one.
+        group.bytes.reserve(batch_bytes);
+        for rec in records {
+            rec.encode_into(&mut group.bytes);
+            group.last_seq = rec.seq;
+        }
+        group.batches += 1;
+        group.n_ops += n_ops;
+        trace::span_since(
+            "live",
+            "encode",
+            t_enc,
+            format_args!("ops={n_ops} bytes={batch_bytes}"),
+        );
         self.cv.notify_all();
         Ok(())
     }
@@ -277,8 +258,8 @@ impl GroupCommit {
     /// Waits until `seq` is acknowledged — synced when `fsync_mode`,
     /// applied otherwise — leading whenever the queue has work and no
     /// leader is active. `lead` runs with no queue lock held; it must
-    /// write the group to the WAL (fsyncing it iff `fsync_mode`) and
-    /// apply its ops to the core, in order.
+    /// append the group's bytes to the WAL (fsyncing them iff
+    /// `fsync_mode`) and apply its ops to the core, in order.
     pub(crate) fn commit_wait<F>(
         &self,
         seq: u64,
@@ -286,7 +267,7 @@ impl GroupCommit {
         mut lead: F,
     ) -> Result<(), LiveError>
     where
-        F: FnMut(&[PendingBatch]) -> Result<(), LiveError>,
+        F: FnMut(&Group) -> Result<(), LiveError>,
     {
         let mut q = self.q.lock().expect("commit queue");
         loop {
@@ -306,20 +287,24 @@ impl GroupCommit {
                 return Ok(());
             }
             q.check_poisoned()?;
-            if !q.leader_active && !q.pending.is_empty() {
+            if !q.leader_active && q.group.batches > 0 {
                 q.leader_active = true;
-                let group = std::mem::take(&mut q.pending);
-                q.pending_bytes = 0;
-                let bytes: u64 = group.iter().map(|b| b.bytes.len() as u64).sum();
-                let n_ops: u64 = group.iter().map(|b| b.n_ops as u64).sum();
-                let last_seq = group.last().expect("group nonempty").last_seq;
+                let mut group = std::mem::take(&mut q.group);
                 drop(q);
                 let res = lead(&group);
                 q = self.q.lock().expect("commit queue");
                 q.leader_active = false;
+                let (bytes, n_batches) = (group.bytes.len() as u64, group.batches);
+                let (n_ops, last_seq) = (group.n_ops as u64, group.last_seq);
+                if q.group.bytes.is_empty() {
+                    // No writer has started the next group: hand the
+                    // allocation back, so a lone writer's steady state
+                    // allocates nothing per batch.
+                    group.bytes.clear();
+                    q.group.bytes = group.bytes;
+                }
                 match res {
                     Ok(()) => {
-                        let n_batches = group.len();
                         q.applied_seq = last_seq;
                         q.resolved_seq = q.resolved_seq.max(last_seq);
                         if q.degraded {
@@ -355,7 +340,6 @@ impl GroupCommit {
                             ),
                         );
                         self.cv.notify_all();
-                        self.recycle(group);
                     }
                     Err(e) => {
                         // The lead closure rolled the group back (WAL
@@ -367,13 +351,13 @@ impl GroupCommit {
                         let reason = e.to_string();
                         let lo = q.resolved_seq + 1;
                         q.resolved_seq = q.resolved_seq.max(last_seq);
-                        if group.len() > 1 {
+                        if n_batches > 1 {
                             q.failed.push(FailedRange {
                                 lo,
                                 hi: last_seq,
                                 reason: reason.clone(),
                                 transient,
-                                remaining: group.len() - 1,
+                                remaining: n_batches - 1,
                             });
                         }
                         if transient {
@@ -390,7 +374,6 @@ impl GroupCommit {
                             ),
                         );
                         self.cv.notify_all();
-                        self.recycle(group);
                         return Err(LiveError::GroupFailed { reason, transient });
                     }
                 }
@@ -515,6 +498,72 @@ impl GroupCommit {
                 }
                 Err(_) => return, // fatal: sync_window poisoned the queue
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::WalOp;
+    use pr_em::fault::{self, FaultSchedule};
+    use pr_geom::{Item, Rect};
+
+    /// Three batches enqueued from one thread and led by one
+    /// `commit_wait` land as one group: the segment grows by exactly
+    /// their frames, which decode back in seq order, and the group costs
+    /// one write op (the lead's only other I/O is the fsync mode's one
+    /// fsync). The leader hands the buffer back for the next group.
+    #[test]
+    fn one_group_is_one_write() {
+        let _hook = fault::exclusive();
+        let frame = (RECORD_HEADER_SIZE + WalRecord::<2>::PAYLOAD_SIZE) as u64;
+        let recs: Vec<WalRecord<2>> = (1..=6u32)
+            .map(|i| WalRecord {
+                seq: u64::from(i),
+                op: WalOp::Insert,
+                item: Item::new(Rect::xyxy(f64::from(i), 0.0, f64::from(i) + 1.0, 1.0), i),
+            })
+            .collect();
+        for fsync_mode in [false, true] {
+            let dir = std::env::temp_dir()
+                .join(format!("pr-live-index-{}", std::process::id()))
+                .join(format!("one-group-fsync-{fsync_mode}"));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            let gc = GroupCommit::new(Wal::create(&dir).unwrap(), 0);
+            for batch in [&recs[0..2], &recs[2..5], &recs[5..6]] {
+                gc.enqueue(batch.iter().copied(), None).unwrap();
+            }
+
+            let guard = fault::install(FaultSchedule::count_only(1));
+            let mut leads = 0;
+            gc.commit_wait(6, fsync_mode, |group| {
+                leads += 1;
+                assert_eq!((group.batches, group.n_ops, group.last_seq), (3, 6, 6));
+                let mut wal = gc.wal.lock().expect("wal mutex");
+                wal.append(&group.bytes)?;
+                if fsync_mode {
+                    wal.sync()?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            let ops = fault::op_count();
+            drop(guard);
+            assert_eq!(leads, 1, "one commit_wait leads the three batches");
+            assert_eq!(ops, 1 + u64::from(fsync_mode), "fsync={fsync_mode}");
+
+            let q = gc.q.lock().expect("commit queue");
+            assert_eq!((q.applied_seq, q.written_bytes), (6, 6 * frame));
+            assert!(q.group.bytes.is_empty() && q.group.bytes.capacity() as u64 >= 6 * frame);
+            drop(q);
+            drop(gc);
+            let seg = std::fs::metadata(dir.join("wal-000001.log")).unwrap().len();
+            assert_eq!(seg, crate::wal::SEGMENT_HEADER_SIZE + 6 * frame);
+            let (_wal, back) = Wal::open::<2>(&dir).unwrap();
+            assert_eq!(back, recs);
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

@@ -275,6 +275,8 @@ mod tests {
     /// filter: the leaf scan stays off the lock that writers wait on.
     #[test]
     fn stale_decide_builds_no_filter_under_the_lock() {
+        // File I/O in this binary stays out of another test's fault count.
+        let _hook = pr_em::fault::exclusive();
         let dir = std::env::temp_dir()
             .join(format!("pr-live-index-{}", std::process::id()))
             .join("stale-decide");

@@ -57,6 +57,8 @@
 //! by tests (`tests/live_recovery.rs`, `tests/live_concurrency.rs`,
 //! `tests/live_group_commit.rs`).
 
+#![forbid(unsafe_code)]
+
 mod commit;
 mod core;
 pub mod error;

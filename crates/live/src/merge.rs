@@ -56,7 +56,7 @@
 //! appended. Bytes written per merge are therefore
 //! O(new component); sustained ingest pays the geometric policy's
 //! O(levels) amortized write amplification instead of O(index size).
-//! Superseded runs are *not* recycled in place: their bytes accrue as
+//! Superseded runs are *not* reused in place: their bytes accrue as
 //! garbage ([`pr_store::Store::garbage_bytes`]) until an explicit
 //! [`crate::LiveIndex::compact`] /
 //! [`crate::LiveIndex::compact_if_garbage`] — which keep full-rewrite

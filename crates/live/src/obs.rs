@@ -18,7 +18,7 @@ pub struct Metrics {
     /// `live_deletes_acked_total` — deletes acknowledged (matched a
     /// live item and were logged).
     pub deletes_acked: pr_obs::Counter,
-    /// `live_wal_groups_total` — commit groups written (one vectored
+    /// `live_wal_groups_total` — commit groups written (one positioned
     /// append each).
     pub wal_groups: pr_obs::Counter,
     /// `live_wal_records_total` — WAL records landed through groups.

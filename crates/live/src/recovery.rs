@@ -265,6 +265,8 @@ mod tests {
     /// stored and memtable copies is corrupt: the live count would wrap.
     #[test]
     fn a_manifest_with_surplus_tombstones_is_corrupt() {
+        // File I/O in this binary stays out of another test's fault count.
+        let _hook = pr_em::fault::exclusive();
         let dir = std::env::temp_dir()
             .join(format!("pr-live-index-{}", std::process::id()))
             .join("surplus-tombstones");

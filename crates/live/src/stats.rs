@@ -78,7 +78,6 @@ impl<const D: usize> LiveIndex<D> {
         let store_pages_written = self.inner.merge_pages_written.load(Ordering::Relaxed);
         let store_pages_reused = self.inner.merge_pages_reused.load(Ordering::Relaxed);
         let write_amp_x100 = self.inner.write_amp_x100().unwrap_or(0);
-        let wal_arena_allocs = self.inner.group.arena_allocs.load(Ordering::Relaxed);
         let merges_paused = {
             let sig = self.inner.signal.lock().expect("signal mutex");
             sig.merges_paused
@@ -113,7 +112,6 @@ impl<const D: usize> LiveIndex<D> {
             write_amp_x100,
             store_garbage_bytes,
             store_runs,
-            wal_arena_allocs,
         })
     }
 }
@@ -191,9 +189,6 @@ pub struct LiveStats {
     /// page reuse across merges is observable here as unchanged
     /// `(id, data_offset)` pairs.
     pub store_runs: Vec<StoreRunStat>,
-    /// Fresh WAL-encode buffer allocations (arena-pool misses); flat
-    /// once the pool warms regardless of batch count.
-    pub wal_arena_allocs: u64,
 }
 
 /// One active component run, as reported by [`LiveStats::store_runs`].

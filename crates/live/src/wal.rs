@@ -5,13 +5,12 @@
 //! append+fsync per caller. The append path has three roles:
 //!
 //! * **Enqueue** — a writer, holding only the sequencing lock, assigns
-//!   sequence numbers and *encodes* its batch into a frame buffer
-//!   ([`WalRecord::encode_into`], one record per op), then pushes the
-//!   buffer onto the commit queue. No I/O happens under the sequencing
-//!   lock.
-//! * **Lead** — the first waiter to find the queue non-idle drains
-//!   *every* queued batch, lands them with one vectored positioned
-//!   write ([`Wal::append_encoded`] → `pwritev`), issues **one**
+//!   sequence numbers and *encodes* its batch onto the end of the commit
+//!   queue's one group buffer ([`WalRecord::encode_into`], one record
+//!   per op). No I/O happens under the sequencing lock.
+//! * **Lead** — the first waiter to find the queue non-idle takes the
+//!   group buffer, holding *every* queued batch, lands it with one
+//!   positioned write ([`Wal::append`]), issues **one**
 //!   `fsync` for the whole group ([`Wal::sync`]; skipped in async
 //!   durability, where a dedicated syncer thread syncs behind a bounded
 //!   window), applies the group to the memtable, and publishes the new
@@ -134,8 +133,8 @@ impl<const D: usize> WalRecord<D> {
     /// Appends this record's frame (length + CRC header, then the
     /// payload) to `buf`. Allocation-free: the payload is encoded
     /// directly into `buf` and the CRC patched over it afterwards, so
-    /// encoding into a recycled arena buffer touches the heap only to
-    /// grow the buffer's capacity.
+    /// encoding into a commit group's reused buffer touches the heap
+    /// only to grow the buffer's capacity.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let frame = buf.len();
         buf.extend_from_slice(&(Self::PAYLOAD_SIZE as u32).to_le_bytes());
@@ -284,23 +283,18 @@ impl Wal {
         Ok((wal.expect("segs nonempty"), records))
     }
 
-    /// Appends pre-encoded record frames — one buffer per enqueued batch
-    /// — with a single vectored positioned write, and **no** sync. This
-    /// is the group leader's step: the whole commit group reaches the
-    /// kernel in one crossing; the one shared fsync (or the async
-    /// syncer's next pass) follows. Returns the bytes appended.
-    pub fn append_encoded(&mut self, bufs: &[&[u8]]) -> Result<u64, LiveError> {
-        let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
-        if total == 0 {
-            return Ok(0);
-        }
-        self.file.write_all_vectored_at(bufs, self.write_off)?;
-        self.write_off += total;
-        Ok(total)
+    /// Appends encoded record frames — a whole commit group, its
+    /// batches back to back — with one positioned write, and **no**
+    /// sync. This is the group leader's step; the one shared fsync (or
+    /// the async syncer's next pass) follows.
+    pub fn append(&mut self, frames: &[u8]) -> Result<(), LiveError> {
+        self.file.write_all_at(frames, self.write_off)?;
+        self.write_off += frames.len() as u64;
+        Ok(())
     }
 
     /// Current append offset in the active segment. Captured by a group
-    /// leader *before* its vectored append so a failed group can be
+    /// leader *before* its append so a failed group can be
     /// rolled back with [`Wal::rollback_to`].
     pub fn offset(&self) -> u64 {
         self.write_off

@@ -1,7 +1,7 @@
-//! The write path: inserts and deletes are sequenced and encoded under
-//! the writer lock, enqueued, and acknowledged by a group commit.
+//! The write path: inserts and deletes are sequenced under the writer
+//! lock, encoded onto the commit queue's group buffer, and acknowledged
+//! by a group commit.
 
-use crate::commit::PendingBatch;
 use crate::core::PendingApply;
 use crate::error::LiveError;
 use crate::index::{LiveIndex, LiveInner, WriterState};
@@ -25,9 +25,9 @@ impl<const D: usize> LiveInner<D> {
     }
 
     /// Waits until `seq` is acknowledged, leading a commit group when
-    /// the queue needs one: one vectored WAL write for every enqueued
-    /// batch, one fsync for the lot (Fsync mode), then the whole group's
-    /// ops applied to the core in sequence order.
+    /// the queue needs one: one WAL write of the group's buffer, which
+    /// holds every enqueued batch, one fsync for the lot (Fsync mode),
+    /// then the whole group's ops applied to the core in sequence order.
     ///
     /// When the caller's op is sampled, the commit phases are recorded
     /// in its trace: `lead`/`wait` covering the whole call, and (leader
@@ -41,18 +41,17 @@ impl<const D: usize> LiveInner<D> {
         let mut led = false;
         let res = self.group.commit_wait(seq, fsync_mode, |group| {
             led = true;
-            let n_ops: usize = group.iter().map(|b| b.n_ops).sum();
+            let n_ops = group.n_ops;
             {
                 let mut wal = self.group.wal.lock().expect("wal mutex");
                 let saved_off = wal.offset();
-                let bufs: Vec<&[u8]> = group.iter().map(|b| b.bytes.as_slice()).collect();
                 let t_append = trace::span_start();
-                let res = wal.append_encoded(&bufs).inspect(|_| {
+                let res = wal.append(&group.bytes).inspect(|_| {
                     trace::span_since(
                         "live",
                         "wal_append",
                         t_append,
-                        format_args!("batches={} ops={n_ops}", group.len()),
+                        format_args!("batches={} ops={n_ops}", group.batches),
                     );
                 });
                 let res = res.and_then(|_| {
@@ -107,7 +106,7 @@ impl<const D: usize> LiveInner<D> {
                     crate::obs::metrics().wal_fsyncs.inc();
                 }
             }
-            let last_seq = group.last().expect("group nonempty").last_seq;
+            let last_seq = group.last_seq;
             let t_apply = trace::span_start();
             {
                 let mut core = self.core.write();
@@ -131,12 +130,12 @@ impl<const D: usize> LiveInner<D> {
 
     /// The one op path of every write. Under the sequencing lock `w`,
     /// gives the batch's ops (at least one) consecutive sequence numbers,
-    /// encodes one WAL record per op, pushes the ops onto `core.pending`
-    /// and enqueues the batch; then releases `w` and waits for the group
-    /// commit that acknowledges and applies them. Returns the batch's
-    /// last sequence number.
+    /// pushes the ops onto `core.pending` and encodes one WAL record per
+    /// op onto the queued group; then releases `w` and waits for the
+    /// group commit that acknowledges and applies them. Returns the
+    /// batch's last sequence number.
     ///
-    /// `ops` is walked twice, once to encode and once to push, so an
+    /// `ops` is walked twice, once to push and once to encode, so an
     /// insert batch passes a mapping iterator and allocates nothing.
     pub(crate) fn commit_ops<I>(
         &self,
@@ -149,28 +148,11 @@ impl<const D: usize> LiveInner<D> {
         let n_ops = ops.len();
         let first = w.next_seq;
         let last_seq = first + n_ops as u64 - 1;
-        let t_enc = trace::span_start();
-        // Encode straight into an arena buffer (recycled once the group
-        // leader lands the batch): the steady-state enqueue path
-        // allocates nothing per batch.
-        let mut bytes = self.group.take_buf();
-        for (seq, op) in (first..).zip(ops.clone()) {
-            op.record(seq).encode_into(&mut bytes);
-        }
-        trace::span_since(
-            "live",
-            "encode",
-            t_enc,
-            format_args!("ops={n_ops} bytes={}", bytes.len()),
-        );
-        self.core.write().pending.extend(ops);
-        let t_enq = trace::span_start();
-        let batch = PendingBatch {
-            bytes,
-            n_ops,
-            last_seq,
-        };
-        if let Err(e) = self.group.enqueue(batch, self.max_inflight()) {
+        // The ops go onto `core.pending` first: once the records are
+        // queued, another writer's leader may take and apply them.
+        self.core.write().pending.extend(ops.clone());
+        let records = ops.enumerate().map(|(i, op)| op.record(first + i as u64));
+        if let Err(e) = self.group.enqueue(records, self.max_inflight()) {
             // A sticky WAL error: take the ops back off `core.pending`,
             // so the two queues never desync.
             let mut core = self.core.write();
@@ -179,7 +161,6 @@ impl<const D: usize> LiveInner<D> {
             }
             return Err(e);
         }
-        trace::span_since("live", "enqueue", t_enq, format_args!(""));
         w.next_seq = last_seq + 1;
         drop(w);
         self.commit_wait(last_seq)?;
@@ -199,8 +180,8 @@ impl<const D: usize> LiveIndex<D> {
     /// Inserts a batch, group-committed: the batch is encoded and
     /// enqueued under the sequencing lock (no I/O there), then a group
     /// leader lands it — together with every concurrently enqueued
-    /// batch — with one vectored write and **at most one** fsync for
-    /// the whole group. Acknowledged (and, in `Fsync` mode,
+    /// batch, all encoded into one group buffer — with one write and
+    /// **at most one** fsync for the whole group. Acknowledged (and, in `Fsync` mode,
     /// crash-durable) as a unit when this returns.
     pub fn insert_batch(&self, items: &[Item<D>]) -> Result<(), LiveError> {
         if items.is_empty() {

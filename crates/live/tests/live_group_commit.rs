@@ -82,18 +82,6 @@ fn concurrent_writers_coalesce_fsyncs() {
         );
         assert_eq!(stats.durable_seq, total_ops);
         assert_eq!(stats.synced_seq, total_ops, "Fsync mode: acked == synced");
-        // Arena pin: record frames are encoded into pooled buffers the
-        // group leader recycles, so steady state allocates at most one
-        // buffer per writer actually in flight — not one per batch. A
-        // bound far below `total_batches` (1200) proves the pool works;
-        // the small slack absorbs pool-contention races.
-        assert!(
-            stats.wal_arena_allocs <= (2 * WRITERS + 4) as u64,
-            "arena allocated {} buffers for {} batches — frames are not \
-             being recycled",
-            stats.wal_arena_allocs,
-            total_batches
-        );
         if stats.wal_fsyncs < total_batches {
             return; // coalescing observed — the claim holds
         }

@@ -29,6 +29,8 @@
 //! exact per-instance or per-call numbers, while the registry holds the
 //! process-wide running totals.
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod export;
 pub mod hist;

@@ -1,5 +1,5 @@
-//! Process-wide metrics registry: named, labeled counters, gauges and
-//! latency histograms with lock-free hot-path recording and
+//! Process-wide metrics registry: named counters (optionally labeled),
+//! gauges and latency histograms with lock-free hot-path recording and
 //! snapshot-on-read.
 //!
 //! # Design
@@ -13,7 +13,7 @@
 //!
 //! * counter add — one relaxed `fetch_add` into one of 8 cache-padded
 //!   shards (writers on different threads don't bounce a shared line),
-//! * gauge set/add/sub — one relaxed RMW on a single atomic,
+//! * gauge set — one relaxed store to a single atomic,
 //! * histogram record — a bucket increment plus running-stat RMWs
 //!   (see [`crate::hist::AtomicHistogram`]).
 //!
@@ -32,7 +32,8 @@
 //!
 //! Metric naming follows Prometheus conventions: `snake_case`,
 //! `_total` suffix on counters, unit suffix on histograms (`_us` for
-//! microseconds), optional `{key="value"}` labels for same-name series.
+//! microseconds), optional `{key="value"}` labels for same-name counter
+//! series.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -130,7 +131,7 @@ impl Counter {
     }
 }
 
-/// A gauge handle: an arbitrary up/down value mirroring current state.
+/// A gauge handle: the current value of some state, overwritten by `set`.
 /// Not subject to the recording switch (see module docs).
 #[derive(Clone)]
 pub struct Gauge(Arc<AtomicU64>);
@@ -140,21 +141,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
         self.0.store(v, Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Relaxed);
-    }
-
-    /// Subtracts `n`, saturating at zero (concurrent add/sub may
-    /// transiently race the clamp; gauges are advisory state views).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        let _ = self
-            .0
-            .fetch_update(Relaxed, Relaxed, |v| Some(v.saturating_sub(n)));
     }
 
     /// Current value.
@@ -242,67 +228,66 @@ impl Registry {
         labels: &[(&str, &str)],
         help: &'static str,
     ) -> Counter {
-        let mut map = self.metrics.lock().unwrap();
-        let entry = map
-            .entry((name, sorted_labels(labels)))
-            .or_insert_with(|| Entry {
-                help,
-                cell: Cell::Counter(Arc::new(ShardedU64::new())),
-            });
-        match &entry.cell {
-            Cell::Counter(c) => Counter(Arc::clone(c)),
-            other => panic!("metric `{name}` already registered as {}", other.kind()),
-        }
+        self.get_or_register(
+            name,
+            labels,
+            help,
+            || Cell::Counter(Arc::new(ShardedU64::new())),
+            |cell| match cell {
+                Cell::Counter(c) => Some(Counter(Arc::clone(c))),
+                _ => None,
+            },
+        )
     }
 
     /// Gets or registers an unlabeled gauge.
     pub fn gauge(&self, name: &'static str, help: &'static str) -> Gauge {
-        self.gauge_with(name, &[], help)
-    }
-
-    /// Gets or registers a labeled gauge.
-    pub fn gauge_with(
-        &self,
-        name: &'static str,
-        labels: &[(&str, &str)],
-        help: &'static str,
-    ) -> Gauge {
-        let mut map = self.metrics.lock().unwrap();
-        let entry = map
-            .entry((name, sorted_labels(labels)))
-            .or_insert_with(|| Entry {
-                help,
-                cell: Cell::Gauge(Arc::new(AtomicU64::new(0))),
-            });
-        match &entry.cell {
-            Cell::Gauge(g) => Gauge(Arc::clone(g)),
-            other => panic!("metric `{name}` already registered as {}", other.kind()),
-        }
+        self.get_or_register(
+            name,
+            &[],
+            help,
+            || Cell::Gauge(Arc::new(AtomicU64::new(0))),
+            |cell| match cell {
+                Cell::Gauge(g) => Some(Gauge(Arc::clone(g))),
+                _ => None,
+            },
+        )
     }
 
     /// Gets or registers an unlabeled histogram.
     pub fn histogram(&self, name: &'static str, help: &'static str) -> Histogram {
-        self.histogram_with(name, &[], help)
+        self.get_or_register(
+            name,
+            &[],
+            help,
+            || Cell::Histogram(Arc::new(AtomicHistogram::new())),
+            |cell| match cell {
+                Cell::Histogram(h) => Some(Histogram(Arc::clone(h))),
+                _ => None,
+            },
+        )
     }
 
-    /// Gets or registers a labeled histogram.
-    pub fn histogram_with(
+    /// The cell under `(name, labels)`, made by `new` on first use, as
+    /// `handle` reads it; panics when `name` holds another kind.
+    fn get_or_register<T>(
         &self,
         name: &'static str,
         labels: &[(&str, &str)],
         help: &'static str,
-    ) -> Histogram {
+        new: fn() -> Cell,
+        handle: fn(&Cell) -> Option<T>,
+    ) -> T {
         let mut map = self.metrics.lock().unwrap();
         let entry = map
             .entry((name, sorted_labels(labels)))
-            .or_insert_with(|| Entry {
-                help,
-                cell: Cell::Histogram(Arc::new(AtomicHistogram::new())),
-            });
-        match &entry.cell {
-            Cell::Histogram(h) => Histogram(Arc::clone(h)),
-            other => panic!("metric `{name}` already registered as {}", other.kind()),
-        }
+            .or_insert_with(|| Entry { help, cell: new() });
+        handle(&entry.cell).unwrap_or_else(|| {
+            panic!(
+                "metric `{name}` already registered as {}",
+                entry.cell.kind()
+            )
+        })
     }
 
     /// Materializes every metric into plain values without stopping
@@ -488,8 +473,8 @@ mod tests {
         let r = Registry::new();
         let g = r.gauge("resident_bytes", "bytes");
         g.set(100);
-        g.add(50);
-        g.sub(200);
+        assert_eq!(g.get(), 100);
+        g.set(0);
         assert_eq!(g.get(), 0);
         assert_eq!(r.snapshot().gauge("resident_bytes"), 0);
     }

@@ -49,6 +49,8 @@
 //! assert!(!hits.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bulk;
 pub mod cache;
 pub mod dynamic;

@@ -91,6 +91,8 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod crc;
 pub mod device;
 pub mod error;

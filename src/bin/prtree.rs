@@ -33,6 +33,8 @@
 //! live directory through one `Reader`, so each reports, checks
 //! `--expect` and arms `--explain` once for both kinds.
 
+#![forbid(unsafe_code)]
+
 use pr_data::{size_dataset, uniform_points, TigerProfile};
 use pr_em::{BlockDevice, MemDevice};
 use pr_geom::{Item, Point, Rect};
@@ -241,7 +243,7 @@ commands:\n\
 \x20       metrics registry (one formatter). --json emits the registry\n\
 \x20       snapshot + lifecycle events + the slow-op flight recorder as\n\
 \x20       one JSON document; live dirs add an \"index\" summary (write\n\
-\x20       amp, garbage, arena allocs, \"components\": [{slot, items}])\n\
+\x20       amp, garbage, \"components\": [{slot, items}])\n\
 \x20       and the per-run \"store_runs\"\n\
 \x20       layout (stable id + byte offset + pages — unchanged pairs\n\
 \x20       across commits prove in-place page reuse)\n\
@@ -764,7 +766,6 @@ fn print_live_stats(ix: &LiveIndex<2>) -> CmdResult {
         print!("id {} @ {} x{}", r.id, r.data_offset, r.num_pages);
     }
     println!("]");
-    println!("wal arena:    {} buffer allocations", s.wal_arena_allocs);
     println!(
         "health:       wal {}, merges {}, store reads {}",
         if s.wal_degraded {
@@ -1228,8 +1229,7 @@ fn stats_live(dir: &str, opts: &Opts) -> CmdResult {
         .u64("store_garbage_bytes", s.store_garbage_bytes)
         .u64("store_pages_written", s.store_pages_written)
         .u64("store_pages_reused", s.store_pages_reused)
-        .f64p("write_amp", s.write_amp_x100 as f64 / 100.0, 2)
-        .u64("wal_arena_allocs", s.wal_arena_allocs);
+        .f64p("write_amp", s.write_amp_x100 as f64 / 100.0, 2);
     let extra = format!(
         "\"index\":{},\"store_runs\":{}",
         live.finish(),

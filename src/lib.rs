@@ -48,6 +48,8 @@
 //! assert!(stats.leaves_visited > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use pr_data as data;
 pub use pr_em as em;
 pub use pr_geom as geom;
