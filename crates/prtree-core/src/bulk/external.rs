@@ -20,12 +20,14 @@
 //! the keyed runs. TGS's rules are [`crate::bulk::tgs`]'s.
 
 use crate::bulk::hilbert::HilbertLoader;
+use crate::bulk::kd_split::corner_ranks;
 use crate::entry::{Entry, KeyedEntry};
 use crate::params::TreeParams;
 use crate::tree::RTree;
 use crate::writer::{pack_stream, stack_stream_levels};
 use pr_em::{
-    external_sort_multi, BlockDevice, EmError, MergeReader, Stream, StreamReader, StreamWriter,
+    external_sort_multi, BlockDevice, EmError, MergeReader, SortOrder, Stream, StreamReader,
+    StreamWriter,
 };
 use pr_geom::Rect;
 use std::cmp::Ordering;
@@ -44,7 +46,8 @@ use std::sync::Arc;
 /// (`tests/build_alloc.rs` prints it): a load of decoded records is
 /// larger in memory than on disk (1.11 × in 2-D). It was 2.50 × while
 /// run formation sorted each load with a stable sort beside its scratch;
-/// the PR and TGS loaders' orders sort a load in place.
+/// every external loader's order (PR, TGS and Hilbert) sorts a load in
+/// place.
 pub use pr_em::SortConfig as ExternalConfig;
 
 /// One sequential pass: the bounding box of every rectangle in `input`.
@@ -58,6 +61,26 @@ pub fn scan_domain<const D: usize>(
         domain = domain.mbr_with(&e.rect);
     }
     Ok(domain)
+}
+
+/// The Hilbert loaders' sorted order: `(key, id)`, and where that ties
+/// (equal key and equal id, so only with repeated ids) the corners'
+/// ranks, as [`crate::bulk::kd_split`]'s external orders break theirs.
+/// Only identical entries tie. A memory load is sorted in place,
+/// unstably, so run formation needs no scratch; for distinct ids the
+/// runs are the ones a stable sort under `(key, id)` forms.
+struct ByKey<const D: usize>;
+
+impl<const D: usize> SortOrder<KeyedEntry<D>> for ByKey<D> {
+    fn cmp(&mut self, a: &KeyedEntry<D>, b: &KeyedEntry<D>) -> Ordering {
+        (a.key, a.entry.ptr)
+            .cmp(&(b.key, b.entry.ptr))
+            .then_with(|| corner_ranks(&a.entry).cmp(&corner_ranks(&b.entry)))
+    }
+
+    fn sort(&mut self, load: &mut [KeyedEntry<D>]) {
+        load.sort_unstable_by(|a, b| self.cmp(a, b));
+    }
 }
 
 /// External packed Hilbert bulk loading ("H" with `corners = false`,
@@ -100,12 +123,7 @@ pub fn load_hilbert_external<const D: usize>(
     };
 
     // Sort by (key, id) — the I/O-dominant step — down to a few runs.
-    let by_key = |a: &KeyedEntry<D>, b: &KeyedEntry<D>| -> Ordering {
-        a.key
-            .cmp(&b.key)
-            .then_with(|| a.entry.ptr.cmp(&b.entry.ptr))
-    };
-    let runs = external_sort_multi(dev.as_ref(), &keyed, config, &mut [by_key])?
+    let runs = external_sort_multi(dev.as_ref(), &keyed, config, &mut [ByKey::<D>])?
         .pop()
         .expect("one order in, one set of runs out");
     keyed.discard(dev.as_ref());
@@ -113,7 +131,7 @@ pub fn load_hilbert_external<const D: usize>(
     // Strip keys while packing leaves, straight off the merge of the
     // runs; each level above is one packing scan.
     let parents = {
-        let mut merged = MergeReader::new(dev.as_ref(), &runs, by_key);
+        let mut merged = MergeReader::new(dev.as_ref(), &runs, ByKey::<D>);
         pack_stream(dev.as_ref(), 0, params.leaf_cap, || {
             Ok(merged.next_record()?.map(|k| k.entry))
         })?
@@ -267,5 +285,41 @@ mod tests {
             "build cost {} I/Os for {input_blocks}-block input",
             cost.total()
         );
+    }
+
+    #[test]
+    fn repeated_ids_pack_the_same_leaves_under_every_budget() {
+        // Nested boxes share a center, so under H they share a key too;
+        // ids repeat mod 3. Equal (key, id) with other corners is what
+        // the corner tie-break orders: without it an unstable load sort
+        // moves those records, and with them the leaves, per budget.
+        use crate::bulk::testing::{assert_holds_exactly, duplicate_ids, leaves};
+        let mut items = duplicate_ids(3000, 14);
+        items.extend((0..600).map(|i| {
+            let r = 1.0 + (i % 7) as f64;
+            Item::new(Rect::xyxy(50.0 - r, 50.0 - r, 50.0 + r, 50.0 + r), i % 3)
+        }));
+        let params = TreeParams::with_cap::<2>(8);
+        for corners in [false, true] {
+            let mut first = None;
+            for pages in [12, 40, 100] {
+                let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
+                let input = item_stream(dev.as_ref(), &items);
+                let t = load_hilbert_external::<2>(
+                    Arc::clone(&dev),
+                    params,
+                    &input,
+                    ExternalConfig::with_memory(pages * params.page_size),
+                    corners,
+                )
+                .unwrap();
+                assert_holds_exactly(&t, &items);
+                let got: Vec<Vec<Entry<2>>> = leaves(&t).into_iter().map(|n| n.entries).collect();
+                match &first {
+                    None => first = Some(got),
+                    Some(want) => assert!(*want == got, "corners {corners}: {pages} pages"),
+                }
+            }
+        }
     }
 }

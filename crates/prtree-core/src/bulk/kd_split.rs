@@ -151,6 +151,13 @@ fn key(c: f64, id: u32) -> u128 {
     (rank as u128) << 32 | id as u128
 }
 
+/// Every corner of `e`'s rectangle as [`key`] ranks, low corner first:
+/// the tie-break of the external loaders' orders, under which only
+/// identical entries compare equal.
+pub(crate) fn corner_ranks<const D: usize>(e: &Entry<D>) -> [[u128; D]; 2] {
+    [e.rect.lo(), e.rect.hi()].map(|c| c.map(|c| key(c, 0)))
+}
+
 /// Evaluates `$body` with `$cmp` bound to the comparator of `$order`
 /// along `$axis` for `Entry<$d>`, the order [`Order`] names. The axis's
 /// side is matched once, here, not in every comparison: each arm binds
@@ -198,10 +205,9 @@ pub(crate) struct AxisOrder(pub Axis, pub Order);
 impl AxisOrder {
     /// Orders entries the reference order ties: by every corner's rank.
     fn tie<const D: usize>(self, a: &Entry<D>, b: &Entry<D>) -> Ordering {
-        let corners = |e: &Entry<D>| [e.rect.lo(), e.rect.hi()].map(|c| c.map(|c| key(c, 0)));
         match (self.0.is_min_side::<D>(), self.1) {
-            (false, Order::Extreme) => corners(b).cmp(&corners(a)),
-            _ => corners(a).cmp(&corners(b)),
+            (false, Order::Extreme) => corner_ranks(b).cmp(&corner_ranks(a)),
+            _ => corner_ranks(a).cmp(&corner_ranks(b)),
         }
     }
 }

@@ -744,7 +744,7 @@ fn print_live_stats(ix: &LiveIndex<2>) -> CmdResult {
         s.durable_seq, s.synced_seq, s.merged_seq, s.wal_segments, s.wal_bytes
     );
     println!(
-        "group commit: {} records in {} groups, {} fsyncs",
+        "group commit (since open): {} records in {} groups, {} fsyncs",
         s.wal_group_records, s.wal_groups, s.wal_fsyncs
     );
     println!(
