@@ -4,7 +4,7 @@
 //! the average; each generator here returns such a batch,
 //! deterministically from a seed.
 
-use pr_geom::{Item, Rect};
+use pr_geom::Rect;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,20 +74,19 @@ pub fn cluster_strip_queries(cluster_side: f64, count: usize, seed: u64) -> Vec<
         .collect()
 }
 
-/// Average `(results, leaves_visited, relative_cost)` helpers usually
-/// live in the bench crate; this helper answers "how many items does a
-/// batch hit" for workload calibration in tests.
-pub fn total_hits(items: &[Item<2>], queries: &[Rect<2>]) -> u64 {
-    queries
-        .iter()
-        .map(|q| items.iter().filter(|i| i.rect.intersects(q)).count() as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synthetic::{cluster_dataset, skewed_dataset, uniform_points};
+    use pr_geom::Item;
+
+    /// How many items a batch of queries hits, summed over the batch.
+    fn total_hits(items: &[Item<2>], queries: &[Rect<2>]) -> u64 {
+        queries
+            .iter()
+            .map(|q| items.iter().filter(|i| i.rect.intersects(q)).count() as u64)
+            .sum()
+    }
 
     #[test]
     fn square_queries_have_requested_area_and_fit() {

@@ -504,11 +504,6 @@ impl<D: BlockDevice> FaultDevice<D> {
     pub fn injector(&self) -> &Injector {
         &self.inj
     }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
 }
 
 impl<D: BlockDevice> BlockDevice for FaultDevice<D> {

@@ -35,17 +35,6 @@ impl<const D: usize> Point<D> {
         self.0.iter().all(|c| c.is_finite())
     }
 
-    /// Euclidean distance to `other`; used only by tests and examples, the
-    /// index structures themselves are purely order/overlap based.
-    pub fn distance(&self, other: &Self) -> f64 {
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Componentwise minimum.
     pub fn min(&self, other: &Self) -> Self {
         let mut out = [0.0; D];
@@ -93,15 +82,6 @@ mod tests {
     fn origin_is_zero() {
         let o = Point::<2>::ORIGIN;
         assert_eq!(o.coords(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn distance_matches_pythagoras() {
-        let a = Point::new([0.0, 0.0]);
-        let b = Point::new([3.0, 4.0]);
-        assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(b.distance(&a), 5.0);
-        assert_eq!(a.distance(&a), 0.0);
     }
 
     #[test]

@@ -24,19 +24,12 @@ impl<const D: usize> Rect<D> {
     ///
     /// # Panics
     /// Panics (debug builds only) if any `lo[i] > hi[i]` or a coordinate is
-    /// non-finite; use [`Rect::try_new`] for fallible construction.
+    /// non-finite.
     #[inline]
     pub fn new(lo: [f64; D], hi: [f64; D]) -> Self {
         let r = Rect { lo, hi };
         debug_assert!(r.is_valid(), "invalid rect: {r:?}");
         r
-    }
-
-    /// Fallible constructor: returns `None` if the corners are out of order
-    /// or any coordinate is non-finite.
-    pub fn try_new(lo: [f64; D], hi: [f64; D]) -> Option<Self> {
-        let r = Rect { lo, hi };
-        r.is_valid().then_some(r)
     }
 
     /// The degenerate rectangle covering exactly one point.
@@ -266,14 +259,6 @@ mod tests {
 
     fn r(xmin: f64, ymin: f64, xmax: f64, ymax: f64) -> Rect<2> {
         Rect::xyxy(xmin, ymin, xmax, ymax)
-    }
-
-    #[test]
-    fn try_new_rejects_inverted_and_nonfinite() {
-        assert!(Rect::try_new([0.0, 0.0], [1.0, 1.0]).is_some());
-        assert!(Rect::try_new([2.0, 0.0], [1.0, 1.0]).is_none());
-        assert!(Rect::try_new([f64::NAN, 0.0], [1.0, 1.0]).is_none());
-        assert!(Rect::try_new([0.0], [f64::INFINITY]).is_none());
     }
 
     #[test]

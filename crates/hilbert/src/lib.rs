@@ -230,16 +230,6 @@ impl HilbertMapper {
         }
     }
 
-    /// Number of dimensions.
-    pub fn dims(&self) -> usize {
-        self.lo.len()
-    }
-
-    /// Bits per dimension.
-    pub fn order(&self) -> u32 {
-        self.order
-    }
-
     /// Quantizes one point (clamping to the domain) to grid coordinates.
     pub fn quantize(&self, point: &[f64]) -> Vec<u32> {
         assert_eq!(point.len(), self.lo.len());
@@ -361,8 +351,6 @@ mod tests {
         assert_eq!(m.quantize(&[0.0, 0.0]), vec![0, 0]);
         assert_eq!(m.quantize(&[1.0, 1.0]), vec![255, 255]);
         assert_eq!(m.quantize(&[-5.0, 2.0]), vec![0, 255], "clamped");
-        assert_eq!(m.dims(), 2);
-        assert_eq!(m.order(), 8);
     }
 
     #[test]

@@ -120,42 +120,6 @@ impl EventRing {
             dropped: inner.dropped,
         }
     }
-
-    /// Copies only the events with `seq > since` — the incremental
-    /// polling form (`prtree events --since SEQ`): feed the largest
-    /// seq you have seen and get strictly newer events. `dropped`
-    /// counts the events in `(since, oldest retained)` that the ring
-    /// overwrote before this call, i.e. the gap an incremental reader
-    /// actually missed (0 when the tail is still buffered).
-    pub fn snapshot_since(&self, since: u64) -> EventLog {
-        let inner = self.inner.lock().unwrap();
-        let events: Vec<Event> = inner
-            .buf
-            .iter()
-            .filter(|e| e.seq > since)
-            .cloned()
-            .collect();
-        // First seq the caller wanted vs first seq still retained.
-        let oldest_wanted = since + 1;
-        let oldest_retained = match inner.buf.front() {
-            Some(front) => front.seq,
-            None => inner.next_seq,
-        };
-        EventLog {
-            events,
-            dropped: oldest_retained.saturating_sub(oldest_wanted),
-        }
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().buf.len()
-    }
-
-    /// True when no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// The process-wide event ring (capacity 4096).
@@ -195,48 +159,6 @@ mod tests {
         assert_eq!(log.events[3].detail, "i=9");
         // Seq keeps counting through drops.
         assert_eq!(log.events[3].seq, 9);
-    }
-
-    #[test]
-    fn snapshot_since_returns_strictly_newer_events() {
-        let ring = EventRing::new(16);
-        for i in 0..6 {
-            ring.emit("tick", format!("i={i}"));
-        }
-        let log = ring.snapshot_since(2);
-        assert_eq!(log.events.len(), 3);
-        assert_eq!(log.events[0].seq, 3);
-        assert_eq!(log.events[2].seq, 5);
-        assert_eq!(log.dropped, 0, "nothing missed while fully buffered");
-        // Caught-up poller sees nothing new and nothing missed.
-        let log = ring.snapshot_since(5);
-        assert!(log.events.is_empty());
-        assert_eq!(log.dropped, 0);
-    }
-
-    #[test]
-    fn snapshot_since_counts_overwritten_gap() {
-        let ring = EventRing::new(4);
-        for i in 0..10 {
-            ring.emit("tick", format!("i={i}"));
-        }
-        // Ring holds seqs 6..=9; a poller last saw seq 1, so 2..=5
-        // (4 events) were overwritten out from under it.
-        let log = ring.snapshot_since(1);
-        assert_eq!(log.events.len(), 4);
-        assert_eq!(log.events[0].seq, 6);
-        assert_eq!(log.dropped, 4);
-        // A poller already past the gap misses nothing.
-        assert_eq!(ring.snapshot_since(7).dropped, 0);
-        assert_eq!(ring.snapshot_since(7).events.len(), 2);
-    }
-
-    #[test]
-    fn snapshot_since_on_empty_ring() {
-        let ring = EventRing::new(4);
-        let log = ring.snapshot_since(0);
-        assert!(log.events.is_empty());
-        assert_eq!(log.dropped, 0);
     }
 
     #[test]
@@ -299,56 +221,6 @@ mod tests {
         assert_eq!(log.events.len(), 32);
         assert_eq!(log.dropped, emitted - 32);
         assert_eq!(log.events.last().unwrap().seq, emitted - 1);
-    }
-
-    #[test]
-    fn wraparound_snapshot_since_stays_consistent_under_writers() {
-        use std::sync::Arc;
-        // An incremental poller (`--since`-style) racing wrapping
-        // writers: events returned are strictly newer than the cursor,
-        // gap-free among themselves, and `dropped` exactly covers the
-        // seqs between the cursor and the first returned event.
-        let ring = Arc::new(EventRing::new(16));
-        let writers: Vec<_> = (0..2)
-            .map(|t| {
-                let ring = Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..1_500 {
-                        ring.emit("w", format!("t={t} i={i}"));
-                    }
-                })
-            })
-            .collect();
-        let mut cursor = 0u64;
-        let mut polls = 0u64;
-        loop {
-            let log = ring.snapshot_since(cursor);
-            for pair in log.events.windows(2) {
-                assert_eq!(pair[1].seq, pair[0].seq + 1);
-            }
-            if let Some(first) = log.events.first() {
-                assert!(first.seq > cursor);
-                assert_eq!(
-                    log.dropped,
-                    first.seq - cursor - 1,
-                    "dropped must be exactly the overwritten gap"
-                );
-                cursor = log.events.last().unwrap().seq;
-            }
-            polls += 1;
-            if polls > 16 && ring.snapshot().events.last().map(|e| e.seq) == Some(2_999) {
-                break;
-            }
-        }
-        for w in writers {
-            w.join().unwrap();
-        }
-        // Drain the tail: a final incremental poll reaches the end.
-        let log = ring.snapshot_since(cursor);
-        if let Some(last) = log.events.last() {
-            cursor = last.seq;
-        }
-        assert_eq!(cursor, 2_999);
     }
 
     #[test]

@@ -64,20 +64,14 @@ pub fn event_json(e: &crate::events::Event) -> String {
 }
 
 /// The full observability document: schema version, capture time, every
-/// metric, and (optionally) the event log. This is what
+/// metric, the event log and the flight recorder's slowest-per-kind
+/// digest under `slow_traces` (rendered via
+/// [`crate::trace::slow_traces_json`]). This is what
 /// `prtree stats --json` and `--metrics-file` emit.
-pub fn snapshot_json(snap: &RegistrySnapshot, events: Option<&EventLog>) -> String {
-    snapshot_json_full(snap, events, None)
-}
-
-/// [`snapshot_json`] plus an optional `slow_traces` section — the
-/// flight recorder's slowest-per-kind digest, rendered via
-/// [`crate::trace::slow_traces_json`]. `prtree stats --json` passes
-/// the live recorder snapshot here.
-pub fn snapshot_json_full(
+pub fn snapshot_json(
     snap: &RegistrySnapshot,
-    events: Option<&EventLog>,
-    slow_traces: Option<&[(&'static str, Vec<crate::trace::Trace>)]>,
+    log: &EventLog,
+    slow_traces: &[(&'static str, Vec<crate::trace::Trace>)],
 ) -> String {
     let mut metrics = JsonArr::new();
     for m in &snap.metrics {
@@ -87,17 +81,13 @@ pub fn snapshot_json_full(
     o.u64("schema_version", SCHEMA_VERSION)
         .u64("unix_ms", snap.unix_ms)
         .raw("metrics", &metrics.finish_pretty());
-    if let Some(log) = events {
-        let mut ev = JsonArr::new();
-        for e in &log.events {
-            ev.push_raw(event_json(e));
-        }
-        o.raw("events", &ev.finish_pretty())
-            .u64("events_dropped", log.dropped);
+    let mut ev = JsonArr::new();
+    for e in &log.events {
+        ev.push_raw(event_json(e));
     }
-    if let Some(groups) = slow_traces {
-        o.raw("slow_traces", &crate::trace::slow_traces_json(groups));
-    }
+    o.raw("events", &ev.finish_pretty())
+        .u64("events_dropped", log.dropped)
+        .raw("slow_traces", &crate::trace::slow_traces_json(slow_traces));
     o.finish()
 }
 
@@ -125,7 +115,7 @@ mod tests {
         let reg = sample();
         let ring = EventRing::new(8);
         ring.emit("merge_commit", "cut_seq=10");
-        let doc = snapshot_json(&reg.snapshot(), Some(&ring.snapshot()));
+        let doc = snapshot_json(&reg.snapshot(), &ring.snapshot(), &[]);
         assert!(doc.contains("\"schema_version\":1"));
         assert!(doc.contains("\"name\":\"em_device_reads_total\",\"type\":\"counter\",\"value\":7"));
         assert!(doc.contains("\"labels\":{\"kind\":\"window\"}"));
@@ -133,9 +123,7 @@ mod tests {
         assert!(doc.contains("\"p50\":"));
         assert!(doc.contains("\"kind\":\"merge_commit\""));
         assert!(doc.contains("\"events_dropped\":0"));
-        // The 2-arg form carries no slow_traces section; the full form
-        // includes the flight-recorder digest.
-        assert!(!doc.contains("\"slow_traces\""));
+        assert!(doc.contains("\"slow_traces\":[]"));
         let slow = vec![(
             "window",
             vec![crate::trace::Trace {
@@ -147,7 +135,7 @@ mod tests {
                 levels: Vec::new(),
             }],
         )];
-        let full = snapshot_json_full(&reg.snapshot(), None, Some(&slow));
+        let full = snapshot_json(&reg.snapshot(), &ring.snapshot(), &slow);
         assert!(full.contains("\"slow_traces\":[{\"kind\":\"window\""));
         assert!(full.contains("\"total_us\":99"));
     }

@@ -63,13 +63,6 @@ impl JsonObj {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn i64(&mut self, k: &str, v: i64) -> &mut Self {
-        let s = v.to_string();
-        self.key(k).buf.push_str(&s);
-        self
-    }
-
     /// Adds a float field (`null` when not finite, since JSON has no
     /// NaN/Inf).
     pub fn f64(&mut self, k: &str, v: f64) -> &mut Self {
@@ -183,12 +176,11 @@ mod tests {
         let mut obj = JsonObj::new();
         obj.str("name", "t")
             .f64p("ratio", 1.005, 2)
-            .i64("neg", -3)
             .raw("items", &arr.finish())
             .strings("tags", &["p", "q"]);
         assert_eq!(
             obj.finish(),
-            r#"{"name":"t","ratio":1.00,"neg":-3,"items":[{"a":1,"b":true},"x"],"tags":["p","q"]}"#
+            r#"{"name":"t","ratio":1.00,"items":[{"a":1,"b":true},"x"],"tags":["p","q"]}"#
         );
     }
 

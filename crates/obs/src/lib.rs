@@ -39,7 +39,7 @@ pub mod registry;
 pub mod trace;
 
 pub use events::{Event, EventLog, EventRing};
-pub use export::{event_json, metric_json, snapshot_json, snapshot_json_full, SCHEMA_VERSION};
+pub use export::{event_json, metric_json, snapshot_json, SCHEMA_VERSION};
 pub use hist::{AtomicHistogram, LatencyHistogram};
 pub use registry::{
     global, recording, set_recording, Counter, Gauge, Histogram, MetricSnapshot, MetricValue,

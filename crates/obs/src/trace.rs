@@ -39,10 +39,10 @@
 //! # Flight recorder & retention policy
 //!
 //! Finished traces are published ([`publish`]) to the process-wide
-//! [`FlightRecorder`], which keeps the **N slowest traces per op-kind**
-//! (default 8), admitting only traces at least as slow as the
+//! [`FlightRecorder`], which keeps the **8 slowest traces per op-kind**,
+//! admitting only traces at least as slow as the
 //! configured threshold ([`FlightRecorder::configure`]; default 0 µs =
-//! keep the slowest N regardless). Within a kind the list is sorted
+//! keep the slowest 8 regardless). Within a kind the list is sorted
 //! slowest-first and the fastest retained trace is evicted on overflow,
 //! so the recorder converges on "the worst operations this process has
 //! seen". `prtree slow` and `stats --json` dump it.
@@ -349,8 +349,10 @@ pub struct FlightRecorder {
     inner: Mutex<RecorderInner>,
 }
 
+/// How many traces the flight recorder keeps per op-kind.
+const KEEP_PER_KIND: usize = 8;
+
 struct RecorderInner {
-    keep_per_kind: usize,
     threshold_us: u64,
     /// (kind, slowest-first traces).
     kinds: Vec<(&'static str, Vec<Trace>)>,
@@ -360,31 +362,26 @@ impl FlightRecorder {
     fn new() -> Self {
         FlightRecorder {
             inner: Mutex::new(RecorderInner {
-                keep_per_kind: 8,
                 threshold_us: 0,
                 kinds: Vec::new(),
             }),
         }
     }
 
-    /// Sets the retention policy: keep the `keep_per_kind` slowest
-    /// traces per op-kind, admitting only traces of at least
-    /// `threshold_us` total time. Already-retained traces below the new
+    /// Sets the admission bar: only traces of at least `threshold_us`
+    /// total time are retained. Already-retained traces below the new
     /// bar are kept until evicted by slower arrivals.
-    pub fn configure(&self, keep_per_kind: usize, threshold_us: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.keep_per_kind = keep_per_kind.max(1);
-        inner.threshold_us = threshold_us;
+    pub fn configure(&self, threshold_us: u64) {
+        self.inner.lock().unwrap().threshold_us = threshold_us;
     }
 
     /// Offers a completed trace; it is retained if it clears the
-    /// threshold and is among the N slowest of its kind.
+    /// threshold and is among the 8 slowest of its kind.
     pub fn offer(&self, trace: Trace) {
         let mut inner = self.inner.lock().unwrap();
         if trace.total_us < inner.threshold_us {
             return;
         }
-        let keep = inner.keep_per_kind;
         let bucket = match inner.kinds.iter_mut().find(|(k, _)| *k == trace.kind) {
             Some((_, b)) => b,
             None => {
@@ -392,7 +389,9 @@ impl FlightRecorder {
                 &mut inner.kinds.last_mut().unwrap().1
             }
         };
-        if bucket.len() == keep && trace.total_us <= bucket.last().map_or(0, |t| t.total_us) {
+        if bucket.len() == KEEP_PER_KIND
+            && trace.total_us <= bucket.last().map_or(0, |t| t.total_us)
+        {
             return;
         }
         let at = bucket
@@ -400,7 +399,7 @@ impl FlightRecorder {
             .position(|t| t.total_us < trace.total_us)
             .unwrap_or(bucket.len());
         bucket.insert(at, trace);
-        bucket.truncate(keep);
+        bucket.truncate(KEEP_PER_KIND);
     }
 
     /// Copies out all retained traces, grouped by kind (kinds in
@@ -770,15 +769,18 @@ mod tests {
     #[test]
     fn recorder_keeps_n_slowest_per_kind() {
         let rec = FlightRecorder::new();
-        rec.configure(3, 0);
-        for us in [10, 50, 30, 5, 100, 40] {
+        for us in [10, 50, 30, 5, 100, 40, 70, 20, 60, 80, 90] {
             rec.offer(mk_trace("window", us));
         }
         rec.offer(mk_trace("knn", 7));
         let snap = rec.snapshot();
         let window = &snap.iter().find(|(k, _)| *k == "window").unwrap().1;
         let totals: Vec<u64> = window.iter().map(|t| t.total_us).collect();
-        assert_eq!(totals, vec![100, 50, 40], "slowest 3, sorted desc");
+        assert_eq!(
+            totals,
+            vec![100, 90, 80, 70, 60, 50, 40, 30],
+            "slowest 8, sorted desc"
+        );
         let knn = &snap.iter().find(|(k, _)| *k == "knn").unwrap().1;
         assert_eq!(knn.len(), 1);
     }
@@ -786,7 +788,7 @@ mod tests {
     #[test]
     fn recorder_threshold_filters_admission() {
         let rec = FlightRecorder::new();
-        rec.configure(8, 25);
+        rec.configure(25);
         rec.offer(mk_trace("write", 10));
         rec.offer(mk_trace("write", 30));
         let snap = rec.snapshot();

@@ -20,8 +20,8 @@
 use crate::dynamic::same_identity;
 use crate::entry::Entry;
 use crate::knn::KBest;
-use crate::page::{page_header, PAGE_HEADER_SIZE};
-use pr_em::{EmError, Record};
+use crate::page::PAGE_HEADER_SIZE;
+use pr_em::Record;
 use pr_geom::{Item, Point, Rect};
 
 /// The records of one leaf page, borrowed in place (see module docs).
@@ -56,21 +56,8 @@ fn intersects<const D: usize>(lo: &[f64; D], hi: &[f64; D], q: &Rect<D>) -> bool
 }
 
 impl<'a, const D: usize> LeafRecords<'a, D> {
-    /// Views a raw leaf page. The header is validated as
-    /// [`crate::page::NodePage::decode`] validates it: bad magic, or a
-    /// count beyond the page's capacity, is [`EmError::Corrupt`] — and
-    /// so is a page whose level is not 0.
-    pub fn from_bytes(buf: &'a [u8]) -> Result<Self, EmError> {
-        match page_header::<D>(buf)? {
-            (0, count) => Ok(Self::new(buf, count)),
-            (level, _) => Err(EmError::Corrupt(format!(
-                "page at level {level} is not a leaf"
-            ))),
-        }
-    }
-
     /// The first `count` records of a page whose header
-    /// [`page_header`] has already accepted.
+    /// [`crate::page::page_header`] has already accepted.
     pub(crate) fn new(buf: &'a [u8], count: usize) -> Self {
         Self::from_records(&buf[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + count * Entry::<D>::SIZE])
     }
@@ -175,8 +162,21 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::NodePage;
+    use crate::page::{page_header, NodePage};
+    use pr_em::EmError;
     use pr_geom::batch;
+
+    /// Views a raw leaf page the way a traversal does: the header is
+    /// validated as [`NodePage::decode`] validates it, and a page whose
+    /// level is not 0 is [`EmError::Corrupt`] too.
+    fn from_bytes<const D: usize>(buf: &[u8]) -> Result<LeafRecords<'_, D>, EmError> {
+        match page_header::<D>(buf)? {
+            (0, count) => Ok(LeafRecords::new(buf, count)),
+            (level, _) => Err(EmError::Corrupt(format!(
+                "page at level {level} is not a leaf"
+            ))),
+        }
+    }
 
     fn page<const D: usize>(level: u8, n: usize) -> Vec<u8> {
         let entries = (0..n)
@@ -203,25 +203,19 @@ mod tests {
 
     #[test]
     fn corrupt_buffers_are_rejected() {
-        let bad =
-            |buf: &[u8]| matches!(LeafRecords::<2>::from_bytes(buf), Err(EmError::Corrupt(_)));
+        let bad = |buf: &[u8]| matches!(from_bytes::<2>(buf), Err(EmError::Corrupt(_)));
         assert!(bad(&[0u8; 4096]), "bad magic");
         let mut buf = page::<2>(0, 3);
         buf[6..8].copy_from_slice(&500u16.to_le_bytes());
         assert!(bad(&buf), "count > cap");
         assert!(bad(&buf[..8]), "short header");
         assert!(bad(&page::<2>(1, 3)), "internal page");
-        assert_eq!(
-            LeafRecords::<2>::from_bytes(&page::<2>(0, 113))
-                .unwrap()
-                .len(),
-            113
-        );
+        assert_eq!(from_bytes::<2>(&page::<2>(0, 113)).unwrap().len(), 113);
     }
 
     fn kernels_match_decoded_items<const D: usize>() {
         let buf = page::<D>(0, (4096 - PAGE_HEADER_SIZE) / Entry::<D>::SIZE);
-        let leaf = LeafRecords::<D>::from_bytes(&buf).unwrap();
+        let leaf = from_bytes::<D>(&buf).unwrap();
         let want = items::<D>(&buf);
         let mut walked = Vec::new();
         leaf.for_each_item(|it| walked.push(it));
@@ -259,7 +253,7 @@ mod tests {
     #[test]
     fn offer_nearest_matches_the_batched_distances() {
         let buf = page::<2>(0, 60);
-        let leaf = LeafRecords::<2>::from_bytes(&buf).unwrap();
+        let leaf = from_bytes::<2>(&buf).unwrap();
         let want = items::<2>(&buf);
         let lo: Vec<Vec<f64>> = (0..2)
             .map(|d| want.iter().map(|i| i.rect.lo_at(d)).collect())

@@ -34,7 +34,6 @@ pub enum PseudoNode<const D: usize> {
 pub struct PseudoPrTree<const D: usize> {
     root: Option<PseudoNode<D>>,
     len: usize,
-    block_cap: usize,
 }
 
 impl<const D: usize> PseudoPrTree<D> {
@@ -49,11 +48,7 @@ impl<const D: usize> PseudoPrTree<D> {
         } else {
             Some(build_node(&mut entries, Axis(0), block_cap))
         };
-        PseudoPrTree {
-            root,
-            len,
-            block_cap,
-        }
+        PseudoPrTree { root, len }
     }
 
     /// Number of rectangles stored.
@@ -64,11 +59,6 @@ impl<const D: usize> PseudoPrTree<D> {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Block capacity `B`.
-    pub fn block_cap(&self) -> usize {
-        self.block_cap
     }
 
     /// Window query: all stored rectangles intersecting `query`.

@@ -198,11 +198,6 @@ impl StoreDevice {
         self.map.is_some()
     }
 
-    /// The shared verify-once state (counts for `prtree stats`).
-    pub fn verified(&self) -> &Arc<VerifiedBitmap> {
-        &self.verified
-    }
-
     #[inline]
     fn range_check(&self, block: BlockId) -> Result<(), EmError> {
         if block >= self.num_pages {

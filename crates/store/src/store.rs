@@ -35,7 +35,7 @@ use pr_tree::writer::page_ptr;
 use pr_tree::{RTree, TreeMeta, TreeParams};
 use std::collections::VecDeque;
 use std::fs::OpenOptions;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// How a reopened tree's device reads the snapshot. See
@@ -93,7 +93,6 @@ struct RunState {
 /// protocol.
 pub struct Store {
     file: Arc<PositionedFile>,
-    path: PathBuf,
     /// Slot (0 or 1) holding the active superblock; `save` writes the
     /// other one.
     active_slot: usize,
@@ -159,7 +158,6 @@ impl Store {
         file.sync_data()?;
         Ok(Store {
             file,
-            path: path.to_path_buf(),
             active_slot: 0,
             sb,
             runs: Vec::new(),
@@ -259,7 +257,6 @@ impl Store {
                     ));
                     return Ok(Store {
                         file,
-                        path: path.to_path_buf(),
                         active_slot: slot,
                         sb,
                         runs,
@@ -844,11 +841,6 @@ impl Store {
     /// The store's block size in bytes.
     pub fn block_size(&self) -> usize {
         self.sb.block_size as usize
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Current length of the backing file in bytes.

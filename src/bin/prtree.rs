@@ -158,7 +158,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "events",
         run: cmd_events,
-        flags: &[&[Value("limit"), Value("since"), Bool("json")]],
+        flags: &[&[Value("limit"), Bool("json")]],
     },
     Command {
         name: "slow",
@@ -247,12 +247,10 @@ commands:\n\
 \x20       and the per-run \"store_runs\"\n\
 \x20       layout (stable id + byte offset + pages — unchanged pairs\n\
 \x20       across commits prove in-place page reuse)\n\
-\x20 events DIR [--limit N] [--since SEQ] [--json]\n\
+\x20 events DIR [--limit N] [--json]\n\
 \x20       replay the lifecycle event ring after opening the live index\n\
 \x20       (open + WAL replay) — WAL rotations, group flushes, seals,\n\
-\x20       merges, compactions, scrubs. --since SEQ tails\n\
-\x20       only events with seq > SEQ (incremental polling; the report's\n\
-\x20       dropped count covers the gap). Store files have no event\n\
+\x20       merges, compactions, scrubs. Store files have no event\n\
 \x20       history: a file path is an error\n\
 \x20 slow DIR|FILE [--limit N] [--json] [--trace-sample N] [--trace-slow-us U]\n\
 \x20       trace every operation of the open (live dir: WAL replay;\n\
@@ -403,14 +401,11 @@ fn init_obs() {
 /// braces) spliced into the document — how `stats --json` on a live
 /// dir carries the index summary and the per-run layout.
 fn report_registry(json: bool, extra: Option<String>) {
-    let snap = pr_obs::global().snapshot();
     if !json {
-        print_metrics_human(&snap);
+        print_metrics_human(&pr_obs::global().snapshot());
         return;
     }
-    let events = pr_obs::events().snapshot();
-    let slow = pr_obs::recorder().snapshot();
-    let mut doc = pr_obs::snapshot_json_full(&snap, Some(&events), Some(&slow));
+    let mut doc = registry_json();
     if let Some(extra) = extra {
         assert!(doc.ends_with('}'));
         doc.truncate(doc.len() - 1);
@@ -459,11 +454,18 @@ fn write_atomic(path: &Path, doc: String) -> Result<(), String> {
         .map_err(|e| format!("could not write {}: {e}", path.display()))
 }
 
-/// The registry snapshot + event ring, as `--metrics-file` writes it.
+/// The registry snapshot, the event ring and the flight recorder as one
+/// JSON document: what `stats --json` prints and `--metrics-file` writes.
+fn registry_json() -> String {
+    pr_obs::snapshot_json(
+        &pr_obs::global().snapshot(),
+        &pr_obs::events().snapshot(),
+        &pr_obs::recorder().snapshot(),
+    )
+}
+
 fn write_metrics_file(path: &Path) -> Result<(), String> {
-    let snap = pr_obs::global().snapshot();
-    let events = pr_obs::events().snapshot();
-    write_atomic(path, pr_obs::snapshot_json(&snap, Some(&events)))
+    write_atomic(path, registry_json())
 }
 
 /// Applies `--trace-sample` (default `every`; 0 = off) and
@@ -472,7 +474,7 @@ fn write_metrics_file(path: &Path) -> Result<(), String> {
 /// opens and can arm a trace.
 fn arm_tracing(opts: &Opts, every: u64) -> Result<(), String> {
     pr_obs::trace::set_sampling(opts.num("trace-sample", every)?);
-    pr_obs::recorder().configure(8, opts.num("trace-slow-us", 0)?);
+    pr_obs::recorder().configure(opts.num("trace-slow-us", 0)?);
     Ok(())
 }
 
@@ -1322,7 +1324,6 @@ fn cmd_events(opts: &Opts) -> CmdResult {
     let dir = opts.path("DIR")?;
     let json = opts.has("json");
     let limit: usize = opts.num("limit", usize::MAX)?;
-    let since: Option<u64> = opts.opt_num("since")?;
     // Lifecycle events are emitted by the live engine (WAL replay,
     // merges, seals); a bare store file never produces any, so asking
     // for its history is a usage error, not an empty success.
@@ -1336,12 +1337,7 @@ fn cmd_events(opts: &Opts) -> CmdResult {
     // Opening the live dir replays its WAL, so the ring always has the
     // recovery story to tell even on a fresh process.
     let _ix = open_live(dir, opts)?;
-    let log = match since {
-        // Incremental poll: only events after SEQ, and `dropped` counts
-        // how many of the requested events the bounded ring lost.
-        Some(seq) => pr_obs::events().snapshot_since(seq),
-        None => pr_obs::events().snapshot(),
-    };
+    let log = pr_obs::events().snapshot();
     let skip = log.events.len().saturating_sub(limit);
     if json {
         let mut arr = pr_obs::json::JsonArr::new();
@@ -1355,18 +1351,11 @@ fn cmd_events(opts: &Opts) -> CmdResult {
         println!("{}", obj.finish());
         return Ok(());
     }
-    match since {
-        Some(seq) => println!(
-            "{} lifecycle event(s) after #{seq} ({} lost to the bounded ring):",
-            log.events.len(),
-            log.dropped
-        ),
-        None => println!(
-            "{} lifecycle event(s) ({} dropped by the bounded ring):",
-            log.events.len(),
-            log.dropped
-        ),
-    }
+    println!(
+        "{} lifecycle event(s) ({} dropped by the bounded ring):",
+        log.events.len(),
+        log.dropped
+    );
     for e in &log.events[skip..] {
         let dur = e
             .duration_us
