@@ -10,12 +10,13 @@
 //! once the paper's fanout (113 entries per 4KB node) is fixed and all
 //! internal nodes are cached.
 //!
-//! Every kernel has a scalar reference twin (`*_scalar`) that calls the
-//! corresponding [`Rect`] predicate per element. The twins exist so
-//! property tests can prove the vector forms **bit-identical** to the
-//! scalar geometry — same booleans, same `f64` bits for distances — which
-//! is what allows the query engine to swap them in without perturbing
-//! results, tie-breaks, or I/O accounting.
+//! Every kernel has a scalar reference twin (`*_scalar`, in
+//! `tests/batch_props.rs`) that calls the corresponding [`Rect`]
+//! predicate per element. The property tests there prove the vector
+//! forms **bit-identical** to the scalar geometry — same booleans, same
+//! `f64` bits for distances — which is what allows the query engine to
+//! swap them in without perturbing results, tie-breaks, or I/O
+//! accounting.
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -65,19 +66,6 @@ pub fn intersects_mask<const D: usize>(
     }
 }
 
-/// Scalar reference for [`intersects_mask`]: per-element
-/// [`Rect::intersects`].
-pub fn intersects_mask_scalar<const D: usize>(
-    lo: &[&[f64]; D],
-    hi: &[&[f64]; D],
-    query: &Rect<D>,
-    mask: &mut [u8],
-) {
-    for (i, m) in mask.iter_mut().enumerate() {
-        *m = gather_rect(lo, hi, i).intersects(query) as u8;
-    }
-}
-
 /// Writes `mask[i] = 1` iff rectangle `i` covers `query` (boundary
 /// included, exactly `rect_i.contains_rect(query)`), else `0`. An
 /// exact-match descent opens only the children whose box covers the
@@ -98,19 +86,6 @@ pub fn covers_mask<const D: usize>(
             keep &= ((lo_cols[d][i] <= query.lo_at(d)) & (query.hi_at(d) <= hi_cols[d][i])) as u8;
         }
         *m = keep;
-    }
-}
-
-/// Scalar reference for [`covers_mask`]: per-element
-/// [`Rect::contains_rect`] with rectangle `i` as the container.
-pub fn covers_mask_scalar<const D: usize>(
-    lo: &[&[f64]; D],
-    hi: &[&[f64]; D],
-    query: &Rect<D>,
-    mask: &mut [u8],
-) {
-    for (i, m) in mask.iter_mut().enumerate() {
-        *m = gather_rect(lo, hi, i).contains_rect(query) as u8;
     }
 }
 
@@ -145,19 +120,6 @@ pub fn min_dist2_batch<const D: usize>(
     }
 }
 
-/// Scalar reference for [`min_dist2_batch`]: per-element
-/// [`Rect::min_dist2`].
-pub fn min_dist2_batch_scalar<const D: usize>(
-    lo: &[&[f64]; D],
-    hi: &[&[f64]; D],
-    p: &Point<D>,
-    out: &mut [f64],
-) {
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = gather_rect(lo, hi, i).min_dist2(p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,15 +136,25 @@ mod tests {
         [&v[0], &v[1]]
     }
 
+    /// The fixture's rectangles, one [`Rect`] each: the scalar side of
+    /// every comparison below.
+    fn rects(lo: &[Vec<f64>], hi: &[Vec<f64>]) -> Vec<Rect<2>> {
+        (0..lo[0].len())
+            .map(|i| gather_rect(&cols(lo), &cols(hi), i))
+            .collect()
+    }
+
     #[test]
     fn intersects_matches_scalar_on_fixture() {
         let (lo, hi) = fixture();
         let q = Rect::xyxy(0.5, 0.5, 2.0, 2.0);
         let mut fast = [0u8; 4];
-        let mut slow = [9u8; 4];
         intersects_mask(&cols(&lo), &cols(&hi), &q, &mut fast);
-        intersects_mask_scalar(&cols(&lo), &cols(&hi), &q, &mut slow);
-        assert_eq!(fast, slow);
+        let slow: Vec<u8> = rects(&lo, &hi)
+            .iter()
+            .map(|r| r.intersects(&q) as u8)
+            .collect();
+        assert_eq!(fast[..], slow[..]);
         assert_eq!(fast, [1, 1, 1, 0], "touching at 2.0 counts");
     }
 
@@ -191,10 +163,12 @@ mod tests {
         let (lo, hi) = fixture();
         let q = Rect::xyxy(2.0, 2.0, 3.0, 3.0);
         let mut fast = [0u8; 4];
-        let mut slow = [9u8; 4];
         covers_mask(&cols(&lo), &cols(&hi), &q, &mut fast);
-        covers_mask_scalar(&cols(&lo), &cols(&hi), &q, &mut slow);
-        assert_eq!(fast, slow);
+        let slow: Vec<u8> = rects(&lo, &hi)
+            .iter()
+            .map(|r| r.contains_rect(&q) as u8)
+            .collect();
+        assert_eq!(fast[..], slow[..]);
         assert_eq!(fast, [0, 1, 1, 0], "a rect covers its own boundary");
     }
 
@@ -208,11 +182,9 @@ mod tests {
             Point::new([6.0, 7.0]),
         ] {
             let mut fast = [0.0f64; 4];
-            let mut slow = [1.0f64; 4];
             min_dist2_batch(&cols(&lo), &cols(&hi), &p, &mut fast);
-            min_dist2_batch_scalar(&cols(&lo), &cols(&hi), &p, &mut slow);
-            for (f, s) in fast.iter().zip(&slow) {
-                assert_eq!(f.to_bits(), s.to_bits(), "p={p:?}");
+            for (f, r) in fast.iter().zip(rects(&lo, &hi)) {
+                assert_eq!(f.to_bits(), r.min_dist2(&p).to_bits(), "p={p:?}");
             }
         }
     }
@@ -240,10 +212,10 @@ mod tests {
         let mut d2 = [0.0f64; 2];
         let p = Point::new([2.0, 2.0, 2.0]);
         min_dist2_batch(&cols_lo, &cols_hi, &p, &mut d2);
-        let mut want = [0.0f64; 2];
-        min_dist2_batch_scalar(&cols_lo, &cols_hi, &p, &mut want);
-        assert_eq!(d2[0].to_bits(), want[0].to_bits());
-        assert_eq!(d2[1].to_bits(), want[1].to_bits());
+        for (i, d) in d2.iter().enumerate() {
+            let want = gather_rect(&cols_lo, &cols_hi, i).min_dist2(&p);
+            assert_eq!(d.to_bits(), want.to_bits());
+        }
         assert_eq!(d2, [3.0, 12.0]); // (2-1)² × 3 and (4-2)² × 3
     }
 }

@@ -1,12 +1,48 @@
 //! Property tests proving the SoA batch kernels bit-identical to the
 //! scalar `Rect` predicates on arbitrary rectangle columns.
 
-use pr_geom::batch::{
-    covers_mask, covers_mask_scalar, gather_rect, intersects_mask, intersects_mask_scalar,
-    min_dist2_batch, min_dist2_batch_scalar,
-};
+use pr_geom::batch::{covers_mask, gather_rect, intersects_mask, min_dist2_batch};
 use pr_geom::{Point, Rect};
 use proptest::prelude::*;
+
+/// Scalar reference for `intersects_mask`: per-element
+/// [`Rect::intersects`].
+fn intersects_mask_scalar<const D: usize>(
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    query: &Rect<D>,
+    mask: &mut [u8],
+) {
+    for (i, m) in mask.iter_mut().enumerate() {
+        *m = gather_rect(lo, hi, i).intersects(query) as u8;
+    }
+}
+
+/// Scalar reference for `covers_mask`: per-element
+/// [`Rect::contains_rect`] with rectangle `i` as the container.
+fn covers_mask_scalar<const D: usize>(
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    query: &Rect<D>,
+    mask: &mut [u8],
+) {
+    for (i, m) in mask.iter_mut().enumerate() {
+        *m = gather_rect(lo, hi, i).contains_rect(query) as u8;
+    }
+}
+
+/// Scalar reference for `min_dist2_batch`: per-element
+/// [`Rect::min_dist2`].
+fn min_dist2_batch_scalar<const D: usize>(
+    lo: &[&[f64]; D],
+    hi: &[&[f64]; D],
+    p: &Point<D>,
+    out: &mut [f64],
+) {
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = gather_rect(lo, hi, i).min_dist2(p);
+    }
+}
 
 /// Raw per-rectangle tuples: lo corner plus non-negative extents, so
 /// every generated rectangle is valid (possibly degenerate).

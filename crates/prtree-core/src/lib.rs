@@ -76,7 +76,6 @@ pub use leaf::LeafRecords;
 pub use meta::TreeMeta;
 pub use params::TreeParams;
 pub use query::QueryStats;
-pub use reference::ReferenceEngine;
 pub use scratch::QueryScratch;
 pub use soa::SoaNode;
 pub use tree::RTree;

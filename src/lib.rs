@@ -72,5 +72,5 @@ pub mod prelude {
     pub use pr_tree::bulk::{BulkLoader, LoaderKind};
     pub use pr_tree::dynamic::LprTree;
     pub use pr_tree::pseudo::PseudoPrTree;
-    pub use pr_tree::{QueryScratch, QueryStats, RTree, ReferenceEngine, SoaNode, TreeParams};
+    pub use pr_tree::{QueryScratch, QueryStats, RTree, TreeParams};
 }
