@@ -2,7 +2,8 @@
 //! to the retained scalar AoS engine ([`pr_tree::reference`]) — same
 //! results in the same order, same `f64` bits, and the same
 //! [`QueryStats`] (leaves visited, internal visits, device reads) — for
-//! **every** bulk loader on uniform, varied-size, and worst-case data.
+//! **every** bulk loader on uniform, varied-size, worst-case and
+//! half-integer grid data.
 //!
 //! Trees are warmed (`warm_cache`) before comparison: that is the
 //! paper's steady state, where both engines see internal-hit/leaf-miss
@@ -31,17 +32,37 @@ fn build(kind: LoaderKind, items: &[Item<2>]) -> RTree<2> {
     tree
 }
 
-fn datasets() -> Vec<(&'static str, Vec<Item<2>>)> {
+/// Each dataset with the grid its windows snap to (0: no snapping).
+fn datasets() -> Vec<(&'static str, Vec<Item<2>>, f64)> {
     vec![
-        ("uniform", uniform_points(1_500, 0xE0)),
-        ("size", size_dataset(1_500, 0.08, 0xE1)),
+        ("uniform", uniform_points(1_500, 0xE0), 0.0),
+        ("size", size_dataset(1_500, 0.08, 0xE1), 0.0),
         // Theorem-3 shifted grid: 2⁶ columns × 8 rows of points.
-        ("worst-case", worst_case_grid(6, 8)),
+        ("worst-case", worst_case_grid(6, 8), 0.0),
+        // Boxes 0 to 1.5 wide with corners on the half-integers, queried
+        // by windows on the same grid: window edges land exactly on box
+        // edges, where only the closed `<=` tests keep a touching box.
+        ("half-grid", half_grid(40), 0.5),
     ]
 }
 
-/// Window queries spanning the dataset's domain at several sizes.
-fn windows(domain: &Rect<2>, seeds: u64, count: usize) -> Vec<Rect<2>> {
+/// `n × n` boxes whose corners all lie on multiples of 0.5; some are
+/// points or segments.
+fn half_grid(n: u32) -> Vec<Item<2>> {
+    (0..n * n)
+        .map(|id| {
+            let (i, j) = (id % n, id / n);
+            let (x, y) = (i as f64 * 0.5, j as f64 * 0.5);
+            let w = ((i * 7 + j * 3) % 4) as f64 * 0.5;
+            let h = ((i * 5 + j) % 3) as f64 * 0.5;
+            Item::new(Rect::xyxy(x, y, x + w, y + h), id)
+        })
+        .collect()
+}
+
+/// Window queries spanning the dataset's domain at several sizes, their
+/// corners snapped to multiples of `snap` when it is not 0.
+fn windows(domain: &Rect<2>, seeds: u64, count: usize, snap: f64) -> Vec<Rect<2>> {
     let mut state = 0x9E3779B97F4A7C15u64.wrapping_add(seeds);
     let mut next = move || {
         state ^= state << 13;
@@ -57,14 +78,21 @@ fn windows(domain: &Rect<2>, seeds: u64, count: usize) -> Vec<Rect<2>> {
             let h = span(1) * frac;
             let x = domain.lo_at(0) + next() * (span(0) - w).max(0.0);
             let y = domain.lo_at(1) + next() * (span(1) - h).max(0.0);
-            Rect::xyxy(x, y, x + w, y + h)
+            let on_grid = |v: f64| {
+                if snap > 0.0 {
+                    (v / snap).round() * snap
+                } else {
+                    v
+                }
+            };
+            Rect::xyxy(on_grid(x), on_grid(y), on_grid(x + w), on_grid(y + h))
         })
         .collect()
 }
 
 #[test]
 fn every_loader_and_dataset_matches_the_scalar_reference() {
-    for (data_name, items) in datasets() {
+    for (data_name, items, snap) in datasets() {
         let domain = Rect::mbr_of(items.iter().map(|i| &i.rect));
         for (ki, kind) in LoaderKind::all().into_iter().enumerate() {
             let tree = build(kind, &items);
@@ -73,7 +101,7 @@ fn every_loader_and_dataset_matches_the_scalar_reference() {
             let mut out = Vec::new();
             let label = format!("{}/{data_name}", kind.name());
 
-            for (qi, q) in windows(&domain, ki as u64, 24).iter().enumerate() {
+            for (qi, q) in windows(&domain, ki as u64, 24, snap).iter().enumerate() {
                 let (want, want_stats) = oracle.window_with_stats(q).expect("oracle window");
                 // Fresh-scratch path.
                 let (got, got_stats) = tree.window_with_stats(q).expect("window");
