@@ -45,7 +45,8 @@
 //! keep the slowest 8 regardless). Within a kind the list is sorted
 //! slowest-first and the fastest retained trace is evicted on overflow,
 //! so the recorder converges on "the worst operations this process has
-//! seen". `prtree slow` and `stats --json` dump it.
+//! seen". `prtree slow`, `stats --json` and `ingest --metrics-file`
+//! dump it.
 //!
 //! # Consumers
 //!
