@@ -61,7 +61,7 @@ impl<const D: usize> LiveManifest<D> {
     /// Serializes the checkpoint (see module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
         let item_size = Entry::<D>::SIZE;
-        let tombs: Vec<(TombstoneKey<D>, u32)> = self.tombstones.entries().collect();
+        let tombs = self.tombstones.entries();
         let size = HEADER_SIZE
             + self.slots.len() * 4
             + tombs.len() * (item_size + 4)
@@ -78,7 +78,7 @@ impl<const D: usize> LiveManifest<D> {
             buf[off..off + 4].copy_from_slice(&slot.to_le_bytes());
             off += 4;
         }
-        for (key, count) in &tombs {
+        for (key, count) in tombs {
             Entry::from_item(key.to_item()).encode(&mut buf[off..off + item_size]);
             off += item_size;
             buf[off..off + 4].copy_from_slice(&count.to_le_bytes());
@@ -233,6 +233,26 @@ mod tests {
         let back = LiveManifest::<2>::decode(&want).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.tombstones.count(&item(9, 0.0)), 0, "-0.0 is kept");
+    }
+
+    /// A checkpoint the size of a churned index's: the decode that sizes
+    /// its map up front gives back the same multiset.
+    #[test]
+    fn ten_thousand_tombstones_roundtrip() {
+        let mut tombstones = Tombstones::new();
+        for id in 0..10_000 {
+            tombstones.add_count(TombstoneKey::of(&item(id, id as f64)), 1 + id % 3);
+        }
+        let m = LiveManifest::<2> {
+            wal_seq: 7,
+            slots: vec![0, 3, 4],
+            tombstones,
+            memtable: (0..500).map(|id| item(20_000 + id, -(id as f64))).collect(),
+        };
+        let back = LiveManifest::<2>::decode(&m.encode()).unwrap();
+        assert_eq!(back.tombstones.total(), 19_999);
+        assert_eq!(back.tombstones.count(&item(4, 4.0)), 2);
+        assert_eq!(back, m);
     }
 
     #[test]

@@ -86,7 +86,19 @@ impl<const D: usize> LiveIndex<D> {
         let manifest = if app.is_empty() {
             LiveManifest::default()
         } else {
-            LiveManifest::<D>::decode(app)?
+            let t_manifest = pr_obs::trace::span_start();
+            let manifest = LiveManifest::<D>::decode(app)?;
+            pr_obs::trace::span_since(
+                "live",
+                "manifest",
+                t_manifest,
+                format_args!(
+                    "tombstones={} memtable={}",
+                    manifest.tombstones.entries().len(),
+                    manifest.memtable.len()
+                ),
+            );
+            manifest
         };
         let (wal, records) = Wal::open::<D>(dir)?;
         let cut_seq = manifest.wal_seq;

@@ -161,6 +161,11 @@ fn pipeline_traces_cover_all_layers() {
     assert!(replay_span.detail.starts_with("records="));
     let store = store_spans(replay);
     assert!(store.contains("store_open"), "replay trace: {store:?}");
+    // The checkpoint decode (the compaction's: no tombstone, no
+    // memtable item) is a span of its own beside the two.
+    let manifest = replay.spans.iter().find(|s| s.name == "manifest").unwrap();
+    assert_eq!(manifest.layer, "live");
+    assert_eq!(manifest.detail, "tombstones=0 memtable=0");
 
     // Background merges run on the worker thread: their store spans
     // land in the worker's `merge` trace, none in the writer's traces.

@@ -20,9 +20,10 @@
 //! each load with a stable sort and its scratch; the external lists'
 //! orders now sort a load in place.
 //!
-//! The last two tests hold `scratch.rs` to its word for windows, counts,
+//! The next two tests hold `scratch.rs` to its word for windows, counts,
 //! exact matches and k-NN: a warmed [`QueryScratch`] answers without a
-//! single allocation.
+//! single allocation. The last holds a checkpoint's tombstone map to one
+//! allocation: it is sized before it is filled.
 
 use pr_em::{BlockDevice, FileDevice, MemDevice, Stream};
 use pr_geom::{Item, Point, Rect};
@@ -30,6 +31,7 @@ use pr_tree::bulk::external::ExternalConfig;
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::pr_external::PrExternalLoader;
 use pr_tree::bulk::BulkLoader;
+use pr_tree::dynamic::tombstone::{TombstoneKey, Tombstones};
 use pr_tree::dynamic::LprTree;
 use pr_tree::{Entry, QueryScratch, TreeParams};
 use rand::rngs::SmallRng;
@@ -300,5 +302,23 @@ fn warmed_windows_allocate_nothing() {
     assert_eq!(
         allocations, 0,
         "warmed windows, counts, exact matches and LPR windows allocated {allocations} times"
+    );
+}
+
+/// Collecting a checkpoint's `(key, count)` entries into [`Tombstones`]
+/// (what a live index's reopen does) sizes the map once from the
+/// iterator's length: no rehash on the way to 10 000 keys.
+#[test]
+fn collected_tombstones_allocate_once() {
+    let _alone = alone();
+    let entries: Vec<(TombstoneKey<2>, u32)> = random_items(10_000, 20)
+        .iter()
+        .map(|item| (TombstoneKey::of(item), 1 + item.id % 3))
+        .collect();
+    let (set, allocations) = allocations_in(|| entries.iter().copied().collect::<Tombstones<2>>());
+    assert_eq!(set.entries().len(), 10_000);
+    assert_eq!(
+        allocations, 1,
+        "collecting 10 000 tombstone keys allocated {allocations} times"
     );
 }
