@@ -28,8 +28,10 @@
 //! Each command is one row of `COMMANDS`: its name, its handler and
 //! every flag it accepts. A flag a command does not list is an
 //! `unknown option` error, so every flag a command takes changes what it
-//! does. Handlers return `Result`; `main` prints `error: …` and exits 1
-//! (2 for an unknown command). `query` and `knn` open a store file and a
+//! does. Handlers write their report to the locked stdout and return
+//! `Result`; `main` prints `error: …` and exits 1 (2 for an unknown
+//! command). A reader that closes the pipe early (`| head`) ends the
+//! command quietly with exit 0. `query` and `knn` open a store file and a
 //! live directory through one `Reader`, so each reports, checks
 //! `--expect` and arms `--explain` once for both kinds.
 
@@ -76,6 +78,7 @@ use query::cmd_query;
 use slow::cmd_slow;
 use stats::cmd_stats;
 use std::error::Error;
+use std::io::{self, Write};
 use torture::cmd_torture;
 use Flag::{Bool, Value};
 
@@ -290,13 +293,30 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     };
-    let outcome = Opts::parse(cmd, &args[1..])
-        .map_err(Into::into)
-        .and_then(|opts| (cmd.run)(&opts));
-    if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    match run(cmd, &args[1..]) {
+        Err(e) if is_broken_pipe(e.as_ref()) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+        Ok(()) => {}
     }
+}
+
+/// Parses the arguments and runs the command with stdout locked.
+fn run(cmd: &Command, args: &[String]) -> CmdResult {
+    let opts = Opts::parse(cmd, args)?;
+    let mut out = io::stdout().lock();
+    (cmd.run)(&opts, &mut out)?;
+    Ok(out.flush()?)
+}
+
+/// Whether a command failed only because its reader went away: stdout
+/// was a pipe whose other end closed (`prtree stats DIR | head -1`).
+/// The reader chose to stop reading, so that is not an error.
+fn is_broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
 }
 
 #[cfg(test)]
@@ -361,6 +381,16 @@ mod tests {
             stray.is_empty(),
             "USAGE documents flags no command takes: {stray:?}"
         );
+    }
+
+    #[test]
+    fn only_a_closed_stdout_is_a_quiet_exit() {
+        let pipe: Box<dyn Error> = io::Error::from(io::ErrorKind::BrokenPipe).into();
+        assert!(is_broken_pipe(pipe.as_ref()));
+        let full: Box<dyn Error> = io::Error::from(io::ErrorKind::StorageFull).into();
+        assert!(!is_broken_pipe(full.as_ref()));
+        let text: Box<dyn Error> = "Broken pipe".into();
+        assert!(!is_broken_pipe(text.as_ref()));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 use crate::opts::{open_live, Opts};
 use crate::stats::print_write_stats;
 use crate::CmdResult;
+use std::io::Write;
 use std::time::Instant;
 
-pub(crate) fn cmd_compact(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_compact(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let dir = opts.path("DIR")?;
     let max_garbage_pct = match opts.opt_num::<u8>("max-garbage-pct") {
         Ok(p) if p.is_none_or(|p| p <= 100) => p,
@@ -16,17 +17,19 @@ pub(crate) fn cmd_compact(opts: &Opts) -> CmdResult {
         // Conditional reclamation: rewrite only past the garbage
         // threshold, otherwise leave the incremental layout alone.
         if !ix.compact_if_garbage(pct)? {
-            println!(
+            writeln!(
+                out,
                 "skipped: {} garbage bytes of {} on disk is within {pct}%",
                 before.store_garbage_bytes, before.store_file_bytes
-            );
-            return print_write_stats(&ix);
+            )?;
+            return print_write_stats(out, &ix);
         }
     } else {
         ix.compact()?;
     }
     let after = ix.stats()?;
-    println!(
+    writeln!(
+        out,
         "compacted in {:.2}s: {} → {} component(s), {} → {} tombstones, \
          {} → {} store bytes",
         t0.elapsed().as_secs_f64(),
@@ -36,6 +39,6 @@ pub(crate) fn cmd_compact(opts: &Opts) -> CmdResult {
         after.tombstones,
         before.store_file_bytes,
         after.store_file_bytes
-    );
-    print_write_stats(&ix)
+    )?;
+    print_write_stats(out, &ix)
 }

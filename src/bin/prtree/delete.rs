@@ -1,9 +1,10 @@
 use crate::opts::{open_live, window, Opts};
 use crate::stats::print_write_stats;
 use crate::CmdResult;
+use std::io::Write;
 use std::time::Instant;
 
-pub(crate) fn cmd_delete(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_delete(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let dir = opts.path("DIR")?;
     let q = window(opts)?;
     let limit: usize = opts.num("limit", usize::MAX)?;
@@ -17,10 +18,11 @@ pub(crate) fn cmd_delete(opts: &Opts) -> CmdResult {
         deleted += ix.delete_batch(chunk)?;
     }
     ix.wait_idle()?;
-    println!(
+    writeln!(
+        out,
         "deleted {deleted} of {} intersecting items in {:.2}s",
         victims.len(),
         t0.elapsed().as_secs_f64()
-    );
-    print_write_stats(&ix)
+    )?;
+    print_write_stats(out, &ix)
 }

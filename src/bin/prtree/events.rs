@@ -1,8 +1,9 @@
 use crate::opts::{open_live, Opts};
 use crate::CmdResult;
+use std::io::Write;
 use std::path::Path;
 
-pub(crate) fn cmd_events(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_events(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let dir = opts.path("DIR")?;
     let json = opts.has("json");
     let limit: usize = opts.num("limit", usize::MAX)?;
@@ -30,20 +31,21 @@ pub(crate) fn cmd_events(opts: &Opts) -> CmdResult {
         obj.u64("schema_version", pr_obs::SCHEMA_VERSION)
             .raw("events", &arr.finish_pretty())
             .u64("events_dropped", log.dropped);
-        println!("{}", obj.finish());
+        writeln!(out, "{}", obj.finish())?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{} lifecycle event(s) ({} dropped by the bounded ring):",
         log.events.len(),
         log.dropped
-    );
+    )?;
     for e in &log.events[skip..] {
         let dur = e
             .duration_us
             .map(|d| format!("  [{d} µs]"))
             .unwrap_or_default();
-        println!("  #{:<4} {:<18} {}{dur}", e.seq, e.kind, e.detail);
+        writeln!(out, "  #{:<4} {:<18} {}{dur}", e.seq, e.kind, e.detail)?;
     }
     Ok(())
 }

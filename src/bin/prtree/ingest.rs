@@ -3,11 +3,12 @@ use crate::opts::{generate, live_opts, tree_params, Opts};
 use crate::stats::print_write_stats;
 use crate::CmdResult;
 use pr_live::LiveIndex;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-pub(crate) fn cmd_ingest(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_ingest(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let dir = opts.path("DIR")?;
     let data = opts.get("data").unwrap_or("uniform");
     let n: u32 = opts.num("n", 100_000)?;
@@ -84,22 +85,24 @@ pub(crate) fn cmd_ingest(opts: &Opts) -> CmdResult {
     }
     if let Some(path) = &metrics_file {
         write_metrics_file(path)?;
-        println!("wrote metrics to {}", path.display());
+        writeln!(out, "wrote metrics to {}", path.display())?;
     }
     if let Some(path) = &trace_file {
         let traces = pr_obs::trace::drain_collector();
         write_atomic(path, pr_obs::chrome_trace_json(&traces))?;
-        println!(
+        writeln!(
+            out,
             "wrote {} span trace(s) to {} (Chrome trace-event JSON)",
             traces.len(),
             path.display()
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "ingested {n} items ({data}, seed {seed}, ids {id_base}..{}) with {writers} \
          writer(s) in {acked_s:.2}s acked ({:.0} items/s), {total_s:.2}s to idle",
         id_base as u64 + n as u64,
         n as f64 / acked_s.max(1e-9),
-    );
-    print_write_stats(&ix)
+    )?;
+    print_write_stats(out, &ix)
 }

@@ -3,8 +3,9 @@ use crate::reader::{explained, Reader};
 use crate::CmdResult;
 use pr_geom::Point;
 use pr_tree::QueryScratch;
+use std::io::Write;
 
-pub(crate) fn cmd_knn(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_knn(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let path = opts.path("FILE")?;
     let point = opts.require("point", "X,Y")?;
     let [x, y] = parse_coords::<2>(point, "--point")?;
@@ -18,16 +19,21 @@ pub(crate) fn cmd_knn(opts: &Opts) -> CmdResult {
     let reader = Reader::open(path, opts)?;
     let mut scratch = QueryScratch::new();
     let mut neighbors = Vec::new();
-    let (stats, knn_ms) = explained(opts, "knn", &reader, || {
+    let (stats, knn_ms) = explained(opts, out, "knn", &reader, || {
         reader.knn(&Point::new([x, y]), k, &mut scratch, &mut neighbors)
     })?;
-    println!("{} nearest to ({x}, {y}):", neighbors.len());
+    writeln!(out, "{} nearest to ({x}, {y}):", neighbors.len())?;
     for (item, dist) in &neighbors {
-        println!("  id {:>8}  dist {dist:.6}  rect {:?}", item.id, item.rect);
+        writeln!(
+            out,
+            "  id {:>8}  dist {dist:.6}  rect {:?}",
+            item.id, item.rect
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "knn I/O: {} leaves visited, {} device reads ({knn_ms:.1} ms)",
         stats.leaves_visited, stats.device_reads,
-    );
+    )?;
     Ok(())
 }

@@ -1,4 +1,5 @@
 use crate::opts::Opts;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// Touches every layer's metric catalog so a registry snapshot always
@@ -17,10 +18,13 @@ pub(crate) fn init_obs() {
 /// holds further top-level fields (raw `"key":value,...` JSON, no
 /// braces) spliced into the document — how `stats --json` on a live
 /// dir carries the index summary and the per-run layout.
-pub(crate) fn report_registry(json: bool, extra: Option<String>) {
+pub(crate) fn report_registry(
+    out: &mut dyn Write,
+    json: bool,
+    extra: Option<String>,
+) -> io::Result<()> {
     if !json {
-        print_metrics_human(&pr_obs::global().snapshot());
-        return;
+        return print_metrics_human(out, &pr_obs::global().snapshot());
     }
     let mut doc = registry_json();
     if let Some(extra) = extra {
@@ -30,11 +34,11 @@ pub(crate) fn report_registry(json: bool, extra: Option<String>) {
         doc.push_str(&extra);
         doc.push('}');
     }
-    println!("{doc}");
+    writeln!(out, "{doc}")
 }
 
-fn print_metrics_human(snap: &pr_obs::RegistrySnapshot) {
-    println!("metrics (process-wide registry):");
+fn print_metrics_human(out: &mut dyn Write, snap: &pr_obs::RegistrySnapshot) -> io::Result<()> {
+    writeln!(out, "metrics (process-wide registry):")?;
     for m in &snap.metrics {
         let name = if m.labels.is_empty() {
             m.name.clone()
@@ -44,22 +48,24 @@ fn print_metrics_human(snap: &pr_obs::RegistrySnapshot) {
         };
         match &m.value {
             pr_obs::MetricValue::Counter(v) | pr_obs::MetricValue::Gauge(v) => {
-                println!("  {name:<44} {v}");
+                writeln!(out, "  {name:<44} {v}")?;
             }
             pr_obs::MetricValue::Histogram(h) if h.is_empty() => {
-                println!("  {name:<44} count=0");
+                writeln!(out, "  {name:<44} count=0")?;
             }
             pr_obs::MetricValue::Histogram(h) => {
-                println!(
+                writeln!(
+                    out,
                     "  {name:<44} count={} p50={} p99={} max={}",
                     h.len(),
                     h.quantile(0.5),
                     h.quantile(0.99),
                     h.max()
-                );
+                )?;
             }
         }
     }
+    Ok(())
 }
 
 /// Writes `doc` to `path` atomically (temp file + rename), so a reader

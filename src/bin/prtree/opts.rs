@@ -6,6 +6,7 @@ use pr_store::ReadPath;
 use pr_tree::bulk::LoaderKind;
 use pr_tree::TreeParams;
 use std::fmt::Display;
+use std::io::Write;
 use std::path::Path;
 use std::str::FromStr;
 
@@ -25,10 +26,11 @@ impl Flag {
     }
 }
 
-/// A subcommand: its name, its handler and every flag it accepts.
+/// A subcommand: its name, its handler and every flag it accepts. The
+/// handler writes its report to `out`, the locked stdout.
 pub(crate) struct Command {
     pub(crate) name: &'static str,
-    pub(crate) run: fn(&Opts) -> CmdResult,
+    pub(crate) run: fn(&Opts, &mut dyn Write) -> CmdResult,
     pub(crate) flags: &'static [&'static [Flag]],
 }
 

@@ -2,9 +2,10 @@ use crate::opts::{window, Opts};
 use crate::reader::{explained, Reader};
 use crate::CmdResult;
 use pr_tree::QueryScratch;
+use std::io::{self, Write};
 use std::time::Instant;
 
-pub(crate) fn cmd_query(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_query(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let path = opts.path("FILE")?;
     let q = window(opts)?;
     let expect: Option<usize> = opts.opt_num("expect")?;
@@ -15,30 +16,37 @@ pub(crate) fn cmd_query(opts: &Opts) -> CmdResult {
     let open_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mut scratch = QueryScratch::new();
     let mut hits = Vec::new();
-    let (stats, query_ms) = explained(opts, "window", &reader, || {
+    let (stats, query_ms) = explained(opts, out, "window", &reader, || {
         reader.window(&q, &mut scratch, &mut hits)
     })?;
 
-    println!("results: {}", hits.len());
-    println!(
-        "query I/O: {} leaves visited, {} internal, {} device reads ({query_ms:.1} ms){}",
-        stats.leaves_visited,
-        stats.internal_visited,
-        stats.device_reads,
-        reader.fanout(),
-    );
-    println!("{}", reader.open_line(open_ms));
-    if opts.has("verbose") {
-        for item in hits.iter().take(20) {
-            println!("  id {} rect {:?}", item.id, item.rect);
+    // The report goes out before the `--expect` check, but the check's
+    // verdict outranks a reader that closed the pipe during the report.
+    let report = (|| -> io::Result<()> {
+        writeln!(out, "results: {}", hits.len())?;
+        writeln!(
+            out,
+            "query I/O: {} leaves visited, {} internal, {} device reads ({query_ms:.1} ms){}",
+            stats.leaves_visited,
+            stats.internal_visited,
+            stats.device_reads,
+            reader.fanout(),
+        )?;
+        writeln!(out, "{}", reader.open_line(open_ms))?;
+        if opts.has("verbose") {
+            for item in hits.iter().take(20) {
+                writeln!(out, "  id {} rect {:?}", item.id, item.rect)?;
+            }
+            if hits.len() > 20 {
+                writeln!(out, "  ... and {} more", hits.len() - 20)?;
+            }
         }
-        if hits.len() > 20 {
-            println!("  ... and {} more", hits.len() - 20);
-        }
-    }
+        Ok(())
+    })();
     if let Some(want) = expect.filter(|&want| want != hits.len()) {
         return Err(format!("expected {want} results, got {}", hits.len()).into());
     }
+    report?;
     if reps > 0 {
         // Warm-cache hot loop: one QueryScratch reused across all runs,
         // so after the first iteration the traversal allocates nothing.
@@ -49,13 +57,14 @@ pub(crate) fn cmd_query(opts: &Opts) -> CmdResult {
             total += hits.len() as u64;
         }
         let secs = t0.elapsed().as_secs_f64();
-        println!(
+        writeln!(
+            out,
             "hot loop: {reps} runs in {:.1} ms — {:.1} µs/query, {:.0} queries/s ({} results/run)",
             secs * 1e3,
             secs / reps as f64 * 1e6,
             reps as f64 / secs,
             total / reps as u64,
-        );
+        )?;
     }
     Ok(())
 }

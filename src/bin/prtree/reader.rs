@@ -4,6 +4,7 @@ use pr_geom::{Item, Point, Rect};
 use pr_live::{LiveIndex, LiveSnapshot};
 use pr_store::Store;
 use pr_tree::{QueryScratch, QueryStats, RTree};
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::Instant;
 
@@ -14,7 +15,12 @@ use std::time::Instant;
 /// (the command exits 1): the trace and the stats counters are two
 /// independent accountings of the same traversal, and disagreement
 /// means one of them lies.
-fn print_explain(traces: &[pr_obs::Trace], kind: &str, stats: &QueryStats) -> Result<(), String> {
+fn print_explain(
+    out: &mut dyn Write,
+    traces: &[pr_obs::Trace],
+    kind: &str,
+    stats: &QueryStats,
+) -> CmdResult {
     let traces: Vec<&pr_obs::Trace> = traces.iter().filter(|t| t.kind == kind).collect();
     let mut levels: Vec<pr_obs::LevelCounters> = Vec::new();
     let mut total_us = 0u64;
@@ -40,42 +46,55 @@ fn print_explain(traces: &[pr_obs::Trace], kind: &str, stats: &QueryStats) -> Re
             s.device_reads += l.device_reads;
             s
         });
-    println!(
-        "explain ({kind}): {} traced traversal(s), {total_us} µs",
-        traces.len()
-    );
-    println!(
-        "  {:<5} {:>7} {:>7} {:>9} {:>6}",
-        "level", "nodes", "leaves", "internal", "reads"
-    );
-    for (i, l) in levels.iter().enumerate().rev() {
-        println!(
-            "  {:<5} {:>7} {:>7} {:>9} {:>6}",
-            i, l.nodes, l.leaves, l.internal, l.device_reads
-        );
-    }
-    println!(
-        "  {:<5} {:>7} {:>7} {:>9} {:>6}",
-        "sum", sum.nodes, sum.leaves, sum.internal, sum.device_reads
-    );
-    // Phase timings, aggregated by (layer, phase) across the traces.
-    let mut phases: std::collections::BTreeMap<(&str, &str), (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for t in &traces {
-        for s in &t.spans {
-            let e = phases.entry((s.layer, s.name)).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.dur_us;
-        }
-    }
-    println!("phases:");
-    for ((layer, name), (count, us)) in &phases {
-        println!("  {:<24} x{count:<4} {us} µs", format!("{layer}/{name}"));
-    }
     let ok = sum.nodes == stats.nodes_visited
         && sum.leaves == stats.leaves_visited
         && sum.internal == stats.internal_visited
         && sum.device_reads == stats.device_reads;
+    // The profile goes out before the verdict, but a failed cross-check
+    // outranks a reader that closed the pipe during the profile.
+    let report = (|| -> io::Result<()> {
+        writeln!(
+            out,
+            "explain ({kind}): {} traced traversal(s), {total_us} µs",
+            traces.len()
+        )?;
+        writeln!(
+            out,
+            "  {:<5} {:>7} {:>7} {:>9} {:>6}",
+            "level", "nodes", "leaves", "internal", "reads"
+        )?;
+        for (i, l) in levels.iter().enumerate().rev() {
+            writeln!(
+                out,
+                "  {:<5} {:>7} {:>7} {:>9} {:>6}",
+                i, l.nodes, l.leaves, l.internal, l.device_reads
+            )?;
+        }
+        writeln!(
+            out,
+            "  {:<5} {:>7} {:>7} {:>9} {:>6}",
+            "sum", sum.nodes, sum.leaves, sum.internal, sum.device_reads
+        )?;
+        // Phase timings, aggregated by (layer, phase) across the traces.
+        let mut phases: std::collections::BTreeMap<(&str, &str), (u64, u64)> =
+            std::collections::BTreeMap::new();
+        for t in &traces {
+            for s in &t.spans {
+                let e = phases.entry((s.layer, s.name)).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += s.dur_us;
+            }
+        }
+        writeln!(out, "phases:")?;
+        for ((layer, name), (count, us)) in &phases {
+            writeln!(
+                out,
+                "  {:<24} x{count:<4} {us} µs",
+                format!("{layer}/{name}")
+            )?;
+        }
+        Ok(())
+    })();
     if !ok {
         return Err(format!(
             "--explain cross-check FAILED: trace sums nodes={} leaves={} \
@@ -88,12 +107,15 @@ fn print_explain(traces: &[pr_obs::Trace], kind: &str, stats: &QueryStats) -> Re
             stats.leaves_visited,
             stats.internal_visited,
             stats.device_reads
-        ));
+        )
+        .into());
     }
-    println!(
+    report?;
+    writeln!(
+        out,
         "cross-check vs QueryStats: exact (nodes={} leaves={} internal={} reads={})",
         stats.nodes_visited, stats.leaves_visited, stats.internal_visited, stats.device_reads
-    );
+    )?;
     Ok(())
 }
 
@@ -199,6 +221,7 @@ impl Reader {
 /// the live reader's loose-chunk line.
 pub(crate) fn explained(
     opts: &Opts,
+    out: &mut dyn Write,
     kind: &str,
     reader: &Reader,
     query: impl FnOnce() -> CmdResult<QueryStats>,
@@ -213,9 +236,9 @@ pub(crate) fn explained(
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     if explain {
         pr_obs::trace::set_sampling(0);
-        print_explain(&pr_obs::trace::drain_collector(), kind, &stats)?;
+        print_explain(out, &pr_obs::trace::drain_collector(), kind, &stats)?;
         if let Some(line) = reader.loose_line(&stats) {
-            println!("{line}");
+            writeln!(out, "{line}")?;
         }
     }
     Ok((stats, ms))

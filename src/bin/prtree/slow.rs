@@ -2,10 +2,11 @@ use crate::obs::arm_tracing;
 use crate::opts::{open_live, Opts};
 use crate::CmdResult;
 use pr_store::Store;
+use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 
-pub(crate) fn cmd_slow(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_slow(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let path = opts.path("DIR|FILE")?;
     let json = opts.has("json");
     let limit: usize = opts.num_min("limit", usize::MAX, 1)?;
@@ -35,21 +36,25 @@ pub(crate) fn cmd_slow(opts: &Opts) -> CmdResult {
         traces.truncate(limit);
     }
     if json {
-        println!("{}", pr_obs::slow_traces_json(&groups));
+        writeln!(out, "{}", pr_obs::slow_traces_json(&groups))?;
     } else if groups.is_empty() {
-        println!("flight recorder: no ops above the slow threshold");
+        writeln!(out, "flight recorder: no ops above the slow threshold")?;
     } else {
         for (kind, traces) in &groups {
-            println!("{kind}: {} slowest retained", traces.len());
+            writeln!(out, "{kind}: {} slowest retained", traces.len())?;
             for t in traces {
-                println!("  {:>9} µs total  {}", t.total_us, t.detail);
+                writeln!(out, "  {:>9} µs total  {}", t.total_us, t.detail)?;
                 for s in &t.spans {
                     let detail = if s.detail.is_empty() {
                         String::new()
                     } else {
                         format!("  {}", s.detail)
                     };
-                    println!("    {:>9} µs  {}/{}{detail}", s.dur_us, s.layer, s.name);
+                    writeln!(
+                        out,
+                        "    {:>9} µs  {}/{}{detail}",
+                        s.dur_us, s.layer, s.name
+                    )?;
                 }
             }
         }

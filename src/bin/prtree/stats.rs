@@ -3,62 +3,70 @@ use crate::opts::{open_live, read_path, Opts};
 use crate::CmdResult;
 use pr_live::LiveIndex;
 use pr_store::{ScrubReport, Store};
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::Instant;
 
 /// The live index's state, every line but the checksum one (which says
 /// whether this command scrubbed).
-fn print_live_stats(ix: &LiveIndex<2>) -> CmdResult {
+fn print_live_stats(out: &mut dyn Write, ix: &LiveIndex<2>) -> CmdResult {
     let s = ix.stats()?;
-    println!("live index:   {}", ix.dir().display());
-    println!(
+    writeln!(out, "live index:   {}", ix.dir().display())?;
+    writeln!(
+        out,
         "items:        {} live ({} memtable, {} sealed, {} tombstones)",
         s.live, s.memtable, s.sealed, s.tombstones
-    );
-    print!("components:   {} [", s.components.len());
+    )?;
+    write!(out, "components:   {} [", s.components.len())?;
     for (i, (slot, len)) in s.components.iter().enumerate() {
         if i > 0 {
-            print!(", ");
+            write!(out, ", ")?;
         }
-        print!("slot {slot}: {len}");
+        write!(out, "slot {slot}: {len}")?;
     }
-    println!("]");
+    writeln!(out, "]")?;
     let m = pr_live::obs::metrics();
-    println!(
+    writeln!(
+        out,
         "deletes:      membership filters hold {} bytes; this process's probes \
          searched {} component(s), skipped {}",
         s.filter_bytes,
         m.probe_searched.get(),
         m.probe_skipped.get()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "wal:          seq {} acked / {} synced / {} merged; {} segment(s), {} bytes",
         s.durable_seq, s.synced_seq, s.merged_seq, s.wal_segments, s.wal_bytes
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "group commit (since open): {} records in {} groups, {} fsyncs",
         s.wal_group_records, s.wal_groups, s.wal_fsyncs
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "store:        epoch {}, {} bytes on disk ({} garbage); {} merges this session",
         s.store_epoch, s.store_file_bytes, s.store_garbage_bytes, s.merges
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "merge I/O:    {} pages written, {} reused in place; write amp {}.{:02}x",
         s.store_pages_written,
         s.store_pages_reused,
         s.write_amp_x100 / 100,
         s.write_amp_x100 % 100
-    );
-    print!("runs:         {} [", s.store_runs.len());
+    )?;
+    write!(out, "runs:         {} [", s.store_runs.len())?;
     for (i, r) in s.store_runs.iter().enumerate() {
         if i > 0 {
-            print!(", ");
+            write!(out, ", ")?;
         }
-        print!("id {} @ {} x{}", r.id, r.data_offset, r.num_pages);
+        write!(out, "id {} @ {} x{}", r.id, r.data_offset, r.num_pages)?;
     }
-    println!("]");
-    println!(
+    writeln!(out, "]")?;
+    writeln!(
+        out,
         "health:       wal {}, merges {}, store reads {}",
         if s.wal_degraded {
             "DEGRADED (transient group failure; next clean group recovers)"
@@ -75,53 +83,54 @@ fn print_live_stats(ix: &LiveIndex<2>) -> CmdResult {
         } else {
             "ok"
         },
-    );
+    )?;
     Ok(())
 }
 
 /// How `ingest`, `delete` and `compact` end: the index's state after
 /// the write. None of them re-hashes pages; `stats` does.
-pub(crate) fn print_write_stats(ix: &LiveIndex<2>) -> CmdResult {
-    print_live_stats(ix)?;
-    println!("checksums:    not scrubbed (run `prtree stats`)");
+pub(crate) fn print_write_stats(out: &mut dyn Write, ix: &LiveIndex<2>) -> CmdResult {
+    print_live_stats(out, ix)?;
+    writeln!(out, "checksums:    not scrubbed (run `prtree stats`)")?;
     Ok(())
 }
 
-fn print_scrub(report: &ScrubReport, t0: Instant) {
-    println!(
+fn print_scrub(out: &mut dyn Write, report: &ScrubReport, t0: Instant) -> io::Result<()> {
+    writeln!(
+        out,
         "checksums:    all {} pages scrubbed in {:.1} ms \
          ({} were already verified by earlier reads)",
         report.pages,
         t0.elapsed().as_secs_f64() * 1e3,
         report.already_verified,
-    );
+    )
 }
 
-pub(crate) fn cmd_stats(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_stats(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let path = opts.path("FILE")?;
     arm_tracing(opts, 0)?;
     if Path::new(path).is_dir() {
-        stats_live(path, opts)
+        stats_live(path, opts, out)
     } else {
-        stats_file(path, opts)
+        stats_file(path, opts, out)
     }
 }
 
-fn stats_live(dir: &str, opts: &Opts) -> CmdResult {
+fn stats_live(dir: &str, opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let json = opts.has("json");
     let verify = !opts.has("no-verify");
     let ix = open_live(dir, opts)?;
     if !json {
-        print_live_stats(&ix)?;
+        print_live_stats(out, &ix)?;
         if verify {
             // Same bit-rot scrub the store-file path runs: every
             // snapshot page re-hashed. A corrupt page is a nonzero exit.
             let t0 = Instant::now();
-            print_scrub(&ix.scrub()?, t0);
+            print_scrub(out, &ix.scrub()?, t0)?;
         } else {
-            println!("checksums:    skipped (--no-verify)");
+            writeln!(out, "checksums:    skipped (--no-verify)")?;
         }
-        report_registry(false, None);
+        report_registry(out, false, None)?;
         return Ok(());
     }
     if verify {
@@ -163,50 +172,61 @@ fn stats_live(dir: &str, opts: &Opts) -> CmdResult {
         live.finish(),
         runs.finish()
     );
-    report_registry(true, Some(extra));
+    report_registry(out, true, Some(extra))?;
     Ok(())
 }
 
-fn stats_file(file: &str, opts: &Opts) -> CmdResult {
+fn stats_file(file: &str, opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let json = opts.has("json");
     let store = Store::open(Path::new(file))?;
     let sb = *store.superblock();
     if !json {
-        println!("store:        {file}");
-        println!("format:       v{} (pr-store)", pr_store::FORMAT_VERSION);
-        println!(
+        writeln!(out, "store:        {file}")?;
+        writeln!(
+            out,
+            "format:       v{} (pr-store)",
+            pr_store::FORMAT_VERSION
+        )?;
+        writeln!(
+            out,
             "superblock:   slot {} of 2, epoch {}",
             store.active_slot(),
             sb.epoch
-        );
-        println!("dimension:    {}", sb.dim);
-        println!("block size:   {} bytes", sb.block_size);
-        println!(
+        )?;
+        writeln!(out, "dimension:    {}", sb.dim)?;
+        writeln!(out, "block size:   {} bytes", sb.block_size)?;
+        writeln!(
+            out,
             "pages:        {} ({} bytes of pages)",
             sb.num_pages,
             sb.num_pages * sb.block_size as u64
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "layout:       data @ {}, checksum table @ {}, footer @ {}",
             sb.data_offset, sb.table_offset, sb.footer_offset
-        );
+        )?;
         if let Ok(len) = store.file_len() {
-            println!("file length:  {len} bytes");
+            writeln!(out, "file length:  {len} bytes")?;
         }
-        println!(
+        writeln!(
+            out,
             "tree meta:    {} items, root level {}, node cap {}, page size {}",
             sb.meta.len, sb.meta.root_level, sb.meta.params.leaf_cap, sb.meta.params.page_size
-        );
+        )?;
     }
     if !sb.has_snapshot() {
         if !json {
-            println!("snapshot:     none committed yet");
+            writeln!(out, "snapshot:     none committed yet")?;
         }
     } else if opts.has("no-verify") {
         // Metadata-only mode: no page is read, so this works (and stays
         // fast) even when the page region is damaged or huge.
         if !json {
-            println!("checksums:    skipped (--no-verify; superblock metadata only)");
+            writeln!(
+                out,
+                "checksums:    skipped (--no-verify; superblock metadata only)"
+            )?;
         }
     } else {
         // Eager scrub: re-hashes every page (its job is catching bit rot
@@ -217,31 +237,38 @@ fn stats_file(file: &str, opts: &Opts) -> CmdResult {
         let t0 = Instant::now();
         let report = store.scrub()?;
         if !json {
-            print_scrub(&report, t0);
+            print_scrub(out, &report, t0)?;
         }
         // The tree walk goes through the same read path as query/knn.
         let tree = store.tree_with::<2>(read_path(opts))?;
         let shape = tree.stats()?;
         if !json {
-            println!(
+            writeln!(
+                out,
                 "tree shape:   {} nodes ({} leaves), utilization {:.1}% (leaves {:.1}%)",
                 shape.num_nodes(),
                 shape.num_leaves(),
                 shape.utilization() * 100.0,
                 shape.leaf_utilization() * 100.0
-            );
-            println!("nodes/level:  {:?} (leaves first)", shape.nodes_per_level);
+            )?;
+            writeln!(
+                out,
+                "nodes/level:  {:?} (leaves first)",
+                shape.nodes_per_level
+            )?;
             let io = tree.device().io_stats();
             let (verified, total) = store.verified_pages();
-            println!(
+            writeln!(
+                out,
                 "I/O counters: {} reads, {} writes through the store device",
                 io.reads, io.writes
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "verify-once:  {verified}/{total} pages verified; reads of verified pages skip CRC"
-            );
+            )?;
         }
     }
-    report_registry(json, None);
+    report_registry(out, json, None)?;
     Ok(())
 }

@@ -1,10 +1,11 @@
 use crate::opts::{durability, Opts};
 use crate::CmdResult;
 use pr_live::Durability;
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::Instant;
 
-pub(crate) fn cmd_torture(opts: &Opts) -> CmdResult {
+pub(crate) fn cmd_torture(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let dir = match opts.positional.as_slice() {
         [] => std::env::temp_dir().join(format!("prtree-torture-{}", std::process::id())),
         [dir] => PathBuf::from(dir),
@@ -20,7 +21,8 @@ pub(crate) fn cmd_torture(opts: &Opts) -> CmdResult {
         durability: durability(opts, small.durability)?,
         ..small
     };
-    println!(
+    writeln!(
+        out,
         "torture: sweeping every{} failable I/O op of a {}x{} trace \
          ({} writer(s), {:?}) in {}",
         if cfg.stride > 1 {
@@ -33,13 +35,14 @@ pub(crate) fn cmd_torture(opts: &Opts) -> CmdResult {
         cfg.writers,
         cfg.durability,
         dir.display()
-    );
+    )?;
     let t0 = Instant::now();
     // The harness panics (aborting with a nonzero exit) on any invariant
     // violation, so reaching a report means the sweep passed.
     let r =
         pr_live::run_torture(&cfg).map_err(|e| format!("torture harness could not run: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "torture: PASS — {} runs over {} ops and {} mark hits in {:.2}s: {} faults \
          injected ({} silent), {} transient failures, {} fatal; every run \
          recovered exactly the acknowledged operations",
@@ -51,7 +54,7 @@ pub(crate) fn cmd_torture(opts: &Opts) -> CmdResult {
         r.silent,
         r.transient_failures,
         r.fatal_failures
-    );
+    )?;
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
