@@ -72,7 +72,7 @@ fn unit_square() -> Rect<2> {
 
 /// Figure 9: bulk-loading cost (block I/Os and wall seconds) on the
 /// TIGER-like Eastern and Western datasets.
-pub fn fig9(scale: Scale) -> Vec<Table> {
+pub(crate) fn fig9(scale: Scale) -> Vec<Table> {
     let western = TigerProfile::western().generate(scale.n_western(), 5);
     let eastern = TigerProfile::eastern().generate(scale.n_eastern(), 5);
 
@@ -105,7 +105,7 @@ pub fn fig9(scale: Scale) -> Vec<Table> {
 }
 
 /// Figure 10: bulk-loading I/Os over the five nested Eastern subsets.
-pub fn fig10(scale: Scale) -> Table {
+pub(crate) fn fig10(scale: Scale) -> Table {
     let profile = TigerProfile::eastern();
     let n_full = scale.n_eastern();
     // Paper subset sizes: 2.1, 5.7, 9.2, 12.7, 16.7 mln.
@@ -133,7 +133,7 @@ pub fn fig10(scale: Scale) -> Table {
 
 /// Figure 11: TGS bulk-loading cost over the SIZE and ASPECT sweeps (the
 /// only loader whose construction cost depends on the data distribution).
-pub fn fig11(scale: Scale) -> Table {
+pub(crate) fn fig11(scale: Scale) -> Table {
     let n = scale.n_synthetic();
     let mem = scale.memory_bytes(n);
     let mut t = Table::new(
@@ -240,7 +240,7 @@ fn four_variant_row(label: String, items: &[Item<2>], queries: &[Rect<2>]) -> Ve
 
 /// Figure 14: query cost vs dataset size (nested Eastern subsets, 1%-area
 /// square queries).
-pub fn fig14(scale: Scale) -> Table {
+pub(crate) fn fig14(scale: Scale) -> Table {
     let profile = TigerProfile::eastern();
     let n_full = scale.n_eastern();
     let fractions = [0.126, 0.341, 0.551, 0.760, 1.0];
@@ -261,7 +261,7 @@ pub fn fig14(scale: Scale) -> Table {
 }
 
 /// Figure 15 (left): query cost over the SIZE(max_side) sweep.
-pub fn fig15_size(scale: Scale) -> Table {
+pub(crate) fn fig15_size(scale: Scale) -> Table {
     let n = scale.n_synthetic();
     let mut t = Table::new(
         "fig15size",
@@ -283,7 +283,7 @@ pub fn fig15_size(scale: Scale) -> Table {
 }
 
 /// Figure 15 (middle): query cost over the ASPECT(a) sweep.
-pub fn fig15_aspect(scale: Scale) -> Table {
+pub(crate) fn fig15_aspect(scale: Scale) -> Table {
     let n = scale.n_synthetic();
     let mut t = Table::new(
         "fig15aspect",
@@ -308,7 +308,7 @@ pub fn fig15_aspect(scale: Scale) -> Table {
 
 /// Figure 15 (right): query cost over the SKEWED(c) sweep with
 /// matching skew-transformed queries.
-pub fn fig15_skew(scale: Scale) -> Table {
+pub(crate) fn fig15_skew(scale: Scale) -> Table {
     let n = scale.n_synthetic();
     let mut t = Table::new(
         "fig15skew",
@@ -325,7 +325,7 @@ pub fn fig15_skew(scale: Scale) -> Table {
 }
 
 /// Table 1: the CLUSTER dataset with thin horizontal strip queries.
-pub fn table1(scale: Scale) -> Table {
+pub(crate) fn table1(scale: Scale) -> Table {
     let (clusters, per_cluster) = scale.cluster();
     let items = cluster_dataset(clusters, per_cluster, 1e-5, 0xC105);
     let queries = cluster_strip_queries(1e-5, scale.queries_per_batch(), 0x51EC);
@@ -357,7 +357,7 @@ pub fn table1(scale: Scale) -> Table {
 
 /// Theorem 3: the shifted-grid lower-bound dataset with an empty-output
 /// line query.
-pub fn thm3(scale: Scale) -> Table {
+pub(crate) fn thm3(scale: Scale) -> Table {
     let k = scale.worst_case_k();
     let b = params().leaf_cap as u32;
     let items = worst_case_grid(k, b);
@@ -394,7 +394,7 @@ pub fn thm3(scale: Scale) -> Table {
 }
 
 /// Space utilization across loaders and datasets (§3.3: "above 99%").
-pub fn util(scale: Scale) -> Table {
+pub(crate) fn util(scale: Scale) -> Table {
     let n = scale.n_synthetic() / 2;
     let datasets: Vec<(&str, Vec<Item<2>>)> = vec![
         ("UNIFORM", uniform_points(n, 0x07)),
@@ -423,7 +423,7 @@ pub fn util(scale: Scale) -> Table {
 
 /// §4 experiments the paper leaves as future work: update heuristics on a
 /// bulk-loaded PR-tree, and the logarithmic-method LPR-tree.
-pub fn dyn_experiment(scale: Scale) -> Vec<Table> {
+pub(crate) fn dyn_experiment(scale: Scale) -> Vec<Table> {
     let n = scale.n_synthetic() / 2;
     let n_updates = scale.n_updates().min(n / 2);
     let items = uniform_points(n, 0xD1);
@@ -549,7 +549,7 @@ pub fn dyn_experiment(scale: Scale) -> Vec<Table> {
 
 /// Structural ablations of the PR-tree: priority-leaf size and kd-split
 /// snapping, measured in query I/O and utilization.
-pub fn ablation(scale: Scale) -> Table {
+pub(crate) fn ablation(scale: Scale) -> Table {
     use pr_tree::bulk::pr::PrTreeLoader;
     use pr_tree::bulk::BulkLoader;
     let n = scale.n_synthetic() / 2;
@@ -611,7 +611,7 @@ pub fn ablation(scale: Scale) -> Table {
 /// query answered" for a persisted index (`pr-store` open) versus a full
 /// rebuild from the raw rectangles — the persistence subsystem's reason
 /// to exist, in one table.
-pub fn cold_open(scale: Scale) -> Table {
+pub(crate) fn cold_open(scale: Scale) -> Table {
     use pr_store::Store;
     let n = scale.n_cold_open();
     let items = uniform_points(n, 0xC01D);

@@ -18,8 +18,8 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod measure;
-pub mod scale;
+pub(crate) mod measure;
+pub(crate) mod scale;
 pub mod table;
 
 pub use scale::Scale;

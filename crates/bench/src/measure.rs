@@ -12,7 +12,7 @@ use std::time::Instant;
 
 /// Cost of one bulk-loading run.
 #[derive(Debug, Clone, Copy)]
-pub struct BuildCost {
+pub(crate) struct BuildCost {
     /// Block transfers through the substrate.
     pub io: IoStats,
     /// Wall-clock seconds on this host.
@@ -21,7 +21,7 @@ pub struct BuildCost {
 
 /// Builds a tree with the *in-memory* loader (used by query experiments,
 /// where construction cost is irrelevant).
-pub fn build_in_memory(kind: LoaderKind, items: &[Item<2>], params: TreeParams) -> RTree<2> {
+pub(crate) fn build_in_memory(kind: LoaderKind, items: &[Item<2>], params: TreeParams) -> RTree<2> {
     let dev: Arc<dyn BlockDevice> = Arc::new(MemDevice::new(params.page_size));
     kind.loader::<2>()
         .load(dev, params, items.to_vec())
@@ -32,7 +32,7 @@ pub fn build_in_memory(kind: LoaderKind, items: &[Item<2>], params: TreeParams) 
 /// budget, measuring substrate I/O (excluding writing the input stream)
 /// and wall time. `STR` has no external form and is mapped to its
 /// in-memory loader with I/O = page writes only.
-pub fn build_external(
+pub(crate) fn build_external(
     kind: LoaderKind,
     items: &[Item<2>],
     params: TreeParams,
@@ -74,7 +74,7 @@ pub fn build_external(
 
 /// Aggregate cost of a query batch.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QueryAgg {
+pub(crate) struct QueryAgg {
     /// Queries executed.
     pub queries: u64,
     /// Total leaf blocks read (the paper's I/O metric).
@@ -91,7 +91,7 @@ pub struct QueryAgg {
 
 /// Runs a query batch the way the paper does: all internal nodes cached
 /// (`warm_cache`), cost = leaves fetched.
-pub fn run_queries(tree: &RTree<2>, queries: &[Rect<2>]) -> QueryAgg {
+pub(crate) fn run_queries(tree: &RTree<2>, queries: &[Rect<2>]) -> QueryAgg {
     tree.warm_cache().expect("warm cache");
     let leaf_cap = tree.params().leaf_cap;
     let mut agg = QueryAgg {
@@ -121,7 +121,7 @@ pub fn run_queries(tree: &RTree<2>, queries: &[Rect<2>]) -> QueryAgg {
 
 /// Fraction of the tree's leaves a batch visits on average (Table 1's
 /// "% of the R-tree visited").
-pub fn fraction_of_leaves_visited(tree: &RTree<2>, agg: &QueryAgg) -> f64 {
+pub(crate) fn fraction_of_leaves_visited(tree: &RTree<2>, agg: &QueryAgg) -> f64 {
     let leaves = tree.stats().expect("stats").num_leaves();
     if leaves == 0 || agg.queries == 0 {
         return 0.0;

@@ -35,7 +35,7 @@ impl Scale {
     /// meaningless: with only tens of output blocks per query, boundary
     /// leaves dominate and every variant looks "slow". One tenth of the
     /// paper's N keeps output sizes in the hundreds of blocks.
-    pub fn n_eastern(&self) -> u32 {
+    pub(crate) fn n_eastern(&self) -> u32 {
         match self {
             Scale::Small => 1_670_000,
             Scale::Medium => 4_175_000,
@@ -44,7 +44,7 @@ impl Scale {
     }
 
     /// Western TIGER-like dataset size (paper: 12M).
-    pub fn n_western(&self) -> u32 {
+    pub(crate) fn n_western(&self) -> u32 {
         match self {
             Scale::Small => 1_200_000,
             Scale::Medium => 3_000_000,
@@ -53,7 +53,7 @@ impl Scale {
     }
 
     /// Synthetic dataset size (paper: 10M for SIZE/ASPECT/SKEWED).
-    pub fn n_synthetic(&self) -> u32 {
+    pub(crate) fn n_synthetic(&self) -> u32 {
         match self {
             Scale::Small => 1_000_000,
             Scale::Medium => 2_500_000,
@@ -65,7 +65,7 @@ impl Scale {
     /// 1000). Points-per-cluster stays at the paper's 1000 (≈ 8.8 leaves
     /// per cluster — the intra-cluster leaf structure drives Table 1);
     /// only the cluster count shrinks.
-    pub fn cluster(&self) -> (u32, u32) {
+    pub(crate) fn cluster(&self) -> (u32, u32) {
         match self {
             Scale::Small => (200, 1_000),
             Scale::Medium => (1_000, 1_000),
@@ -74,7 +74,7 @@ impl Scale {
     }
 
     /// Theorem-3 grid: `2^k` columns of `B = 113` rows.
-    pub fn worst_case_k(&self) -> u32 {
+    pub(crate) fn worst_case_k(&self) -> u32 {
         match self {
             Scale::Small => 10, // 1024 columns ≈ 116k points
             Scale::Medium => 12,
@@ -84,20 +84,20 @@ impl Scale {
 
     /// External-memory budget for `n` 36-byte records, preserving the
     /// paper's `N/M ≈ 9`.
-    pub fn memory_bytes(&self, n: u32) -> usize {
+    pub(crate) fn memory_bytes(&self, n: u32) -> usize {
         let m_records = (n as usize / 9).max(4096);
         m_records * 36
     }
 
     /// Queries per batch (the paper uses 100).
-    pub fn queries_per_batch(&self) -> usize {
+    pub(crate) fn queries_per_batch(&self) -> usize {
         100
     }
 
     /// Input size for the `cold_open` persistence experiment (kept below
     /// the query-experiment sizes: the point is the *ratio* of open cost
     /// to rebuild cost, which is already stark at these N).
-    pub fn n_cold_open(&self) -> u32 {
+    pub(crate) fn n_cold_open(&self) -> u32 {
         match self {
             Scale::Small => 500_000,
             Scale::Medium => 2_000_000,
@@ -106,7 +106,7 @@ impl Scale {
     }
 
     /// Updates used by the `dyn` experiment.
-    pub fn n_updates(&self) -> u32 {
+    pub(crate) fn n_updates(&self) -> u32 {
         match self {
             Scale::Small => 20_000,
             Scale::Medium => 80_000,

@@ -20,7 +20,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(id: &str, title: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(id: &str, title: &str, headers: &[&str]) -> Self {
         Table {
             id: id.to_string(),
             title: title.to_string(),
@@ -31,20 +31,20 @@ impl Table {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.headers.len());
         self.rows.push(cells);
     }
 
     /// Appends a note shown under the table.
-    pub fn note(&mut self, s: impl Into<String>) {
+    pub(crate) fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
 
     /// Serializes to a JSON object through the workspace's shared
     /// encoder (`pr_obs::json`; the offline build has no serde). Field
     /// layout matches what `#[derive(Serialize)]` produced.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut rows = JsonArr::new();
         for r in &self.rows {
             let mut cells = JsonArr::new();
@@ -111,17 +111,17 @@ impl fmt::Display for Table {
 }
 
 /// Formats a ratio as the paper's percentage style ("112%").
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.0}%", x * 100.0)
 }
 
 /// Formats a float with a sensible precision.
-pub fn f2(x: f64) -> String {
+pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
 /// Formats a block count in millions when large (paper: "3.1 mln").
-pub fn blocks(x: u64) -> String {
+pub(crate) fn blocks(x: u64) -> String {
     if x >= 1_000_000 {
         format!("{:.2} mln", x as f64 / 1e6)
     } else {

@@ -52,7 +52,7 @@ pub fn aspect_dataset(n: u32, aspect: f64, seed: u64) -> Vec<Item<2>> {
 }
 
 /// ASPECT with an explicit area (the paper fixes `10⁻⁶`).
-pub fn aspect_dataset_with_area(n: u32, aspect: f64, area: f64, seed: u64) -> Vec<Item<2>> {
+pub(crate) fn aspect_dataset_with_area(n: u32, aspect: f64, area: f64, seed: u64) -> Vec<Item<2>> {
     assert!(aspect >= 1.0, "aspect ratio must be ≥ 1");
     assert!(area > 0.0);
     let long = (area * aspect).sqrt();

@@ -39,7 +39,7 @@ pub fn worst_case_grid(k: u32, b: u32) -> Vec<Item<2>> {
 }
 
 /// Reverses the low `k` bits of `i`.
-pub fn bit_reverse(i: u32, k: u32) -> u32 {
+pub(crate) fn bit_reverse(i: u32, k: u32) -> u32 {
     debug_assert!((1..=32).contains(&k));
     debug_assert!(k == 32 || i < (1 << k));
     i.reverse_bits() >> (32 - k)

@@ -22,7 +22,7 @@ use std::sync::Arc;
 pub type BlockId = u64;
 
 /// The paper's disk block size: 4KB (§3.1).
-pub const DEFAULT_BLOCK_SIZE: usize = 4096;
+pub(crate) const DEFAULT_BLOCK_SIZE: usize = 4096;
 
 /// How many times a syscall interrupted by a signal (`EINTR`) is
 /// transparently retried before the error surfaces. Bounded: a signal
@@ -388,7 +388,7 @@ mod sys {
         // defaults to on every unix ABI (64-bit on LP64, 32-bit on
         // ILP32 — the plain `mmap` symbol, not `mmap64`). We only ever
         // pass 0, so the narrower ILP32 type costs no range.
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -396,10 +396,10 @@ mod sys {
             fd: c_int,
             offset: c_long,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_SHARED: c_int = 1;
+    pub(crate) const PROT_READ: c_int = 1;
+    pub(crate) const MAP_SHARED: c_int = 1;
 }
 
 #[cfg(unix)]
@@ -474,17 +474,17 @@ pub struct Mmap {
 #[cfg(not(unix))]
 impl Mmap {
     /// Unreachable on this platform.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         match self.never {}
     }
 
     /// Unreachable on this platform.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self.never {}
     }
 
     /// Unreachable on this platform.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         match self.never {}
     }
 }
@@ -672,21 +672,6 @@ impl FileDevice {
             counters: IoCounters::new(),
         })
     }
-
-    /// Opens an existing file as a device. The block count is the file
-    /// length divided by `block_size`, rounding a ragged tail up (the
-    /// tail reads zero-padded).
-    pub fn open(path: &Path, block_size: usize) -> Result<Self> {
-        assert!(block_size > 0, "block size must be positive");
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(FileDevice {
-            block_size,
-            file: PositionedFile::new(file),
-            num_blocks: AtomicU64::new(len.div_ceil(block_size as u64)),
-            counters: IoCounters::new(),
-        })
-    }
 }
 
 impl BlockDevice for FileDevice {
@@ -751,6 +736,22 @@ impl BlockDevice for FileDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FileDevice {
+        /// Opens an existing file as a device, to read back what an
+        /// earlier device wrote. The block count is the file length
+        /// divided by `block_size`, rounding a ragged tail up.
+        fn open(path: &Path, block_size: usize) -> Result<Self> {
+            let file = OpenOptions::new().read(true).write(true).open(path)?;
+            let len = file.metadata()?.len();
+            Ok(FileDevice {
+                block_size,
+                file: PositionedFile::new(file),
+                num_blocks: AtomicU64::new(len.div_ceil(block_size as u64)),
+                counters: IoCounters::new(),
+            })
+        }
+    }
 
     fn roundtrip(dev: &dyn BlockDevice) {
         let bs = dev.block_size();

@@ -78,7 +78,7 @@ impl Errno {
     /// The corresponding [`std::io::Error`] (real OS errno codes, so
     /// `ErrorKind` classification upstream sees exactly what a real
     /// failing syscall would produce).
-    pub fn to_io_error(self) -> std::io::Error {
+    pub(crate) fn to_io_error(self) -> std::io::Error {
         std::io::Error::from_raw_os_error(match self {
             Errno::Eio => 5,
             Errno::Enospc => 28,
@@ -104,7 +104,7 @@ pub enum FaultKind {
 
 /// Where a [`FaultSpec`] arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum At {
+pub(crate) enum At {
     /// The first matching op at or after this op index.
     Op(u64),
     /// The `nth` (0-based) call of [`mark`] with this name: that call
@@ -115,7 +115,7 @@ pub enum At {
 /// One programmed fault: fire where `at` says, on ops matching `class`
 /// (once, or on every such op from then on when `sticky`).
 #[derive(Debug, Clone, Copy)]
-pub struct FaultSpec {
+pub(crate) struct FaultSpec {
     /// The op index or mark hit to arm at.
     pub at: At,
     /// Restrict to one op class; `None` matches any.
@@ -134,7 +134,7 @@ pub struct FaultSchedule {
     /// with the op index, so reruns are exact replays).
     pub seed: u64,
     /// The programmed faults.
-    pub faults: Vec<FaultSpec>,
+    pub(crate) faults: Vec<FaultSpec>,
     /// Make [`crate::PositionedFile::map_readonly`] report `None`,
     /// forcing the positioned-read fallback everywhere.
     pub deny_mmap: bool,
@@ -192,7 +192,7 @@ impl FaultSchedule {
 
 /// The probe's verdict for one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
+pub(crate) enum Decision {
     /// No fault: perform the op normally.
     Proceed,
     /// Fail with this errno without performing the op.
@@ -223,7 +223,7 @@ pub struct Injector {
 
 impl Injector {
     /// A fresh injector for `sched`.
-    pub fn new(sched: FaultSchedule) -> Self {
+    pub(crate) fn new(sched: FaultSchedule) -> Self {
         Injector {
             fired: (0..sched.faults.len())
                 .map(|_| AtomicBool::new(false))
@@ -236,7 +236,7 @@ impl Injector {
     }
 
     /// Counts the op and returns its verdict.
-    pub fn decide(&self, class: OpClass, len: usize) -> Decision {
+    pub(crate) fn decide(&self, class: OpClass, len: usize) -> Decision {
         let idx = self.ops.fetch_add(1, Ordering::Relaxed);
         for (i, spec) in self.sched.faults.iter().enumerate() {
             if spec.class.is_some_and(|c| c != class) {
@@ -297,7 +297,7 @@ impl Injector {
     }
 
     /// Ops counted so far.
-    pub fn op_count(&self) -> u64 {
+    pub(crate) fn op_count(&self) -> u64 {
         self.ops.load(Ordering::Relaxed)
     }
 
@@ -337,7 +337,7 @@ pub fn install(sched: FaultSchedule) -> FaultGuard {
 }
 
 /// Disarms and removes the schedule (also what [`FaultGuard`] does).
-pub fn clear() {
+pub(crate) fn clear() {
     ARMED.store(false, Ordering::SeqCst);
     DENY_MMAP.store(false, Ordering::SeqCst);
     *active().write() = None;
@@ -364,7 +364,7 @@ pub fn mark_hits() -> Vec<(&'static str, u64)> {
 
 /// True while the installed schedule denies mmap.
 #[inline]
-pub fn mmap_denied() -> bool {
+pub(crate) fn mmap_denied() -> bool {
     DENY_MMAP.load(Ordering::Relaxed)
 }
 
@@ -379,7 +379,7 @@ pub fn exclusive() -> MutexGuard<'static, ()> {
 /// The probe every hooked primitive calls: a single relaxed load when
 /// disarmed (the release-mode cost), the cold path otherwise.
 #[inline]
-pub fn on_op(class: OpClass, len: usize) -> Decision {
+pub(crate) fn on_op(class: OpClass, len: usize) -> Decision {
     if !ARMED.load(Ordering::Relaxed) {
         return Decision::Proceed;
     }
@@ -485,7 +485,8 @@ pub(crate) fn flip_bit(buf: &mut [u8], bit: u64) {
 /// A [`BlockDevice`] wrapper carrying its own injector: every block op
 /// consults the instance schedule before delegating. Works over any
 /// backend, and is the one way to fault an in-memory device. Marks go to
-/// the process-wide hook only, so a [`At::Mark`] spec never latches here.
+/// the process-wide hook only, so a mark spec ([`FaultSchedule::die_at`])
+/// never latches here.
 pub struct FaultDevice<D: BlockDevice> {
     inner: D,
     inj: Injector,

@@ -7,13 +7,13 @@
 //! and write counts collected through the TPIE library. This crate plays
 //! TPIE's role:
 //!
-//! * [`device`] — block devices with exact I/O accounting: an in-memory
-//!   device for experiments (fast, deterministic) and a file-backed device
-//!   proving the same code runs against a real disk,
-//! * [`stats`] — shared read/write counters and snapshots,
-//! * [`stream`] — sequential typed streams of fixed-size records, the
+//! * [`BlockDevice`] — block devices with exact I/O accounting: an
+//!   in-memory device for experiments (fast, deterministic) and a
+//!   file-backed device proving the same code runs against a real disk,
+//! * [`IoStats`] — shared read/write counters and snapshots,
+//! * [`Stream`] — sequential typed streams of fixed-size records, the
 //!   workhorse of every bulk-loading algorithm,
-//! * [`sort`] — external multiway merge sort under a configurable memory
+//! * [`external_sort`] — external multiway merge sort under a configurable memory
 //!   budget `M`, giving the `O(N/B · log_{M/B} N/B)` sorting bound every
 //!   construction algorithm in the paper leans on.
 //!
@@ -22,18 +22,15 @@
 
 #![deny(unsafe_code)]
 
-pub mod device;
-pub mod error;
+pub(crate) mod device;
+pub(crate) mod error;
 pub mod fault;
 pub mod obs;
-pub mod sort;
-pub mod stats;
-pub mod stream;
+pub(crate) mod sort;
+pub(crate) mod stats;
+pub(crate) mod stream;
 
-pub use device::{
-    fsync_dir, BlockDevice, BlockId, FileDevice, MemDevice, Mmap, PositionedFile,
-    DEFAULT_BLOCK_SIZE,
-};
+pub use device::{fsync_dir, BlockDevice, BlockId, FileDevice, MemDevice, Mmap, PositionedFile};
 pub use error::{io_error_is_transient, EmError};
 pub use sort::{
     external_sort, external_sort_by, external_sort_multi, merge_runs, MergeReader, SortConfig,
@@ -43,4 +40,4 @@ pub use stats::{IoCounters, IoStats};
 pub use stream::{Record, Stream, StreamReader, StreamWriter};
 
 /// Result alias for substrate operations.
-pub type Result<T> = std::result::Result<T, EmError>;
+pub(crate) type Result<T> = std::result::Result<T, EmError>;

@@ -47,7 +47,7 @@ impl SortConfig {
     }
 
     /// Merge fan-in on a device with the given block size.
-    pub fn fan_in(&self, block_size: usize) -> usize {
+    pub(crate) fn fan_in(&self, block_size: usize) -> usize {
         (self.memory_bytes / block_size).saturating_sub(1).max(2)
     }
 

@@ -31,13 +31,13 @@ impl IoCounters {
 
     /// Records `n` block writes (here and in the process-wide registry).
     #[inline]
-    pub fn add_writes(&self, n: u64) {
+    pub(crate) fn add_writes(&self, n: u64) {
         self.writes.fetch_add(n, Ordering::Relaxed);
         crate::obs::metrics().device_writes.add(n);
     }
 
     /// Current totals.
-    pub fn snapshot(&self) -> IoStats {
+    pub(crate) fn snapshot(&self) -> IoStats {
         IoStats {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),

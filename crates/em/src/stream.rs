@@ -69,7 +69,7 @@ impl Stream {
     }
 
     /// Records per block for record type `R` on a device with `block_size`.
-    pub fn records_per_block<R: Record>(block_size: usize) -> usize {
+    pub(crate) fn records_per_block<R: Record>(block_size: usize) -> usize {
         assert!(
             R::SIZE > 0 && R::SIZE <= block_size,
             "record/block size mismatch"
@@ -153,16 +153,6 @@ impl<'d, R: Record> StreamWriter<'d, R> {
         Ok(())
     }
 
-    /// Number of records pushed so far.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True if no records were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Flushes the trailing partial block and returns the finished stream.
     pub fn finish(mut self) -> Result<Stream> {
         if self.in_block > 0 {
@@ -209,7 +199,7 @@ impl<'d, R: Record> StreamReader<'d, R> {
     }
 
     /// Records not yet returned.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.remaining
     }
 

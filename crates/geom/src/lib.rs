@@ -26,12 +26,12 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod item;
+pub(crate) mod item;
 pub mod mapped;
-pub mod point;
-pub mod rect;
+pub(crate) mod point;
+pub(crate) mod rect;
 
 pub use item::Item;
-pub use mapped::{Axis, MappedOrd};
+pub use mapped::Axis;
 pub use point::Point;
 pub use rect::Rect;

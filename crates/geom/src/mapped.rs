@@ -95,33 +95,6 @@ pub fn cmp_extreme_on_axis<const D: usize>(axis: Axis, a: &Item<D>, b: &Item<D>)
     }
 }
 
-/// A total order over items along a fixed mapped axis; implements the
-/// comparator plumbing needed by sorts and binary heaps.
-#[derive(Clone, Copy, Debug)]
-pub struct MappedOrd {
-    /// The axis this ordering reads.
-    pub axis: Axis,
-}
-
-impl MappedOrd {
-    /// Ordering by raw mapped coordinate (ascending), ties by id.
-    pub fn new(axis: Axis) -> Self {
-        MappedOrd { axis }
-    }
-
-    /// Compare two items under this ordering.
-    #[inline]
-    pub fn cmp<const D: usize>(&self, a: &Item<D>, b: &Item<D>) -> Ordering {
-        cmp_items_on_axis(self.axis, a, b)
-    }
-
-    /// Sorts a slice under this ordering.
-    pub fn sort<const D: usize>(&self, items: &mut [Item<D>]) {
-        let axis = self.axis;
-        items.sort_unstable_by(|a, b| cmp_items_on_axis(axis, a, b));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,20 +158,5 @@ mod tests {
         );
         // So among equal coordinates the *larger* id is "more extreme".
         assert_eq!(cmp_extreme_on_axis(Axis(3), &a, &b), Ordering::Greater);
-    }
-
-    #[test]
-    fn mapped_ord_sort() {
-        let mut items = vec![
-            it(3.0, 0.0, 4.0, 1.0, 0),
-            it(1.0, 5.0, 2.0, 6.0, 1),
-            it(2.0, -1.0, 9.0, 0.0, 2),
-        ];
-        MappedOrd::new(Axis(0)).sort(&mut items);
-        let ids: Vec<_> = items.iter().map(|i| i.id).collect();
-        assert_eq!(ids, [1, 2, 0]);
-        MappedOrd::new(Axis(2)).sort(&mut items);
-        let ids: Vec<_> = items.iter().map(|i| i.id).collect();
-        assert_eq!(ids, [1, 0, 2]);
     }
 }

@@ -10,9 +10,6 @@ use std::fmt;
 pub struct Point<const D: usize>(pub [f64; D]);
 
 impl<const D: usize> Point<D> {
-    /// The origin (all coordinates zero).
-    pub const ORIGIN: Self = Point([0.0; D]);
-
     /// Creates a point from its coordinate array.
     pub const fn new(coords: [f64; D]) -> Self {
         Point(coords)
@@ -28,29 +25,6 @@ impl<const D: usize> Point<D> {
     #[inline]
     pub fn coords(&self) -> &[f64; D] {
         &self.0
-    }
-
-    /// True if every coordinate is finite (not NaN / ±inf).
-    pub fn is_finite(&self) -> bool {
-        self.0.iter().all(|c| c.is_finite())
-    }
-
-    /// Componentwise minimum.
-    pub fn min(&self, other: &Self) -> Self {
-        let mut out = [0.0; D];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
-            *o = a.min(*b);
-        }
-        Point(out)
-    }
-
-    /// Componentwise maximum.
-    pub fn max(&self, other: &Self) -> Self {
-        let mut out = [0.0; D];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(other.0.iter())) {
-            *o = a.max(*b);
-        }
-        Point(out)
     }
 }
 
@@ -76,27 +50,6 @@ mod tests {
         assert_eq!(p.coord(0), 1.0);
         assert_eq!(p.coord(2), 3.0);
         assert_eq!(p.coords(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn origin_is_zero() {
-        let o = Point::<2>::ORIGIN;
-        assert_eq!(o.coords(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn min_max_componentwise() {
-        let a = Point::new([1.0, 5.0]);
-        let b = Point::new([3.0, 2.0]);
-        assert_eq!(a.min(&b).coords(), &[1.0, 2.0]);
-        assert_eq!(a.max(&b).coords(), &[3.0, 5.0]);
-    }
-
-    #[test]
-    fn finiteness() {
-        assert!(Point::new([1.0, 2.0]).is_finite());
-        assert!(!Point::new([f64::NAN, 0.0]).is_finite());
-        assert!(!Point::new([f64::INFINITY, 0.0]).is_finite());
     }
 
     #[test]

@@ -38,17 +38,6 @@ impl<const D: usize> Rect<D> {
         Rect { lo: p.0, hi: p.0 }
     }
 
-    /// Rectangle centered at `center` with per-dimension extents `sides`.
-    pub fn centered(center: Point<D>, sides: [f64; D]) -> Self {
-        let mut lo = [0.0; D];
-        let mut hi = [0.0; D];
-        for i in 0..D {
-            lo[i] = center.0[i] - sides[i] / 2.0;
-            hi[i] = center.0[i] + sides[i] / 2.0;
-        }
-        Rect::new(lo, hi)
-    }
-
     /// The "empty" rectangle: the identity of [`Rect::mbr_with`]. Its `lo`
     /// is `+inf` and `hi` is `-inf`, so it intersects and contains nothing.
     pub const EMPTY: Self = Rect {
@@ -328,13 +317,6 @@ mod tests {
         // mbr = (0,0)-(5,3), area 15; enlargement = 15 - 6 = 9
         assert_eq!(a.enlargement(&b), 9.0);
         assert_eq!(a.enlargement(&a), 0.0);
-    }
-
-    #[test]
-    fn centered_constructors() {
-        let s = Rect::centered(Point::new([0.0, 0.0]), [4.0, 2.0]);
-        assert_eq!(s, r(-2.0, -1.0, 2.0, 1.0));
-        assert_eq!(s.aspect_ratio(), 2.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 /// Maximum total bits (`dimensions × order`) representable in the `u128`
 /// index.
-pub const MAX_TOTAL_BITS: u32 = 128;
+pub(crate) const MAX_TOTAL_BITS: u32 = 128;
 
 /// Converts a point given as transposed Hilbert coordinates back to axes.
 ///

@@ -40,7 +40,7 @@ impl LiveError {
     /// to clear up when conditions change — ENOSPC once space is freed,
     /// EINTR, timeouts — and for group failures flagged transient.
     /// Corruption, lock conflicts, and hard I/O errors are fatal.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         match self {
             LiveError::Io(e) => pr_em::io_error_is_transient(e),
             LiveError::Em(e) => e.is_transient(),

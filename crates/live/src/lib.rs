@@ -61,25 +61,24 @@
 
 mod commit;
 mod core;
-pub mod error;
-pub mod index;
+pub(crate) mod error;
+pub(crate) mod index;
 mod maintenance;
-pub mod manifest;
+pub(crate) mod manifest;
 mod merge;
 pub mod obs;
 mod options;
 mod recovery;
 mod snapshot;
 mod stats;
-pub mod torture;
+pub(crate) mod torture;
 pub mod wal;
 mod write;
 
 pub use error::LiveError;
 pub use index::LiveIndex;
-pub use manifest::LiveManifest;
 pub use options::{Durability, LiveOptions};
 pub use snapshot::LiveSnapshot;
 pub use stats::{LiveStats, StoreRunStat};
 pub use torture::{run_torture, TortureConfig, TortureReport};
-pub use wal::{Wal, WalOp, WalRecord};
+pub use wal::{Wal, WalRecord};

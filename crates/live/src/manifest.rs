@@ -36,14 +36,14 @@ use pr_tree::dynamic::tombstone::{TombstoneKey, Tombstones};
 use pr_tree::Entry;
 
 /// Live-manifest magic.
-pub const LIVE_MAGIC: [u8; 8] = *b"PRLIVE1\0";
+pub(crate) const LIVE_MAGIC: [u8; 8] = *b"PRLIVE1\0";
 /// Live-manifest version.
-pub const LIVE_VERSION: u32 = 1;
+pub(crate) const LIVE_VERSION: u32 = 1;
 const HEADER_SIZE: usize = 40;
 
 /// The durable cut of the live index at one WAL sequence number.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct LiveManifest<const D: usize> {
+pub(crate) struct LiveManifest<const D: usize> {
     /// Every WAL record with `seq <= wal_seq` is reflected in the
     /// committed components + tombstones + memtable; records above it
     /// are replayed from the WAL at open.
@@ -59,7 +59,7 @@ pub struct LiveManifest<const D: usize> {
 
 impl<const D: usize> LiveManifest<D> {
     /// Serializes the checkpoint (see module docs for the layout).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let item_size = Entry::<D>::SIZE;
         let tombs = self.tombstones.entries();
         let size = HEADER_SIZE
@@ -93,7 +93,7 @@ impl<const D: usize> LiveManifest<D> {
     }
 
     /// Deserializes a checkpoint written by [`LiveManifest::encode`].
-    pub fn decode(buf: &[u8]) -> Result<Self, LiveError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, LiveError> {
         let item_size = Entry::<D>::SIZE;
         if buf.len() < HEADER_SIZE {
             return Err(LiveError::Corrupt(format!(

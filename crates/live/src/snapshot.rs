@@ -137,7 +137,7 @@ impl<const D: usize> LiveSnapshot<D> {
     /// roots, each keyed by its MBR's distance, so a chunk is scanned
     /// only when the k-th-distance bound admits it, like a leaf. The
     /// memtable is never tombstoned. One
-    /// [`TombstoneFilter`](pr_tree::dynamic::TombstoneFilter) spans the
+    /// `TombstoneFilter` spans the
     /// sealed batch and every component and is asked only about items that
     /// would otherwise be kept, which keeps the multiset subtraction
     /// exact (see `pr_tree::knn` for the argument) and costs no

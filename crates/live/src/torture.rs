@@ -72,7 +72,7 @@ pub struct TortureConfig {
     /// Directory the harness works in (each run reuses a subdirectory).
     pub dir: PathBuf,
     /// WAL segment rotation size for the swept index; `None` keeps
-    /// [`crate::wal::SEGMENT_ROTATE_BYTES`], which a trace this short
+    /// `crate::wal::SEGMENT_ROTATE_BYTES`, which a trace this short
     /// never reaches — so no overflow merge rotates and every segment
     /// holds records on both sides of a cut. A couple of KiB puts
     /// rotations (segment create, prune) inside the sweep as well.
@@ -113,7 +113,7 @@ pub struct TortureReport {
     /// merge points run to run; such runs still verify the full no-fault
     /// invariant).
     pub silent: u64,
-    /// Runs where the trace saw a transient ([`LiveError::is_transient`])
+    /// Runs where the trace saw a transient (`LiveError::is_transient`)
     /// failure.
     pub transient_failures: u64,
     /// Runs where the trace saw a fatal failure.
@@ -130,7 +130,7 @@ const KINDS: [FaultKind; 5] = [
 ];
 
 /// Deterministic item `n` of writer `w`: unique id, seed-derived rect.
-pub fn torture_item(seed: u64, w: u32, n: u32) -> Item<2> {
+pub(crate) fn torture_item(seed: u64, w: u32, n: u32) -> Item<2> {
     let id = w * 1_000_000 + n;
     let h = splitmix(seed ^ (id as u64));
     let x = (h % 10_000) as f64 / 10.0;

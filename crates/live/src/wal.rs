@@ -6,12 +6,12 @@
 //!
 //! * **Enqueue** — a writer, holding only the sequencing lock, assigns
 //!   sequence numbers and *encodes* its batch onto the end of the commit
-//!   queue's one group buffer ([`WalRecord::encode_into`], one record
+//!   queue's one group buffer (`WalRecord::encode_into`, one record
 //!   per op). No I/O happens under the sequencing lock.
 //! * **Lead** — the first waiter to find the queue non-idle takes the
 //!   group buffer, holding *every* queued batch, lands it with one
-//!   positioned write ([`Wal::append`]), issues **one**
-//!   `fsync` for the whole group ([`Wal::sync`]; skipped in async
+//!   positioned write (`Wal::append`), issues **one**
+//!   `fsync` for the whole group (`Wal::sync`; skipped in async
 //!   durability, where a dedicated syncer thread syncs behind a bounded
 //!   window), applies the group to the memtable, and publishes the new
 //!   durable horizon.
@@ -32,10 +32,10 @@
 //! Segments exist to bound what replay has to *scan*: the cut of a
 //! checkpoint (`flush()`, `compact()`) always *rotates* to a fresh
 //! segment first, the cut of a routine overflow merge only once the
-//! current segment has reached [`SEGMENT_ROTATE_BYTES`]. After the
+//! current segment has reached `SEGMENT_ROTATE_BYTES`. After the
 //! manifest of a rotating cut is durable every record the index still
 //! needs lives in segments at or after the rotation, and the older
-//! segments are deleted whole ([`Wal::prune_old`]). No in-place
+//! segments are deleted whole (`Wal::prune_old`). No in-place
 //! truncation, no rewriting. Rotation only ever happens inside a cut,
 //! after the commit queue is quiesced and the current segment fsynced,
 //! preserving the invariant that non-newest segments are complete and
@@ -73,9 +73,9 @@ use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
 /// Segment file magic.
-pub const WAL_MAGIC: [u8; 8] = *b"PRWAL1\0\0";
+pub(crate) const WAL_MAGIC: [u8; 8] = *b"PRWAL1\0\0";
 /// WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 /// Size of the fixed segment header.
 pub const SEGMENT_HEADER_SIZE: u64 = 16;
 /// Size of the per-record frame (length + CRC) before the payload.
@@ -85,11 +85,11 @@ pub const RECORD_HEADER_SIZE: usize = 8;
 /// millisecond per MiB) against a segment create + two fsyncs + an
 /// unlink per rotation — paid per merge, those cost more than the
 /// merge's own bulk load.
-pub const SEGMENT_ROTATE_BYTES: u64 = 1 << 20;
+pub(crate) const SEGMENT_ROTATE_BYTES: u64 = 1 << 20;
 
 /// A logged mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOp {
+pub(crate) enum WalOp {
     /// The item was inserted.
     Insert,
     /// The (live) item was deleted.
@@ -121,7 +121,7 @@ pub struct WalRecord<const D: usize> {
     /// Monotone sequence number (assigned under the writer lock).
     pub seq: u64,
     /// What happened.
-    pub op: WalOp,
+    pub(crate) op: WalOp,
     /// The item inserted or deleted.
     pub item: Item<D>,
 }
@@ -135,7 +135,7 @@ impl<const D: usize> WalRecord<D> {
     /// directly into `buf` and the CRC patched over it afterwards, so
     /// encoding into a commit group's reused buffer touches the heap
     /// only to grow the buffer's capacity.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         let frame = buf.len();
         buf.extend_from_slice(&(Self::PAYLOAD_SIZE as u32).to_le_bytes());
         buf.extend_from_slice(&[0u8; 4]); // CRC, patched below
@@ -230,7 +230,7 @@ impl Wal {
     }
 
     /// Creates the log for a brand-new index: one empty segment.
-    pub fn create(dir: &Path) -> Result<Wal, LiveError> {
+    pub(crate) fn create(dir: &Path) -> Result<Wal, LiveError> {
         let file = create_segment(dir, 1)?;
         Ok(Wal::at(dir, 1, file, SEGMENT_HEADER_SIZE))
     }
@@ -287,7 +287,7 @@ impl Wal {
     /// batches back to back — with one positioned write, and **no**
     /// sync. This is the group leader's step; the one shared fsync (or
     /// the async syncer's next pass) follows.
-    pub fn append(&mut self, frames: &[u8]) -> Result<(), LiveError> {
+    pub(crate) fn append(&mut self, frames: &[u8]) -> Result<(), LiveError> {
         self.file.write_all_at(frames, self.write_off)?;
         self.write_off += frames.len() as u64;
         Ok(())
@@ -296,7 +296,7 @@ impl Wal {
     /// Current append offset in the active segment. Captured by a group
     /// leader *before* its append so a failed group can be
     /// rolled back with [`Wal::rollback_to`].
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.write_off
     }
 
@@ -308,7 +308,7 @@ impl Wal {
     /// resurrect on reopen. Uses `set_len`, a *shrinking* truncate that
     /// needs no data-block allocation, so it succeeds even on the full
     /// disk that just failed the append.
-    pub fn rollback_to(&mut self, off: u64) -> Result<(), LiveError> {
+    pub(crate) fn rollback_to(&mut self, off: u64) -> Result<(), LiveError> {
         self.file.set_len(off)?;
         self.write_off = off;
         self.synced_off = self.synced_off.min(off);
@@ -321,7 +321,7 @@ impl Wal {
     /// fsync was issued: when every appended byte is already covered by
     /// an earlier one (a merge cut right behind an fsync-acked group)
     /// there is nothing to force and none is.
-    pub fn sync(&mut self) -> Result<bool, LiveError> {
+    pub(crate) fn sync(&mut self) -> Result<bool, LiveError> {
         if self.synced_off == self.write_off {
             return Ok(false);
         }
@@ -336,14 +336,14 @@ impl Wal {
 
     /// True once the active segment has reached the rotation size: the
     /// next merge cut should start a fresh one.
-    pub fn segment_full(&self) -> bool {
+    pub(crate) fn segment_full(&self) -> bool {
         self.write_off >= self.rotate_bytes
     }
 
     /// Lowers (or raises) the rotation size of this handle — tests
     /// only, so a short trace can cross it.
     #[doc(hidden)]
-    pub fn set_rotate_bytes(&mut self, bytes: u64) {
+    pub(crate) fn set_rotate_bytes(&mut self, bytes: u64) {
         self.rotate_bytes = bytes;
     }
 
@@ -352,7 +352,7 @@ impl Wal {
     /// merge once [`Wal::segment_full`] — so the manifest's `wal_seq`
     /// cut is also a clean segment boundary and everything older can be
     /// pruned once that manifest is durable.
-    pub fn rotate(&mut self) -> Result<(), LiveError> {
+    pub(crate) fn rotate(&mut self) -> Result<(), LiveError> {
         let next = self.seg_index + 1;
         self.file = create_segment(&self.dir, next)?;
         self.seg_index = next;
@@ -366,7 +366,7 @@ impl Wal {
     /// Deletes every segment older than the current one. Safe once a
     /// manifest with the rotation's cut sequence is durable: everything
     /// in the old segments is at or below the cut.
-    pub fn prune_old(&mut self) -> Result<(), LiveError> {
+    pub(crate) fn prune_old(&mut self) -> Result<(), LiveError> {
         let mut pruned = false;
         for (index, path) in list_segments(&self.dir)? {
             if index < self.seg_index {
@@ -381,12 +381,12 @@ impl Wal {
     }
 
     /// Number of segment files on disk.
-    pub fn num_segments(&self) -> Result<u64, LiveError> {
+    pub(crate) fn num_segments(&self) -> Result<u64, LiveError> {
         Ok(list_segments(&self.dir)?.len() as u64)
     }
 
     /// Total bytes across all segment files.
-    pub fn total_bytes(&self) -> Result<u64, LiveError> {
+    pub(crate) fn total_bytes(&self) -> Result<u64, LiveError> {
         let mut total = 0;
         for (_, path) in list_segments(&self.dir)? {
             total += std::fs::metadata(path)?.len();

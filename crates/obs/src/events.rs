@@ -69,7 +69,7 @@ pub struct EventLog {
 
 impl EventRing {
     /// An empty ring holding at most `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         EventRing {
             cap: cap.max(1),
             inner: Mutex::new(Inner {
@@ -123,7 +123,7 @@ impl EventRing {
 }
 
 /// The process-wide event ring (capacity 4096).
-pub fn global() -> &'static EventRing {
+pub(crate) fn global() -> &'static EventRing {
     static GLOBAL: OnceLock<EventRing> = OnceLock::new();
     GLOBAL.get_or_init(|| EventRing::new(DEFAULT_CAPACITY))
 }

@@ -32,7 +32,7 @@ fn histogram_json(h: &LatencyHistogram) -> String {
 
 /// One metric as a JSON object (`{"name":..,"type":..,"value":..}` or
 /// a histogram summary).
-pub fn metric_json(m: &MetricSnapshot) -> String {
+pub(crate) fn metric_json(m: &MetricSnapshot) -> String {
     let mut o = JsonObj::new();
     o.str("name", &m.name);
     if !m.labels.is_empty() {

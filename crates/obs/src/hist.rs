@@ -6,14 +6,13 @@
 //! constant relative error of at most `1/2^SUB_BITS` (≈ 3% here) across
 //! the full `u64` range — microseconds and minutes share one array.
 //! Recording is one `leading_zeros` + one increment; percentile lookup
-//! walks the counts once. No allocation after construction, no
-//! dependency, and merging two histograms is element-wise addition,
-//! which is how per-thread recorders are combined.
+//! walks the counts once. No allocation after construction and no
+//! dependency.
 //!
 //! Two flavours share the bucket math:
 //!
-//! * [`LatencyHistogram`] — the owned, single-writer form (`&mut self`
-//!   recording). This is the snapshot/merge/quantile currency.
+//! * [`LatencyHistogram`] — the owned, read-only form: a snapshot of a
+//!   registry histogram, and the currency of quantiles and deltas.
 //! * [`AtomicHistogram`] — the shared, lock-free form the metrics
 //!   registry hands out: `record(&self, v)` is a relaxed fetch-add into
 //!   one of 2048 buckets, and `snapshot()` materializes a
@@ -72,7 +71,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram {
             counts: vec![0; BUCKETS],
             total: 0,
@@ -80,15 +79,6 @@ impl LatencyHistogram {
             min: u64::MAX,
             sum: 0,
         }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        self.counts[index(value)] += 1;
-        self.total += 1;
-        self.max = self.max.max(value);
-        self.min = self.min.min(value);
-        self.sum += value as u128;
     }
 
     /// Number of recorded values.
@@ -107,7 +97,7 @@ impl LatencyHistogram {
     }
 
     /// Smallest recorded value (exact; 0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.total == 0 {
             0
         } else {
@@ -147,17 +137,6 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Element-wise merge of another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-        self.sum += other.sum;
-    }
-
     /// The histogram of values recorded *since* `earlier` was taken:
     /// element-wise saturating subtraction of bucket counts, the basis
     /// of registry-snapshot deltas (before/after a workload in one
@@ -166,7 +145,7 @@ impl LatencyHistogram {
     /// re-approximated from the lowest/highest non-empty delta bucket
     /// (within the ≈3% bucket resolution); quantiles and mean stay as
     /// accurate as any bucketed answer.
-    pub fn delta_since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
+    pub(crate) fn delta_since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
         let mut out = LatencyHistogram::new();
         let mut lo = None;
         let mut hi = 0usize;
@@ -199,7 +178,7 @@ impl LatencyHistogram {
 /// read and the total is derived from them, so quantiles are always
 /// self-consistent, while `sum`/`min`/`max` may trail by in-flight
 /// records (the usual snapshot-on-read contract).
-pub struct AtomicHistogram {
+pub(crate) struct AtomicHistogram {
     counts: Box<[AtomicU64]>,
     sum: AtomicU64,
     min: AtomicU64,
@@ -214,7 +193,7 @@ impl Default for AtomicHistogram {
 
 impl AtomicHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AtomicHistogram {
             counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
@@ -224,7 +203,7 @@ impl AtomicHistogram {
     }
 
     /// Records one value (lock-free, relaxed ordering).
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         self.counts[index(value)].fetch_add(1, Relaxed);
         self.sum.fetch_add(value, Relaxed);
         self.min.fetch_min(value, Relaxed);
@@ -233,7 +212,7 @@ impl AtomicHistogram {
 
     /// Materializes an owned [`LatencyHistogram`] without stopping
     /// writers.
-    pub fn snapshot(&self) -> LatencyHistogram {
+    pub(crate) fn snapshot(&self) -> LatencyHistogram {
         let mut out = LatencyHistogram::new();
         let mut total = 0u64;
         for (slot, cell) in out.counts.iter_mut().zip(self.counts.iter()) {
@@ -255,6 +234,18 @@ impl AtomicHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LatencyHistogram {
+        /// Records one value: the owned form's tests build their
+        /// histograms directly, without the atomic cells.
+        fn record(&mut self, value: u64) {
+            self.counts[index(value)] += 1;
+            self.total += 1;
+            self.max = self.max.max(value);
+            self.min = self.min.min(value);
+            self.sum += value as u128;
+        }
+    }
 
     #[test]
     fn small_values_are_exact() {
@@ -313,28 +304,6 @@ mod tests {
                 got >= want * 0.999 && got <= want * 1.04 + 32.0,
                 "q={q}: got {got}, oracle {want}"
             );
-        }
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        for v in [5u64, 900, 12_345, 7, 1_000_000, 64] {
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.len(), all.len());
-        assert_eq!(a.max(), all.max());
-        assert_eq!(a.min(), all.min());
-        for q in [0.1, 0.5, 0.9, 1.0] {
-            assert_eq!(a.quantile(q), all.quantile(q));
         }
     }
 

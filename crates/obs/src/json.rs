@@ -7,7 +7,7 @@
 //! place.
 
 /// Escapes and quotes a string per RFC 8259.
-pub fn json_string(s: &str) -> String {
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -101,7 +101,7 @@ pub fn set_recording(on: bool) {
 }
 
 /// True when recording is enabled (the default).
-pub fn recording() -> bool {
+pub(crate) fn recording() -> bool {
     RECORDING.load(Relaxed)
 }
 
@@ -142,14 +142,9 @@ impl Gauge {
     pub fn set(&self, v: u64) {
         self.0.store(v, Relaxed);
     }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Relaxed)
-    }
 }
 
-/// A latency histogram handle (see [`AtomicHistogram`] for the cell).
+/// A latency histogram handle (see `AtomicHistogram` for the cell).
 #[derive(Clone)]
 pub struct Histogram(Arc<AtomicHistogram>);
 
@@ -473,9 +468,8 @@ mod tests {
         let r = Registry::new();
         let g = r.gauge("resident_bytes", "bytes");
         g.set(100);
-        assert_eq!(g.get(), 100);
+        assert_eq!(r.snapshot().gauge("resident_bytes"), 100);
         g.set(0);
-        assert_eq!(g.get(), 0);
         assert_eq!(r.snapshot().gauge("resident_bytes"), 0);
     }
 

@@ -1,7 +1,7 @@
 //! Sampling span tracer: per-operation phase timelines across the
 //! whole stack (em → tree → store → live).
 //!
-//! Metrics (the [`crate::registry`]) answer *how much in aggregate*;
+//! Metrics (the [`Registry`](crate::Registry)) answer *how much in aggregate*;
 //! the event ring answers *when, in what order*. This module answers
 //! the remaining question — *where did this one operation spend its
 //! time* — by recording timestamped [`Span`]s (and, for queries,
@@ -27,7 +27,7 @@
 //! # Sampling & overhead contract
 //!
 //! Tracing is off by default. While disabled, [`start`] and
-//! [`span_start`] cost **one relaxed atomic load** ([`enabled()`]) —
+//! [`span_start`] cost **one relaxed atomic load** (`enabled()`) —
 //! the same contract as the registry's recording switch and the fault
 //! layer's disarmed probe. prbench reports what arming costs
 //! (`obs.trace_overhead_pct`, traced against untraced rounds of the
@@ -39,11 +39,9 @@
 //! # Flight recorder & retention policy
 //!
 //! Finished traces are published ([`publish`]) to the process-wide
-//! [`FlightRecorder`], which keeps the **8 slowest traces per op-kind**,
-//! admitting only traces at least as slow as the
-//! configured threshold ([`FlightRecorder::configure`]; default 0 µs =
-//! keep the slowest 8 regardless). Within a kind the list is sorted
-//! slowest-first and the fastest retained trace is evicted on overflow,
+//! [`FlightRecorder`], which keeps the **8 slowest traces per op-kind**.
+//! Within a kind the list is sorted slowest-first and the fastest
+//! retained trace is evicted on overflow,
 //! so the recorder converges on "the worst operations this process has
 //! seen". `prtree slow`, `stats --json` and `ingest --metrics-file`
 //! dump it.
@@ -82,7 +80,7 @@ static TICK: AtomicU64 = AtomicU64::new(0);
 /// True when the tracer is armed (some operations may be sampled).
 /// This is the one relaxed atomic load the disabled hot path pays.
 #[inline(always)]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -354,7 +352,6 @@ pub struct FlightRecorder {
 const KEEP_PER_KIND: usize = 8;
 
 struct RecorderInner {
-    threshold_us: u64,
     /// (kind, slowest-first traces).
     kinds: Vec<(&'static str, Vec<Trace>)>,
 }
@@ -362,27 +359,14 @@ struct RecorderInner {
 impl FlightRecorder {
     fn new() -> Self {
         FlightRecorder {
-            inner: Mutex::new(RecorderInner {
-                threshold_us: 0,
-                kinds: Vec::new(),
-            }),
+            inner: Mutex::new(RecorderInner { kinds: Vec::new() }),
         }
     }
 
-    /// Sets the admission bar: only traces of at least `threshold_us`
-    /// total time are retained. Already-retained traces below the new
-    /// bar are kept until evicted by slower arrivals.
-    pub fn configure(&self, threshold_us: u64) {
-        self.inner.lock().unwrap().threshold_us = threshold_us;
-    }
-
-    /// Offers a completed trace; it is retained if it clears the
-    /// threshold and is among the 8 slowest of its kind.
-    pub fn offer(&self, trace: Trace) {
+    /// Offers a completed trace; it is retained if it is among the 8
+    /// slowest of its kind.
+    pub(crate) fn offer(&self, trace: Trace) {
         let mut inner = self.inner.lock().unwrap();
-        if trace.total_us < inner.threshold_us {
-            return;
-        }
         let bucket = match inner.kinds.iter_mut().find(|(k, _)| *k == trace.kind) {
             Some((_, b)) => b,
             None => {
@@ -459,7 +443,7 @@ pub fn publish(trace: Trace) {
 
 /// Renders one trace as a JSON object (spans, levels, totals) — the
 /// `prtree slow --json` / `stats --json` representation.
-pub fn trace_json(t: &Trace) -> String {
+pub(crate) fn trace_json(t: &Trace) -> String {
     let mut spans = JsonArr::new();
     for s in &t.spans {
         let mut o = JsonObj::new();
@@ -784,18 +768,6 @@ mod tests {
         );
         let knn = &snap.iter().find(|(k, _)| *k == "knn").unwrap().1;
         assert_eq!(knn.len(), 1);
-    }
-
-    #[test]
-    fn recorder_threshold_filters_admission() {
-        let rec = FlightRecorder::new();
-        rec.configure(25);
-        rec.offer(mk_trace("write", 10));
-        rec.offer(mk_trace("write", 30));
-        let snap = rec.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].1.len(), 1);
-        assert_eq!(snap[0].1[0].total_us, 30);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::sync::Arc;
 pub use pr_em::SortConfig as ExternalConfig;
 
 /// One sequential pass: the bounding box of every rectangle in `input`.
-pub fn scan_domain<const D: usize>(
+pub(crate) fn scan_domain<const D: usize>(
     dev: &dyn BlockDevice,
     input: &Stream,
 ) -> Result<Rect<D>, EmError> {

@@ -42,7 +42,7 @@ impl HilbertLoader {
     }
 
     /// Curve dimensionality for data dimension `D`.
-    pub fn curve_dims<const D: usize>(&self) -> usize {
+    pub(crate) fn curve_dims<const D: usize>(&self) -> usize {
         if self.use_corners {
             2 * D
         } else {
@@ -51,7 +51,7 @@ impl HilbertLoader {
     }
 
     /// Bits per curve dimension: as fine as fits in the 128-bit index.
-    pub fn curve_order<const D: usize>(&self) -> u32 {
+    pub(crate) fn curve_order<const D: usize>(&self) -> u32 {
         (128 / self.curve_dims::<D>() as u32).min(32)
     }
 

@@ -18,7 +18,7 @@
 
 pub mod external;
 pub mod hilbert;
-pub mod kd_split;
+pub(crate) mod kd_split;
 pub mod pr;
 pub mod pr_external;
 pub mod str_;

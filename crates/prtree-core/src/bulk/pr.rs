@@ -9,7 +9,7 @@
 //! that node is the root.
 //!
 //! A stage holds its set in **one buffer**: the grouping
-//! ([`crate::bulk::kd_split`]) permutes it in place and names each leaf
+//! (`crate::bulk::kd_split`) permutes it in place and names each leaf
 //! by its range, the leaves are encoded straight from the buffer through
 //! one page-sized scratch block in emission order, and their bounding
 //! boxes become the next stage's buffer (the level loop and root rule

@@ -3,7 +3,7 @@
 //!
 //! Each stage builds the leaves of a pseudo-PR-tree over an entry stream.
 //! A stage that fits the memory budget is read into one buffer and
-//! grouped in place by [`crate::bulk::kd_split`], like a stage of
+//! grouped in place by `crate::bulk::kd_split`, like a stage of
 //! [`crate::bulk::pr`]. A larger one is sorted into `2D` lists, one per
 //! mapped axis, most extreme entry first, and then built in **rounds**.
 //! The lists are only ever read front to back, so the stage's own are
@@ -63,7 +63,7 @@
 //!
 //! The output does not depend on the budget's pass structure: priority
 //! leaves and medians are selections over the same sorted orders, the
-//! split rule is [`crate::bulk::kd_split`]'s, pages are written in the
+//! split rule is `crate::bulk::kd_split`'s, pages are written in the
 //! order the one-node-per-pass recursion wrote them (page ids break
 //! coordinate ties one stage up), and which sub-problems finish in
 //! memory is decided by the same size test. `Store::save` of the result

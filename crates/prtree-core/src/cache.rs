@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 /// An immutable snapshot of a tree's cached internal nodes. Traversals
 /// clone the `Arc` once and index it lock-free per node visit.
-pub type FrozenMap<const D: usize> = Arc<HashMap<BlockId, Arc<SoaNode<D>>>>;
+pub(crate) type FrozenMap<const D: usize> = Arc<HashMap<BlockId, Arc<SoaNode<D>>>>;
 
 /// A tree's node cache (see the module docs).
 pub(crate) struct NodeCache<const D: usize> {

@@ -69,12 +69,12 @@ impl<C> ComponentSet<C> {
     }
 
     /// Capacity of slot `i` (`buffer_cap · 2^i`, saturating).
-    pub fn slot_cap(&self, i: usize) -> u64 {
+    pub(crate) fn slot_cap(&self, i: usize) -> u64 {
         policy::slot_cap(self.buffer_cap, i)
     }
 
     /// Slots `0..num_slots()` may be occupied; none above.
-    pub fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         self.slots.len()
     }
 
@@ -89,13 +89,13 @@ impl<C> ComponentSet<C> {
     }
 
     /// `(slot, component)` for every occupied slot, ascending.
-    pub fn occupied(&self) -> impl Iterator<Item = (usize, &C)> {
+    pub(crate) fn occupied(&self) -> impl Iterator<Item = (usize, &C)> {
         let slots = self.slots.iter().enumerate();
         slots.filter_map(|(slot, c)| Some((slot, c.as_ref()?)))
     }
 
     /// Number of components (the query fan-out).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.iter().count()
     }
 
@@ -204,7 +204,7 @@ impl<C: Component> ComponentSet<C> {
 
 /// The merge drain: `loose` (the buffer or sealed batch), then the
 /// inputs in the order given, through one
-/// [`TombstoneFilter`](crate::dynamic::TombstoneFilter). Returns the
+/// `TombstoneFilter`. Returns the
 /// survivors in loader order and the tombstones the dropped copies
 /// consumed. A reinsert whose dead twin is stored pays the tombstone
 /// itself: aliased copies are bit-identical, so which one survives is

@@ -7,7 +7,7 @@
 //! (`LprTree`'s buffer, `pr-live`'s memtable: resident, never
 //! tombstoned), then the sealed batch if a merge has one in flight. Then
 //! come the components, with one multiset
-//! [`TombstoneFilter`](crate::dynamic::TombstoneFilter) spanning the
+//! `TombstoneFilter` spanning the
 //! sealed batch and all components. These functions are that walk; the
 //! frontends own the state and pass it in (`LprTree` has no sealed batch
 //! and passes `None`). The k-NN counterpart is
@@ -25,7 +25,7 @@ use pr_geom::{Item, Rect};
 
 /// Window query over the whole structure into `out` (cleared first).
 /// One reused [`QueryScratch`] is threaded through **every**
-/// component's decode-free traversal ([`RTree::window_append_into`]), so
+/// component's decode-free traversal (`RTree::window_append_into`), so
 /// a hot loop allocates nothing in steady state despite the logarithmic
 /// fan-out. Loose chunks are main-memory resident and cost no I/O; only
 /// those whose MBR meets `query` are scanned

@@ -99,11 +99,6 @@ impl<const D: usize> LprTree<D> {
         self.rebuilds
     }
 
-    /// The backing device (for I/O accounting).
-    pub fn device(&self) -> &Arc<dyn BlockDevice> {
-        &self.dev
-    }
-
     /// Total tombstones currently recorded (dead items awaiting merge).
     pub fn num_tombstones(&self) -> u64 {
         self.tombstones.total()
@@ -177,24 +172,12 @@ impl<const D: usize> LprTree<D> {
         )
     }
 
-    /// The `k` live items nearest to `query` (closest first), with
-    /// aggregate traversal statistics.
-    pub fn nearest_neighbors(
-        &self,
-        query: &Point<D>,
-        k: usize,
-    ) -> Result<(Vec<(Item<D>, f64)>, QueryStats), EmError> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::new();
-        let stats = self.nearest_neighbors_into(query, k, &mut scratch, &mut out)?;
-        Ok((out, stats))
-    }
-
-    /// [`LprTree::nearest_neighbors`] with caller-owned buffers: one
-    /// [`KnnSearch`] over the whole structure. The buffer's chunks and
+    /// The `k` live items nearest to `query` (closest first) into
+    /// `out`, with aggregate traversal statistics: one [`KnnSearch`]
+    /// over the whole structure. The buffer's chunks and
     /// the components' pages are opened best-first in one order. The
     /// buffer is never tombstoned; every stored copy passes the query's
-    /// multiset [`crate::dynamic::tombstone::TombstoneFilter`]. A dead copy
+    /// multiset `crate::dynamic::tombstone::TombstoneFilter`. A dead copy
     /// consumes a tombstone, not a result slot, so heavy tombstones cost
     /// no over-fetch; a component whose nearest page lies beyond the
     /// bound costs its root and nothing else, and a chunk beyond it
@@ -204,7 +187,7 @@ impl<const D: usize> LprTree<D> {
     /// reason window queries share one: for a key with `m` stored
     /// copies and `c` tombstones, exactly `m − c` copies are admitted
     /// in total, and aliased copies are bit-identical so *which* ones
-    /// survive is unobservable (see [`crate::knn`] for why that still
+    /// survive is unobservable (see `crate::knn` for why that still
     /// holds when the bound skips some copies).
     pub fn nearest_neighbors_into(
         &self,
@@ -221,11 +204,6 @@ impl<const D: usize> LprTree<D> {
             &self.tombstones,
             out,
         )
-    }
-
-    /// All live items (test helper; costs a full scan).
-    pub fn items(&self) -> Result<Vec<Item<D>>, EmError> {
-        fanout::items(&self.buffer, None, self.components.iter(), &self.tombstones)
     }
 
     /// Runs `plan` ([`components`]): the buffer and the plan's inputs are

@@ -33,9 +33,9 @@ use std::sync::Arc;
 /// Records per chunk. A chunk scan costs about what a leaf scan of the
 /// same length costs, and a smaller chunk has a tighter MBR, so fewer
 /// records are scanned per query at the price of more MBRs to test.
-pub const CHUNK_CAP: usize = 32;
+pub(crate) const CHUNK_CAP: usize = 32;
 
-/// Up to [`CHUNK_CAP`] records in leaf-record layout, and their MBR.
+/// Up to `CHUNK_CAP` records in leaf-record layout, and their MBR.
 #[derive(Debug)]
 pub struct Chunk<const D: usize> {
     mbr: Rect<D>,
@@ -63,22 +63,22 @@ impl<const D: usize> Chunk<D> {
     }
 
     /// The MBR of the records held.
-    pub fn mbr(&self) -> &Rect<D> {
+    pub(crate) fn mbr(&self) -> &Rect<D> {
         &self.mbr
     }
 
     /// The records, for the leaf kernels.
-    pub fn records(&self) -> LeafRecords<'_, D> {
+    pub(crate) fn records(&self) -> LeafRecords<'_, D> {
         LeafRecords::from_records(&self.bytes)
     }
 
     /// Number of records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bytes.len() / Entry::<D>::SIZE
     }
 
     /// True when the chunk holds no record.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
 
@@ -106,7 +106,7 @@ impl<const D: usize> Chunk<D> {
 /// The items of an LPR-tree's in-memory level, as chunks (see the
 /// module docs). A buffer or memtable is never tombstoned; a sealed
 /// batch is, and a multiset
-/// [`TombstoneFilter`](crate::dynamic::TombstoneFilter) spans it as it
+/// `TombstoneFilter` spans it as it
 /// spans the components.
 #[derive(Debug, Clone, Default)]
 pub struct LooseItems<const D: usize> {
@@ -137,7 +137,7 @@ impl<const D: usize> LooseItems<D> {
 
     /// Appends one item to the tail chunk, or to a new one when it is
     /// full.
-    pub fn push(&mut self, item: Item<D>) {
+    pub(crate) fn push(&mut self, item: Item<D>) {
         match self.chunks.last_mut() {
             Some(tail) if tail.len() < CHUNK_CAP => Arc::make_mut(tail).push(&item),
             _ => {
@@ -149,7 +149,7 @@ impl<const D: usize> LooseItems<D> {
         self.len += 1;
     }
 
-    /// Appends a run of items. A run of at least [`CHUNK_CAP`] items is
+    /// Appends a run of items. A run of at least `CHUNK_CAP` items is
     /// put in STR tile order and cut into full chunks, which go before a
     /// partly filled tail; the last `len % CHUNK_CAP` in tile order, or a
     /// whole shorter run, append to the tail chunk.
@@ -211,7 +211,7 @@ impl<const D: usize> LooseItems<D> {
 
     /// Appends every item intersecting `query` to `out` and returns how
     /// many chunks were scanned: only those whose MBR meets `query`.
-    pub fn collect_intersecting(&self, query: &Rect<D>, out: &mut Vec<Item<D>>) -> u64 {
+    pub(crate) fn collect_intersecting(&self, query: &Rect<D>, out: &mut Vec<Item<D>>) -> u64 {
         let mut scanned = 0;
         for chunk in self.chunks.iter().filter(|c| c.mbr.intersects(query)) {
             chunk.records().collect_intersecting(query, out);
@@ -221,7 +221,7 @@ impl<const D: usize> LooseItems<D> {
     }
 
     /// Calls `f` on every item, chunk by chunk.
-    pub fn for_each_item(&self, mut f: impl FnMut(Item<D>)) {
+    pub(crate) fn for_each_item(&self, mut f: impl FnMut(Item<D>)) {
         for chunk in &self.chunks {
             chunk.records().for_each_item(&mut f);
         }

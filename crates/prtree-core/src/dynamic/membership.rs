@@ -30,9 +30,9 @@ use pr_em::EmError;
 /// Filter bits per stored item. At [`HASHES`] = 4 this measures
 /// ≈ 0.3 % false positives on TIGER-profile identities (unit test
 /// below), against the ≈ 0.24 % of an unblocked Bloom filter.
-pub const BITS_PER_ITEM: usize = 16;
+pub(crate) const BITS_PER_ITEM: usize = 16;
 /// Bits set (and tested) per identity, all in one block.
-pub const HASHES: u32 = 4;
+pub(crate) const HASHES: u32 = 4;
 /// Words per block: 512 bits, one cache line, so a lookup touches one
 /// line whatever [`HASHES`] is.
 const BLOCK_WORDS: usize = 8;

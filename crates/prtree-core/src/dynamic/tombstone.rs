@@ -12,7 +12,7 @@
 //! because even the full identity can alias: delete `X`, reinsert an
 //! identical `X'`, and a component merge can leave one dead and one live
 //! copy of the same `(id, rect)` in different components. Queries
-//! therefore filter with *multiset subtraction* ([`TombstoneFilter`]):
+//! therefore filter with *multiset subtraction* (`TombstoneFilter`):
 //! for a key with `c` tombstones and `m` stored copies, exactly
 //! `m - c` copies are reported — and since aliased copies are
 //! bit-identical items, it does not matter *which* copies survive.
@@ -20,7 +20,7 @@
 //! A query asks the filter about every stored candidate that beats its
 //! bound, and most are live. So beside the map sits a screen over its
 //! keys: the blocked Bloom filter that components keep for deletes
-//! ([`membership`](crate::dynamic::membership)). Its "absent" is exact
+//! (`membership`). Its "absent" is exact
 //! and costs one seedless hash and one cache line; only a "maybe" pays
 //! the map's SipHash probe. The map stays SipHash, so a key crafted to
 //! pass the screen costs what every probe cost before it.
@@ -114,8 +114,8 @@ const SCREEN_SHRINK: usize = 4;
 /// A counted set of dead `(id, rect)` identities. See the module docs.
 ///
 /// Beside the map sits a blocked Bloom filter over its keys
-/// ([`membership`](crate::dynamic::membership)), the screen that lets
-/// [`TombstoneFilter::admit`] pass most live copies without hashing
+/// (`membership`), the screen that lets
+/// `TombstoneFilter::admit` pass most live copies without hashing
 /// them into the map. Equality is the map's alone.
 #[derive(Clone, Default)]
 pub struct Tombstones<const D: usize> {
@@ -194,7 +194,7 @@ impl<const D: usize> Tombstones<D> {
     }
 
     /// True when no tombstones exist.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
 
@@ -259,7 +259,7 @@ impl<const D: usize> Tombstones<D> {
     /// allocates nothing once it has grown.
     ///
     /// [`QueryScratch`]: crate::QueryScratch
-    pub fn filter<'a>(&'a self, spent: &'a mut Spent<D>) -> TombstoneFilter<'a, D> {
+    pub(crate) fn filter<'a>(&'a self, spent: &'a mut Spent<D>) -> TombstoneFilter<'a, D> {
         if !spent.is_empty() {
             spent.clear();
         }
@@ -271,14 +271,14 @@ impl<const D: usize> Tombstones<D> {
 }
 
 /// How many tombstones of each key one [`TombstoneFilter`] has consumed.
-pub type Spent<const D: usize> = HashMap<TombstoneKey<D>, u32>;
+pub(crate) type Spent<const D: usize> = HashMap<TombstoneKey<D>, u32>;
 
 /// Per-query filtering state: the first `count` stored copies of each
 /// tombstoned key are suppressed, later copies pass. One filter must be
 /// shared across *all* storage a query fans out over (every component
 /// plus any sealed batch), so aliased copies are suppressed exactly
 /// `count` times in total.
-pub struct TombstoneFilter<'a, const D: usize> {
+pub(crate) struct TombstoneFilter<'a, const D: usize> {
     tombstones: &'a Tombstones<D>,
     spent: &'a mut Spent<D>,
 }
@@ -288,7 +288,7 @@ impl<'a, const D: usize> TombstoneFilter<'a, D> {
     /// compacts `out[start..]` down to the admitted items. This is the
     /// shared per-component step of every multi-component window query
     /// (LPR-tree and pr-live snapshots).
-    pub fn retain_admitted(&mut self, out: &mut Vec<Item<D>>, start: usize) {
+    pub(crate) fn retain_admitted(&mut self, out: &mut Vec<Item<D>>, start: usize) {
         if self.tombstones.is_empty() {
             return;
         }
@@ -306,7 +306,7 @@ impl<'a, const D: usize> TombstoneFilter<'a, D> {
     /// Returns `true` if this stored copy of `item` is live (should be
     /// reported), consuming one tombstone otherwise. The screen answers
     /// first: its "absent" is exact, so only a "maybe" probes the map.
-    pub fn admit(&mut self, item: &Item<D>) -> bool {
+    pub(crate) fn admit(&mut self, item: &Item<D>) -> bool {
         let tombstones = self.tombstones;
         if tombstones.is_empty() {
             return true;

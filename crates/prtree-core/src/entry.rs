@@ -57,7 +57,7 @@ impl<const D: usize> Entry<D> {
     }
 
     /// Minimal bounding rectangle of a slice of entries.
-    pub fn mbr(entries: &[Entry<D>]) -> Rect<D> {
+    pub(crate) fn mbr(entries: &[Entry<D>]) -> Rect<D> {
         entries
             .iter()
             .fold(Rect::EMPTY, |acc, e| acc.mbr_with(&e.rect))
@@ -143,7 +143,7 @@ impl<const D: usize> Record for Entry<D> {
 
 /// A keyed entry used by sort-based loaders (Hilbert value + entry).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct KeyedEntry<const D: usize> {
+pub(crate) struct KeyedEntry<const D: usize> {
     /// Sort key (Hilbert index).
     pub key: u128,
     /// The entry itself.

@@ -258,7 +258,7 @@ impl<'a, const D: usize> KnnSearch<'a, D> {
     /// `tombstones`. An internal node's distances come from the
     /// vectorized [`pr_geom::batch::min_dist2_batch`] kernel; a leaf's
     /// or a chunk's are computed in place as its records are read
-    /// ([`crate::leaf::LeafRecords`]). Both are bit-identical to the
+    /// (`crate::leaf::LeafRecords`). Both are bit-identical to the
     /// scalar `Rect::min_dist2`. A chunk scan counts in
     /// [`QueryStats::loose_chunks`], never as a node or leaf.
     pub fn run<'t>(

@@ -26,7 +26,7 @@ use pr_geom::{Item, Point, Rect};
 
 /// The records of one leaf page, borrowed in place (see module docs).
 #[derive(Debug, Clone, Copy)]
-pub struct LeafRecords<'a, const D: usize> {
+pub(crate) struct LeafRecords<'a, const D: usize> {
     /// Exactly `len · Entry::<D>::SIZE` bytes.
     bytes: &'a [u8],
 }
@@ -74,20 +74,8 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
         self.bytes.chunks_exact(Entry::<D>::SIZE)
     }
 
-    /// Number of records.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bytes.len() / Entry::<D>::SIZE
-    }
-
-    /// True when the leaf holds no records.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
     /// Calls `f` on every record as an [`Item`], in page order.
-    pub fn for_each_item(&self, mut f: impl FnMut(Item<D>)) {
+    pub(crate) fn for_each_item(&self, mut f: impl FnMut(Item<D>)) {
         for rec in self.records() {
             f(decode_item::<D>(rec));
         }
@@ -95,7 +83,7 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
 
     /// Appends every record intersecting `query` to `out`, in page
     /// order, and returns how many matched.
-    pub fn collect_intersecting(&self, query: &Rect<D>, out: &mut Vec<Item<D>>) -> u64 {
+    pub(crate) fn collect_intersecting(&self, query: &Rect<D>, out: &mut Vec<Item<D>>) -> u64 {
         let mut count = 0u64;
         for rec in self.records() {
             let (lo, hi) = Entry::<D>::read_corners(rec);
@@ -108,7 +96,7 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
     }
 
     /// Counts the records intersecting `query`; reads no id.
-    pub fn count_intersecting(&self, query: &Rect<D>) -> u64 {
+    pub(crate) fn count_intersecting(&self, query: &Rect<D>) -> u64 {
         self.records()
             .map(|rec| {
                 let (lo, hi) = Entry::<D>::read_corners(rec);
@@ -120,7 +108,7 @@ impl<'a, const D: usize> LeafRecords<'a, D> {
     /// Counts records bit-identical to `item`, as [`same_identity`]
     /// compares them. The id is tested first; coordinates are read only
     /// for a record whose id matches.
-    pub fn count_identical(&self, item: &Item<D>) -> u64 {
+    pub(crate) fn count_identical(&self, item: &Item<D>) -> u64 {
         self.records().filter(|rec| identical(rec, item)).count() as u64
     }
 
@@ -210,7 +198,11 @@ mod tests {
         assert!(bad(&buf), "count > cap");
         assert!(bad(&buf[..8]), "short header");
         assert!(bad(&page::<2>(1, 3)), "internal page");
-        assert_eq!(from_bytes::<2>(&page::<2>(0, 113)).unwrap().len(), 113);
+        let mut n = 0;
+        from_bytes::<2>(&page::<2>(0, 113))
+            .unwrap()
+            .for_each_item(|_| n += 1);
+        assert_eq!(n, 113);
     }
 
     fn kernels_match_decoded_items<const D: usize>() {

@@ -5,9 +5,9 @@
 //! de Berg, Haverkort, Yi; SIGMOD 2004) together with every index it is
 //! evaluated against, all sharing one page-level R-tree runtime:
 //!
-//! * [`tree::RTree`] — the common runtime: 4KB node pages, fanout 113 (in
+//! * [`RTree`] — the common runtime: 4KB node pages, fanout 113 (in
 //!   2-D), window queries with exact I/O accounting, pluggable node cache.
-//! * [`soa`] / [`leaf`] / [`scratch`] / [`mod@reference`] — the
+//! * `soa` / `leaf` / `scratch` / [`mod@reference`] — the
 //!   decode-free query engine: cached internal nodes are
 //!   structure-of-arrays views scanned by vectorized kernels, leaves are
 //!   scanned in place and never transcoded, traversal state lives in a
@@ -29,7 +29,7 @@
 //! ```
 //! use pr_tree::bulk::pr::PrTreeLoader;
 //! use pr_tree::bulk::BulkLoader;
-//! use pr_tree::params::TreeParams;
+//! use pr_tree::TreeParams;
 //! use pr_em::MemDevice;
 //! use pr_geom::{Item, Rect};
 //! use std::sync::Arc;
@@ -52,30 +52,30 @@
 #![forbid(unsafe_code)]
 
 pub mod bulk;
-pub mod cache;
+pub(crate) mod cache;
 pub mod dynamic;
-pub mod entry;
-pub mod knn;
-pub mod leaf;
-pub mod meta;
+pub(crate) mod entry;
+pub(crate) mod knn;
+pub(crate) mod leaf;
+pub(crate) mod meta;
 pub mod obs;
 pub mod page;
-pub mod params;
+pub(crate) mod params;
 pub mod pseudo;
 pub mod query;
 pub mod reference;
-pub mod scratch;
-pub mod soa;
-pub mod tree;
-pub mod validate;
+pub(crate) mod scratch;
+pub(crate) mod soa;
+pub(crate) mod tree;
+pub(crate) mod validate;
 pub mod writer;
 
 pub use entry::Entry;
 pub use knn::KnnSearch;
-pub use leaf::LeafRecords;
 pub use meta::TreeMeta;
 pub use params::TreeParams;
 pub use query::QueryStats;
 pub use scratch::QueryScratch;
 pub use soa::SoaNode;
-pub use tree::RTree;
+pub use tree::{RTree, TreeStructure};
+pub use validate::ValidationReport;

@@ -46,9 +46,9 @@ pub struct TreeMeta {
 
 impl TreeMeta {
     /// Size of the encoded record in bytes.
-    pub const ENCODED_SIZE: usize = 40;
+    pub(crate) const ENCODED_SIZE: usize = 40;
 
-    /// Serializes into `buf` (must be exactly [`TreeMeta::ENCODED_SIZE`]).
+    /// Serializes into `buf` (must be exactly `TreeMeta::ENCODED_SIZE`).
     pub fn encode(&self, buf: &mut [u8]) {
         assert_eq!(buf.len(), Self::ENCODED_SIZE);
         buf[0..4].copy_from_slice(&(self.params.page_size as u32).to_le_bytes());

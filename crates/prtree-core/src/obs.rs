@@ -12,7 +12,7 @@ use crate::query::QueryStats;
 
 /// Which query a traversal answers (`record_walk` flushes it).
 #[derive(Clone, Copy)]
-pub enum QueryKind {
+pub(crate) enum QueryKind {
     /// Window (range) query, including the counting variants.
     Window,
     /// k-nearest-neighbor query.

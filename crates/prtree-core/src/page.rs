@@ -19,7 +19,7 @@ use crate::entry::Entry;
 use pr_em::{BlockDevice, BlockId, EmError, Record};
 
 /// Bytes of page header before the entry array.
-pub const PAGE_HEADER_SIZE: usize = 16;
+pub(crate) const PAGE_HEADER_SIZE: usize = 16;
 
 pub(crate) const MAGIC: [u8; 4] = *b"PRTN";
 
@@ -44,13 +44,13 @@ impl<const D: usize> NodePage<D> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True when the node has no entries (only legal transiently during
     /// dynamic deletion).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
@@ -63,12 +63,12 @@ impl<const D: usize> NodePage<D> {
     ///
     /// # Panics
     /// Panics if the entries do not fit in the page.
-    pub fn encode(&self, buf: &mut [u8]) {
+    pub(crate) fn encode(&self, buf: &mut [u8]) {
         encode_node(self.level, &self.entries, buf);
     }
 
     /// Deserializes a page buffer.
-    pub fn decode(buf: &[u8]) -> Result<Self, EmError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, EmError> {
         let (level, count) = page_header::<D>(buf)?;
         let mut entries = Vec::with_capacity(count);
         let mut off = PAGE_HEADER_SIZE;
@@ -87,7 +87,7 @@ impl<const D: usize> NodePage<D> {
     }
 
     /// Encodes and writes the node to `page` on `dev`.
-    pub fn write(&self, dev: &dyn BlockDevice, page: BlockId) -> Result<(), EmError> {
+    pub(crate) fn write(&self, dev: &dyn BlockDevice, page: BlockId) -> Result<(), EmError> {
         let mut buf = vec![0u8; dev.block_size()];
         self.encode(&mut buf);
         dev.write_block(page, &buf)

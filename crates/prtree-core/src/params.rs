@@ -30,7 +30,7 @@ impl TreeParams {
     ///
     /// # Panics
     /// Panics if fewer than 2 entries fit in a page.
-    pub fn for_page_size<const D: usize>(page_size: usize) -> Self {
+    pub(crate) fn for_page_size<const D: usize>(page_size: usize) -> Self {
         let cap = (page_size - PAGE_HEADER_SIZE) / Entry::<D>::SIZE;
         assert!(cap >= 2, "page size {page_size} too small for D={D}");
         TreeParams {
@@ -59,7 +59,7 @@ impl TreeParams {
 
     /// Guttman's minimum entries for a non-root node: 40 % of the
     /// capacity, at least 1.
-    pub fn min_fill(&self) -> usize {
+    pub(crate) fn min_fill(&self) -> usize {
         (self.leaf_cap * MIN_FILL_PERCENT / 100).max(1)
     }
 }

@@ -20,7 +20,7 @@ use pr_geom::{Axis, Item, Rect};
 
 /// One node of a pseudo-PR-tree.
 #[derive(Debug, Clone)]
-pub enum PseudoNode<const D: usize> {
+pub(crate) enum PseudoNode<const D: usize> {
     /// A block of at most `B` rectangles — either a priority leaf or a
     /// kd base-case leaf. One disk block in the paper's cost model.
     Leaf(Vec<Item<D>>),
@@ -69,7 +69,7 @@ impl<const D: usize> PseudoPrTree<D> {
     /// Window query with cost counters. Every node occupies `O(1)`
     /// blocks and a leaf one; `device_reads` is 0, because the structure
     /// lives in memory.
-    pub fn window_with_stats(&self, query: &Rect<D>) -> (Vec<Item<D>>, QueryStats) {
+    pub(crate) fn window_with_stats(&self, query: &Rect<D>) -> (Vec<Item<D>>, QueryStats) {
         let mut out = Vec::new();
         let mut stats = QueryStats::default();
         if let Some(root) = &self.root {
@@ -78,17 +78,6 @@ impl<const D: usize> PseudoPrTree<D> {
         stats.internal_visited = stats.nodes_visited - stats.leaves_visited;
         stats.results = out.len() as u64;
         (out, stats)
-    }
-
-    /// Total number of leaf blocks (for the "fraction visited" metric).
-    pub fn num_leaves(&self) -> u64 {
-        fn count<const D: usize>(n: &PseudoNode<D>) -> u64 {
-            match n {
-                PseudoNode::Leaf(_) => 1,
-                PseudoNode::Internal(ch) => ch.iter().map(|(_, c)| count(c)).sum(),
-            }
-        }
-        self.root.as_ref().map_or(0, count)
     }
 
     /// Maximum leaf size observed (must be ≤ `block_cap`).
@@ -100,11 +89,6 @@ impl<const D: usize> PseudoPrTree<D> {
             }
         }
         self.root.as_ref().map_or(0, walk)
-    }
-
-    /// The root node (read-only), for structural tests.
-    pub fn root(&self) -> Option<&PseudoNode<D>> {
-        self.root.as_ref()
     }
 }
 
@@ -173,6 +157,19 @@ fn visit<const D: usize>(
 mod tests {
     use super::*;
     use crate::query::brute_force_window;
+
+    impl<const D: usize> PseudoPrTree<D> {
+        /// Total number of leaf blocks (for the "fraction visited" metric).
+        fn num_leaves(&self) -> u64 {
+            fn count<const D: usize>(n: &PseudoNode<D>) -> u64 {
+                match n {
+                    PseudoNode::Leaf(_) => 1,
+                    PseudoNode::Internal(ch) => ch.iter().map(|(_, c)| count(c)).sum(),
+                }
+            }
+            self.root.as_ref().map_or(0, count)
+        }
+    }
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -218,7 +215,7 @@ mod tests {
                 }
             }
         }
-        check(t.root().unwrap());
+        check(t.root.as_ref().unwrap());
     }
 
     #[test]
@@ -240,7 +237,7 @@ mod tests {
                 }
             }
         }
-        check(t.root().unwrap());
+        check(t.root.as_ref().unwrap());
     }
 
     #[test]

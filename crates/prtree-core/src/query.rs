@@ -18,7 +18,7 @@
 //!   paper's setup pins every internal node) or, on a miss, transcoded
 //!   into the reusable [`QueryScratch`] — and is scanned by the
 //!   vectorized [`pr_geom::batch`] kernels;
-//! * a **leaf** is scanned in place: a [`LeafRecords`] borrows its
+//! * a **leaf** is scanned in place: a `LeafRecords` borrows its
 //!   records from the bytes the device exposes, and each leaf kernel is
 //!   one pass over them. A leaf is never transcoded and never cached.
 //!
@@ -51,7 +51,7 @@ pub struct QueryStats {
     pub device_reads: u64,
     /// Number of reported items (`T`).
     pub results: u64,
-    /// In-memory loose chunks scanned ([`crate::dynamic::loose`]): an
+    /// In-memory loose chunks scanned (`crate::dynamic::loose`): an
     /// LPR-tree's smallest level, which costs no I/O and so counts in
     /// none of the node fields above.
     pub loose_chunks: u64,
@@ -122,7 +122,7 @@ impl<const D: usize> RTree<D> {
     /// scratch and one result vector serve a query over any number of
     /// trees. The returned statistics cover only this traversal
     /// (`results` counts this tree's matches, not `out.len()`).
-    pub fn window_append_into(
+    pub(crate) fn window_append_into(
         &self,
         query: &Rect<D>,
         scratch: &mut QueryScratch<D>,
@@ -138,7 +138,7 @@ impl<const D: usize> RTree<D> {
 
     /// [`RTree::window_count`] with a reusable scratch (the
     /// allocation-free hot path for counting workloads). Leaves are
-    /// tallied in place by [`LeafRecords::count_intersecting`] — no ids
+    /// tallied in place by `LeafRecords::count_intersecting` — no ids
     /// read, no per-match emit — with statistics identical to
     /// [`RTree::window_with_stats`].
     pub fn window_count_into(
@@ -176,7 +176,7 @@ impl<const D: usize> RTree<D> {
     /// * a child is opened only if its box *covers* `item.rect`
     ///   ([`pr_geom::batch::covers_mask`]);
     /// * a leaf counts, in place, the records whose id and bits equal the
-    ///   victim's ([`LeafRecords::count_identical`]).
+    ///   victim's (`LeafRecords::count_identical`).
     ///
     /// In the paper's `R ↦ R*` view the victim is one point in
     /// 2D-space, so this follows the few paths whose boxes hold that

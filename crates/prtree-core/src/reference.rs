@@ -4,7 +4,7 @@
 //! the decode-free SoA read path: decoded [`NodePage`]s with a branchy
 //! per-entry `Rect::intersects`/`min_dist2`, fresh `Vec` allocations
 //! per query, and an `Arc` clone per cached-node visit — the window
-//! traversal verbatim, the k-NN as the scalar form of [`crate::knn`]'s
+//! traversal verbatim, the k-NN as the scalar form of `crate::knn`'s
 //! bounded best-first search over a forest of one. It
 //! exists as the oracle: the engine-equivalence property tests
 //! (`tests/engine_equivalence.rs`) run every loader × dataset through
@@ -78,13 +78,6 @@ impl<'t, const D: usize> ReferenceEngine<'t, D> {
         Ok((out, stats))
     }
 
-    /// Scalar counting window query.
-    pub fn window_count(&self, query: &Rect<D>) -> Result<(u64, QueryStats), EmError> {
-        let mut n = 0u64;
-        let stats = self.traverse(query, |_| n += 1)?;
-        Ok((n, stats))
-    }
-
     fn traverse(
         &self,
         query: &Rect<D>,
@@ -119,7 +112,7 @@ impl<'t, const D: usize> ReferenceEngine<'t, D> {
         Ok(stats)
     }
 
-    /// Scalar form of the bounded best-first k-NN in [`crate::knn`],
+    /// Scalar form of the bounded best-first k-NN in `crate::knn`,
     /// over this one tree: the same frontier of per-node child ranges
     /// (same argmin, same swap-remove, one heap cursor per opened node),
     /// the same k-best heap, the same strict `dist² < k-th best` test on

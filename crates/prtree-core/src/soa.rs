@@ -80,7 +80,7 @@ impl<const D: usize> Default for SoaNode<D> {
 
 impl<const D: usize> SoaNode<D> {
     /// An empty node; the reusable transcode target starts here.
-    pub fn new_empty() -> Self {
+    pub(crate) fn new_empty() -> Self {
         Self::default()
     }
 
@@ -88,7 +88,7 @@ impl<const D: usize> SoaNode<D> {
     /// place, reusing the column allocations — the query engine's
     /// internal-miss path. The header is validated as
     /// [`NodePage::decode`] validates it.
-    pub fn refill_from_bytes(&mut self, buf: &[u8]) -> Result<(), EmError> {
+    pub(crate) fn refill_from_bytes(&mut self, buf: &[u8]) -> Result<(), EmError> {
         let (level, count) = page_header::<D>(buf)?;
         self.level = level;
         self.len = count;
@@ -137,13 +137,13 @@ impl<const D: usize> SoaNode<D> {
     }
 
     /// Converts back to the AoS form (maintenance/update boundary).
-    pub fn to_page(&self) -> NodePage<D> {
+    pub(crate) fn to_page(&self) -> NodePage<D> {
         NodePage::new(self.level, (0..self.len).map(|i| self.entry(i)).collect())
     }
 
     /// Level in the tree: 0 for leaves.
     #[inline]
-    pub fn level(&self) -> u8 {
+    pub(crate) fn level(&self) -> u8 {
         self.level
     }
 
@@ -161,13 +161,13 @@ impl<const D: usize> SoaNode<D> {
 
     /// Lower-corner coordinate column of dimension `d`.
     #[inline]
-    pub fn lo_dim(&self, d: usize) -> &[f64] {
+    pub(crate) fn lo_dim(&self, d: usize) -> &[f64] {
         &self.lo[d * self.len..(d + 1) * self.len]
     }
 
     /// Upper-corner coordinate column of dimension `d`.
     #[inline]
-    pub fn hi_dim(&self, d: usize) -> &[f64] {
+    pub(crate) fn hi_dim(&self, d: usize) -> &[f64] {
         &self.hi[d * self.len..(d + 1) * self.len]
     }
 
@@ -185,25 +185,25 @@ impl<const D: usize> SoaNode<D> {
 
     /// Pointer column (child pages).
     #[inline]
-    pub fn ptrs(&self) -> &[u32] {
+    pub(crate) fn ptrs(&self) -> &[u32] {
         &self.ptrs
     }
 
     /// Pointer of entry `i`.
     #[inline]
-    pub fn ptr(&self, i: usize) -> u32 {
+    pub(crate) fn ptr(&self, i: usize) -> u32 {
         self.ptrs[i]
     }
 
     /// Rectangle of entry `i`, gathered from the columns.
     #[inline]
-    pub fn rect(&self, i: usize) -> Rect<D> {
+    pub(crate) fn rect(&self, i: usize) -> Rect<D> {
         batch::gather_rect(&self.lo_dims(), &self.hi_dims(), i)
     }
 
     /// Entry `i` in AoS form.
     #[inline]
-    pub fn entry(&self, i: usize) -> Entry<D> {
+    pub(crate) fn entry(&self, i: usize) -> Entry<D> {
         Entry::new(self.rect(i), self.ptrs[i])
     }
 
@@ -212,7 +212,7 @@ impl<const D: usize> SoaNode<D> {
     /// same order the AoS scan visited entries, so traversal output and
     /// stack order are unchanged). `mask` is caller-provided scratch.
     #[inline]
-    pub fn for_each_intersecting(
+    pub(crate) fn for_each_intersecting(
         &self,
         query: &Rect<D>,
         mask: &mut Vec<u8>,
@@ -231,7 +231,12 @@ impl<const D: usize> SoaNode<D> {
     /// calls `f(i)` for every entry whose rectangle covers `query`
     /// ([`batch::covers_mask`]), in ascending order.
     #[inline]
-    pub fn for_each_covering(&self, query: &Rect<D>, mask: &mut Vec<u8>, mut f: impl FnMut(usize)) {
+    pub(crate) fn for_each_covering(
+        &self,
+        query: &Rect<D>,
+        mask: &mut Vec<u8>,
+        mut f: impl FnMut(usize),
+    ) {
         mask.resize(self.len, 0);
         batch::covers_mask(&self.lo_dims(), &self.hi_dims(), query, mask);
         for (i, &m) in mask.iter().enumerate() {
@@ -244,7 +249,7 @@ impl<const D: usize> SoaNode<D> {
     /// Batched `min_dist2` from `p` to every entry into `out`
     /// (bit-identical to the scalar [`Rect::min_dist2`]).
     #[inline]
-    pub fn min_dist2_into(&self, p: &Point<D>, out: &mut Vec<f64>) {
+    pub(crate) fn min_dist2_into(&self, p: &Point<D>, out: &mut Vec<f64>) {
         out.resize(self.len, 0.0);
         batch::min_dist2_batch(&self.lo_dims(), &self.hi_dims(), p, out);
     }

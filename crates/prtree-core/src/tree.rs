@@ -27,7 +27,7 @@ use std::time::Instant;
 /// A height-balanced R-tree stored on a block device.
 ///
 /// The handle is `Send + Sync` (statically asserted below): the node
-/// cache is one copy-on-write map ([`crate::cache`]) and the device is
+/// cache is one copy-on-write map (`crate::cache`) and the device is
 /// `Send + Sync` by trait bound, so any number of threads may run
 /// queries on one `&RTree` concurrently. Mutation (`&mut self` dynamic
 /// updates) follows the usual exclusive-borrow rules.
@@ -65,7 +65,7 @@ impl<const D: usize> RTree<D> {
     ///
     /// Bulk loaders call this; it is public so trees can be reattached
     /// after a device is persisted elsewhere.
-    pub fn attach(
+    pub(crate) fn attach(
         dev: Arc<dyn BlockDevice>,
         params: TreeParams,
         root: BlockId,
@@ -85,7 +85,7 @@ impl<const D: usize> RTree<D> {
 
     /// Reopens a tree from persisted metadata — the open path used by
     /// `pr-store` after it has validated checksums and picked a committed
-    /// snapshot. Produces the same handle as [`RTree::attach`] (a cold
+    /// snapshot. Produces the same handle as `RTree::attach` (a cold
     /// node cache; [`RTree::warm_cache`] works as usual) but validates
     /// the metadata against the device instead of trusting it: the root
     /// must be an allocated block and the device's block size must match
@@ -213,7 +213,7 @@ impl<const D: usize> RTree<D> {
     /// exact identity (id and coordinate bits, as
     /// [`same_identity`](crate::dynamic::same_identity) compares them).
     /// The first call builds the tree's membership filter
-    /// ([`crate::dynamic::membership`]) with one leaf scan (`scratch`
+    /// (`crate::dynamic::membership`) with one leaf scan (`scratch`
     /// serves it); later calls are one hash and one cache line.
     pub fn may_contain(
         &self,
@@ -234,7 +234,7 @@ impl<const D: usize> RTree<D> {
 
     /// [`RTree::may_contain`]'s answer if the filter is built, `None` if
     /// it is not. Never builds it.
-    pub fn filter_admits(&self, item: &Item<D>) -> Option<bool> {
+    pub(crate) fn filter_admits(&self, item: &Item<D>) -> Option<bool> {
         let slot = self.membership.read();
         slot.as_ref()
             .map(|f| f.may_contain(&TombstoneKey::of(item)))
@@ -255,7 +255,7 @@ impl<const D: usize> RTree<D> {
 
     /// Loads every internal node into the cache (the paper's setup: "in
     /// all our experiments we cached all internal nodes") and installs
-    /// the whole map at once ([`crate::cache`] module docs). A node
+    /// the whole map at once (`crate::cache` module docs). A node
     /// already cached is reused, not read again.
     pub fn warm_cache(&self) -> Result<(), EmError> {
         if self.root_level == 0 {
@@ -280,7 +280,7 @@ impl<const D: usize> RTree<D> {
     }
 
     /// Applies `f` to every item in the tree (DFS order). Leaves are
-    /// scanned in place ([`crate::leaf::LeafRecords`]); `f` must not write
+    /// scanned in place (`crate::leaf::LeafRecords`); `f` must not write
     /// to this tree's device.
     pub fn for_each_item(&self, mut f: impl FnMut(Item<D>)) -> Result<(), EmError> {
         self.for_each_leaf(&mut QueryScratch::new(), |leaf| leaf.for_each_item(&mut f))

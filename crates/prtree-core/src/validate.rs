@@ -41,7 +41,7 @@ impl ValidationReport {
 
 /// Options controlling which invariants are enforced.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ValidateOptions {
+pub(crate) struct ValidateOptions {
     /// Enforce Guttman's minimum fill on non-root nodes (only meaningful
     /// for dynamically maintained trees; bulk loaders may legitimately
     /// produce one underfull node per level).
@@ -55,7 +55,7 @@ impl<const D: usize> RTree<D> {
     }
 
     /// Validates with explicit options.
-    pub fn validate_with(&self, opts: ValidateOptions) -> Result<ValidationReport, EmError> {
+    pub(crate) fn validate_with(&self, opts: ValidateOptions) -> Result<ValidationReport, EmError> {
         let mut errors = Vec::new();
         let levels = self.root_level() as usize + 1;
         let mut nodes = vec![0u64; levels];

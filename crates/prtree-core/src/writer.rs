@@ -15,7 +15,7 @@
 //!   groups a level with the kd kernel, STR by tiling, the packed
 //!   Hilbert loaders by cutting their sorted order into full nodes (the
 //!   "packed" construction of Kamel–Faloutsos and
-//!   Roussopoulos–Leifker, [`build_packed`]).
+//!   Roussopoulos–Leifker, `build_packed`).
 //! * **Level loop** on streams (`stack_stream_levels`): the same loop
 //!   over entry streams, except that it tests a level before it stages
 //!   it, so it can start at any level. The external PR-tree hands it its
@@ -133,7 +133,7 @@ pub(crate) fn chunks(n: usize, cap: usize) -> Vec<Range<usize>> {
 
 /// The packed construction: `leaf_entries`, in their final order, cut
 /// into full nodes at every level.
-pub fn build_packed<const D: usize>(
+pub(crate) fn build_packed<const D: usize>(
     dev: Arc<dyn BlockDevice>,
     params: TreeParams,
     leaf_entries: Vec<Entry<D>>,

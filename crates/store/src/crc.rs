@@ -138,7 +138,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Streaming form: feed the raw (pre-inverted) state through successive
 /// chunks. Start from `0xFFFF_FFFF`, xor with `0xFFFF_FFFF` at the end.
-pub fn update(mut state: u32, data: &[u8]) -> u32 {
+pub(crate) fn update(mut state: u32, data: &[u8]) -> u32 {
     let (blocks, tail) = data.as_chunks::<BLOCK>();
     for block in blocks {
         let (words, _) = block.as_chunks::<8>();

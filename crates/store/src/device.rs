@@ -50,7 +50,7 @@ use std::sync::Arc;
 /// to one snapshot, so verification work is never repeated across
 /// handles (components of one snapshot share it too).
 #[derive(Debug)]
-pub struct VerifiedBitmap {
+pub(crate) struct VerifiedBitmap {
     words: Vec<AtomicU64>,
     pages: u64,
     verified: AtomicU64,
@@ -58,7 +58,7 @@ pub struct VerifiedBitmap {
 
 impl VerifiedBitmap {
     /// A fresh all-unverified bitmap for `pages` pages.
-    pub fn new(pages: u64) -> Self {
+    pub(crate) fn new(pages: u64) -> Self {
         VerifiedBitmap {
             words: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
             pages,
@@ -68,7 +68,7 @@ impl VerifiedBitmap {
 
     /// True when `page` has already passed its checksum.
     #[inline]
-    pub fn is_verified(&self, page: u64) -> bool {
+    pub(crate) fn is_verified(&self, page: u64) -> bool {
         self.words[(page / 64) as usize].load(Ordering::Acquire) & (1 << (page % 64)) != 0
     }
 
@@ -94,17 +94,17 @@ impl VerifiedBitmap {
     }
 
     /// Number of pages verified so far.
-    pub fn verified_pages(&self) -> u64 {
+    pub(crate) fn verified_pages(&self) -> u64 {
         self.verified.load(Ordering::Relaxed)
     }
 
     /// Total pages tracked.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.pages
     }
 }
 
-/// Outcome of an eager checksum sweep ([`StoreDevice::scrub`]).
+/// Outcome of an eager checksum sweep ([`Store::scrub`](crate::Store::scrub)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Pages in the snapshot (all of them were re-hashed).
@@ -132,7 +132,7 @@ fn set_degraded(flag: &AtomicBool, degraded: bool, why: &str) {
 }
 
 /// Read-only, checksum-verifying view of one committed snapshot.
-pub struct StoreDevice {
+pub(crate) struct StoreDevice {
     file: Arc<PositionedFile>,
     /// Shared mapping of the file prefix covering the snapshot region
     /// (`None`: non-unix, mapping failed, or recheck mode).
@@ -191,11 +191,6 @@ impl StoreDevice {
             allocated_past_end: AtomicU64::new(0),
             counters: IoCounters::new(),
         }
-    }
-
-    /// True when reads are served from the memory mapping.
-    pub fn is_mmapped(&self) -> bool {
-        self.map.is_some()
     }
 
     #[inline]
@@ -259,7 +254,7 @@ impl StoreDevice {
     /// later reads of any rotted page surface `Corrupt` instead of
     /// trusting its stale verification, not just reads of the first
     /// one. The typed error names the lowest-numbered bad page.
-    pub fn scrub(&self) -> Result<ScrubReport, StoreError> {
+    pub(crate) fn scrub(&self) -> Result<ScrubReport, StoreError> {
         let already = self.verified.verified_pages();
         let mut buf = vec![0u8; self.block_size];
         let mut scratch = Vec::new();

@@ -72,11 +72,11 @@ use crate::error::StoreError;
 use pr_tree::TreeMeta;
 
 /// Store file magic (first 8 bytes of both superblock slots).
-pub const SB_MAGIC: [u8; 8] = *b"PRSTORE1";
+pub(crate) const SB_MAGIC: [u8; 8] = *b"PRSTORE1";
 /// Footer magic.
-pub const FOOTER_MAGIC: [u8; 4] = *b"PRFO";
+pub(crate) const FOOTER_MAGIC: [u8; 4] = *b"PRFO";
 /// Manifest record magic.
-pub const MANIFEST_MAGIC: [u8; 4] = *b"PRMF";
+pub(crate) const MANIFEST_MAGIC: [u8; 4] = *b"PRMF";
 /// Current format version. Version 2 replaced the manifest's packed
 /// `TreeMeta` list with per-component page runs ([`ComponentRun`]),
 /// enabling incremental commits that reference unchanged components'
@@ -116,25 +116,25 @@ pub struct Superblock {
 
 impl Superblock {
     /// Encoded size of the live header inside a slot.
-    pub const ENCODED_SIZE: usize = 128;
+    pub(crate) const ENCODED_SIZE: usize = 128;
     /// Size of each superblock slot. Fixed (rather than one block) so a
     /// reader can locate slot B before it knows the block size, even
     /// when slot A is torn.
     pub const SLOT_SIZE: u64 = 4096;
 
     /// Byte offset of slot 0 or 1.
-    pub fn slot_offset(slot: usize) -> u64 {
+    pub(crate) fn slot_offset(slot: usize) -> u64 {
         debug_assert!(slot < 2);
         slot as u64 * Self::SLOT_SIZE
     }
 
     /// First byte past the two superblock slots.
-    pub fn data_region_start() -> u64 {
+    pub(crate) fn data_region_start() -> u64 {
         2 * Self::SLOT_SIZE
     }
 
     /// Serializes into `buf` (exactly [`Superblock::ENCODED_SIZE`] bytes).
-    pub fn encode(&self, buf: &mut [u8]) {
+    pub(crate) fn encode(&self, buf: &mut [u8]) {
         assert_eq!(buf.len(), Self::ENCODED_SIZE);
         buf[0..8].copy_from_slice(&SB_MAGIC);
         buf[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -157,7 +157,7 @@ impl Superblock {
 
     /// Deserializes one slot's header, verifying magic, version, and the
     /// superblock's own CRC.
-    pub fn decode(buf: &[u8]) -> Result<Self, StoreError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, StoreError> {
         if buf.len() != Self::ENCODED_SIZE {
             return Err(StoreError::Corrupt(format!(
                 "superblock buffer is {} bytes, want {}",
@@ -214,7 +214,7 @@ impl Superblock {
 
     /// True when the committed snapshot carries a multi-component
     /// manifest record.
-    pub fn has_manifest(&self) -> bool {
+    pub(crate) fn has_manifest(&self) -> bool {
         self.manifest_offset != 0
     }
 }
@@ -246,11 +246,11 @@ pub struct ComponentRun {
 
 impl ComponentRun {
     /// Encoded size in bytes.
-    pub const ENCODED_SIZE: usize = 76;
+    pub(crate) const ENCODED_SIZE: usize = 76;
 
     /// Serializes into `buf` (exactly [`ComponentRun::ENCODED_SIZE`]
     /// bytes).
-    pub fn encode(&self, buf: &mut [u8]) {
+    pub(crate) fn encode(&self, buf: &mut [u8]) {
         assert_eq!(buf.len(), Self::ENCODED_SIZE);
         buf[0..8].copy_from_slice(&self.id.to_le_bytes());
         self.meta.encode(&mut buf[8..48]);
@@ -262,7 +262,7 @@ impl ComponentRun {
 
     /// Deserializes one run entry (integrity is the enclosing
     /// manifest's CRC).
-    pub fn decode(buf: &[u8]) -> Result<Self, StoreError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, StoreError> {
         if buf.len() != Self::ENCODED_SIZE {
             return Err(StoreError::Corrupt(format!(
                 "component run is {} bytes, want {}",
@@ -305,12 +305,12 @@ impl ManifestRecord {
     pub const HEADER_SIZE: usize = 24;
 
     /// Encoded size of this record in bytes.
-    pub fn encoded_size(&self) -> usize {
+    pub(crate) fn encoded_size(&self) -> usize {
         Self::HEADER_SIZE + self.runs.len() * ComponentRun::ENCODED_SIZE + self.app.len() + 4
     }
 
     /// Serializes into a fresh buffer.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut buf = vec![0u8; self.encoded_size()];
         buf[0..4].copy_from_slice(&MANIFEST_MAGIC);
         buf[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -330,7 +330,7 @@ impl ManifestRecord {
     }
 
     /// Deserializes and verifies a manifest record.
-    pub fn decode(buf: &[u8]) -> Result<Self, StoreError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, StoreError> {
         if buf.len() < Self::HEADER_SIZE + 4 {
             return Err(StoreError::Corrupt(format!(
                 "manifest record is {} bytes, too short for a header",
@@ -378,7 +378,7 @@ impl ManifestRecord {
 /// superblock flip. Validating it proves the snapshot body (pages +
 /// checksum table) was fully written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Footer {
+pub(crate) struct Footer {
     /// Epoch this footer commits (must match its superblock).
     pub epoch: u64,
     /// Number of pages in the snapshot.
@@ -389,10 +389,10 @@ pub struct Footer {
 
 impl Footer {
     /// Encoded size in bytes.
-    pub const ENCODED_SIZE: usize = 40;
+    pub(crate) const ENCODED_SIZE: usize = 40;
 
     /// Serializes into `buf` (exactly [`Footer::ENCODED_SIZE`] bytes).
-    pub fn encode(&self, buf: &mut [u8]) {
+    pub(crate) fn encode(&self, buf: &mut [u8]) {
         assert_eq!(buf.len(), Self::ENCODED_SIZE);
         buf[0..4].copy_from_slice(&FOOTER_MAGIC);
         buf[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -406,7 +406,7 @@ impl Footer {
     }
 
     /// Deserializes and verifies a footer record.
-    pub fn decode(buf: &[u8]) -> Result<Self, StoreError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, StoreError> {
         if buf.len() != Self::ENCODED_SIZE {
             return Err(StoreError::Corrupt(format!(
                 "footer buffer is {} bytes, want {}",

@@ -26,7 +26,7 @@
 //!   compaction: build-time scratch blocks never reach the file.
 //! * **checksum table** — CRC32 of every page, 4 bytes each. Reads
 //!   through the reopened tree verify lazily against this table, each
-//!   page **once** (a shared verify-once bitmap; see [`device`]); a
+//!   page **once** (a shared verify-once bitmap; see [`ReadPath`]); a
 //!   flipped bit in an unverified page surfaces as a typed checksum
 //!   error on the read that touches it, never as a wrong answer, and
 //!   [`Store::scrub`] re-hashes everything eagerly to catch later rot.
@@ -93,15 +93,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod crc;
-pub mod device;
-pub mod error;
-pub mod format;
+pub(crate) mod crc;
+pub(crate) mod device;
+pub(crate) mod error;
+pub(crate) mod format;
 pub mod obs;
-pub mod store;
+pub(crate) mod store;
 
 pub use crc::crc32;
-pub use device::{ScrubReport, StoreDevice, VerifiedBitmap};
+pub use device::ScrubReport;
 pub use error::StoreError;
-pub use format::{ComponentRun, Footer, ManifestRecord, Superblock, FORMAT_VERSION};
+pub use format::{ComponentRun, ManifestRecord, Superblock, FORMAT_VERSION};
 pub use store::{CommitComponent, CommitOutcome, ReadPath, Store};

@@ -38,8 +38,8 @@ use std::fs::OpenOptions;
 use std::path::Path;
 use std::sync::Arc;
 
-/// How a reopened tree's device reads the snapshot. See
-/// [`crate::device`] for the full design.
+/// How a reopened tree's device reads the snapshot. The store's
+/// device module holds the full design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
     /// mmap the snapshot region (positioned-read fallback where
@@ -607,7 +607,7 @@ impl Store {
     }
 
     /// Reopens the committed tree. The returned handle reads through a
-    /// fresh [`StoreDevice`] (checksum-verified, read-only) and feeds the
+    /// fresh `StoreDevice` (checksum-verified, read-only) and feeds the
     /// normal node cache — `warm_cache`, window and k-NN queries
     /// behave exactly as on the never-persisted tree. Reads take the
     /// default zero-copy path ([`ReadPath::ZeroCopy`]).
@@ -638,7 +638,7 @@ impl Store {
     /// yields one tree per manifest entry (in manifest order); a legacy
     /// single-tree snapshot yields that one tree; an empty store yields
     /// no trees. Each tree reads through its own run-scoped
-    /// checksum-verifying [`StoreDevice`] pinned to this snapshot —
+    /// checksum-verifying `StoreDevice` pinned to this snapshot —
     /// later saves never move pages out from under them.
     pub fn components<const D: usize>(&self) -> Result<Vec<RTree<D>>, StoreError> {
         self.components_with(ReadPath::ZeroCopy)

@@ -87,7 +87,7 @@ type CmdResult<T = ()> = Result<T, Box<dyn Error>>;
 
 /// What the span tracer samples and which traces the flight recorder
 /// keeps: flags of the commands that print traces.
-const TRACE_FLAGS: &[Flag] = &[Value("trace-sample"), Value("trace-slow-us")];
+const TRACE_FLAGS: &[Flag] = &[Value("trace-sample")];
 /// The memtable seal threshold and where merges run: flags of the
 /// commands whose writes can trigger a merge.
 const MERGE_FLAGS: &[Flag] = &[Value("buffer-cap"), Bool("inline-merge")];
@@ -243,7 +243,7 @@ commands:\n\
 \x20       query/knn/stats accept --paranoid: re-hash every store page on\n\
 \x20       every read (CRC rechecked each touch) instead of verify-once\n\
 \x20 stats FILE|DIR [--no-verify] [--paranoid] [--json]\n\
-\x20       [--trace-sample N] [--trace-slow-us U]\n\
+\x20       [--trace-sample N]\n\
 \x20       store file: dump the superblock, eagerly scrub every page CRC\n\
 \x20       through the verify-once bitmap (reporting verified/total), report\n\
 \x20       tree shape (--no-verify stops after the superblock dump).\n\
@@ -262,13 +262,12 @@ commands:\n\
 \x20       (open + WAL replay) — WAL rotations, group flushes, seals,\n\
 \x20       merges, compactions, scrubs. Store files have no event\n\
 \x20       history: a file path is an error\n\
-\x20 slow DIR|FILE [--limit N] [--json] [--trace-sample N] [--trace-slow-us U]\n\
+\x20 slow DIR|FILE [--limit N] [--json] [--trace-sample N]\n\
 \x20       trace every operation of the open (live dir: WAL replay;\n\
 \x20       store file: open + scrub) and dump the slow-op flight\n\
 \x20       recorder: the N slowest traces per op-kind, slowest first.\n\
 \x20       stats/slow accept --trace-sample N (span-trace 1 op in N; 0 =\n\
-\x20       off, the default for stats) and --trace-slow-us U (the flight\n\
-\x20       recorder keeps only traces of at least U µs)\n\
+\x20       off, the default for stats)\n\
 \x20 torture [DIR] [--seed S] [--batches B] [--batch SIZE] [--writers W]\n\
 \x20        [--durability fsync|async|async:BYTES] [--stride K]\n\
 \x20       fault-injection torture sweep: run a scripted ingest trace once\n\
@@ -391,6 +390,32 @@ mod tests {
         assert!(!is_broken_pipe(full.as_ref()));
         let text: Box<dyn Error> = "Broken pipe".into();
         assert!(!is_broken_pipe(text.as_ref()));
+    }
+
+    /// A stdout whose reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn expect_outranks_a_pipe_closed_during_the_explain_profile() {
+        let path = std::env::temp_dir().join(format!("prtree-cli-{}.prt", std::process::id()));
+        let file = path.to_str().unwrap();
+        let build = parse("build", &["--out", file, "--n", "200", "--seed", "7"]).unwrap();
+        (command("build").run)(&build, &mut Vec::new()).unwrap();
+        let args = [file, "--window", "0,0,1,1", "--explain", "--expect", "4"];
+        let query = parse("query", &args).unwrap();
+        let err = (command("query").run)(&query, &mut ClosedPipe).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(!is_broken_pipe(err.as_ref()), "{err}");
+        assert_eq!(err.to_string(), "expected 4 results, got 200");
     }
 
     #[test]

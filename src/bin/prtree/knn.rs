@@ -19,9 +19,10 @@ pub(crate) fn cmd_knn(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let reader = Reader::open(path, opts)?;
     let mut scratch = QueryScratch::new();
     let mut neighbors = Vec::new();
-    let (stats, knn_ms) = explained(opts, out, "knn", &reader, || {
+    let (stats, knn_ms, explain) = explained(opts, out, "knn", &reader, || {
         reader.knn(&Point::new([x, y]), k, &mut scratch, &mut neighbors)
     })?;
+    explain?;
     writeln!(out, "{} nearest to ({x}, {y}):", neighbors.len())?;
     for (item, dist) in &neighbors {
         writeln!(

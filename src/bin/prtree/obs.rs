@@ -91,12 +91,10 @@ pub(crate) fn write_metrics_file(path: &Path) -> Result<(), String> {
     write_atomic(path, registry_json())
 }
 
-/// Applies `--trace-sample` (default `every`; 0 = off) and
-/// `--trace-slow-us`. The sampler and the flight recorder are
-/// process-global statics, not index state: set them before the index
+/// Applies `--trace-sample` (default `every`; 0 = off). The sampler is
+/// a process-global static, not index state: set it before the index
 /// opens and can arm a trace.
 pub(crate) fn arm_tracing(opts: &Opts, every: u64) -> Result<(), String> {
     pr_obs::trace::set_sampling(opts.num("trace-sample", every)?);
-    pr_obs::recorder().configure(opts.num("trace-slow-us", 0)?);
     Ok(())
 }

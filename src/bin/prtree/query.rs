@@ -2,7 +2,7 @@ use crate::opts::{window, Opts};
 use crate::reader::{explained, Reader};
 use crate::CmdResult;
 use pr_tree::QueryScratch;
-use std::io::{self, Write};
+use std::io::Write;
 use std::time::Instant;
 
 pub(crate) fn cmd_query(opts: &Opts, out: &mut dyn Write) -> CmdResult {
@@ -16,13 +16,14 @@ pub(crate) fn cmd_query(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     let open_ms = t0.elapsed().as_secs_f64() * 1e3;
     let mut scratch = QueryScratch::new();
     let mut hits = Vec::new();
-    let (stats, query_ms) = explained(opts, out, "window", &reader, || {
+    let (stats, query_ms, explain) = explained(opts, out, "window", &reader, || {
         reader.window(&q, &mut scratch, &mut hits)
     })?;
 
-    // The report goes out before the `--expect` check, but the check's
-    // verdict outranks a reader that closed the pipe during the report.
-    let report = (|| -> io::Result<()> {
+    // The report (after the `--explain` profile) goes out before the
+    // `--expect` check, but the check's verdict outranks a reader that
+    // closed the pipe during either.
+    let report = explain.and_then(|()| {
         writeln!(out, "results: {}", hits.len())?;
         writeln!(
             out,
@@ -42,7 +43,7 @@ pub(crate) fn cmd_query(opts: &Opts, out: &mut dyn Write) -> CmdResult {
             }
         }
         Ok(())
-    })();
+    });
     if let Some(want) = expect.filter(|&want| want != hits.len()) {
         return Err(format!("expected {want} results, got {}", hits.len()).into());
     }

@@ -14,13 +14,15 @@ use std::time::Instant;
 /// per component; the profile aggregates them. Any mismatch is an error
 /// (the command exits 1): the trace and the stats counters are two
 /// independent accountings of the same traversal, and disagreement
-/// means one of them lies.
+/// means one of them lies. The verdict is the outer result; the inner
+/// one is the report's write, which the caller returns after its own
+/// checks.
 fn print_explain(
     out: &mut dyn Write,
     traces: &[pr_obs::Trace],
     kind: &str,
     stats: &QueryStats,
-) -> CmdResult {
+) -> CmdResult<io::Result<()>> {
     let traces: Vec<&pr_obs::Trace> = traces.iter().filter(|t| t.kind == kind).collect();
     let mut levels: Vec<pr_obs::LevelCounters> = Vec::new();
     let mut total_us = 0u64;
@@ -110,13 +112,13 @@ fn print_explain(
         )
         .into());
     }
-    report?;
-    writeln!(
-        out,
-        "cross-check vs QueryStats: exact (nodes={} leaves={} internal={} reads={})",
-        stats.nodes_visited, stats.leaves_visited, stats.internal_visited, stats.device_reads
-    )?;
-    Ok(())
+    Ok(report.and_then(|()| {
+        writeln!(
+            out,
+            "cross-check vs QueryStats: exact (nodes={} leaves={} internal={} reads={})",
+            stats.nodes_visited, stats.leaves_visited, stats.internal_visited, stats.device_reads
+        )
+    }))
 }
 
 /// What `query` and `knn` read: a store file's tree (warmed at open),
@@ -218,14 +220,17 @@ impl Reader {
 /// it makes is traced — sampling goes 1-in-1 for the query, then back
 /// off so a `--repeat` loop runs untraced — and the profile is printed
 /// and cross-checked against the query's own statistics, followed by
-/// the live reader's loose-chunk line.
+/// the live reader's loose-chunk line. A failed cross-check is an
+/// error; the profile's write result is returned beside the stats, so
+/// a caller with a check of its own (`query --expect`) runs it before
+/// a closed pipe ends the command.
 pub(crate) fn explained(
     opts: &Opts,
     out: &mut dyn Write,
     kind: &str,
     reader: &Reader,
     query: impl FnOnce() -> CmdResult<QueryStats>,
-) -> CmdResult<(QueryStats, f64)> {
+) -> CmdResult<(QueryStats, f64, io::Result<()>)> {
     let explain = opts.has("explain");
     if explain {
         pr_obs::trace::install_collector(64);
@@ -234,12 +239,13 @@ pub(crate) fn explained(
     let t0 = Instant::now();
     let stats = query()?;
     let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut written = Ok(());
     if explain {
         pr_obs::trace::set_sampling(0);
-        print_explain(out, &pr_obs::trace::drain_collector(), kind, &stats)?;
+        written = print_explain(out, &pr_obs::trace::drain_collector(), kind, &stats)?;
         if let Some(line) = reader.loose_line(&stats) {
-            writeln!(out, "{line}")?;
+            written = written.and_then(|()| writeln!(out, "{line}"));
         }
     }
-    Ok((stats, ms))
+    Ok((stats, ms, written))
 }

@@ -38,7 +38,7 @@ pub(crate) fn cmd_slow(opts: &Opts, out: &mut dyn Write) -> CmdResult {
     if json {
         writeln!(out, "{}", pr_obs::slow_traces_json(&groups))?;
     } else if groups.is_empty() {
-        writeln!(out, "flight recorder: no ops above the slow threshold")?;
+        writeln!(out, "flight recorder: no traced ops")?;
     } else {
         for (kind, traces) in &groups {
             writeln!(out, "{kind}: {} slowest retained", traces.len())?;
