@@ -57,6 +57,10 @@ pub(crate) struct Core<const D: usize> {
     /// as in-place run references — no page rewrite.
     pub(crate) components: ComponentSet<(Arc<RTree<D>>, u64)>,
     /// Dead identities among sealed + components (never the memtable).
+    /// A delete adds through `Arc::make_mut`, so while a snapshot or a
+    /// merge's cut pins the set, the first delete copies it (a `Vec`
+    /// copy of the key-ordered run, plus the delta) and later ones
+    /// mutate the copy.
     pub(crate) tombstones: Arc<Tombstones<D>>,
     /// Enqueued-but-unacknowledged ops, in sequence order. Invisible to
     /// snapshots and `live`; consulted (under the sequencing lock) by

@@ -28,6 +28,14 @@
 //! …    40t  tombstones: item bytes + count (u32) each
 //! …    36m  memtable items
 //! ```
+//!
+//! The tombstone records are written in ascending key order
+//! ([`TombstoneKey`]'s: id, then `lo` bits, then `hi` bits), one per
+//! distinct key, so the same multiset always encodes to the same bytes.
+//! A reader accepts any order: a checkpoint in key order is parsed
+//! straight into the set's sorted run, and one whose records are not
+//! (an older writer's, walked out of a hash map) is sorted once, a
+//! repeated key's counts summed. A zero count is dropped.
 
 use crate::error::LiveError;
 use pr_em::Record;
@@ -92,7 +100,8 @@ impl<const D: usize> LiveManifest<D> {
         buf
     }
 
-    /// Deserializes a checkpoint written by [`LiveManifest::encode`].
+    /// Deserializes a checkpoint written by [`LiveManifest::encode`], or
+    /// by an older writer whose tombstone records are in any order.
     pub(crate) fn decode(buf: &[u8]) -> Result<Self, LiveError> {
         let item_size = Entry::<D>::SIZE;
         if buf.len() < HEADER_SIZE {
@@ -260,6 +269,96 @@ mod tests {
         let m = LiveManifest::<2>::default();
         let back = LiveManifest::<2>::decode(&m.encode()).unwrap();
         assert_eq!(back, m);
+    }
+
+    /// The `(key, count)` tombstone records of an encoded manifest, in
+    /// the order they are stored.
+    fn tombstone_records(buf: &[u8]) -> Vec<(TombstoneKey<2>, u32)> {
+        let u32_at = |off: usize| u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
+        let size = Entry::<2>::SIZE;
+        let first = HEADER_SIZE + 4 * u32_at(24) as usize;
+        (0..u32_at(28) as usize)
+            .map(|i| {
+                let off = first + i * (size + 4);
+                let item = Entry::<2>::decode(&buf[off..off + size]).to_item();
+                (TombstoneKey::of(&item), u32_at(off + size))
+            })
+            .collect()
+    }
+
+    /// Three keys added in two orders, one of them partly through a
+    /// collected run, encode to the same bytes, their records in key
+    /// order: id, then the `lo` bits, then the `hi` bits.
+    #[test]
+    fn tombstone_records_are_written_in_key_order() {
+        let (a, b, c) = (item(5, 2.0), item(3, 9.0), item(5, -1.0));
+        let encode = |tombstones| {
+            LiveManifest::<2> {
+                wal_seq: 4,
+                slots: vec![1],
+                tombstones,
+                memtable: vec![item(100, 0.5)],
+            }
+            .encode()
+        };
+        let mut first = Tombstones::new();
+        [a, b, c].iter().for_each(|it| first.add(it));
+        let mut second: Tombstones<2> = [(TombstoneKey::of(&c), 1)].into_iter().collect();
+        [b, a].iter().for_each(|it| second.add(it));
+        let bytes = encode(first);
+        assert_eq!(bytes, encode(second));
+        // -1.0 has its sign bit set, so its bits sort above 2.0's.
+        let want = [b, a, c].map(|it| (TombstoneKey::of(&it), 1));
+        assert_eq!(tombstone_records(&bytes), want);
+    }
+
+    /// A version-1 manifest whose tombstone records are out of key order
+    /// and repeat a key, as an older writer could leave one: it decodes
+    /// to the same multiset, with counts summed and a zero count
+    /// dropped, and re-encodes in key order.
+    #[test]
+    fn an_unordered_checkpoint_decodes_to_the_same_multiset() {
+        let (a, b, c) = (item(5, 2.0), item(3, 9.0), item(4, 0.0));
+        let records = [(b, 1), (a, 2), (c, 0), (b, 3), (a, 1)];
+        let u = |v: u32| v.to_le_bytes().to_vec();
+        let mut buf = [
+            b"PRLIVE1\0".to_vec(),
+            u(1),
+            u(0),
+            77u64.to_le_bytes().to_vec(),
+            u(1),
+            u(records.len() as u32),
+            u(1),
+            u(0),
+            u(6),
+        ]
+        .concat();
+        for (it, count) in records {
+            let mut rec = vec![0; Entry::<2>::SIZE];
+            Entry::from_item(it).encode(&mut rec);
+            buf.extend(rec.into_iter().chain(u(count)));
+        }
+        let mut rec = vec![0; Entry::<2>::SIZE];
+        Entry::from_item(item(100, 0.5)).encode(&mut rec);
+        buf.extend(rec);
+        let back = LiveManifest::<2>::decode(&buf).unwrap();
+        assert_eq!((back.wal_seq, &back.slots[..]), (77, &[6][..]));
+        assert_eq!(back.memtable, [item(100, 0.5)]);
+        let t = &back.tombstones;
+        assert_eq!(
+            (t.total(), t.count(&a), t.count(&b), t.count(&c)),
+            (7, 3, 4, 0)
+        );
+        let mut model = Tombstones::new();
+        model.add_count(TombstoneKey::of(&a), 3);
+        model.add_count(TombstoneKey::of(&b), 4);
+        assert_eq!(*t, model);
+        let again = back.encode();
+        assert_eq!(
+            tombstone_records(&again),
+            [(TombstoneKey::of(&b), 4), (TombstoneKey::of(&a), 3)]
+        );
+        assert_eq!(LiveManifest::<2>::decode(&again).unwrap(), back);
     }
 
     #[test]

@@ -24,8 +24,14 @@
 //!    (drain, and fsync whatever no group fsync covers yet — a segment
 //!    must be complete and durable before the log rotates past it,
 //!    which is also what makes `flush()` drain the async in-flight
-//!    window), fix `cut_seq`, and snapshot {memtable, tombstones −
-//!    consumed, post-merge layout} for the manifest. A checkpoint
+//!    window), fix `cut_seq`, and snapshot {memtable, post-merge
+//!    layout} for the manifest and pin the tombstone set's `Arc`, which
+//!    is exact: every seq ≤ `cut_seq` is applied by then. The
+//!    manifest's tombstones − consumed (a copy, then one linear merge:
+//!    [`Tombstones::subtract`](pr_tree::dynamic::Tombstones::subtract))
+//!    are built after the lock is released, and the pin is dropped
+//!    before the commit starts, so writers' deletes meanwhile copy the
+//!    set at most once. A checkpoint
 //!    (`Force` / `Full`) rotates the WAL here, so every assigned seq ≤
 //!    `cut_seq` sits in old segments; an `Overflow` merge rotates only
 //!    once the segment is full ([`crate::wal::SEGMENT_ROTATE_BYTES`])
@@ -76,7 +82,7 @@ use pr_obs::trace;
 use pr_store::{CommitComponent, Store};
 use pr_tree::bulk::pr::PrTreeLoader;
 use pr_tree::bulk::BulkLoader;
-use pr_tree::dynamic::{components, LooseItems, MergePlan};
+use pr_tree::dynamic::{components, LooseItems, MergePlan, Tombstones};
 use pr_tree::{Entry, RTree};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -198,6 +204,7 @@ pub(crate) fn run_merge<const D: usize>(
         inputs.iter().map(|(slot, tree)| (*slot, tree.as_ref())),
         &t_snap,
     )?;
+    drop(t_snap);
     let n_items = items.len();
     let new_tree: Option<RTree<D>> = if items.is_empty() {
         None
@@ -220,10 +227,11 @@ pub(crate) fn run_merge<const D: usize>(
     // non-newest segment as corruption, not a torn tail, so rotation
     // must only ever leave complete, durable segments behind; this is
     // also what drains the async in-flight window on flush) — rotate if
-    // this cut is a checkpoint or the segment is full, and snapshot the
-    // manifest state; then release so writers run during the commit.
+    // this cut is a checkpoint or the segment is full, snapshot the
+    // manifest state and pin the tombstones at the cut; then release so
+    // writers run during the commit.
     let t_cut = trace::span_start();
-    let (cut_seq, rotated, target, layout, manifest_tombstones, memtable_snapshot) = {
+    let (cut_seq, rotated, target, layout, cut_tombstones, memtable_snapshot) = {
         let w = inner.writer.lock();
         inner.group.wait_applied(w.next_seq.saturating_sub(1))?;
         inner.group.sync_window()?;
@@ -249,14 +257,12 @@ pub(crate) fn run_merge<const D: usize>(
             .into_iter()
             .map(|(slot, kept)| (slot as u32, kept.map(|&(_, id)| id)))
             .collect();
-        let mut after = (*core.tombstones).clone();
-        after.subtract(&consumed);
         (
             cut_seq,
             rotated,
             target,
             layout,
-            after,
+            Arc::clone(&core.tombstones),
             core.memtable.to_vec(),
         )
     };
@@ -274,10 +280,15 @@ pub(crate) fn run_merge<const D: usize>(
             None => CommitComponent::New(new_tree.as_ref().expect("the target holds the merge")),
         })
         .collect();
+    // Off the lock: the cut's tombstones minus this merge's. The pin
+    // goes first, so deletes during the commit mutate the set in place.
+    let mut tombstones = Tombstones::clone(&cut_tombstones);
+    drop(cut_tombstones);
+    tombstones.subtract(&consumed);
     let app = LiveManifest {
         wal_seq: cut_seq,
         slots: slots.clone(),
-        tombstones: manifest_tombstones,
+        tombstones,
         memtable: memtable_snapshot,
     }
     .encode();
@@ -361,7 +372,8 @@ pub(crate) fn run_merge<const D: usize>(
     fault::mark("merge.swap")?;
 
     // Phase 6: swap + prune. The tombstone set is re-derived from the
-    // *current* map minus what this merge consumed, so deletes recorded
+    // *current* set minus what this merge consumed (one linear merge,
+    // which also folds its delta into its run), so deletes recorded
     // during the commit window survive the swap. (Ops still pending in
     // the commit queue are untouched: their liveness decisions hold
     // across the swap because a merge preserves per-identity stored-copy
@@ -372,9 +384,7 @@ pub(crate) fn run_merge<const D: usize>(
         let mut core = inner.core.write();
         core.components.install(&plan, merged);
         core.sealed = None;
-        let mut after = (*core.tombstones).clone();
-        after.subtract(&consumed);
-        core.tombstones = Arc::new(after);
+        Arc::make_mut(&mut core.tombstones).subtract(&consumed);
         core.merged_seq = cut_seq;
         core.merges += 1;
         core.structure_epoch += 1;

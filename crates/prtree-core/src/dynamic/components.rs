@@ -9,7 +9,7 @@
 
 use crate::dynamic::loose::LooseItems;
 use crate::dynamic::policy;
-use crate::dynamic::tombstone::{Spent, Tombstones};
+use crate::dynamic::tombstone::{Spent, TombstoneKey, Tombstones};
 use crate::tree::RTree;
 use pr_em::EmError;
 use pr_geom::Item;
@@ -210,8 +210,10 @@ impl<C: Component> ComponentSet<C> {
 /// itself: aliased copies are bit-identical, so which one survives is
 /// unobservable, and both frontends drop the same number. The bulk
 /// load's leaves are the same sets whatever order the loose chunks
-/// hold their items in. Pure, so it runs off any lock; each input read
-/// is an `em/component_read` span.
+/// hold their items in. A dropped copy's key is pushed onto a list, and
+/// the consumed set is collected from it with one sort at the end. Pure,
+/// so it runs off any lock; each input read is an `em/component_read`
+/// span.
 pub fn drain<'a, const D: usize>(
     loose: &LooseItems<D>,
     inputs: impl Iterator<Item = (usize, &'a RTree<D>)> + Clone,
@@ -219,14 +221,14 @@ pub fn drain<'a, const D: usize>(
 ) -> Result<(Vec<Item<D>>, Tombstones<D>), EmError> {
     let held: u64 = inputs.clone().map(|(_, tree)| tree.len()).sum();
     let mut items = Vec::with_capacity(loose.len() + held as usize);
-    let mut consumed = Tombstones::new();
+    let mut dead = Vec::new();
     let mut spent = Spent::new();
     let mut filter = tombstones.filter(&mut spent);
     let mut keep = |item: Item<D>| {
         if filter.admit(&item) {
             items.push(item);
         } else {
-            consumed.add(&item);
+            dead.push((TombstoneKey::of(&item), 1));
         }
     };
     loose.for_each_item(&mut keep);
@@ -236,5 +238,5 @@ pub fn drain<'a, const D: usize>(
         let detail = format_args!("slot={slot} items={}", tree.len());
         pr_obs::trace::span_since("em", "component_read", t0, detail);
     }
-    Ok((items, consumed))
+    Ok((items, dead.into_iter().collect()))
 }

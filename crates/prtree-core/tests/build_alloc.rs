@@ -22,8 +22,8 @@
 //!
 //! The next two tests hold `scratch.rs` to its word for windows, counts,
 //! exact matches and k-NN: a warmed [`QueryScratch`] answers without a
-//! single allocation. The last holds a checkpoint's tombstone map to one
-//! allocation: it is sized before it is filled.
+//! single allocation. The last holds a checkpoint's tombstone run to one
+//! allocation: it is sized before it is filled, and sorted in place.
 
 use pr_em::{BlockDevice, FileDevice, MemDevice, Stream};
 use pr_geom::{Item, Point, Rect};
